@@ -18,29 +18,15 @@ import numpy as np
 
 sys.path.insert(0, "src")
 
-from phasetip.counterfactual import (  # noqa: E402
-    Effect,
-    TransformParams,
-    apply_transform,
-    make_draws,
-)
+from phasetip.counterfactual import Effect, TransformParams, make_draws  # noqa: E402
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial  # noqa: E402
 from phasetip.survival import cox_fit, logrank_test, phase_hr, to_counting_process  # noqa: E402
-
-
-def evaluate_point(records, effect, gamma, draws):
-    data = apply_transform(records, TransformParams(effect, gamma), draws)
-    rows = to_counting_process(data)
-    p = logrank_test(data).p_two_sided
-    hr_overall = cox_fit(rows, ("trt",)).hr("trt")
-    hrm = phase_hr(data).hr_mono
-    n_events = sum(r.delta for r in data)
-    return p, hr_overall, hrm, n_events
+from phasetip.tipping import evaluate_at  # noqa: E402
 
 
 def first_crossing(xs, ys, level, rising):
     for x, y in zip(xs, ys):
-        if (y > level) if rising else (y >= level):
+        if y is not None and ((y > level) if rising else (y >= level)):
             return x, y
     return None, None
 
@@ -77,32 +63,34 @@ def tipping_measures(cfg, seed):
 
     draws1 = make_draws(records, Effect.INFLATE_CONTROL, "auto", seed=seed, replicate_id=0)
     gammas = np.round(np.arange(1.0, 4.01, 0.05), 4)
-    pts = [evaluate_point(records, Effect.INFLATE_CONTROL, g, draws1) for g in gammas]
-    g_tip, _ = first_crossing(gammas, [p for p, *_ in pts], 0.05, rising=True)
+    pts = [evaluate_at(records, TransformParams(Effect.INFLATE_CONTROL, g), draws1)
+           for g in gammas]
+    g_tip, _ = first_crossing(gammas, [pt.p_two_sided for pt in pts], 0.05, rising=True)
     out["gamma_c_tip"] = g_tip
     if g_tip is not None:
         i = list(gammas).index(g_tip)
-        out["hr_at_gamma_c_tip"] = pts[i][1]
-    a_tip, _ = first_crossing(gammas, [hm for _, _, hm, _ in pts], 1.0, rising=False)
+        out["hr_at_gamma_c_tip"] = pts[i].hr_overall
+    a_tip, _ = first_crossing(gammas, [pt.hr_mono for pt in pts], 1.0, rising=False)
     out["alpha_c_tip"] = a_tip
     if a_tip is not None:
         i = list(gammas).index(a_tip)
-        out["theta_c"] = pts[i][1]
+        out["theta_c"] = pts[i].hr_overall
 
     draws2 = make_draws(records, Effect.SHRINK_EXPERIMENTAL, "auto", seed=seed, replicate_id=0)
     gammas2 = np.round(np.arange(1.0, 0.29, -0.02), 4)
-    pts2 = [evaluate_point(records, Effect.SHRINK_EXPERIMENTAL, g, draws2) for g in gammas2]
-    g_tip2, _ = first_crossing(gammas2, [p for p, *_ in pts2], 0.05, rising=True)
+    pts2 = [evaluate_at(records, TransformParams(Effect.SHRINK_EXPERIMENTAL, g), draws2)
+            for g in gammas2]
+    g_tip2, _ = first_crossing(gammas2, [pt.p_two_sided for pt in pts2], 0.05, rising=True)
     out["gamma_e_tip"] = g_tip2
     if g_tip2 is not None:
         i = list(gammas2).index(g_tip2)
-        out["hr_at_gamma_e_tip"] = pts2[i][1]
-        out["events_at_gamma_e_tip"] = pts2[i][3]
-    a_tip2, _ = first_crossing(gammas2, [hm for _, _, hm, _ in pts2], 1.0, rising=False)
+        out["hr_at_gamma_e_tip"] = pts2[i].hr_overall
+        out["events_at_gamma_e_tip"] = pts2[i].n_events
+    a_tip2, _ = first_crossing(gammas2, [pt.hr_mono for pt in pts2], 1.0, rising=False)
     out["alpha_e_tip"] = a_tip2
     if a_tip2 is not None:
         i = list(gammas2).index(a_tip2)
-        out["theta_e"] = pts2[i][1]
+        out["theta_e"] = pts2[i].hr_overall
     return out
 
 

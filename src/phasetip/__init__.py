@@ -51,8 +51,6 @@ from .tipping import (
     TpaResult,
     evaluate_at,
     find_tipping,
-    find_tipping_a,
-    find_tipping_b,
     grid_scan,
     mi_aggregate,
 )
@@ -73,8 +71,7 @@ __all__ = [
     "impute_event_time", "transform_effect1", "transform_effect2",
     "apply_transform", "naive_transform", "make_draws",
     "SearchConfig", "TpaCurvePoint", "TpaResult",
-    "evaluate_at", "find_tipping", "find_tipping_a", "find_tipping_b",
-    "grid_scan", "mi_aggregate",
+    "evaluate_at", "find_tipping", "grid_scan", "mi_aggregate",
     "SimConfig", "simulate_trial", "summarize_trial",
     "HEADER", "read_dataset", "write_dataset",
     "__version__",

@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-min", type=float, default=None)
     p.add_argument("--imputation", choices=("auto", "cutoff", "fitted"), default=None)
     p.add_argument("--p-source", choices=("logrank", "wald"), default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_tpa)
 
@@ -146,7 +145,7 @@ class _Options:
     def get(self, name, cast, fallback):
         explicit = getattr(self.args, name, None)
         if explicit is not None:
-            return explicit
+            return cast(explicit)
         key = name.replace("_", "-")
         if key in self.cfg:
             raw = self.cfg[key]
@@ -157,16 +156,24 @@ class _Options:
         return fallback
 
     def seed(self) -> int:
-        env = os.environ.get("PHASETIP_SEED")
-        return self.get("seed", int, int(env) if env else 0)
+        seed = self.get("seed", int, None)
+        if seed is None:
+            env = os.environ.get("PHASETIP_SEED")
+            try:
+                seed = int(env) if env else 0
+            except ValueError:
+                raise DataError(f"PHASETIP_SEED is not an integer: {env!r}") from None
+        if seed < 0:
+            raise DataError(f"seed must be non-negative, got {seed}")
+        return seed
 
 
 def _effect(opt) -> Effect:
-    return Effect.from_number(opt.get("effect", int, 1))
+    return opt.get("effect", Effect.from_number, Effect.INFLATE_CONTROL)
 
 
 def _threshold(opt) -> Threshold:
-    return Threshold(opt.get("threshold", str, "a"))
+    return opt.get("threshold", Threshold, Threshold.SIGNIFICANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,6 @@ def _search_config(opt, effect, threshold, seed) -> SearchConfig:
         seed=seed,
         imputation=opt.get("imputation", str, "auto"),
         p_source=opt.get("p_source", str, "logrank"),
-        threads=opt.get("threads", int, 1),
     )
 
 

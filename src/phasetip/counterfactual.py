@@ -17,9 +17,8 @@ experimental monotherapy durations; memorylessness makes the conditional
 draw a fresh exponential added to the observed time.
 
 Draws are made once per replicate with a counter-keyed generator per
-(seed, replicate, subject), so results do not depend on iteration order
-or thread count, and the same draws are reused across the whole
-adjustment-factor grid.
+(seed, replicate, subject), so results do not depend on iteration order,
+and the same draws are reused across the whole adjustment-factor grid.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 from .errors import DataError, EstimationError
 from .records import Arm, SubjectRecord
-from .survival import KmCurve, km_estimate
 
 __all__ = [
     "Effect",
@@ -55,8 +53,6 @@ __all__ = [
     "cutoff_censoring_fraction",
     "make_draws",
 ]
-
-REJECTION_CAP = 10_000
 
 
 class Effect(enum.Enum):
@@ -87,7 +83,6 @@ class Threshold(enum.Enum):
 class TransformParams:
     effect: Effect
     gamma: float
-    threshold: Threshold = Threshold.SIGNIFICANCE
 
     def __post_init__(self):
         if self.effect is Effect.INFLATE_CONTROL and self.gamma < 1.0:
@@ -98,16 +93,14 @@ class TransformParams:
 
 @dataclass(frozen=True)
 class CensoringModel:
-    """Fitted censoring-time distribution (event indicators reversed)."""
+    """Exponential censoring-time distribution (event indicators reversed)."""
 
-    kind: str                    # "exponential" or "km"
-    rate: float | None
-    curve: KmCurve | None
+    rate: float
     n_censorings: int
     exposure: float
 
     def __post_init__(self):
-        if self.kind == "exponential" and not (self.rate and self.rate > 0):
+        if not self.rate > 0:
             raise EstimationError("censoring model needs a positive rate")
 
 
@@ -138,7 +131,6 @@ class ImputationDraws:
     seed: int
     method: str
     values: dict = field(default_factory=dict)
-    flags: list = field(default_factory=list)
 
     def get(self, subject_id: str):
         return self.values.get(subject_id)
@@ -177,56 +169,22 @@ def cutoff_censoring_fraction(records) -> float:
     return at_cutoff / len(censored)
 
 
-def fit_censoring_model(records, kind: str = "exponential") -> CensoringModel:
-    """Fit the censoring distribution by reversing the event indicator.
-
-    The exponential fit is the MLE: censorings over total exposure. The
-    KM variant estimates the curve nonparametrically.
-    """
+def fit_censoring_model(records) -> CensoringModel:
+    """Fit an exponential censoring distribution by reversing the event
+    indicator: the MLE rate is censorings over total exposure."""
     n_cens = sum(1 for r in records if r.delta == 0)
     if n_cens == 0:
         raise EstimationError("no censored observations to fit a censoring model")
     exposure = float(sum(r.s for r in records))
-    if kind == "exponential":
-        return CensoringModel("exponential", n_cens / exposure, None, n_cens, exposure)
-    if kind == "km":
-        reversed_records = [
-            SubjectRecord(r.subject_id, r.arm, r.s, 1 - r.delta, r.cutoff)
-            for r in records
-        ]
-        return CensoringModel("km", None, km_estimate(reversed_records), n_cens, exposure)
-    raise DataError(f"unknown censoring model kind {kind!r}")
+    return CensoringModel(n_cens / exposure, n_cens, exposure)
 
 
-def _km_inverse_draw(curve: KmCurve, rng) -> float:
-    """Inverse-transform draw from a KM curve; tail mass maps to +inf."""
-    u = rng.uniform()
-    idx = np.nonzero(curve.surv <= u)[0]
-    if idx.size == 0:
-        return math.inf
-    return float(curve.times[idx[0]])
-
-
-def sample_censoring_conditional(model: CensoringModel, floor: float, rng,
-                                 fallback: float | None = None):
-    """Draw a censoring time conditioned to be at or beyond `floor`.
-
-    The exponential path uses memorylessness directly. The KM path uses
-    rejection sampling with a retry cap; if the cap is exceeded (all
-    fitted mass below the floor) the draw falls back to the supplied
-    administrative time and is flagged. Returns (draw, fell_back).
-    """
+def sample_censoring_conditional(model: CensoringModel, floor: float, rng) -> float:
+    """Draw a censoring time conditioned to be at or beyond `floor`; by
+    memorylessness this is the floor plus a fresh exponential."""
     if floor < 0:
         raise DataError("conditioning floor must be non-negative")
-    if model.kind == "exponential":
-        return floor + rng.exponential(1.0 / model.rate), False
-    for _ in range(REJECTION_CAP):
-        draw = _km_inverse_draw(model.curve, rng)
-        if draw >= floor:
-            return draw, False
-    if fallback is None:
-        raise EstimationError("rejection sampling cap exceeded and no fallback given")
-    return max(fallback, floor), True
+    return floor + rng.exponential(1.0 / model.rate)
 
 
 def fit_mono_event_model(records) -> MonoEventModel:
@@ -358,7 +316,6 @@ def make_draws(records, effect: Effect, imputation: str = "auto",
         raise DataError(f"unknown imputation method {imputation!r}")
 
     values = {}
-    flags = []
     if effect is Effect.INFLATE_CONTROL:
         method = imputation
         if method == "auto":
@@ -375,12 +332,7 @@ def make_draws(records, effect: Effect, imputation: str = "auto",
             model = fit_censoring_model(records) if needing else None
             for r in needing:
                 rng = keyed_rng(seed, replicate_id, r.subject_id)
-                draw, fell_back = sample_censoring_conditional(
-                    model, r.s, rng, fallback=r.cutoff
-                )
-                values[r.subject_id] = draw
-                if fell_back:
-                    flags.append(f"subject {r.subject_id}: rejection cap hit, used cutoff")
+                values[r.subject_id] = sample_censoring_conditional(model, r.s, rng)
     else:
         method = "fitted"
         needing = [
@@ -395,5 +347,5 @@ def make_draws(records, effect: Effect, imputation: str = "auto",
 
     return ImputationDraws(
         effect=effect, replicate_id=replicate_id, seed=seed,
-        method=method, values=values, flags=flags,
+        method=method, values=values,
     )

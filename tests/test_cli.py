@@ -1,10 +1,13 @@
 """CLI behavior: exit codes, determinism, emitted file structure."""
 
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import phasetip
 from phasetip.cli import main
 from phasetip.dataio import write_dataset
 from phasetip.simulate import SimConfig, simulate_trial
@@ -70,6 +73,14 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(phasetip.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "phasetip", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "tpa" in proc.stdout
+
 
 class TestAnalyze:
     def test_report_on_calibrated_defaults(self, tmp_path, capsys):
@@ -104,11 +115,11 @@ class TestAnalyze:
 
 
 class TestTpaDeterminism:
-    def _run(self, dataset, outdir, threads="1"):
+    def _run(self, dataset, outdir):
         code = main([
             "tpa", "--input", dataset, "--effect", "2", "--threshold", "a",
             "--replicates", "4", "--seed", "7", "--grid-step", "0.1",
-            "--threads", threads, "--out", outdir,
+            "--out", outdir,
         ])
         assert code == 0
         with open(os.path.join(outdir, "results.csv"), "rb") as fh:
@@ -117,11 +128,6 @@ class TestTpaDeterminism:
     def test_identical_seed_byte_identical_results(self, small_dataset, tmp_path):
         a = self._run(small_dataset, str(tmp_path / "run1"))
         b = self._run(small_dataset, str(tmp_path / "run2"))
-        assert a == b
-
-    def test_thread_count_does_not_change_bytes(self, small_dataset, tmp_path):
-        a = self._run(small_dataset, str(tmp_path / "t1"), threads="1")
-        b = self._run(small_dataset, str(tmp_path / "t4"), threads="4")
         assert a == b
 
     def test_results_csv_has_published_table_columns(self, small_dataset, tmp_path):
@@ -153,6 +159,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--out", str(out2), "--n-experimental", "30",
                      "--n-control", "30", "--seed", "11"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_bad_seed_env_is_data_error_only_when_used(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PHASETIP_SEED", "abc")
+        argv = ["simulate", "--out", str(tmp_path / "s.csv"), "--n-experimental", "20",
+                "--n-control", "20"]
+        assert main(argv) == 2
+        assert "PHASETIP_SEED" in capsys.readouterr().err
+        assert main([*argv, "--seed", "3"]) == 0
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=3\n")
+        assert main([*argv, "--config", str(cfg)]) == 0
+
+    def test_negative_seed_is_data_error(self, tmp_path):
+        assert main(["simulate", "--out", str(tmp_path / "s.csv"), "--seed", "-1"]) == 2
 
     def test_config_file_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"

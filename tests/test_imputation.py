@@ -48,18 +48,12 @@ class TestCensoringModel:
         with pytest.raises(EstimationError, match="censored"):
             fit_censoring_model([rec("a", C, 3, 1), rec("b", C, 5, 1)])
 
-    def test_km_variant(self):
-        records = [rec("a", C, 2, 0), rec("b", C, 4, 0), rec("c", C, 3, 1)]
-        model = fit_censoring_model(records, kind="km")
-        assert model.kind == "km"
-        assert model.curve.n_events_total == 2  # reversed indicator
-
 
 class TestConditionalSampling:
     def test_exponential_floor_zero_is_unconditional(self):
         model = fit_censoring_model([rec("a", C, 2, 0), rec("b", C, 4, 0)])
         rng = np.random.default_rng(1)
-        draws = np.array([sample_censoring_conditional(model, 0.0, rng)[0] for _ in range(5000)])
+        draws = np.array([sample_censoring_conditional(model, 0.0, rng) for _ in range(5000)])
         assert draws.min() >= 0
         assert draws.mean() == pytest.approx(1 / model.rate, rel=0.1)
 
@@ -69,28 +63,11 @@ class TestConditionalSampling:
         rng = np.random.default_rng(2024)
         floor = 7.5
         shifted = np.array(
-            [sample_censoring_conditional(model, floor, rng)[0] - floor for _ in range(10_000)]
+            [sample_censoring_conditional(model, floor, rng) - floor for _ in range(10_000)]
         )
         oracle = np.random.default_rng(77).exponential(1 / model.rate, 10_000)
         stat, p = ks_2samp(shifted, oracle)
         assert p > 0.01
-
-    def test_km_mass_below_floor_triggers_fallback(self):
-        records = [rec("a", C, 2, 0), rec("b", C, 4, 0), rec("c", C, 3, 1)]
-        model = fit_censoring_model(records, kind="km")
-        rng = np.random.default_rng(3)
-        draw, fell_back = sample_censoring_conditional(model, 50.0, rng, fallback=60.0)
-        assert fell_back
-        assert draw == 60.0
-
-    def test_km_draws_respect_floor(self):
-        records = [rec(i, C, t, 0) for i, t in enumerate([2.0, 5.0, 9.0, 14.0])]
-        model = fit_censoring_model(records, kind="km")
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            draw, fell_back = sample_censoring_conditional(model, 4.0, rng, fallback=99.0)
-            assert draw >= 4.0
-            assert not fell_back
 
     def test_negative_floor_rejected(self):
         model = fit_censoring_model([rec("a", C, 2, 0)])

@@ -14,8 +14,7 @@ from phasetip.tipping import (
     SearchConfig,
     TpaCurvePoint,
     evaluate_at,
-    find_tipping_a,
-    find_tipping_b,
+    find_tipping,
     grid_scan,
     mi_aggregate,
 )
@@ -80,7 +79,7 @@ class TestFindTippingA:
         config = SearchConfig(
             effect=Effect.INFLATE_CONTROL, grid_step=0.1, mi_replicates=2, seed=11
         )
-        res = find_tipping_a(records, config)
+        res = find_tipping(records, config)
         assert res.tip is not None and res.tip > 1.0
         assert not res.degenerate
         for out in res.replicates:
@@ -102,7 +101,7 @@ class TestFindTippingA:
         config = SearchConfig(
             effect=Effect.SHRINK_EXPERIMENTAL, grid_step=0.1, mi_replicates=2, seed=5
         )
-        res = find_tipping_a(records, config)
+        res = find_tipping(records, config)
         assert res.tip is not None and res.tip < 1.0
         for out in res.replicates:
             draws = make_draws(records, config.effect, config.imputation,
@@ -122,7 +121,7 @@ class TestFindTippingA:
         ]
         assert logrank_test(records).p_two_sided > 0.05
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, mi_replicates=1)
-        res = find_tipping_a(records, config)
+        res = find_tipping(records, config)
         assert res.degenerate
         assert res.tip == 1.0
         assert any("non-significant at start" in f for f in res.flags)
@@ -133,7 +132,7 @@ class TestFindTippingA:
             effect=Effect.INFLATE_CONTROL, grid_step=0.05, grid_max=1.1,
             mi_replicates=1, seed=4,
         )
-        res = find_tipping_a(records, config)
+        res = find_tipping(records, config)
         assert res.tip is None
         assert any("no tipping point in range" in f for f in res.flags)
 
@@ -142,7 +141,7 @@ class TestFindTippingA:
         config = SearchConfig(
             effect=Effect.SHRINK_EXPERIMENTAL, grid_step=0.1, mi_replicates=5, seed=9
         )
-        res = find_tipping_a(records, config)
+        res = find_tipping(records, config)
         tips = [o.tip for o in res.replicates if o.tip is not None]
         assert res.tip == pytest.approx(float(np.median(tips)))
         assert res.tip_min == min(tips) and res.tip_max == max(tips)
@@ -155,7 +154,7 @@ class TestFindTippingB:
             effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE,
             grid_step=0.1, mi_replicates=2, seed=7,
         )
-        res = find_tipping_b(records, config)
+        res = find_tipping(records, config)
         assert res.tip is not None and res.tip > 1.0
         for out in res.replicates:
             assert abs(out.point.hr_mono - 1.0) <= config.neutral_tol
@@ -167,7 +166,7 @@ class TestFindTippingB:
             effect=Effect.SHRINK_EXPERIMENTAL, threshold=Threshold.NEUTRALIZE,
             grid_step=0.1, mi_replicates=2, seed=8,
         )
-        res = find_tipping_b(records, config)
+        res = find_tipping(records, config)
         assert res.tip is not None and res.tip < 1.0
 
     def test_no_mono_phase_is_an_error(self):
@@ -178,7 +177,7 @@ class TestFindTippingB:
         ]
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE)
         with pytest.raises(DataError, match="no mono phase to neutralize"):
-            find_tipping_b(records, config)
+            find_tipping(records, config)
 
     def test_degenerate_when_mono_hr_already_at_one(self):
         # symmetric arms: mono HR is 1 at the start; combo and mono events
@@ -192,7 +191,7 @@ class TestFindTippingB:
         config = SearchConfig(
             effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE, mi_replicates=1
         )
-        res = find_tipping_b(records, config)
+        res = find_tipping(records, config)
         assert res.degenerate
         assert res.tip == 1.0
 
@@ -249,15 +248,6 @@ class TestGridScanAndDeterminism:
             )
         assert a[1].p_two_sided == a[3].p_two_sided
 
-    def test_search_deterministic_across_thread_counts(self):
-        records = fast_records()
-        base = dict(effect=Effect.SHRINK_EXPERIMENTAL, grid_step=0.1,
-                    mi_replicates=4, seed=17)
-        res1 = find_tipping_a(records, SearchConfig(**base, threads=1))
-        res4 = find_tipping_a(records, SearchConfig(**base, threads=4))
-        assert res1.tip == res4.tip
-        assert [o.tip for o in res1.replicates] == [o.tip for o in res4.replicates]
-
     def test_effect1_curve_monotone_with_fixed_draws(self):
         records = fast_records()
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, seed=19)
@@ -271,8 +261,9 @@ class TestUnevaluablePointHandling:
     """White-box checks of the skip logic around estimator failures."""
 
     class _StubEvaluator:
-        def __init__(self, p_of, broken):
+        def __init__(self, p_of, broken, hr_mono_of=lambda g: 0.9):
             self.p_of = p_of
+            self.hr_mono_of = hr_mono_of
             self.broken = set(broken)
             self.calls = []
 
@@ -282,31 +273,41 @@ class TestUnevaluablePointHandling:
             if g in self.broken:
                 return TpaCurvePoint(gamma, None, None, None, 0,
                                      evaluable=False, note="separation detected")
-            return TpaCurvePoint(gamma, self.p_of(gamma), 0.8, 0.9, 100)
+            return TpaCurvePoint(gamma, self.p_of(gamma), 0.8, self.hr_mono_of(gamma), 100)
 
     def test_grid_walk_skips_broken_points(self):
-        from phasetip.tipping import _grid_walk
+        from phasetip.tipping import _grid_walk, _stop_rule
 
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, grid_step=0.1, grid_max=3.0)
         ev = self._StubEvaluator(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.3])
-        usable = lambda pt: pt.evaluable
-        crossed = lambda pt: pt.p_two_sided > 0.05
-        last_clear, first_crossed, flags = _grid_walk(ev, config, usable, crossed)
+        last_clear, first_crossed, flags = _grid_walk(ev, config, _stop_rule(config))
         assert first_crossed == pytest.approx(1.6)
         assert last_clear == pytest.approx(1.5)
         assert any("skipped" in f and "separation" in f for f in flags)
 
     def test_bisection_nudges_around_broken_midpoint(self):
-        from phasetip.tipping import _bisect
+        from phasetip.tipping import _bisect, _stop_rule
 
-        config = SearchConfig(effect=Effect.INFLATE_CONTROL, bisection_tol=1e-3)
-        ev = self._StubEvaluator(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.55])
-        usable = lambda pt: pt.evaluable
-        crossed = lambda pt: pt.p_two_sided > 0.05
-        flags = []
-        lo, hi = _bisect(ev, 1.5, 1.6, config, usable, crossed, flags)
-        assert hi - lo <= config.bisection_tol
-        assert lo < 1.55 <= hi + 1e-9
+        for threshold in Threshold:
+            config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=threshold,
+                                  bisection_tol=1e-3)
+            ev = self._StubEvaluator(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.55],
+                                     hr_mono_of=lambda g: 0.9 if g < 1.55 else 1.1)
+            flags = []
+            lo, hi = _bisect(ev, 1.5, 1.6, config, _stop_rule(config), flags)
+            assert hi - lo <= config.bisection_tol
+            assert lo < 1.55 <= hi + 1e-9
+
+    def test_bisection_ends_at_float_resolution(self):
+        # a tolerance below the float spacing at the bracket cannot be met;
+        # the bisection stops once the ends are adjacent floats
+        from phasetip.tipping import _bisect, _stop_rule
+
+        config = SearchConfig(effect=Effect.INFLATE_CONTROL, bisection_tol=1e-300)
+        ev = self._StubEvaluator(lambda g: 0.01 if g < 1.55 else 0.2, broken=[])
+        lo, hi = _bisect(ev, 1.5, 1.6, config, _stop_rule(config), [])
+        assert lo < hi
+        assert 0.5 * (lo + hi) in (lo, hi)
 
 
 class TestSearchConfigValidation:
@@ -325,3 +326,13 @@ class TestSearchConfigValidation:
     def test_bad_p_source(self):
         with pytest.raises(DataError, match="p_source"):
             SearchConfig(effect=Effect.INFLATE_CONTROL, p_source="bayes")
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_bad_bisection_tol(self, tol):
+        with pytest.raises(DataError, match="bisection_tol"):
+            SearchConfig(effect=Effect.INFLATE_CONTROL, bisection_tol=tol)
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("nan")])
+    def test_non_finite_grid_max(self, bound):
+        with pytest.raises(DataError, match="grid_max"):
+            SearchConfig(effect=Effect.INFLATE_CONTROL, grid_max=bound)
