@@ -19,6 +19,7 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from phasetip.counterfactual import Effect, TransformParams, make_draws  # noqa: E402
+from phasetip.records import Trial  # noqa: E402
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial  # noqa: E402
 from phasetip.survival import cox_fit, logrank_test, phase_hr, to_counting_process  # noqa: E402
 from phasetip.tipping import evaluate_at  # noqa: E402
@@ -33,11 +34,12 @@ def first_crossing(xs, ys, level, rising):
 
 def trial_measures(cfg, seed):
     records = simulate_trial(cfg, seed=seed)
+    trial = Trial.from_records(records)
     summ = summarize_trial(records)
-    res = phase_hr(records)
-    rows = to_counting_process(records)
+    res = phase_hr(trial)
+    rows = to_counting_process(trial)
     overall = cox_fit(rows, ("trt",)).hr("trt")
-    p = logrank_test(records).p_two_sided
+    p = logrank_test(trial).p_two_sided
     mono_events = sum(
         r.delta for r in records if r.mono_start is not None and r.mono_start < r.s
     )
@@ -59,11 +61,12 @@ def trial_measures(cfg, seed):
 
 def tipping_measures(cfg, seed):
     records = simulate_trial(cfg, seed=seed)
+    trial = Trial.from_records(records)
     out = {}
 
     draws1 = make_draws(records, Effect.INFLATE_CONTROL, "auto", seed=seed, replicate_id=0)
     gammas = np.round(np.arange(1.0, 4.01, 0.05), 4)
-    pts = [evaluate_at(records, TransformParams(Effect.INFLATE_CONTROL, g), draws1)
+    pts = [evaluate_at(trial, TransformParams(Effect.INFLATE_CONTROL, g), draws1)
            for g in gammas]
     g_tip, _ = first_crossing(gammas, [pt.p_two_sided for pt in pts], 0.05, rising=True)
     out["gamma_c_tip"] = g_tip
@@ -78,7 +81,7 @@ def tipping_measures(cfg, seed):
 
     draws2 = make_draws(records, Effect.SHRINK_EXPERIMENTAL, "auto", seed=seed, replicate_id=0)
     gammas2 = np.round(np.arange(1.0, 0.29, -0.02), 4)
-    pts2 = [evaluate_at(records, TransformParams(Effect.SHRINK_EXPERIMENTAL, g), draws2)
+    pts2 = [evaluate_at(trial, TransformParams(Effect.SHRINK_EXPERIMENTAL, g), draws2)
             for g in gammas2]
     g_tip2, _ = first_crossing(gammas2, [pt.p_two_sided for pt in pts2], 0.05, rising=True)
     out["gamma_e_tip"] = g_tip2

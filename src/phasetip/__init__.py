@@ -31,7 +31,7 @@ from .errors import (
     PhasetipError,
     SeparationError,
 )
-from .records import Arm, CountingProcessRow, SubjectRecord
+from .records import Arm, CountingProcess, SubjectRecord, Trial, as_trial
 from .simulate import SimConfig, simulate_trial, summarize_trial
 from .survival import (
     CoxFit,
@@ -58,7 +58,7 @@ from .tipping import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arm", "SubjectRecord", "CountingProcessRow",
+    "Arm", "SubjectRecord", "Trial", "CountingProcess", "as_trial",
     "PhasetipError", "DataError", "EstimationError", "ConvergenceError",
     "SeparationError",
     "KmCurve", "LogRankResult", "CoxFit", "PhaseHr",

@@ -12,13 +12,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A flat key=value config file can supply any long flag's value; explicit
-flags win. The PHASETIP_SEED environment variable is the seed fallback
-when neither the flag nor the config file sets one.
+flags win. A key that no command reads is a data error. The PHASETIP_SEED
+environment variable is the seed fallback when neither the flag nor the
+config file sets one.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -27,11 +29,11 @@ import numpy as np
 from .counterfactual import Effect, Threshold
 from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
-from .records import Arm
+from .records import Arm, Trial
 from .simulate import SimConfig, simulate_trial, summarize_trial
 from .survival import cox_fit, km_estimate, logrank_test, phase_hr, to_counting_process
 from .svgplot import find_crossings, line_plot
-from .tipping import SearchConfig, TpaResult, find_tipping, grid_scan
+from .tipping import SearchConfig, TpaResult, check_grid_points, find_tipping, grid_scan
 
 __all__ = ["main", "entry", "emit_results"]
 
@@ -116,6 +118,12 @@ SIM_FLAGS = {
     "cutoff-months": float,
     "dropout-hazard": float,
 }
+# The keys a config file may set: the settings some command reads through
+# _Options (alpha-level and bisection-tol have no flag).
+CONFIG_KEYS = frozenset({
+    "seed", "effect", "threshold", "replicates", "grid-step", "grid-max", "grid-min",
+    "imputation", "p-source", "alpha-level", "bisection-tol", *SIM_FLAGS,
+})
 
 
 def _load_config(path) -> dict:
@@ -129,7 +137,10 @@ def _load_config(path) -> dict:
                 if "=" not in line:
                     raise DataError(f"bad config line (need key=value): {line!r}")
                 key, value = line.split("=", 1)
-                cfg[key.strip().replace("_", "-")] = value.strip()
+                name = key.strip().replace("_", "-")
+                if name not in CONFIG_KEYS:
+                    raise DataError(f"unknown config key {key.strip()!r}: no command reads it")
+                cfg[name] = value.strip()
     except OSError as err:
         raise DataError(f"cannot read config file: {err}") from None
     return cfg
@@ -200,13 +211,14 @@ def cmd_analyze(args) -> int:
             f"{label} arm: n={len(subset)}, events={events}, "
             f"censored={len(subset) - events}, median PFS={median} months"
         )
-    lr = logrank_test(records, stratified=args.stratified)
+    trial = Trial.from_records(records)
+    lr = logrank_test(trial, stratified=args.stratified)
     lines.append(f"Log-rank chi2={lr.chi2:.4f}, two-sided p={lr.p_two_sided:.6g}")
-    overall = cox_fit(to_counting_process(records), ("trt",), ties=args.ties,
+    overall = cox_fit(to_counting_process(trial), ("trt",), ties=args.ties,
                       stratified=args.stratified)
     hr, ci = overall.contrast(("trt",))
     lines.append(f"Overall HR={hr:.4f} {_fmt_ci(ci)}")
-    phases = phase_hr(records, ties=args.ties, stratified=args.stratified)
+    phases = phase_hr(trial, ties=args.ties, stratified=args.stratified)
     lines.append(f"Combination-phase HR={phases.hr_combo:.4f} {_fmt_ci(phases.ci_combo)}")
     if phases.hr_mono is None:
         lines.append("Monotherapy-phase HR: not estimable (no transitions observed)")
@@ -322,11 +334,19 @@ def cmd_curve(args) -> int:
     effect, threshold = _effect(opt), _threshold(opt)
     seed = opt.seed()
     step = opt.get("grid_step", float, 0.05)
+    if not step > 0:
+        raise DataError("grid_step must be positive")
     if effect is Effect.INFLATE_CONTROL:
         hi = opt.get("grid_max", float, 3.0 if threshold is Threshold.SIGNIFICANCE else 4.0)
+        if not math.isfinite(hi):
+            raise DataError("grid_max must be finite")
+        check_grid_points(hi + 1e-9 - 1.0, step, f"the curve from 1 to grid_max {hi!r}")
         grid = np.arange(1.0, hi + 1e-9, step)
     else:
         lo = opt.get("grid_min", float, 0.3)
+        if not (lo > 0 and math.isfinite(lo)):
+            raise DataError(f"grid_min must be a finite positive number, got {lo!r}")
+        check_grid_points(1.0 - (lo - 1e-9), step, f"the curve from 1 to grid_min {lo!r}")
         grid = np.arange(1.0, lo - 1e-9, -step)
     config = SearchConfig(
         effect=effect, threshold=threshold, seed=seed,

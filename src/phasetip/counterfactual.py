@@ -19,6 +19,15 @@ draw a fresh exponential added to the observed time.
 Draws are made once per replicate with a counter-keyed generator per
 (seed, replicate, subject), so results do not depend on iteration order,
 and the same draws are reused across the whole adjustment-factor grid.
+
+`apply_transform` is the transform the analysis runs: it works on a
+`Trial`, one array per field, with both effects written as array
+expressions, and returns a new `Trial`. A replicate's draws, keyed by
+subject id, are aligned once to the trial's subject order as an array
+with NaN for "no draw". The per-record `transform_effect1` and
+`transform_effect2` state the same rules one subject at a time; they are
+the reference the array transform is tested against. `make_draws` and the
+imputation models still read validated `SubjectRecord`s.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, EstimationError
-from .records import Arm, SubjectRecord
+from .records import Arm, SubjectRecord, Trial, as_trial
 
 __all__ = [
     "Effect",
@@ -268,11 +277,42 @@ def transform_effect2(record: SubjectRecord, gamma: float,
     return record
 
 
-def apply_transform(records, params: TransformParams, draws: ImputationDraws):
-    """Counterfactual dataset under `params`, using per-subject draws."""
+def _missing_draw(trial: Trial, missing: np.ndarray, what: str):
+    if missing.any():
+        sid = trial.ids[np.flatnonzero(missing)[0]]
+        raise DataError(f"subject {sid}: missing imputed {what}")
+
+
+def apply_transform(data, params: TransformParams, draws: ImputationDraws) -> Trial:
+    """Counterfactual trial under `params`, using per-subject draws.
+
+    The array form of `transform_effect1` (effect 1) and
+    `transform_effect2` (effect 2) over every subject at once; `data` is a
+    Trial or a list of records.
+    """
+    trial = as_trial(data)
+    s, delta, x = trial.s, trial.delta, trial.mono_start
+    imputed = trial.imputed(draws)
+    # algebraically x + gamma*(s - x); this form is exact at gamma == 1
+    gamma_minus_1 = params.gamma - 1.0
+    in_mono = ~np.isnan(x)
     if params.effect is Effect.INFLATE_CONTROL:
-        return [transform_effect1(r, params.gamma, draws.get(r.subject_id)) for r in records]
-    return [transform_effect2(r, params.gamma, draws.get(r.subject_id)) for r in records]
+        moved = (trial.trt == 0) & in_mono & (delta == 1)
+        _missing_draw(trial, moved & np.isnan(imputed), "censoring time")
+        t_prime = s + gamma_minus_1 * (s - x)
+        stays = t_prime <= imputed
+        new_s = np.where(moved, np.where(stays, t_prime, imputed), s)
+        new_delta = np.where(moved & ~stays, 0, delta)
+    else:
+        target = (trial.trt == 1) & in_mono
+        events = target & (delta == 1)
+        censored = target & (delta == 0)
+        _missing_draw(trial, censored & np.isnan(imputed), "event time")
+        t_imputed = imputed + gamma_minus_1 * (imputed - x)
+        uncovered = censored & (t_imputed <= s)
+        new_s = np.where(events, s + gamma_minus_1 * (s - x), np.where(uncovered, t_imputed, s))
+        new_delta = np.where(uncovered, 1, delta)
+    return trial.with_outcome(new_s, new_delta)
 
 
 def naive_transform(records, effect: Effect, gamma: float):

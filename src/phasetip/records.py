@@ -1,19 +1,27 @@
-"""Core subject-level data types.
+"""Core data types: the subject record at the I/O boundary, and the
+columnar forms the analysis runs on.
 
 A trial subject is observed once: a possibly censored time-to-event outcome
 together with the time (if any) at which the subject entered the maintenance
-monotherapy phase. The counting-process row type is the start-stop expansion
-used by the time-varying Cox model.
+monotherapy phase. `SubjectRecord` holds one validated subject as read from a
+file. The analysis does not loop over records: a `Trial` holds the same
+fields as one array per field, built once from validated records, and every
+counterfactual transform returns a new `Trial`. `CountingProcess` is the
+start-stop expansion that the time-varying Cox model fits, again one array
+per column; it also keeps the risk-set structure of its rows, so the Cox
+fits of one expansion build it once.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import DataError
 
-__all__ = ["Arm", "SubjectRecord", "CountingProcessRow"]
+__all__ = ["Arm", "SubjectRecord", "Trial", "CountingProcess", "as_trial"]
 
 
 class Arm(enum.Enum):
@@ -88,26 +96,115 @@ class SubjectRecord:
         return replace(self, s=s, delta=delta, cutoff=max(self.cutoff, s))
 
 
-@dataclass(frozen=True, slots=True)
-class CountingProcessRow:
-    """One (start, stop] interval with interval-constant covariates."""
+def _optional(value) -> float:
+    return np.nan if value is None else value
 
-    subject_id: str
-    start: float
-    stop: float
-    event_at_stop: int
-    trt: int
-    mono: int
-    trt_x_mono: int
-    stratum: int | None = None
+
+@dataclass(frozen=True, eq=False)
+class Trial:
+    """A trial as columns, one entry per subject in input order.
+
+    ``mono_start`` is NaN for a subject who never entered monotherapy and
+    ``stratum`` is NaN for a subject without one. ``trt`` is 1 on the
+    experimental arm. Indexing or iterating gives the subjects back as
+    `SubjectRecord`s.
+    """
+
+    ids: tuple
+    s: np.ndarray
+    delta: np.ndarray
+    mono_start: np.ndarray
+    trt: np.ndarray
+    cutoff: np.ndarray
+    stratum: np.ndarray
+    _aligned: list = field(default_factory=lambda: [None, None], init=False, repr=False)
+
+    @classmethod
+    def from_records(cls, records) -> "Trial":
+        records = list(records)
+        return cls(
+            ids=tuple(r.subject_id for r in records),
+            s=np.array([r.s for r in records], dtype=float),
+            delta=np.array([r.delta for r in records], dtype=int),
+            mono_start=np.array([_optional(r.mono_start) for r in records], dtype=float),
+            trt=np.array([r.trt for r in records], dtype=int),
+            cutoff=np.array([r.cutoff for r in records], dtype=float),
+            stratum=np.array([_optional(r.stratum) for r in records], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i) -> SubjectRecord:
+        mono, stratum = self.mono_start[i], self.stratum[i]
+        return SubjectRecord(
+            subject_id=self.ids[i],
+            arm=Arm.EXPERIMENTAL if self.trt[i] else Arm.CONTROL,
+            s=float(self.s[i]),
+            delta=int(self.delta[i]),
+            cutoff=float(self.cutoff[i]),
+            mono_start=None if np.isnan(mono) else float(mono),
+            stratum=None if np.isnan(stratum) else int(stratum),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def with_outcome(self, s: np.ndarray, delta: np.ndarray) -> "Trial":
+        """Copy with new (s, delta), extending each cutoff that s moved past."""
+        return replace(self, s=s, delta=delta, cutoff=np.maximum(self.cutoff, s))
+
+    def imputed(self, draws) -> np.ndarray:
+        """Each subject's imputed time in `draws`, NaN where it has none.
+
+        The alignment of the last draw set asked for is kept, so a search
+        that evaluates many factors with one draw set aligns it once.
+        """
+        last, aligned = self._aligned
+        if last is not draws:
+            get = draws.values.get
+            aligned = np.array([get(sid, np.nan) for sid in self.ids], dtype=float)
+            self._aligned[:] = [draws, aligned]
+        return aligned
+
+
+def as_trial(data) -> Trial:
+    """`data` as a Trial: a Trial is returned as is, records are converted."""
+    return data if isinstance(data, Trial) else Trial.from_records(data)
+
+
+@dataclass(frozen=True, eq=False)
+class CountingProcess:
+    """(start, stop] intervals with interval-constant covariates, as columns.
+
+    A subject contributes one row, or two adjacent rows (the combination
+    interval, then the monotherapy interval) when it entered monotherapy
+    before its follow-up ended. ``len()`` is the number of rows. The
+    risk-set structure the Cox fitter derives from the rows is cached per
+    (ties, stratified), so every fit on one expansion shares it.
+    """
+
+    start: np.ndarray
+    stop: np.ndarray
+    event: np.ndarray
+    trt: np.ndarray
+    mono: np.ndarray
+    stratum: np.ndarray
+    risk_sets: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.start < self.stop:
-            raise DataError(
-                f"subject {self.subject_id}: interval ({self.start}, {self.stop}] is empty"
-            )
-        if self.trt_x_mono != self.trt * self.mono:
-            raise DataError(f"subject {self.subject_id}: trt_x_mono must equal trt * mono")
+        empty = np.flatnonzero(~(self.start < self.stop))
+        if empty.size:
+            k = empty[0]
+            raise DataError(f"row {k}: interval ({self.start[k]}, {self.stop[k]}] is empty")
 
-    def covariate(self, name: str) -> int:
-        return getattr(self, name)
+    def __len__(self) -> int:
+        return self.start.size
+
+    def covariate(self, name: str) -> np.ndarray:
+        """One covariate column; the interaction is trt * mono by construction."""
+        if name == "trt_x_mono":
+            return self.trt * self.mono
+        if name in ("trt", "mono"):
+            return getattr(self, name)
+        raise DataError(f"unknown covariate {name!r}")

@@ -1,10 +1,19 @@
-"""Survival estimators built from scratch on subject records.
+"""Survival estimators built from scratch on columnar trial data.
 
 Provides the product-limit (Kaplan-Meier) curve with Greenwood variance,
-the (optionally stratified) two-group log-rank test, expansion of subject
-records into counting-process intervals, and a Cox proportional-hazards
+the (optionally stratified) two-group log-rank test, expansion of a
+`Trial` into a columnar `CountingProcess`, and a Cox proportional-hazards
 fitter for start-stop data with the fixed design used by the phase
 analysis: treatment, monotherapy status, and their interaction.
+
+The log-rank test, the expansion and `phase_hr` take a `Trial` (a record
+list is converted once at entry); `cox_fit` and
+`partial_loglik_and_gradient` take a `CountingProcess` (anything else is
+expanded once at entry). Nothing loops over subjects or rows in Python.
+The Cox design takes its covariate columns from the expansion and shares
+the expansion's cached risk-set structure (sort orders, risk-set
+boundaries and tie fractions), so the treatment-only and the
+three-covariate fit of one evaluation compute it once.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from scipy.stats import chi2 as _chi2
 from scipy.stats import norm as _norm
 
 from .errors import ConvergenceError, DataError, EstimationError, SeparationError
-from .records import Arm, CountingProcessRow, SubjectRecord
+from .records import Arm, CountingProcess, SubjectRecord, as_trial
 
 __all__ = [
     "KmCurve",
@@ -31,8 +40,6 @@ __all__ = [
     "partial_loglik_and_gradient",
     "phase_hr",
 ]
-
-COVARIATE_NAMES = ("trt", "mono", "trt_x_mono")
 
 # Convergence policy for the Newton-Raphson fitter.
 _LL_TOL = 1e-9
@@ -126,34 +133,34 @@ class LogRankResult:
     expected: dict
 
 
-def logrank_test(records: list[SubjectRecord], stratified: bool = False) -> LogRankResult:
+def _stratum_keys(stratum: np.ndarray) -> np.ndarray:
+    """Stratum labels with a missing stratum (NaN) pooled as -1."""
+    return np.where(np.isnan(stratum), -1.0, stratum)
+
+
+def logrank_test(data, stratified: bool = False) -> LogRankResult:
     """Two-group log-rank test comparing arms, optionally summed over strata.
 
     Uses the standard O-E statistic with hypergeometric variance at each
     distinct event time; the two-sided p-value comes from chi-square with
-    one degree of freedom.
+    one degree of freedom. `data` is a Trial or a list of records.
     """
-    arms = {r.arm for r in records}
-    if len(arms) < 2:
+    trial = as_trial(data)
+    if np.unique(trial.trt).size < 2:
         raise DataError("log-rank needs both arms present")
-    if sum(r.delta for r in records) == 0:
+    if trial.delta.sum() == 0:
         raise EstimationError("log-rank needs at least one event")
 
     if stratified:
-        strata = sorted({(-1 if r.stratum is None else r.stratum) for r in records})
-        groups = [
-            [r for r in records if (-1 if r.stratum is None else r.stratum) == st]
-            for st in strata
-        ]
+        keys = _stratum_keys(trial.stratum)
+        groups = [keys == st for st in np.unique(keys)]
     else:
-        groups = [records]
+        groups = [slice(None)]
 
     o1 = e1 = v = 0.0
     d_total = 0
     for grp in groups:
-        s = np.array([r.s for r in grp], dtype=float)
-        d = np.array([r.delta for r in grp], dtype=int)
-        g = np.array([r.trt for r in grp], dtype=int)  # 1 = experimental
+        s, d, g = trial.s[grp], trial.delta[grp], trial.trt[grp]  # g: 1 = experimental
         event_times = np.unique(s[d == 1])
         if event_times.size == 0:
             continue
@@ -195,30 +202,43 @@ def logrank_test(records: list[SubjectRecord], stratified: bool = False) -> LogR
 # Counting-process expansion
 
 
-def to_counting_process(records: list[SubjectRecord]) -> list[CountingProcessRow]:
-    """Expand records into (start, stop] rows with a time-varying mono flag.
+def to_counting_process(data) -> CountingProcess:
+    """Expand a trial into (start, stop] rows with a time-varying mono flag.
 
-    A subject who entered monotherapy at m < s contributes two rows: the
-    combination interval (0, m] with no event, and (m, s] carrying the
-    subject's event status. A zero-length monotherapy interval (m == s) is
-    dropped and the subject is treated as never transitioning.
+    A subject who entered monotherapy at m < s contributes two adjacent
+    rows: the combination interval (0, m] with no event, and (m, s]
+    carrying the subject's event status. A zero-length monotherapy
+    interval (m == s) is dropped and the subject is treated as never
+    transitioning. Rows follow the subjects' order. `data` is a Trial or a
+    list of records.
     """
-    rows = []
-    for r in records:
-        if r.mono_start is not None and r.mono_start > r.s:
-            raise DataError(f"subject {r.subject_id}: phase time exceeds follow-up")
-        trt = r.trt
-        if r.mono_start is None or r.mono_start == r.s:
-            rows.append(
-                CountingProcessRow(r.subject_id, 0.0, r.s, r.delta, trt, 0, 0, r.stratum)
-            )
-        else:
-            m = r.mono_start
-            rows.append(CountingProcessRow(r.subject_id, 0.0, m, 0, trt, 0, 0, r.stratum))
-            rows.append(
-                CountingProcessRow(r.subject_id, m, r.s, r.delta, trt, 1, trt, r.stratum)
-            )
-    return rows
+    trial = as_trial(data)
+    x, s = trial.mono_start, trial.s
+    late = np.flatnonzero(x > s)
+    if late.size:
+        raise DataError(f"subject {trial.ids[late[0]]}: phase time exceeds follow-up")
+    split = x < s                           # NaN (no mono phase) compares False
+    counts = 1 + split
+    subject = np.repeat(np.arange(len(trial)), counts)
+    combo_rows = (np.cumsum(counts) - counts)[split]
+    mono_rows = combo_rows + 1
+
+    start = np.zeros(subject.size)
+    stop = s[subject]
+    event = trial.delta[subject]
+    mono = np.zeros(subject.size, dtype=int)
+    stop[combo_rows] = x[split]
+    event[combo_rows] = 0
+    start[mono_rows] = x[split]
+    mono[mono_rows] = 1
+    return CountingProcess(
+        start=start, stop=stop, event=event, trt=trial.trt[subject], mono=mono,
+        stratum=trial.stratum[subject],
+    )
+
+
+def _as_counting_process(data) -> CountingProcess:
+    return data if isinstance(data, CountingProcess) else to_counting_process(data)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +274,71 @@ class CoxFit:
         z = self.beta[i] / self.se[i]
         return float(2.0 * _norm.sf(abs(z)))
 
-    def contrast(self, names, level: float = 0.95):
-        """HR and Wald CI for exp(sum of the named coefficients)."""
+    def _contrast(self, names):
         c = np.zeros(len(self.names))
         for nm in names:
             c[self._idx(nm)] += 1.0
-        est = float(c @ self.beta)
+        return c, float(c @ self.beta)
+
+    def contrast_hr(self, names) -> float:
+        """exp(sum of the named coefficients), without the CI of `contrast`."""
+        return math.exp(self._contrast(names)[1])
+
+    def contrast(self, names, level: float = 0.95):
+        """HR and Wald CI for exp(sum of the named coefficients)."""
+        c, est = self._contrast(names)
         se = math.sqrt(float(c @ self.cov @ c))
         z = _norm.ppf(0.5 + level / 2.0)
         return math.exp(est), (math.exp(est - z * se), math.exp(est + z * se))
+
+
+def _risk_sets(cp: CountingProcess, ties: str, stratified: bool) -> list[dict]:
+    """Per-stratum risk-set structure of the rows, independent of covariates.
+
+    For each stratum with events: the stop- and start-sorted row orders,
+    the positions of the distinct event times in both, the event rows
+    grouped by event time, and one flat entry per (event time, tie index)
+    pair with its Efron fraction (all zero under Breslow). Cached on `cp`.
+    """
+    key = (ties, stratified)
+    if key in cp.risk_sets:
+        return cp.risk_sets[key]
+    if ties not in ("efron", "breslow"):
+        raise DataError(f"unknown ties method {ties!r}")
+    start, stop, event = cp.start, cp.stop, cp.event
+    if stratified:
+        strat = _stratum_keys(cp.stratum)
+    else:
+        strat = np.zeros(len(cp))
+
+    strata = []
+    for st in np.unique(strat):
+        idx = np.nonzero(strat == st)[0]
+        ev_idx = idx[event[idx] == 1]
+        if ev_idx.size == 0:
+            continue
+        ev_order = ev_idx[np.argsort(stop[ev_idx], kind="stable")]
+        ut, group_starts, d = np.unique(
+            stop[ev_order], return_index=True, return_counts=True
+        )
+        so = idx[np.argsort(stop[idx], kind="stable")]
+        sa = idx[np.argsort(start[idx], kind="stable")]
+        jj = np.repeat(np.arange(ut.size), d)
+        if ties == "efron":
+            # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d
+            frac = (np.arange(ev_order.size) - np.repeat(group_starts, d)) / np.repeat(d, d)
+        else:
+            frac = np.zeros(ev_order.size)
+        strata.append(
+            dict(
+                so=so, sa=sa,
+                q_stop=np.searchsorted(stop[so], ut, side="left"),
+                q_start=np.searchsorted(start[sa], ut, side="left"),
+                ev_order=ev_order, group_starts=group_starts, jj=jj, frac=frac,
+            )
+        )
+    cp.risk_sets[key] = strata
+    return strata
 
 
 class _CoxDesign:
@@ -272,33 +348,20 @@ class _CoxDesign:
     sum over {start < t <= stop} = sum over {stop >= t} - sum over {start >= t},
     evaluated with suffix sums on stop-sorted and start-sorted row orders.
     Tied events are handled by the Efron (default) or Breslow adjustment via
-    one flat expansion row per (event time, tie index) pair.
+    one flat expansion row per (event time, tie index) pair. The orders and
+    the tie expansion come from the counting process's shared `_risk_sets`.
     """
 
-    def __init__(self, rows, covariates, ties, stratified):
-        if not rows:
+    def __init__(self, cp: CountingProcess, covariates, ties, stratified):
+        if len(cp) == 0:
             raise DataError("no counting-process rows")
-        for c in covariates:
-            if c not in COVARIATE_NAMES:
-                raise DataError(f"unknown covariate {c!r}")
+        X = np.column_stack([cp.covariate(c) for c in covariates]).astype(float)
         self.ties = ties
         self.names = tuple(covariates)
-        n = len(rows)
         p = len(covariates)
-        self.n, self.p = n, p
+        self.n, self.p = len(cp), p
 
-        start = np.array([r.start for r in rows], dtype=float)
-        stop = np.array([r.stop for r in rows], dtype=float)
-        event = np.array([r.event_at_stop for r in rows], dtype=int)
-        X = np.array([[r.covariate(c) for c in covariates] for r in rows], dtype=float)
-        if stratified:
-            strat = np.array(
-                [-1 if r.stratum is None else r.stratum for r in rows], dtype=int
-            )
-        else:
-            strat = np.zeros(n, dtype=int)
-
-        self.n_events = int(event.sum())
+        self.n_events = int(cp.event.sum())
         if self.n_events == 0:
             raise EstimationError("no events in counting-process data")
 
@@ -307,35 +370,10 @@ class _CoxDesign:
         self.pairs = [(a, b) for a in range(p) for b in range(a, p)]
         self.P = np.column_stack([X[:, a] * X[:, b] for a, b in self.pairs])
 
-        self.strata = []
-        for st in np.unique(strat):
-            idx = np.nonzero(strat == st)[0]
-            ev_idx = idx[event[idx] == 1]
-            if ev_idx.size == 0:
-                continue
-            ev_order = ev_idx[np.argsort(stop[ev_idx], kind="stable")]
-            ut, group_starts, d = np.unique(
-                stop[ev_order], return_index=True, return_counts=True
-            )
-            so = idx[np.argsort(stop[idx], kind="stable")]
-            sa = idx[np.argsort(start[idx], kind="stable")]
-            q_stop = np.searchsorted(stop[so], ut, side="left")
-            q_start = np.searchsorted(start[sa], ut, side="left")
-            sum_xd = np.add.reduceat(X[ev_order], group_starts, axis=0)
-            jj = np.repeat(np.arange(ut.size), d)
-            if ties == "efron":
-                frac = np.concatenate([np.arange(k) / k for k in d])
-            elif ties == "breslow":
-                frac = np.zeros(int(d.sum()))
-            else:
-                raise DataError(f"unknown ties method {ties!r}")
-            self.strata.append(
-                dict(
-                    so=so, sa=sa, q_stop=q_stop, q_start=q_start,
-                    ev_order=ev_order, group_starts=group_starts,
-                    sum_xd=sum_xd, jj=jj, frac=frac,
-                )
-            )
+        self.strata = [
+            dict(sd, sum_xd=np.add.reduceat(X[sd["ev_order"]], sd["group_starts"], axis=0))
+            for sd in _risk_sets(cp, ties, stratified)
+        ]
 
     def loglik_grad_hess(self, beta):
         n, p = self.n, self.p
@@ -380,9 +418,10 @@ def partial_loglik_and_gradient(rows, covariates=("trt",), beta=None, ties="efro
     """Log partial likelihood and its gradient at an arbitrary beta.
 
     Exposed so tests can check the analytic gradient against finite
-    differences and scan the likelihood directly.
+    differences and scan the likelihood directly. `rows` is a
+    CountingProcess, or a Trial or record list to expand.
     """
-    design = _CoxDesign(rows, covariates, ties, stratified)
+    design = _CoxDesign(_as_counting_process(rows), covariates, ties, stratified)
     if beta is None:
         beta = np.zeros(design.p)
     beta = np.asarray(beta, dtype=float)
@@ -398,9 +437,10 @@ def cox_fit(rows, covariates=("trt",), ties="efron", stratified=False,
     decrease, and stops when both the likelihood change and the gradient
     norm are below tolerance. Raises SeparationError when a coefficient
     runs away (monotone likelihood) and ConvergenceError, carrying the
-    last iterate, when the iteration cap is reached.
+    last iterate, when the iteration cap is reached. `rows` is a
+    CountingProcess, or a Trial or record list to expand.
     """
-    design = _CoxDesign(rows, covariates, ties, stratified)
+    design = _CoxDesign(_as_counting_process(rows), covariates, ties, stratified)
     beta = np.zeros(design.p)
     ll, grad, hess = design.loglik_grad_hess(beta)
 
@@ -492,17 +532,17 @@ class PhaseHr:
     flags: list = field(default_factory=list)
 
 
-def phase_hr(records: list[SubjectRecord], ties="efron", stratified=False) -> PhaseHr:
+def phase_hr(data, ties="efron", stratified=False) -> PhaseHr:
     """Combination-phase and monotherapy-phase hazard ratios with Wald CIs.
 
     Fits treatment, monotherapy status, and their interaction on the
     counting-process expansion. The combination-phase HR is exp(b_trt);
     the monotherapy-phase HR is exp(b_trt + b_interaction). When no subject
     ever transitions, the monotherapy HR is undefined and flagged, and the
-    model reduces to treatment only.
+    model reduces to treatment only. `data` is a Trial or a list of records.
     """
-    rows = to_counting_process(records)
-    if not any(r.mono for r in rows):
+    rows = to_counting_process(data)
+    if not rows.mono.any():
         fit = cox_fit(rows, covariates=("trt",), ties=ties, stratified=stratified)
         hr_c, ci_c = fit.contrast(("trt",))
         return PhaseHr(

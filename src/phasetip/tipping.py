@@ -1,11 +1,19 @@
 """Tipping-point search over the adjustment factor.
 
+A search converts the validated records once into a columnar `Trial`.
+Each evaluation then runs one array path: the vectorized counterfactual
+transform, one counting-process expansion, the treatment-only Cox fit and
+the log-rank test, and the three-covariate Cox fit, which shares the
+expansion's risk-set structure with the first fit.
+
 Per replicate, imputation draws are made once and reused across the whole
 grid, which makes the evaluated curves monotone in the adjustment factor
 and the tipping point well defined. One search serves both stop rules: it
 walks the factor away from 1 in fixed steps until the rule's criterion is
-crossed, then bisects the last step down to `bisection_tol`. The rules
-differ only in the criterion and in the point they report:
+crossed, then bisects the last step down to `bisection_tol`. The walk may
+take at most `MAX_GRID_POINTS` steps to the effect's bound; a config that
+needs more is refused up front. The rules differ only in the criterion and
+in the point they report:
 
 * Stop rule "a" (significance): crossed when the two-sided between-arm
   p-value exceeds the significance level; the tip is the first factor at
@@ -37,10 +45,11 @@ from .counterfactual import (
     make_draws,
 )
 from .errors import DataError, EstimationError
-from .records import SubjectRecord
+from .records import SubjectRecord, as_trial
 from .survival import cox_fit, logrank_test, to_counting_process
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "SearchConfig",
     "TpaCurvePoint",
     "ReplicateOutcome",
@@ -50,6 +59,20 @@ __all__ = [
     "grid_scan",
     "mi_aggregate",
 ]
+
+# Most factor steps a fixed-step grid may take (the tpa walk to its bound,
+# or the points of a curve). The default effect-1 walk takes 900.
+MAX_GRID_POINTS = 10_000
+
+
+def check_grid_points(span: float, step: float, what: str) -> None:
+    """Refuse a grid that covers `span` in steps of `step` with more than
+    MAX_GRID_POINTS steps. Works on the ratio, so no grid is allocated."""
+    if span / step > MAX_GRID_POINTS:
+        raise DataError(
+            f"{what} would take more than {MAX_GRID_POINTS} steps of {step!r}; "
+            "use a larger grid step or a nearer bound"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,6 +95,16 @@ class SearchConfig:
             raise DataError("grid_step must be positive")
         if not math.isfinite(self.grid_max):
             raise DataError("grid_max must be finite")
+        if not self.grid_max >= 1.0:
+            raise DataError(f"grid_max must be at least 1, got {self.grid_max!r}")
+        if not 0.0 < self.grid_min <= 1.0:
+            raise DataError(f"grid_min must be in (0, 1], got {self.grid_min!r}")
+        if self.effect is Effect.INFLATE_CONTROL:
+            check_grid_points(self.grid_max - 1.0, self.grid_step,
+                              f"the walk from 1 to grid_max {self.grid_max!r}")
+        else:
+            check_grid_points(1.0 - self.grid_min, self.grid_step,
+                              f"the walk from 1 to grid_min {self.grid_min!r}")
         if not (self.bisection_tol > 0 and math.isfinite(self.bisection_tol)):
             raise DataError("bisection_tol must be a finite positive number")
         if not 0 < self.alpha_level < 1:
@@ -119,13 +152,14 @@ class TpaResult:
     flags: list
 
 
-def evaluate_at(records: list[SubjectRecord], params: TransformParams,
+def evaluate_at(records, params: TransformParams,
                 draws: ImputationDraws, p_source: str = "logrank") -> TpaCurvePoint:
     """One counterfactual evaluation: transform, then p-value, overall HR,
     and monotherapy-phase HR on the transformed dataset. Estimator failures
-    mark the point unevaluable instead of aborting the search."""
+    mark the point unevaluable instead of aborting the search. `records`
+    is a Trial or a list of records."""
     data = apply_transform(records, params, draws)
-    n_events = sum(r.delta for r in data)
+    n_events = int(data.delta.sum())
     try:
         rows = to_counting_process(data)
         trt_fit = cox_fit(rows, ("trt",))
@@ -141,10 +175,10 @@ def evaluate_at(records: list[SubjectRecord], params: TransformParams,
         )
     hr_mono = None
     note = None
-    if any(r.mono for r in rows):
+    if rows.mono.any():
         try:
             full_fit = cox_fit(rows, ("trt", "mono", "trt_x_mono"))
-            hr_mono = full_fit.contrast(("trt", "trt_x_mono"))[0]
+            hr_mono = full_fit.contrast_hr(("trt", "trt_x_mono"))
         except EstimationError as err:
             note = f"mono-phase fit failed: {err}"
     return TpaCurvePoint(
@@ -156,8 +190,8 @@ def evaluate_at(records: list[SubjectRecord], params: TransformParams,
 class _Evaluator:
     """Caches curve points for one replicate's fixed draws."""
 
-    def __init__(self, records, config, draws):
-        self.records = records
+    def __init__(self, trial, config, draws):
+        self.trial = trial
         self.config = config
         self.draws = draws
         self.cache = {}
@@ -166,7 +200,7 @@ class _Evaluator:
         if gamma not in self.cache:
             params = TransformParams(self.config.effect, gamma)
             self.cache[gamma] = evaluate_at(
-                self.records, params, self.draws, self.config.p_source
+                self.trial, params, self.draws, self.config.p_source
             )
         return self.cache[gamma]
 
@@ -270,11 +304,11 @@ def _bisect(ev, lo, hi, config, rule, flags):
     return lo, hi
 
 
-def _run_replicate(records, config, replicate_id, draws):
+def _run_replicate(trial, config, replicate_id, draws):
     """One replicate's search: check the identity factor, walk the grid to
     the first crossing, bisect, and report the tip as the bracket midpoint."""
     rule = _stop_rule(config)
-    ev = _Evaluator(records, config, draws)
+    ev = _Evaluator(trial, config, draws)
 
     start = ev.at(1.0)
     if not rule.usable(start):
@@ -340,7 +374,8 @@ def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResul
 
     Deterministic imputation (the cutoff method) gives every replicate the
     same draws; duplicating the search would only repeat identical work, so
-    replicates sharing a draw set share one search result.
+    replicates sharing a draw set share one search result. Every search
+    runs on one Trial built from `records`.
     """
     if config.threshold is Threshold.NEUTRALIZE and not any(
         r.mono_start is not None for r in records
@@ -352,9 +387,10 @@ def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResul
         key = tuple(sorted(draws.values.items()))
         groups.setdefault(key, (draws, []))[1].append(r)
 
+    trial = as_trial(records)
     outcomes = []
     for draws, members in groups.values():
-        lead = _run_replicate(records, config, members[0], draws)
+        lead = _run_replicate(trial, config, members[0], draws)
         outcomes.extend(dataclasses.replace(lead, replicate_id=r) for r in members)
     outcomes.sort(key=lambda o: o.replicate_id)
     return mi_aggregate(outcomes, config.effect, config.threshold)
@@ -365,5 +401,5 @@ def grid_scan(records: list[SubjectRecord], config: SearchConfig,
     """Curve points over an explicit factor grid, using replicate 0 draws
     (deterministic for a given seed)."""
     draws = make_draws(records, config.effect, config.imputation, config.seed, 0)
-    ev = _Evaluator(records, config, draws)
+    ev = _Evaluator(as_trial(records), config, draws)
     return [ev.at(float(g)) for g in gammas]

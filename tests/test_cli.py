@@ -1,9 +1,12 @@
 """CLI behavior: exit codes, determinism, emitted file structure."""
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 
@@ -18,6 +21,26 @@ SMALL_SIM = SimConfig(
     hr_combo=0.75, hr_mono=0.35,
     accrual_months=18, cutoff_months=40, dropout_hazard=0.004,
 )
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+class _Hang(BaseException):
+    pass
+
+
+@contextlib.contextmanager
+def wall_clock_bound(seconds):
+    """Raise _Hang in the body if it runs longer than `seconds`."""
+    def hang(signum, frame):
+        raise _Hang(f"ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -69,6 +92,27 @@ class TestExitCodes:
             "--replicates", "1", "--grid-step", "0.2", "--out", str(blocker),
         ])
         assert code == 2
+
+    def test_tpa_grid_walk_beyond_point_cap_is_data_error(self, small_dataset, tmp_path,
+                                                          capsys):
+        # 1 + k * 1e-300 rounds to 1, so the walk never reached its bound
+        with wall_clock_bound(30):
+            code = main([
+                "tpa", "--input", small_dataset, "--effect", "1", "--replicates", "1",
+                "--grid-step", "1e-300", "--out", str(tmp_path),
+            ])
+        assert code == 2
+        assert "10000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["grid_min=0", "grid-min=1.5", "grid_max=0.5"])
+    def test_tpa_grid_bounds_checked_up_front(self, small_dataset, tmp_path, setting):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        with mock.patch("phasetip.cli.find_tipping") as search:
+            code = main(["tpa", "--input", small_dataset, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        search.assert_not_called()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -137,6 +181,50 @@ class TestTpaDeterminism:
         for col in ("effect_method", "adjustment_factor_at_tip", "avg_n_events",
                     "hr_at_tip", "p_at_tip"):
             assert col in header
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("line", ["grid_stepp=0.5", "threads=4", "nonsense=1"])
+    def test_unknown_key_is_data_error_naming_it(self, small_dataset, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"effect=1\n{line}\n")
+        code = main(["tpa", "--input", small_dataset, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert repr(line.split("=")[0]) in capsys.readouterr().err
+
+    def test_key_read_by_another_command_is_accepted(self, tmp_path):
+        # one file may serve several commands: tpa keys do not stop simulate
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("seed=5\nn_control=20\nn-experimental=25\ngrid_step=0.1\n"
+                       "bisection_tol=0.01\n")
+        assert main(["simulate", "--out", str(tmp_path / "s.csv"), "--config", str(cfg)]) == 0
+
+
+class TestGoldenOutputs:
+    """`results.csv` and the curve CSV are byte-identical to files recorded
+    before the columnar evaluation core replaced the per-record one."""
+
+    @pytest.mark.parametrize("effect", ["1", "2"])
+    @pytest.mark.parametrize("threshold", ["a", "b"])
+    def test_tpa_results_csv(self, small_dataset, tmp_path, effect, threshold):
+        code = main([
+            "tpa", "--input", small_dataset, "--effect", effect, "--threshold", threshold,
+            "--replicates", "4", "--seed", "7", "--grid-step", "0.1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        golden = os.path.join(DATA, f"tpa_effect{effect}_{threshold}.csv")
+        assert (tmp_path / "results.csv").read_bytes() == open(golden, "rb").read()
+
+    def test_curve_csv(self, small_dataset, tmp_path):
+        code = main([
+            "curve", "--input", small_dataset, "--effect", "2", "--threshold", "a",
+            "--seed", "5", "--grid-step", "0.05", "--grid-min", "0.15", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        golden = os.path.join(DATA, "curve_2_a.csv")
+        assert (tmp_path / "curve_2_a.csv").read_bytes() == open(golden, "rb").read()
 
 
 class TestSimulateCommand:
@@ -231,6 +319,27 @@ class TestCurveCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out, "curve_1_b.csv"))
         assert os.path.exists(os.path.join(out, "curve_1_b.svg"))
+
+    @pytest.mark.parametrize("flags", [
+        ["--effect", "2", "--grid-step", "0"],
+        ["--effect", "1", "--grid-step=-0.1"],
+        ["--effect", "1", "--grid-step", "1e-300"],
+        ["--effect", "2", "--grid-step", "1e-300"],
+        ["--effect", "1", "--grid-step", "nan"],
+        ["--effect", "1", "--grid-max", "1e300"],
+        ["--effect", "1", "--grid-max", "nan"],
+        ["--effect", "2", "--grid-min", "0"],
+        ["--effect", "2", "--grid-min=-inf"],
+    ])
+    def test_bad_grid_is_data_error_before_any_grid(self, small_dataset, tmp_path, flags):
+        # the point count is checked from the bounds and the step, so no grid
+        # is allocated and nothing is evaluated
+        with mock.patch("phasetip.cli.np.arange") as arange, \
+                mock.patch("phasetip.cli.grid_scan") as scan, wall_clock_bound(30):
+            code = main(["curve", "--input", small_dataset, *flags, "--out", str(tmp_path)])
+        assert code == 2
+        arange.assert_not_called()
+        scan.assert_not_called()
 
     def test_empty_grid_header_only_no_svg(self, small_dataset, tmp_path):
         out = str(tmp_path / "empty")

@@ -1,0 +1,163 @@
+"""Property tests of the columnar path against per-subject references.
+
+`apply_transform` must give exactly what `transform_effect1` and
+`transform_effect2` give one record at a time, and `to_counting_process`
+exactly what a plain loop over the records gives. The generated trials are
+small and draw their times from a short list, so tied times, a monotherapy
+start equal to the follow-up time and subjects without a monotherapy phase
+all occur often.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import C, E, rec
+from phasetip.counterfactual import (
+    Effect,
+    ImputationDraws,
+    TransformParams,
+    apply_transform,
+    make_draws,
+    transform_effect1,
+    transform_effect2,
+)
+from phasetip.errors import DataError, EstimationError
+from phasetip.records import Trial
+from phasetip.survival import to_counting_process
+
+TIMES = [0.5, 1.0, 2.0, 2.5, 4.0, 7.0]
+
+
+@st.composite
+def subjects(draw, index):
+    s = draw(st.sampled_from(TIMES))
+    mono = draw(st.sampled_from([None, s, *[t for t in TIMES if t < s]]))
+    return rec(
+        index, draw(st.sampled_from([E, C])), s, draw(st.sampled_from([0, 1])),
+        cutoff=s + draw(st.sampled_from([0.0, 1.5, 6.0])), mono=mono,
+        stratum=draw(st.sampled_from([None, 0, 1])),
+    )
+
+
+@st.composite
+def trials(draw):
+    n = draw(st.integers(1, 12))
+    return [draw(subjects(i)) for i in range(n)]
+
+
+@st.composite
+def draw_sets(draw, records, effect):
+    """Imputed times beyond each subject's observed time, ties included;
+    some subjects may have none."""
+    values = {}
+    for r in records:
+        if draw(st.integers(0, 3)):  # one subject in four has no draw
+            values[r.subject_id] = r.s + draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.0]))
+    return ImputationDraws(effect=effect, replicate_id=0, seed=0, method="test",
+                           values=values)
+
+
+GAMMAS = {
+    Effect.INFLATE_CONTROL: st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+                                      st.floats(1.0, 10.0)),
+    Effect.SHRINK_EXPERIMENTAL: st.one_of(st.sampled_from([1.0, 0.5, 0.25]),
+                                          st.floats(0.01, 1.0)),
+}
+REFERENCE = {Effect.INFLATE_CONTROL: transform_effect1,
+             Effect.SHRINK_EXPERIMENTAL: transform_effect2}
+
+
+def reference_transform(records, params, draws):
+    """The per-record transform, subject by subject; the error text of the
+    first subject that cannot be transformed, if any."""
+    try:
+        return [REFERENCE[params.effect](r, params.gamma, draws.get(r.subject_id))
+                for r in records], None
+    except DataError as err:
+        return None, str(err)
+
+
+def loop_expansion(records):
+    """Counting-process rows of `records` as tuples, built by a plain loop."""
+    rows = []
+    for r in records:
+        stratum = -1 if r.stratum is None else r.stratum
+        if r.mono_start is None or r.mono_start == r.s:
+            rows.append((0.0, r.s, r.delta, r.trt, 0, stratum))
+        else:
+            rows.append((0.0, r.mono_start, 0, r.trt, 0, stratum))
+            rows.append((r.mono_start, r.s, r.delta, r.trt, 1, stratum))
+    return rows
+
+
+def columns_as_rows(cp):
+    stratum = np.where(np.isnan(cp.stratum), -1, cp.stratum)
+    return [
+        (float(a), float(b), int(e), int(t), int(m), int(st_))
+        for a, b, e, t, m, st_ in zip(cp.start, cp.stop, cp.event, cp.trt, cp.mono, stratum)
+    ]
+
+
+def assert_same_subjects(trial, records):
+    assert list(trial) == list(records)
+    assert np.array_equal(trial.s, [r.s for r in records])
+    assert np.array_equal(trial.delta, [r.delta for r in records])
+    assert np.array_equal(trial.cutoff, [r.cutoff for r in records])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), records=trials(), effect=st.sampled_from(list(Effect)))
+def test_vectorized_transform_equals_per_record_reference(data, records, effect):
+    draws = data.draw(draw_sets(records, effect))
+    params = TransformParams(effect, data.draw(GAMMAS[effect]))
+    expected, error = reference_transform(records, params, draws)
+    if error is not None:
+        with pytest.raises(DataError) as err:
+            apply_transform(Trial.from_records(records), params, draws)
+        assert str(err.value) == error
+        return
+    out = apply_transform(Trial.from_records(records), params, draws)
+    assert_same_subjects(out, expected)
+    assert columns_as_rows(to_counting_process(out)) == loop_expansion(expected)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), records=trials(), effect=st.sampled_from(list(Effect)),
+       seed=st.integers(0, 3))
+def test_transform_with_made_draws_equals_reference(data, records, effect, seed):
+    try:
+        draws = make_draws(records, effect, "auto", seed=seed)
+    except EstimationError:
+        return  # no data to fit the imputation model on
+    params = TransformParams(effect, data.draw(GAMMAS[effect]))
+    expected, error = reference_transform(records, params, draws)
+    trial = Trial.from_records(records)
+    if error is not None:
+        with pytest.raises(DataError, match="missing imputed"):
+            apply_transform(trial, params, draws)
+        return
+    assert_same_subjects(apply_transform(trial, params, draws), expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(records=trials())
+def test_expansion_equals_loop(records):
+    trial = Trial.from_records(records)
+    assert_same_subjects(trial, records)
+    cp = to_counting_process(trial)
+    assert len(cp) == len(loop_expansion(records))
+    assert columns_as_rows(cp) == loop_expansion(records)
+    assert columns_as_rows(to_counting_process(records)) == loop_expansion(records)
+
+
+def test_draws_are_aligned_once_per_draw_set():
+    records = [rec("a", C, 4.0, 1, mono=1.0), rec("b", E, 3.0, 0, mono=2.0)]
+    trial = Trial.from_records(records)
+    first = ImputationDraws(Effect.INFLATE_CONTROL, 0, 0, "test", {"a": 6.0})
+    second = ImputationDraws(Effect.INFLATE_CONTROL, 1, 0, "test", {"a": 5.0})
+    aligned = trial.imputed(first)
+    assert np.array_equal(aligned, [6.0, np.nan], equal_nan=True)
+    assert trial.imputed(first) is aligned
+    assert np.array_equal(trial.imputed(second), [5.0, np.nan], equal_nan=True)

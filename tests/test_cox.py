@@ -6,6 +6,7 @@ import pytest
 
 from conftest import C, E, rec
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
+from phasetip.records import CountingProcess
 from phasetip.survival import (
     cox_fit,
     partial_loglik_and_gradient,
@@ -45,31 +46,30 @@ def records_from_triplets(times, events, x):
     ]
 
 
+def row(cp, k):
+    """Row k of a counting process as (start, stop, event, trt, mono)."""
+    return (cp.start[k], cp.stop[k], cp.event[k], cp.trt[k], cp.mono[k])
+
+
 class TestCountingProcess:
     def test_split_at_transition(self):
         rows = to_counting_process([rec("s", E, 10, 1, mono=6.0)])
         assert len(rows) == 2
-        first, second = rows
-        assert (first.start, first.stop, first.event_at_stop, first.trt, first.mono) == (
-            0.0, 6.0, 0, 1, 0,
-        )
-        assert (second.start, second.stop, second.event_at_stop, second.mono) == (
-            6.0, 10.0, 1, 1,
-        )
-        assert second.trt_x_mono == 1
+        assert row(rows, 0) == (0.0, 6.0, 0, 1, 0)
+        assert row(rows, 1)[:3] == (6.0, 10.0, 1)
+        assert rows.mono[1] == 1
+        assert rows.covariate("trt_x_mono")[1] == 1
 
     def test_no_transition_single_row(self):
         rows = to_counting_process([rec("s", C, 8, 0)])
         assert len(rows) == 1
-        assert (rows[0].start, rows[0].stop, rows[0].event_at_stop) == (0.0, 8.0, 0)
-        assert rows[0].trt == 0 and rows[0].mono == 0
+        assert row(rows, 0)[:3] == (0.0, 8.0, 0)
+        assert rows.trt[0] == 0 and rows.mono[0] == 0
 
     def test_zero_length_mono_interval_dropped(self):
         rows = to_counting_process([rec("s", E, 5, 1, mono=5.0)])
         assert len(rows) == 1
-        assert (rows[0].start, rows[0].stop, rows[0].event_at_stop, rows[0].mono) == (
-            0.0, 5.0, 1, 0,
-        )
+        assert (rows.start[0], rows.stop[0], rows.event[0], rows.mono[0]) == (0.0, 5.0, 1, 0)
 
     def test_rows_partition_follow_up(self):
         rng = np.random.default_rng(3)
@@ -78,12 +78,17 @@ class TestCountingProcess:
             s = float(rng.uniform(1, 20))
             mono = float(rng.uniform(0.1, s)) if rng.random() < 0.5 else None
             records.append(rec(i, E if i % 2 else C, s, int(rng.integers(0, 2)), mono=mono))
-        for r in records:
-            rows = [w for w in to_counting_process(records) if w.subject_id == r.subject_id]
-            assert rows[0].start == 0.0
-            assert rows[-1].stop == r.s
-            for a, b in zip(rows, rows[1:]):
-                assert a.stop == b.start
+        cp = to_counting_process(records)
+        # each subject's rows are adjacent and in subject order: a new subject
+        # starts at every row whose interval opens at 0
+        firsts = np.flatnonzero(cp.start == 0.0)
+        assert firsts.size == len(records)
+        bounds = [*firsts, len(cp)]
+        for r, lo, hi in zip(records, bounds, bounds[1:]):
+            assert cp.start[lo] == 0.0
+            assert cp.stop[hi - 1] == r.s
+            for k in range(lo, hi - 1):
+                assert cp.stop[k] == cp.start[k + 1]
 
 
 class TestCoxOracle:
@@ -175,14 +180,17 @@ class TestCoxProperties:
         rng = np.random.default_rng(5)
         records = self._random_records(rng, with_mono=False)
         plain = cox_fit(to_counting_process(records), ("trt",))
-        split_rows = []
-        for row_rec in records:
-            cut = row_rec.s / 2
-            split_rows += to_counting_process([rec(row_rec.subject_id + "a", row_rec.arm, cut, 0)])
-            base = to_counting_process([row_rec])[0]
-            split_rows.append(
-                type(base)(row_rec.subject_id, cut, row_rec.s, row_rec.delta, row_rec.trt, 0, 0)
-            )
+        # every subject as two rows, (0, s/2] without an event and (s/2, s]
+        s = np.array([r.s for r in records])
+        cut = s / 2
+        split_rows = CountingProcess(
+            start=np.column_stack([np.zeros_like(s), cut]).ravel(),
+            stop=np.column_stack([cut, s]).ravel(),
+            event=np.column_stack([np.zeros(len(s), int), [r.delta for r in records]]).ravel(),
+            trt=np.repeat([r.trt for r in records], 2),
+            mono=np.zeros(2 * len(s), int),
+            stratum=np.full(2 * len(s), np.nan),
+        )
         split = cox_fit(split_rows, ("trt",))
         assert split.coef("trt") == pytest.approx(plain.coef("trt"), abs=1e-10)
         assert split.loglik == pytest.approx(plain.loglik, abs=1e-10)

@@ -2,7 +2,17 @@ import pytest
 
 from conftest import C, E, rec
 from phasetip.errors import DataError
-from phasetip.records import Arm, CountingProcessRow
+import numpy as np
+
+from phasetip.records import Arm, CountingProcess
+
+
+def counting_process(start, stop, event, trt, mono):
+    """A one-row CountingProcess."""
+    return CountingProcess(
+        start=np.array([start]), stop=np.array([stop]), event=np.array([event]),
+        trt=np.array([trt]), mono=np.array([mono]), stratum=np.array([np.nan]),
+    )
 
 
 class TestSubjectRecord:
@@ -58,15 +68,22 @@ class TestArm:
 
 
 class TestCountingProcessRow:
+    """Rows of the columnar CountingProcess."""
+
     def test_empty_interval_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            CountingProcessRow("s1", 5.0, 5.0, 1, 1, 0, 0)
+            counting_process(5.0, 5.0, 1, 1, 0)
 
     def test_interaction_consistency(self):
-        with pytest.raises(DataError, match="trt_x_mono"):
-            CountingProcessRow("s1", 0.0, 5.0, 1, 1, 1, 0)
+        # the interaction is not stored, so it cannot disagree with trt * mono
+        for trt in (0, 1):
+            for mono in (0, 1):
+                cp = counting_process(0.0, 5.0, 1, trt, mono)
+                assert cp.covariate("trt_x_mono")[0] == trt * mono
+        with pytest.raises(DataError, match="covariate"):
+            counting_process(0.0, 5.0, 1, 1, 1).covariate("age")
 
     def test_covariate_lookup(self):
-        row = CountingProcessRow("s1", 0.0, 5.0, 1, 1, 1, 1)
-        assert row.covariate("trt") == 1
-        assert row.covariate("trt_x_mono") == 1
+        row = counting_process(0.0, 5.0, 1, 1, 1)
+        assert row.covariate("trt")[0] == 1
+        assert row.covariate("trt_x_mono")[0] == 1

@@ -10,6 +10,7 @@ from phasetip.errors import DataError
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import cox_fit, logrank_test, to_counting_process
 from phasetip.tipping import (
+    MAX_GRID_POINTS,
     ReplicateOutcome,
     SearchConfig,
     TpaCurvePoint,
@@ -336,3 +337,31 @@ class TestSearchConfigValidation:
     def test_non_finite_grid_max(self, bound):
         with pytest.raises(DataError, match="grid_max"):
             SearchConfig(effect=Effect.INFLATE_CONTROL, grid_max=bound)
+
+    @pytest.mark.parametrize("bound", [0.99, -1.0])
+    def test_grid_max_below_one(self, bound):
+        with pytest.raises(DataError, match="grid_max"):
+            SearchConfig(effect=Effect.INFLATE_CONTROL, grid_max=bound)
+
+    @pytest.mark.parametrize("bound", [0.0, -0.5, 1.01, float("nan")])
+    def test_grid_min_outside_unit_interval(self, bound):
+        for effect in Effect:
+            with pytest.raises(DataError, match="grid_min"):
+                SearchConfig(effect=effect, grid_min=bound)
+
+    def test_default_walks_fit_the_point_cap(self):
+        config = SearchConfig(effect=Effect.INFLATE_CONTROL)
+        assert (config.grid_max - 1.0) / config.grid_step == pytest.approx(900)
+        SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL)
+        # a walk of exactly MAX_GRID_POINTS steps is allowed
+        SearchConfig(effect=Effect.INFLATE_CONTROL, grid_max=1.0 + MAX_GRID_POINTS * 0.5,
+                     grid_step=0.5)
+
+    @pytest.mark.parametrize("effect, bounds", [
+        (Effect.INFLATE_CONTROL, {"grid_max": 10.0}),
+        (Effect.SHRINK_EXPERIMENTAL, {"grid_min": 0.01}),
+    ])
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 1e-5])
+    def test_walk_longer_than_point_cap(self, effect, bounds, step):
+        with pytest.raises(DataError, match=str(MAX_GRID_POINTS)):
+            SearchConfig(effect=effect, grid_step=step, **bounds)

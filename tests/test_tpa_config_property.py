@@ -1,10 +1,12 @@
-"""Property test: any `tpa --config` file ends with exit code 0-3, raises
-nothing out of `main`, and finishes within a wall-clock bound.
+"""Property test: any `tpa --config` or `curve --config` file ends with
+exit code 0-3, raises nothing out of `main`, and finishes within a
+wall-clock bound.
 
 The trial is small and significant at factor 1, so valid configurations
 really walk the grid and bisect. Finite grid bounds and positive steps are
 kept moderate because the fixed-step walk spends one evaluation per step:
-a long walk is slow by design, not a hang.
+a long walk is slow by design, not a hang. Steps of 0, below 0 and 1e-300
+must be refused, by the grid-point cap for the last.
 """
 
 import os
@@ -39,7 +41,7 @@ CONFIG_KEYS = {
     "effect": (st.sampled_from(["1", "2"]), ["0", "3", "1.0", "x"]),
     "threshold": (st.sampled_from(["a", "b"]), ["c", "A", ""]),
     "replicates": (st.sampled_from(["1", "2", "3"]), ["0", "-2", "1.5", "abc"]),
-    "grid_step": (_floats(0.05, 5.0), NUMBER_JUNK),
+    "grid_step": (_floats(0.05, 5.0), NUMBER_JUNK + ["1e-300", "-0.05"]),
     "grid-max": (_floats(1.0, 20.0), NUMBER_JUNK + ["0.5"]),
     "grid_min": (_floats(0.01, 1.0), NUMBER_JUNK + ["2"]),
     "alpha_level": (_floats(1e-3, 0.99), NUMBER_JUNK + ["1"]),
@@ -68,7 +70,7 @@ class _Hang(BaseException):
 
 
 def _raise_hang(signum, frame):
-    raise _Hang(f"tpa ran longer than {WALL_CLOCK_S} s")
+    raise _Hang(f"the command ran longer than {WALL_CLOCK_S} s")
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,25 @@ def trial_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("trial") / "trial.csv"
     write_dataset(simulate_trial(SMALL_SIM, seed=1), path)
     return str(path)
+
+
+def _run_with_config(command, trial_csv, values, extra):
+    lines = [f"{key}={value}" for key, value in values.items()] + extra
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("PHASETIP_SEED", None)
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        argv = [command, "--input", trial_csv, "--config", cfg, "--out", os.path.join(tmp, "out")]
+        previous = signal.signal(signal.SIGALRM, _raise_hang)
+        signal.alarm(WALL_CLOCK_S)
+        try:
+            code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    event(f"exit code {code}")
+    return code
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
@@ -87,20 +108,19 @@ def trial_csv(tmp_path_factory):
 @example(values={"threshold": "c"}, extra=[])
 @example(values={"seed": "-1", "effect": "2"}, extra=[])
 @example(values={"effect": "1", "threshold": "b", "bisection_tol": "1e-300"}, extra=[])
+@example(values={"effect": "1", "grid_step": "1e-300"}, extra=[])
 def test_any_config_file_ends_with_an_exit_code(trial_csv, values, extra):
-    lines = [f"{key}={value}" for key, value in values.items()] + extra
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-        os.environ.pop("PHASETIP_SEED", None)
-        cfg = os.path.join(tmp, "run.cfg")
-        with open(cfg, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-        argv = ["tpa", "--input", trial_csv, "--config", cfg, "--out", os.path.join(tmp, "out")]
-        previous = signal.signal(signal.SIGALRM, _raise_hang)
-        signal.alarm(WALL_CLOCK_S)
-        try:
-            code = main(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-    event(f"exit code {code}")
-    assert code in (0, 1, 2, 3)
+    assert _run_with_config("tpa", trial_csv, values, extra) in (0, 1, 2, 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(values=st.one_of(VALID_CONFIGS, ANY_CONFIGS), extra=EXTRA_LINES)
+@example(values={"effect": "2", "grid_step": "0"}, extra=[])
+@example(values={"effect": "1", "grid_step": "-0.05"}, extra=[])
+@example(values={"effect": "1", "grid_step": "1e-300"}, extra=[])
+@example(values={"effect": "2", "grid_step": "1e-300"}, extra=[])
+@example(values={"effect": "2", "grid_min": "0", "grid_step": "0.05"}, extra=[])
+@example(values={"effect": "1", "grid-max": "inf"}, extra=[])
+def test_any_curve_config_file_ends_with_an_exit_code(trial_csv, values, extra):
+    assert _run_with_config("curve", trial_csv, values, extra) in (0, 1, 2, 3)
