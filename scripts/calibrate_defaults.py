@@ -40,9 +40,7 @@ def trial_measures(cfg, seed):
     rows = to_counting_process(trial)
     overall = cox_fit(rows, ("trt",)).hr("trt")
     p = logrank_test(trial).p_two_sided
-    mono_events = sum(
-        r.delta for r in records if r.mono_start is not None and r.mono_start < r.s
-    )
+    mono_events = sum(r.delta for r in records if r.in_mono)
     censored = [r for r in records if r.delta == 0]
     at_cutoff = sum(1 for r in censored if abs(r.s - r.cutoff) < 1e-9)
     return dict(

@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="primary-analysis report")
     p.add_argument("--input", required=True)
-    p.add_argument("--stratified", action="store_true")
-    p.add_argument("--ties", choices=("efron", "breslow"), default="efron")
+    p.add_argument("--stratified", action="store_true", default=None)
+    p.add_argument("--ties", choices=("efron", "breslow"), default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tpa", parents=[common], help="tipping-point analysis")
@@ -122,7 +122,8 @@ SIM_FLAGS = {
 # _Options (alpha-level and bisection-tol have no flag).
 CONFIG_KEYS = frozenset({
     "seed", "effect", "threshold", "replicates", "grid-step", "grid-max", "grid-min",
-    "imputation", "p-source", "alpha-level", "bisection-tol", *SIM_FLAGS,
+    "imputation", "p-source", "alpha-level", "bisection-tol", "stratified", "ties",
+    *SIM_FLAGS,
 })
 
 
@@ -166,6 +167,12 @@ class _Options:
                 raise DataError(f"config value for {key} is invalid: {raw!r}") from None
         return fallback
 
+    def given(self, **casts) -> dict:
+        """The settings among `casts` (name -> cast) that a flag or the
+        config file sets, so that the callee's own defaults fill the rest."""
+        values = {name: self.get(name, cast, None) for name, cast in casts.items()}
+        return {name: value for name, value in values.items() if value is not None}
+
     def seed(self) -> int:
         seed = self.get("seed", int, None)
         if seed is None:
@@ -179,12 +186,13 @@ class _Options:
         return seed
 
 
-def _effect(opt) -> Effect:
-    return opt.get("effect", Effect.from_number, Effect.INFLATE_CONTROL)
-
-
-def _threshold(opt) -> Threshold:
-    return opt.get("threshold", Threshold, Threshold.SIGNIFICANCE)
+def _boolean(raw) -> bool:
+    """An on/off setting: True from its flag; true, false, 1 or 0 from a file."""
+    if raw is True or raw in ("true", "1"):
+        return True
+    if raw in ("false", "0"):
+        return False
+    raise ValueError(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +204,14 @@ def _fmt_ci(ci):
 
 
 def cmd_analyze(args) -> int:
+    opt = _Options(args)
     records = read_dataset(args.input)
     if not records:
         raise DataError("dataset is empty")
+    stratified = opt.get("stratified", _boolean, False)
+    ties = opt.get("ties", str, "efron")
+    if ties not in ("efron", "breslow"):
+        raise DataError(f"unknown ties method {ties!r}")
     lines = []
     for arm, label in ((Arm.EXPERIMENTAL, "Experimental"), (Arm.CONTROL, "Control")):
         subset = [r for r in records if r.arm is arm]
@@ -212,13 +225,12 @@ def cmd_analyze(args) -> int:
             f"censored={len(subset) - events}, median PFS={median} months"
         )
     trial = Trial.from_records(records)
-    lr = logrank_test(trial, stratified=args.stratified)
+    lr = logrank_test(trial, stratified=stratified)
     lines.append(f"Log-rank chi2={lr.chi2:.4f}, two-sided p={lr.p_two_sided:.6g}")
-    overall = cox_fit(to_counting_process(trial), ("trt",), ties=args.ties,
-                      stratified=args.stratified)
+    overall = cox_fit(to_counting_process(trial), ("trt",), ties=ties, stratified=stratified)
     hr, ci = overall.contrast(("trt",))
     lines.append(f"Overall HR={hr:.4f} {_fmt_ci(ci)}")
-    phases = phase_hr(trial, ties=args.ties, stratified=args.stratified)
+    phases = phase_hr(trial, ties=ties, stratified=stratified)
     lines.append(f"Combination-phase HR={phases.hr_combo:.4f} {_fmt_ci(phases.ci_combo)}")
     if phases.hr_mono is None:
         lines.append("Monotherapy-phase HR: not estimable (no transitions observed)")
@@ -232,20 +244,15 @@ def cmd_analyze(args) -> int:
 # tpa
 
 
-def _search_config(opt, effect, threshold, seed) -> SearchConfig:
-    return SearchConfig(
-        effect=effect,
-        threshold=threshold,
-        alpha_level=opt.get("alpha_level", float, 0.05),
-        grid_step=opt.get("grid_step", float, 0.01),
-        grid_max=opt.get("grid_max", float, 10.0),
-        grid_min=opt.get("grid_min", float, 0.01),
-        bisection_tol=opt.get("bisection_tol", float, 1e-3),
-        mi_replicates=opt.get("replicates", int, 20),
-        seed=seed,
-        imputation=opt.get("imputation", str, "auto"),
-        p_source=opt.get("p_source", str, "logrank"),
-    )
+def _search_config(opt) -> SearchConfig:
+    """The tpa settings that a flag or the config file sets, on top of the
+    defaults of SearchConfig."""
+    given = opt.given(effect=Effect.from_number, threshold=Threshold, alpha_level=float,
+                      grid_step=float, grid_max=float, grid_min=float, bisection_tol=float,
+                      replicates=int, imputation=str, p_source=str)
+    if "replicates" in given:
+        given["mi_replicates"] = given.pop("replicates")
+    return SearchConfig(seed=opt.seed(), **given)
 
 
 def emit_results(results: list[TpaResult], outdir) -> str:
@@ -280,8 +287,7 @@ def cmd_tpa(args) -> int:
     records = read_dataset(args.input)
     if not records:
         raise DataError("dataset is empty")
-    effect, threshold = _effect(opt), _threshold(opt)
-    config = _search_config(opt, effect, threshold, opt.seed())
+    config = _search_config(opt)
     result = find_tipping(records, config)
     path = emit_results([result], args.out)
     if result.tip is None:
@@ -291,7 +297,7 @@ def cmd_tpa(args) -> int:
         p = "n/a" if result.p_at_tip is None else f"{result.p_at_tip:.4g}"
         kind = "degenerate at start" if result.degenerate else "tipping point"
         print(
-            f"effect {effect.number}, threshold {threshold.value}: {kind} "
+            f"effect {config.effect.number}, threshold {config.threshold.value}: {kind} "
             f"factor={result.tip:.4f} (HR at tip {hr}, p at tip {p}, "
             f"replicates {len(result.replicates)}, spread sd={result.tip_sd:.4g})"
         )
@@ -305,11 +311,7 @@ def cmd_tpa(args) -> int:
 
 def cmd_simulate(args) -> int:
     opt = _Options(args)
-    overrides = {}
-    for flag, cast in SIM_FLAGS.items():
-        value = opt.get(flag.replace("-", "_"), cast, None)
-        if value is not None:
-            overrides[flag.replace("-", "_")] = value
+    overrides = opt.given(**{flag.replace("-", "_"): cast for flag, cast in SIM_FLAGS.items()})
     config = SimConfig(**overrides, seed=opt.seed())
     records = simulate_trial(config)
     write_dataset(records, args.out)
@@ -331,8 +333,11 @@ def cmd_curve(args) -> int:
     records = read_dataset(args.input)
     if not records:
         raise DataError("dataset is empty")
-    effect, threshold = _effect(opt), _threshold(opt)
-    seed = opt.seed()
+    config = SearchConfig(
+        seed=opt.seed(),
+        **opt.given(effect=Effect.from_number, threshold=Threshold, imputation=str),
+    )
+    effect, threshold = config.effect, config.threshold
     step = opt.get("grid_step", float, 0.05)
     if not step > 0:
         raise DataError("grid_step must be positive")
@@ -348,10 +353,6 @@ def cmd_curve(args) -> int:
             raise DataError(f"grid_min must be a finite positive number, got {lo!r}")
         check_grid_points(1.0 - (lo - 1e-9), step, f"the curve from 1 to grid_min {lo!r}")
         grid = np.arange(1.0, lo - 1e-9, -step)
-    config = SearchConfig(
-        effect=effect, threshold=threshold, seed=seed,
-        imputation=opt.get("imputation", str, "auto"),
-    )
     points = [p for p in grid_scan(records, config, grid) if p.evaluable]
 
     try:
@@ -413,8 +414,6 @@ def main(argv=None) -> int:
         return 1
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
-        for diag in err.diagnostics[1:]:
-            print(f"  {diag}", file=sys.stderr)
         return 2
     except EstimationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -28,6 +28,12 @@ with NaN for "no draw". The per-record `transform_effect1` and
 `transform_effect2` state the same rules one subject at a time; they are
 the reference the array transform is tested against. `make_draws` and the
 imputation models still read validated `SubjectRecord`s.
+
+Every transform acts on the subjects of the effect's target arm that spent
+time in monotherapy (`Effect.target_arm` and `in_mono` from `records`), and
+`make_draws` draws for exactly those of them whose event status the
+transform may change, so a replicate's draws always suffice. A subject
+whose monotherapy starts at its follow-up time passes through unchanged.
 """
 
 from __future__ import annotations
@@ -88,16 +94,22 @@ class Threshold(enum.Enum):
     NEUTRALIZE = "b"     # stop when the monotherapy-phase HR reaches 1
 
 
+def _check_factor(effect: Effect, gamma: float) -> None:
+    """Refuse a factor outside the effect's range: >= 1 for effect 1,
+    (0, 1] for effect 2."""
+    if effect is Effect.INFLATE_CONTROL and not gamma >= 1.0:
+        raise DataError(f"inflation factor must be >= 1, got {gamma}")
+    if effect is Effect.SHRINK_EXPERIMENTAL and not 0.0 < gamma <= 1.0:
+        raise DataError(f"shrinkage factor must be in (0, 1], got {gamma}")
+
+
 @dataclass(frozen=True)
 class TransformParams:
     effect: Effect
     gamma: float
 
     def __post_init__(self):
-        if self.effect is Effect.INFLATE_CONTROL and self.gamma < 1.0:
-            raise DataError(f"inflation factor must be >= 1, got {self.gamma}")
-        if self.effect is Effect.SHRINK_EXPERIMENTAL and not 0.0 < self.gamma <= 1.0:
-            raise DataError(f"shrinkage factor must be in (0, 1], got {self.gamma}")
+        _check_factor(self.effect, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -140,9 +152,6 @@ class ImputationDraws:
     seed: int
     method: str
     values: dict = field(default_factory=dict)
-
-    def get(self, subject_id: str):
-        return self.values.get(subject_id)
 
 
 def _subject_key(subject_id: str) -> int:
@@ -198,10 +207,7 @@ def sample_censoring_conditional(model: CensoringModel, floor: float, rng) -> fl
 
 def fit_mono_event_model(records) -> MonoEventModel:
     """Censoring-aware exponential MLE on experimental mono durations."""
-    subset = [
-        r for r in records
-        if r.arm is Arm.EXPERIMENTAL and r.mono_start is not None and r.mono_start < r.s
-    ]
+    subset = [r for r in records if r.arm is Arm.EXPERIMENTAL and r.in_mono]
     n_events = sum(r.delta for r in subset)
     if n_events == 0:
         raise EstimationError("no monotherapy-phase events on the experimental arm")
@@ -236,9 +242,8 @@ def transform_effect1(record: SubjectRecord, gamma: float,
     Non-control subjects and subjects without a monotherapy phase pass
     through untouched.
     """
-    if gamma < 1.0:
-        raise DataError(f"inflation factor must be >= 1, got {gamma}")
-    if record.arm is not Arm.CONTROL or record.mono_start is None:
+    _check_factor(Effect.INFLATE_CONTROL, gamma)
+    if record.arm is not Arm.CONTROL or not record.in_mono:
         return record
     if record.delta == 0:
         return record
@@ -261,9 +266,8 @@ def transform_effect2(record: SubjectRecord, gamma: float,
     becomes an observed event if it lands at or before the observed
     censoring time (the observed s), otherwise the record is unchanged.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise DataError(f"shrinkage factor must be in (0, 1], got {gamma}")
-    if record.arm is not Arm.EXPERIMENTAL or record.mono_start is None:
+    _check_factor(Effect.SHRINK_EXPERIMENTAL, gamma)
+    if record.arm is not Arm.EXPERIMENTAL or not record.in_mono:
         return record
     x = record.mono_start
     if record.delta == 1:
@@ -292,19 +296,18 @@ def apply_transform(data, params: TransformParams, draws: ImputationDraws) -> Tr
     """
     trial = as_trial(data)
     s, delta, x = trial.s, trial.delta, trial.mono_start
+    target = (trial.trt == params.effect.target_arm.trt) & trial.in_mono
     imputed = trial.imputed(draws)
     # algebraically x + gamma*(s - x); this form is exact at gamma == 1
     gamma_minus_1 = params.gamma - 1.0
-    in_mono = ~np.isnan(x)
     if params.effect is Effect.INFLATE_CONTROL:
-        moved = (trial.trt == 0) & in_mono & (delta == 1)
+        moved = target & (delta == 1)
         _missing_draw(trial, moved & np.isnan(imputed), "censoring time")
         t_prime = s + gamma_minus_1 * (s - x)
         stays = t_prime <= imputed
         new_s = np.where(moved, np.where(stays, t_prime, imputed), s)
         new_delta = np.where(moved & ~stays, 0, delta)
     else:
-        target = (trial.trt == 1) & in_mono
         events = target & (delta == 1)
         censored = target & (delta == 0)
         _missing_draw(trial, censored & np.isnan(imputed), "event time")
@@ -322,13 +325,10 @@ def naive_transform(records, effect: Effect, gamma: float):
     preserved by construction; the cutoff is extended when an inflated
     time moves past it.
     """
-    if effect is Effect.INFLATE_CONTROL and gamma < 1.0:
-        raise DataError(f"inflation factor must be >= 1, got {gamma}")
-    if effect is Effect.SHRINK_EXPERIMENTAL and not 0.0 < gamma <= 1.0:
-        raise DataError(f"shrinkage factor must be in (0, 1], got {gamma}")
+    _check_factor(effect, gamma)
     out = []
     for r in records:
-        if r.arm is not effect.target_arm or r.mono_start is None:
+        if r.arm is not effect.target_arm or not r.in_mono:
             out.append(r)
             continue
         s_new = r.s + (gamma - 1.0) * (r.s - r.mono_start)
@@ -355,16 +355,14 @@ def make_draws(records, effect: Effect, imputation: str = "auto",
     if imputation not in ("auto", "cutoff", "fitted"):
         raise DataError(f"unknown imputation method {imputation!r}")
 
+    # effect 1 draws for the events, effect 2 for the censorings
+    arm, delta = effect.target_arm, 1 if effect is Effect.INFLATE_CONTROL else 0
+    needing = [r for r in records if r.arm is arm and r.delta == delta and r.in_mono]
     values = {}
     if effect is Effect.INFLATE_CONTROL:
         method = imputation
         if method == "auto":
             method = "cutoff" if cutoff_censoring_fraction(records) >= 0.5 else "fitted"
-        needing = [
-            r for r in records
-            if r.arm is Arm.CONTROL and r.mono_start is not None
-            and r.mono_start < r.s and r.delta == 1
-        ]
         if method == "cutoff":
             for r in needing:
                 values[r.subject_id] = impute_censoring_cutoff(r)
@@ -375,11 +373,6 @@ def make_draws(records, effect: Effect, imputation: str = "auto",
                 values[r.subject_id] = sample_censoring_conditional(model, r.s, rng)
     else:
         method = "fitted"
-        needing = [
-            r for r in records
-            if r.arm is Arm.EXPERIMENTAL and r.mono_start is not None
-            and r.mono_start < r.s and r.delta == 0
-        ]
         model = fit_mono_event_model(records) if needing else None
         for r in needing:
             rng = keyed_rng(seed, replicate_id, r.subject_id)

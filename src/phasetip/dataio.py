@@ -5,8 +5,10 @@ One CSV schema, fixed header:
     subject_id,arm,pfs_months,event,mono_start_months,cutoff_months,stratum
 
 `arm` is E or C; an empty `mono_start_months` means the subject never
-entered the monotherapy phase; `stratum` is an optional small integer.
-Times are decimal months. Floats are written with repr so that a write
+entered the monotherapy phase, and one equal to `pfs_months` means it spent
+no time there (see `SubjectRecord.in_mono`); `stratum` is an optional small
+integer. Times are decimal months. Reading stops at the first invalid row,
+with a `DataError` naming it. Floats are written with repr so that a write
 followed by a read reproduces the records exactly.
 """
 
@@ -58,13 +60,10 @@ def _parse_row(row, lineno) -> SubjectRecord:
         raise DataError(msg) from None
 
 
-def read_dataset(path, strict: bool = True) -> list[SubjectRecord]:
-    """Read and validate a dataset file.
+def read_dataset(path) -> list[SubjectRecord]:
+    """Read and validate a dataset file, stopping at the first bad row.
 
-    Strict mode aborts on the first bad row. Lenient mode reads the whole
-    file and reports every bad row at once (the error's `diagnostics` list
-    carries one message per offending row). Both modes reject bad data;
-    an empty body with a valid header yields an empty dataset.
+    An empty body with a valid header yields an empty dataset.
     """
     try:
         handle = open(path, newline="")
@@ -80,20 +79,7 @@ def read_dataset(path, strict: bool = True) -> list[SubjectRecord]:
             raise DataError(
                 f"header mismatch: expected {','.join(HEADER)!r}, got {','.join(header)!r}"
             )
-        records = []
-        problems = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                records.append(_parse_row(row, lineno))
-            except DataError as err:
-                if strict:
-                    raise
-                problems.append(str(err))
-        if problems:
-            raise DataError(f"{len(problems)} invalid row(s)", diagnostics=problems)
-        return records
+        return [_parse_row(row, lineno) for lineno, row in enumerate(reader, start=2) if row]
 
 
 def write_dataset(records, path) -> None:

@@ -9,15 +9,7 @@ class PhasetipError(Exception):
 
 
 class DataError(PhasetipError):
-    """Invalid input data (bad records, malformed files).
-
-    ``diagnostics`` holds one message per offending row when ingestion ran
-    in lenient mode.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = list(diagnostics) if diagnostics else [message]
+    """Invalid input data (bad records, malformed files, bad settings)."""
 
 
 class EstimationError(PhasetipError):

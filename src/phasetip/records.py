@@ -10,6 +10,11 @@ counterfactual transform returns a new `Trial`. `CountingProcess` is the
 start-stop expansion that the time-varying Cox model fits, again one array
 per column; it also keeps the risk-set structure of its rows, so the Cox
 fits of one expansion build it once.
+
+Whether a subject spent time in the monotherapy phase is decided only by
+`SubjectRecord.in_mono` and `Trial.in_mono` (the phase starts before the
+follow-up time ends), so a subject whose monotherapy starts at its
+follow-up time counts as never entering the phase everywhere.
 """
 
 from __future__ import annotations
@@ -85,11 +90,9 @@ class SubjectRecord:
         return self.arm.trt
 
     @property
-    def mono_duration(self) -> float:
-        """Observed time spent in the monotherapy phase (0 if never entered)."""
-        if self.mono_start is None:
-            return 0.0
-        return self.s - self.mono_start
+    def in_mono(self) -> bool:
+        """The subject spent time in monotherapy: ``mono_start < s``."""
+        return self.mono_start is not None and self.mono_start < self.s
 
     def with_outcome(self, s: float, delta: int) -> "SubjectRecord":
         """Copy with a new (s, delta), extending the cutoff if s moved past it."""
@@ -134,6 +137,11 @@ class Trial:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def in_mono(self) -> np.ndarray:
+        """`SubjectRecord.in_mono` per subject (a NaN mono_start compares False)."""
+        return self.mono_start < self.s
 
     def __getitem__(self, i) -> SubjectRecord:
         mono, stratum = self.mono_start[i], self.stratum[i]

@@ -138,7 +138,7 @@ def summarize_trial(records: list[SubjectRecord]) -> TrialSummary:
     for arm in Arm:
         subset = [r for r in records if r.arm is arm]
         events = sum(r.delta for r in subset)
-        transitioned = sum(1 for r in subset if r.mono_start is not None)
+        transitioned = sum(1 for r in subset if r.in_mono)
         median = km_estimate(subset).median if subset else None
         arms[arm] = ArmSummary(
             n=len(subset),
@@ -151,12 +151,12 @@ def summarize_trial(records: list[SubjectRecord]) -> TrialSummary:
             PhaseCounts(
                 months=m,
                 on_treatment=sum(1 for r in subset if r.s > m),
-                on_mono=sum(1 for r in subset if r.s > m and r.mono_start is not None and r.mono_start <= m),
+                on_mono=sum(1 for r in subset if r.s > m and r.in_mono and r.mono_start <= m),
             )
             for m in PHASE_COUNT_MONTHS
         ]
     n_total = len(records)
-    n_mono = sum(1 for r in records if r.mono_start is not None)
+    n_mono = sum(1 for r in records if r.in_mono)
     return TrialSummary(
         arms=arms,
         phase_counts=phase_counts,

@@ -46,6 +46,7 @@ _LL_TOL = 1e-9
 _GRAD_TOL = 1e-8
 _MAX_ITER = 50
 _SEPARATION_BOUND = 15.0
+_MAX_EXP = math.log(np.finfo(float).max)   # math.exp overflows beyond this
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +206,19 @@ def logrank_test(data, stratified: bool = False) -> LogRankResult:
 def to_counting_process(data) -> CountingProcess:
     """Expand a trial into (start, stop] rows with a time-varying mono flag.
 
-    A subject who entered monotherapy at m < s contributes two adjacent
-    rows: the combination interval (0, m] with no event, and (m, s]
-    carrying the subject's event status. A zero-length monotherapy
-    interval (m == s) is dropped and the subject is treated as never
-    transitioning. Rows follow the subjects' order. `data` is a Trial or a
-    list of records.
+    A subject in the monotherapy phase (`Trial.in_mono`: it entered at
+    m < s) contributes two adjacent rows: the combination interval (0, m]
+    with no event, and (m, s] carrying the subject's event status. Every
+    other subject, including one with m == s, contributes the one row
+    (0, s]. Rows follow the subjects' order. `data` is a Trial or a list of
+    records.
     """
     trial = as_trial(data)
     x, s = trial.mono_start, trial.s
     late = np.flatnonzero(x > s)
     if late.size:
         raise DataError(f"subject {trial.ids[late[0]]}: phase time exceeds follow-up")
-    split = x < s                           # NaN (no mono phase) compares False
+    split = trial.in_mono
     counts = 1 + split
     subject = np.repeat(np.arange(len(trial)), counts)
     combo_rows = (np.cumsum(counts) - counts)[split]
@@ -285,11 +286,18 @@ class CoxFit:
         return math.exp(self._contrast(names)[1])
 
     def contrast(self, names, level: float = 0.95):
-        """HR and Wald CI for exp(sum of the named coefficients)."""
+        """HR and Wald CI for exp(sum of the named coefficients).
+
+        An upper bound beyond float range is reported as inf; a variance
+        that is negative or not finite is an EstimationError.
+        """
         c, est = self._contrast(names)
-        se = math.sqrt(float(c @ self.cov @ c))
-        z = _norm.ppf(0.5 + level / 2.0)
-        return math.exp(est), (math.exp(est - z * se), math.exp(est + z * se))
+        var = float(c @ self.cov @ c)
+        if not (var >= 0.0 and math.isfinite(var)):
+            raise EstimationError(f"variance of the contrast is negative or not finite: {var!r}")
+        half = _norm.ppf(0.5 + level / 2.0) * math.sqrt(var)
+        upper = math.exp(est + half) if est + half <= _MAX_EXP else math.inf
+        return math.exp(est), (math.exp(est - half), upper)
 
 
 def _risk_sets(cp: CountingProcess, ties: str, stratified: bool) -> list[dict]:

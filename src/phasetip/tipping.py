@@ -20,7 +20,7 @@ in the point they report:
   which it does, reported with the point at the crossed end.
 * Stop rule "b" (neutralization): crossed when the refit monotherapy-phase
   hazard ratio reaches 1; the search ends early at any point within
-  `neutral_tol` of 1 and otherwise reports the bracket end nearer HR 1.
+  `NEUTRAL_TOL` of 1 and otherwise reports the bracket end nearer HR 1.
   The overall hazard ratio there is the residual effect attributable to
   the combination phase.
 
@@ -50,6 +50,7 @@ from .survival import cox_fit, logrank_test, to_counting_process
 
 __all__ = [
     "MAX_GRID_POINTS",
+    "NEUTRAL_TOL",
     "SearchConfig",
     "TpaCurvePoint",
     "ReplicateOutcome",
@@ -64,6 +65,10 @@ __all__ = [
 # or the points of a curve). The default effect-1 walk takes 900.
 MAX_GRID_POINTS = 10_000
 
+# Stop rule b counts a monotherapy-phase HR within this distance of 1 as
+# neutralized: the search ends there.
+NEUTRAL_TOL = 0.01
+
 
 def check_grid_points(span: float, step: float, what: str) -> None:
     """Refuse a grid that covers `span` in steps of `step` with more than
@@ -77,7 +82,9 @@ def check_grid_points(span: float, step: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    effect: Effect
+    """The settings of one search; `tpa` takes the defaults from here."""
+
+    effect: Effect = Effect.INFLATE_CONTROL
     threshold: Threshold = Threshold.SIGNIFICANCE
     alpha_level: float = 0.05
     grid_step: float = 0.01
@@ -88,7 +95,6 @@ class SearchConfig:
     seed: int = 0
     imputation: str = "auto"
     p_source: str = "logrank"       # or "wald" (from the treatment-only Cox fit)
-    neutral_tol: float = 0.01       # |mono HR - 1| defining neutralization
 
     def __post_init__(self):
         if not self.grid_step > 0:
@@ -227,7 +233,7 @@ def _stop_rule(config: SearchConfig) -> _StopRule:
         )
 
     def neutral(pt):
-        return abs(pt.hr_mono - 1.0) <= config.neutral_tol
+        return abs(pt.hr_mono - 1.0) <= NEUTRAL_TOL
 
     def nearest_neutral(ev, lo, hi, flags):
         best = min((ev.at(lo), ev.at(hi)), key=lambda pt: abs(pt.hr_mono - 1.0))
@@ -377,9 +383,8 @@ def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResul
     replicates sharing a draw set share one search result. Every search
     runs on one Trial built from `records`.
     """
-    if config.threshold is Threshold.NEUTRALIZE and not any(
-        r.mono_start is not None for r in records
-    ):
+    trial = as_trial(records)
+    if config.threshold is Threshold.NEUTRALIZE and not trial.in_mono.any():
         raise DataError("no mono phase to neutralize")
     groups = {}
     for r in range(config.mi_replicates):
@@ -387,7 +392,6 @@ def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResul
         key = tuple(sorted(draws.values.items()))
         groups.setdefault(key, (draws, []))[1].append(r)
 
-    trial = as_trial(records)
     outcomes = []
     for draws, members in groups.values():
         lead = _run_replicate(trial, config, members[0], draws)

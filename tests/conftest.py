@@ -1,5 +1,9 @@
+import contextlib
 import os
+import signal
 import sys
+
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -14,3 +18,45 @@ def rec(sid, arm, s, delta, cutoff=100.0, mono=None, stratum=None):
         subject_id=str(sid), arm=arm, s=float(s), delta=int(delta),
         cutoff=float(cutoff), mono_start=mono, stratum=stratum,
     )
+
+
+# Times of the generated subjects: a short list, so that tied times, a
+# monotherapy start equal to the follow-up time, subjects without a
+# monotherapy phase and one-arm trials all occur often.
+TIMES = [0.5, 1.0, 2.0, 2.5, 4.0, 7.0]
+
+
+@st.composite
+def subjects(draw, index):
+    s = draw(st.sampled_from(TIMES))
+    mono = draw(st.sampled_from([None, s, *[t for t in TIMES if t < s]]))
+    return rec(
+        index, draw(st.sampled_from([E, C])), s, draw(st.sampled_from([0, 1])),
+        cutoff=s + draw(st.sampled_from([0.0, 1.5, 6.0])), mono=mono,
+        stratum=draw(st.sampled_from([None, 0, 1])),
+    )
+
+
+@st.composite
+def trials(draw, max_size=12):
+    n = draw(st.integers(1, max_size))
+    return [draw(subjects(i)) for i in range(n)]
+
+
+class Hang(BaseException):
+    """Raised in a body that outran its wall-clock bound."""
+
+
+@contextlib.contextmanager
+def wall_clock_bound(seconds):
+    """Raise Hang in the body if it runs longer than `seconds`."""
+    def hang(signum, frame):
+        raise Hang(f"ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,0 +1,56 @@
+"""The benchmark's tracer and set-up probe still find what they read.
+
+`perfbench/tracer.py` wraps functions by name in `phasetip.tipping` and
+`phasetip.cli` and reads some arguments by position; a name it no longer
+finds is skipped and its per-layer metrics read 0. These tests load the
+tracer from its file, unchanged, and check each name and position against
+the program, so a refactor cannot silently zero those metrics.
+"""
+
+import importlib.util
+import inspect
+import os
+import sys
+
+import phasetip.cli
+import phasetip.tipping
+from phasetip.dataio import write_dataset
+from phasetip.simulate import SimConfig, simulate_trial
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_every_hook_name_is_a_callable_of_its_module():
+    tracer = _load("tracer")
+    for module, hooks in ((phasetip.tipping, tracer.TIPPING_HOOKS),
+                          (phasetip.cli, tracer.CLI_HOOKS)):
+        for attr in hooks:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_argument_positions_the_tracer_reads():
+    assert _parameters(phasetip.tipping.cox_fit)[1] == "covariates"
+    assert _parameters(phasetip.tipping.evaluate_at)[2] == "draws"
+
+
+def test_setup_probe_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the probe prepends its SRC
+    path = tmp_path / "trial.csv"
+    write_dataset(simulate_trial(SimConfig(n_experimental=30, n_control=20), seed=1), path)
+    src = os.path.dirname(os.path.dirname(phasetip.cli.__file__))
+    probe = _load("setup_probe")
+    for effect in ("1", "2"):
+        assert probe.main(["setup_probe.py", src, str(path), effect, "0", "2"]) == 0

@@ -1,8 +1,8 @@
 """CLI behavior: exit codes, determinism, emitted file structure."""
 
-import contextlib
+import dataclasses
+import math
 import os
-import signal
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -11,8 +11,9 @@ from unittest import mock
 import pytest
 
 import phasetip
+from conftest import wall_clock_bound
 from phasetip.cli import main
-from phasetip.dataio import write_dataset
+from phasetip.dataio import HEADER, write_dataset
 from phasetip.simulate import SimConfig, simulate_trial
 
 SMALL_SIM = SimConfig(
@@ -22,25 +23,6 @@ SMALL_SIM = SimConfig(
     accrual_months=18, cutoff_months=40, dropout_hazard=0.004,
 )
 DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-class _Hang(BaseException):
-    pass
-
-
-@contextlib.contextmanager
-def wall_clock_bound(seconds):
-    """Raise _Hang in the body if it runs longer than `seconds`."""
-    def hang(signum, frame):
-        raise _Hang(f"ran longer than {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -156,6 +138,103 @@ class TestAnalyze:
         write_dataset(simulate_trial(cfg, seed=2), path)
         assert main(["analyze", "--input", str(path)]) == 0
         assert "not estimable" in capsys.readouterr().out
+
+
+    def test_wald_bound_beyond_float_range_is_inf(self, tmp_path, capsys):
+        # the combination-phase upper bound exp(b + z * se) overflows a float
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(HEADER) + "\n" + "\n".join([
+            "s0,E,2.5,0,1.0,4.0,1", "s1,E,2.5,0,0.5,8.5,0", "s2,C,2.0,1,0.5,3.5,1",
+            "s3,E,2.5,1,2.5,2.5,0", "s4,E,4.0,1,4.0,5.5,1", "s5,E,4.0,0,2.5,5.5,",
+            "s6,E,2.0,1,,2.0,", "s7,E,2.5,1,0.5,4.0,0", "s8,C,2.5,0,0.5,4.0,0",
+            "s9,E,7.0,1,2.5,7.0,", "s10,E,4.0,1,2.5,10.0,",
+        ]) + "\n")
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert "Combination-phase HR=69.5511 (0.000, inf)" in capsys.readouterr().out
+
+    def test_negative_contrast_variance_is_numerical_failure(self, tmp_path, capsys):
+        path = tmp_path / "indefinite.csv"
+        path.write_text(",".join(HEADER) + "\n" + "\n".join([
+            "s0,E,4.0,1,0.5,10.0,", "s1,E,2.0,0,2.0,2.0,1", "s2,E,2.0,1,2.0,8.0,1",
+            "s3,E,2.5,1,2.5,2.5,0", "s4,E,7.0,1,2.5,7.0,", "s5,E,4.0,0,4.0,5.5,",
+            "s6,C,2.0,0,0.5,3.5,0", "s7,E,4.0,0,2.0,4.0,", "s8,E,4.0,1,1.0,5.5,1",
+            "s9,C,2.0,1,1.0,2.0,1",
+        ]) + "\n")
+        assert main(["analyze", "--input", str(path), "--stratified"]) == 3
+        assert "numerical failure: variance of the contrast" in capsys.readouterr().err
+
+
+class TestAnalyzeConfig:
+    """`analyze` takes `stratified` and `ties` from its config file; flags win."""
+
+    @pytest.fixture
+    def tied_strata_dataset(self, tmp_path):
+        # whole-month times and two strata, so both settings change the fits
+        records = []
+        for i, r in enumerate(simulate_trial(SMALL_SIM, seed=1)):
+            s = float(math.ceil(r.s))
+            records.append(dataclasses.replace(r, s=s, cutoff=max(r.cutoff, s), stratum=i % 2))
+        path = tmp_path / "tied.csv"
+        write_dataset(records, path)
+        return str(path)
+
+    def _report(self, capsys, dataset, *args):
+        assert main(["analyze", "--input", dataset, *args]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("lines, flags", [
+        ("stratified=true", ["--stratified"]),
+        ("stratified=1\nties=breslow", ["--stratified", "--ties", "breslow"]),
+        ("stratified=false\nties=efron", []),
+        ("stratified=0", []),
+        ("ties=breslow", ["--ties", "breslow"]),
+    ])
+    def test_config_file_sets_stratified_and_ties(self, tied_strata_dataset, tmp_path, capsys,
+                                                  lines, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines + "\n")
+        expected = self._report(capsys, tied_strata_dataset, *flags)
+        assert self._report(capsys, tied_strata_dataset, "--config", str(cfg)) == expected
+
+    def test_settings_change_the_report_and_flags_win(self, tied_strata_dataset, tmp_path,
+                                                      capsys):
+        plain = self._report(capsys, tied_strata_dataset)
+        stratified = self._report(capsys, tied_strata_dataset, "--stratified")
+        breslow = self._report(capsys, tied_strata_dataset, "--ties", "breslow")
+        assert len({plain, stratified, breslow}) == 3
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stratified=false\nties=breslow\n")
+        assert self._report(capsys, tied_strata_dataset, "--config", str(cfg),
+                            "--stratified", "--ties", "efron") == stratified
+
+    @pytest.mark.parametrize("lines", [
+        "stratified=yes", "stratified=", "stratified=True", "ties=exact", "nonsense=1",
+    ])
+    def test_bad_config_is_data_error(self, small_dataset, tmp_path, capsys, lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines + "\n")
+        assert main(["analyze", "--input", small_dataset, "--config", str(cfg)]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_missing_config_file_is_data_error(self, small_dataset, tmp_path):
+        missing = str(tmp_path / "none.cfg")
+        assert main(["analyze", "--input", small_dataset, "--config", missing]) == 2
+
+
+class TestMonoStartAtFollowUp:
+    """A subject whose monotherapy starts at its follow-up time gets no draw
+    and passes through every transform unchanged."""
+
+    @pytest.mark.parametrize("effect, row", [
+        ("1", "zz1,C,5.0,1,5.0,40.0,"), ("2", "zz2,E,6.0,0,6.0,40.0,"),
+    ])
+    def test_tpa_exits_zero(self, tmp_path, effect, row):
+        path = tmp_path / "trial.csv"
+        write_dataset(simulate_trial(SimConfig(), seed=6), path)
+        with open(path, "a") as handle:
+            handle.write(row + "\n")
+        assert main(["tpa", "--input", str(path), "--effect", effect, "--replicates", "2",
+                     "--seed", "0", "--out", str(tmp_path / "out")]) == 0
 
 
 class TestTpaDeterminism:

@@ -50,8 +50,9 @@ class TestEffect1Branches:
             transform_effect1(r, 2.0)
 
     def test_gamma_below_one_rejected(self):
-        with pytest.raises(DataError, match="inflation"):
-            transform_effect1(rec("s", C, 10, 1, mono=6.0), 0.9, 30.0)
+        for bad in (0.9, float("nan")):
+            with pytest.raises(DataError, match="inflation"):
+                transform_effect1(rec("s", C, 10, 1, mono=6.0), bad, 30.0)
 
 
 class TestEffect2Branches:
@@ -113,6 +114,22 @@ def _random_dataset(rng, n=60):
 
 
 class TestTransformProperties:
+    def test_mono_start_at_follow_up_passes_through(self):
+        # no time in monotherapy: no draw is made, and no transform moves them
+        at_s = [rec("c1", C, 5.0, 1, cutoff=40, mono=5.0),
+                rec("e1", E, 6.0, 0, cutoff=40, mono=6.0)]
+        records = _random_dataset(np.random.default_rng(12)) + at_s
+        for effect, gammas in ((Effect.INFLATE_CONTROL, [1.0, 1.5, 3.0, 10.0]),
+                               (Effect.SHRINK_EXPERIMENTAL, [1.0, 0.5, 0.01])):
+            draws = make_draws(records, effect, seed=1)
+            assert not {"c1", "e1"} & set(draws.values)
+            for g in gammas:
+                out = apply_transform(records, TransformParams(effect, g), draws)
+                assert list(out)[-2:] == at_s
+                assert naive_transform(at_s, effect, g) == at_s
+        assert transform_effect1(at_s[0], 2.0) is at_s[0]
+        assert transform_effect2(at_s[1], 0.5) is at_s[1]
+
     def test_identity_bit_for_bit_both_effects(self):
         rng = np.random.default_rng(404)
         records = _random_dataset(rng)
@@ -176,11 +193,10 @@ class TestTransformProperties:
             for g in gammas:
                 out = apply_transform(records, TransformParams(effect, g), draws)
                 for orig, new in zip(records, out):
-                    applicable = orig.arm is effect.target_arm and orig.mono_start is not None
-                    if not applicable:
+                    if orig.arm is not effect.target_arm or not orig.in_mono:
                         continue
                     if effect is Effect.INFLATE_CONTROL and orig.delta == 1:
-                        cens = draws.get(orig.subject_id)
+                        cens = draws.values[orig.subject_id]
                         if new.delta == 1:
                             assert new.s <= cens
                         else:

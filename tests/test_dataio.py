@@ -1,4 +1,4 @@
-"""Dataset file round-trip and row-level diagnostics."""
+"""Dataset file round-trip and row-level error messages."""
 
 import pytest
 
@@ -79,25 +79,8 @@ class TestReadDataset:
             "s1,E,bad,1,,30.0,\n"
             "s2,X,5.0,1,,30.0,\n"
         )
-        with pytest.raises(DataError, match="row 2") as err:
-            read_dataset(path, strict=True)
-        assert len(err.value.diagnostics) == 1
-
-    def test_lenient_collects_all_diagnostics(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text(
-            ",".join(HEADER) + "\n"
-            "s1,E,bad,1,,30.0,\n"
-            "s2,C,5.0,1,,30.0,\n"
-            "s3,X,5.0,1,,30.0,\n"
-            "s4,C,10.0,1,12.0,9.0,\n"
-        )
-        with pytest.raises(DataError, match="3 invalid row") as err:
-            read_dataset(path, strict=False)
-        diags = err.value.diagnostics
-        assert len(diags) == 3
-        assert diags[0].startswith("row 2") and diags[1].startswith("row 4")
-        assert diags[2].startswith("row 5")
+        with pytest.raises(DataError, match="row 2"):
+            read_dataset(path)
 
 
 class TestRoundTrip:

@@ -4,7 +4,7 @@ from conftest import C, E, rec
 from phasetip.errors import DataError
 import numpy as np
 
-from phasetip.records import Arm, CountingProcess
+from phasetip.records import Arm, CountingProcess, Trial
 
 
 def counting_process(start, stop, event, trt, mono):
@@ -19,10 +19,10 @@ class TestSubjectRecord:
     def test_valid_record(self):
         r = rec("s1", E, 10.0, 1, cutoff=30.0, mono=6.0)
         assert r.trt == 1
-        assert r.mono_duration == 4.0
+        assert r.in_mono
 
-    def test_mono_duration_without_transition(self):
-        assert rec("s1", C, 8.0, 0).mono_duration == 0.0
+    def test_in_mono_without_transition(self):
+        assert not rec("s1", C, 8.0, 0).in_mono
 
     def test_delta_must_be_binary(self):
         with pytest.raises(DataError, match="delta"):
@@ -43,6 +43,13 @@ class TestSubjectRecord:
     def test_mono_start_equal_s_allowed(self):
         r = rec("s1", E, 10.0, 1, mono=10.0)
         assert r.mono_start == 10.0
+        assert not r.in_mono  # no time was spent in the phase
+
+    def test_trial_in_mono_matches_records(self):
+        records = [rec("a", E, 10.0, 1, mono=6.0), rec("b", C, 8.0, 0),
+                   rec("c", C, 5.0, 1, mono=5.0)]
+        assert Trial.from_records(records).in_mono.tolist() == [True, False, False]
+        assert [r.in_mono for r in records] == [True, False, False]
 
     def test_with_outcome_extends_cutoff(self):
         r = rec("s1", C, 10.0, 1, cutoff=12.0)

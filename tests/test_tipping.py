@@ -11,6 +11,7 @@ from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import cox_fit, logrank_test, to_counting_process
 from phasetip.tipping import (
     MAX_GRID_POINTS,
+    NEUTRAL_TOL,
     ReplicateOutcome,
     SearchConfig,
     TpaCurvePoint,
@@ -158,7 +159,7 @@ class TestFindTippingB:
         res = find_tipping(records, config)
         assert res.tip is not None and res.tip > 1.0
         for out in res.replicates:
-            assert abs(out.point.hr_mono - 1.0) <= config.neutral_tol
+            assert abs(out.point.hr_mono - 1.0) <= NEUTRAL_TOL
         assert res.hr_at_tip is not None  # the residual overall effect
 
     def test_effect2_neutralization(self):
@@ -179,6 +180,10 @@ class TestFindTippingB:
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE)
         with pytest.raises(DataError, match="no mono phase to neutralize"):
             find_tipping(records, config)
+        # a monotherapy phase that starts at the follow-up time is no phase
+        at_follow_up = [rec(r.subject_id, r.arm, r.s, r.delta, mono=r.s) for r in records]
+        with pytest.raises(DataError, match="no mono phase to neutralize"):
+            find_tipping(at_follow_up, config)
 
     def test_degenerate_when_mono_hr_already_at_one(self):
         # symmetric arms: mono HR is 1 at the start; combo and mono events

@@ -10,7 +10,6 @@ must be refused, by the grid-point cap for the last.
 """
 
 import os
-import signal
 import tempfile
 from unittest import mock
 
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import wall_clock_bound
 from phasetip.cli import main
 from phasetip.dataio import write_dataset
 from phasetip.simulate import SimConfig, simulate_trial
@@ -65,14 +65,6 @@ EXTRA_LINES = st.lists(
 )
 
 
-class _Hang(BaseException):
-    pass
-
-
-def _raise_hang(signum, frame):
-    raise _Hang(f"the command ran longer than {WALL_CLOCK_S} s")
-
-
 @pytest.fixture(scope="module")
 def trial_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("trial") / "trial.csv"
@@ -88,13 +80,8 @@ def _run_with_config(command, trial_csv, values, extra):
         with open(cfg, "w") as handle:
             handle.write("\n".join(lines) + "\n")
         argv = [command, "--input", trial_csv, "--config", cfg, "--out", os.path.join(tmp, "out")]
-        previous = signal.signal(signal.SIGALRM, _raise_hang)
-        signal.alarm(WALL_CLOCK_S)
-        try:
+        with wall_clock_bound(WALL_CLOCK_S):
             code = main(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
     event(f"exit code {code}")
     return code
 
