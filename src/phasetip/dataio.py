@@ -6,10 +6,10 @@ One CSV schema, fixed header:
 
 `arm` is E or C; an empty `mono_start_months` means the subject never
 entered the monotherapy phase, and one equal to `pfs_months` means it spent
-no time there (see `SubjectRecord.in_mono`); `stratum` is an optional small
-integer. Times are decimal months. Reading stops at the first invalid row,
-with a `DataError` naming it. Floats are written with repr so that a write
-followed by a read reproduces the records exactly.
+no time there (see `SubjectRecord.in_mono`); `stratum` is an optional
+whole number. Times are finite decimal months. Reading stops at the first
+invalid row, with a `DataError` naming it. Floats are written with repr so
+that a write followed by a read reproduces the records exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +40,12 @@ def _parse_row(row, lineno) -> SubjectRecord:
         except ValueError:
             raise DataError(f"row {lineno}: {name} is not a number: {value!r}") from None
 
+    def whole(value, name):
+        x = number(value, name)
+        if not x.is_integer():  # False for NaN and infinities
+            raise DataError(f"row {lineno}: {name} is not a whole number: {value!r}")
+        return int(x)
+
     if event not in ("0", "1"):
         raise DataError(f"row {lineno}: event must be 0 or 1, got {event!r}")
     try:
@@ -51,7 +57,7 @@ def _parse_row(row, lineno) -> SubjectRecord:
             delta=int(event),
             cutoff=number(cutoff, "cutoff_months"),
             mono_start=number(mono, "mono_start_months") if mono else None,
-            stratum=int(number(stratum, "stratum")) if stratum else None,
+            stratum=whole(stratum, "stratum") if stratum else None,
         )
     except DataError as err:
         msg = str(err)

@@ -20,6 +20,7 @@ follow-up time counts as never entering the phase everywhere.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,8 +72,11 @@ class SubjectRecord:
     def __post_init__(self):
         if self.delta not in (0, 1):
             raise DataError(f"subject {self.subject_id}: delta must be 0 or 1, got {self.delta!r}")
-        if not self.s > 0:
-            raise DataError(f"subject {self.subject_id}: s must be positive, got {self.s!r}")
+        # NaN fails both comparisons; a finite s also bounds mono_start
+        if not 0 < self.s < math.inf:
+            raise DataError(f"subject {self.subject_id}: s must be positive and finite, got {self.s!r}")
+        if not self.cutoff < math.inf:
+            raise DataError(f"subject {self.subject_id}: cutoff must be finite, got {self.cutoff!r}")
         if self.cutoff < self.s:
             raise DataError(
                 f"subject {self.subject_id}: cutoff {self.cutoff!r} is before observed time {self.s!r}"

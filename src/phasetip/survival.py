@@ -504,11 +504,13 @@ def cox_fit(rows, covariates=("trt",), ties="efron", stratified=False,
 
     info = -hess
     try:
-        cov = np.linalg.inv(info)
+        np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
         raise EstimationError(
-            "singular information at the optimum: design is collinear on the risk sets"
+            "information at the optimum is not positive definite: the design is "
+            "collinear on the risk sets or the end point is not a maximum"
         ) from None
+    cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     return CoxFit(
         names=design.names,

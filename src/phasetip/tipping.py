@@ -12,17 +12,18 @@ and the tipping point well defined. One search serves both stop rules: it
 walks the factor away from 1 in fixed steps until the rule's criterion is
 crossed, then bisects the last step down to `bisection_tol`. The walk may
 take at most `MAX_GRID_POINTS` steps to the effect's bound; a config that
-needs more is refused up front. The rules differ only in the criterion and
-in the point they report:
+needs more is refused up front. The rules differ only in the criterion:
 
 * Stop rule "a" (significance): crossed when the two-sided between-arm
-  p-value exceeds the significance level; the tip is the first factor at
-  which it does, reported with the point at the crossed end.
+  p-value exceeds the significance level; the tip is the root of
+  p = alpha.
 * Stop rule "b" (neutralization): crossed when the refit monotherapy-phase
-  hazard ratio reaches 1; the search ends early at any point within
-  `NEUTRAL_TOL` of 1 and otherwise reports the bracket end nearer HR 1.
-  The overall hazard ratio there is the residual effect attributable to
-  the combination phase.
+  hazard ratio reaches 1; the tip is the root of hr_mono = 1. The overall
+  hazard ratio there is the residual effect attributable to the
+  combination phase.
+
+Either tip is the midpoint of the final bracket, found to `bisection_tol`,
+and both rules report the point at its crossed end.
 
 Replicate tips are aggregated by median (the headline tip), with min, max,
 and standard deviation reporting the multiple-imputation spread.
@@ -50,7 +51,6 @@ from .survival import cox_fit, logrank_test, to_counting_process
 
 __all__ = [
     "MAX_GRID_POINTS",
-    "NEUTRAL_TOL",
     "SearchConfig",
     "TpaCurvePoint",
     "ReplicateOutcome",
@@ -64,10 +64,6 @@ __all__ = [
 # Most factor steps a fixed-step grid may take (the tpa walk to its bound,
 # or the points of a curve). The default effect-1 walk takes 900.
 MAX_GRID_POINTS = 10_000
-
-# Stop rule b counts a monotherapy-phase HR within this distance of 1 as
-# neutralized: the search ends there.
-NEUTRAL_TOL = 0.01
 
 
 def check_grid_points(span: float, step: float, what: str) -> None:
@@ -217,9 +213,7 @@ class _StopRule:
 
     usable: Callable        # point can take part in the search
     crossed: Callable       # point lies past the threshold
-    done: Callable          # point ends the bisection where it stands
     start_flag: str         # flag of a replicate already crossed at factor 1
-    report: Callable        # (ev, lo, hi, flags) -> point reported for the tip
 
 
 def _stop_rule(config: SearchConfig) -> _StopRule:
@@ -227,26 +221,12 @@ def _stop_rule(config: SearchConfig) -> _StopRule:
         return _StopRule(
             usable=lambda pt: pt.evaluable,
             crossed=lambda pt: pt.p_two_sided > config.alpha_level,
-            done=lambda pt: False,
             start_flag="already non-significant at start",
-            report=lambda ev, lo, hi, flags: ev.at(hi),
         )
-
-    def neutral(pt):
-        return abs(pt.hr_mono - 1.0) <= NEUTRAL_TOL
-
-    def nearest_neutral(ev, lo, hi, flags):
-        best = min((ev.at(lo), ev.at(hi)), key=lambda pt: abs(pt.hr_mono - 1.0))
-        if not neutral(best):
-            flags.append("neutralization tolerance not met within bracket")
-        return best
-
     return _StopRule(
         usable=lambda pt: pt.evaluable and pt.hr_mono is not None,
         crossed=lambda pt: pt.hr_mono >= 1.0,
-        done=neutral,
         start_flag="monotherapy difference already neutral at start",
-        report=nearest_neutral,
     )
 
 
@@ -279,14 +259,9 @@ def _grid_walk(ev, config, rule):
 
 
 def _bisect(ev, lo, hi, config, rule, flags):
-    """Shrink [clear, crossed] to bisection_tol. A point at which
-    `rule.done` fires ends the search there, returned as the bracket
-    (point, point). Unusable midpoints are nudged once toward each side,
-    then the bracket is kept as-is."""
+    """Shrink [clear, crossed] to bisection_tol. Unusable midpoints are
+    nudged once toward each side, then the bracket is kept as-is."""
     while abs(hi - lo) > config.bisection_tol:
-        for side in (lo, hi):
-            if rule.done(ev.at(side)):
-                return side, side
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # the ends are adjacent floats
             break
@@ -301,8 +276,6 @@ def _bisect(ev, lo, hi, config, rule, flags):
             if nudged is None:
                 flags.append(f"bisection stopped early: midpoint {mid:g} unevaluable")
                 break
-        if rule.done(point):
-            return mid, mid
         if rule.crossed(point):
             hi = mid
         else:
@@ -312,7 +285,8 @@ def _bisect(ev, lo, hi, config, rule, flags):
 
 def _run_replicate(trial, config, replicate_id, draws):
     """One replicate's search: check the identity factor, walk the grid to
-    the first crossing, bisect, and report the tip as the bracket midpoint."""
+    the first crossing, bisect, and report the tip as the bracket midpoint
+    with the point at the bracket's crossed end."""
     rule = _stop_rule(config)
     ev = _Evaluator(trial, config, draws)
 
@@ -334,8 +308,7 @@ def _run_replicate(trial, config, replicate_id, draws):
         return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
 
     lo, hi = _bisect(ev, last_clear, first_crossed, config, rule, flags)
-    point = rule.report(ev, lo, hi, flags)
-    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=point, flags=flags)
+    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=ev.at(hi), flags=flags)
 
 
 def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:

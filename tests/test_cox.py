@@ -252,6 +252,23 @@ class TestCoxProperties:
         with pytest.raises(EstimationError, match="collinear"):
             cox_fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"))
 
+    def test_indefinite_information_at_optimum_is_an_error(self):
+        # per-stratum risk sets this small leave the Newton end point at a
+        # stationary point that is not a maximum; its standard errors would
+        # come out NaN and a Wald p-value NaN
+        outcomes = [
+            ("s0", E, 4.0, 1, 0.5, None), ("s1", E, 2.0, 0, 2.0, 1),
+            ("s2", E, 2.0, 1, 2.0, 1), ("s3", E, 2.5, 1, 2.5, 0),
+            ("s4", E, 7.0, 1, 2.5, None), ("s5", E, 4.0, 0, 4.0, None),
+            ("s6", C, 2.0, 0, 0.5, 0), ("s7", E, 4.0, 0, 2.0, None),
+            ("s8", E, 4.0, 1, 1.0, 1), ("s9", C, 2.0, 1, 1.0, 1),
+        ]
+        records = [rec(sid, arm, s, d, mono=m, stratum=st)
+                   for sid, arm, s, d, m, st in outcomes]
+        with pytest.raises(EstimationError, match="not positive definite"):
+            cox_fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"),
+                    stratified=True)
+
     def test_unknown_covariate_rejected(self):
         with pytest.raises(DataError, match="covariate"):
             cox_fit(to_counting_process([rec("e", E, 1, 1), rec("c", C, 2, 1)]), ("age",))

@@ -72,6 +72,19 @@ class TestReadDataset:
         with pytest.raises(DataError, match=r"row 2.*cutoff"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("s1,E,inf,1,,inf,", "s must be positive and finite"),
+        ("s1,E,5.0,1,,nan,", "cutoff must be finite"),
+        ("s1,E,5.0,1,,30.0,nan", "stratum is not a whole number"),
+        ("s1,E,5.0,1,,30.0,inf", "stratum is not a whole number"),
+        ("s1,E,5.0,1,,30.0,1.5", "stratum is not a whole number"),
+    ], ids=["pfs_inf", "cutoff_nan", "stratum_nan", "stratum_inf", "stratum_fraction"])
+    def test_out_of_domain_value_names_row(self, tmp_path, row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(",".join(HEADER) + "\n" + row + "\n")
+        with pytest.raises(DataError, match=rf"row 2: .*{message}"):
+            read_dataset(path)
+
     def test_strict_stops_at_first_bad_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(

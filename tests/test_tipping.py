@@ -11,7 +11,6 @@ from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import cox_fit, logrank_test, to_counting_process
 from phasetip.tipping import (
     MAX_GRID_POINTS,
-    NEUTRAL_TOL,
     ReplicateOutcome,
     SearchConfig,
     TpaCurvePoint,
@@ -159,8 +158,37 @@ class TestFindTippingB:
         res = find_tipping(records, config)
         assert res.tip is not None and res.tip > 1.0
         for out in res.replicates:
-            assert abs(out.point.hr_mono - 1.0) <= NEUTRAL_TOL
+            # the reported point is the crossed end of the final bracket
+            assert out.point.hr_mono >= 1.0
+            assert abs(out.point.hr_mono - 1.0) <= 0.01
         assert res.hr_at_tip is not None  # the residual overall effect
+
+    @pytest.mark.parametrize("effect", list(Effect))
+    def test_tip_is_the_root_of_mono_hr_one(self, effect):
+        # the tip is the root of hr_mono = 1 found to bisection_tol, so the
+        # grid step that brackets it does not move it
+        records = fast_records()
+        results = {
+            step: find_tipping(records, SearchConfig(
+                effect=effect, threshold=Threshold.NEUTRALIZE, grid_step=step,
+                mi_replicates=2, seed=7,
+            ))
+            for step in (0.01, 0.1)
+        }
+        config = SearchConfig(effect=effect, seed=7)
+        tol = config.bisection_tol
+        for fine, coarse in zip(results[0.01].replicates, results[0.1].replicates):
+            assert fine.tip is not None and coarse.tip is not None
+            assert abs(fine.tip - coarse.tip) <= tol
+            draws = make_draws(records, effect, config.imputation, config.seed,
+                               fine.replicate_id)
+            below, above = (
+                evaluate_at(records, TransformParams(effect, fine.tip + d), draws).hr_mono
+                for d in (-tol, tol)
+            )
+            # effect 1 crosses as the factor rises, effect 2 as it falls
+            clear, crossed = (below, above) if effect is Effect.INFLATE_CONTROL else (above, below)
+            assert clear < 1.0 <= crossed
 
     def test_effect2_neutralization(self):
         records = fast_records()
