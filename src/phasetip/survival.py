@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
-from scipy.stats import norm as _norm
+from scipy.special import chdtrc, ndtr, ndtri
 
 from .errors import ConvergenceError, DataError, EstimationError, SeparationError
 from .records import Arm, CountingProcess, SubjectRecord, as_trial
@@ -190,7 +189,7 @@ def logrank_test(data, stratified: bool = False) -> LogRankResult:
         stat = (o1 - e1) ** 2 / v
     else:
         stat = 0.0
-    p = float(_chi2.sf(stat, 1)) if stat > 0 else 1.0
+    p = float(chdtrc(1, stat)) if stat > 0 else 1.0
     return LogRankResult(
         chi2=float(stat),
         p_two_sided=p,
@@ -273,7 +272,7 @@ class CoxFit:
     def wald_p(self, name: str) -> float:
         i = self._idx(name)
         z = self.beta[i] / self.se[i]
-        return float(2.0 * _norm.sf(abs(z)))
+        return float(2.0 * ndtr(-abs(z)))
 
     def _contrast(self, names):
         c = np.zeros(len(self.names))
@@ -295,7 +294,7 @@ class CoxFit:
         var = float(c @ self.cov @ c)
         if not (var >= 0.0 and math.isfinite(var)):
             raise EstimationError(f"variance of the contrast is negative or not finite: {var!r}")
-        half = _norm.ppf(0.5 + level / 2.0) * math.sqrt(var)
+        half = ndtri(0.5 + level / 2.0) * math.sqrt(var)
         upper = math.exp(est + half) if est + half <= _MAX_EXP else math.inf
         return math.exp(est), (math.exp(est - half), upper)
 
@@ -376,43 +375,51 @@ class _CoxDesign:
         self.X = X
         # packed symmetric products x_a * x_b for the Hessian
         self.pairs = [(a, b) for a in range(p) for b in range(a, p)]
-        self.P = np.column_stack([X[:, a] * X[:, b] for a, b in self.pairs])
+        self.pair_a = np.array([a for a, _ in self.pairs])
+        self.pair_b = np.array([b for _, b in self.pairs])
+        P = X[:, self.pair_a] * X[:, self.pair_b]
+        # the risk-set moments sum w * [1, X, P]; these columns do not depend
+        # on beta, so each order gathers them once here
+        C = np.column_stack([np.ones(self.n), X, P])
+        pad = np.zeros((1, C.shape[1]))
 
-        self.strata = [
-            dict(sd, sum_xd=np.add.reduceat(X[sd["ev_order"]], sd["group_starts"], axis=0))
-            for sd in _risk_sets(cp, ties, stratified)
-        ]
+        self.strata = []
+        for sd in _risk_sets(cp, ties, stratified):
+            so, sa = sd["so"][::-1], sd["sa"][::-1]
+            self.strata.append(dict(
+                sd,
+                sum_x=np.add.reduceat(X[sd["ev_order"]], sd["group_starts"], axis=0).sum(axis=0),
+                # reversed orders led by one pad row: index n, where w is 0
+                stop_rev=np.concatenate([[self.n], so]), c_stop_rev=np.vstack([pad, C[so]]),
+                start_rev=np.concatenate([[self.n], sa]), c_start_rev=np.vstack([pad, C[sa]]),
+                c_ev=C[sd["ev_order"]],
+            ))
 
     def loglik_grad_hess(self, beta):
-        n, p = self.n, self.p
-        eta = self.X @ beta
-        w = np.exp(eta)
-        F = np.concatenate(
-            [w[:, None], w[:, None] * self.X, w[:, None] * self.P], axis=1
-        )
-        ncol = F.shape[1]
+        p = self.p
+        # w at the pad index n is exp(-inf) = 0
+        w = np.exp(np.append(self.X @ beta, -np.inf))
 
         ll = 0.0
         grad = np.zeros(p)
         hess_packed = np.zeros(len(self.pairs))
         for sd in self.strata:
-            suf_stop = np.vstack(
-                [np.cumsum(F[sd["so"]][::-1], axis=0)[::-1], np.zeros((1, ncol))]
-            )
-            suf_start = np.vstack(
-                [np.cumsum(F[sd["sa"]][::-1], axis=0)[::-1], np.zeros((1, ncol))]
-            )
+            # suffix sums of w * [1, X, P] over each order, ending in a zero row
+            suf_stop = np.cumsum(w[sd["stop_rev"], None] * sd["c_stop_rev"], axis=0)[::-1]
+            suf_start = np.cumsum(w[sd["start_rev"], None] * sd["c_start_rev"], axis=0)[::-1]
             risk = suf_stop[sd["q_stop"]] - suf_start[sd["q_start"]]
-            dmom = np.add.reduceat(F[sd["ev_order"]], sd["group_starts"], axis=0)
+            dmom = np.add.reduceat(
+                w[sd["ev_order"], None] * sd["c_ev"], sd["group_starts"], axis=0
+            )
 
-            jj, frac = sd["jj"], sd["frac"]
-            Z = risk[jj, 0] - frac * dmom[jj, 0]
-            ll += float(sd["sum_xd"].sum(axis=0) @ beta) - float(np.log(Z).sum())
-            N1 = risk[jj, 1 : 1 + p] - frac[:, None] * dmom[jj, 1 : 1 + p]
-            M1 = N1 / Z[:, None]
-            grad += sd["sum_xd"].sum(axis=0) - M1.sum(axis=0)
-            N2 = risk[jj, 1 + p :] - frac[:, None] * dmom[jj, 1 + p :]
-            outer = np.column_stack([M1[:, a] * M1[:, b] for a, b in self.pairs])
+            # Efron-adjusted moments, one row per (event time, tie index)
+            N = risk[sd["jj"]] - sd["frac"][:, None] * dmom[sd["jj"]]
+            Z = N[:, 0]
+            ll += float(sd["sum_x"] @ beta) - float(np.log(Z).sum())
+            M1 = N[:, 1 : 1 + p] / Z[:, None]
+            grad += sd["sum_x"] - M1.sum(axis=0)
+            N2 = N[:, 1 + p :]
+            outer = M1[:, self.pair_a] * M1[:, self.pair_b]
             hess_packed -= (N2 / Z[:, None] - outer).sum(axis=0)
 
         hess = np.empty((p, p))

@@ -1,10 +1,17 @@
 """Tipping-point search over the adjustment factor.
 
 A search converts the validated records once into a columnar `Trial`.
-Each evaluation then runs one array path: the vectorized counterfactual
-transform, one counting-process expansion, the treatment-only Cox fit and
-the log-rank test, and the three-covariate Cox fit, which shares the
-expansion's risk-set structure with the first fit.
+Each probe of the search computes only the one number its stop rule
+reads, on the transformed data:
+
+* rule a with the log-rank p-value: the transform and the log-rank test;
+* rule a with the Wald p-value: the transform, the counting-process
+  expansion and the treatment-only Cox fit;
+* rule b: the transform, the expansion and the three-covariate Cox fit.
+
+A probe is usable when its number can be computed. The full evaluation
+(`evaluate_at`: p-value, overall HR and monotherapy-phase HR) runs only
+for the point a search reports, and for every point of `grid_scan`.
 
 Per replicate, imputation draws are made once and reused across the whole
 grid, which makes the evaluated curves monotone in the adjustment factor
@@ -154,85 +161,118 @@ class TpaResult:
     flags: list
 
 
+def _logrank_p(data) -> float:
+    return logrank_test(data).p_two_sided
+
+
+def _wald_p(data) -> float:
+    return cox_fit(to_counting_process(data), ("trt",)).wald_p("trt")
+
+
+def _mono_hr(rows) -> float:
+    """Monotherapy-phase HR, exp(b_trt + b_trt_x_mono), of the
+    three-covariate fit on the expanded rows."""
+    if not rows.mono.any():
+        raise EstimationError("no monotherapy phase at this factor")
+    try:
+        fit = cox_fit(rows, ("trt", "mono", "trt_x_mono"))
+    except EstimationError as err:
+        raise EstimationError(f"mono-phase fit failed: {err}") from None
+    return fit.contrast_hr(("trt", "trt_x_mono"))
+
+
+def _attempt(estimate, notes):
+    """estimate(), or None with its EstimationError message added to notes."""
+    try:
+        return estimate()
+    except EstimationError as err:
+        notes.append(str(err))
+        return None
+
+
 def evaluate_at(records, params: TransformParams,
                 draws: ImputationDraws, p_source: str = "logrank") -> TpaCurvePoint:
-    """One counterfactual evaluation: transform, then p-value, overall HR,
-    and monotherapy-phase HR on the transformed dataset. Estimator failures
-    mark the point unevaluable instead of aborting the search. `records`
-    is a Trial or a list of records."""
+    """The full counterfactual evaluation of one factor: transform, then
+    p-value, overall HR and monotherapy-phase HR on the transformed data.
+
+    A search probe computes only the number its stop rule reads; this runs
+    for the point a search reports and for every curve point. Each
+    estimator that fails leaves its column None and its message in the
+    note, instead of aborting; the point is evaluable when both the p-value
+    and the overall HR exist. `records` is a Trial or a list of records.
+    """
     data = apply_transform(records, params, draws)
-    n_events = int(data.delta.sum())
-    try:
-        rows = to_counting_process(data)
-        trt_fit = cox_fit(rows, ("trt",))
-        hr_overall = trt_fit.hr("trt")
-        if p_source == "wald":
-            p = trt_fit.wald_p("trt")
-        else:
-            p = logrank_test(data).p_two_sided
-    except EstimationError as err:
-        return TpaCurvePoint(
-            gamma=params.gamma, p_two_sided=None, hr_overall=None, hr_mono=None,
-            n_events=n_events, evaluable=False, note=str(err),
-        )
-    hr_mono = None
-    note = None
-    if rows.mono.any():
-        try:
-            full_fit = cox_fit(rows, ("trt", "mono", "trt_x_mono"))
-            hr_mono = full_fit.contrast_hr(("trt", "trt_x_mono"))
-        except EstimationError as err:
-            note = f"mono-phase fit failed: {err}"
+    rows = to_counting_process(data)
+    notes = []
+    trt_fit = _attempt(lambda: cox_fit(rows, ("trt",)), notes)
+    if p_source == "wald":
+        p = None if trt_fit is None else trt_fit.wald_p("trt")
+    else:
+        p = _attempt(lambda: _logrank_p(data), notes)
+    hr_mono = _attempt(lambda: _mono_hr(rows), notes)
     return TpaCurvePoint(
-        gamma=params.gamma, p_two_sided=p, hr_overall=hr_overall,
-        hr_mono=hr_mono, n_events=n_events, note=note,
+        gamma=params.gamma, p_two_sided=p,
+        hr_overall=None if trt_fit is None else trt_fit.hr("trt"),
+        hr_mono=hr_mono, n_events=int(data.delta.sum()),
+        evaluable=p is not None and trt_fit is not None,
+        note="; ".join(notes) or None,
     )
-
-
-class _Evaluator:
-    """Caches curve points for one replicate's fixed draws."""
-
-    def __init__(self, trial, config, draws):
-        self.trial = trial
-        self.config = config
-        self.draws = draws
-        self.cache = {}
-
-    def at(self, gamma: float) -> TpaCurvePoint:
-        if gamma not in self.cache:
-            params = TransformParams(self.config.effect, gamma)
-            self.cache[gamma] = evaluate_at(
-                self.trial, params, self.draws, self.config.p_source
-            )
-        return self.cache[gamma]
 
 
 @dataclass(frozen=True)
 class _StopRule:
-    """What a stop rule decides in the shared search."""
+    """What a stop rule reads and decides in the shared search."""
 
-    usable: Callable        # point can take part in the search
-    crossed: Callable       # point lies past the threshold
+    reads: Callable         # transformed data -> the one number the rule reads
+    crossed: Callable       # that number lies past the threshold
     start_flag: str         # flag of a replicate already crossed at factor 1
 
 
 def _stop_rule(config: SearchConfig) -> _StopRule:
     if config.threshold is Threshold.SIGNIFICANCE:
         return _StopRule(
-            usable=lambda pt: pt.evaluable,
-            crossed=lambda pt: pt.p_two_sided > config.alpha_level,
+            reads=_wald_p if config.p_source == "wald" else _logrank_p,
+            crossed=lambda p: p > config.alpha_level,
             start_flag="already non-significant at start",
         )
     return _StopRule(
-        usable=lambda pt: pt.evaluable and pt.hr_mono is not None,
-        crossed=lambda pt: pt.hr_mono >= 1.0,
+        reads=lambda data: _mono_hr(to_counting_process(data)),
+        crossed=lambda hr_mono: hr_mono >= 1.0,
         start_flag="monotherapy difference already neutral at start",
     )
 
 
+class _Evaluator:
+    """One replicate's fixed draws: the stop rule's number per factor,
+    cached, and the full point at a factor the search reports."""
+
+    def __init__(self, trial, config, draws, rule):
+        self.trial = trial
+        self.config = config
+        self.draws = draws
+        self.rule = rule
+        self.cache = {}
+
+    def probe(self, gamma: float):
+        """(value, None), or (None, note) when the rule's number cannot be
+        computed at `gamma`."""
+        if gamma not in self.cache:
+            params = TransformParams(self.config.effect, gamma)
+            data = apply_transform(self.trial, params, self.draws)
+            try:
+                self.cache[gamma] = (self.rule.reads(data), None)
+            except EstimationError as err:
+                self.cache[gamma] = (None, str(err))
+        return self.cache[gamma]
+
+    def point(self, gamma: float) -> TpaCurvePoint:
+        params = TransformParams(self.config.effect, gamma)
+        return evaluate_at(self.trial, params, self.draws, self.config.p_source)
+
+
 def _grid_walk(ev, config, rule):
     """Walk the factor from 1 in the effect's direction until
-    `rule.crossed(point)` fires. Unusable points (estimator failures) are
+    `rule.crossed(value)` fires. Factors whose value cannot be computed are
     skipped with a warning. Returns (last_clear, first_crossed, flags) where
     the crossed side is None when the bound is reached without a crossing."""
     direction = 1.0 if config.effect is Effect.INFLATE_CONTROL else -1.0
@@ -245,13 +285,13 @@ def _grid_walk(ev, config, rule):
         k += 1
         gamma = 1.0 + direction * k * config.grid_step
         gamma = min(gamma, bound) if direction > 0 else max(gamma, bound)
-        point = ev.at(gamma)
-        if not rule.usable(point):
-            flags.append(f"factor {gamma:g} skipped: {point.note}")
+        value, note = ev.probe(gamma)
+        if value is None:
+            flags.append(f"factor {gamma:g} skipped: {note}")
             if gamma == bound:
                 return last_clear, None, flags
             continue
-        if rule.crossed(point):
+        if rule.crossed(value):
             return last_clear, gamma, flags
         last_clear = gamma
         if gamma == bound:
@@ -259,24 +299,24 @@ def _grid_walk(ev, config, rule):
 
 
 def _bisect(ev, lo, hi, config, rule, flags):
-    """Shrink [clear, crossed] to bisection_tol. Unusable midpoints are
-    nudged once toward each side, then the bracket is kept as-is."""
+    """Shrink [clear, crossed] to bisection_tol. A midpoint whose value
+    cannot be computed is nudged once toward each side, then the bracket is
+    kept as-is."""
     while abs(hi - lo) > config.bisection_tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # the ends are adjacent floats
             break
-        point = ev.at(mid)
-        if not rule.usable(point):
-            nudged = None
+        value, _ = ev.probe(mid)
+        if value is None:
             for cand in (mid + 0.1 * (hi - mid), mid + 0.1 * (lo - mid)):
-                alt = ev.at(cand)
-                if rule.usable(alt):
-                    mid, point, nudged = cand, alt, cand
+                value, _ = ev.probe(cand)
+                if value is not None:
+                    mid = cand
                     break
-            if nudged is None:
+            else:
                 flags.append(f"bisection stopped early: midpoint {mid:g} unevaluable")
                 break
-        if rule.crossed(point):
+        if rule.crossed(value):
             hi = mid
         else:
             lo = mid
@@ -286,19 +326,19 @@ def _bisect(ev, lo, hi, config, rule, flags):
 def _run_replicate(trial, config, replicate_id, draws):
     """One replicate's search: check the identity factor, walk the grid to
     the first crossing, bisect, and report the tip as the bracket midpoint
-    with the point at the bracket's crossed end."""
+    with the full point at the bracket's crossed end."""
     rule = _stop_rule(config)
-    ev = _Evaluator(trial, config, draws)
+    ev = _Evaluator(trial, config, draws, rule)
 
-    start = ev.at(1.0)
-    if not rule.usable(start):
+    start, note = ev.probe(1.0)
+    if start is None:
         return ReplicateOutcome(
-            replicate_id, tip=None, point=start,
-            flags=[f"start unevaluable: {start.note}"],
+            replicate_id, tip=None, point=ev.point(1.0),
+            flags=[f"start unevaluable: {note}"],
         )
     if rule.crossed(start):
         return ReplicateOutcome(
-            replicate_id, tip=1.0, point=start, degenerate=True,
+            replicate_id, tip=1.0, point=ev.point(1.0), degenerate=True,
             flags=[rule.start_flag],
         )
 
@@ -308,7 +348,7 @@ def _run_replicate(trial, config, replicate_id, draws):
         return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
 
     lo, hi = _bisect(ev, last_clear, first_crossed, config, rule, flags)
-    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=ev.at(hi), flags=flags)
+    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=ev.point(hi), flags=flags)
 
 
 def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:
@@ -378,5 +418,8 @@ def grid_scan(records: list[SubjectRecord], config: SearchConfig,
     """Curve points over an explicit factor grid, using replicate 0 draws
     (deterministic for a given seed)."""
     draws = make_draws(records, config.effect, config.imputation, config.seed, 0)
-    ev = _Evaluator(as_trial(records), config, draws)
-    return [ev.at(float(g)) for g in gammas]
+    trial = as_trial(records)
+    return [
+        evaluate_at(trial, TransformParams(config.effect, float(g)), draws, config.p_source)
+        for g in gammas
+    ]

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import math
 import os
 import signal
 import sys
@@ -60,3 +62,15 @@ def wall_clock_bound(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def assert_result_cells(outdir):
+    """Every numeric cell of `outdir`/results.csv is a finite number or
+    empty (a value the search could not compute), never the text None."""
+    with open(os.path.join(outdir, "results.csv"), newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert rows
+    for row in rows:
+        for name, cell in zip(header, row):
+            if name not in ("effect_method", "flags") and cell != "":
+                assert math.isfinite(float(cell)), (name, cell)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, determinism, emitted file structure."""
 
+import csv
 import dataclasses
 import math
 import os
@@ -106,6 +107,16 @@ class TestExitCodes:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "tpa" in proc.stdout
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # a fresh interpreter: this test session itself imports scipy.stats
+        src = os.path.dirname(os.path.dirname(phasetip.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, phasetip.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestAnalyze:
@@ -459,3 +470,27 @@ class TestEmitResults:
             "effect1_threshold_a", "effect1_threshold_b",
             "effect2_threshold_a", "effect2_threshold_b",
         ]
+
+    def test_reported_point_without_hr_writes_empty_cells(self, small_dataset, tmp_path,
+                                                         capsys):
+        # every Cox fit fails, every log-rank test works: rule a still finds
+        # its tip, and the reported point carries p but no HR
+        import phasetip.tipping
+        from phasetip.errors import SeparationError
+
+        def failing_fit(*args, **kwargs):
+            raise SeparationError()
+
+        out = str(tmp_path / "nohr")
+        with mock.patch.object(phasetip.tipping, "cox_fit", failing_fit):
+            code = main(["tpa", "--input", small_dataset, "--effect", "1", "--threshold", "a",
+                         "--replicates", "1", "--grid-step", "0.2", "--out", out])
+        assert code == 0
+        assert "HR at tip n/a" in capsys.readouterr().out
+        with open(os.path.join(out, "results.csv"), newline="") as fh:
+            header, row = list(csv.reader(fh))
+        cells = dict(zip(header, row))
+        assert cells["hr_at_tip"] == ""
+        assert float(cells["p_at_tip"]) > 0.05
+        assert float(cells["adjustment_factor_at_tip"]) > 1.0
+        assert "None" not in row and "skipped" not in cells["flags"]

@@ -7,7 +7,9 @@ without a monotherapy phase, strata and one-arm trials all occur. Each
 trial runs through `analyze` (plain and stratified), `tpa` for both effects
 and both stop rules, and `curve` for both effects. Every run must return
 0-3 from `main` within a wall-clock bound, and no run may fail for want of
-an imputed time: the draws always cover what the transforms need.
+an imputed time: the draws always cover what the transforms need. A `tpa`
+run that succeeds writes each numeric cell of results.csv as a finite
+number, or empty where no replicate's point has that value.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import tempfile
 
 from hypothesis import HealthCheck, event, given, settings
 
-from conftest import trials, wall_clock_bound
+from conftest import assert_result_cells, trials, wall_clock_bound
 from phasetip.cli import main
 from phasetip.dataio import write_dataset
 
@@ -48,3 +50,5 @@ def test_every_command_ends_with_an_exit_code(records):
             event(f"{' '.join(command[:5])}: exit code {code}")
             assert code in (0, 1, 2, 3), command
             assert "missing imputed" not in err.getvalue(), (command, err.getvalue())
+            if command[0] == "tpa" and code == 0:
+                assert_result_cells(out[1])

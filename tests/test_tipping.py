@@ -4,9 +4,10 @@ invariants, degenerate handling, aggregation arithmetic, determinism."""
 import numpy as np
 import pytest
 
+import phasetip.tipping
 from conftest import C, E, rec
 from phasetip.counterfactual import Effect, Threshold, TransformParams, make_draws
-from phasetip.errors import DataError
+from phasetip.errors import DataError, SeparationError
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import cox_fit, logrank_test, to_counting_process
 from phasetip.tipping import (
@@ -295,19 +296,20 @@ class TestUnevaluablePointHandling:
     """White-box checks of the skip logic around estimator failures."""
 
     class _StubEvaluator:
-        def __init__(self, p_of, broken, hr_mono_of=lambda g: 0.9):
-            self.p_of = p_of
-            self.hr_mono_of = hr_mono_of
+        """Answers each probe with the value the stop rule reads: p under
+        rule a, the monotherapy-phase HR under rule b."""
+
+        def __init__(self, p_of, broken, hr_mono_of=lambda g: 0.9,
+                     threshold=Threshold.SIGNIFICANCE):
+            self.value_of = p_of if threshold is Threshold.SIGNIFICANCE else hr_mono_of
             self.broken = set(broken)
             self.calls = []
 
-        def at(self, gamma):
+        def probe(self, gamma):
             self.calls.append(gamma)
-            g = round(gamma, 6)
-            if g in self.broken:
-                return TpaCurvePoint(gamma, None, None, None, 0,
-                                     evaluable=False, note="separation detected")
-            return TpaCurvePoint(gamma, self.p_of(gamma), 0.8, self.hr_mono_of(gamma), 100)
+            if round(gamma, 6) in self.broken:
+                return None, "separation detected"
+            return self.value_of(gamma), None
 
     def test_grid_walk_skips_broken_points(self):
         from phasetip.tipping import _grid_walk, _stop_rule
@@ -326,7 +328,8 @@ class TestUnevaluablePointHandling:
             config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=threshold,
                                   bisection_tol=1e-3)
             ev = self._StubEvaluator(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.55],
-                                     hr_mono_of=lambda g: 0.9 if g < 1.55 else 1.1)
+                                     hr_mono_of=lambda g: 0.9 if g < 1.55 else 1.1,
+                                     threshold=threshold)
             flags = []
             lo, hi = _bisect(ev, 1.5, 1.6, config, _stop_rule(config), flags)
             assert hi - lo <= config.bisection_tol
@@ -342,6 +345,87 @@ class TestUnevaluablePointHandling:
         lo, hi = _bisect(ev, 1.5, 1.6, config, _stop_rule(config), [])
         assert lo < hi
         assert 0.5 * (lo + hi) in (lo, hi)
+
+
+class TestProbePath:
+    """Each search probe runs only the estimator its stop rule reads; the
+    full evaluation runs once, for the reported point."""
+
+    @staticmethod
+    def _spy(monkeypatch, name, calls, fail_when=lambda: False):
+        real = getattr(phasetip.tipping, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            if fail_when():
+                raise SeparationError()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(phasetip.tipping, name, spy)
+
+    @staticmethod
+    def _track_factor(monkeypatch):
+        """The factor of the latest transform, updated as the search runs."""
+        current = {}
+        real = phasetip.tipping.apply_transform
+
+        def transform(records, params, draws):
+            current["gamma"] = params.gamma
+            return real(records, params, draws)
+
+        monkeypatch.setattr(phasetip.tipping, "apply_transform", transform)
+        return current
+
+    def test_rule_a_logrank_fits_cox_only_at_the_reported_point(self, monkeypatch):
+        calls = []
+        self._spy(monkeypatch, "cox_fit", calls)
+        self._spy(monkeypatch, "logrank_test", calls)
+        records = fast_records()
+        config = SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, grid_step=0.1,
+                              mi_replicates=3, seed=5)
+        res = find_tipping(records, config)
+        assert all(o.tip is not None and not o.degenerate for o in res.replicates)
+        draw_sets = {
+            tuple(sorted(make_draws(records, config.effect, config.imputation,
+                                    config.seed, r).values.items()))
+            for r in range(config.mi_replicates)
+        }
+        # the treatment-only and the three-covariate fit of each reported point
+        assert calls.count("cox_fit") == 2 * len(draw_sets)
+        assert calls.count("logrank_test") > calls.count("cox_fit")
+
+    def test_rule_b_probes_never_run_the_logrank_test(self, monkeypatch):
+        calls = []
+        self._spy(monkeypatch, "logrank_test", calls)
+        self._spy(monkeypatch, "evaluate_at", calls)
+        self._spy(monkeypatch, "cox_fit", calls)
+        config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE,
+                              grid_step=0.1, mi_replicates=1, seed=7)
+        res = find_tipping(fast_records(), config)
+        assert res.tip is not None and res.p_at_tip is not None
+        # probes fit the three-covariate model only; the one full evaluation,
+        # of the reported point, runs the log-rank test for its p-value
+        assert calls.count("evaluate_at") == calls.count("logrank_test") == 1
+        assert calls[calls.index("evaluate_at") + 1:].count("cox_fit") == 2
+        assert calls.count("cox_fit") > 2
+
+    def test_rule_a_keeps_a_factor_whose_cox_fit_fails(self, monkeypatch):
+        records = fast_records()
+        config = SearchConfig(effect=Effect.INFLATE_CONTROL, grid_step=0.1,
+                              mi_replicates=1, seed=11)
+        clean = find_tipping(records, config)
+        assert clean.tip > 1.2
+
+        current = self._track_factor(monkeypatch)
+        self._spy(monkeypatch, "cox_fit", [],
+                  fail_when=lambda: current["gamma"] in (1.1, clean.replicates[0].point.gamma))
+        res = find_tipping(records, config)
+        assert not any("skipped" in f for f in res.flags), res.flags
+        assert res.tip == clean.tip
+        point = res.replicates[0].point
+        assert point.p_two_sided == clean.replicates[0].point.p_two_sided
+        assert (point.hr_overall, point.hr_mono, point.evaluable) == (None, None, False)
+        assert res.hr_at_tip is None and res.p_at_tip == clean.p_at_tip
 
 
 class TestSearchConfigValidation:

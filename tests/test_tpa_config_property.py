@@ -6,7 +6,9 @@ The trial is small and significant at factor 1, so valid configurations
 really walk the grid and bisect. Finite grid bounds and positive steps are
 kept moderate because the fixed-step walk spends one evaluation per step:
 a long walk is slow by design, not a hang. Steps of 0, below 0 and 1e-300
-must be refused, by the grid-point cap for the last.
+must be refused, by the grid-point cap for the last. A `tpa` run that
+succeeds writes each numeric cell of results.csv as a finite number or
+empty.
 """
 
 import os
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import wall_clock_bound
+from conftest import assert_result_cells, wall_clock_bound
 from phasetip.cli import main
 from phasetip.dataio import write_dataset
 from phasetip.simulate import SimConfig, simulate_trial
@@ -82,6 +84,8 @@ def _run_with_config(command, trial_csv, values, extra):
         argv = [command, "--input", trial_csv, "--config", cfg, "--out", os.path.join(tmp, "out")]
         with wall_clock_bound(WALL_CLOCK_S):
             code = main(argv)
+        if command == "tpa" and code == 0:
+            assert_result_cells(os.path.join(tmp, "out"))
     event(f"exit code {code}")
     return code
 
