@@ -109,7 +109,7 @@ class TestExitCodes:
         assert "tpa" in proc.stdout
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # a fresh interpreter: this test session itself imports scipy.stats
+        # a fresh interpreter, because the test run itself imports scipy.stats
         src = os.path.dirname(os.path.dirname(phasetip.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, phasetip.cli; print('scipy.stats' in sys.modules)"
