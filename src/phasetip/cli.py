@@ -31,7 +31,7 @@ from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
 from .records import Arm, Trial
 from .simulate import SimConfig, simulate_trial, summarize_trial
-from .survival import cox_fit, km_estimate, logrank_test, phase_hr, to_counting_process
+from .survival import cox_fit, logrank_test, phase_hr, to_counting_process
 from .svgplot import find_crossings, line_plot
 from .tipping import SearchConfig, TpaResult, check_grid_points, find_tipping, grid_scan
 
@@ -213,16 +213,15 @@ def cmd_analyze(args) -> int:
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
     lines = []
+    arms = summarize_trial(records).arms
     for arm, label in ((Arm.EXPERIMENTAL, "Experimental"), (Arm.CONTROL, "Control")):
-        subset = [r for r in records if r.arm is arm]
-        if not subset:
+        summary = arms[arm]
+        if not summary.n:
             raise DataError(f"no subjects on the {label.lower()} arm")
-        curve = km_estimate(subset)
-        events = sum(r.delta for r in subset)
-        median = "not reached" if curve.median is None else f"{curve.median:.2f}"
+        median = "not reached" if summary.median_pfs is None else f"{summary.median_pfs:.2f}"
         lines.append(
-            f"{label} arm: n={len(subset)}, events={events}, "
-            f"censored={len(subset) - events}, median PFS={median} months"
+            f"{label} arm: n={summary.n}, events={summary.events}, "
+            f"censored={summary.censored}, median PFS={median} months"
         )
     trial = Trial.from_records(records)
     lr = logrank_test(trial, stratified=stratified)
@@ -312,8 +311,7 @@ def cmd_tpa(args) -> int:
 def cmd_simulate(args) -> int:
     opt = _Options(args)
     overrides = opt.given(**{flag.replace("-", "_"): cast for flag, cast in SIM_FLAGS.items()})
-    config = SimConfig(**overrides, seed=opt.seed())
-    records = simulate_trial(config)
+    records = simulate_trial(SimConfig(**overrides), seed=opt.seed())
     write_dataset(records, args.out)
     summary = summarize_trial(records)
     print(
@@ -335,7 +333,8 @@ def cmd_curve(args) -> int:
         raise DataError("dataset is empty")
     config = SearchConfig(
         seed=opt.seed(),
-        **opt.given(effect=Effect.from_number, threshold=Threshold, imputation=str),
+        **opt.given(effect=Effect.from_number, threshold=Threshold, imputation=str,
+                    p_source=str, alpha_level=float),
     )
     effect, threshold = config.effect, config.threshold
     step = opt.get("grid_step", float, 0.05)
@@ -377,7 +376,8 @@ def cmd_curve(args) -> int:
 
     xs = [pt.gamma for pt in points]
     if threshold is Threshold.SIGNIFICANCE:
-        ys, ref, ylabel = [pt.p_two_sided for pt in points], 0.05, "two-sided p-value"
+        ys, ref = [pt.p_two_sided for pt in points], config.alpha_level
+        ylabel = "two-sided p-value"
     else:
         ys, ref, ylabel = [pt.hr_mono for pt in points], 1.0, "monotherapy-phase HR"
     svg_path = os.path.join(args.out, stem + ".svg")

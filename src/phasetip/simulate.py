@@ -46,7 +46,6 @@ class SimConfig:
     accrual_months: float = 30.0
     cutoff_months: float = 40.0         # calendar time of the data cutoff
     dropout_hazard: float = 0.009       # non-administrative censoring
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("combo_event_hazard", "switch_hazard", "mono_event_hazard"):
@@ -64,11 +63,9 @@ class SimConfig:
             raise DataError("both arms need at least one subject")
 
 
-def simulate_trial(config: SimConfig, seed: int | None = None) -> list[SubjectRecord]:
+def simulate_trial(config: SimConfig, seed: int = 0) -> list[SubjectRecord]:
     """Generate one trial. Draws are indexed per subject (row i of the draw
     matrix belongs to subject i), so generation is order-independent."""
-    if seed is None:
-        seed = config.seed
     n = config.n_experimental + config.n_control
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SIM_STREAM]))
 

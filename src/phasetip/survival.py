@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, ndtri
 
 from .errors import ConvergenceError, DataError, EstimationError, SeparationError
 from .records import Arm, CountingProcess, SubjectRecord, as_trial
@@ -46,6 +45,7 @@ _GRAD_TOL = 1e-8
 _MAX_ITER = 50
 _SEPARATION_BOUND = 15.0
 _MAX_EXP = math.log(np.finfo(float).max)   # math.exp overflows beyond this
+_Z975 = 1.959963984540054                  # the normal 0.975 quantile, for 95% Wald CIs
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def logrank_test(data, stratified: bool = False) -> LogRankResult:
         stat = (o1 - e1) ** 2 / v
     else:
         stat = 0.0
-    p = float(chdtrc(1, stat)) if stat > 0 else 1.0
+    p = math.erfc(math.sqrt(stat / 2.0))   # chi-square(1) upper tail
     return LogRankResult(
         chi2=float(stat),
         p_two_sided=p,
@@ -272,29 +272,22 @@ class CoxFit:
     def wald_p(self, name: str) -> float:
         i = self._idx(name)
         z = self.beta[i] / self.se[i]
-        return float(2.0 * ndtr(-abs(z)))
+        return math.erfc(abs(z) / math.sqrt(2.0))   # 2 * Phi(-|z|)
 
-    def _contrast(self, names):
-        c = np.zeros(len(self.names))
-        for nm in names:
-            c[self._idx(nm)] += 1.0
-        return c, float(c @ self.beta)
-
-    def contrast_hr(self, names) -> float:
-        """exp(sum of the named coefficients), without the CI of `contrast`."""
-        return math.exp(self._contrast(names)[1])
-
-    def contrast(self, names, level: float = 0.95):
-        """HR and Wald CI for exp(sum of the named coefficients).
+    def contrast(self, names):
+        """HR and 95% Wald CI for exp(sum of the named coefficients).
 
         An upper bound beyond float range is reported as inf; a variance
         that is negative or not finite is an EstimationError.
         """
-        c, est = self._contrast(names)
+        c = np.zeros(len(self.names))
+        for nm in names:
+            c[self._idx(nm)] += 1.0
+        est = float(c @ self.beta)
         var = float(c @ self.cov @ c)
         if not (var >= 0.0 and math.isfinite(var)):
             raise EstimationError(f"variance of the contrast is negative or not finite: {var!r}")
-        half = ndtri(0.5 + level / 2.0) * math.sqrt(var)
+        half = _Z975 * math.sqrt(var)
         upper = math.exp(est + half) if est + half <= _MAX_EXP else math.inf
         return math.exp(est), (math.exp(est - half), upper)
 

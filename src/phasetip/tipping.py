@@ -178,7 +178,7 @@ def _mono_hr(rows) -> float:
         fit = cox_fit(rows, ("trt", "mono", "trt_x_mono"))
     except EstimationError as err:
         raise EstimationError(f"mono-phase fit failed: {err}") from None
-    return fit.contrast_hr(("trt", "trt_x_mono"))
+    return math.exp(fit.coef("trt") + fit.coef("trt_x_mono"))
 
 
 def _attempt(estimate, notes):

@@ -14,8 +14,10 @@ import pytest
 import phasetip
 from conftest import wall_clock_bound
 from phasetip.cli import main
+from phasetip.counterfactual import Effect
 from phasetip.dataio import HEADER, write_dataset
 from phasetip.simulate import SimConfig, simulate_trial
+from phasetip.svgplot import find_crossings, line_plot
 
 SMALL_SIM = SimConfig(
     n_experimental=140, n_control=110,
@@ -24,6 +26,13 @@ SMALL_SIM = SimConfig(
     accrual_months=18, cutoff_months=40, dropout_hazard=0.004,
 )
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def run_fresh_python(*args, timeout=60):
+    """Run a fresh interpreter with the package on its path."""
+    src = os.path.dirname(os.path.dirname(phasetip.__file__))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture
@@ -101,22 +110,36 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
     def test_python_dash_m_runs_the_cli(self):
-        src = os.path.dirname(os.path.dirname(phasetip.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-m", "phasetip", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = run_fresh_python("-m", "phasetip", "--help")
         assert proc.returncode == 0
         assert "tpa" in proc.stdout
 
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # a fresh interpreter, because the test run itself imports scipy.stats
-        src = os.path.dirname(os.path.dirname(phasetip.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, phasetip.cli; print('scipy.stats' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+    def test_cli_import_loads_no_scipy(self):
+        # a fresh interpreter, because the test run itself imports scipy
+        proc = run_fresh_python("-c", "import sys, phasetip.cli; "
+                                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the only runtime dependency: a None entry in sys.modules
+        # makes any import of scipy fail
+        trial, out = str(tmp_path / "trial.csv"), str(tmp_path / "out")
+        commands = [
+            ["simulate", "--out", trial, "--seed", "1", "--n-experimental", "80",
+             "--n-control", "60"],
+            ["analyze", "--input", trial],
+            ["tpa", "--input", trial, "--effect", "1", "--replicates", "2",
+             "--grid-step", "0.2", "--out", out],
+            ["tpa", "--input", trial, "--effect", "2", "--p-source", "wald",
+             "--replicates", "2", "--grid-step", "0.2", "--out", out],
+            ["curve", "--input", trial, "--effect", "2", "--grid-step", "0.2", "--out", out],
+        ]
+        code = ("import sys; sys.modules['scipy'] = None; from phasetip.cli import main; "
+                f"print([main(argv) for argv in {commands!r}])")
+        proc = run_fresh_python("-c", code, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == str([0] * len(commands)), proc.stderr
 
 
 class TestAnalyze:
@@ -299,7 +322,9 @@ class TestGoldenOutputs:
     The rule-a files and the curve were recorded before the columnar
     evaluation core replaced the per-record one. The two rule-b files were
     re-recorded when rule b's tip became the root of hr_mono = 1 in place
-    of the first probe within 0.01 of it."""
+    of the first probe within 0.01 of it. All five were re-recorded when
+    `math.erfc` replaced `scipy.special` for the p-values: only p cells
+    moved, by at most 1.2e-14 relative (2.5e-15 in `results.csv`)."""
 
     @pytest.mark.parametrize("effect", ["1", "2"])
     @pytest.mark.parametrize("threshold", ["a", "b"])
@@ -436,6 +461,35 @@ class TestCurveCommand:
         assert code == 2
         arange.assert_not_called()
         scan.assert_not_called()
+
+    def test_config_sets_p_source_and_alpha_level(self, small_dataset, tmp_path, capsys):
+        # the curve has no flag for either; the file sets the p column, the
+        # reference line and the crossings counted
+        from phasetip.dataio import read_dataset
+        from phasetip.tipping import SearchConfig, grid_scan
+
+        argv = ["curve", "--input", small_dataset, "--effect", "2", "--threshold", "a",
+                "--seed", "5", "--grid-step", "0.05", "--grid-min", "0.15"]
+        assert main([*argv, "--out", str(tmp_path / "logrank")]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p-source=wald\nalpha-level=0.1\n")
+        capsys.readouterr()
+        with mock.patch("phasetip.cli.line_plot", wraps=line_plot) as plot:
+            assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "wald")]) == 0
+        assert plot.call_args.kwargs["ref_y"] == 0.1
+
+        with open(tmp_path / "wald" / "curve_2_a.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        gammas = [float(row["gamma"]) for row in rows]
+        config = SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, p_source="wald", seed=5)
+        wald = [pt.p_two_sided for pt in grid_scan(read_dataset(small_dataset), config, gammas)]
+        assert [float(row["p"]) for row in rows] == wald
+        logrank = (tmp_path / "logrank" / "curve_2_a.csv").read_bytes()
+        assert (tmp_path / "wald" / "curve_2_a.csv").read_bytes() != logrank
+
+        n_cross = len(find_crossings(gammas, wald, 0.1))
+        assert n_cross >= 1
+        assert f"{len(rows)} points, {n_cross} crossing(s)" in capsys.readouterr().out
 
     def test_empty_grid_header_only_no_svg(self, small_dataset, tmp_path):
         out = str(tmp_path / "empty")

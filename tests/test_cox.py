@@ -1,5 +1,8 @@
 """Cox fitter tests: counting-process expansion, brute-force likelihood
-oracle, finite-difference gradient, and model invariances."""
+oracle, finite-difference gradient, model invariances, and the Wald and
+log-rank tail probabilities against scipy."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from conftest import C, E, rec
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import CountingProcess
 from phasetip.survival import (
+    CoxFit,
     cox_fit,
+    logrank_test,
     partial_loglik_and_gradient,
     phase_hr,
     to_counting_process,
@@ -315,3 +320,58 @@ class TestPhaseHr:
         assert res.flags == ["no monotherapy phase observed"]
         plain = cox_fit(to_counting_process(records), ("trt",))
         assert res.hr_combo == pytest.approx(np.exp(plain.coef("trt")), abs=1e-12)
+
+
+class TestTailsAgainstScipy:
+    """The package computes its tails with `math.erfc` and one constant;
+    `scipy.special` (a test dependency only) is the oracle."""
+
+    @staticmethod
+    def _fit(beta, var=1.0):
+        return CoxFit(names=("trt",), beta=np.array([beta]), se=np.array([np.sqrt(var)]),
+                      cov=np.array([[var]]), loglik=0.0, iterations=0, converged=True,
+                      n_events=1, ties="efron", gradient_norm=0.0)
+
+    @staticmethod
+    def _close(p, oracle):
+        return oracle < 1e-12 or abs(p - oracle) <= 1e-12 * oracle
+
+    def test_wald_p_is_two_sided_normal_tail(self):
+        from scipy.special import ndtr
+
+        zs = np.concatenate([np.linspace(-7.1, 7.1, 1421), np.geomspace(1e-9, 1.0, 50)])
+        for z in zs:
+            assert self._close(self._fit(z).wald_p("trt"), 2.0 * ndtr(-abs(z))), z
+        for z, p in ((0.0, 1.0), (40.0, 0.0), (-40.0, 0.0)):
+            assert self._fit(z).wald_p("trt") == p == 2.0 * ndtr(-abs(z))
+
+    def test_logrank_p_is_chi_square_1_tail(self):
+        from scipy.special import chdtrc
+
+        rng = np.random.default_rng(3)
+        chi2s = []
+        for ratio in np.geomspace(1.0, 4.0, 60):
+            control = rng.exponential(1.0, 100)
+            experimental = rng.exponential(ratio, 100)
+            records = [rec(f"c{i}", C, t, 1) for i, t in enumerate(control)]
+            records += [rec(f"e{i}", E, t, 1) for i, t in enumerate(experimental)]
+            res = logrank_test(records)
+            assert self._close(res.p_two_sided, chdtrc(1, res.chi2)), res.chi2
+            chi2s.append(res.chi2)
+        assert min(chi2s) < 1.0 and max(chi2s) > 50.0   # p from near 1 to below 1e-12
+
+        tied = [rec("c", C, 1.0, 1), rec("e", E, 1.0, 1)]
+        assert logrank_test(tied).p_two_sided == 1.0 == chdtrc(1, 0.0)
+        # complete separation, 700 a side: chi2 near 1700, both tails underflow
+        n = 700
+        separated = [rec(f"c{i}", C, 1 + i, 1, cutoff=3 * n) for i in range(n)]
+        separated += [rec(f"e{i}", E, n + 1 + i, 1, cutoff=3 * n) for i in range(n)]
+        res = logrank_test(separated)
+        assert res.p_two_sided == 0.0 == chdtrc(1, res.chi2)
+
+    def test_wald_interval_uses_the_normal_975_quantile(self):
+        from scipy.special import ndtri
+
+        z = float(ndtri(0.975))
+        hr, (lo, hi) = self._fit(0.3, var=0.04).contrast(("trt",))
+        assert (hr, lo, hi) == (math.exp(0.3), math.exp(0.3 - z * 0.2), math.exp(0.3 + z * 0.2))
