@@ -6,20 +6,17 @@ multiple imputation, a calibrated two-phase trial simulator, and a CLI.
 """
 
 from .counterfactual import (
-    CensoringModel,
     Effect,
+    ExponentialModel,
     ImputationDraws,
-    MonoEventModel,
     Threshold,
     TransformParams,
     apply_transform,
     fit_censoring_model,
     fit_mono_event_model,
-    impute_censoring_cutoff,
-    impute_event_time,
     make_draws,
     naive_transform,
-    sample_censoring_conditional,
+    needs_draw,
     transform_effect1,
     transform_effect2,
 )
@@ -64,11 +61,9 @@ __all__ = [
     "KmCurve", "LogRankResult", "CoxFit", "PhaseHr",
     "km_estimate", "logrank_test", "to_counting_process", "cox_fit",
     "partial_loglik_and_gradient", "phase_hr",
-    "Effect", "Threshold", "TransformParams", "CensoringModel",
-    "MonoEventModel", "ImputationDraws",
-    "impute_censoring_cutoff", "fit_censoring_model",
-    "sample_censoring_conditional", "fit_mono_event_model",
-    "impute_event_time", "transform_effect1", "transform_effect2",
+    "Effect", "Threshold", "TransformParams", "ExponentialModel",
+    "ImputationDraws", "needs_draw", "fit_censoring_model",
+    "fit_mono_event_model", "transform_effect1", "transform_effect2",
     "apply_transform", "naive_transform", "make_draws",
     "SearchConfig", "TpaCurvePoint", "TpaResult",
     "evaluate_at", "find_tipping", "grid_scan", "mi_aggregate",

@@ -370,16 +370,16 @@ def cmd_curve(args) -> int:
     except OSError as err:
         raise DataError(f"cannot write curve: {err}") from None
 
-    if not points:
-        print(f"no evaluable grid points; wrote header-only {csv_path}")
-        return 0
-
-    xs = [pt.gamma for pt in points]
     if threshold is Threshold.SIGNIFICANCE:
         ys, ref = [pt.p_two_sided for pt in points], config.alpha_level
         ylabel = "two-sided p-value"
     else:
         ys, ref, ylabel = [pt.hr_mono for pt in points], 1.0, "monotherapy-phase HR"
+    if all(y is None for y in ys):
+        print(f"no grid point has a {ylabel}; wrote {csv_path} and no plot")
+        return 0
+
+    xs = [pt.gamma for pt in points]
     svg_path = os.path.join(args.out, stem + ".svg")
     line_plot(
         xs, ys, svg_path,

@@ -10,30 +10,29 @@ maintenance.
 For Effect 1, subjects who had an event after transitioning need an
 imputed censoring time: either the administrative cutoff (when censoring
 is dominated by the data cutoff) or a draw from a censoring distribution
-fitted with reversed event indicators, conditioned to lie at or beyond
-the observed time. For Effect 2, subjects censored during monotherapy
-need an imputed event time drawn from an exponential fit to the
-experimental monotherapy durations; memorylessness makes the conditional
-draw a fresh exponential added to the observed time.
+fitted with reversed event indicators, conditioned to lie beyond the
+observed time. For Effect 2, subjects censored during monotherapy need an
+imputed event time drawn from an exponential fit to the experimental
+monotherapy durations. Both fits are an `ExponentialModel`, and by
+memorylessness both conditional draws are the observed time plus a fresh
+exponential (`ExponentialModel.beyond`).
 
-Draws are made once per replicate with a counter-keyed generator per
-(seed, replicate, subject), so results do not depend on iteration order,
-and the same draws are reused across the whole adjustment-factor grid.
+`needs_draw` is the one rule for which subjects get a draw: those of the
+effect's target arm that spent time in monotherapy (`Effect.target_arm` and
+`Trial.in_mono`) and whose event status the transform may change. A
+subject whose monotherapy starts at its follow-up time passes through
+unchanged. `make_draws` draws for exactly those subjects, once per
+replicate, with a counter-keyed generator per (seed, replicate, subject
+id), so the draws do not depend on row order, and the same draws are
+reused across the whole adjustment-factor grid. `ImputationDraws` holds
+the draws by trial position.
 
 `apply_transform` is the transform the analysis runs: it works on a
 `Trial`, one array per field, with both effects written as array
-expressions, and returns a new `Trial`. A replicate's draws, keyed by
-subject id, are aligned once to the trial's subject order as an array
-with NaN for "no draw". The per-record `transform_effect1` and
-`transform_effect2` state the same rules one subject at a time; they are
-the reference the array transform is tested against. `make_draws` and the
-imputation models still read validated `SubjectRecord`s.
-
-Every transform acts on the subjects of the effect's target arm that spent
-time in monotherapy (`Effect.target_arm` and `in_mono` from `records`), and
-`make_draws` draws for exactly those of them whose event status the
-transform may change, so a replicate's draws always suffice. A subject
-whose monotherapy starts at its follow-up time passes through unchanged.
+expressions, and returns a new `Trial`. The per-record `transform_effect1`
+and `transform_effect2` state the same rules one subject at a time; they
+are the reference the array transform is tested against. Every function
+that takes a trial also takes a list of records (see `as_trial`).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +51,12 @@ __all__ = [
     "Effect",
     "Threshold",
     "TransformParams",
-    "CensoringModel",
-    "MonoEventModel",
+    "ExponentialModel",
     "ImputationDraws",
     "keyed_rng",
-    "impute_censoring_cutoff",
+    "needs_draw",
     "fit_censoring_model",
-    "sample_censoring_conditional",
     "fit_mono_event_model",
-    "impute_event_time",
     "transform_effect1",
     "transform_effect2",
     "apply_transform",
@@ -113,45 +109,44 @@ class TransformParams:
 
 
 @dataclass(frozen=True)
-class CensoringModel:
-    """Exponential censoring-time distribution (event indicators reversed)."""
+class ExponentialModel:
+    """Exponential time-to-event fit: `n` events over `exposure` months,
+    maximum-likelihood rate n / exposure."""
 
     rate: float
-    n_censorings: int
+    n: int
     exposure: float
 
     def __post_init__(self):
         if not self.rate > 0:
-            raise EstimationError("censoring model needs a positive rate")
+            raise EstimationError("exponential model needs a positive rate")
+
+    def beyond(self, floor: float, rng) -> float:
+        """A time drawn conditioned to lie beyond `floor`: by memorylessness
+        the floor plus a fresh exponential, redrawn while it is zero so the
+        time is strictly beyond the floor."""
+        residual = rng.exponential(1.0 / self.rate)
+        while residual == 0.0:
+            residual = rng.exponential(1.0 / self.rate)
+        return floor + residual
 
 
-@dataclass(frozen=True)
-class MonoEventModel:
-    """Exponential fit to experimental-arm time from mono start to event."""
-
-    rate: float
-    n_events: int
-    exposure: float
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise EstimationError("mono event model needs a positive rate")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImputationDraws:
-    """Per-subject imputed times for one replicate.
+    """One replicate's imputed times, by trial position.
 
-    Effect 1 stores censoring times (for control mono subjects with an
-    event); Effect 2 stores event times (for experimental mono subjects
-    censored during monotherapy).
+    ``values[k]`` is the imputed time of the subject at position
+    ``subjects[k]`` of the trial the draws were made on: a censoring time
+    for effect 1, an event time for effect 2. Only the subjects that
+    `needs_draw` selects have one.
     """
 
     effect: Effect
     replicate_id: int
     seed: int
     method: str
-    values: dict = field(default_factory=dict)
+    subjects: np.ndarray
+    values: np.ndarray
 
 
 def _subject_key(subject_id: str) -> int:
@@ -170,61 +165,55 @@ def keyed_rng(seed: int, replicate_id: int, subject_id: str) -> np.random.Genera
 # Imputation models
 
 
-def impute_censoring_cutoff(record: SubjectRecord) -> float:
-    """Administrative imputation: the unobserved censoring time is the
-    months from randomization to the data-cutoff date."""
-    if record.delta != 1:
-        raise DataError("cutoff imputation applies to subjects with an event")
-    return record.cutoff
+def _targeted(trial: Trial, effect: Effect) -> np.ndarray:
+    """Mask of the subjects the effect's transform acts on: on its target
+    arm and in monotherapy."""
+    return (trial.trt == effect.target_arm.trt) & trial.in_mono
 
 
-def cutoff_censoring_fraction(records) -> float:
+def needs_draw(data, effect: Effect) -> np.ndarray:
+    """Mask of the subjects that get a draw: targeted, and with an event
+    (effect 1: the censoring time is unobserved) or censored (effect 2: the
+    event time is unobserved)."""
+    trial = as_trial(data)
+    status = 1 if effect is Effect.INFLATE_CONTROL else 0
+    return _targeted(trial, effect) & (trial.delta == status)
+
+
+def cutoff_censoring_fraction(data) -> float:
     """Share of censored observations that are censored at the cutoff."""
-    censored = [r for r in records if r.delta == 0]
-    if not censored:
+    trial = as_trial(data)
+    censored = trial.delta == 0
+    if not censored.any():
         return 1.0
-    at_cutoff = sum(1 for r in censored if math.isclose(r.s, r.cutoff, rel_tol=1e-9, abs_tol=1e-9))
-    return at_cutoff / len(censored)
+    at_cutoff = sum(
+        math.isclose(s, cutoff, rel_tol=1e-9, abs_tol=1e-9)
+        for s, cutoff in zip(trial.s[censored].tolist(), trial.cutoff[censored].tolist())
+    )
+    return at_cutoff / int(censored.sum())
 
 
-def fit_censoring_model(records) -> CensoringModel:
+def fit_censoring_model(data) -> ExponentialModel:
     """Fit an exponential censoring distribution by reversing the event
     indicator: the MLE rate is censorings over total exposure."""
-    n_cens = sum(1 for r in records if r.delta == 0)
+    trial = as_trial(data)
+    n_cens = int((trial.delta == 0).sum())
     if n_cens == 0:
         raise EstimationError("no censored observations to fit a censoring model")
-    exposure = float(sum(r.s for r in records))
-    return CensoringModel(n_cens / exposure, n_cens, exposure)
+    # a plain sum in row order: np.sum's pairwise sum rounds differently
+    exposure = float(sum(trial.s.tolist()))
+    return ExponentialModel(n_cens / exposure, n_cens, exposure)
 
 
-def sample_censoring_conditional(model: CensoringModel, floor: float, rng) -> float:
-    """Draw a censoring time conditioned to be at or beyond `floor`; by
-    memorylessness this is the floor plus a fresh exponential."""
-    if floor < 0:
-        raise DataError("conditioning floor must be non-negative")
-    return floor + rng.exponential(1.0 / model.rate)
-
-
-def fit_mono_event_model(records) -> MonoEventModel:
+def fit_mono_event_model(data) -> ExponentialModel:
     """Censoring-aware exponential MLE on experimental mono durations."""
-    subset = [r for r in records if r.arm is Arm.EXPERIMENTAL and r.in_mono]
-    n_events = sum(r.delta for r in subset)
+    trial = as_trial(data)
+    mono = _targeted(trial, Effect.SHRINK_EXPERIMENTAL)
+    n_events = int(trial.delta[mono].sum())
     if n_events == 0:
         raise EstimationError("no monotherapy-phase events on the experimental arm")
-    exposure = float(sum(r.s - r.mono_start for r in subset))
-    return MonoEventModel(n_events / exposure, int(n_events), exposure)
-
-
-def impute_event_time(record: SubjectRecord, model: MonoEventModel, rng) -> float:
-    """Event time for a subject censored during monotherapy: the observed
-    time plus a fresh exponential residual (strictly beyond the observed
-    time, so the identity transform leaves the record unchanged)."""
-    if record.delta != 0:
-        raise DataError("event-time imputation applies to censored subjects")
-    residual = rng.exponential(1.0 / model.rate)
-    while residual == 0.0:
-        residual = rng.exponential(1.0 / model.rate)
-    return record.s + residual
+    exposure = float(sum((trial.s[mono] - trial.mono_start[mono]).tolist()))
+    return ExponentialModel(n_events / exposure, n_events, exposure)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +277,7 @@ def _missing_draw(trial: Trial, missing: np.ndarray, what: str):
 
 
 def apply_transform(data, params: TransformParams, draws: ImputationDraws) -> Trial:
-    """Counterfactual trial under `params`, using per-subject draws.
+    """Counterfactual trial under `params`, using one replicate's draws.
 
     The array form of `transform_effect1` (effect 1) and
     `transform_effect2` (effect 2) over every subject at once; `data` is a
@@ -296,23 +285,22 @@ def apply_transform(data, params: TransformParams, draws: ImputationDraws) -> Tr
     """
     trial = as_trial(data)
     s, delta, x = trial.s, trial.delta, trial.mono_start
-    target = (trial.trt == params.effect.target_arm.trt) & trial.in_mono
-    imputed = trial.imputed(draws)
+    drawn = needs_draw(trial, params.effect)
+    imputed = np.full(len(trial), np.nan)
+    imputed[draws.subjects] = draws.values
+    what = "censoring time" if params.effect is Effect.INFLATE_CONTROL else "event time"
+    _missing_draw(trial, drawn & np.isnan(imputed), what)
     # algebraically x + gamma*(s - x); this form is exact at gamma == 1
     gamma_minus_1 = params.gamma - 1.0
     if params.effect is Effect.INFLATE_CONTROL:
-        moved = target & (delta == 1)
-        _missing_draw(trial, moved & np.isnan(imputed), "censoring time")
         t_prime = s + gamma_minus_1 * (s - x)
         stays = t_prime <= imputed
-        new_s = np.where(moved, np.where(stays, t_prime, imputed), s)
-        new_delta = np.where(moved & ~stays, 0, delta)
+        new_s = np.where(drawn, np.where(stays, t_prime, imputed), s)
+        new_delta = np.where(drawn & ~stays, 0, delta)
     else:
-        events = target & (delta == 1)
-        censored = target & (delta == 0)
-        _missing_draw(trial, censored & np.isnan(imputed), "event time")
+        events = _targeted(trial, params.effect) & (delta == 1)
         t_imputed = imputed + gamma_minus_1 * (imputed - x)
-        uncovered = censored & (t_imputed <= s)
+        uncovered = drawn & (t_imputed <= s)
         new_s = np.where(events, s + gamma_minus_1 * (s - x), np.where(uncovered, t_imputed, s))
         new_delta = np.where(uncovered, 1, delta)
     return trial.with_outcome(new_s, new_delta)
@@ -340,45 +328,36 @@ def naive_transform(records, effect: Effect, gamma: float):
 # Replicate draw generation
 
 
-def make_draws(records, effect: Effect, imputation: str = "auto",
+def make_draws(data, effect: Effect, imputation: str = "auto",
                seed: int = 0, replicate_id: int = 0) -> ImputationDraws:
-    """All imputed times one replicate needs, keyed per subject.
+    """All imputed times one replicate needs, for the subjects `needs_draw`
+    selects, in trial order.
 
-    Effect 1: imputed censoring times for control mono subjects with an
-    event. `imputation` picks the source: "cutoff", "fitted" (exponential
-    censoring model), or "auto", which uses the cutoff when at least half
-    of the censored observations sit on the cutoff date.
+    Effect 1: imputed censoring times. `imputation` picks the source:
+    "cutoff", "fitted" (exponential censoring model), or "auto", which uses
+    the cutoff when at least half of the censored observations sit on the
+    cutoff date.
 
-    Effect 2: imputed event times for experimental subjects censored
-    during monotherapy, from the exponential mono-duration fit.
+    Effect 2: imputed event times, from the exponential mono-duration fit.
     """
     if imputation not in ("auto", "cutoff", "fitted"):
         raise DataError(f"unknown imputation method {imputation!r}")
-
-    # effect 1 draws for the events, effect 2 for the censorings
-    arm, delta = effect.target_arm, 1 if effect is Effect.INFLATE_CONTROL else 0
-    needing = [r for r in records if r.arm is arm and r.delta == delta and r.in_mono]
-    values = {}
+    trial = as_trial(data)
+    subjects = np.flatnonzero(needs_draw(trial, effect))
+    method = "fitted"
     if effect is Effect.INFLATE_CONTROL:
         method = imputation
         if method == "auto":
-            method = "cutoff" if cutoff_censoring_fraction(records) >= 0.5 else "fitted"
-        if method == "cutoff":
-            for r in needing:
-                values[r.subject_id] = impute_censoring_cutoff(r)
-        else:
-            model = fit_censoring_model(records) if needing else None
-            for r in needing:
-                rng = keyed_rng(seed, replicate_id, r.subject_id)
-                values[r.subject_id] = sample_censoring_conditional(model, r.s, rng)
+            method = "cutoff" if cutoff_censoring_fraction(trial) >= 0.5 else "fitted"
+    if method == "cutoff":
+        values = trial.cutoff[subjects]
+    elif not subjects.size:
+        values = np.empty(0)  # nothing to draw, so no model to fit
     else:
-        method = "fitted"
-        model = fit_mono_event_model(records) if needing else None
-        for r in needing:
-            rng = keyed_rng(seed, replicate_id, r.subject_id)
-            values[r.subject_id] = impute_event_time(r, model, rng)
-
-    return ImputationDraws(
-        effect=effect, replicate_id=replicate_id, seed=seed,
-        method=method, values=values,
-    )
+        fit = fit_censoring_model if effect is Effect.INFLATE_CONTROL else fit_mono_event_model
+        model = fit(trial)
+        values = np.array([
+            model.beyond(s, keyed_rng(seed, replicate_id, trial.ids[k]))
+            for k, s in zip(subjects.tolist(), trial.s[subjects].tolist())
+        ])
+    return ImputationDraws(effect, replicate_id, seed, method, subjects, values)

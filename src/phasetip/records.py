@@ -5,11 +5,13 @@ A trial subject is observed once: a possibly censored time-to-event outcome
 together with the time (if any) at which the subject entered the maintenance
 monotherapy phase. `SubjectRecord` holds one validated subject as read from a
 file. The analysis does not loop over records: a `Trial` holds the same
-fields as one array per field, built once from validated records, and every
-counterfactual transform returns a new `Trial`. `CountingProcess` is the
-start-stop expansion that the time-varying Cox model fits, again one array
-per column; it also keeps the risk-set structure of its rows, so the Cox
-fits of one expansion build it once.
+fields as one array per field, built once from validated records. The
+imputation models and draws read its columns, a draw set refers to its
+subjects by position, and every counterfactual transform returns a new
+`Trial`. `CountingProcess` is the start-stop expansion that the
+time-varying Cox model fits, again one array per column; it also keeps the
+risk-set structure of its rows, so the Cox fits of one expansion build it
+once.
 
 Whether a subject spent time in the monotherapy phase is decided only by
 `SubjectRecord.in_mono` and `Trial.in_mono` (the phase starts before the
@@ -124,7 +126,6 @@ class Trial:
     trt: np.ndarray
     cutoff: np.ndarray
     stratum: np.ndarray
-    _aligned: list = field(default_factory=lambda: [None, None], init=False, repr=False)
 
     @classmethod
     def from_records(cls, records) -> "Trial":
@@ -165,19 +166,6 @@ class Trial:
     def with_outcome(self, s: np.ndarray, delta: np.ndarray) -> "Trial":
         """Copy with new (s, delta), extending each cutoff that s moved past."""
         return replace(self, s=s, delta=delta, cutoff=np.maximum(self.cutoff, s))
-
-    def imputed(self, draws) -> np.ndarray:
-        """Each subject's imputed time in `draws`, NaN where it has none.
-
-        The alignment of the last draw set asked for is kept, so a search
-        that evaluates many factors with one draw set aligns it once.
-        """
-        last, aligned = self._aligned
-        if last is not draws:
-            get = draws.values.get
-            aligned = np.array([get(sid, np.nan) for sid in self.ids], dtype=float)
-            self._aligned[:] = [draws, aligned]
-        return aligned
 
 
 def as_trial(data) -> Trial:

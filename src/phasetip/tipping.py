@@ -53,7 +53,7 @@ from .counterfactual import (
     make_draws,
 )
 from .errors import DataError, EstimationError
-from .records import SubjectRecord, as_trial
+from .records import SubjectRecord, Trial, as_trial
 from .survival import cox_fit, logrank_test, to_counting_process
 
 __all__ = [
@@ -388,6 +388,15 @@ def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:
     )
 
 
+def _searchable(records, config: SearchConfig) -> Trial:
+    """`records` as a Trial, refused under rule b when no subject enters
+    monotherapy: there is no monotherapy-phase HR to neutralize."""
+    trial = as_trial(records)
+    if config.threshold is Threshold.NEUTRALIZE and not trial.in_mono.any():
+        raise DataError("no mono phase to neutralize")
+    return trial
+
+
 def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResult:
     """Tipping point of `config.threshold` with multiple imputation.
 
@@ -396,14 +405,11 @@ def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResul
     replicates sharing a draw set share one search result. Every search
     runs on one Trial built from `records`.
     """
-    trial = as_trial(records)
-    if config.threshold is Threshold.NEUTRALIZE and not trial.in_mono.any():
-        raise DataError("no mono phase to neutralize")
+    trial = _searchable(records, config)
     groups = {}
     for r in range(config.mi_replicates):
-        draws = make_draws(records, config.effect, config.imputation, config.seed, r)
-        key = tuple(sorted(draws.values.items()))
-        groups.setdefault(key, (draws, []))[1].append(r)
+        draws = make_draws(trial, config.effect, config.imputation, config.seed, r)
+        groups.setdefault(draws.values.tobytes(), (draws, []))[1].append(r)
 
     outcomes = []
     for draws, members in groups.values():
@@ -417,8 +423,8 @@ def grid_scan(records: list[SubjectRecord], config: SearchConfig,
               gammas) -> list[TpaCurvePoint]:
     """Curve points over an explicit factor grid, using replicate 0 draws
     (deterministic for a given seed)."""
-    draws = make_draws(records, config.effect, config.imputation, config.seed, 0)
-    trial = as_trial(records)
+    trial = _searchable(records, config)
+    draws = make_draws(trial, config.effect, config.imputation, config.seed, 0)
     return [
         evaluate_at(trial, TransformParams(config.effect, float(g)), draws, config.p_source)
         for g in gammas

@@ -22,6 +22,12 @@ def rec(sid, arm, s, delta, cutoff=100.0, mono=None, stratum=None):
     )
 
 
+def draws_by_id(draws, records) -> dict:
+    """A draw set's imputed times keyed by the subject id of each position."""
+    ids = [r.subject_id for r in records]
+    return {ids[k]: v for k, v in zip(draws.subjects.tolist(), draws.values.tolist())}
+
+
 # Times of the generated subjects: a short list, so that tied times, a
 # monotherapy start equal to the follow-up time, subjects without a
 # monotherapy phase and one-arm trials all occur often.

@@ -14,6 +14,7 @@ import sys
 
 import phasetip.cli
 import phasetip.tipping
+from phasetip.counterfactual import Effect, make_draws, needs_draw
 from phasetip.dataio import write_dataset
 from phasetip.simulate import SimConfig, simulate_trial
 
@@ -54,3 +55,12 @@ def test_setup_probe_runs(tmp_path, monkeypatch):
     probe = _load("setup_probe")
     for effect in ("1", "2"):
         assert probe.main(["setup_probe.py", src, str(path), effect, "0", "2"]) == 0
+
+
+def test_imputed_values_count_the_drawn_subjects():
+    # the tracer's counterfactual.imputed_values is len(make_draws(...).values)
+    records = simulate_trial(SimConfig(n_experimental=30, n_control=20), seed=1)
+    for effect in Effect:
+        selected = int(needs_draw(records, effect).sum())
+        assert selected > 0
+        assert len(make_draws(records, effect, "fitted", seed=0).values) == selected

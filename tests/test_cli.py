@@ -324,18 +324,26 @@ class TestGoldenOutputs:
     re-recorded when rule b's tip became the root of hr_mono = 1 in place
     of the first probe within 0.01 of it. All five were re-recorded when
     `math.erfc` replaced `scipy.special` for the p-values: only p cells
-    moved, by at most 1.2e-14 relative (2.5e-15 in `results.csv`)."""
+    moved, by at most 1.2e-14 relative (2.5e-15 in `results.csv`).
+    `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
+    the other effect-1 files (cutoff imputation) never reach."""
 
-    @pytest.mark.parametrize("effect", ["1", "2"])
-    @pytest.mark.parametrize("threshold", ["a", "b"])
-    def test_tpa_results_csv(self, small_dataset, tmp_path, effect, threshold):
+    @pytest.mark.parametrize("golden,flags", [
+        ("tpa_effect1_a", ["--effect", "1", "--threshold", "a"]),
+        ("tpa_effect2_a", ["--effect", "2", "--threshold", "a"]),
+        ("tpa_effect1_b", ["--effect", "1", "--threshold", "b"]),
+        ("tpa_effect2_b", ["--effect", "2", "--threshold", "b"]),
+        ("tpa_effect1_fitted_a",
+         ["--effect", "1", "--threshold", "a", "--imputation", "fitted"]),
+    ], ids=["a-1", "a-2", "b-1", "b-2", "fitted-a-1"])
+    def test_tpa_results_csv(self, small_dataset, tmp_path, golden, flags):
         code = main([
-            "tpa", "--input", small_dataset, "--effect", effect, "--threshold", threshold,
+            "tpa", "--input", small_dataset, *flags,
             "--replicates", "4", "--seed", "7", "--grid-step", "0.1",
             "--out", str(tmp_path),
         ])
         assert code == 0
-        golden = os.path.join(DATA, f"tpa_effect{effect}_{threshold}.csv")
+        golden = os.path.join(DATA, f"{golden}.csv")
         assert (tmp_path / "results.csv").read_bytes() == open(golden, "rb").read()
 
     def test_curve_csv(self, small_dataset, tmp_path):
@@ -500,6 +508,37 @@ class TestCurveCommand:
         assert code == 0
         assert open(os.path.join(out, "curve_1_a.csv")).read() == "gamma,p,hr_overall,hr_mono\n"
         assert not os.path.exists(os.path.join(out, "curve_1_a.svg"))
+
+    def _rewritten(self, tmp_path, change):
+        path = tmp_path / "trial.csv"
+        records = simulate_trial(SMALL_SIM, seed=1)
+        write_dataset([change(r) for r in records], path)
+        return str(path)
+
+    def test_threshold_b_without_monotherapy_is_data_error(self, tmp_path, capsys):
+        path = self._rewritten(tmp_path, lambda r: dataclasses.replace(r, mono_start=None))
+        out = str(tmp_path / "out")
+        for command in ("curve", "tpa"):
+            code = main([command, "--input", path, "--effect", "1", "--threshold", "b",
+                         "--out", out])
+            assert code == 2
+            assert "no mono phase to neutralize" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_threshold_b_without_mono_events_writes_csv_no_svg(self, tmp_path, capsys):
+        # every monotherapy subject censored: no point has a monotherapy HR
+        path = self._rewritten(
+            tmp_path, lambda r: dataclasses.replace(r, delta=0) if r.in_mono else r)
+        out = str(tmp_path / "out")
+        code = main(["curve", "--input", path, "--effect", "1", "--threshold", "b",
+                     "--grid-max", "1.5", "--out", out])
+        assert code == 0
+        assert "no grid point has a monotherapy-phase HR" in capsys.readouterr().out
+        with open(os.path.join(out, "curve_1_b.csv")) as handle:
+            header, *rows = handle.read().splitlines()
+        assert header == "gamma,p,hr_overall,hr_mono"
+        assert len(rows) == 11 and all(row.endswith(",") for row in rows)
+        assert not os.path.exists(os.path.join(out, "curve_1_b.svg"))
 
 
 class TestEmitResults:

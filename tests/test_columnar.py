@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import C, E, rec, trials
+from conftest import C, E, draws_by_id, rec, trials
 from phasetip.counterfactual import (
     Effect,
     ImputationDraws,
@@ -31,12 +31,14 @@ from phasetip.survival import to_counting_process
 def draw_sets(draw, records, effect):
     """Imputed times beyond each subject's observed time, ties included;
     some subjects may have none."""
-    values = {}
-    for r in records:
+    subjects, values = [], []
+    for k, r in enumerate(records):
         if draw(st.integers(0, 3)):  # one subject in four has no draw
-            values[r.subject_id] = r.s + draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.0]))
+            subjects.append(k)
+            values.append(r.s + draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.0])))
     return ImputationDraws(effect=effect, replicate_id=0, seed=0, method="test",
-                           values=values)
+                           subjects=np.array(subjects, dtype=int),
+                           values=np.array(values, dtype=float))
 
 
 GAMMAS = {
@@ -52,8 +54,9 @@ REFERENCE = {Effect.INFLATE_CONTROL: transform_effect1,
 def reference_transform(records, params, draws):
     """The per-record transform, subject by subject; the error text of the
     first subject that cannot be transformed, if any."""
+    by_id = draws_by_id(draws, records)
     try:
-        return [REFERENCE[params.effect](r, params.gamma, draws.values.get(r.subject_id))
+        return [REFERENCE[params.effect](r, params.gamma, by_id.get(r.subject_id))
                 for r in records], None
     except DataError as err:
         return None, str(err)
@@ -128,12 +131,19 @@ def test_expansion_equals_loop(records):
     assert columns_as_rows(to_counting_process(records)) == loop_expansion(records)
 
 
-def test_draws_are_aligned_once_per_draw_set():
-    records = [rec("a", C, 4.0, 1, mono=1.0), rec("b", E, 3.0, 0, mono=2.0)]
+def test_draws_are_read_at_their_trial_positions():
+    # each effect has one subject to draw for, at position 1 of three
+    records = [rec("a", E, 4.0, 1, mono=1.0), rec("b", C, 4.0, 1, mono=1.0),
+               rec("c", C, 3.0, 0, mono=2.0)]
     trial = Trial.from_records(records)
-    first = ImputationDraws(Effect.INFLATE_CONTROL, 0, 0, "test", {"a": 6.0})
-    second = ImputationDraws(Effect.INFLATE_CONTROL, 1, 0, "test", {"a": 5.0})
-    aligned = trial.imputed(first)
-    assert np.array_equal(aligned, [6.0, np.nan], equal_nan=True)
-    assert trial.imputed(first) is aligned
-    assert np.array_equal(trial.imputed(second), [5.0, np.nan], equal_nan=True)
+    params = TransformParams(Effect.INFLATE_CONTROL, 3.0)  # b moves to 10
+    for cens, expected in ((12.0, (10.0, 1)), (8.0, (8.0, 0))):
+        draws = ImputationDraws(Effect.INFLATE_CONTROL, 0, 0, "test",
+                                np.array([1]), np.array([cens]))
+        out = apply_transform(trial, params, draws)
+        assert (out[1].s, out[1].delta) == expected
+        assert list(out)[::2] == records[::2]
+    no_draw = ImputationDraws(Effect.INFLATE_CONTROL, 0, 0, "test",
+                              np.array([0]), np.array([9.0]))
+    with pytest.raises(DataError, match="subject b: missing imputed censoring time"):
+        apply_transform(trial, params, no_draw)

@@ -4,7 +4,7 @@ and the naive variant's event-count invariant."""
 import numpy as np
 import pytest
 
-from conftest import C, E, rec
+from conftest import C, E, draws_by_id, rec
 from phasetip.counterfactual import (
     Effect,
     TransformParams,
@@ -122,7 +122,7 @@ class TestTransformProperties:
         for effect, gammas in ((Effect.INFLATE_CONTROL, [1.0, 1.5, 3.0, 10.0]),
                                (Effect.SHRINK_EXPERIMENTAL, [1.0, 0.5, 0.01])):
             draws = make_draws(records, effect, seed=1)
-            assert not {"c1", "e1"} & set(draws.values)
+            assert not {"c1", "e1"} & set(draws_by_id(draws, records))
             for g in gammas:
                 out = apply_transform(records, TransformParams(effect, g), draws)
                 assert list(out)[-2:] == at_s
@@ -190,13 +190,14 @@ class TestTransformProperties:
             (Effect.SHRINK_EXPERIMENTAL, [0.2, 0.6, 0.95]),
         ):
             draws = make_draws(records, effect, "fitted" if effect is Effect.INFLATE_CONTROL else "auto", seed=6)
+            imputed = draws_by_id(draws, records)
             for g in gammas:
                 out = apply_transform(records, TransformParams(effect, g), draws)
                 for orig, new in zip(records, out):
                     if orig.arm is not effect.target_arm or not orig.in_mono:
                         continue
                     if effect is Effect.INFLATE_CONTROL and orig.delta == 1:
-                        cens = draws.values[orig.subject_id]
+                        cens = imputed[orig.subject_id]
                         if new.delta == 1:
                             assert new.s <= cens
                         else:

@@ -1,33 +1,38 @@
-"""Imputation model fits (hand MLEs), conditional sampling, and RNG keying."""
+"""Imputation model fits (hand MLEs), conditional sampling, draw selection,
+and RNG keying."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import C, E, rec
+from conftest import C, E, draws_by_id, rec
 from phasetip.counterfactual import (
     Effect,
+    ExponentialModel,
     fit_censoring_model,
     fit_mono_event_model,
-    impute_censoring_cutoff,
-    impute_event_time,
     keyed_rng,
     make_draws,
-    sample_censoring_conditional,
+    needs_draw,
 )
-from phasetip.errors import DataError, EstimationError
+from phasetip.errors import EstimationError
+from phasetip.records import Trial
 
 
 class TestCutoffImputation:
     def test_returns_cutoff(self):
-        assert impute_censoring_cutoff(rec("s", C, 10, 1, cutoff=30)) == 30.0
-        assert impute_censoring_cutoff(rec("s", C, 29.9, 1, cutoff=30)) == 30.0
+        records = [rec("s", C, 10, 1, cutoff=30, mono=4.0),
+                   rec("t", C, 29.9, 1, cutoff=30, mono=4.0)]
+        draws = make_draws(records, Effect.INFLATE_CONTROL, "cutoff")
+        assert draws_by_id(draws, records) == {"s": 30.0, "t": 30.0}
 
     def test_requires_event(self):
-        with pytest.raises(DataError, match="event"):
-            impute_censoring_cutoff(rec("s", C, 10, 0, cutoff=30))
+        # a censored subject's censoring time is observed: it gets no draw
+        records = [rec("s", C, 10, 0, cutoff=30, mono=4.0)]
+        assert make_draws(records, Effect.INFLATE_CONTROL, "cutoff").values.size == 0
 
 
 class TestCensoringModel:
@@ -36,7 +41,7 @@ class TestCensoringModel:
         records = [rec("a", C, 2, 0), rec("b", C, 4, 0)]
         model = fit_censoring_model(records)
         assert model.rate == pytest.approx(2 / 6, abs=1e-12)
-        assert model.n_censorings == 2
+        assert model.n == 2
 
     def test_exponential_mle_mixed(self):
         # one censoring over exposure 3 + 3 = 6
@@ -50,10 +55,12 @@ class TestCensoringModel:
 
 
 class TestConditionalSampling:
+    """`ExponentialModel.beyond`, the one conditional sampler of both fits."""
+
     def test_exponential_floor_zero_is_unconditional(self):
         model = fit_censoring_model([rec("a", C, 2, 0), rec("b", C, 4, 0)])
         rng = np.random.default_rng(1)
-        draws = np.array([sample_censoring_conditional(model, 0.0, rng) for _ in range(5000)])
+        draws = np.array([model.beyond(0.0, rng) for _ in range(5000)])
         assert draws.min() >= 0
         assert draws.mean() == pytest.approx(1 / model.rate, rel=0.1)
 
@@ -62,17 +69,28 @@ class TestConditionalSampling:
         model = fit_censoring_model([rec("a", C, 2, 0), rec("b", C, 4, 0)])
         rng = np.random.default_rng(2024)
         floor = 7.5
-        shifted = np.array(
-            [sample_censoring_conditional(model, floor, rng) - floor for _ in range(10_000)]
-        )
+        shifted = np.array([model.beyond(floor, rng) - floor for _ in range(10_000)])
         oracle = np.random.default_rng(77).exponential(1 / model.rate, 10_000)
         stat, p = ks_2samp(shifted, oracle)
         assert p > 0.01
 
-    def test_negative_floor_rejected(self):
-        model = fit_censoring_model([rec("a", C, 2, 0)])
-        with pytest.raises(DataError, match="floor"):
-            sample_censoring_conditional(model, -1.0, np.random.default_rng(0))
+    def test_zero_residual_is_redrawn(self):
+        class Zeros:
+            """A generator whose first two exponentials are exactly zero."""
+
+            def __init__(self):
+                self.draws = [0.0, 0.0, 2.5]
+
+            def exponential(self, scale):
+                return self.draws.pop(0)
+
+        rng = Zeros()
+        assert ExponentialModel(rate=0.5, n=1, exposure=2.0).beyond(7.0, rng) == 9.5
+        assert rng.draws == []
+
+    def test_non_positive_rate_rejected(self):
+        with pytest.raises(EstimationError, match="positive rate"):
+            ExponentialModel(rate=0.0, n=0, exposure=1.0)
 
 
 class TestMonoEventModel:
@@ -84,7 +102,7 @@ class TestMonoEventModel:
         ]
         model = fit_mono_event_model(records)
         assert model.rate == pytest.approx(1 / 6, abs=1e-12)
-        assert model.n_events == 1
+        assert model.n == 1
         assert model.exposure == pytest.approx(6.0)
 
     def test_hand_mle_single_event(self):
@@ -109,33 +127,28 @@ class TestMonoEventModel:
 class TestEventTimeImputation:
     def test_always_beyond_observed_time(self):
         model = fit_mono_event_model([rec("a", E, 5, 1, mono=2.0)])
-        record = rec("b", E, 7, 0, mono=3.0)
         rng = np.random.default_rng(5)
         for _ in range(500):
-            assert impute_event_time(record, model, rng) > 7.0
+            assert model.beyond(7.0, rng) > 7.0
 
     def test_mean_residual_matches_model_rate(self):
         model = fit_mono_event_model([rec("a", E, 5, 1, mono=2.0)])  # rate 1/3
-        record = rec("b", E, 7, 0, mono=3.0)
         rng = np.random.default_rng(6)
         n = 10_000
-        residuals = np.array([impute_event_time(record, model, rng) - 7.0 for _ in range(n)])
+        residuals = np.array([model.beyond(7.0, rng) - 7.0 for _ in range(n)])
         se = (1 / model.rate) / math.sqrt(n)
         assert abs(residuals.mean() - 1 / model.rate) < 3 * se
 
     def test_huge_rate_collapses_to_observed_time(self):
-        from phasetip.counterfactual import MonoEventModel
-
-        model = MonoEventModel(rate=1e6, n_events=1, exposure=1e-6)
-        record = rec("b", E, 7, 0, mono=3.0)
+        model = ExponentialModel(rate=1e6, n=1, exposure=1e-6)
         rng = np.random.default_rng(7)
-        close = sum(impute_event_time(record, model, rng) - 7.0 < 1e-4 for _ in range(1000))
+        close = sum(model.beyond(7.0, rng) - 7.0 < 1e-4 for _ in range(1000))
         assert close > 990
 
     def test_requires_censored_record(self):
-        model = fit_mono_event_model([rec("a", E, 5, 1, mono=2.0)])
-        with pytest.raises(DataError, match="censored"):
-            impute_event_time(rec("b", E, 7, 1, mono=3.0), model, np.random.default_rng(0))
+        # an observed event's time is known: it gets no draw
+        records = [rec("a", E, 5, 1, mono=2.0), rec("b", E, 7, 1, mono=3.0)]
+        assert make_draws(records, Effect.SHRINK_EXPERIMENTAL).values.size == 0
 
 
 class TestRngKeying:
@@ -153,6 +166,20 @@ class TestRngKeying:
         assert np.allclose(keyed_rng(5, 2, "x").uniform(size=4), keyed_rng(5, 2, "x").uniform(size=4))
 
 
+def _varied_dataset(n=80, seed=31):
+    """Both arms, events and censorings in and out of monotherapy, and
+    censoring times both on and before the cutoff."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        s = float(rng.uniform(1, 30))
+        cutoff = s if rng.random() < 0.3 else s + float(rng.uniform(0, 10))
+        mono = float(s * rng.uniform(0.1, 0.9)) if rng.random() < 0.6 else None
+        records.append(rec(f"id{i}", E if rng.random() < 0.5 else C, s,
+                           int(rng.random() < 0.6), cutoff=cutoff, mono=mono))
+    return records
+
+
 class TestMakeDraws:
     def _dataset(self):
         return [
@@ -164,9 +191,9 @@ class TestMakeDraws:
         ]
 
     def test_effect1_cutoff_targets_control_mono_events(self):
-        draws = make_draws(self._dataset(), Effect.INFLATE_CONTROL, "cutoff", seed=1)
-        assert set(draws.values) == {"c_ev"}
-        assert draws.values["c_ev"] == 30.0
+        data = self._dataset()
+        draws = make_draws(data, Effect.INFLATE_CONTROL, "cutoff", seed=1)
+        assert draws_by_id(draws, data) == {"c_ev": 30.0}
         assert draws.method == "cutoff"
 
     def test_effect1_auto_picks_cutoff_when_admin_censoring_dominates(self):
@@ -182,17 +209,48 @@ class TestMakeDraws:
         ]
         draws = make_draws(records, Effect.INFLATE_CONTROL, "auto", seed=1)
         assert draws.method == "fitted"
-        assert draws.values["c_ev"] >= 10.0
+        assert draws_by_id(draws, records)["c_ev"] > 10.0
 
     def test_effect2_targets_experimental_mono_censored(self):
-        draws = make_draws(self._dataset(), Effect.SHRINK_EXPERIMENTAL, seed=1)
-        assert set(draws.values) == {"e_cens"}
-        assert draws.values["e_cens"] > 11.0
+        data = self._dataset()
+        draws = make_draws(data, Effect.SHRINK_EXPERIMENTAL, seed=1)
+        by_id = draws_by_id(draws, data)
+        assert set(by_id) == {"e_cens"}
+        assert by_id["e_cens"] > 11.0
 
     def test_draws_reproducible_and_replicate_dependent(self):
         data = self._dataset()
         a = make_draws(data, Effect.SHRINK_EXPERIMENTAL, seed=42, replicate_id=3)
         b = make_draws(data, Effect.SHRINK_EXPERIMENTAL, seed=42, replicate_id=3)
         c = make_draws(data, Effect.SHRINK_EXPERIMENTAL, seed=42, replicate_id=4)
-        assert a.values == b.values
-        assert a.values != c.values
+        assert np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("effect", list(Effect))
+    def test_exactly_the_subjects_needs_draw_selects(self, effect):
+        records = _varied_dataset()
+        trial = Trial.from_records(records)
+        draws = make_draws(trial, effect, "fitted", seed=2)
+        assert draws.subjects.tolist() == np.flatnonzero(needs_draw(trial, effect)).tolist()
+        assert len(draws.values) == len(draws.subjects) > 0
+        assert (draws.values > trial.s[draws.subjects]).all()
+
+    @pytest.mark.parametrize("effect, imputation", [
+        (Effect.INFLATE_CONTROL, "cutoff"),
+        (Effect.INFLATE_CONTROL, "fitted"),
+        (Effect.SHRINK_EXPERIMENTAL, "fitted"),
+    ])
+    def test_draws_do_not_depend_on_row_order(self, effect, imputation):
+        records = _varied_dataset()
+        shuffled = list(records)
+        random.Random(5).shuffle(shuffled)
+        assert shuffled != records
+        base = draws_by_id(make_draws(records, effect, imputation, 3, 1), records)
+        moved = draws_by_id(make_draws(shuffled, effect, imputation, 3, 1), shuffled)
+        assert base and set(moved) == set(base)
+        for sid, value in base.items():
+            if imputation == "cutoff":
+                assert moved[sid] == value
+            else:
+                # the model's exposure is summed in row order
+                assert moved[sid] == pytest.approx(value, rel=1e-12, abs=0)

@@ -386,8 +386,8 @@ class TestProbePath:
         res = find_tipping(records, config)
         assert all(o.tip is not None and not o.degenerate for o in res.replicates)
         draw_sets = {
-            tuple(sorted(make_draws(records, config.effect, config.imputation,
-                                    config.seed, r).values.items()))
+            make_draws(records, config.effect, config.imputation,
+                       config.seed, r).values.tobytes()
             for r in range(config.mi_replicates)
         }
         # the treatment-only and the three-covariate fit of each reported point
