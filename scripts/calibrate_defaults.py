@@ -19,7 +19,6 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from phasetip.counterfactual import Effect, TransformParams, make_draws  # noqa: E402
-from phasetip.records import Trial  # noqa: E402
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial  # noqa: E402
 from phasetip.survival import cox_fit, logrank_test, phase_hr, to_counting_process  # noqa: E402
 from phasetip.tipping import evaluate_at  # noqa: E402
@@ -33,16 +32,15 @@ def first_crossing(xs, ys, level, rising):
 
 
 def trial_measures(cfg, seed):
-    records = simulate_trial(cfg, seed=seed)
-    trial = Trial.from_records(records)
-    summ = summarize_trial(records)
+    trial = simulate_trial(cfg, seed=seed)
+    summ = summarize_trial(trial)
     res = phase_hr(trial)
     rows = to_counting_process(trial)
     overall = cox_fit(rows, ("trt",)).hr("trt")
     p = logrank_test(trial).p_two_sided
-    mono_events = sum(r.delta for r in records if r.in_mono)
-    censored = [r for r in records if r.delta == 0]
-    at_cutoff = sum(1 for r in censored if abs(r.s - r.cutoff) < 1e-9)
+    mono_events = int(trial.delta[trial.in_mono].sum())
+    censored = trial.delta == 0
+    at_cutoff = int((np.abs(trial.s - trial.cutoff)[censored] < 1e-9).sum())
     return dict(
         median_c=summ.arms[list(summ.arms)[1]].median_pfs,
         median_e=summ.arms[list(summ.arms)[0]].median_pfs,
@@ -53,16 +51,15 @@ def trial_measures(cfg, seed):
         mono_fraction=summ.mono_fraction,
         events=summ.total_events,
         mono_event_share=mono_events / summ.total_events,
-        cutoff_censor_frac=at_cutoff / len(censored) if censored else 1.0,
+        cutoff_censor_frac=at_cutoff / int(censored.sum()) if censored.any() else 1.0,
     )
 
 
 def tipping_measures(cfg, seed):
-    records = simulate_trial(cfg, seed=seed)
-    trial = Trial.from_records(records)
+    trial = simulate_trial(cfg, seed=seed)
     out = {}
 
-    draws1 = make_draws(records, Effect.INFLATE_CONTROL, "auto", seed=seed, replicate_id=0)
+    draws1 = make_draws(trial, Effect.INFLATE_CONTROL, "auto", seed=seed, replicate_id=0)
     gammas = np.round(np.arange(1.0, 4.01, 0.05), 4)
     pts = [evaluate_at(trial, TransformParams(Effect.INFLATE_CONTROL, g), draws1)
            for g in gammas]
@@ -77,7 +74,7 @@ def tipping_measures(cfg, seed):
         i = list(gammas).index(a_tip)
         out["theta_c"] = pts[i].hr_overall
 
-    draws2 = make_draws(records, Effect.SHRINK_EXPERIMENTAL, "auto", seed=seed, replicate_id=0)
+    draws2 = make_draws(trial, Effect.SHRINK_EXPERIMENTAL, "auto", seed=seed, replicate_id=0)
     gammas2 = np.round(np.arange(1.0, 0.29, -0.02), 4)
     pts2 = [evaluate_at(trial, TransformParams(Effect.SHRINK_EXPERIMENTAL, g), draws2)
             for g in gammas2]

@@ -28,7 +28,7 @@ from .errors import (
     PhasetipError,
     SeparationError,
 )
-from .records import Arm, CountingProcess, SubjectRecord, Trial, as_trial
+from .records import Arm, CountingProcess, SubjectRecord, Trial
 from .simulate import SimConfig, simulate_trial, summarize_trial
 from .survival import (
     CoxFit,
@@ -55,7 +55,7 @@ from .tipping import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arm", "SubjectRecord", "Trial", "CountingProcess", "as_trial",
+    "Arm", "SubjectRecord", "Trial", "CountingProcess",
     "PhasetipError", "DataError", "EstimationError", "ConvergenceError",
     "SeparationError",
     "KmCurve", "LogRankResult", "CoxFit", "PhaseHr",

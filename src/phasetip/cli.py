@@ -29,7 +29,7 @@ import numpy as np
 from .counterfactual import Effect, Threshold
 from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
-from .records import Arm, Trial
+from .records import Arm
 from .simulate import SimConfig, simulate_trial, summarize_trial
 from .survival import cox_fit, logrank_test, phase_hr, to_counting_process
 from .svgplot import find_crossings, line_plot
@@ -205,15 +205,15 @@ def _fmt_ci(ci):
 
 def cmd_analyze(args) -> int:
     opt = _Options(args)
-    records = read_dataset(args.input)
-    if not records:
+    trial = read_dataset(args.input)
+    if not trial:
         raise DataError("dataset is empty")
     stratified = opt.get("stratified", _boolean, False)
     ties = opt.get("ties", str, "efron")
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
     lines = []
-    arms = summarize_trial(records).arms
+    arms = summarize_trial(trial).arms
     for arm, label in ((Arm.EXPERIMENTAL, "Experimental"), (Arm.CONTROL, "Control")):
         summary = arms[arm]
         if not summary.n:
@@ -223,7 +223,6 @@ def cmd_analyze(args) -> int:
             f"{label} arm: n={summary.n}, events={summary.events}, "
             f"censored={summary.censored}, median PFS={median} months"
         )
-    trial = Trial.from_records(records)
     lr = logrank_test(trial, stratified=stratified)
     lines.append(f"Log-rank chi2={lr.chi2:.4f}, two-sided p={lr.p_two_sided:.6g}")
     overall = cox_fit(to_counting_process(trial), ("trt",), ties=ties, stratified=stratified)
@@ -283,11 +282,11 @@ def emit_results(results: list[TpaResult], outdir) -> str:
 
 def cmd_tpa(args) -> int:
     opt = _Options(args)
-    records = read_dataset(args.input)
-    if not records:
+    trial = read_dataset(args.input)
+    if not trial:
         raise DataError("dataset is empty")
     config = _search_config(opt)
-    result = find_tipping(records, config)
+    result = find_tipping(trial, config)
     path = emit_results([result], args.out)
     if result.tip is None:
         print(f"no tipping point in range (details in {path})")
@@ -311,11 +310,11 @@ def cmd_tpa(args) -> int:
 def cmd_simulate(args) -> int:
     opt = _Options(args)
     overrides = opt.given(**{flag.replace("-", "_"): cast for flag, cast in SIM_FLAGS.items()})
-    records = simulate_trial(SimConfig(**overrides), seed=opt.seed())
-    write_dataset(records, args.out)
-    summary = summarize_trial(records)
+    trial = simulate_trial(SimConfig(**overrides), seed=opt.seed())
+    write_dataset(trial, args.out)
+    summary = summarize_trial(trial)
     print(
-        f"wrote {len(records)} subjects to {args.out} "
+        f"wrote {len(trial)} subjects to {args.out} "
         f"(events {summary.total_events}, "
         f"monotherapy fraction {summary.mono_fraction:.3f})"
     )
@@ -328,8 +327,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_curve(args) -> int:
     opt = _Options(args)
-    records = read_dataset(args.input)
-    if not records:
+    trial = read_dataset(args.input)
+    if not trial:
         raise DataError("dataset is empty")
     config = SearchConfig(
         seed=opt.seed(),
@@ -352,7 +351,7 @@ def cmd_curve(args) -> int:
             raise DataError(f"grid_min must be a finite positive number, got {lo!r}")
         check_grid_points(1.0 - (lo - 1e-9), step, f"the curve from 1 to grid_min {lo!r}")
         grid = np.arange(1.0, lo - 1e-9, -step)
-    points = [p for p in grid_scan(records, config, grid) if p.evaluable]
+    points = [p for p in grid_scan(trial, config, grid) if p.evaluable]
 
     try:
         os.makedirs(args.out, exist_ok=True)

@@ -29,10 +29,10 @@ the draws by trial position.
 
 `apply_transform` is the transform the analysis runs: it works on a
 `Trial`, one array per field, with both effects written as array
-expressions, and returns a new `Trial`. The per-record `transform_effect1`
-and `transform_effect2` state the same rules one subject at a time; they
-are the reference the array transform is tested against. Every function
-that takes a trial also takes a list of records (see `as_trial`).
+expressions, and returns a new `Trial`; so does `naive_transform`. The
+per-record `transform_effect1` and `transform_effect2` state the same rules
+one subject at a time; they are the reference the array transform is
+tested against.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EstimationError
-from .records import Arm, SubjectRecord, Trial, as_trial
+from .records import Arm, SubjectRecord, Trial
 
 __all__ = [
     "Effect",
@@ -171,18 +171,16 @@ def _targeted(trial: Trial, effect: Effect) -> np.ndarray:
     return (trial.trt == effect.target_arm.trt) & trial.in_mono
 
 
-def needs_draw(data, effect: Effect) -> np.ndarray:
+def needs_draw(trial: Trial, effect: Effect) -> np.ndarray:
     """Mask of the subjects that get a draw: targeted, and with an event
     (effect 1: the censoring time is unobserved) or censored (effect 2: the
     event time is unobserved)."""
-    trial = as_trial(data)
     status = 1 if effect is Effect.INFLATE_CONTROL else 0
     return _targeted(trial, effect) & (trial.delta == status)
 
 
-def cutoff_censoring_fraction(data) -> float:
+def cutoff_censoring_fraction(trial: Trial) -> float:
     """Share of censored observations that are censored at the cutoff."""
-    trial = as_trial(data)
     censored = trial.delta == 0
     if not censored.any():
         return 1.0
@@ -193,10 +191,9 @@ def cutoff_censoring_fraction(data) -> float:
     return at_cutoff / int(censored.sum())
 
 
-def fit_censoring_model(data) -> ExponentialModel:
+def fit_censoring_model(trial: Trial) -> ExponentialModel:
     """Fit an exponential censoring distribution by reversing the event
     indicator: the MLE rate is censorings over total exposure."""
-    trial = as_trial(data)
     n_cens = int((trial.delta == 0).sum())
     if n_cens == 0:
         raise EstimationError("no censored observations to fit a censoring model")
@@ -205,9 +202,8 @@ def fit_censoring_model(data) -> ExponentialModel:
     return ExponentialModel(n_cens / exposure, n_cens, exposure)
 
 
-def fit_mono_event_model(data) -> ExponentialModel:
+def fit_mono_event_model(trial: Trial) -> ExponentialModel:
     """Censoring-aware exponential MLE on experimental mono durations."""
-    trial = as_trial(data)
     mono = _targeted(trial, Effect.SHRINK_EXPERIMENTAL)
     n_events = int(trial.delta[mono].sum())
     if n_events == 0:
@@ -276,14 +272,12 @@ def _missing_draw(trial: Trial, missing: np.ndarray, what: str):
         raise DataError(f"subject {sid}: missing imputed {what}")
 
 
-def apply_transform(data, params: TransformParams, draws: ImputationDraws) -> Trial:
+def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraws) -> Trial:
     """Counterfactual trial under `params`, using one replicate's draws.
 
     The array form of `transform_effect1` (effect 1) and
-    `transform_effect2` (effect 2) over every subject at once; `data` is a
-    Trial or a list of records.
+    `transform_effect2` (effect 2) over every subject at once.
     """
-    trial = as_trial(data)
     s, delta, x = trial.s, trial.delta, trial.mono_start
     drawn = needs_draw(trial, params.effect)
     imputed = np.full(len(trial), np.nan)
@@ -306,29 +300,25 @@ def apply_transform(data, params: TransformParams, draws: ImputationDraws) -> Tr
     return trial.with_outcome(new_s, new_delta)
 
 
-def naive_transform(records, effect: Effect, gamma: float):
-    """Rescale monotherapy durations regardless of event status.
+def naive_transform(trial: Trial, effect: Effect, gamma: float) -> Trial:
+    """Rescale the monotherapy durations of the subjects the effect targets,
+    regardless of event status.
 
     Event indicators never change, so the total number of events is
     preserved by construction; the cutoff is extended when an inflated
     time moves past it.
     """
     _check_factor(effect, gamma)
-    out = []
-    for r in records:
-        if r.arm is not effect.target_arm or not r.in_mono:
-            out.append(r)
-            continue
-        s_new = r.s + (gamma - 1.0) * (r.s - r.mono_start)
-        out.append(r.with_outcome(s_new, r.delta))
-    return out
+    s, x = trial.s, trial.mono_start
+    new_s = np.where(_targeted(trial, effect), s + (gamma - 1.0) * (s - x), s)
+    return trial.with_outcome(new_s, trial.delta)
 
 
 # ---------------------------------------------------------------------------
 # Replicate draw generation
 
 
-def make_draws(data, effect: Effect, imputation: str = "auto",
+def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
                seed: int = 0, replicate_id: int = 0) -> ImputationDraws:
     """All imputed times one replicate needs, for the subjects `needs_draw`
     selects, in trial order.
@@ -342,7 +332,6 @@ def make_draws(data, effect: Effect, imputation: str = "auto",
     """
     if imputation not in ("auto", "cutoff", "fitted"):
         raise DataError(f"unknown imputation method {imputation!r}")
-    trial = as_trial(data)
     subjects = np.flatnonzero(needs_draw(trial, effect))
     method = "fitted"
     if effect is Effect.INFLATE_CONTROL:

@@ -7,9 +7,10 @@ One CSV schema, fixed header:
 `arm` is E or C; an empty `mono_start_months` means the subject never
 entered the monotherapy phase, and one equal to `pfs_months` means it spent
 no time there (see `SubjectRecord.in_mono`); `stratum` is an optional
-whole number. Times are finite decimal months. Reading stops at the first
-invalid row, with a `DataError` naming it. Floats are written with repr so
-that a write followed by a read reproduces the records exactly.
+whole number. Times are finite decimal months. Each row is validated as a
+`SubjectRecord`; reading stops at the first invalid row, with a `DataError`
+naming it, and returns the trial as a `Trial`. Floats are written with repr
+so that a write followed by a read reproduces the trial exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 
 from .errors import DataError
-from .records import Arm, SubjectRecord
+from .records import Arm, SubjectRecord, Trial
 
 __all__ = ["HEADER", "read_dataset", "write_dataset"]
 
@@ -66,7 +67,7 @@ def _parse_row(row, lineno) -> SubjectRecord:
         raise DataError(msg) from None
 
 
-def read_dataset(path) -> list[SubjectRecord]:
+def read_dataset(path) -> Trial:
     """Read and validate a dataset file, stopping at the first bad row.
 
     An empty body with a valid header yields an empty dataset.
@@ -85,10 +86,13 @@ def read_dataset(path) -> list[SubjectRecord]:
             raise DataError(
                 f"header mismatch: expected {','.join(HEADER)!r}, got {','.join(header)!r}"
             )
-        return [_parse_row(row, lineno) for lineno, row in enumerate(reader, start=2) if row]
+        return Trial.from_records(
+            _parse_row(row, lineno) for lineno, row in enumerate(reader, start=2) if row
+        )
 
 
-def write_dataset(records, path) -> None:
+def write_dataset(trial, path) -> None:
+    """Write the subjects of `trial` in the schema, one row each."""
     try:
         handle = open(path, "w", newline="")
     except OSError as err:
@@ -96,7 +100,7 @@ def write_dataset(records, path) -> None:
     with handle:
         writer = csv.writer(handle)
         writer.writerow(HEADER)
-        for r in records:
+        for r in trial:
             writer.writerow([
                 r.subject_id,
                 r.arm.code,

@@ -3,15 +3,15 @@ columnar forms the analysis runs on.
 
 A trial subject is observed once: a possibly censored time-to-event outcome
 together with the time (if any) at which the subject entered the maintenance
-monotherapy phase. `SubjectRecord` holds one validated subject as read from a
-file. The analysis does not loop over records: a `Trial` holds the same
-fields as one array per field, built once from validated records. The
-imputation models and draws read its columns, a draw set refers to its
-subjects by position, and every counterfactual transform returns a new
-`Trial`. `CountingProcess` is the start-stop expansion that the
-time-varying Cox model fits, again one array per column; it also keeps the
-risk-set structure of its rows, so the Cox fits of one expansion build it
-once.
+monotherapy phase. `SubjectRecord` validates one subject: the dataset reader
+and the simulator build one per row and return the whole trial as a `Trial`,
+which holds the same fields as one array per field. Every analysis function
+takes a `Trial`: the imputation models and draws read its columns, a draw
+set refers to its subjects by position, and every counterfactual transform
+returns a new `Trial`. `CountingProcess` is the start-stop expansion that
+the time-varying Cox model fits, again one array per column; it also keeps
+the risk-set structure of its rows, so the Cox fits of one expansion build
+it once.
 
 Whether a subject spent time in the monotherapy phase is decided only by
 `SubjectRecord.in_mono` and `Trial.in_mono` (the phase starts before the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["Arm", "SubjectRecord", "Trial", "CountingProcess", "as_trial"]
+__all__ = ["Arm", "SubjectRecord", "Trial", "CountingProcess"]
 
 
 class Arm(enum.Enum):
@@ -166,11 +166,6 @@ class Trial:
     def with_outcome(self, s: np.ndarray, delta: np.ndarray) -> "Trial":
         """Copy with new (s, delta), extending each cutoff that s moved past."""
         return replace(self, s=s, delta=delta, cutoff=np.maximum(self.cutoff, s))
-
-
-def as_trial(data) -> Trial:
-    """`data` as a Trial: a Trial is returned as is, records are converted."""
-    return data if isinstance(data, Trial) else Trial.from_records(data)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .records import Arm, SubjectRecord
+from .records import Arm, SubjectRecord, Trial
 from .survival import km_estimate
 
 __all__ = ["SimConfig", "ArmSummary", "PhaseCounts", "TrialSummary",
@@ -63,9 +63,10 @@ class SimConfig:
             raise DataError("both arms need at least one subject")
 
 
-def simulate_trial(config: SimConfig, seed: int = 0) -> list[SubjectRecord]:
+def simulate_trial(config: SimConfig, seed: int = 0) -> Trial:
     """Generate one trial. Draws are indexed per subject (row i of the draw
-    matrix belongs to subject i), so generation is order-independent."""
+    matrix belongs to subject i), so generation is order-independent. Each
+    subject is validated as a `SubjectRecord`."""
     n = config.n_experimental + config.n_control
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SIM_STREAM]))
 
@@ -100,7 +101,7 @@ def simulate_trial(config: SimConfig, seed: int = 0) -> list[SubjectRecord]:
         records.append(
             SubjectRecord(sid, arm, s, delta, cutoff=c_admin, mono_start=mono_start)
         )
-    return records
+    return Trial.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -127,36 +128,35 @@ class TrialSummary:
     total_events: int
 
 
-def summarize_trial(records: list[SubjectRecord]) -> TrialSummary:
+def summarize_trial(trial: Trial) -> TrialSummary:
     """Arm-level counts, medians, and on-treatment/on-monotherapy tallies
     at fixed landmark times (1.0 through 3.0 years)."""
     arms = {}
     phase_counts = {}
     for arm in Arm:
-        subset = [r for r in records if r.arm is arm]
-        events = sum(r.delta for r in subset)
-        transitioned = sum(1 for r in subset if r.in_mono)
-        median = km_estimate(subset).median if subset else None
+        on_arm = trial.trt == arm.trt
+        s, mono_start = trial.s[on_arm], trial.mono_start[on_arm]
+        in_mono = trial.in_mono[on_arm]
+        n, events = int(on_arm.sum()), int(trial.delta[on_arm].sum())
         arms[arm] = ArmSummary(
-            n=len(subset),
+            n=n,
             events=events,
-            censored=len(subset) - events,
-            transitioned=transitioned,
-            median_pfs=median,
+            censored=n - events,
+            transitioned=int(in_mono.sum()),
+            median_pfs=km_estimate(trial, arm).median if n else None,
         )
         phase_counts[arm] = [
             PhaseCounts(
                 months=m,
-                on_treatment=sum(1 for r in subset if r.s > m),
-                on_mono=sum(1 for r in subset if r.s > m and r.in_mono and r.mono_start <= m),
+                on_treatment=int((s > m).sum()),
+                on_mono=int(((s > m) & in_mono & (mono_start <= m)).sum()),
             )
             for m in PHASE_COUNT_MONTHS
         ]
-    n_total = len(records)
-    n_mono = sum(1 for r in records if r.in_mono)
+    n_total = len(trial)
     return TrialSummary(
         arms=arms,
         phase_counts=phase_counts,
-        mono_fraction=(n_mono / n_total) if n_total else 0.0,
-        total_events=sum(r.delta for r in records),
+        mono_fraction=int(trial.in_mono.sum()) / n_total if n_total else 0.0,
+        total_events=int(trial.delta.sum()),
     )

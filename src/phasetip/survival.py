@@ -6,10 +6,9 @@ the (optionally stratified) two-group log-rank test, expansion of a
 fitter for start-stop data with the fixed design used by the phase
 analysis: treatment, monotherapy status, and their interaction.
 
-The log-rank test, the expansion and `phase_hr` take a `Trial` (a record
-list is converted once at entry); `cox_fit` and
-`partial_loglik_and_gradient` take a `CountingProcess` (anything else is
-expanded once at entry). Nothing loops over subjects or rows in Python.
+The Kaplan-Meier curve, the log-rank test, the expansion and `phase_hr`
+take a `Trial`; `cox_fit` and `partial_loglik_and_gradient` take a
+`CountingProcess`. Nothing loops over subjects or rows in Python.
 The Cox design takes its covariate columns from the expansion and shares
 the expansion's cached risk-set structure (sort orders, risk-set
 boundaries and tie fractions), so the treatment-only and the
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DataError, EstimationError, SeparationError
-from .records import Arm, CountingProcess, SubjectRecord, as_trial
+from .records import Arm, CountingProcess, Trial
 
 __all__ = [
     "KmCurve",
@@ -73,19 +72,18 @@ class KmCurve:
         return float(self.surv[idx])
 
 
-def km_estimate(records: list[SubjectRecord], arm: Arm | None = None) -> KmCurve:
-    """Kaplan-Meier curve for the given records (optionally one arm).
+def km_estimate(trial: Trial, arm: Arm | None = None) -> KmCurve:
+    """Kaplan-Meier curve of the trial's subjects (optionally one arm).
 
     The median is the earliest time at which the curve drops to 0.5 or
     below; it is None when the curve never reaches 0.5.
     """
+    s, d = trial.s, trial.delta
     if arm is not None:
-        records = [r for r in records if r.arm is arm]
-    if not records:
+        on_arm = trial.trt == arm.trt
+        s, d = s[on_arm], d[on_arm]
+    if not s.size:
         raise DataError("no subjects")
-
-    s = np.array([r.s for r in records], dtype=float)
-    d = np.array([r.delta for r in records], dtype=int)
 
     order = np.argsort(s, kind="stable")
     s, d = s[order], d[order]
@@ -138,14 +136,13 @@ def _stratum_keys(stratum: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(stratum), -1.0, stratum)
 
 
-def logrank_test(data, stratified: bool = False) -> LogRankResult:
+def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
     """Two-group log-rank test comparing arms, optionally summed over strata.
 
     Uses the standard O-E statistic with hypergeometric variance at each
     distinct event time; the two-sided p-value comes from chi-square with
-    one degree of freedom. `data` is a Trial or a list of records.
+    one degree of freedom.
     """
-    trial = as_trial(data)
     if np.unique(trial.trt).size < 2:
         raise DataError("log-rank needs both arms present")
     if trial.delta.sum() == 0:
@@ -202,17 +199,15 @@ def logrank_test(data, stratified: bool = False) -> LogRankResult:
 # Counting-process expansion
 
 
-def to_counting_process(data) -> CountingProcess:
+def to_counting_process(trial: Trial) -> CountingProcess:
     """Expand a trial into (start, stop] rows with a time-varying mono flag.
 
     A subject in the monotherapy phase (`Trial.in_mono`: it entered at
     m < s) contributes two adjacent rows: the combination interval (0, m]
     with no event, and (m, s] carrying the subject's event status. Every
     other subject, including one with m == s, contributes the one row
-    (0, s]. Rows follow the subjects' order. `data` is a Trial or a list of
-    records.
+    (0, s]. Rows follow the subjects' order.
     """
-    trial = as_trial(data)
     x, s = trial.mono_start, trial.s
     late = np.flatnonzero(x > s)
     if late.size:
@@ -237,10 +232,6 @@ def to_counting_process(data) -> CountingProcess:
     )
 
 
-def _as_counting_process(data) -> CountingProcess:
-    return data if isinstance(data, CountingProcess) else to_counting_process(data)
-
-
 # ---------------------------------------------------------------------------
 # Cox proportional hazards on start-stop data
 
@@ -255,9 +246,7 @@ class CoxFit:
     cov: np.ndarray
     loglik: float
     iterations: int
-    converged: bool
     n_events: int
-    ties: str
     gradient_norm: float
 
     def _idx(self, name: str) -> int:
@@ -356,7 +345,6 @@ class _CoxDesign:
         if len(cp) == 0:
             raise DataError("no counting-process rows")
         X = np.column_stack([cp.covariate(c) for c in covariates]).astype(float)
-        self.ties = ties
         self.names = tuple(covariates)
         p = len(covariates)
         self.n, self.p = len(cp), p
@@ -421,15 +409,14 @@ class _CoxDesign:
         return ll, grad, hess
 
 
-def partial_loglik_and_gradient(rows, covariates=("trt",), beta=None, ties="efron",
-                                stratified=False):
+def partial_loglik_and_gradient(rows: CountingProcess, covariates=("trt",), beta=None,
+                                ties="efron", stratified=False):
     """Log partial likelihood and its gradient at an arbitrary beta.
 
     Exposed so tests can check the analytic gradient against finite
-    differences and scan the likelihood directly. `rows` is a
-    CountingProcess, or a Trial or record list to expand.
+    differences and scan the likelihood directly.
     """
-    design = _CoxDesign(_as_counting_process(rows), covariates, ties, stratified)
+    design = _CoxDesign(rows, covariates, ties, stratified)
     if beta is None:
         beta = np.zeros(design.p)
     beta = np.asarray(beta, dtype=float)
@@ -437,7 +424,7 @@ def partial_loglik_and_gradient(rows, covariates=("trt",), beta=None, ties="efro
     return ll, grad
 
 
-def cox_fit(rows, covariates=("trt",), ties="efron", stratified=False,
+def cox_fit(rows: CountingProcess, covariates=("trt",), ties="efron", stratified=False,
             max_iter=_MAX_ITER) -> CoxFit:
     """Maximize the partial likelihood by damped Newton-Raphson.
 
@@ -445,10 +432,9 @@ def cox_fit(rows, covariates=("trt",), ties="efron", stratified=False,
     decrease, and stops when both the likelihood change and the gradient
     norm are below tolerance. Raises SeparationError when a coefficient
     runs away (monotone likelihood) and ConvergenceError, carrying the
-    last iterate, when the iteration cap is reached. `rows` is a
-    CountingProcess, or a Trial or record list to expand.
+    last iterate, when the iteration cap is reached.
     """
-    design = _CoxDesign(_as_counting_process(rows), covariates, ties, stratified)
+    design = _CoxDesign(rows, covariates, ties, stratified)
     beta = np.zeros(design.p)
     ll, grad, hess = design.loglik_grad_hess(beta)
 
@@ -519,9 +505,7 @@ def cox_fit(rows, covariates=("trt",), ties="efron", stratified=False,
         cov=cov,
         loglik=ll,
         iterations=iterations,
-        converged=True,
         n_events=design.n_events,
-        ties=ties,
         gradient_norm=float(np.linalg.norm(grad)),
     )
 
@@ -542,16 +526,16 @@ class PhaseHr:
     flags: list = field(default_factory=list)
 
 
-def phase_hr(data, ties="efron", stratified=False) -> PhaseHr:
+def phase_hr(trial: Trial, ties="efron", stratified=False) -> PhaseHr:
     """Combination-phase and monotherapy-phase hazard ratios with Wald CIs.
 
     Fits treatment, monotherapy status, and their interaction on the
     counting-process expansion. The combination-phase HR is exp(b_trt);
     the monotherapy-phase HR is exp(b_trt + b_interaction). When no subject
     ever transitions, the monotherapy HR is undefined and flagged, and the
-    model reduces to treatment only. `data` is a Trial or a list of records.
+    model reduces to treatment only.
     """
-    rows = to_counting_process(data)
+    rows = to_counting_process(trial)
     if not rows.mono.any():
         fit = cox_fit(rows, covariates=("trt",), ties=ties, stratified=stratified)
         hr_c, ci_c = fit.contrast(("trt",))

@@ -1,8 +1,7 @@
 """Tipping-point search over the adjustment factor.
 
-A search converts the validated records once into a columnar `Trial`.
-Each probe of the search computes only the one number its stop rule
-reads, on the transformed data:
+A search runs on one columnar `Trial`. Each probe of the search computes
+only the one number its stop rule reads, on the transformed data:
 
 * rule a with the log-rank p-value: the transform and the log-rank test;
 * rule a with the Wald p-value: the transform, the counting-process
@@ -18,8 +17,9 @@ grid, which makes the evaluated curves monotone in the adjustment factor
 and the tipping point well defined. One search serves both stop rules: it
 walks the factor away from 1 in fixed steps until the rule's criterion is
 crossed, then bisects the last step down to `bisection_tol`. The walk may
-take at most `MAX_GRID_POINTS` steps to the effect's bound; a config that
-needs more is refused up front. The rules differ only in the criterion:
+take at most `MAX_GRID_POINTS` steps to the effect's bound, and a search
+runs at most `MAX_REPLICATES` replicates; a config that needs more is
+refused up front. The rules differ only in the criterion:
 
 * Stop rule "a" (significance): crossed when the two-sided between-arm
   p-value exceeds the significance level; the tip is the root of
@@ -53,11 +53,12 @@ from .counterfactual import (
     make_draws,
 )
 from .errors import DataError, EstimationError
-from .records import SubjectRecord, Trial, as_trial
+from .records import Trial
 from .survival import cox_fit, logrank_test, to_counting_process
 
 __all__ = [
     "MAX_GRID_POINTS",
+    "MAX_REPLICATES",
     "SearchConfig",
     "TpaCurvePoint",
     "ReplicateOutcome",
@@ -71,6 +72,8 @@ __all__ = [
 # Most factor steps a fixed-step grid may take (the tpa walk to its bound,
 # or the points of a curve). The default effect-1 walk takes 900.
 MAX_GRID_POINTS = 10_000
+# Most imputation replicates one search may run (the default is 20).
+MAX_REPLICATES = 1_000
 
 
 def check_grid_points(span: float, step: float, what: str) -> None:
@@ -120,6 +123,8 @@ class SearchConfig:
             raise DataError("alpha_level must be in (0, 1)")
         if self.mi_replicates < 1:
             raise DataError("need at least one replicate")
+        if self.mi_replicates > MAX_REPLICATES:
+            raise DataError(f"at most {MAX_REPLICATES} replicates, got {self.mi_replicates}")
         if self.p_source not in ("logrank", "wald"):
             raise DataError(f"unknown p_source {self.p_source!r}")
 
@@ -190,7 +195,7 @@ def _attempt(estimate, notes):
         return None
 
 
-def evaluate_at(records, params: TransformParams,
+def evaluate_at(trial: Trial, params: TransformParams,
                 draws: ImputationDraws, p_source: str = "logrank") -> TpaCurvePoint:
     """The full counterfactual evaluation of one factor: transform, then
     p-value, overall HR and monotherapy-phase HR on the transformed data.
@@ -199,9 +204,9 @@ def evaluate_at(records, params: TransformParams,
     for the point a search reports and for every curve point. Each
     estimator that fails leaves its column None and its message in the
     note, instead of aborting; the point is evaluable when both the p-value
-    and the overall HR exist. `records` is a Trial or a list of records.
+    and the overall HR exist.
     """
-    data = apply_transform(records, params, draws)
+    data = apply_transform(trial, params, draws)
     rows = to_counting_process(data)
     notes = []
     trt_fit = _attempt(lambda: cox_fit(rows, ("trt",)), notes)
@@ -388,24 +393,21 @@ def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:
     )
 
 
-def _searchable(records, config: SearchConfig) -> Trial:
-    """`records` as a Trial, refused under rule b when no subject enters
-    monotherapy: there is no monotherapy-phase HR to neutralize."""
-    trial = as_trial(records)
+def _check_searchable(trial: Trial, config: SearchConfig) -> None:
+    """Refuse rule b when no subject enters monotherapy: there is no
+    monotherapy-phase HR to neutralize."""
     if config.threshold is Threshold.NEUTRALIZE and not trial.in_mono.any():
         raise DataError("no mono phase to neutralize")
-    return trial
 
 
-def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResult:
+def find_tipping(trial: Trial, config: SearchConfig) -> TpaResult:
     """Tipping point of `config.threshold` with multiple imputation.
 
     Deterministic imputation (the cutoff method) gives every replicate the
     same draws; duplicating the search would only repeat identical work, so
-    replicates sharing a draw set share one search result. Every search
-    runs on one Trial built from `records`.
+    replicates sharing a draw set share one search result.
     """
-    trial = _searchable(records, config)
+    _check_searchable(trial, config)
     groups = {}
     for r in range(config.mi_replicates):
         draws = make_draws(trial, config.effect, config.imputation, config.seed, r)
@@ -419,11 +421,10 @@ def find_tipping(records: list[SubjectRecord], config: SearchConfig) -> TpaResul
     return mi_aggregate(outcomes, config.effect, config.threshold)
 
 
-def grid_scan(records: list[SubjectRecord], config: SearchConfig,
-              gammas) -> list[TpaCurvePoint]:
+def grid_scan(trial: Trial, config: SearchConfig, gammas) -> list[TpaCurvePoint]:
     """Curve points over an explicit factor grid, using replicate 0 draws
     (deterministic for a given seed)."""
-    trial = _searchable(records, config)
+    _check_searchable(trial, config)
     draws = make_draws(trial, config.effect, config.imputation, config.seed, 0)
     return [
         evaluate_at(trial, TransformParams(config.effect, float(g)), draws, config.p_source)

@@ -28,7 +28,7 @@ from phasetip.counterfactual import (
     transform_effect2,
 )
 from phasetip.dataio import write_dataset
-from phasetip.records import Arm, SubjectRecord
+from phasetip.records import Arm, SubjectRecord, Trial
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial
 from phasetip.survival import (
     cox_fit,
@@ -112,10 +112,10 @@ def test_criterion_2_cox_oracle():
         if abs(beta_oracle) > 4.5 or lls.max() - lls.min() < 1e-6:
             continue  # boundary or flat likelihood: no unique interior maximizer
 
-        records = [
+        records = Trial.from_records(
             rec(i, Arm.EXPERIMENTAL if xi else Arm.CONTROL, t, ev)
             for i, (t, ev, xi) in enumerate(zip(times, events, x))
-        ]
+        )
         rows = to_counting_process(records)
         fit = cox_fit(rows, ("trt",))
         assert fit.coef("trt") == pytest.approx(beta_oracle, abs=1e-4)
@@ -135,10 +135,10 @@ def test_criterion_2_cox_oracle():
 def test_criterion_3_km_logrank_oracles():
     # product-limit on {(1,ev),(2,cens),(3,ev),(5,cens)}:
     #   S(1) = 3/4; S(3) = 3/4 * 1/2 = 3/8
-    curve = km_estimate([
+    curve = km_estimate(Trial.from_records([
         rec(1, Arm.CONTROL, 1, 1), rec(2, Arm.CONTROL, 2, 0),
         rec(3, Arm.CONTROL, 3, 1), rec(4, Arm.CONTROL, 5, 0),
-    ])
+    ]))
     assert curve.surv == pytest.approx([3 / 4, 3 / 8], abs=1e-10)
     # Greenwood at step 2: (3/8)^2 * (1/12 + 1/2)
     assert curve.greenwood_se[1] == pytest.approx(
@@ -147,10 +147,10 @@ def test_criterion_3_km_logrank_oracles():
 
     # log-rank on A:(1,ev),(3,ev) vs B:(2,ev),(4,cens):
     #   O_A = 2, E_A = 4/3, V = 13/18, chi2 = 8/13
-    res = logrank_test([
+    res = logrank_test(Trial.from_records([
         rec("a1", Arm.EXPERIMENTAL, 1, 1), rec("a2", Arm.EXPERIMENTAL, 3, 1),
         rec("b1", Arm.CONTROL, 2, 1), rec("b2", Arm.CONTROL, 4, 0),
-    ])
+    ]))
     assert res.observed[Arm.EXPERIMENTAL] == pytest.approx(2.0, abs=1e-10)
     assert res.expected[Arm.EXPERIMENTAL] == pytest.approx(4 / 3, abs=1e-10)
     assert res.chi2 == pytest.approx(8 / 13, abs=1e-10)
@@ -247,6 +247,7 @@ def test_criterion_7_naive_event_count():
             delta = int(rng.random() < 0.7) if s < cutoff else 0
             mono = float(s * rng.uniform(0.2, 0.95)) if rng.random() < 0.5 else None
             records.append(rec(i, arm, s, delta, cutoff=cutoff, mono=mono))
+        records = Trial.from_records(records)
         if rng.random() < 0.5:
             effect, gamma = Effect.INFLATE_CONTROL, float(rng.uniform(1.0, 8.0))
         else:

@@ -16,6 +16,7 @@ import phasetip.cli
 import phasetip.tipping
 from phasetip.counterfactual import Effect, make_draws, needs_draw
 from phasetip.dataio import write_dataset
+from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
@@ -51,10 +52,23 @@ def test_setup_probe_runs(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the probe prepends its SRC
     path = tmp_path / "trial.csv"
     write_dataset(simulate_trial(SimConfig(n_experimental=30, n_control=20), seed=1), path)
+    # the probe hands what `read_dataset` returns to `make_draws` once per
+    # replicate; that is a Trial, so the read is the only Trial it builds
+    assert isinstance(phasetip.cli.read_dataset(path), Trial)
+    built = []
+    from_records = Trial.from_records.__func__
+
+    def counted(cls, records):
+        built.append(cls)
+        return from_records(cls, records)
+
+    monkeypatch.setattr(Trial, "from_records", classmethod(counted))
     src = os.path.dirname(os.path.dirname(phasetip.cli.__file__))
     probe = _load("setup_probe")
     for effect in ("1", "2"):
+        built.clear()
         assert probe.main(["setup_probe.py", src, str(path), effect, "0", "2"]) == 0
+        assert len(built) == 1
 
 
 def test_imputed_values_count_the_drawn_subjects():

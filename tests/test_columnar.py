@@ -111,7 +111,7 @@ def test_vectorized_transform_equals_per_record_reference(data, records, effect)
        seed=st.integers(0, 3))
 def test_transform_with_made_draws_equals_reference(data, records, effect, seed):
     try:
-        draws = make_draws(records, effect, "auto", seed=seed)
+        draws = make_draws(Trial.from_records(records), effect, "auto", seed=seed)
     except EstimationError:
         return  # no data to fit the imputation model on
     params = TransformParams(effect, data.draw(GAMMAS[effect]))
@@ -128,7 +128,8 @@ def test_expansion_equals_loop(records):
     cp = to_counting_process(trial)
     assert len(cp) == len(loop_expansion(records))
     assert columns_as_rows(cp) == loop_expansion(records)
-    assert columns_as_rows(to_counting_process(records)) == loop_expansion(records)
+    again = to_counting_process(Trial.from_records(records))
+    assert columns_as_rows(again) == loop_expansion(records)
 
 
 def test_draws_are_read_at_their_trial_positions():

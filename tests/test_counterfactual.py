@@ -15,6 +15,7 @@ from phasetip.counterfactual import (
     transform_effect2,
 )
 from phasetip.errors import DataError
+from phasetip.records import Trial
 
 
 class TestEffect1Branches:
@@ -110,7 +111,7 @@ def _random_dataset(rng, n=60):
         delta = int(rng.random() < 0.7) if s < cutoff else 0
         mono = float(s * rng.uniform(0.2, 0.95)) if rng.random() < 0.5 else None
         records.append(rec(i, arm, s, delta, cutoff=cutoff, mono=mono))
-    return records
+    return Trial.from_records(records)
 
 
 class TestTransformProperties:
@@ -118,7 +119,7 @@ class TestTransformProperties:
         # no time in monotherapy: no draw is made, and no transform moves them
         at_s = [rec("c1", C, 5.0, 1, cutoff=40, mono=5.0),
                 rec("e1", E, 6.0, 0, cutoff=40, mono=6.0)]
-        records = _random_dataset(np.random.default_rng(12)) + at_s
+        records = Trial.from_records([*_random_dataset(np.random.default_rng(12)), *at_s])
         for effect, gammas in ((Effect.INFLATE_CONTROL, [1.0, 1.5, 3.0, 10.0]),
                                (Effect.SHRINK_EXPERIMENTAL, [1.0, 0.5, 0.01])):
             draws = make_draws(records, effect, seed=1)
@@ -126,7 +127,7 @@ class TestTransformProperties:
             for g in gammas:
                 out = apply_transform(records, TransformParams(effect, g), draws)
                 assert list(out)[-2:] == at_s
-                assert naive_transform(at_s, effect, g) == at_s
+                assert list(naive_transform(Trial.from_records(at_s), effect, g)) == at_s
         assert transform_effect1(at_s[0], 2.0) is at_s[0]
         assert transform_effect2(at_s[1], 0.5) is at_s[1]
 
@@ -220,7 +221,7 @@ class TestNaiveVariant:
     def test_control_censored_record_rescaled(self):
         # x=6, s=10, gamma=1.5: s' = 6 + 1.5*4 = 12, still censored
         r = rec("s", C, 10, 0, cutoff=11, mono=6.0)
-        out = naive_transform([r], Effect.INFLATE_CONTROL, 1.5)[0]
+        out = naive_transform(Trial.from_records([r]), Effect.INFLATE_CONTROL, 1.5)[0]
         assert (out.s, out.delta) == (12.0, 0)
         assert out.cutoff == 12.0  # extended to keep the record valid
 

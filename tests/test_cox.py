@@ -9,7 +9,7 @@ import pytest
 
 from conftest import C, E, rec
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
-from phasetip.records import CountingProcess
+from phasetip.records import CountingProcess, Trial
 from phasetip.survival import (
     CoxFit,
     cox_fit,
@@ -44,11 +44,11 @@ def efron_loglik_grid(times, events, x, beta_grid):
     return lls
 
 
-def records_from_triplets(times, events, x):
-    return [
+def trial_from_triplets(times, events, x):
+    return Trial.from_records(
         rec(i, E if xi else C, t, int(ev))
         for i, (t, ev, xi) in enumerate(zip(times, events, x))
-    ]
+    )
 
 
 def row(cp, k):
@@ -58,7 +58,7 @@ def row(cp, k):
 
 class TestCountingProcess:
     def test_split_at_transition(self):
-        rows = to_counting_process([rec("s", E, 10, 1, mono=6.0)])
+        rows = to_counting_process(Trial.from_records([rec("s", E, 10, 1, mono=6.0)]))
         assert len(rows) == 2
         assert row(rows, 0) == (0.0, 6.0, 0, 1, 0)
         assert row(rows, 1)[:3] == (6.0, 10.0, 1)
@@ -66,13 +66,13 @@ class TestCountingProcess:
         assert rows.covariate("trt_x_mono")[1] == 1
 
     def test_no_transition_single_row(self):
-        rows = to_counting_process([rec("s", C, 8, 0)])
+        rows = to_counting_process(Trial.from_records([rec("s", C, 8, 0)]))
         assert len(rows) == 1
         assert row(rows, 0)[:3] == (0.0, 8.0, 0)
         assert rows.trt[0] == 0 and rows.mono[0] == 0
 
     def test_zero_length_mono_interval_dropped(self):
-        rows = to_counting_process([rec("s", E, 5, 1, mono=5.0)])
+        rows = to_counting_process(Trial.from_records([rec("s", E, 5, 1, mono=5.0)]))
         assert len(rows) == 1
         assert (rows.start[0], rows.stop[0], rows.event[0], rows.mono[0]) == (0.0, 5.0, 1, 0)
 
@@ -83,7 +83,7 @@ class TestCountingProcess:
             s = float(rng.uniform(1, 20))
             mono = float(rng.uniform(0.1, s)) if rng.random() < 0.5 else None
             records.append(rec(i, E if i % 2 else C, s, int(rng.integers(0, 2)), mono=mono))
-        cp = to_counting_process(records)
+        cp = to_counting_process(Trial.from_records(records))
         # each subject's rows are adjacent and in subject order: a new subject
         # starts at every row whose interval opens at 0
         firsts = np.flatnonzero(cp.start == 0.0)
@@ -101,7 +101,7 @@ class TestCoxOracle:
         outcomes = [(1.0, 1), (2.0, 1), (4.0, 0), (6.0, 1)]
         records = [rec(f"e{i}", E, t, d) for i, (t, d) in enumerate(outcomes)]
         records += [rec(f"c{i}", C, t, d) for i, (t, d) in enumerate(outcomes)]
-        fit = cox_fit(to_counting_process(records))
+        fit = cox_fit(to_counting_process(Trial.from_records(records)))
         assert abs(fit.coef("trt")) <= 1e-8
 
     def test_six_subject_grid_maximizer(self):
@@ -113,7 +113,7 @@ class TestCoxOracle:
         beta_oracle = grid[np.argmax(lls)]
         assert -4.9 < beta_oracle < 4.9, "oracle maximizer must be interior"
 
-        fit = cox_fit(to_counting_process(records_from_triplets(times, events, x)))
+        fit = cox_fit(to_counting_process(trial_from_triplets(times, events, x)))
         assert fit.coef("trt") == pytest.approx(beta_oracle, abs=1e-4)
 
     def test_grid_maximizer_with_ties(self):
@@ -122,14 +122,14 @@ class TestCoxOracle:
         x = [0, 1, 0, 1, 1, 0]
         grid = np.arange(-5.0, 5.0 + 1e-9, 1e-4)
         beta_oracle = grid[np.argmax(efron_loglik_grid(times, events, x, grid))]
-        fit = cox_fit(to_counting_process(records_from_triplets(times, events, x)))
+        fit = cox_fit(to_counting_process(trial_from_triplets(times, events, x)))
         assert fit.coef("trt") == pytest.approx(beta_oracle, abs=1e-4)
 
     def test_loglik_value_matches_oracle_at_arbitrary_beta(self):
         times = [2.0, 3.0, 5.0, 6.0, 8.0, 9.0]
         events = [1, 1, 1, 1, 0, 1]
         x = [0, 1, 0, 1, 0, 1]
-        rows = to_counting_process(records_from_triplets(times, events, x))
+        rows = to_counting_process(trial_from_triplets(times, events, x))
         for b in (-1.3, 0.0, 0.7, 2.1):
             ll, _ = partial_loglik_and_gradient(rows, ("trt",), np.array([b]))
             oracle = efron_loglik_grid(times, events, x, np.array([b]))[0]
@@ -145,7 +145,7 @@ class TestCoxOracle:
         for i in range(n):
             mono = float(times[i] * rng.uniform(0.2, 0.9)) if rng.random() < 0.5 else None
             records.append(rec(i, E if rng.random() < 0.5 else C, times[i], int(events[i]), mono=mono))
-        rows = to_counting_process(records)
+        rows = to_counting_process(Trial.from_records(records))
         covs = ("trt", "mono", "trt_x_mono")
         h = 1e-5
         for beta in (np.zeros(3), np.array([0.3, -0.4, 0.2])):
@@ -168,14 +168,13 @@ class TestCoxProperties:
             records.append(
                 rec(i, E if rng.random() < 0.5 else C, s, int(rng.random() < 0.7), mono=mono)
             )
-        return records
+        return Trial.from_records(records)
 
     def test_gradient_norm_small_and_information_pd_at_optimum(self):
         rng = np.random.default_rng(101)
         records = self._random_records(rng)
         rows = to_counting_process(records)
         fit = cox_fit(rows, ("trt", "mono", "trt_x_mono"))
-        assert fit.converged
         assert fit.gradient_norm < 1e-8
         info = np.linalg.inv(fit.cov)
         assert np.all(np.linalg.eigvalsh(info) > 0)
@@ -205,11 +204,11 @@ class TestCoxProperties:
         records = self._random_records(rng)
         base = cox_fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"))
         for c in (0.5, 4.0):
-            scaled = [
+            scaled = Trial.from_records(
                 rec(r.subject_id, r.arm, c * r.s, r.delta, cutoff=c * r.cutoff,
                     mono=None if r.mono_start is None else c * r.mono_start)
                 for r in records
-            ]
+            )
             fit = cox_fit(to_counting_process(scaled), ("trt", "mono", "trt_x_mono"))
             assert np.allclose(fit.beta, base.beta, atol=1e-7)
 
@@ -225,7 +224,7 @@ class TestCoxProperties:
         times = [1, 1, 1, 2, 2, 3, 3, 4]
         events = [1, 1, 0, 1, 1, 1, 0, 1]
         x = [0, 1, 0, 1, 0, 1, 0, 1]
-        records = records_from_triplets(times, events, x)
+        records = trial_from_triplets(times, events, x)
         rows = to_counting_process(records)
         fe = cox_fit(rows, ("trt",), ties="efron")
         fb = cox_fit(rows, ("trt",), ties="breslow")
@@ -235,7 +234,7 @@ class TestCoxProperties:
         records = [rec(f"c{i}", C, t, 1) for i, t in enumerate([1.0, 2.0, 3.0])]
         records += [rec(f"e{i}", E, t, 1) for i, t in enumerate([11.0, 12.0, 13.0])]
         with pytest.raises(SeparationError, match="separation"):
-            cox_fit(to_counting_process(records))
+            cox_fit(to_counting_process(Trial.from_records(records)))
 
     def test_non_convergence_carries_last_iterate(self):
         rng = np.random.default_rng(31)
@@ -246,7 +245,7 @@ class TestCoxProperties:
         assert err.value.iterations == 1
 
     def test_no_events_error(self):
-        records = [rec("e", E, 1, 0), rec("c", C, 2, 0)]
+        records = Trial.from_records([rec("e", E, 1, 0), rec("c", C, 2, 0)])
         with pytest.raises(EstimationError, match="no events"):
             cox_fit(to_counting_process(records))
 
@@ -255,7 +254,7 @@ class TestCoxProperties:
         records = [rec(f"e{i}", E, t, 1, mono=0.01) for i, t in enumerate([2.0, 4.0, 6.0])]
         records += [rec(f"c{i}", C, t, 1) for i, t in enumerate([3.0, 5.0, 7.0])]
         with pytest.raises(EstimationError, match="collinear"):
-            cox_fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"))
+            cox_fit(to_counting_process(Trial.from_records(records)), ("trt", "mono", "trt_x_mono"))
 
     def test_indefinite_information_at_optimum_is_an_error(self):
         # per-stratum risk sets this small leave the Newton end point at a
@@ -268,15 +267,16 @@ class TestCoxProperties:
             ("s6", C, 2.0, 0, 0.5, 0), ("s7", E, 4.0, 0, 2.0, None),
             ("s8", E, 4.0, 1, 1.0, 1), ("s9", C, 2.0, 1, 1.0, 1),
         ]
-        records = [rec(sid, arm, s, d, mono=m, stratum=st)
-                   for sid, arm, s, d, m, st in outcomes]
+        records = Trial.from_records(rec(sid, arm, s, d, mono=m, stratum=st)
+                                     for sid, arm, s, d, m, st in outcomes)
         with pytest.raises(EstimationError, match="not positive definite"):
             cox_fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"),
                     stratified=True)
 
     def test_unknown_covariate_rejected(self):
         with pytest.raises(DataError, match="covariate"):
-            cox_fit(to_counting_process([rec("e", E, 1, 1), rec("c", C, 2, 1)]), ("age",))
+            records = Trial.from_records([rec("e", E, 1, 1), rec("c", C, 2, 1)])
+            cox_fit(to_counting_process(records), ("age",))
 
     def test_stratified_fit_with_scaled_copy_stratum(self):
         # stratum 1 is stratum 0 with all times tripled: per-stratum partial
@@ -289,6 +289,7 @@ class TestCoxProperties:
             rec(r.subject_id + "x", r.arm, 3 * r.s, r.delta, cutoff=3 * r.cutoff, stratum=1)
             for r in base
         ]
+        records = Trial.from_records(records)
         single = cox_fit(to_counting_process(base), ("trt",))
         strat = cox_fit(to_counting_process(records), ("trt",), stratified=True)
         assert strat.coef("trt") == pytest.approx(single.coef("trt"), abs=1e-9)
@@ -303,7 +304,7 @@ class TestPhaseHr:
         outcomes = [(2.0, 1, 1.0), (4.0, 1, None), (6.0, 0, 3.0), (8.0, 1, 5.0)]
         records = [rec(f"e{i}", E, t, d, mono=m) for i, (t, d, m) in enumerate(outcomes)]
         records += [rec(f"c{i}", C, t, d, mono=m) for i, (t, d, m) in enumerate(outcomes)]
-        res = phase_hr(records)
+        res = phase_hr(Trial.from_records(records))
         assert res.hr_combo == pytest.approx(1.0, abs=1e-6)
         assert res.hr_mono == pytest.approx(1.0, abs=1e-6)
         assert res.ci_combo[0] < 1.0 < res.ci_combo[1]
@@ -311,10 +312,10 @@ class TestPhaseHr:
 
     def test_no_mono_transitions_flagged(self):
         rng = np.random.default_rng(19)
-        records = [
+        records = Trial.from_records(
             rec(i, E if i % 2 else C, float(rng.exponential(8) + 0.2), int(rng.random() < 0.8))
             for i in range(40)
-        ]
+        )
         res = phase_hr(records)
         assert res.hr_mono is None
         assert res.flags == ["no monotherapy phase observed"]
@@ -329,8 +330,8 @@ class TestTailsAgainstScipy:
     @staticmethod
     def _fit(beta, var=1.0):
         return CoxFit(names=("trt",), beta=np.array([beta]), se=np.array([np.sqrt(var)]),
-                      cov=np.array([[var]]), loglik=0.0, iterations=0, converged=True,
-                      n_events=1, ties="efron", gradient_norm=0.0)
+                      cov=np.array([[var]]), loglik=0.0, iterations=0, n_events=1,
+                      gradient_norm=0.0)
 
     @staticmethod
     def _close(p, oracle):
@@ -355,18 +356,18 @@ class TestTailsAgainstScipy:
             experimental = rng.exponential(ratio, 100)
             records = [rec(f"c{i}", C, t, 1) for i, t in enumerate(control)]
             records += [rec(f"e{i}", E, t, 1) for i, t in enumerate(experimental)]
-            res = logrank_test(records)
+            res = logrank_test(Trial.from_records(records))
             assert self._close(res.p_two_sided, chdtrc(1, res.chi2)), res.chi2
             chi2s.append(res.chi2)
         assert min(chi2s) < 1.0 and max(chi2s) > 50.0   # p from near 1 to below 1e-12
 
-        tied = [rec("c", C, 1.0, 1), rec("e", E, 1.0, 1)]
+        tied = Trial.from_records([rec("c", C, 1.0, 1), rec("e", E, 1.0, 1)])
         assert logrank_test(tied).p_two_sided == 1.0 == chdtrc(1, 0.0)
         # complete separation, 700 a side: chi2 near 1700, both tails underflow
         n = 700
         separated = [rec(f"c{i}", C, 1 + i, 1, cutoff=3 * n) for i in range(n)]
         separated += [rec(f"e{i}", E, n + 1 + i, 1, cutoff=3 * n) for i in range(n)]
-        res = logrank_test(separated)
+        res = logrank_test(Trial.from_records(separated))
         assert res.p_two_sided == 0.0 == chdtrc(1, res.chi2)
 
     def test_wald_interval_uses_the_normal_975_quantile(self):

@@ -42,7 +42,7 @@ class TestReadDataset:
     def test_empty_body_valid_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(",".join(HEADER) + "\n")
-        assert read_dataset(path) == []
+        assert list(read_dataset(path)) == []
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -105,11 +105,11 @@ class TestRoundTrip:
         ]
         path = tmp_path / "rt.csv"
         write_dataset(records, path)
-        assert read_dataset(path) == records
+        assert list(read_dataset(path)) == records
 
     def test_simulated_trial_round_trips_exactly(self, tmp_path):
         records = simulate_trial(SimConfig(n_experimental=120, n_control=80), seed=5)
         path = tmp_path / "sim.csv"
         write_dataset(records, path)
         back = read_dataset(path)
-        assert back == records  # float repr preserves every bit
+        assert list(back) == list(records)  # float repr preserves every bit

@@ -24,41 +24,41 @@ from phasetip.records import Trial
 
 class TestCutoffImputation:
     def test_returns_cutoff(self):
-        records = [rec("s", C, 10, 1, cutoff=30, mono=4.0),
-                   rec("t", C, 29.9, 1, cutoff=30, mono=4.0)]
+        records = Trial.from_records([rec("s", C, 10, 1, cutoff=30, mono=4.0),
+                                      rec("t", C, 29.9, 1, cutoff=30, mono=4.0)])
         draws = make_draws(records, Effect.INFLATE_CONTROL, "cutoff")
         assert draws_by_id(draws, records) == {"s": 30.0, "t": 30.0}
 
     def test_requires_event(self):
         # a censored subject's censoring time is observed: it gets no draw
-        records = [rec("s", C, 10, 0, cutoff=30, mono=4.0)]
+        records = Trial.from_records([rec("s", C, 10, 0, cutoff=30, mono=4.0)])
         assert make_draws(records, Effect.INFLATE_CONTROL, "cutoff").values.size == 0
 
 
 class TestCensoringModel:
     def test_exponential_mle_two_censorings(self):
         # censorings as events: 2 events over exposure 2 + 4 = 6
-        records = [rec("a", C, 2, 0), rec("b", C, 4, 0)]
+        records = Trial.from_records([rec("a", C, 2, 0), rec("b", C, 4, 0)])
         model = fit_censoring_model(records)
         assert model.rate == pytest.approx(2 / 6, abs=1e-12)
         assert model.n == 2
 
     def test_exponential_mle_mixed(self):
         # one censoring over exposure 3 + 3 = 6
-        records = [rec("a", C, 3, 0), rec("b", C, 3, 1)]
+        records = Trial.from_records([rec("a", C, 3, 0), rec("b", C, 3, 1)])
         model = fit_censoring_model(records)
         assert model.rate == pytest.approx(1 / 6, abs=1e-12)
 
     def test_all_events_error(self):
         with pytest.raises(EstimationError, match="censored"):
-            fit_censoring_model([rec("a", C, 3, 1), rec("b", C, 5, 1)])
+            fit_censoring_model(Trial.from_records([rec("a", C, 3, 1), rec("b", C, 5, 1)]))
 
 
 class TestConditionalSampling:
     """`ExponentialModel.beyond`, the one conditional sampler of both fits."""
 
     def test_exponential_floor_zero_is_unconditional(self):
-        model = fit_censoring_model([rec("a", C, 2, 0), rec("b", C, 4, 0)])
+        model = fit_censoring_model(Trial.from_records([rec("a", C, 2, 0), rec("b", C, 4, 0)]))
         rng = np.random.default_rng(1)
         draws = np.array([model.beyond(0.0, rng) for _ in range(5000)])
         assert draws.min() >= 0
@@ -66,7 +66,7 @@ class TestConditionalSampling:
 
     def test_memorylessness_against_oracle_samples(self):
         # (draw - floor) must be exponential(rate), same as unconditional draws
-        model = fit_censoring_model([rec("a", C, 2, 0), rec("b", C, 4, 0)])
+        model = fit_censoring_model(Trial.from_records([rec("a", C, 2, 0), rec("b", C, 4, 0)]))
         rng = np.random.default_rng(2024)
         floor = 7.5
         shifted = np.array([model.beyond(floor, rng) - floor for _ in range(10_000)])
@@ -96,10 +96,10 @@ class TestConditionalSampling:
 class TestMonoEventModel:
     def test_hand_mle_mixed(self):
         # durations 3 (event) and 3 (censored): rate = 1/6
-        records = [
+        records = Trial.from_records([
             rec("a", E, 5, 1, mono=2.0),
             rec("b", E, 4, 0, mono=1.0),
-        ]
+        ])
         model = fit_mono_event_model(records)
         assert model.rate == pytest.approx(1 / 6, abs=1e-12)
         assert model.n == 1
@@ -107,32 +107,32 @@ class TestMonoEventModel:
 
     def test_hand_mle_single_event(self):
         # duration 2, one event: rate = 0.5
-        model = fit_mono_event_model([rec("a", E, 3, 1, mono=1.0)])
+        model = fit_mono_event_model(Trial.from_records([rec("a", E, 3, 1, mono=1.0)]))
         assert model.rate == pytest.approx(0.5, abs=1e-12)
 
     def test_control_and_non_mono_ignored(self):
-        records = [
+        records = Trial.from_records([
             rec("a", E, 5, 1, mono=2.0),
             rec("c", C, 4, 1, mono=1.0),   # wrong arm
             rec("d", E, 6, 1),             # never transitioned
-        ]
+        ])
         model = fit_mono_event_model(records)
         assert model.exposure == pytest.approx(3.0)
 
     def test_all_censored_error(self):
         with pytest.raises(EstimationError, match="events"):
-            fit_mono_event_model([rec("a", E, 5, 0, mono=2.0)])
+            fit_mono_event_model(Trial.from_records([rec("a", E, 5, 0, mono=2.0)]))
 
 
 class TestEventTimeImputation:
     def test_always_beyond_observed_time(self):
-        model = fit_mono_event_model([rec("a", E, 5, 1, mono=2.0)])
+        model = fit_mono_event_model(Trial.from_records([rec("a", E, 5, 1, mono=2.0)]))
         rng = np.random.default_rng(5)
         for _ in range(500):
             assert model.beyond(7.0, rng) > 7.0
 
     def test_mean_residual_matches_model_rate(self):
-        model = fit_mono_event_model([rec("a", E, 5, 1, mono=2.0)])  # rate 1/3
+        model = fit_mono_event_model(Trial.from_records([rec("a", E, 5, 1, mono=2.0)]))  # rate 1/3
         rng = np.random.default_rng(6)
         n = 10_000
         residuals = np.array([model.beyond(7.0, rng) - 7.0 for _ in range(n)])
@@ -147,7 +147,8 @@ class TestEventTimeImputation:
 
     def test_requires_censored_record(self):
         # an observed event's time is known: it gets no draw
-        records = [rec("a", E, 5, 1, mono=2.0), rec("b", E, 7, 1, mono=3.0)]
+        records = Trial.from_records([rec("a", E, 5, 1, mono=2.0),
+                                      rec("b", E, 7, 1, mono=3.0)])
         assert make_draws(records, Effect.SHRINK_EXPERIMENTAL).values.size == 0
 
 
@@ -182,13 +183,13 @@ def _varied_dataset(n=80, seed=31):
 
 class TestMakeDraws:
     def _dataset(self):
-        return [
+        return Trial.from_records([
             rec("c_ev", C, 10, 1, cutoff=30, mono=6.0),
             rec("c_cens", C, 12, 0, cutoff=12, mono=5.0),
             rec("c_plain", C, 8, 1, cutoff=30),
             rec("e_ev", E, 9, 1, cutoff=30, mono=4.0),
             rec("e_cens", E, 11, 0, cutoff=11, mono=4.0),
-        ]
+        ])
 
     def test_effect1_cutoff_targets_control_mono_events(self):
         data = self._dataset()
@@ -201,12 +202,12 @@ class TestMakeDraws:
         assert draws.method == "cutoff"  # both censored rows sit on the cutoff
 
     def test_effect1_auto_picks_fitted_otherwise(self):
-        records = [
+        records = Trial.from_records([
             rec("c_ev", C, 10, 1, cutoff=30, mono=6.0),
             rec("c1", C, 12, 0, cutoff=40),
             rec("c2", E, 9, 0, cutoff=40),
             rec("c3", E, 11, 0, cutoff=11),
-        ]
+        ])
         draws = make_draws(records, Effect.INFLATE_CONTROL, "auto", seed=1)
         assert draws.method == "fitted"
         assert draws_by_id(draws, records)["c_ev"] > 10.0
@@ -245,8 +246,10 @@ class TestMakeDraws:
         shuffled = list(records)
         random.Random(5).shuffle(shuffled)
         assert shuffled != records
-        base = draws_by_id(make_draws(records, effect, imputation, 3, 1), records)
-        moved = draws_by_id(make_draws(shuffled, effect, imputation, 3, 1), shuffled)
+        base = draws_by_id(make_draws(Trial.from_records(records), effect, imputation, 3, 1),
+                           records)
+        moved = draws_by_id(make_draws(Trial.from_records(shuffled), effect, imputation, 3, 1),
+                            shuffled)
         assert base and set(moved) == set(base)
         for sid, value in base.items():
             if imputation == "cutoff":

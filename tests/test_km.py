@@ -5,6 +5,7 @@ import pytest
 
 from conftest import C, E, rec
 from phasetip.errors import DataError
+from phasetip.records import Trial
 from phasetip.survival import km_estimate
 
 
@@ -23,7 +24,7 @@ def km_oracle(times, deltas):
 class TestKmHandExamples:
     def test_no_events_curve_stays_at_one(self):
         records = [rec(i, E, t, 0) for i, t in enumerate([1.0, 2.0, 3.0])]
-        curve = km_estimate(records)
+        curve = km_estimate(Trial.from_records(records))
         assert curve.times.size == 0
         assert curve.median is None
         assert curve.survival_at(2.5) == 1.0
@@ -32,13 +33,13 @@ class TestKmHandExamples:
         # (1, event), (2, censored), (3, event):
         #   S(1) = 1 - 1/3 = 2/3;  S(3) = 2/3 * (1 - 1/1) = 0
         records = [rec(1, E, 1, 1), rec(2, E, 2, 0), rec(3, E, 3, 1)]
-        curve = km_estimate(records)
+        curve = km_estimate(Trial.from_records(records))
         assert list(curve.times) == [1.0, 3.0]
         assert curve.surv == pytest.approx([2 / 3, 0.0], abs=1e-15)
         assert curve.median == 3.0
 
     def test_single_event(self):
-        curve = km_estimate([rec(1, C, 5, 1)])
+        curve = km_estimate(Trial.from_records([rec(1, C, 5, 1)]))
         assert list(curve.times) == [5.0]
         assert curve.surv == pytest.approx([0.0])
         assert curve.median == 5.0
@@ -50,7 +51,7 @@ class TestKmHandExamples:
             rec(1, E, 1, 1), rec(2, E, 2, 0), rec(3, E, 3, 1),
             rec(4, E, 4, 0), rec(5, E, 5, 1), rec(6, E, 6, 1),
         ]
-        curve = km_estimate(records)
+        curve = km_estimate(Trial.from_records(records))
         assert curve.surv[0] == pytest.approx(5 / 6, abs=1e-15)
         assert curve.greenwood_se[0] == pytest.approx(np.sqrt((5 / 6) ** 2 / 30), abs=1e-12)
         # S hits 0 at the last event; SE pinned to 0 there
@@ -59,13 +60,13 @@ class TestKmHandExamples:
 
     def test_arm_filter(self):
         records = [rec(1, E, 1, 1), rec(2, C, 2, 1)]
-        curve = km_estimate(records, arm=C)
+        curve = km_estimate(Trial.from_records(records), arm=C)
         assert curve.n_subjects == 1
         assert list(curve.times) == [2.0]
 
     def test_empty_after_filter(self):
         with pytest.raises(DataError, match="no subjects"):
-            km_estimate([rec(1, E, 1, 1)], arm=C)
+            km_estimate(Trial.from_records([rec(1, E, 1, 1)]), arm=C)
 
 
 class TestKmOracleEquivalence:
@@ -78,7 +79,7 @@ class TestKmOracleEquivalence:
             if deltas.sum() == 0:
                 deltas[0] = 1
             records = [rec(i, E, t, d) for i, (t, d) in enumerate(zip(times, deltas))]
-            curve = km_estimate(records)
+            curve = km_estimate(Trial.from_records(records))
             expected = km_oracle(list(times), list(deltas))
             assert len(expected) == curve.times.size
             for t, s in zip(curve.times, curve.surv):
@@ -89,13 +90,15 @@ class TestKmOracleEquivalence:
         times = rng.exponential(5, 200)
         deltas = rng.integers(0, 2, 200)
         deltas[0] = 1
-        curve = km_estimate([rec(i, C, t + 0.01, d) for i, (t, d) in enumerate(zip(times, deltas))])
+        curve = km_estimate(Trial.from_records(
+            rec(i, C, t + 0.01, d) for i, (t, d) in enumerate(zip(times, deltas))
+        ))
         assert np.all(np.diff(curve.surv) <= 1e-15)
         assert np.all((curve.surv >= 0) & (curve.surv <= 1))
 
     def test_median_flat_at_half_uses_earliest_time(self):
         # 4 subjects, 2 events at t=2 bring S exactly to 0.5: median = 2
         records = [rec(1, E, 2, 1), rec(2, E, 2, 1), rec(3, E, 5, 0), rec(4, E, 6, 0)]
-        curve = km_estimate(records)
+        curve = km_estimate(Trial.from_records(records))
         assert curve.surv[0] == pytest.approx(0.5)
         assert curve.median == 2.0

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import C, E, rec
 from phasetip.errors import DataError, EstimationError
-from phasetip.records import Arm
+from phasetip.records import Arm, Trial
 from phasetip.survival import logrank_test
 
 
@@ -14,7 +14,7 @@ class TestLogRankHandExamples:
         outcomes = [(1.0, 1), (2.0, 0), (3.0, 1), (7.0, 1)]
         records = [rec(f"e{i}", E, t, d) for i, (t, d) in enumerate(outcomes)]
         records += [rec(f"c{i}", C, t, d) for i, (t, d) in enumerate(outcomes)]
-        res = logrank_test(records)
+        res = logrank_test(Trial.from_records(records))
         assert res.chi2 == pytest.approx(0.0, abs=1e-12)
         assert res.p_two_sided == 1.0
         assert res.observed[Arm.EXPERIMENTAL] == pytest.approx(res.expected[Arm.EXPERIMENTAL])
@@ -29,7 +29,7 @@ class TestLogRankHandExamples:
             rec("a1", E, 1, 1), rec("a2", E, 3, 1),
             rec("b1", C, 2, 1), rec("b2", C, 4, 0),
         ]
-        res = logrank_test(records)
+        res = logrank_test(Trial.from_records(records))
         assert res.observed[Arm.EXPERIMENTAL] == pytest.approx(2.0, abs=1e-10)
         assert res.expected[Arm.EXPERIMENTAL] == pytest.approx(4 / 3, abs=1e-10)
         assert res.chi2 == pytest.approx(8 / 13, abs=1e-10)
@@ -45,17 +45,17 @@ class TestLogRankHandExamples:
                 rec(f"c{st}a", C, 1 * scale, 1, stratum=st),
                 rec(f"c{st}b", C, 3 * scale, 0, stratum=st),
             ]
-        res = logrank_test(records, stratified=True)
+        res = logrank_test(Trial.from_records(records), stratified=True)
         assert res.chi2 == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_events_error(self):
         records = [rec("e", E, 1, 0), rec("c", C, 2, 0)]
         with pytest.raises(EstimationError, match="event"):
-            logrank_test(records)
+            logrank_test(Trial.from_records(records))
 
     def test_single_group_error(self):
         with pytest.raises(DataError, match="both arms"):
-            logrank_test([rec("e1", E, 1, 1), rec("e2", E, 2, 1)])
+            logrank_test(Trial.from_records([rec("e1", E, 1, 1), rec("e2", E, 2, 1)]))
 
 
 class TestLogRankInvariances:
@@ -74,8 +74,8 @@ class TestLogRankInvariances:
         relabeled = [
             rec(f"x{i}", r.arm, r.s, r.delta) for i, r in enumerate(reversed(records))
         ]
-        assert logrank_test(records).chi2 == pytest.approx(
-            logrank_test(relabeled).chi2, abs=1e-12
+        assert logrank_test(Trial.from_records(records)).chi2 == pytest.approx(
+            logrank_test(Trial.from_records(relabeled)).chi2, abs=1e-12
         )
 
     def test_invariant_under_time_rescaling(self):
@@ -86,6 +86,6 @@ class TestLogRankInvariances:
                 rec(r.subject_id, r.arm, c * r.s, r.delta, cutoff=c * r.cutoff)
                 for r in records
             ]
-            assert logrank_test(scaled).chi2 == pytest.approx(
-                logrank_test(records).chi2, abs=1e-10
+            assert logrank_test(Trial.from_records(scaled)).chi2 == pytest.approx(
+                logrank_test(Trial.from_records(records)).chi2, abs=1e-10
             )

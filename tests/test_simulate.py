@@ -8,7 +8,7 @@ import pytest
 
 from conftest import C, E, rec
 from phasetip.errors import DataError
-from phasetip.records import Arm
+from phasetip.records import Arm, Trial
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial
 from phasetip.survival import cox_fit, phase_hr, to_counting_process
 
@@ -61,9 +61,9 @@ class TestRecordValidity:
     def test_reproducible_given_seed(self):
         a = simulate_trial(SimConfig(), seed=42)
         b = simulate_trial(SimConfig(), seed=42)
-        assert a == b
+        assert list(a) == list(b)
         c = simulate_trial(SimConfig(), seed=43)
-        assert a != c
+        assert list(a) != list(c)
 
 
 class TestCalibrationTargets:
@@ -124,7 +124,7 @@ class TestCensoringStructure:
 
 class TestSummarizeTrial:
     def test_empty_input_zero_table(self):
-        summ = summarize_trial([])
+        summ = summarize_trial(Trial.from_records([]))
         for arm in Arm:
             assert summ.arms[arm].n == 0
             assert summ.arms[arm].median_pfs is None
@@ -138,7 +138,7 @@ class TestSummarizeTrial:
             rec("c1", C, 6.0, 1),
             rec("c2", C, 25.0, 1, mono=24.0),
         ]
-        summ = summarize_trial(records)
+        summ = summarize_trial(Trial.from_records(records))
         e = summ.arms[Arm.EXPERIMENTAL]
         c = summ.arms[Arm.CONTROL]
         assert (e.n, e.events, e.censored, e.transitioned) == (2, 1, 1, 2)

@@ -8,10 +8,12 @@ import phasetip.tipping
 from conftest import C, E, rec
 from phasetip.counterfactual import Effect, Threshold, TransformParams, make_draws
 from phasetip.errors import DataError, SeparationError
+from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import cox_fit, logrank_test, to_counting_process
 from phasetip.tipping import (
     MAX_GRID_POINTS,
+    MAX_REPLICATES,
     ReplicateOutcome,
     SearchConfig,
     TpaCurvePoint,
@@ -58,6 +60,7 @@ class TestEvaluateAt:
         # piles them near the transition time and erases the benefit
         records = [rec(f"e{i}", E, 10.0 + i, 1, mono=2.0 + 0.1 * i) for i in range(12)]
         records += [rec(f"c{i}", C, 1.5 + 1.4 * i, 1) for i in range(12)]
+        records = Trial.from_records(records)
         draws = make_draws(records, Effect.SHRINK_EXPERIMENTAL, seed=1)
         base = evaluate_at(records, TransformParams(Effect.SHRINK_EXPERIMENTAL, 1.0), draws)
         tiny = evaluate_at(records, TransformParams(Effect.SHRINK_EXPERIMENTAL, 0.05), draws)
@@ -117,10 +120,10 @@ class TestFindTippingA:
 
     def test_degenerate_when_already_non_significant(self):
         rng = np.random.default_rng(2)
-        records = [
+        records = Trial.from_records(
             rec(i, E if i % 2 else C, float(rng.exponential(10) + 0.5), 1)
             for i in range(40)
-        ]
+        )
         assert logrank_test(records).p_two_sided > 0.05
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, mi_replicates=1)
         res = find_tipping(records, config)
@@ -202,15 +205,17 @@ class TestFindTippingB:
 
     def test_no_mono_phase_is_an_error(self):
         rng = np.random.default_rng(3)
-        records = [
+        records = Trial.from_records(
             rec(i, E if i % 2 else C, float(rng.exponential(8) + 0.3), 1)
             for i in range(30)
-        ]
+        )
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE)
         with pytest.raises(DataError, match="no mono phase to neutralize"):
             find_tipping(records, config)
         # a monotherapy phase that starts at the follow-up time is no phase
-        at_follow_up = [rec(r.subject_id, r.arm, r.s, r.delta, mono=r.s) for r in records]
+        at_follow_up = Trial.from_records(
+            rec(r.subject_id, r.arm, r.s, r.delta, mono=r.s) for r in records
+        )
         with pytest.raises(DataError, match="no mono phase to neutralize"):
             find_tipping(at_follow_up, config)
 
@@ -223,6 +228,7 @@ class TestFindTippingB:
         ]
         records = [rec(f"e{i}", E, t, d, mono=m) for i, (t, d, m) in enumerate(outcomes)]
         records += [rec(f"c{i}", C, t, d, mono=m) for i, (t, d, m) in enumerate(outcomes)]
+        records = Trial.from_records(records)
         config = SearchConfig(
             effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE, mi_replicates=1
         )
@@ -440,6 +446,12 @@ class TestSearchConfigValidation:
     def test_bad_replicates(self):
         with pytest.raises(DataError, match="replicate"):
             SearchConfig(effect=Effect.INFLATE_CONTROL, mi_replicates=0)
+
+    def test_replicates_above_cap(self):
+        SearchConfig(effect=Effect.INFLATE_CONTROL, mi_replicates=MAX_REPLICATES)
+        for count in (MAX_REPLICATES + 1, 100_000_000):
+            with pytest.raises(DataError, match=f"at most {MAX_REPLICATES} replicates"):
+                SearchConfig(effect=Effect.INFLATE_CONTROL, mi_replicates=count)
 
     def test_bad_p_source(self):
         with pytest.raises(DataError, match="p_source"):

@@ -6,7 +6,8 @@ The trial is small and significant at factor 1, so valid configurations
 really walk the grid and bisect. Finite grid bounds and positive steps are
 kept moderate because the fixed-step walk spends one evaluation per step:
 a long walk is slow by design, not a hang. Steps of 0, below 0 and 1e-300
-must be refused, by the grid-point cap for the last. A `tpa` run that
+must be refused, by the grid-point cap for the last, and so must a
+replicate count above the replicate cap. A `tpa` run that
 succeeds writes each numeric cell of results.csv as a finite number or
 empty.
 """
@@ -42,7 +43,7 @@ def _floats(lo, hi):
 CONFIG_KEYS = {
     "effect": (st.sampled_from(["1", "2"]), ["0", "3", "1.0", "x"]),
     "threshold": (st.sampled_from(["a", "b"]), ["c", "A", ""]),
-    "replicates": (st.sampled_from(["1", "2", "3"]), ["0", "-2", "1.5", "abc"]),
+    "replicates": (st.sampled_from(["1", "2", "3"]), ["0", "-2", "1.5", "abc", "100000000"]),
     "grid_step": (_floats(0.05, 5.0), NUMBER_JUNK + ["1e-300", "-0.05"]),
     "grid-max": (_floats(1.0, 20.0), NUMBER_JUNK + ["0.5"]),
     "grid_min": (_floats(0.01, 1.0), NUMBER_JUNK + ["2"]),
@@ -100,6 +101,7 @@ def _run_with_config(command, trial_csv, values, extra):
 @example(values={"seed": "-1", "effect": "2"}, extra=[])
 @example(values={"effect": "1", "threshold": "b", "bisection_tol": "1e-300"}, extra=[])
 @example(values={"effect": "1", "grid_step": "1e-300"}, extra=[])
+@example(values={"effect": "1", "replicates": "100000000"}, extra=[])
 def test_any_config_file_ends_with_an_exit_code(trial_csv, values, extra):
     assert _run_with_config("tpa", trial_csv, values, extra) in (0, 1, 2, 3)
 
