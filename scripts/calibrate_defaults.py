@@ -11,12 +11,13 @@ alternatives, e.g.:
     python scripts/calibrate_defaults.py combo_event_hazard=0.06 seeds=10
 """
 
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from phasetip.counterfactual import Effect, TransformParams, make_draws  # noqa: E402
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial  # noqa: E402

@@ -9,9 +9,11 @@ which holds the same fields as one array per field. Every analysis function
 takes a `Trial`: the imputation models and draws read its columns, a draw
 set refers to its subjects by position, and every counterfactual transform
 returns a new `Trial`. `CountingProcess` is the start-stop expansion that
-the time-varying Cox model fits, again one array per column; it also keeps
-the risk-set structure of its rows, so the Cox fits of one expansion build
-it once.
+the time-varying Cox model fits, again one array per column. Every row
+falls in one of four arm x phase groups, and every covariate the package
+fits is a function of the group, so the expansion also keeps the grouped
+risk-set table the Cox fitter derives from it: the Cox fits of one
+expansion build it once.
 
 Whether a subject spent time in the monotherapy phase is decided only by
 `SubjectRecord.in_mono` and `Trial.in_mono` (the phase starts before the
@@ -115,8 +117,8 @@ class Trial:
 
     ``mono_start`` is NaN for a subject who never entered monotherapy and
     ``stratum`` is NaN for a subject without one. ``trt`` is 1 on the
-    experimental arm. Indexing or iterating gives the subjects back as
-    `SubjectRecord`s.
+    experimental arm. Indexing with an integer or iterating gives the
+    subjects back as `SubjectRecord`s.
     """
 
     ids: tuple
@@ -149,6 +151,8 @@ class Trial:
         return self.mono_start < self.s
 
     def __getitem__(self, i) -> SubjectRecord:
+        if not isinstance(i, (int, np.integer)):
+            raise TypeError(f"Trial supports only integer indexing, not {type(i).__name__}")
         mono, stratum = self.mono_start[i], self.stratum[i]
         return SubjectRecord(
             subject_id=self.ids[i],
@@ -174,9 +178,12 @@ class CountingProcess:
 
     A subject contributes one row, or two adjacent rows (the combination
     interval, then the monotherapy interval) when it entered monotherapy
-    before its follow-up ended. ``len()`` is the number of rows. The
-    risk-set structure the Cox fitter derives from the rows is cached per
-    (ties, stratified), so every fit on one expansion shares it.
+    before its follow-up ended. ``len()`` is the number of rows. Each row
+    falls in one of four arm x phase groups, ``group`` = trt + 2 * mono, and
+    every covariate is a function of the group. The Cox fitter summarises
+    the rows as a grouped risk-set table (counts at risk and events per
+    group at each event time), cached here per (ties, stratified), so every
+    fit on one expansion shares it.
     """
 
     start: np.ndarray
@@ -185,7 +192,7 @@ class CountingProcess:
     trt: np.ndarray
     mono: np.ndarray
     stratum: np.ndarray
-    risk_sets: dict = field(default_factory=dict, init=False, repr=False)
+    risk_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         empty = np.flatnonzero(~(self.start < self.stop))
@@ -196,10 +203,28 @@ class CountingProcess:
     def __len__(self) -> int:
         return self.start.size
 
+    @property
+    def group(self) -> np.ndarray:
+        """Arm x phase group of each row, trt + 2 * mono: 0 to 3."""
+        return (self.trt + 2 * self.mono).astype(int)
+
     def covariate(self, name: str) -> np.ndarray:
-        """One covariate column; the interaction is trt * mono by construction."""
-        if name == "trt_x_mono":
-            return self.trt * self.mono
-        if name in ("trt", "mono"):
-            return getattr(self, name)
-        raise DataError(f"unknown covariate {name!r}")
+        """One covariate column."""
+        return _covariate(name, self.trt, self.mono)
+
+    @staticmethod
+    def group_covariates(names) -> np.ndarray:
+        """Covariate values of the four groups, one row per group."""
+        trt, mono = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+        return np.column_stack([_covariate(c, trt, mono) for c in names]).astype(float)
+
+
+def _covariate(name: str, trt: np.ndarray, mono: np.ndarray) -> np.ndarray:
+    """The interaction is trt * mono by construction."""
+    if name == "trt_x_mono":
+        return trt * mono
+    if name == "trt":
+        return trt
+    if name == "mono":
+        return mono
+    raise DataError(f"unknown covariate {name!r}")

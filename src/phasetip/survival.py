@@ -9,10 +9,14 @@ analysis: treatment, monotherapy status, and their interaction.
 The Kaplan-Meier curve, the log-rank test, the expansion and `phase_hr`
 take a `Trial`; `cox_fit` and `partial_loglik_and_gradient` take a
 `CountingProcess`. Nothing loops over subjects or rows in Python.
-The Cox design takes its covariate columns from the expansion and shares
-the expansion's cached risk-set structure (sort orders, risk-set
-boundaries and tie fractions), so the treatment-only and the
-three-covariate fit of one evaluation compute it once.
+
+Every covariate of the design is a function of a row's arm x phase group
+g = trt + 2 * mono, so the Efron (or Breslow) partial likelihood needs only,
+per stratum and event time, the rows at risk and the events in each of the
+four groups. The fitter reduces the expansion to that grouped risk-set
+table once, caches it on the `CountingProcess`, and evaluates every design
+from it with a 4 x p matrix of group covariate values: the treatment-only
+and the three-covariate fit of one evaluation share the table.
 """
 
 from __future__ import annotations
@@ -281,131 +285,85 @@ class CoxFit:
         return math.exp(est), (math.exp(est - half), upper)
 
 
-def _risk_sets(cp: CountingProcess, ties: str, stratified: bool) -> list[dict]:
-    """Per-stratum risk-set structure of the rows, independent of covariates.
+def _risk_table(cp: CountingProcess, ties: str, stratified: bool):
+    """Grouped risk-set table of the rows: (A, D), independent of beta.
 
-    For each stratum with events: the stop- and start-sorted row orders,
-    the positions of the distinct event times in both, the event rows
-    grouped by event time, and one flat entry per (event time, tie index)
-    pair with its Efron fraction (all zero under Breslow). Cached on `cp`.
+    A has one row per (stratum, event time t, tie index k) and one column
+    per arm x phase group g, holding n_g(t) - frac * d_g(t): the rows of
+    group g at risk at t (start < t <= stop) less the Efron fraction
+    frac = k / d(t) of their events at t (frac is 0 under Breslow). D holds
+    the events per group. Cached on `cp` per (ties, stratified).
     """
     key = (ties, stratified)
-    if key in cp.risk_sets:
-        return cp.risk_sets[key]
+    if key in cp.risk_tables:
+        return cp.risk_tables[key]
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
-    start, stop, event = cp.start, cp.stop, cp.event
     if stratified:
-        strat = _stratum_keys(cp.stratum)
+        keys = _stratum_keys(cp.stratum)
+        strata = [keys == st for st in np.unique(keys)]
     else:
-        strat = np.zeros(len(cp))
+        strata = [slice(None)]
 
-    strata = []
-    for st in np.unique(strat):
-        idx = np.nonzero(strat == st)[0]
-        ev_idx = idx[event[idx] == 1]
-        if ev_idx.size == 0:
+    group = cp.group
+    blocks = []
+    for rows in strata:
+        start, stop, g = cp.start[rows], cp.stop[rows], group[rows]
+        ev = cp.event[rows] == 1
+        if not ev.any():
             continue
-        ev_order = ev_idx[np.argsort(stop[ev_idx], kind="stable")]
-        ut, group_starts, d = np.unique(
-            stop[ev_order], return_index=True, return_counts=True
-        )
-        so = idx[np.argsort(stop[idx], kind="stable")]
-        sa = idx[np.argsort(start[idx], kind="stable")]
+        ut, idx, d = np.unique(stop[ev], return_inverse=True, return_counts=True)
+        # a row is at risk at ut[j] from the first ut > start to the first ut > stop;
+        # bin 4 * j + g counts the rows of group g that enter (leave) at j
+        bins = 4 * (ut.size + 1)
+        enter = np.bincount(4 * np.searchsorted(ut, start, side="right") + g, minlength=bins)
+        leave = np.bincount(4 * np.searchsorted(ut, stop, side="right") + g, minlength=bins)
+        n_risk = np.cumsum((enter - leave).reshape(-1, 4), axis=0)[:-1]
+        n_event = np.bincount(4 * idx + g[ev], minlength=4 * ut.size).reshape(-1, 4)
         jj = np.repeat(np.arange(ut.size), d)
         if ties == "efron":
             # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d
-            frac = (np.arange(ev_order.size) - np.repeat(group_starts, d)) / np.repeat(d, d)
+            frac = (np.arange(jj.size) - np.repeat(np.cumsum(d) - d, d)) / np.repeat(d, d)
         else:
-            frac = np.zeros(ev_order.size)
-        strata.append(
-            dict(
-                so=so, sa=sa,
-                q_stop=np.searchsorted(stop[so], ut, side="left"),
-                q_start=np.searchsorted(start[sa], ut, side="left"),
-                ev_order=ev_order, group_starts=group_starts, jj=jj, frac=frac,
-            )
-        )
-    cp.risk_sets[key] = strata
-    return strata
+            frac = np.zeros(jj.size)
+        blocks.append((n_risk[jj] - frac[:, None] * n_event[jj], n_event.sum(axis=0)))
+    table = (np.vstack([A for A, _ in blocks]), sum(D for _, D in blocks))
+    cp.risk_tables[key] = table
+    return table
 
 
-class _CoxDesign:
-    """Preprocessed arrays for repeated likelihood evaluation.
+class _GroupDesign:
+    """The grouped risk-set table with one design's group covariate values.
 
-    Risk-set sums at an event time t use the identity
-    sum over {start < t <= stop} = sum over {stop >= t} - sum over {start >= t},
-    evaluated with suffix sums on stop-sorted and start-sorted row orders.
-    Tied events are handled by the Efron (default) or Breslow adjustment via
-    one flat expansion row per (event time, tie index) pair. The orders and
-    the tie expansion come from the counting process's shared `_risk_sets`.
+    With G the 4 x p covariate values of the groups, w = exp(G beta),
+    Z = A w and R = A diag(w) / Z (one risk-set share per table row and
+    group), the moments are M1 = R G, and the likelihood, gradient and
+    Hessian are sums over the table's rows.
     """
 
     def __init__(self, cp: CountingProcess, covariates, ties, stratified):
         if len(cp) == 0:
             raise DataError("no counting-process rows")
-        X = np.column_stack([cp.covariate(c) for c in covariates]).astype(float)
+        self.G = CountingProcess.group_covariates(covariates)
         self.names = tuple(covariates)
-        p = len(covariates)
-        self.n, self.p = len(cp), p
-
+        self.p = len(covariates)
         self.n_events = int(cp.event.sum())
         if self.n_events == 0:
             raise EstimationError("no events in counting-process data")
-
-        self.X = X
-        # packed symmetric products x_a * x_b for the Hessian
-        self.pairs = [(a, b) for a in range(p) for b in range(a, p)]
-        self.pair_a = np.array([a for a, _ in self.pairs])
-        self.pair_b = np.array([b for _, b in self.pairs])
-        P = X[:, self.pair_a] * X[:, self.pair_b]
-        # the risk-set moments sum w * [1, X, P]; these columns do not depend
-        # on beta, so each order gathers them once here
-        C = np.column_stack([np.ones(self.n), X, P])
-        pad = np.zeros((1, C.shape[1]))
-
-        self.strata = []
-        for sd in _risk_sets(cp, ties, stratified):
-            so, sa = sd["so"][::-1], sd["sa"][::-1]
-            self.strata.append(dict(
-                sd,
-                sum_x=np.add.reduceat(X[sd["ev_order"]], sd["group_starts"], axis=0).sum(axis=0),
-                # reversed orders led by one pad row: index n, where w is 0
-                stop_rev=np.concatenate([[self.n], so]), c_stop_rev=np.vstack([pad, C[so]]),
-                start_rev=np.concatenate([[self.n], sa]), c_start_rev=np.vstack([pad, C[sa]]),
-                c_ev=C[sd["ev_order"]],
-            ))
+        self.A, D = _risk_table(cp, ties, stratified)
+        self.sum_x = D @ self.G
 
     def loglik_grad_hess(self, beta):
-        p = self.p
-        # w at the pad index n is exp(-inf) = 0
-        w = np.exp(np.append(self.X @ beta, -np.inf))
-
-        ll = 0.0
-        grad = np.zeros(p)
-        hess_packed = np.zeros(len(self.pairs))
-        for sd in self.strata:
-            # suffix sums of w * [1, X, P] over each order, ending in a zero row
-            suf_stop = np.cumsum(w[sd["stop_rev"], None] * sd["c_stop_rev"], axis=0)[::-1]
-            suf_start = np.cumsum(w[sd["start_rev"], None] * sd["c_start_rev"], axis=0)[::-1]
-            risk = suf_stop[sd["q_stop"]] - suf_start[sd["q_start"]]
-            dmom = np.add.reduceat(
-                w[sd["ev_order"], None] * sd["c_ev"], sd["group_starts"], axis=0
-            )
-
-            # Efron-adjusted moments, one row per (event time, tie index)
-            N = risk[sd["jj"]] - sd["frac"][:, None] * dmom[sd["jj"]]
-            Z = N[:, 0]
-            ll += float(sd["sum_x"] @ beta) - float(np.log(Z).sum())
-            M1 = N[:, 1 : 1 + p] / Z[:, None]
-            grad += sd["sum_x"] - M1.sum(axis=0)
-            N2 = N[:, 1 + p :]
-            outer = M1[:, self.pair_a] * M1[:, self.pair_b]
-            hess_packed -= (N2 / Z[:, None] - outer).sum(axis=0)
-
-        hess = np.empty((p, p))
-        for k, (a, b) in enumerate(self.pairs):
-            hess[a, b] = hess[b, a] = hess_packed[k]
+        # a trial step that overflows w gives a non-finite likelihood, which
+        # the Newton loop rejects by halving the step
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = np.exp(self.G @ beta)
+            Z = self.A @ w
+            R = self.A * w / Z[:, None]
+            ll = float(self.sum_x @ beta) - float(np.log(Z).sum())
+        M1 = R @ self.G
+        grad = self.sum_x - M1.sum(axis=0)
+        hess = M1.T @ M1 - (self.G.T * R.sum(axis=0)) @ self.G
         return ll, grad, hess
 
 
@@ -416,7 +374,7 @@ def partial_loglik_and_gradient(rows: CountingProcess, covariates=("trt",), beta
     Exposed so tests can check the analytic gradient against finite
     differences and scan the likelihood directly.
     """
-    design = _CoxDesign(rows, covariates, ties, stratified)
+    design = _GroupDesign(rows, covariates, ties, stratified)
     if beta is None:
         beta = np.zeros(design.p)
     beta = np.asarray(beta, dtype=float)
@@ -434,7 +392,7 @@ def cox_fit(rows: CountingProcess, covariates=("trt",), ties="efron", stratified
     runs away (monotone likelihood) and ConvergenceError, carrying the
     last iterate, when the iteration cap is reached.
     """
-    design = _CoxDesign(rows, covariates, ties, stratified)
+    design = _GroupDesign(rows, covariates, ties, stratified)
     beta = np.zeros(design.p)
     ll, grad, hess = design.loglik_grad_hess(beta)
 
@@ -491,12 +449,12 @@ def cox_fit(rows: CountingProcess, covariates=("trt",), ties="efron", stratified
     info = -hess
     try:
         np.linalg.cholesky(info)
+        cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         raise EstimationError(
             "information at the optimum is not positive definite: the design is "
             "collinear on the risk sets or the end point is not a maximum"
         ) from None
-    cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     return CoxFit(
         names=design.names,

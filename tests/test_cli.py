@@ -175,27 +175,28 @@ class TestAnalyze:
 
 
     def test_wald_bound_beyond_float_range_is_inf(self, tmp_path, capsys):
-        # the combination-phase upper bound exp(b + z * se) overflows a float
+        # the combination-phase upper bound exp(b + z * se) overflows a float:
+        # one experimental subject, censored early, among 200 controls who all
+        # have events. The likelihood falls monotonically as b decreases; its
+        # gradient drops below tolerance at b = -14.0, inside the separation
+        # bound, where se is 1.6e4.
         path = tmp_path / "wide.csv"
-        path.write_text(",".join(HEADER) + "\n" + "\n".join([
-            "s0,E,2.5,0,1.0,4.0,1", "s1,E,2.5,0,0.5,8.5,0", "s2,C,2.0,1,0.5,3.5,1",
-            "s3,E,2.5,1,2.5,2.5,0", "s4,E,4.0,1,4.0,5.5,1", "s5,E,4.0,0,2.5,5.5,",
-            "s6,E,2.0,1,,2.0,", "s7,E,2.5,1,0.5,4.0,0", "s8,C,2.5,0,0.5,4.0,0",
-            "s9,E,7.0,1,2.5,7.0,", "s10,E,4.0,1,2.5,10.0,",
-        ]) + "\n")
+        rows = [f"c{i},C,{i}.0,1,,210.0," for i in range(1, 201)] + ["e0,E,1.5,0,,210.0,"]
+        path.write_text(",".join(HEADER) + "\n" + "\n".join(rows) + "\n")
         assert main(["analyze", "--input", str(path)]) == 0
-        assert "Combination-phase HR=69.5511 (0.000, inf)" in capsys.readouterr().out
+        assert "Combination-phase HR=0.0000 (0.000, inf)" in capsys.readouterr().out
 
     def test_negative_contrast_variance_is_numerical_failure(self, tmp_path, capsys):
+        # no experimental subject enters monotherapy, so the interaction never
+        # varies on the risk sets, and within each stratum beta = 0 is already
+        # stationary: the information there is singular
         path = tmp_path / "indefinite.csv"
         path.write_text(",".join(HEADER) + "\n" + "\n".join([
-            "s0,E,4.0,1,0.5,10.0,", "s1,E,2.0,0,2.0,2.0,1", "s2,E,2.0,1,2.0,8.0,1",
-            "s3,E,2.5,1,2.5,2.5,0", "s4,E,7.0,1,2.5,7.0,", "s5,E,4.0,0,4.0,5.5,",
-            "s6,C,2.0,0,0.5,3.5,0", "s7,E,4.0,0,2.0,4.0,", "s8,E,4.0,1,1.0,5.5,1",
-            "s9,C,2.0,1,1.0,2.0,1",
+            "s0,C,2.0,1,1.0,3.0,1", "s1,C,2.0,1,,3.0,1", "s2,E,2.0,1,,3.0,1",
+            "s3,C,4.0,1,2.0,6.0,2", "s4,C,4.0,1,,6.0,2", "s5,E,4.0,1,,6.0,2",
         ]) + "\n")
         assert main(["analyze", "--input", str(path), "--stratified"]) == 3
-        # the fit itself refuses its indefinite information matrix
+        # the fit itself refuses its singular information matrix
         assert ("numerical failure: information at the optimum is not positive definite"
                 in capsys.readouterr().err)
 
@@ -324,7 +325,10 @@ class TestGoldenOutputs:
     re-recorded when rule b's tip became the root of hr_mono = 1 in place
     of the first probe within 0.01 of it. All five were re-recorded when
     `math.erfc` replaced `scipy.special` for the p-values: only p cells
-    moved, by at most 1.2e-14 relative (2.5e-15 in `results.csv`).
+    moved, by at most 1.2e-14 relative (2.5e-15 in `results.csv`). All six
+    were re-recorded again when `cox_fit` began fitting from the grouped
+    risk-set table instead of the intervals: only HR cells moved, by at most
+    6.1e-15 relative (2.6e-15 in `results.csv`); tips and p-values did not.
     `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
     the other effect-1 files (cutoff imputation) never reach."""
 

@@ -1,13 +1,17 @@
 """Cox fitter tests: counting-process expansion, brute-force likelihood
-oracle, finite-difference gradient, model invariances, and the Wald and
-log-rank tail probabilities against scipy."""
+oracle, finite-difference gradient, model invariances, the grouped fit
+against the row-level likelihood, and the Wald and log-rank tail
+probabilities against scipy."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from conftest import C, E, rec
+from conftest import C, E, rec, trials
+from reference import cox_fit_row_level
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import CountingProcess, Trial
 from phasetip.survival import (
@@ -257,20 +261,20 @@ class TestCoxProperties:
             cox_fit(to_counting_process(Trial.from_records(records)), ("trt", "mono", "trt_x_mono"))
 
     def test_indefinite_information_at_optimum_is_an_error(self):
-        # per-stratum risk sets this small leave the Newton end point at a
-        # stationary point that is not a maximum; its standard errors would
-        # come out NaN and a Wald p-value NaN
+        # no experimental subject enters monotherapy, so the interaction never
+        # varies on the risk sets, and within each stratum beta = 0 is already
+        # stationary: the Newton end point has a singular information matrix,
+        # whose standard errors would come out inf or NaN. Exact zeros make
+        # this so under both likelihood arithmetics.
         outcomes = [
-            ("s0", E, 4.0, 1, 0.5, None), ("s1", E, 2.0, 0, 2.0, 1),
-            ("s2", E, 2.0, 1, 2.0, 1), ("s3", E, 2.5, 1, 2.5, 0),
-            ("s4", E, 7.0, 1, 2.5, None), ("s5", E, 4.0, 0, 4.0, None),
-            ("s6", C, 2.0, 0, 0.5, 0), ("s7", E, 4.0, 0, 2.0, None),
-            ("s8", E, 4.0, 1, 1.0, 1), ("s9", C, 2.0, 1, 1.0, 1),
+            ("s0", C, 2.0, 1, 1.0, 1), ("s1", C, 2.0, 1, None, 1), ("s2", E, 2.0, 1, None, 1),
+            ("s3", C, 4.0, 1, 2.0, 2), ("s4", C, 4.0, 1, None, 2), ("s5", E, 4.0, 1, None, 2),
         ]
         records = Trial.from_records(rec(sid, arm, s, d, mono=m, stratum=st)
                                      for sid, arm, s, d, m, st in outcomes)
-        with pytest.raises(EstimationError, match="not positive definite"):
-            cox_fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"),
+        for fit in (cox_fit, cox_fit_row_level):
+            with pytest.raises(EstimationError, match="not positive definite"):
+                fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"),
                     stratified=True)
 
     def test_unknown_covariate_rejected(self):
@@ -297,6 +301,43 @@ class TestCoxProperties:
         # pooling without strata mixes the two baselines and shifts the estimate
         pooled = cox_fit(to_counting_process(records), ("trt",))
         assert abs(pooled.coef("trt") - single.coef("trt")) > 1e-4
+
+
+class TestGroupedAgainstRowLevel:
+    """`cox_fit` fits from the grouped risk-set table; the row-level
+    likelihood of `tests/reference.py`, run through the same Newton loop,
+    is the oracle. Where the reference converges with a well-conditioned
+    information matrix, beta, se and loglik agree within 1e-10 (relative
+    above 1). An ill-conditioned fit is not determined beyond rounding, so
+    the two arithmetics may end it differently and it is not compared."""
+
+    MAX_COND = 1e6
+    TOL = 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(max_size=24), ties=st.sampled_from(["efron", "breslow"]),
+           stratified=st.booleans(),
+           covariates=st.sampled_from([("trt",), ("trt", "mono", "trt_x_mono")]))
+    def test_fit_matches_row_level_likelihood(self, records, ties, stratified, covariates):
+        rows = to_counting_process(Trial.from_records(records))
+        try:
+            ref = cox_fit_row_level(rows, covariates, ties=ties, stratified=stratified)
+        except (EstimationError, DataError):
+            event("reference refuses")
+            return
+        if not np.linalg.cond(ref.cov) < self.MAX_COND:
+            event("ill-conditioned")
+            return
+        fit = cox_fit(rows, covariates, ties=ties, stratified=stratified)
+        event(f"compared: {ties}, stratified={stratified}, p={len(covariates)}")
+        if rows.mono.any():
+            event("compared with a mono split")
+        if stratified and np.isnan(rows.stratum).any():
+            event("compared with a NaN stratum")
+        for got, want in ((fit.beta, ref.beta), (fit.se, ref.se), (fit.loglik, ref.loglik)):
+            assert np.all(np.abs(got - want) <= self.TOL * np.maximum(1.0, np.abs(want)))
+        assert fit.iterations == ref.iterations
 
 
 class TestPhaseHr:

@@ -51,6 +51,13 @@ class TestSubjectRecord:
         assert Trial.from_records(records).in_mono.tolist() == [True, False, False]
         assert [r.in_mono for r in records] == [True, False, False]
 
+    @pytest.mark.parametrize("index", [slice(0, 2), [0, 1], np.array([0]), 0.0, "a"])
+    def test_trial_refuses_non_integer_index(self, index):
+        trial = Trial.from_records([rec("a", E, 10.0, 1, mono=6.0), rec("b", C, 8.0, 0)])
+        assert trial[np.int64(1)].subject_id == "b"
+        with pytest.raises(TypeError, match="only integer indexing"):
+            trial[index]
+
     def test_with_outcome_extends_cutoff(self):
         r = rec("s1", C, 10.0, 1, cutoff=12.0)
         out = r.with_outcome(15.0, 0)
@@ -82,11 +89,16 @@ class TestCountingProcessRow:
             counting_process(5.0, 5.0, 1, 1, 0)
 
     def test_interaction_consistency(self):
-        # the interaction is not stored, so it cannot disagree with trt * mono
+        # the interaction is not stored, so it cannot disagree with trt * mono;
+        # a row's group covariates are its own covariates
+        names = ("trt", "mono", "trt_x_mono")
         for trt in (0, 1):
             for mono in (0, 1):
                 cp = counting_process(0.0, 5.0, 1, trt, mono)
                 assert cp.covariate("trt_x_mono")[0] == trt * mono
+                assert cp.group[0] == trt + 2 * mono
+                assert (CountingProcess.group_covariates(names)[cp.group[0]].tolist()
+                        == [cp.covariate(c)[0] for c in names])
         with pytest.raises(DataError, match="covariate"):
             counting_process(0.0, 5.0, 1, 1, 1).covariate("age")
 

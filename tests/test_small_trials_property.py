@@ -17,9 +17,9 @@ import io
 import os
 import tempfile
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 
-from conftest import assert_result_cells, trials, wall_clock_bound
+from conftest import C, E, assert_result_cells, rec, trials, wall_clock_bound
 from phasetip.cli import main
 from phasetip.dataio import write_dataset
 
@@ -37,6 +37,21 @@ COMMANDS = [
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(records=trials(max_size=14))
+# information matrices that pass the Cholesky check and are then singular
+# to the inverse, once under each likelihood arithmetic
+@example(records=[
+    rec(0, E, 2.0, 1, cutoff=3.5, mono=2.0, stratum=0), rec(1, E, 4.0, 1, cutoff=4.0, stratum=0),
+    rec(2, E, 2.0, 1, cutoff=8.0, mono=1.0), rec(3, C, 7.0, 0, cutoff=7.0, mono=1.0, stratum=0),
+    rec(4, C, 2.5, 1, cutoff=8.5, mono=0.5), rec(5, E, 1.0, 0, cutoff=7.0),
+    rec(6, E, 7.0, 0, cutoff=13.0, mono=2.0), rec(7, C, 0.5, 0, cutoff=6.5),
+])
+@example(records=[
+    rec(0, E, 7.0, 1, cutoff=7.0, mono=7.0, stratum=0), rec(1, C, 1.0, 0, cutoff=7.0, mono=0.5),
+    rec(2, E, 7.0, 1, cutoff=7.0, mono=4.0), rec(3, C, 2.5, 0, cutoff=2.5, stratum=1),
+    rec(4, C, 1.0, 0, cutoff=7.0, stratum=1), rec(5, E, 0.5, 1, cutoff=6.5, mono=0.5, stratum=0),
+    rec(6, E, 1.0, 0, cutoff=1.0, mono=1.0, stratum=0), rec(7, C, 2.5, 1, cutoff=4.0),
+    rec(8, C, 0.5, 0, cutoff=6.5, mono=0.5, stratum=0), rec(9, E, 2.0, 0, cutoff=8.0),
+])
 def test_every_command_ends_with_an_exit_code(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trial.csv")
