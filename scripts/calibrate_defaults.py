@@ -21,7 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from phasetip.counterfactual import Effect, TransformParams, make_draws  # noqa: E402
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial  # noqa: E402
-from phasetip.survival import cox_fit, logrank_test, phase_hr, to_counting_process  # noqa: E402
+from phasetip.survival import cox_fit, logrank_test, phase_hr, risk_table  # noqa: E402
 from phasetip.tipping import evaluate_at  # noqa: E402
 
 
@@ -36,8 +36,7 @@ def trial_measures(cfg, seed):
     trial = simulate_trial(cfg, seed=seed)
     summ = summarize_trial(trial)
     res = phase_hr(trial)
-    rows = to_counting_process(trial)
-    overall = cox_fit(rows, ("trt",)).hr("trt")
+    overall = cox_fit(risk_table(trial), ("trt",)).hr("trt")
     p = logrank_test(trial).p_two_sided
     mono_events = int(trial.delta[trial.in_mono].sum())
     censored = trial.delta == 0

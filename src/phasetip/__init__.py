@@ -17,8 +17,6 @@ from .counterfactual import (
     make_draws,
     naive_transform,
     needs_draw,
-    transform_effect1,
-    transform_effect2,
 )
 from .dataio import HEADER, read_dataset, write_dataset
 from .errors import (
@@ -28,19 +26,20 @@ from .errors import (
     PhasetipError,
     SeparationError,
 )
-from .records import Arm, CountingProcess, SubjectRecord, Trial
+from .records import Arm, SubjectRecord, Trial
 from .simulate import SimConfig, simulate_trial, summarize_trial
 from .survival import (
     CoxFit,
     KmCurve,
     LogRankResult,
     PhaseHr,
+    RiskTable,
     cox_fit,
     km_estimate,
     logrank_test,
     partial_loglik_and_gradient,
     phase_hr,
-    to_counting_process,
+    risk_table,
 )
 from .tipping import (
     SearchConfig,
@@ -55,16 +54,15 @@ from .tipping import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arm", "SubjectRecord", "Trial", "CountingProcess",
+    "Arm", "SubjectRecord", "Trial",
     "PhasetipError", "DataError", "EstimationError", "ConvergenceError",
     "SeparationError",
-    "KmCurve", "LogRankResult", "CoxFit", "PhaseHr",
-    "km_estimate", "logrank_test", "to_counting_process", "cox_fit",
+    "KmCurve", "LogRankResult", "CoxFit", "PhaseHr", "RiskTable",
+    "km_estimate", "logrank_test", "risk_table", "cox_fit",
     "partial_loglik_and_gradient", "phase_hr",
     "Effect", "Threshold", "TransformParams", "ExponentialModel",
     "ImputationDraws", "needs_draw", "fit_censoring_model",
-    "fit_mono_event_model", "transform_effect1", "transform_effect2",
-    "apply_transform", "naive_transform", "make_draws",
+    "fit_mono_event_model", "apply_transform", "naive_transform", "make_draws",
     "SearchConfig", "TpaCurvePoint", "TpaResult",
     "evaluate_at", "find_tipping", "grid_scan", "mi_aggregate",
     "SimConfig", "simulate_trial", "summarize_trial",

@@ -31,7 +31,7 @@ from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
 from .records import Arm
 from .simulate import SimConfig, simulate_trial, summarize_trial
-from .survival import cox_fit, logrank_test, phase_hr, to_counting_process
+from .survival import cox_fit, logrank_test, phase_hr, risk_table
 from .svgplot import find_crossings, line_plot
 from .tipping import SearchConfig, TpaResult, check_grid_points, find_tipping, grid_scan
 
@@ -186,6 +186,17 @@ class _Options:
         return seed
 
 
+def _refuse_fit_settings(opt) -> None:
+    """tpa and curve fit unstratified Efron models; refuse a config file
+    that asks for strata or Breslow ties instead of ignoring it."""
+    for key, accepted in (("stratified", ("false", "0")), ("ties", ("efron",))):
+        if key in opt.cfg and opt.cfg[key] not in accepted:
+            raise DataError(
+                f"config key {key}={opt.cfg[key]!r} is not supported by "
+                f"{opt.args.command}: it fits unstratified models with Efron ties"
+            )
+
+
 def _boolean(raw) -> bool:
     """An on/off setting: True from its flag; true, false, 1 or 0 from a file."""
     if raw is True or raw in ("true", "1"):
@@ -225,7 +236,7 @@ def cmd_analyze(args) -> int:
         )
     lr = logrank_test(trial, stratified=stratified)
     lines.append(f"Log-rank chi2={lr.chi2:.4f}, two-sided p={lr.p_two_sided:.6g}")
-    overall = cox_fit(to_counting_process(trial), ("trt",), ties=ties, stratified=stratified)
+    overall = cox_fit(risk_table(trial, ties, stratified), ("trt",))
     hr, ci = overall.contrast(("trt",))
     lines.append(f"Overall HR={hr:.4f} {_fmt_ci(ci)}")
     phases = phase_hr(trial, ties=ties, stratified=stratified)
@@ -282,6 +293,7 @@ def emit_results(results: list[TpaResult], outdir) -> str:
 
 def cmd_tpa(args) -> int:
     opt = _Options(args)
+    _refuse_fit_settings(opt)
     trial = read_dataset(args.input)
     if not trial:
         raise DataError("dataset is empty")
@@ -327,6 +339,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_curve(args) -> int:
     opt = _Options(args)
+    _refuse_fit_settings(opt)
     trial = read_dataset(args.input)
     if not trial:
         raise DataError("dataset is empty")

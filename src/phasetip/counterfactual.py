@@ -30,9 +30,7 @@ the draws by trial position.
 `apply_transform` is the transform the analysis runs: it works on a
 `Trial`, one array per field, with both effects written as array
 expressions, and returns a new `Trial`; so does `naive_transform`. The
-per-record `transform_effect1` and `transform_effect2` state the same rules
-one subject at a time; they are the reference the array transform is
-tested against.
+tests state the same rules one subject at a time and compare the two.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EstimationError
-from .records import Arm, SubjectRecord, Trial
+from .records import Arm, Trial
 
 __all__ = [
     "Effect",
@@ -57,8 +55,6 @@ __all__ = [
     "needs_draw",
     "fit_censoring_model",
     "fit_mono_event_model",
-    "transform_effect1",
-    "transform_effect2",
     "apply_transform",
     "naive_transform",
     "cutoff_censoring_fraction",
@@ -216,56 +212,6 @@ def fit_mono_event_model(trial: Trial) -> ExponentialModel:
 # Transforms
 
 
-def transform_effect1(record: SubjectRecord, gamma: float,
-                      imputed_r: float | None = None) -> SubjectRecord:
-    """Inflate a control subject's monotherapy duration by `gamma`.
-
-    Censored subjects are unchanged (their counterfactual time only moves
-    further beyond the censoring time). An observed event moves to
-    t' = x + gamma*(s - x); it stays an event if t' is within the imputed
-    censoring time, otherwise the subject becomes censored there.
-    Non-control subjects and subjects without a monotherapy phase pass
-    through untouched.
-    """
-    _check_factor(Effect.INFLATE_CONTROL, gamma)
-    if record.arm is not Arm.CONTROL or not record.in_mono:
-        return record
-    if record.delta == 0:
-        return record
-    if imputed_r is None:
-        raise DataError(f"subject {record.subject_id}: missing imputed censoring time")
-    # algebraically x + gamma*(s - x); this form is exact at gamma == 1
-    t_prime = record.s + (gamma - 1.0) * (record.s - record.mono_start)
-    if t_prime <= imputed_r:
-        return record.with_outcome(t_prime, 1)
-    return record.with_outcome(imputed_r, 0)
-
-
-def transform_effect2(record: SubjectRecord, gamma: float,
-                      imputed_t: float | None = None) -> SubjectRecord:
-    """Shrink an experimental subject's monotherapy duration by `gamma`.
-
-    Observed events stay events with shortened time x + gamma*(s - x).
-    A subject censored during monotherapy gets an imputed event time
-    t-hat beyond the observed time; the shrunk time x + gamma*(t-hat - x)
-    becomes an observed event if it lands at or before the observed
-    censoring time (the observed s), otherwise the record is unchanged.
-    """
-    _check_factor(Effect.SHRINK_EXPERIMENTAL, gamma)
-    if record.arm is not Arm.EXPERIMENTAL or not record.in_mono:
-        return record
-    x = record.mono_start
-    if record.delta == 1:
-        t_prime = record.s + (gamma - 1.0) * (record.s - x)
-        return record.with_outcome(t_prime, 1)
-    if imputed_t is None:
-        raise DataError(f"subject {record.subject_id}: missing imputed event time")
-    t_prime = imputed_t + (gamma - 1.0) * (imputed_t - x)
-    if t_prime <= record.s:
-        return record.with_outcome(t_prime, 1)
-    return record
-
-
 def _missing_draw(trial: Trial, missing: np.ndarray, what: str):
     if missing.any():
         sid = trial.ids[np.flatnonzero(missing)[0]]
@@ -275,8 +221,13 @@ def _missing_draw(trial: Trial, missing: np.ndarray, what: str):
 def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraws) -> Trial:
     """Counterfactual trial under `params`, using one replicate's draws.
 
-    The array form of `transform_effect1` (effect 1) and
-    `transform_effect2` (effect 2) over every subject at once.
+    Effect 1 inflates a control subject's monotherapy duration: an event
+    moves to t' = x + gamma*(s - x) and stays an event if t' is within the
+    imputed censoring time, else the subject is censored there; a censored
+    subject is unchanged. Effect 2 shrinks an experimental subject's
+    monotherapy duration: an event moves to x + gamma*(s - x); a subject
+    censored in monotherapy becomes an event at x + gamma*(t-hat - x) if
+    that lands at or before s, t-hat being its imputed event time.
     """
     s, delta, x = trial.s, trial.delta, trial.mono_start
     drawn = needs_draw(trial, params.effect)

@@ -8,12 +8,9 @@ and the simulator build one per row and return the whole trial as a `Trial`,
 which holds the same fields as one array per field. Every analysis function
 takes a `Trial`: the imputation models and draws read its columns, a draw
 set refers to its subjects by position, and every counterfactual transform
-returns a new `Trial`. `CountingProcess` is the start-stop expansion that
-the time-varying Cox model fits, again one array per column. Every row
-falls in one of four arm x phase groups, and every covariate the package
-fits is a function of the group, so the expansion also keeps the grouped
-risk-set table the Cox fitter derives from it: the Cox fits of one
-expansion build it once.
+returns a new `Trial`. The time-varying Cox model is fitted from a grouped
+risk-set table that `survival.risk_table` builds straight from a `Trial`;
+the package has no start-stop expansion type.
 
 Whether a subject spent time in the monotherapy phase is decided only by
 `SubjectRecord.in_mono` and `Trial.in_mono` (the phase starts before the
@@ -25,13 +22,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
 
-__all__ = ["Arm", "SubjectRecord", "Trial", "CountingProcess"]
+__all__ = ["Arm", "SubjectRecord", "Trial"]
 
 
 class Arm(enum.Enum):
@@ -102,10 +99,6 @@ class SubjectRecord:
         """The subject spent time in monotherapy: ``mono_start < s``."""
         return self.mono_start is not None and self.mono_start < self.s
 
-    def with_outcome(self, s: float, delta: int) -> "SubjectRecord":
-        """Copy with a new (s, delta), extending the cutoff if s moved past it."""
-        return replace(self, s=s, delta=delta, cutoff=max(self.cutoff, s))
-
 
 def _optional(value) -> float:
     return np.nan if value is None else value
@@ -170,61 +163,3 @@ class Trial:
     def with_outcome(self, s: np.ndarray, delta: np.ndarray) -> "Trial":
         """Copy with new (s, delta), extending each cutoff that s moved past."""
         return replace(self, s=s, delta=delta, cutoff=np.maximum(self.cutoff, s))
-
-
-@dataclass(frozen=True, eq=False)
-class CountingProcess:
-    """(start, stop] intervals with interval-constant covariates, as columns.
-
-    A subject contributes one row, or two adjacent rows (the combination
-    interval, then the monotherapy interval) when it entered monotherapy
-    before its follow-up ended. ``len()`` is the number of rows. Each row
-    falls in one of four arm x phase groups, ``group`` = trt + 2 * mono, and
-    every covariate is a function of the group. The Cox fitter summarises
-    the rows as a grouped risk-set table (counts at risk and events per
-    group at each event time), cached here per (ties, stratified), so every
-    fit on one expansion shares it.
-    """
-
-    start: np.ndarray
-    stop: np.ndarray
-    event: np.ndarray
-    trt: np.ndarray
-    mono: np.ndarray
-    stratum: np.ndarray
-    risk_tables: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        empty = np.flatnonzero(~(self.start < self.stop))
-        if empty.size:
-            k = empty[0]
-            raise DataError(f"row {k}: interval ({self.start[k]}, {self.stop[k]}] is empty")
-
-    def __len__(self) -> int:
-        return self.start.size
-
-    @property
-    def group(self) -> np.ndarray:
-        """Arm x phase group of each row, trt + 2 * mono: 0 to 3."""
-        return (self.trt + 2 * self.mono).astype(int)
-
-    def covariate(self, name: str) -> np.ndarray:
-        """One covariate column."""
-        return _covariate(name, self.trt, self.mono)
-
-    @staticmethod
-    def group_covariates(names) -> np.ndarray:
-        """Covariate values of the four groups, one row per group."""
-        trt, mono = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
-        return np.column_stack([_covariate(c, trt, mono) for c in names]).astype(float)
-
-
-def _covariate(name: str, trt: np.ndarray, mono: np.ndarray) -> np.ndarray:
-    """The interaction is trt * mono by construction."""
-    if name == "trt_x_mono":
-        return trt * mono
-    if name == "trt":
-        return trt
-    if name == "mono":
-        return mono
-    raise DataError(f"unknown covariate {name!r}")

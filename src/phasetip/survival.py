@@ -1,22 +1,21 @@
 """Survival estimators built from scratch on columnar trial data.
 
 Provides the product-limit (Kaplan-Meier) curve with Greenwood variance,
-the (optionally stratified) two-group log-rank test, expansion of a
-`Trial` into a columnar `CountingProcess`, and a Cox proportional-hazards
-fitter for start-stop data with the fixed design used by the phase
+the (optionally stratified) two-group log-rank test, and a Cox
+proportional-hazards fitter for the time-varying phase model of the
 analysis: treatment, monotherapy status, and their interaction.
 
-The Kaplan-Meier curve, the log-rank test, the expansion and `phase_hr`
-take a `Trial`; `cox_fit` and `partial_loglik_and_gradient` take a
-`CountingProcess`. Nothing loops over subjects or rows in Python.
-
-Every covariate of the design is a function of a row's arm x phase group
-g = trt + 2 * mono, so the Efron (or Breslow) partial likelihood needs only,
-per stratum and event time, the rows at risk and the events in each of the
-four groups. The fitter reduces the expansion to that grouped risk-set
-table once, caches it on the `CountingProcess`, and evaluates every design
-from it with a 4 x p matrix of group covariate values: the treatment-only
-and the three-covariate fit of one evaluation share the table.
+Every covariate of that design is a function of a subject's arm x phase
+group g = trt + 2 * mono at a given time, so the Efron (or Breslow) partial
+likelihood needs only, per stratum and event time, the subjects at risk and
+the events in each of the four groups. `risk_table` builds that grouped
+risk-set table straight from a `Trial`; no start-stop expansion is ever
+formed. `cox_fit` and `partial_loglik_and_gradient` read only the table and
+evaluate every design from it with a 4 x p matrix of group covariate
+values, so a caller that holds the table (the treatment-only and the
+three-covariate fit of one evaluation) builds it once. The Kaplan-Meier
+curve, the log-rank test, the table and `phase_hr` take a `Trial`.
+Nothing loops over subjects in Python.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DataError, EstimationError, SeparationError
-from .records import Arm, CountingProcess, Trial
+from .records import Arm, Trial
 
 __all__ = [
     "KmCurve",
@@ -36,7 +35,8 @@ __all__ = [
     "PhaseHr",
     "km_estimate",
     "logrank_test",
-    "to_counting_process",
+    "RiskTable",
+    "risk_table",
     "cox_fit",
     "partial_loglik_and_gradient",
     "phase_hr",
@@ -47,6 +47,13 @@ _LL_TOL = 1e-9
 _GRAD_TOL = 1e-8
 _MAX_ITER = 50
 _SEPARATION_BOUND = 15.0
+# Largest variance inflation info_jj * cov_jj a fit may report. It is scale
+# free and within a factor p of 1 / (smallest eigenvalue of the information
+# scaled to unit diagonal). Designs collinear on the risk sets land above
+# 8e14, where the inverse is rounding noise; ill-conditioned but determined
+# fits of small random trials stay below 1e8, and the calibrated trial's
+# search fits below 10.
+_MAX_VARIANCE_INFLATION = 1e11
 _MAX_EXP = math.log(np.finfo(float).max)   # math.exp overflows beyond this
 _Z975 = 1.959963984540054                  # the normal 0.975 quantile, for 95% Wald CIs
 
@@ -200,44 +207,91 @@ def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
 
 
 # ---------------------------------------------------------------------------
-# Counting-process expansion
+# Grouped risk-set table
 
 
-def to_counting_process(trial: Trial) -> CountingProcess:
-    """Expand a trial into (start, stop] rows with a time-varying mono flag.
+@dataclass(frozen=True, eq=False)
+class RiskTable:
+    """The grouped risk-set table of a trial, independent of beta.
 
-    A subject in the monotherapy phase (`Trial.in_mono`: it entered at
-    m < s) contributes two adjacent rows: the combination interval (0, m]
-    with no event, and (m, s] carrying the subject's event status. Every
-    other subject, including one with m == s, contributes the one row
-    (0, s]. Rows follow the subjects' order.
+    A has one row per (stratum, event time t, tie index k) and one column
+    per arm x phase group g = trt + 2 * mono, holding n_g(t) - frac * d_g(t):
+    the subjects at risk in group g at t less the Efron fraction
+    frac = k / d(t) of their events at t (frac is 0 under Breslow). D holds
+    the events per group. `ties` and `stratified` say how it was built.
     """
-    x, s = trial.mono_start, trial.s
-    late = np.flatnonzero(x > s)
+
+    A: np.ndarray
+    D: np.ndarray
+    ties: str
+    stratified: bool
+
+
+def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
+    """The grouped risk-set table of the trial, optionally per stratum.
+
+    Every subject is at risk in group trt on (0, min(m, s)]. A subject in
+    the monotherapy phase (`Trial.in_mono`: it entered at m < s) is also at
+    risk in group trt + 2 on (m, s]. An event counts in the subject's group
+    at s.
+    """
+    if ties not in ("efron", "breslow"):
+        raise DataError(f"unknown ties method {ties!r}")
+    late = np.flatnonzero(trial.mono_start > trial.s)
     if late.size:
         raise DataError(f"subject {trial.ids[late[0]]}: phase time exceeds follow-up")
-    split = trial.in_mono
-    counts = 1 + split
-    subject = np.repeat(np.arange(len(trial)), counts)
-    combo_rows = (np.cumsum(counts) - counts)[split]
-    mono_rows = combo_rows + 1
+    if stratified:
+        keys = _stratum_keys(trial.stratum)
+        strata = [keys == st for st in np.unique(keys)]
+    else:
+        strata = [slice(None)]
 
-    start = np.zeros(subject.size)
-    stop = s[subject]
-    event = trial.delta[subject]
-    mono = np.zeros(subject.size, dtype=int)
-    stop[combo_rows] = x[split]
-    event[combo_rows] = 0
-    start[mono_rows] = x[split]
-    mono[mono_rows] = 1
-    return CountingProcess(
-        start=start, stop=stop, event=event, trt=trial.trt[subject], mono=mono,
-        stratum=trial.stratum[subject],
+    in_mono = trial.in_mono
+    blocks = []
+    for rows in strata:
+        s, trt, mono = trial.s[rows], trial.trt[rows], in_mono[rows]
+        ev = trial.delta[rows] == 1
+        if not ev.any():
+            continue
+        g = trt + 2 * mono
+        ut, idx, d = np.unique(s[ev], return_inverse=True, return_counts=True)
+        # a subject is at risk at ut[j] in group trt from j = 0, moves to group
+        # trt + 2 at the first ut > m and leaves at the first ut > s; bin
+        # 4 * j + g counts the subjects that enter (leave) group g at j
+        bins = 4 * (ut.size + 1)
+        switch = 4 * np.searchsorted(ut, trial.mono_start[rows][mono], side="right") + trt[mono]
+        enter = np.bincount(trt, minlength=bins) + np.bincount(switch + 2, minlength=bins)
+        leave = (np.bincount(switch, minlength=bins)
+                 + np.bincount(4 * np.searchsorted(ut, s, side="right") + g, minlength=bins))
+        n_risk = np.cumsum((enter - leave).reshape(-1, 4), axis=0)[:-1]
+        n_event = np.bincount(4 * idx + g[ev], minlength=4 * ut.size).reshape(-1, 4)
+        jj = np.repeat(np.arange(ut.size), d)
+        if ties == "efron":
+            # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d
+            frac = (np.arange(jj.size) - np.repeat(np.cumsum(d) - d, d)) / np.repeat(d, d)
+        else:
+            frac = np.zeros(jj.size)
+        blocks.append((n_risk[jj] - frac[:, None] * n_event[jj], n_event.sum(axis=0)))
+    return RiskTable(
+        A=np.vstack([np.zeros((0, 4)), *(A for A, _ in blocks)]),
+        D=sum((D for _, D in blocks), np.zeros(4, dtype=int)),
+        ties=ties, stratified=stratified,
     )
 
 
+def _group_covariates(names) -> np.ndarray:
+    """Covariate values of the four arm x phase groups, one row per group.
+    The interaction is trt * mono by construction."""
+    trt, mono = np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0])
+    columns = {"trt": trt, "mono": mono, "trt_x_mono": trt * mono}
+    for name in names:
+        if name not in columns:
+            raise DataError(f"unknown covariate {name!r}")
+    return np.column_stack([columns[name] for name in names])
+
+
 # ---------------------------------------------------------------------------
-# Cox proportional hazards on start-stop data
+# Cox proportional hazards on the grouped risk-set table
 
 
 @dataclass(frozen=True)
@@ -285,53 +339,6 @@ class CoxFit:
         return math.exp(est), (math.exp(est - half), upper)
 
 
-def _risk_table(cp: CountingProcess, ties: str, stratified: bool):
-    """Grouped risk-set table of the rows: (A, D), independent of beta.
-
-    A has one row per (stratum, event time t, tie index k) and one column
-    per arm x phase group g, holding n_g(t) - frac * d_g(t): the rows of
-    group g at risk at t (start < t <= stop) less the Efron fraction
-    frac = k / d(t) of their events at t (frac is 0 under Breslow). D holds
-    the events per group. Cached on `cp` per (ties, stratified).
-    """
-    key = (ties, stratified)
-    if key in cp.risk_tables:
-        return cp.risk_tables[key]
-    if ties not in ("efron", "breslow"):
-        raise DataError(f"unknown ties method {ties!r}")
-    if stratified:
-        keys = _stratum_keys(cp.stratum)
-        strata = [keys == st for st in np.unique(keys)]
-    else:
-        strata = [slice(None)]
-
-    group = cp.group
-    blocks = []
-    for rows in strata:
-        start, stop, g = cp.start[rows], cp.stop[rows], group[rows]
-        ev = cp.event[rows] == 1
-        if not ev.any():
-            continue
-        ut, idx, d = np.unique(stop[ev], return_inverse=True, return_counts=True)
-        # a row is at risk at ut[j] from the first ut > start to the first ut > stop;
-        # bin 4 * j + g counts the rows of group g that enter (leave) at j
-        bins = 4 * (ut.size + 1)
-        enter = np.bincount(4 * np.searchsorted(ut, start, side="right") + g, minlength=bins)
-        leave = np.bincount(4 * np.searchsorted(ut, stop, side="right") + g, minlength=bins)
-        n_risk = np.cumsum((enter - leave).reshape(-1, 4), axis=0)[:-1]
-        n_event = np.bincount(4 * idx + g[ev], minlength=4 * ut.size).reshape(-1, 4)
-        jj = np.repeat(np.arange(ut.size), d)
-        if ties == "efron":
-            # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d
-            frac = (np.arange(jj.size) - np.repeat(np.cumsum(d) - d, d)) / np.repeat(d, d)
-        else:
-            frac = np.zeros(jj.size)
-        blocks.append((n_risk[jj] - frac[:, None] * n_event[jj], n_event.sum(axis=0)))
-    table = (np.vstack([A for A, _ in blocks]), sum(D for _, D in blocks))
-    cp.risk_tables[key] = table
-    return table
-
-
 class _GroupDesign:
     """The grouped risk-set table with one design's group covariate values.
 
@@ -341,17 +348,15 @@ class _GroupDesign:
     Hessian are sums over the table's rows.
     """
 
-    def __init__(self, cp: CountingProcess, covariates, ties, stratified):
-        if len(cp) == 0:
-            raise DataError("no counting-process rows")
-        self.G = CountingProcess.group_covariates(covariates)
+    def __init__(self, table: RiskTable, covariates):
+        self.G = _group_covariates(covariates)
         self.names = tuple(covariates)
         self.p = len(covariates)
-        self.n_events = int(cp.event.sum())
+        self.n_events = int(table.D.sum())
         if self.n_events == 0:
             raise EstimationError("no events in counting-process data")
-        self.A, D = _risk_table(cp, ties, stratified)
-        self.sum_x = D @ self.G
+        self.A = table.A
+        self.sum_x = table.D @ self.G
 
     def loglik_grad_hess(self, beta):
         # a trial step that overflows w gives a non-finite likelihood, which
@@ -367,14 +372,13 @@ class _GroupDesign:
         return ll, grad, hess
 
 
-def partial_loglik_and_gradient(rows: CountingProcess, covariates=("trt",), beta=None,
-                                ties="efron", stratified=False):
+def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None):
     """Log partial likelihood and its gradient at an arbitrary beta.
 
     Exposed so tests can check the analytic gradient against finite
     differences and scan the likelihood directly.
     """
-    design = _GroupDesign(rows, covariates, ties, stratified)
+    design = _GroupDesign(table, covariates)
     if beta is None:
         beta = np.zeros(design.p)
     beta = np.asarray(beta, dtype=float)
@@ -382,17 +386,17 @@ def partial_loglik_and_gradient(rows: CountingProcess, covariates=("trt",), beta
     return ll, grad
 
 
-def cox_fit(rows: CountingProcess, covariates=("trt",), ties="efron", stratified=False,
-            max_iter=_MAX_ITER) -> CoxFit:
+def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit:
     """Maximize the partial likelihood by damped Newton-Raphson.
 
     Starts at beta = 0, halves the step whenever the likelihood would
     decrease, and stops when both the likelihood change and the gradient
     norm are below tolerance. Raises SeparationError when a coefficient
     runs away (monotone likelihood) and ConvergenceError, carrying the
-    last iterate, when the iteration cap is reached.
+    last iterate, when the iteration cap is reached, and EstimationError
+    when the information at the optimum is singular.
     """
-    design = _GroupDesign(rows, covariates, ties, stratified)
+    design = _GroupDesign(table, covariates)
     beta = np.zeros(design.p)
     ll, grad, hess = design.loglik_grad_hess(beta)
 
@@ -455,6 +459,12 @@ def cox_fit(rows: CountingProcess, covariates=("trt",), ties="efron", stratified
             "information at the optimum is not positive definite: the design is "
             "collinear on the risk sets or the end point is not a maximum"
         ) from None
+    inflation = np.diag(info) * np.diag(cov)   # at least 1 in exact arithmetic
+    if not np.all((inflation > 0) & (inflation < _MAX_VARIANCE_INFLATION)):
+        raise EstimationError(
+            "information at the optimum is numerically singular: the design is "
+            "collinear on the risk sets"
+        )
     se = np.sqrt(np.diag(cov))
     return CoxFit(
         names=design.names,
@@ -488,22 +498,20 @@ def phase_hr(trial: Trial, ties="efron", stratified=False) -> PhaseHr:
     """Combination-phase and monotherapy-phase hazard ratios with Wald CIs.
 
     Fits treatment, monotherapy status, and their interaction on the
-    counting-process expansion. The combination-phase HR is exp(b_trt);
+    trial's risk table. The combination-phase HR is exp(b_trt);
     the monotherapy-phase HR is exp(b_trt + b_interaction). When no subject
     ever transitions, the monotherapy HR is undefined and flagged, and the
     model reduces to treatment only.
     """
-    rows = to_counting_process(trial)
-    if not rows.mono.any():
-        fit = cox_fit(rows, covariates=("trt",), ties=ties, stratified=stratified)
+    table = risk_table(trial, ties, stratified)
+    if not trial.in_mono.any():
+        fit = cox_fit(table, ("trt",))
         hr_c, ci_c = fit.contrast(("trt",))
         return PhaseHr(
             hr_combo=hr_c, ci_combo=ci_c, hr_mono=None, ci_mono=None,
             fit=fit, flags=["no monotherapy phase observed"],
         )
-    fit = cox_fit(
-        rows, covariates=("trt", "mono", "trt_x_mono"), ties=ties, stratified=stratified
-    )
+    fit = cox_fit(table, ("trt", "mono", "trt_x_mono"))
     hr_c, ci_c = fit.contrast(("trt",))
     hr_m, ci_m = fit.contrast(("trt", "trt_x_mono"))
     return PhaseHr(hr_combo=hr_c, ci_combo=ci_c, hr_mono=hr_m, ci_mono=ci_m, fit=fit)

@@ -4,9 +4,9 @@ A search runs on one columnar `Trial`. Each probe of the search computes
 only the one number its stop rule reads, on the transformed data:
 
 * rule a with the log-rank p-value: the transform and the log-rank test;
-* rule a with the Wald p-value: the transform, the counting-process
-  expansion and the treatment-only Cox fit;
-* rule b: the transform, the expansion and the three-covariate Cox fit.
+* rule a with the Wald p-value: the transform, the risk table and the
+  treatment-only Cox fit;
+* rule b: the transform, the risk table and the three-covariate Cox fit.
 
 A probe is usable when its number can be computed. The full evaluation
 (`evaluate_at`: p-value, overall HR and monotherapy-phase HR) runs only
@@ -54,7 +54,7 @@ from .counterfactual import (
 )
 from .errors import DataError, EstimationError
 from .records import Trial
-from .survival import cox_fit, logrank_test, to_counting_process
+from .survival import cox_fit, logrank_test, risk_table
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -171,16 +171,16 @@ def _logrank_p(data) -> float:
 
 
 def _wald_p(data) -> float:
-    return cox_fit(to_counting_process(data), ("trt",)).wald_p("trt")
+    return cox_fit(risk_table(data), ("trt",)).wald_p("trt")
 
 
-def _mono_hr(rows) -> float:
+def _mono_hr(data, table) -> float:
     """Monotherapy-phase HR, exp(b_trt + b_trt_x_mono), of the
-    three-covariate fit on the expanded rows."""
-    if not rows.mono.any():
+    three-covariate fit on `table`, the risk table of `data`."""
+    if not data.in_mono.any():
         raise EstimationError("no monotherapy phase at this factor")
     try:
-        fit = cox_fit(rows, ("trt", "mono", "trt_x_mono"))
+        fit = cox_fit(table, ("trt", "mono", "trt_x_mono"))
     except EstimationError as err:
         raise EstimationError(f"mono-phase fit failed: {err}") from None
     return math.exp(fit.coef("trt") + fit.coef("trt_x_mono"))
@@ -207,14 +207,14 @@ def evaluate_at(trial: Trial, params: TransformParams,
     and the overall HR exist.
     """
     data = apply_transform(trial, params, draws)
-    rows = to_counting_process(data)
+    table = risk_table(data)
     notes = []
-    trt_fit = _attempt(lambda: cox_fit(rows, ("trt",)), notes)
+    trt_fit = _attempt(lambda: cox_fit(table, ("trt",)), notes)
     if p_source == "wald":
         p = None if trt_fit is None else trt_fit.wald_p("trt")
     else:
         p = _attempt(lambda: _logrank_p(data), notes)
-    hr_mono = _attempt(lambda: _mono_hr(rows), notes)
+    hr_mono = _attempt(lambda: _mono_hr(data, table), notes)
     return TpaCurvePoint(
         gamma=params.gamma, p_two_sided=p,
         hr_overall=None if trt_fit is None else trt_fit.hr("trt"),
@@ -241,7 +241,7 @@ def _stop_rule(config: SearchConfig) -> _StopRule:
             start_flag="already non-significant at start",
         )
     return _StopRule(
-        reads=lambda data: _mono_hr(to_counting_process(data)),
+        reads=lambda data: _mono_hr(data, risk_table(data)),
         crossed=lambda hr_mono: hr_mono >= 1.0,
         start_flag="monotherapy difference already neutral at start",
     )

@@ -1,21 +1,124 @@
 """Reference implementations the tests compare the package against.
 
-`RowLevelDesign` is the row-level Efron/Breslow partial likelihood on
-start-stop data that `cox_fit` used before it fitted from the grouped
-risk-set table: risk-set sums over the expansion's rows, evaluated with
-suffix sums on stop- and start-sorted row orders. `cox_fit_row_level` runs
-the package's own Newton loop on it, so the two fits differ only in how the
-likelihood is computed.
+`transform_effect1` and `transform_effect2` state the counterfactual
+transforms one subject at a time; `apply_transform` must give exactly what
+they give.
+
+`expand` is the start-stop (counting-process) expansion of a trial, built
+by a plain loop over the subjects: a subject in the monotherapy phase
+contributes the combination interval (0, m] without an event and the
+monotherapy interval (m, s] with its event status, every other subject the
+one interval (0, s]. `RowLevelDesign` is the row-level Efron/Breslow
+partial likelihood on those rows: risk-set sums over the rows, evaluated
+with suffix sums on stop- and start-sorted row orders. `cox_fit_row_level`
+runs the package's own Newton loop on it, so it and `cox_fit` on the
+grouped risk-set table differ only in how the likelihood is computed.
 """
 
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
 
 from phasetip import survival
+from phasetip.counterfactual import Effect, TransformParams
 from phasetip.errors import DataError, EstimationError
+from phasetip.records import Arm
 
-__all__ = ["RowLevelDesign", "cox_fit_row_level"]
+__all__ = [
+    "with_outcome", "transform_effect1", "transform_effect2",
+    "Rows", "expand", "RowLevelDesign", "cox_fit_row_level",
+]
+
+
+def with_outcome(record, s, delta):
+    """Copy of a SubjectRecord with a new (s, delta), extending the cutoff
+    if s moved past it."""
+    return replace(record, s=s, delta=delta, cutoff=max(record.cutoff, s))
+
+
+def transform_effect1(record, gamma, imputed_r=None):
+    """Inflate a control subject's monotherapy duration by `gamma`.
+
+    Censored subjects are unchanged (their counterfactual time only moves
+    further beyond the censoring time). An observed event moves to
+    t' = x + gamma*(s - x); it stays an event if t' is within the imputed
+    censoring time, otherwise the subject becomes censored there.
+    Non-control subjects and subjects without a monotherapy phase pass
+    through untouched.
+    """
+    TransformParams(Effect.INFLATE_CONTROL, gamma)  # refuses a factor below 1
+    if record.arm is not Arm.CONTROL or not record.in_mono:
+        return record
+    if record.delta == 0:
+        return record
+    if imputed_r is None:
+        raise DataError(f"subject {record.subject_id}: missing imputed censoring time")
+    # algebraically x + gamma*(s - x); this form is exact at gamma == 1
+    t_prime = record.s + (gamma - 1.0) * (record.s - record.mono_start)
+    if t_prime <= imputed_r:
+        return with_outcome(record, t_prime, 1)
+    return with_outcome(record, imputed_r, 0)
+
+
+def transform_effect2(record, gamma, imputed_t=None):
+    """Shrink an experimental subject's monotherapy duration by `gamma`.
+
+    Observed events stay events with shortened time x + gamma*(s - x).
+    A subject censored during monotherapy gets an imputed event time
+    t-hat beyond the observed time; the shrunk time x + gamma*(t-hat - x)
+    becomes an observed event if it lands at or before the observed
+    censoring time (the observed s), otherwise the record is unchanged.
+    """
+    TransformParams(Effect.SHRINK_EXPERIMENTAL, gamma)  # refuses a factor outside (0, 1]
+    if record.arm is not Arm.EXPERIMENTAL or not record.in_mono:
+        return record
+    x = record.mono_start
+    if record.delta == 1:
+        t_prime = record.s + (gamma - 1.0) * (record.s - x)
+        return with_outcome(record, t_prime, 1)
+    if imputed_t is None:
+        raise DataError(f"subject {record.subject_id}: missing imputed event time")
+    t_prime = imputed_t + (gamma - 1.0) * (imputed_t - x)
+    if t_prime <= record.s:
+        return with_outcome(record, t_prime, 1)
+    return record
+
+
+@dataclass(frozen=True)
+class Rows:
+    """(start, stop] intervals with interval-constant covariates, as columns."""
+
+    start: np.ndarray
+    stop: np.ndarray
+    event: np.ndarray
+    trt: np.ndarray
+    mono: np.ndarray
+    stratum: np.ndarray
+
+    def __len__(self):
+        return self.start.size
+
+    def covariate(self, name):
+        columns = {"trt": self.trt, "mono": self.mono, "trt_x_mono": self.trt * self.mono}
+        if name not in columns:
+            raise DataError(f"unknown covariate {name!r}")
+        return columns[name]
+
+
+def expand(trial):
+    """The start-stop rows of a trial, subject by subject in trial order."""
+    rows = []
+    for r in trial:
+        stratum = np.nan if r.stratum is None else r.stratum
+        if r.in_mono:
+            rows.append((0.0, r.mono_start, 0, r.trt, 0, stratum))
+            rows.append((r.mono_start, r.s, r.delta, r.trt, 1, stratum))
+        else:
+            rows.append((0.0, r.s, r.delta, r.trt, 0, stratum))
+    start, stop, event, trt, mono, stratum = (np.array(c) for c in zip(*rows))
+    return Rows(start=start.astype(float), stop=stop.astype(float), event=event.astype(int),
+                trt=trt.astype(int), mono=mono.astype(int), stratum=stratum.astype(float))
 
 
 def _row_risk_sets(cp, ties, stratified):
@@ -133,6 +236,9 @@ class RowLevelDesign:
 
 
 def cox_fit_row_level(rows, covariates=("trt",), ties="efron", stratified=False, **kwargs):
-    """`cox_fit`'s Newton loop on the row-level likelihood."""
-    with mock.patch.object(survival, "_GroupDesign", RowLevelDesign):
-        return survival.cox_fit(rows, covariates, ties=ties, stratified=stratified, **kwargs)
+    """`cox_fit`'s Newton loop on the row-level likelihood of `rows`."""
+    def design(_table, covariates):
+        return RowLevelDesign(rows, covariates, ties, stratified)
+
+    with mock.patch.object(survival, "_GroupDesign", design):
+        return survival.cox_fit(None, covariates, **kwargs)

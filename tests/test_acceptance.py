@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import transform_effect1, transform_effect2
 from phasetip.cli import main
 from phasetip.counterfactual import (
     Effect,
@@ -24,8 +25,6 @@ from phasetip.counterfactual import (
     apply_transform,
     make_draws,
     naive_transform,
-    transform_effect1,
-    transform_effect2,
 )
 from phasetip.dataio import write_dataset
 from phasetip.records import Arm, SubjectRecord, Trial
@@ -35,7 +34,7 @@ from phasetip.survival import (
     km_estimate,
     logrank_test,
     partial_loglik_and_gradient,
-    to_counting_process,
+    risk_table,
 )
 from phasetip.tipping import SearchConfig, find_tipping, grid_scan
 
@@ -66,7 +65,7 @@ def test_criterion_1_identity_gate():
     t0 = time.perf_counter()
     records = simulate_trial(SimConfig(), seed=ANCHOR_SEED)
     lr = logrank_test(records)
-    overall = cox_fit(to_counting_process(records), ("trt",)).hr("trt")
+    overall = cox_fit(risk_table(records), ("trt",)).hr("trt")
     for effect in Effect:
         draws = make_draws(records, effect, "auto", seed=3, replicate_id=0)
         config = SearchConfig(effect=effect, seed=3)
@@ -116,15 +115,15 @@ def test_criterion_2_cox_oracle():
             rec(i, Arm.EXPERIMENTAL if xi else Arm.CONTROL, t, ev)
             for i, (t, ev, xi) in enumerate(zip(times, events, x))
         )
-        rows = to_counting_process(records)
-        fit = cox_fit(rows, ("trt",))
+        table = risk_table(records)
+        fit = cox_fit(table, ("trt",))
         assert fit.coef("trt") == pytest.approx(beta_oracle, abs=1e-4)
 
         h = 1e-5
         for beta in (np.zeros(1), np.array([0.7])):
-            _, grad = partial_loglik_and_gradient(rows, ("trt",), beta)
-            up, _ = partial_loglik_and_gradient(rows, ("trt",), beta + h)
-            dn, _ = partial_loglik_and_gradient(rows, ("trt",), beta - h)
+            _, grad = partial_loglik_and_gradient(table, ("trt",), beta)
+            up, _ = partial_loglik_and_gradient(table, ("trt",), beta + h)
+            dn, _ = partial_loglik_and_gradient(table, ("trt",), beta - h)
             assert grad[0] == pytest.approx((up - dn) / (2 * h), abs=1e-6)
         checked += 1
     assert checked >= 10, f"only {checked} oracle datasets accepted"
@@ -190,7 +189,7 @@ def test_criterion_5_alpha_two_neutralization():
         records = simulate_trial(SimConfig(), seed=seed)
         draws = make_draws(records, Effect.INFLATE_CONTROL, "auto", seed=seed)
         data = apply_transform(records, TransformParams(Effect.INFLATE_CONTROL, 2.0), draws)
-        hrs.append(cox_fit(to_counting_process(data), ("trt",)).hr("trt"))
+        hrs.append(cox_fit(risk_table(data), ("trt",)).hr("trt"))
     mean_hr = float(np.mean(hrs))
     assert time.perf_counter() - t0 < 60.0
     assert 0.77 <= mean_hr <= 0.83, (

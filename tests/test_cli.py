@@ -316,6 +316,26 @@ class TestConfigKeys:
                        "bisection_tol=0.01\n")
         assert main(["simulate", "--out", str(tmp_path / "s.csv"), "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("command", ["tpa", "curve"])
+    def test_fit_settings_the_command_cannot_use_are_refused(self, small_dataset, tmp_path,
+                                                             capsys, command):
+        # tpa and curve fit unstratified models with Efron ties: a file that
+        # asks for strata or Breslow ties is refused, naming the key
+        argv = [command, "--input", small_dataset, "--effect", "1", "--grid-step", "0.2",
+                "--out", str(tmp_path / "out")]
+        if command == "tpa":
+            argv += ["--replicates", "1"]
+        cfg = tmp_path / "run.cfg"
+        for lines in ("stratified=true", "stratified=1", "ties=breslow",
+                      "stratified=0\nties=breslow"):
+            cfg.write_text(lines + "\n")
+            assert main([*argv, "--config", str(cfg)]) == 2
+            key = lines.splitlines()[-1].split("=")[0]
+            assert f"config key {key}=" in capsys.readouterr().err
+        for lines in ("stratified=false", "stratified=0\nties=efron"):
+            cfg.write_text(lines + "\n")
+            assert main([*argv, "--config", str(cfg)]) == 0
+
 
 class TestGoldenOutputs:
     """`results.csv` and the curve CSV are byte-identical to recorded files.

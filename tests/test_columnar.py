@@ -1,8 +1,7 @@
-"""Property tests of the columnar path against per-subject references.
+"""Property tests of the columnar transform against per-subject references.
 
-`apply_transform` must give exactly what `transform_effect1` and
-`transform_effect2` give one record at a time, and `to_counting_process`
-exactly what a plain loop over the records gives. The generated trials are
+`apply_transform` must give exactly what the reference `transform_effect1`
+and `transform_effect2` give one record at a time. The generated trials are
 small and draw their times from a short list, so tied times, a monotherapy
 start equal to the follow-up time and subjects without a monotherapy phase
 all occur often.
@@ -14,18 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import C, E, draws_by_id, rec, trials
+from reference import transform_effect1, transform_effect2
 from phasetip.counterfactual import (
     Effect,
     ImputationDraws,
     TransformParams,
     apply_transform,
     make_draws,
-    transform_effect1,
-    transform_effect2,
 )
 from phasetip.errors import DataError, EstimationError
 from phasetip.records import Trial
-from phasetip.survival import to_counting_process
 
 @st.composite
 def draw_sets(draw, records, effect):
@@ -62,27 +59,6 @@ def reference_transform(records, params, draws):
         return None, str(err)
 
 
-def loop_expansion(records):
-    """Counting-process rows of `records` as tuples, built by a plain loop."""
-    rows = []
-    for r in records:
-        stratum = -1 if r.stratum is None else r.stratum
-        if r.mono_start is None or r.mono_start == r.s:
-            rows.append((0.0, r.s, r.delta, r.trt, 0, stratum))
-        else:
-            rows.append((0.0, r.mono_start, 0, r.trt, 0, stratum))
-            rows.append((r.mono_start, r.s, r.delta, r.trt, 1, stratum))
-    return rows
-
-
-def columns_as_rows(cp):
-    stratum = np.where(np.isnan(cp.stratum), -1, cp.stratum)
-    return [
-        (float(a), float(b), int(e), int(t), int(m), int(st_))
-        for a, b, e, t, m, st_ in zip(cp.start, cp.stop, cp.event, cp.trt, cp.mono, stratum)
-    ]
-
-
 def assert_same_subjects(trial, records):
     assert list(trial) == list(records)
     assert np.array_equal(trial.s, [r.s for r in records])
@@ -103,7 +79,6 @@ def test_vectorized_transform_equals_per_record_reference(data, records, effect)
         return
     out = apply_transform(Trial.from_records(records), params, draws)
     assert_same_subjects(out, expected)
-    assert columns_as_rows(to_counting_process(out)) == loop_expansion(expected)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -118,18 +93,6 @@ def test_transform_with_made_draws_equals_reference(data, records, effect, seed)
     expected, error = reference_transform(records, params, draws)
     assert error is None  # the draws of make_draws always suffice
     assert_same_subjects(apply_transform(Trial.from_records(records), params, draws), expected)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(records=trials())
-def test_expansion_equals_loop(records):
-    trial = Trial.from_records(records)
-    assert_same_subjects(trial, records)
-    cp = to_counting_process(trial)
-    assert len(cp) == len(loop_expansion(records))
-    assert columns_as_rows(cp) == loop_expansion(records)
-    again = to_counting_process(Trial.from_records(records))
-    assert columns_as_rows(again) == loop_expansion(records)
 
 
 def test_draws_are_read_at_their_trial_positions():

@@ -5,17 +5,29 @@ import numpy as np
 import pytest
 
 from conftest import C, E, draws_by_id, rec
+from reference import transform_effect1, transform_effect2, with_outcome
 from phasetip.counterfactual import (
     Effect,
     TransformParams,
     apply_transform,
     make_draws,
     naive_transform,
-    transform_effect1,
-    transform_effect2,
 )
 from phasetip.errors import DataError
 from phasetip.records import Trial
+
+
+class TestWithOutcome:
+    def test_with_outcome_extends_cutoff(self):
+        r = rec("s1", C, 10.0, 1, cutoff=12.0)
+        out = with_outcome(r, 15.0, 0)
+        assert out.s == 15.0
+        assert out.delta == 0
+        assert out.cutoff == 15.0
+
+    def test_with_outcome_keeps_cutoff_when_inside(self):
+        r = rec("s1", C, 10.0, 1, cutoff=30.0)
+        assert with_outcome(r, 12.0, 1).cutoff == 30.0
 
 
 class TestEffect1Branches:

@@ -1,8 +1,9 @@
-"""Cox fitter tests: counting-process expansion, brute-force likelihood
-oracle, finite-difference gradient, model invariances, the grouped fit
-against the row-level likelihood, and the Wald and log-rank tail
-probabilities against scipy."""
+"""Cox fitter tests: the grouped risk-set table against a brute-force count
+over the row expansion, brute-force likelihood oracle, finite-difference
+gradient, model invariances, the grouped fit against the row-level
+likelihood, and the Wald and log-rank tail probabilities against scipy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,16 +12,16 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import C, E, rec, trials
-from reference import cox_fit_row_level
+from reference import Rows, cox_fit_row_level, expand
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
-from phasetip.records import CountingProcess, Trial
+from phasetip.records import Trial
 from phasetip.survival import (
     CoxFit,
     cox_fit,
     logrank_test,
     partial_loglik_and_gradient,
     phase_hr,
-    to_counting_process,
+    risk_table,
 )
 
 
@@ -55,49 +56,52 @@ def trial_from_triplets(times, events, x):
     )
 
 
-def row(cp, k):
-    """Row k of a counting process as (start, stop, event, trt, mono)."""
-    return (cp.start[k], cp.stop[k], cp.event[k], cp.trt[k], cp.mono[k])
+def brute_force_table(rows, ties, stratified):
+    """(A, D) of `risk_table`, counted event time by event time over the rows:
+    per stratum, event time and tie index k of d, the rows of each group at
+    risk less k / d (0 under Breslow) of their events there."""
+    if stratified:
+        keys = np.where(np.isnan(rows.stratum), -1.0, rows.stratum)
+    else:
+        keys = np.zeros(len(rows))
+    group = rows.trt + 2 * rows.mono
+    A, D = [], np.zeros(4, dtype=int)
+    for st in sorted(set(keys.tolist())):
+        in_stratum = keys == st
+        for t in sorted(set(rows.stop[in_stratum & (rows.event == 1)].tolist())):
+            at_risk = in_stratum & (rows.start < t) & (t <= rows.stop)
+            dead = in_stratum & (rows.stop == t) & (rows.event == 1)
+            n = [int((at_risk & (group == g)).sum()) for g in range(4)]
+            e = [int((dead & (group == g)).sum()) for g in range(4)]
+            d = sum(e)
+            for k in range(d):
+                frac = k / d if ties == "efron" else 0.0
+                A.append([n[g] - frac * e[g] for g in range(4)])
+            D += e
+    return np.array(A, dtype=float).reshape(-1, 4), D
 
 
-class TestCountingProcess:
-    def test_split_at_transition(self):
-        rows = to_counting_process(Trial.from_records([rec("s", E, 10, 1, mono=6.0)]))
-        assert len(rows) == 2
-        assert row(rows, 0) == (0.0, 6.0, 0, 1, 0)
-        assert row(rows, 1)[:3] == (6.0, 10.0, 1)
-        assert rows.mono[1] == 1
-        assert rows.covariate("trt_x_mono")[1] == 1
+class TestRiskTable:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(records=trials())
+    def test_table_equals_brute_force_count_over_rows(self, records):
+        trial = Trial.from_records(records)
+        rows = expand(trial)
+        for ties in ("efron", "breslow"):
+            for stratified in (False, True):
+                table = risk_table(trial, ties, stratified)
+                A, D = brute_force_table(rows, ties, stratified)
+                assert (table.ties, table.stratified) == (ties, stratified)
+                assert table.A.shape == A.shape and np.array_equal(table.A, A)
+                assert np.array_equal(table.D, D)
 
-    def test_no_transition_single_row(self):
-        rows = to_counting_process(Trial.from_records([rec("s", C, 8, 0)]))
-        assert len(rows) == 1
-        assert row(rows, 0)[:3] == (0.0, 8.0, 0)
-        assert rows.trt[0] == 0 and rows.mono[0] == 0
-
-    def test_zero_length_mono_interval_dropped(self):
-        rows = to_counting_process(Trial.from_records([rec("s", E, 5, 1, mono=5.0)]))
-        assert len(rows) == 1
-        assert (rows.start[0], rows.stop[0], rows.event[0], rows.mono[0]) == (0.0, 5.0, 1, 0)
-
-    def test_rows_partition_follow_up(self):
-        rng = np.random.default_rng(3)
-        records = []
-        for i in range(50):
-            s = float(rng.uniform(1, 20))
-            mono = float(rng.uniform(0.1, s)) if rng.random() < 0.5 else None
-            records.append(rec(i, E if i % 2 else C, s, int(rng.integers(0, 2)), mono=mono))
-        cp = to_counting_process(Trial.from_records(records))
-        # each subject's rows are adjacent and in subject order: a new subject
-        # starts at every row whose interval opens at 0
-        firsts = np.flatnonzero(cp.start == 0.0)
-        assert firsts.size == len(records)
-        bounds = [*firsts, len(cp)]
-        for r, lo, hi in zip(records, bounds, bounds[1:]):
-            assert cp.start[lo] == 0.0
-            assert cp.stop[hi - 1] == r.s
-            for k in range(lo, hi - 1):
-                assert cp.stop[k] == cp.start[k + 1]
+    def test_late_phase_and_unknown_ties_rejected(self):
+        trial = Trial.from_records([rec("a", E, 10, 1, mono=6.0), rec("b", C, 8, 1)])
+        with pytest.raises(DataError, match="unknown ties method"):
+            risk_table(trial, ties="exact")
+        late = dataclasses.replace(trial, mono_start=np.array([12.0, np.nan]))
+        with pytest.raises(DataError, match="subject a: phase time exceeds follow-up"):
+            risk_table(late)
 
 
 class TestCoxOracle:
@@ -105,7 +109,7 @@ class TestCoxOracle:
         outcomes = [(1.0, 1), (2.0, 1), (4.0, 0), (6.0, 1)]
         records = [rec(f"e{i}", E, t, d) for i, (t, d) in enumerate(outcomes)]
         records += [rec(f"c{i}", C, t, d) for i, (t, d) in enumerate(outcomes)]
-        fit = cox_fit(to_counting_process(Trial.from_records(records)))
+        fit = cox_fit(risk_table(Trial.from_records(records)))
         assert abs(fit.coef("trt")) <= 1e-8
 
     def test_six_subject_grid_maximizer(self):
@@ -117,7 +121,7 @@ class TestCoxOracle:
         beta_oracle = grid[np.argmax(lls)]
         assert -4.9 < beta_oracle < 4.9, "oracle maximizer must be interior"
 
-        fit = cox_fit(to_counting_process(trial_from_triplets(times, events, x)))
+        fit = cox_fit(risk_table(trial_from_triplets(times, events, x)))
         assert fit.coef("trt") == pytest.approx(beta_oracle, abs=1e-4)
 
     def test_grid_maximizer_with_ties(self):
@@ -126,16 +130,16 @@ class TestCoxOracle:
         x = [0, 1, 0, 1, 1, 0]
         grid = np.arange(-5.0, 5.0 + 1e-9, 1e-4)
         beta_oracle = grid[np.argmax(efron_loglik_grid(times, events, x, grid))]
-        fit = cox_fit(to_counting_process(trial_from_triplets(times, events, x)))
+        fit = cox_fit(risk_table(trial_from_triplets(times, events, x)))
         assert fit.coef("trt") == pytest.approx(beta_oracle, abs=1e-4)
 
     def test_loglik_value_matches_oracle_at_arbitrary_beta(self):
         times = [2.0, 3.0, 5.0, 6.0, 8.0, 9.0]
         events = [1, 1, 1, 1, 0, 1]
         x = [0, 1, 0, 1, 0, 1]
-        rows = to_counting_process(trial_from_triplets(times, events, x))
+        table = risk_table(trial_from_triplets(times, events, x))
         for b in (-1.3, 0.0, 0.7, 2.1):
-            ll, _ = partial_loglik_and_gradient(rows, ("trt",), np.array([b]))
+            ll, _ = partial_loglik_and_gradient(table, ("trt",), np.array([b]))
             oracle = efron_loglik_grid(times, events, x, np.array([b]))[0]
             assert ll == pytest.approx(oracle, abs=1e-10)
 
@@ -149,16 +153,16 @@ class TestCoxOracle:
         for i in range(n):
             mono = float(times[i] * rng.uniform(0.2, 0.9)) if rng.random() < 0.5 else None
             records.append(rec(i, E if rng.random() < 0.5 else C, times[i], int(events[i]), mono=mono))
-        rows = to_counting_process(Trial.from_records(records))
+        table = risk_table(Trial.from_records(records))
         covs = ("trt", "mono", "trt_x_mono")
         h = 1e-5
         for beta in (np.zeros(3), np.array([0.3, -0.4, 0.2])):
-            _, grad = partial_loglik_and_gradient(rows, covs, beta)
+            _, grad = partial_loglik_and_gradient(table, covs, beta)
             for j in range(3):
                 ej = np.zeros(3)
                 ej[j] = h
-                up, _ = partial_loglik_and_gradient(rows, covs, beta + ej)
-                dn, _ = partial_loglik_and_gradient(rows, covs, beta - ej)
+                up, _ = partial_loglik_and_gradient(table, covs, beta + ej)
+                dn, _ = partial_loglik_and_gradient(table, covs, beta - ej)
                 fd = (up - dn) / (2 * h)
                 assert grad[j] == pytest.approx(fd, abs=1e-6)
 
@@ -177,8 +181,8 @@ class TestCoxProperties:
     def test_gradient_norm_small_and_information_pd_at_optimum(self):
         rng = np.random.default_rng(101)
         records = self._random_records(rng)
-        rows = to_counting_process(records)
-        fit = cox_fit(rows, ("trt", "mono", "trt_x_mono"))
+        table = risk_table(records)
+        fit = cox_fit(table, ("trt", "mono", "trt_x_mono"))
         assert fit.gradient_norm < 1e-8
         info = np.linalg.inv(fit.cov)
         assert np.all(np.linalg.eigvalsh(info) > 0)
@@ -187,11 +191,11 @@ class TestCoxProperties:
     def test_splitting_at_non_event_time_changes_nothing(self):
         rng = np.random.default_rng(5)
         records = self._random_records(rng, with_mono=False)
-        plain = cox_fit(to_counting_process(records), ("trt",))
+        plain = cox_fit(risk_table(records), ("trt",))
         # every subject as two rows, (0, s/2] without an event and (s/2, s]
         s = np.array([r.s for r in records])
         cut = s / 2
-        split_rows = CountingProcess(
+        split_rows = Rows(
             start=np.column_stack([np.zeros_like(s), cut]).ravel(),
             stop=np.column_stack([cut, s]).ravel(),
             event=np.column_stack([np.zeros(len(s), int), [r.delta for r in records]]).ravel(),
@@ -199,29 +203,28 @@ class TestCoxProperties:
             mono=np.zeros(2 * len(s), int),
             stratum=np.full(2 * len(s), np.nan),
         )
-        split = cox_fit(split_rows, ("trt",))
+        split = cox_fit_row_level(split_rows, ("trt",))
         assert split.coef("trt") == pytest.approx(plain.coef("trt"), abs=1e-10)
         assert split.loglik == pytest.approx(plain.loglik, abs=1e-10)
 
     def test_time_rescaling_leaves_beta_unchanged(self):
         rng = np.random.default_rng(17)
         records = self._random_records(rng)
-        base = cox_fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"))
+        base = cox_fit(risk_table(records), ("trt", "mono", "trt_x_mono"))
         for c in (0.5, 4.0):
             scaled = Trial.from_records(
                 rec(r.subject_id, r.arm, c * r.s, r.delta, cutoff=c * r.cutoff,
                     mono=None if r.mono_start is None else c * r.mono_start)
                 for r in records
             )
-            fit = cox_fit(to_counting_process(scaled), ("trt", "mono", "trt_x_mono"))
+            fit = cox_fit(risk_table(scaled), ("trt", "mono", "trt_x_mono"))
             assert np.allclose(fit.beta, base.beta, atol=1e-7)
 
     def test_breslow_equals_efron_without_ties(self):
         rng = np.random.default_rng(23)
         records = self._random_records(rng, with_mono=False)
-        rows = to_counting_process(records)
-        fe = cox_fit(rows, ("trt",), ties="efron")
-        fb = cox_fit(rows, ("trt",), ties="breslow")
+        fe = cox_fit(risk_table(records, ties="efron"), ("trt",))
+        fb = cox_fit(risk_table(records, ties="breslow"), ("trt",))
         assert fe.coef("trt") == pytest.approx(fb.coef("trt"), abs=1e-9)
 
     def test_breslow_differs_from_efron_with_ties(self):
@@ -229,36 +232,35 @@ class TestCoxProperties:
         events = [1, 1, 0, 1, 1, 1, 0, 1]
         x = [0, 1, 0, 1, 0, 1, 0, 1]
         records = trial_from_triplets(times, events, x)
-        rows = to_counting_process(records)
-        fe = cox_fit(rows, ("trt",), ties="efron")
-        fb = cox_fit(rows, ("trt",), ties="breslow")
+        fe = cox_fit(risk_table(records, ties="efron"), ("trt",))
+        fb = cox_fit(risk_table(records, ties="breslow"), ("trt",))
         assert abs(fe.coef("trt") - fb.coef("trt")) > 1e-4
 
     def test_separation_detected(self):
         records = [rec(f"c{i}", C, t, 1) for i, t in enumerate([1.0, 2.0, 3.0])]
         records += [rec(f"e{i}", E, t, 1) for i, t in enumerate([11.0, 12.0, 13.0])]
         with pytest.raises(SeparationError, match="separation"):
-            cox_fit(to_counting_process(Trial.from_records(records)))
+            cox_fit(risk_table(Trial.from_records(records)))
 
     def test_non_convergence_carries_last_iterate(self):
         rng = np.random.default_rng(31)
         records = self._random_records(rng)
         with pytest.raises(ConvergenceError) as err:
-            cox_fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"), max_iter=1)
+            cox_fit(risk_table(records), ("trt", "mono", "trt_x_mono"), max_iter=1)
         assert err.value.last_beta is not None
         assert err.value.iterations == 1
 
     def test_no_events_error(self):
         records = Trial.from_records([rec("e", E, 1, 0), rec("c", C, 2, 0)])
         with pytest.raises(EstimationError, match="no events"):
-            cox_fit(to_counting_process(records))
+            cox_fit(risk_table(records))
 
     def test_collinear_design_error(self):
         # every experimental subject in mono from (near) start: mono == trt
         records = [rec(f"e{i}", E, t, 1, mono=0.01) for i, t in enumerate([2.0, 4.0, 6.0])]
         records += [rec(f"c{i}", C, t, 1) for i, t in enumerate([3.0, 5.0, 7.0])]
         with pytest.raises(EstimationError, match="collinear"):
-            cox_fit(to_counting_process(Trial.from_records(records)), ("trt", "mono", "trt_x_mono"))
+            cox_fit(risk_table(Trial.from_records(records)), ("trt", "mono", "trt_x_mono"))
 
     def test_indefinite_information_at_optimum_is_an_error(self):
         # no experimental subject enters monotherapy, so the interaction never
@@ -272,15 +274,38 @@ class TestCoxProperties:
         ]
         records = Trial.from_records(rec(sid, arm, s, d, mono=m, stratum=st)
                                      for sid, arm, s, d, m, st in outcomes)
-        for fit in (cox_fit, cox_fit_row_level):
-            with pytest.raises(EstimationError, match="not positive definite"):
-                fit(to_counting_process(records), ("trt", "mono", "trt_x_mono"),
-                    stratified=True)
+        covariates = ("trt", "mono", "trt_x_mono")
+        with pytest.raises(EstimationError, match="not positive definite"):
+            cox_fit(risk_table(records, stratified=True), covariates)
+        with pytest.raises(EstimationError, match="not positive definite"):
+            cox_fit_row_level(expand(records), covariates, stratified=True)
+
+    def test_numerically_singular_information_is_an_error(self):
+        # the information at the optimum, scaled to unit diagonal, has its
+        # smallest eigenvalue at rounding level (about 4e-16), and the
+        # variance of b_trt is inflated about 2e15-fold: the standard errors
+        # are noise, and the combination-phase HR came out as
+        # 0.0000 (0.000, inf). The row-level arithmetic refuses it as well.
+        outcomes = [
+            ("0", C, 2.0, 0, None, 0), ("1", E, 0.5, 0, 0.5, 1), ("2", C, 2.0, 0, 0.5, 1),
+            ("3", C, 2.5, 1, 0.5, None), ("4", E, 2.5, 1, 2.0, 0), ("5", C, 7.0, 0, 2.0, 1),
+            ("6", E, 2.5, 0, None, 0), ("7", E, 2.0, 0, 2.0, None),
+        ]
+        cutoffs = [2.0, 2.0, 8.0, 2.5, 2.5, 8.5, 2.5, 3.5]
+        records = Trial.from_records(rec(sid, arm, s, d, cutoff=cut, mono=m, stratum=st)
+                                     for (sid, arm, s, d, m, st), cut in zip(outcomes, cutoffs))
+        covariates = ("trt", "mono", "trt_x_mono")
+        with pytest.raises(EstimationError, match="numerically singular"):
+            cox_fit(risk_table(records), covariates)
+        with pytest.raises(EstimationError):
+            cox_fit_row_level(expand(records), covariates)
+        with pytest.raises(EstimationError, match="numerically singular"):
+            phase_hr(records)
 
     def test_unknown_covariate_rejected(self):
         with pytest.raises(DataError, match="covariate"):
             records = Trial.from_records([rec("e", E, 1, 1), rec("c", C, 2, 1)])
-            cox_fit(to_counting_process(records), ("age",))
+            cox_fit(risk_table(records), ("age",))
 
     def test_stratified_fit_with_scaled_copy_stratum(self):
         # stratum 1 is stratum 0 with all times tripled: per-stratum partial
@@ -294,12 +319,12 @@ class TestCoxProperties:
             for r in base
         ]
         records = Trial.from_records(records)
-        single = cox_fit(to_counting_process(base), ("trt",))
-        strat = cox_fit(to_counting_process(records), ("trt",), stratified=True)
+        single = cox_fit(risk_table(base), ("trt",))
+        strat = cox_fit(risk_table(records, stratified=True), ("trt",))
         assert strat.coef("trt") == pytest.approx(single.coef("trt"), abs=1e-9)
         assert strat.loglik == pytest.approx(2 * single.loglik, abs=1e-8)
         # pooling without strata mixes the two baselines and shifts the estimate
-        pooled = cox_fit(to_counting_process(records), ("trt",))
+        pooled = cox_fit(risk_table(records), ("trt",))
         assert abs(pooled.coef("trt") - single.coef("trt")) > 1e-4
 
 
@@ -320,7 +345,8 @@ class TestGroupedAgainstRowLevel:
            stratified=st.booleans(),
            covariates=st.sampled_from([("trt",), ("trt", "mono", "trt_x_mono")]))
     def test_fit_matches_row_level_likelihood(self, records, ties, stratified, covariates):
-        rows = to_counting_process(Trial.from_records(records))
+        trial = Trial.from_records(records)
+        rows = expand(trial)
         try:
             ref = cox_fit_row_level(rows, covariates, ties=ties, stratified=stratified)
         except (EstimationError, DataError):
@@ -329,7 +355,7 @@ class TestGroupedAgainstRowLevel:
         if not np.linalg.cond(ref.cov) < self.MAX_COND:
             event("ill-conditioned")
             return
-        fit = cox_fit(rows, covariates, ties=ties, stratified=stratified)
+        fit = cox_fit(risk_table(trial, ties, stratified), covariates)
         event(f"compared: {ties}, stratified={stratified}, p={len(covariates)}")
         if rows.mono.any():
             event("compared with a mono split")
@@ -360,7 +386,7 @@ class TestPhaseHr:
         res = phase_hr(records)
         assert res.hr_mono is None
         assert res.flags == ["no monotherapy phase observed"]
-        plain = cox_fit(to_counting_process(records), ("trt",))
+        plain = cox_fit(risk_table(records), ("trt",))
         assert res.hr_combo == pytest.approx(np.exp(plain.coef("trt")), abs=1e-12)
 
 

@@ -4,15 +4,7 @@ from conftest import C, E, rec
 from phasetip.errors import DataError
 import numpy as np
 
-from phasetip.records import Arm, CountingProcess, Trial
-
-
-def counting_process(start, stop, event, trt, mono):
-    """A one-row CountingProcess."""
-    return CountingProcess(
-        start=np.array([start]), stop=np.array([stop]), event=np.array([event]),
-        trt=np.array([trt]), mono=np.array([mono]), stratum=np.array([np.nan]),
-    )
+from phasetip.records import Arm, Trial
 
 
 class TestSubjectRecord:
@@ -58,17 +50,6 @@ class TestSubjectRecord:
         with pytest.raises(TypeError, match="only integer indexing"):
             trial[index]
 
-    def test_with_outcome_extends_cutoff(self):
-        r = rec("s1", C, 10.0, 1, cutoff=12.0)
-        out = r.with_outcome(15.0, 0)
-        assert out.s == 15.0
-        assert out.delta == 0
-        assert out.cutoff == 15.0
-
-    def test_with_outcome_keeps_cutoff_when_inside(self):
-        r = rec("s1", C, 10.0, 1, cutoff=30.0)
-        assert r.with_outcome(12.0, 1).cutoff == 30.0
-
 
 class TestArm:
     def test_codes_round_trip(self):
@@ -79,30 +60,3 @@ class TestArm:
     def test_unknown_code(self):
         with pytest.raises(DataError, match="arm"):
             Arm.from_code("X")
-
-
-class TestCountingProcessRow:
-    """Rows of the columnar CountingProcess."""
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            counting_process(5.0, 5.0, 1, 1, 0)
-
-    def test_interaction_consistency(self):
-        # the interaction is not stored, so it cannot disagree with trt * mono;
-        # a row's group covariates are its own covariates
-        names = ("trt", "mono", "trt_x_mono")
-        for trt in (0, 1):
-            for mono in (0, 1):
-                cp = counting_process(0.0, 5.0, 1, trt, mono)
-                assert cp.covariate("trt_x_mono")[0] == trt * mono
-                assert cp.group[0] == trt + 2 * mono
-                assert (CountingProcess.group_covariates(names)[cp.group[0]].tolist()
-                        == [cp.covariate(c)[0] for c in names])
-        with pytest.raises(DataError, match="covariate"):
-            counting_process(0.0, 5.0, 1, 1, 1).covariate("age")
-
-    def test_covariate_lookup(self):
-        row = counting_process(0.0, 5.0, 1, 1, 1)
-        assert row.covariate("trt")[0] == 1
-        assert row.covariate("trt_x_mono")[0] == 1

@@ -10,7 +10,7 @@ from conftest import C, E, rec
 from phasetip.errors import DataError
 from phasetip.records import Arm, Trial
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial
-from phasetip.survival import cox_fit, phase_hr, to_counting_process
+from phasetip.survival import cox_fit, phase_hr, risk_table
 
 
 class TestConfigValidation:
@@ -72,7 +72,7 @@ class TestCalibrationTargets:
         betas, ses = [], []
         for seed in range(10):
             records = simulate_trial(cfg, seed=seed)
-            fit = cox_fit(to_counting_process(records), ("trt",))
+            fit = cox_fit(risk_table(records), ("trt",))
             betas.append(fit.coef("trt"))
             ses.append(fit.se[0])
         mean_beta = np.mean(betas)
@@ -116,7 +116,7 @@ class TestCensoringStructure:
             cfg = SimConfig(n_experimental=n, n_control=n)
             vals = []
             for seed in range(6):
-                fit = cox_fit(to_counting_process(simulate_trial(cfg, seed=seed)), ("trt",))
+                fit = cox_fit(risk_table(simulate_trial(cfg, seed=seed)), ("trt",))
                 vals.append(fit.se[0])
             ses[n] = np.mean(vals)
         assert ses[400] / ses[1600] == pytest.approx(2.0, rel=0.2)

@@ -10,7 +10,7 @@ from phasetip.counterfactual import Effect, Threshold, TransformParams, make_dra
 from phasetip.errors import DataError, SeparationError
 from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
-from phasetip.survival import cox_fit, logrank_test, to_counting_process
+from phasetip.survival import cox_fit, logrank_test, risk_table
 from phasetip.tipping import (
     MAX_GRID_POINTS,
     MAX_REPLICATES,
@@ -43,8 +43,7 @@ class TestEvaluateAt:
             draws = make_draws(records, effect, "auto", seed=3, replicate_id=0)
             point = evaluate_at(records, TransformParams(effect, 1.0), draws)
             assert point.p_two_sided == logrank_test(records).p_two_sided
-            rows = to_counting_process(records)
-            assert point.hr_overall == cox_fit(rows, ("trt",)).hr("trt")
+            assert point.hr_overall == cox_fit(risk_table(records), ("trt",)).hr("trt")
             assert point.n_events == sum(r.delta for r in records)
 
     def test_large_inflation_destroys_significance(self):
@@ -74,7 +73,7 @@ class TestEvaluateAt:
         point = evaluate_at(
             records, TransformParams(Effect.INFLATE_CONTROL, 1.0), draws, p_source="wald"
         )
-        fit = cox_fit(to_counting_process(records), ("trt",))
+        fit = cox_fit(risk_table(records), ("trt",))
         assert point.p_two_sided == fit.wald_p("trt")
 
 
