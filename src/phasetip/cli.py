@@ -32,7 +32,7 @@ from .errors import DataError, EstimationError, PhasetipError
 from .records import Arm
 from .simulate import SimConfig, simulate_trial, summarize_trial
 from .survival import cox_fit, logrank_test, phase_hr, risk_table
-from .svgplot import find_crossings, line_plot
+from .svgplot import line_plot
 from .tipping import SearchConfig, TpaResult, check_grid_points, find_tipping, grid_scan
 
 __all__ = ["main", "entry", "emit_results"]
@@ -221,8 +221,7 @@ def cmd_analyze(args) -> int:
         raise DataError("dataset is empty")
     stratified = opt.get("stratified", _boolean, False)
     ties = opt.get("ties", str, "efron")
-    if ties not in ("efron", "breslow"):
-        raise DataError(f"unknown ties method {ties!r}")
+    table = risk_table(trial, ties, stratified)   # refuses an unknown ties method
     lines = []
     arms = summarize_trial(trial).arms
     for arm, label in ((Arm.EXPERIMENTAL, "Experimental"), (Arm.CONTROL, "Control")):
@@ -236,7 +235,7 @@ def cmd_analyze(args) -> int:
         )
     lr = logrank_test(trial, stratified=stratified)
     lines.append(f"Log-rank chi2={lr.chi2:.4f}, two-sided p={lr.p_two_sided:.6g}")
-    overall = cox_fit(risk_table(trial, ties, stratified), ("trt",))
+    overall = cox_fit(table, ("trt",))
     hr, ci = overall.contrast(("trt",))
     lines.append(f"Overall HR={hr:.4f} {_fmt_ci(ci)}")
     phases = phase_hr(trial, ties=ties, stratified=stratified)
@@ -393,14 +392,13 @@ def cmd_curve(args) -> int:
 
     xs = [pt.gamma for pt in points]
     svg_path = os.path.join(args.out, stem + ".svg")
-    line_plot(
+    crossings = line_plot(
         xs, ys, svg_path,
         title=f"Counterfactual scan, effect {effect.number}, stop rule {threshold.value}",
-        xlabel="adjustment factor", ylabel=ylabel,
-        ref_y=ref, mark_crossings=True,
+        xlabel="adjustment factor", ylabel=ylabel, ref_y=ref,
     )
-    n_cross = len(find_crossings(xs, ys, ref))
-    print(f"wrote {csv_path} and {svg_path} ({len(points)} points, {n_cross} crossing(s))")
+    print(f"wrote {csv_path} and {svg_path} ({len(points)} points, "
+          f"{len(crossings)} crossing(s))")
     return 0
 
 

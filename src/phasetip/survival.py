@@ -5,6 +5,12 @@ the (optionally stratified) two-group log-rank test, and a Cox
 proportional-hazards fitter for the time-varying phase model of the
 analysis: treatment, monotherapy status, and their interaction.
 
+All three count through one routine, `_counts`: the subjects at risk and
+the events per group and event time, from the event-time bins where each
+spell of a subject enters and leaves its group. The Kaplan-Meier curve
+counts one group, the log-rank test the two arms, and the risk table the
+four arm x phase groups, in which a subject in monotherapy has two spells.
+
 Every covariate of that design is a function of a subject's arm x phase
 group g = trt + 2 * mono at a given time, so the Efron (or Breslow) partial
 likelihood needs only, per stratum and event time, the subjects at risk and
@@ -59,6 +65,36 @@ _Z975 = 1.959963984540054                  # the normal 0.975 quantile, for 95% 
 
 
 # ---------------------------------------------------------------------------
+# Counting at risk and events
+
+
+def _strata(trial: Trial, stratified: bool) -> list:
+    """Row selectors of the analysis strata: all rows, or one per stratum
+    label with a missing stratum (NaN) pooled as -1."""
+    if not stratified:
+        return [slice(None)]
+    keys = np.where(np.isnan(trial.stratum), -1.0, trial.stratum)
+    return [keys == st for st in np.unique(keys)]
+
+
+def _counts(event_times, enter, leave, event, n_groups):
+    """Subjects at risk and events per group and event time.
+
+    A spell of group g is at risk at event_times[j] for enter <= j < leave.
+    Every index is a bin g * (T + 1) + j of a group-major layout (T event
+    times, plus j = T for a spell that outlasts the last one): `enter` and
+    `leave` hold one bin per spell, `event` one bin per event. Returns
+    (n_risk, n_event), each n_groups x T.
+    """
+    width = event_times.size + 1
+    bins = n_groups * width
+    flow = np.bincount(enter, minlength=bins) - np.bincount(leave, minlength=bins)
+    n_risk = np.cumsum(flow.reshape(n_groups, width), axis=1)[:, :-1]
+    n_event = np.bincount(event, minlength=bins).reshape(n_groups, width)[:, :-1]
+    return n_risk, n_event
+
+
+# ---------------------------------------------------------------------------
 # Kaplan-Meier
 
 
@@ -96,15 +132,10 @@ def km_estimate(trial: Trial, arm: Arm | None = None) -> KmCurve:
     if not s.size:
         raise DataError("no subjects")
 
-    order = np.argsort(s, kind="stable")
-    s, d = s[order], d[order]
     event_times = np.unique(s[d == 1])
-
-    n = len(s)
-    # at risk at t: everyone with s >= t; events at t: delta=1 rows with s == t
-    n_risk = n - np.searchsorted(s, event_times, side="left")
-    ev_idx = np.searchsorted(event_times, s[d == 1])
-    n_event = np.bincount(ev_idx, minlength=event_times.size)
+    leave = np.searchsorted(event_times, s, side="right")   # one group: bin = j
+    (n_risk,), (n_event,) = _counts(event_times, np.zeros_like(leave), leave,
+                                    leave[d == 1] - 1, 1)
 
     surv = np.cumprod(1.0 - n_event / n_risk)
     # Greenwood: Var(S) = S^2 * cumsum(d / (n (n - d))); SE pinned to 0 when S hits 0.
@@ -125,7 +156,7 @@ def km_estimate(trial: Trial, arm: Arm | None = None) -> KmCurve:
         n_risk=n_risk,
         n_event=n_event,
         median=median,
-        n_subjects=n,
+        n_subjects=s.size,
         n_events_total=int(d.sum()),
     )
 
@@ -142,11 +173,6 @@ class LogRankResult:
     expected: dict
 
 
-def _stratum_keys(stratum: np.ndarray) -> np.ndarray:
-    """Stratum labels with a missing stratum (NaN) pooled as -1."""
-    return np.where(np.isnan(stratum), -1.0, stratum)
-
-
 def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
     """Two-group log-rank test comparing arms, optionally summed over strata.
 
@@ -159,27 +185,17 @@ def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
     if trial.delta.sum() == 0:
         raise EstimationError("log-rank needs at least one event")
 
-    if stratified:
-        keys = _stratum_keys(trial.stratum)
-        groups = [keys == st for st in np.unique(keys)]
-    else:
-        groups = [slice(None)]
-
     o1 = e1 = v = 0.0
     d_total = 0
-    for grp in groups:
-        s, d, g = trial.s[grp], trial.delta[grp], trial.trt[grp]  # g: 1 = experimental
+    for rows in _strata(trial, stratified):
+        s, d, trt = trial.s[rows], trial.delta[rows], trial.trt[rows]  # trt 1: experimental
         event_times = np.unique(s[d == 1])
         if event_times.size == 0:
             continue
-        s1, s0 = np.sort(s[g == 1]), np.sort(s[g == 0])
-        n1 = len(s1) - np.searchsorted(s1, event_times, side="left")
-        n0 = len(s0) - np.searchsorted(s0, event_times, side="left")
-        n_at = n1 + n0
-        ev = d == 1
-        idx = np.searchsorted(event_times, s[ev])
-        d_at = np.bincount(idx, minlength=event_times.size)
-        d1 = np.bincount(idx, weights=g[ev].astype(float), minlength=event_times.size)
+        enter = trt * (event_times.size + 1)   # group g = trt: row 0 is the control arm
+        leave = enter + np.searchsorted(event_times, s, side="right")
+        (n0, n1), (d0, d1) = _counts(event_times, enter, leave, leave[d == 1] - 1, 2)
+        n_at, d_at = n0 + n1, d0 + d1
 
         o1 += d1.sum()
         e1 += np.sum(d_at * n1 / n_at)
@@ -240,31 +256,28 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
     late = np.flatnonzero(trial.mono_start > trial.s)
     if late.size:
         raise DataError(f"subject {trial.ids[late[0]]}: phase time exceeds follow-up")
-    if stratified:
-        keys = _stratum_keys(trial.stratum)
-        strata = [keys == st for st in np.unique(keys)]
-    else:
-        strata = [slice(None)]
-
     in_mono = trial.in_mono
     blocks = []
-    for rows in strata:
+    for rows in _strata(trial, stratified):
         s, trt, mono = trial.s[rows], trial.trt[rows], in_mono[rows]
         ev = trial.delta[rows] == 1
         if not ev.any():
             continue
+        ut, d = np.unique(s[ev], return_counts=True)
+        # spells: group trt from j = 0; in monotherapy, group trt + 2 from the
+        # first ut > m; each spell ends at the first ut > s or the switch
+        width = ut.size + 1
         g = trt + 2 * mono
-        ut, idx, d = np.unique(s[ev], return_inverse=True, return_counts=True)
-        # a subject is at risk at ut[j] in group trt from j = 0, moves to group
-        # trt + 2 at the first ut > m and leaves at the first ut > s; bin
-        # 4 * j + g counts the subjects that enter (leave) group g at j
-        bins = 4 * (ut.size + 1)
-        switch = 4 * np.searchsorted(ut, trial.mono_start[rows][mono], side="right") + trt[mono]
-        enter = np.bincount(trt, minlength=bins) + np.bincount(switch + 2, minlength=bins)
-        leave = (np.bincount(switch, minlength=bins)
-                 + np.bincount(4 * np.searchsorted(ut, s, side="right") + g, minlength=bins))
-        n_risk = np.cumsum((enter - leave).reshape(-1, 4), axis=0)[:-1]
-        n_event = np.bincount(4 * idx + g[ev], minlength=4 * ut.size).reshape(-1, 4)
+        switch = np.searchsorted(ut, trial.mono_start[rows][mono], side="right")
+        stop = g * width + np.searchsorted(ut, s, side="right")
+        n_risk, n_event = _counts(
+            ut,
+            enter=np.concatenate([trt * width, (trt[mono] + 2) * width + switch]),
+            leave=np.concatenate([trt[mono] * width + switch, stop]),
+            event=stop[ev] - 1,
+            n_groups=4,
+        )
+        n_risk, n_event = n_risk.T, n_event.T
         jj = np.repeat(np.arange(ut.size), d)
         if ties == "efron":
             # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d

@@ -52,12 +52,12 @@ def _ticks(lo, hi, n=5):
     return [lo + i * step for i in range(n)]
 
 
-def line_plot(xs, ys, path, title="", xlabel="", ylabel="",
-              ref_y=None, mark_crossings=False) -> None:
-    """Write an SVG line plot of (xs, ys) to `path`.
+def line_plot(xs, ys, path, title="", xlabel="", ylabel="", ref_y=None) -> list:
+    """Write an SVG line plot of (xs, ys) to `path`; points whose y is None
+    are left out and the line joins its neighbours.
 
-    `ref_y` draws a dashed horizontal reference; with `mark_crossings`,
-    each crossing of the reference gets a circle marker.
+    `ref_y` draws a dashed horizontal reference, and each crossing of it
+    gets a circle marker. Returns the x positions of those crossings.
     """
     pts = [(x, y) for x, y in zip(xs, ys) if y is not None]
     if not pts:
@@ -120,15 +120,16 @@ def line_plot(xs, ys, path, title="", xlabel="", ylabel="",
         f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="1.8"/>'
     )
 
-    if ref_y is not None and mark_crossings:
-        for cx in find_crossings(xv, yv, ref_y):
-            sx = _scale([cx], x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)[0]
-            sy = _scale([ref_y], y_lo, y_hi, y0, MARGIN_T)[0]
-            parts.append(
-                f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="5" fill="none" '
-                f'stroke="crimson" stroke-width="1.6"/>'
-            )
+    crossings = [] if ref_y is None else find_crossings(xv, yv, ref_y)
+    for cx in crossings:
+        sx = _scale([cx], x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)[0]
+        sy = _scale([ref_y], y_lo, y_hi, y0, MARGIN_T)[0]
+        parts.append(
+            f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="5" fill="none" '
+            f'stroke="crimson" stroke-width="1.6"/>'
+        )
 
     parts.append("</svg>")
     with open(path, "w") as handle:
         handle.write("\n".join(parts) + "\n")
+    return crossings

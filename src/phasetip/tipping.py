@@ -8,7 +8,12 @@ only the one number its stop rule reads, on the transformed data:
   treatment-only Cox fit;
 * rule b: the transform, the risk table and the three-covariate Cox fit.
 
-A probe is usable when its number can be computed. The full evaluation
+A replicate's search reads its data through one probe function, which
+transforms at a factor and returns that number, or the note of why it
+cannot be computed; a probe is usable when its number exists. Walk steps,
+bisection midpoints and their nudges do not come back to a factor already
+probed, so no value is cached; a repeat would only be recomputed, with the
+same result. The full evaluation
 (`evaluate_at`: p-value, overall HR and monotherapy-phase HR) runs only
 for the point a search reports, and for every point of `grid_scan`.
 
@@ -42,7 +47,6 @@ import dataclasses
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .counterfactual import (
     Effect,
@@ -224,60 +228,22 @@ def evaluate_at(trial: Trial, params: TransformParams,
     )
 
 
-@dataclass(frozen=True)
-class _StopRule:
-    """What a stop rule reads and decides in the shared search."""
-
-    reads: Callable         # transformed data -> the one number the rule reads
-    crossed: Callable       # that number lies past the threshold
-    start_flag: str         # flag of a replicate already crossed at factor 1
-
-
-def _stop_rule(config: SearchConfig) -> _StopRule:
+def _stop_rule(config: SearchConfig):
+    """(reads, crossed, start_flag): the one number a probe computes on the
+    transformed data, whether that number lies past the threshold, and the
+    flag of a replicate already crossed at factor 1."""
     if config.threshold is Threshold.SIGNIFICANCE:
-        return _StopRule(
-            reads=_wald_p if config.p_source == "wald" else _logrank_p,
-            crossed=lambda p: p > config.alpha_level,
-            start_flag="already non-significant at start",
-        )
-    return _StopRule(
-        reads=lambda data: _mono_hr(data, risk_table(data)),
-        crossed=lambda hr_mono: hr_mono >= 1.0,
-        start_flag="monotherapy difference already neutral at start",
-    )
+        return (_wald_p if config.p_source == "wald" else _logrank_p,
+                lambda p: p > config.alpha_level,
+                "already non-significant at start")
+    return (lambda data: _mono_hr(data, risk_table(data)),
+            lambda hr_mono: hr_mono >= 1.0,
+            "monotherapy difference already neutral at start")
 
 
-class _Evaluator:
-    """One replicate's fixed draws: the stop rule's number per factor,
-    cached, and the full point at a factor the search reports."""
-
-    def __init__(self, trial, config, draws, rule):
-        self.trial = trial
-        self.config = config
-        self.draws = draws
-        self.rule = rule
-        self.cache = {}
-
-    def probe(self, gamma: float):
-        """(value, None), or (None, note) when the rule's number cannot be
-        computed at `gamma`."""
-        if gamma not in self.cache:
-            params = TransformParams(self.config.effect, gamma)
-            data = apply_transform(self.trial, params, self.draws)
-            try:
-                self.cache[gamma] = (self.rule.reads(data), None)
-            except EstimationError as err:
-                self.cache[gamma] = (None, str(err))
-        return self.cache[gamma]
-
-    def point(self, gamma: float) -> TpaCurvePoint:
-        params = TransformParams(self.config.effect, gamma)
-        return evaluate_at(self.trial, params, self.draws, self.config.p_source)
-
-
-def _grid_walk(ev, config, rule):
+def _grid_walk(probe, crossed, config):
     """Walk the factor from 1 in the effect's direction until
-    `rule.crossed(value)` fires. Factors whose value cannot be computed are
+    `crossed(value)` fires. Factors whose value cannot be computed are
     skipped with a warning. Returns (last_clear, first_crossed, flags) where
     the crossed side is None when the bound is reached without a crossing."""
     direction = 1.0 if config.effect is Effect.INFLATE_CONTROL else -1.0
@@ -290,20 +256,20 @@ def _grid_walk(ev, config, rule):
         k += 1
         gamma = 1.0 + direction * k * config.grid_step
         gamma = min(gamma, bound) if direction > 0 else max(gamma, bound)
-        value, note = ev.probe(gamma)
+        value, note = probe(gamma)
         if value is None:
             flags.append(f"factor {gamma:g} skipped: {note}")
             if gamma == bound:
                 return last_clear, None, flags
             continue
-        if rule.crossed(value):
+        if crossed(value):
             return last_clear, gamma, flags
         last_clear = gamma
         if gamma == bound:
             return last_clear, None, flags
 
 
-def _bisect(ev, lo, hi, config, rule, flags):
+def _bisect(probe, crossed, lo, hi, config, flags):
     """Shrink [clear, crossed] to bisection_tol. A midpoint whose value
     cannot be computed is nudged once toward each side, then the bracket is
     kept as-is."""
@@ -311,17 +277,17 @@ def _bisect(ev, lo, hi, config, rule, flags):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # the ends are adjacent floats
             break
-        value, _ = ev.probe(mid)
+        value, _ = probe(mid)
         if value is None:
             for cand in (mid + 0.1 * (hi - mid), mid + 0.1 * (lo - mid)):
-                value, _ = ev.probe(cand)
+                value, _ = probe(cand)
                 if value is not None:
                     mid = cand
                     break
             else:
                 flags.append(f"bisection stopped early: midpoint {mid:g} unevaluable")
                 break
-        if rule.crossed(value):
+        if crossed(value):
             hi = mid
         else:
             lo = mid
@@ -332,28 +298,38 @@ def _run_replicate(trial, config, replicate_id, draws):
     """One replicate's search: check the identity factor, walk the grid to
     the first crossing, bisect, and report the tip as the bracket midpoint
     with the full point at the bracket's crossed end."""
-    rule = _stop_rule(config)
-    ev = _Evaluator(trial, config, draws, rule)
+    reads, crossed, start_flag = _stop_rule(config)
 
-    start, note = ev.probe(1.0)
+    def probe(gamma):
+        """(value, None), or (None, note) when the rule's number cannot be
+        computed at `gamma`."""
+        data = apply_transform(trial, TransformParams(config.effect, gamma), draws)
+        try:
+            return reads(data), None
+        except EstimationError as err:
+            return None, str(err)
+
+    def point(gamma):
+        return evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source)
+
+    start, note = probe(1.0)
     if start is None:
         return ReplicateOutcome(
-            replicate_id, tip=None, point=ev.point(1.0),
+            replicate_id, tip=None, point=point(1.0),
             flags=[f"start unevaluable: {note}"],
         )
-    if rule.crossed(start):
+    if crossed(start):
         return ReplicateOutcome(
-            replicate_id, tip=1.0, point=ev.point(1.0), degenerate=True,
-            flags=[rule.start_flag],
+            replicate_id, tip=1.0, point=point(1.0), degenerate=True, flags=[start_flag],
         )
 
-    last_clear, first_crossed, flags = _grid_walk(ev, config, rule)
+    last_clear, first_crossed, flags = _grid_walk(probe, crossed, config)
     if first_crossed is None:
         flags.append("no tipping point in range")
         return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
 
-    lo, hi = _bisect(ev, last_clear, first_crossed, config, rule, flags)
-    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=ev.point(hi), flags=flags)
+    lo, hi = _bisect(probe, crossed, last_clear, first_crossed, config, flags)
+    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=point(hi), flags=flags)
 
 
 def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:

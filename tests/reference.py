@@ -4,6 +4,11 @@
 transforms one subject at a time; `apply_transform` must give exactly what
 they give.
 
+`km_estimate_sorted` and `logrank_test_sorted` count the subjects at risk
+by sorting the follow-up times and searching the event times in them, one
+arm at a time; `km_estimate` and `logrank_test` must give exactly what
+they give, exceptions included.
+
 `expand` is the start-stop (counting-process) expansion of a trial, built
 by a plain loop over the subjects: a subject in the monotherapy phase
 contributes the combination interval (0, m] without an event and the
@@ -15,6 +20,7 @@ runs the package's own Newton loop on it, so it and `cox_fit` on the
 grouped risk-set table differ only in how the likelihood is computed.
 """
 
+import math
 from dataclasses import dataclass, replace
 from unittest import mock
 
@@ -24,9 +30,11 @@ from phasetip import survival
 from phasetip.counterfactual import Effect, TransformParams
 from phasetip.errors import DataError, EstimationError
 from phasetip.records import Arm
+from phasetip.survival import KmCurve, LogRankResult
 
 __all__ = [
     "with_outcome", "transform_effect1", "transform_effect2",
+    "km_estimate_sorted", "logrank_test_sorted",
     "Rows", "expand", "RowLevelDesign", "cox_fit_row_level",
 ]
 
@@ -83,6 +91,87 @@ def transform_effect2(record, gamma, imputed_t=None):
     if t_prime <= record.s:
         return with_outcome(record, t_prime, 1)
     return record
+
+
+def km_estimate_sorted(trial, arm=None):
+    """The Kaplan-Meier curve with the at-risk count n - #(s < t) read off
+    the sorted follow-up times."""
+    s, d = trial.s, trial.delta
+    if arm is not None:
+        on_arm = trial.trt == arm.trt
+        s, d = s[on_arm], d[on_arm]
+    if not s.size:
+        raise DataError("no subjects")
+
+    order = np.argsort(s, kind="stable")
+    s, d = s[order], d[order]
+    event_times = np.unique(s[d == 1])
+
+    n = len(s)
+    n_risk = n - np.searchsorted(s, event_times, side="left")
+    ev_idx = np.searchsorted(event_times, s[d == 1])
+    n_event = np.bincount(ev_idx, minlength=event_times.size)
+
+    surv = np.cumprod(1.0 - n_event / n_risk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = n_event / (n_risk * (n_risk - n_event))
+        var = surv**2 * np.cumsum(terms)
+    se = np.where(surv > 0, np.sqrt(np.where(np.isfinite(var), var, 0.0)), 0.0)
+
+    hit = np.nonzero(surv <= 0.5)[0]
+    return KmCurve(
+        times=event_times, surv=surv, greenwood_se=se, n_risk=n_risk, n_event=n_event,
+        median=float(event_times[hit[0]]) if hit.size else None,
+        n_subjects=n, n_events_total=int(d.sum()),
+    )
+
+
+def logrank_test_sorted(trial, stratified=False):
+    """The log-rank test with each arm's at-risk count read off its sorted
+    follow-up times, stratum by stratum (a missing stratum pooled as -1)."""
+    if np.unique(trial.trt).size < 2:
+        raise DataError("log-rank needs both arms present")
+    if trial.delta.sum() == 0:
+        raise EstimationError("log-rank needs at least one event")
+
+    if stratified:
+        keys = np.where(np.isnan(trial.stratum), -1.0, trial.stratum)
+        groups = [keys == st for st in np.unique(keys)]
+    else:
+        groups = [slice(None)]
+
+    o1 = e1 = v = 0.0
+    d_total = 0
+    for grp in groups:
+        s, d, g = trial.s[grp], trial.delta[grp], trial.trt[grp]
+        event_times = np.unique(s[d == 1])
+        if event_times.size == 0:
+            continue
+        s1, s0 = np.sort(s[g == 1]), np.sort(s[g == 0])
+        n1 = len(s1) - np.searchsorted(s1, event_times, side="left")
+        n0 = len(s0) - np.searchsorted(s0, event_times, side="left")
+        n_at = n1 + n0
+        ev = d == 1
+        idx = np.searchsorted(event_times, s[ev])
+        d_at = np.bincount(idx, minlength=event_times.size)
+        d1 = np.bincount(idx, weights=g[ev].astype(float), minlength=event_times.size)
+
+        o1 += d1.sum()
+        e1 += np.sum(d_at * n1 / n_at)
+        ok = n_at > 1
+        v += np.sum(
+            d_at[ok] * (n1[ok] / n_at[ok]) * (n0[ok] / n_at[ok])
+            * (n_at[ok] - d_at[ok]) / (n_at[ok] - 1)
+        )
+        d_total += int(d_at.sum())
+
+    stat = (o1 - e1) ** 2 / v if v > 0 else 0.0
+    return LogRankResult(
+        chi2=float(stat),
+        p_two_sided=math.erfc(math.sqrt(stat / 2.0)),
+        observed={Arm.EXPERIMENTAL: float(o1), Arm.CONTROL: float(d_total - o1)},
+        expected={Arm.EXPERIMENTAL: float(e1), Arm.CONTROL: float(d_total - e1)},
+    )
 
 
 @dataclass(frozen=True)

@@ -565,6 +565,31 @@ class TestCurveCommand:
         assert not os.path.exists(os.path.join(out, "curve_1_b.svg"))
 
 
+    def test_crossing_count_is_the_circles_drawn_across_a_gap(self, small_dataset, tmp_path,
+                                                              capsys):
+        # the middle point has no monotherapy HR: the plot joins its
+        # neighbours across the gap, crossing 1 there, and the printed count
+        # is that of the circles drawn
+        from phasetip.tipping import TpaCurvePoint
+
+        points = [TpaCurvePoint(gamma=g, p_two_sided=0.01, hr_overall=0.8, hr_mono=hr,
+                                n_events=10)
+                  for g, hr in ((1.0, 0.95), (0.9, None), (0.8, 1.05))]
+        out = tmp_path / "out"
+        with mock.patch("phasetip.cli.grid_scan", return_value=points):
+            assert main(["curve", "--input", small_dataset, "--effect", "2",
+                         "--threshold", "b", "--out", str(out)]) == 0
+        assert "(3 points, 1 crossing(s))" in capsys.readouterr().out
+        root = ET.parse(out / "curve_2_b.svg").getroot()
+        assert len(root.findall(".//{http://www.w3.org/2000/svg}circle")) == 1
+
+    def test_line_plot_returns_the_crossings_it_marks(self, tmp_path):
+        xs, ys = [1.0, 0.9, 0.8], [0.95, None, 1.05]
+        assert find_crossings(xs, ys, 1.0) == []   # the gap breaks the series
+        assert line_plot(xs, ys, tmp_path / "gap.svg", ref_y=1.0) == [pytest.approx(0.9)]
+        assert line_plot(xs, ys, tmp_path / "plain.svg") == []
+
+
 class TestEmitResults:
     def test_one_row_per_effect_threshold(self, small_dataset, tmp_path):
         from phasetip.cli import emit_results

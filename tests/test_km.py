@@ -1,9 +1,14 @@
 """Kaplan-Meier tests against hand computations and a brute-force oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import C, E, rec
+from conftest import C, E, rec, trials
+from reference import km_estimate_sorted
 from phasetip.errors import DataError
 from phasetip.records import Trial
 from phasetip.survival import km_estimate
@@ -102,3 +107,31 @@ class TestKmOracleEquivalence:
         curve = km_estimate(Trial.from_records(records))
         assert curve.surv[0] == pytest.approx(0.5)
         assert curve.median == 2.0
+
+
+def _outcome(estimate, trial, arm):
+    """The curve, or the type and message of the error it raised."""
+    try:
+        return estimate(trial, arm)
+    except DataError as err:
+        return type(err), str(err)
+
+
+class TestKmAgainstSortedCount:
+    """The shared at-risk count gives the sort-based curve bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(records=trials(), arm=st.sampled_from([None, E, C]))
+    def test_bit_identical(self, records, arm):
+        trial = Trial.from_records(records)
+        got, want = _outcome(km_estimate, trial, arm), _outcome(km_estimate_sorted, trial, arm)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        for name, value in dataclasses.asdict(want).items():
+            mine = getattr(got, name)
+            if isinstance(value, np.ndarray):
+                assert mine.dtype == value.dtype and mine.shape == value.shape, name
+                assert mine.tobytes() == value.tobytes(), name
+            else:
+                assert type(mine) is type(value) and mine == value, name

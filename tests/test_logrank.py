@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import C, E, rec
+from conftest import C, E, rec, trials
+from reference import logrank_test_sorted
 from phasetip.errors import DataError, EstimationError
 from phasetip.records import Arm, Trial
 from phasetip.survival import logrank_test
@@ -89,3 +92,23 @@ class TestLogRankInvariances:
             assert logrank_test(Trial.from_records(scaled)).chi2 == pytest.approx(
                 logrank_test(Trial.from_records(records)).chi2, abs=1e-10
             )
+
+
+def _outcome(test, trial, stratified):
+    """The result, or the type and message of the error it raised."""
+    try:
+        return repr(test(trial, stratified))
+    except (DataError, EstimationError) as err:
+        return type(err), str(err)
+
+
+class TestLogRankAgainstSortedCount:
+    """The shared at-risk count gives the sort-based test bit for bit: the
+    float reprs round-trip, so equal reprs are equal bits."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(records=trials(), stratified=st.booleans())
+    def test_bit_identical(self, records, stratified):
+        trial = Trial.from_records(records)
+        assert _outcome(logrank_test, trial, stratified) == _outcome(
+            logrank_test_sorted, trial, stratified)

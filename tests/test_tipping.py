@@ -300,7 +300,7 @@ class TestGridScanAndDeterminism:
 class TestUnevaluablePointHandling:
     """White-box checks of the skip logic around estimator failures."""
 
-    class _StubEvaluator:
+    class _Stub:
         """Answers each probe with the value the stop rule reads: p under
         rule a, the monotherapy-phase HR under rule b."""
 
@@ -308,10 +308,8 @@ class TestUnevaluablePointHandling:
                      threshold=Threshold.SIGNIFICANCE):
             self.value_of = p_of if threshold is Threshold.SIGNIFICANCE else hr_mono_of
             self.broken = set(broken)
-            self.calls = []
 
         def probe(self, gamma):
-            self.calls.append(gamma)
             if round(gamma, 6) in self.broken:
                 return None, "separation detected"
             return self.value_of(gamma), None
@@ -320,8 +318,9 @@ class TestUnevaluablePointHandling:
         from phasetip.tipping import _grid_walk, _stop_rule
 
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, grid_step=0.1, grid_max=3.0)
-        ev = self._StubEvaluator(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.3])
-        last_clear, first_crossed, flags = _grid_walk(ev, config, _stop_rule(config))
+        stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.3])
+        _, crossed, _ = _stop_rule(config)
+        last_clear, first_crossed, flags = _grid_walk(stub.probe, crossed, config)
         assert first_crossed == pytest.approx(1.6)
         assert last_clear == pytest.approx(1.5)
         assert any("skipped" in f and "separation" in f for f in flags)
@@ -332,11 +331,11 @@ class TestUnevaluablePointHandling:
         for threshold in Threshold:
             config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=threshold,
                                   bisection_tol=1e-3)
-            ev = self._StubEvaluator(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.55],
-                                     hr_mono_of=lambda g: 0.9 if g < 1.55 else 1.1,
-                                     threshold=threshold)
-            flags = []
-            lo, hi = _bisect(ev, 1.5, 1.6, config, _stop_rule(config), flags)
+            stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.55],
+                              hr_mono_of=lambda g: 0.9 if g < 1.55 else 1.1,
+                              threshold=threshold)
+            _, crossed, _ = _stop_rule(config)
+            lo, hi = _bisect(stub.probe, crossed, 1.5, 1.6, config, [])
             assert hi - lo <= config.bisection_tol
             assert lo < 1.55 <= hi + 1e-9
 
@@ -346,8 +345,9 @@ class TestUnevaluablePointHandling:
         from phasetip.tipping import _bisect, _stop_rule
 
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, bisection_tol=1e-300)
-        ev = self._StubEvaluator(lambda g: 0.01 if g < 1.55 else 0.2, broken=[])
-        lo, hi = _bisect(ev, 1.5, 1.6, config, _stop_rule(config), [])
+        stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[])
+        _, crossed, _ = _stop_rule(config)
+        lo, hi = _bisect(stub.probe, crossed, 1.5, 1.6, config, [])
         assert lo < hi
         assert 0.5 * (lo + hi) in (lo, hi)
 
@@ -413,6 +413,37 @@ class TestProbePath:
         assert calls.count("evaluate_at") == calls.count("logrank_test") == 1
         assert calls[calls.index("evaluate_at") + 1:].count("cox_fit") == 2
         assert calls.count("cox_fit") > 2
+
+    @pytest.mark.parametrize("effect", list(Effect))
+    @pytest.mark.parametrize("threshold", list(Threshold))
+    @pytest.mark.parametrize("imputation", ["auto", "fitted"])
+    def test_no_search_probes_a_factor_twice(self, monkeypatch, effect, threshold, imputation):
+        # walk steps, bisection midpoints and their nudges are distinct, so
+        # a per-factor cache of probe values would never be read
+        probes, reporting = [], []
+        real_transform, real_evaluate = (phasetip.tipping.apply_transform,
+                                         phasetip.tipping.evaluate_at)
+
+        def transform(trial, params, draws):
+            if not reporting:
+                probes.append((id(draws), params.gamma))
+            return real_transform(trial, params, draws)
+
+        def evaluate(*args):
+            reporting.append(True)
+            try:
+                return real_evaluate(*args)
+            finally:
+                reporting.pop()
+
+        monkeypatch.setattr(phasetip.tipping, "apply_transform", transform)
+        monkeypatch.setattr(phasetip.tipping, "evaluate_at", evaluate)
+        config = SearchConfig(effect=effect, threshold=threshold, imputation=imputation,
+                              grid_step=0.1, mi_replicates=3, seed=5)
+        res = find_tipping(fast_records(), config)
+        assert any(o.tip is not None and not o.degenerate for o in res.replicates)
+        assert len(probes) > 5
+        assert len(set(probes)) == len(probes)
 
     def test_rule_a_keeps_a_factor_whose_cox_fit_fails(self, monkeypatch):
         records = fast_records()
