@@ -35,8 +35,9 @@ def first_crossing(xs, ys, level, rising):
 def trial_measures(cfg, seed):
     trial = simulate_trial(cfg, seed=seed)
     summ = summarize_trial(trial)
-    res = phase_hr(trial)
-    overall = cox_fit(risk_table(trial), ("trt",)).hr("trt")
+    table = risk_table(trial)
+    res = phase_hr(trial, table)
+    overall = cox_fit(table, ("trt",)).hr("trt")
     p = logrank_test(trial).p_two_sided
     mono_events = int(trial.delta[trial.in_mono].sum())
     censored = trial.delta == 0

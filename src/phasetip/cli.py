@@ -119,10 +119,12 @@ SIM_FLAGS = {
     "dropout-hazard": float,
 }
 # The keys a config file may set: the settings some command reads through
-# _Options (alpha-level and bisection-tol have no flag).
+# _Options (alpha-level has no flag). The tpa search brackets the tip with
+# steps doubling from grid-step and ends at an exact rank breakpoint, so no
+# key sets a search tolerance.
 CONFIG_KEYS = frozenset({
     "seed", "effect", "threshold", "replicates", "grid-step", "grid-max", "grid-min",
-    "imputation", "p-source", "alpha-level", "bisection-tol", "stratified", "ties",
+    "imputation", "p-source", "alpha-level", "stratified", "ties",
     *SIM_FLAGS,
 })
 
@@ -238,7 +240,7 @@ def cmd_analyze(args) -> int:
     overall = cox_fit(table, ("trt",))
     hr, ci = overall.contrast(("trt",))
     lines.append(f"Overall HR={hr:.4f} {_fmt_ci(ci)}")
-    phases = phase_hr(trial, ties=ties, stratified=stratified)
+    phases = phase_hr(trial, table)
     lines.append(f"Combination-phase HR={phases.hr_combo:.4f} {_fmt_ci(phases.ci_combo)}")
     if phases.hr_mono is None:
         lines.append("Monotherapy-phase HR: not estimable (no transitions observed)")
@@ -256,7 +258,7 @@ def _search_config(opt) -> SearchConfig:
     """The tpa settings that a flag or the config file sets, on top of the
     defaults of SearchConfig."""
     given = opt.given(effect=Effect.from_number, threshold=Threshold, alpha_level=float,
-                      grid_step=float, grid_max=float, grid_min=float, bisection_tol=float,
+                      grid_step=float, grid_max=float, grid_min=float,
                       replicates=int, imputation=str, p_source=str)
     if "replicates" in given:
         given["mi_replicates"] = given.pop("replicates")

@@ -31,6 +31,11 @@ the draws by trial position.
 `Trial`, one array per field, with both effects written as array
 expressions, and returns a new `Trial`; so does `naive_transform`. The
 tests state the same rules one subject at a time and compare the two.
+Both effects move each subject they change along a line in the factor,
+up to a cap where its event status flips (`_lines`). `rank_breakpoints`
+reads the same lines to list the factors where the order or ties of the
+transformed times can change; between two of them the log-rank test and
+every Cox fit of the transformed trial are constant.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ __all__ = [
     "fit_censoring_model",
     "fit_mono_event_model",
     "apply_transform",
+    "rank_breakpoints",
     "naive_transform",
     "cutoff_censoring_fraction",
     "make_draws",
@@ -218,6 +224,27 @@ def _missing_draw(trial: Trial, missing: np.ndarray, what: str):
         raise DataError(f"subject {sid}: missing imputed {what}")
 
 
+def _lines(trial: Trial, effect: Effect, draws: ImputationDraws):
+    """The effect's transform as lines in the factor, one per moving subject.
+
+    Returns (moving, base, cap). A moving subject's time at factor gamma is
+    t = base + (gamma - 1) * (base - mono_start): an event while t <= cap,
+    else censored at cap. Effect 1 moves the drawn control events (base s,
+    cap the imputed censoring time); effect 2 moves the experimental events
+    in monotherapy (base s, no cap) and the drawn censored subjects (base
+    the imputed event time, cap s). Every other subject keeps (s, delta).
+    """
+    drawn = needs_draw(trial, effect)
+    imputed = np.full(len(trial), np.nan)
+    imputed[draws.subjects] = draws.values
+    what = "censoring time" if effect is Effect.INFLATE_CONTROL else "event time"
+    _missing_draw(trial, drawn & np.isnan(imputed), what)
+    if effect is Effect.INFLATE_CONTROL:
+        return drawn, trial.s, imputed
+    events = _targeted(trial, effect) & (trial.delta == 1)
+    return drawn | events, np.where(drawn, imputed, trial.s), np.where(drawn, trial.s, np.inf)
+
+
 def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraws) -> Trial:
     """Counterfactual trial under `params`, using one replicate's draws.
 
@@ -229,26 +256,69 @@ def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraw
     censored in monotherapy becomes an event at x + gamma*(t-hat - x) if
     that lands at or before s, t-hat being its imputed event time.
     """
-    s, delta, x = trial.s, trial.delta, trial.mono_start
-    drawn = needs_draw(trial, params.effect)
-    imputed = np.full(len(trial), np.nan)
-    imputed[draws.subjects] = draws.values
-    what = "censoring time" if params.effect is Effect.INFLATE_CONTROL else "event time"
-    _missing_draw(trial, drawn & np.isnan(imputed), what)
-    # algebraically x + gamma*(s - x); this form is exact at gamma == 1
-    gamma_minus_1 = params.gamma - 1.0
-    if params.effect is Effect.INFLATE_CONTROL:
-        t_prime = s + gamma_minus_1 * (s - x)
-        stays = t_prime <= imputed
-        new_s = np.where(drawn, np.where(stays, t_prime, imputed), s)
-        new_delta = np.where(drawn & ~stays, 0, delta)
-    else:
-        events = _targeted(trial, params.effect) & (delta == 1)
-        t_imputed = imputed + gamma_minus_1 * (imputed - x)
-        uncovered = drawn & (t_imputed <= s)
-        new_s = np.where(events, s + gamma_minus_1 * (s - x), np.where(uncovered, t_imputed, s))
-        new_delta = np.where(uncovered, 1, delta)
+    moving, base, cap = _lines(trial, params.effect, draws)
+    # algebraically x + gamma*(base - x); this form is exact at gamma == 1
+    t = base + (params.gamma - 1.0) * (base - trial.mono_start)
+    live = t <= cap
+    new_s = np.where(moving, np.where(live, t, cap), trial.s)
+    new_delta = np.where(moving, live, trial.delta)
     return trial.with_outcome(new_s, new_delta)
+
+
+# Breakpoints closer than this count as one: far above the rounding of the
+# transform arithmetic, far below any tip resolution a search reports.
+_MERGE = 1e-9
+# Most line pairs in one block of the pairwise crossings: small enough that
+# a block's temporaries (16 kB each) leave the process's peak memory as it is.
+_PAIR_BLOCK = 1 << 11
+
+
+def rank_breakpoints(trial: Trial, effect: Effect, draws: ImputationDraws,
+                     lo: float, hi: float) -> np.ndarray:
+    """The factors in (lo, hi) at which the order or ties of the transformed
+    times, or an event status, can change, ascending.
+
+    With the draws fixed each moving time is a line in the factor (see
+    `_lines`), and every other time, every monotherapy start and every cap
+    is fixed. The log-rank test and the Cox risk table read only the order
+    and ties of those values and the event indicators, so both are constant
+    between consecutive breakpoints. A breakpoint is a factor where a line,
+    while below its cap, meets a fixed value (its own cap included, where
+    its event status flips) or another line. Two moving events that trade
+    places change no count at risk, since both are of the target arm and
+    in monotherapy, but where they meet they tie. Each line finds the fixed
+    values it passes with one search of the sorted fixed values; the line
+    pairs are taken a block of rows at a time, and no subjects x subjects
+    matrix is built. Breakpoints within 1e-9 of each other, or of lo or hi,
+    are merged into one.
+    """
+    moving, base, cap = _lines(trial, effect, draws)
+    x = trial.mono_start
+    a, b, c = base[moving], (base - x)[moving], cap[moving]
+    fixed = np.unique(np.concatenate([trial.s[~moving], x[~np.isnan(x)], c[np.isfinite(c)]]))
+
+    # lines against fixed values: those in each line's span over [lo, hi]
+    # while below its cap
+    first = np.searchsorted(fixed, a + (lo - 1.0) * b, side="left")
+    stop = np.minimum(a + (hi - 1.0) * b, c)
+    count = np.maximum(np.searchsorted(fixed, stop, side="right") - first, 0)
+    line = np.repeat(np.arange(a.size), count)
+    col = first[line] + np.arange(line.size) - np.repeat(np.cumsum(count) - count, count)
+    found = [1.0 + (fixed[col] - a[line]) / b[line]]
+
+    # lines against lines; identical lines (0/0) and parallel ones (+-inf)
+    # never meet. A meeting above a cap is one breakpoint too many, which
+    # only splits an interval.
+    rows = max(1, _PAIR_BLOCK // max(a.size, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i0 in range(0, a.size, rows):
+            i = np.arange(i0, min(i0 + rows, a.size))[:, None]
+            g = 1.0 + (a[None, :] - a[i]) / (b[i] - b[None, :])
+            found.append(g[(i < np.arange(a.size)) & (g > lo) & (g < hi)])
+
+    gammas = np.concatenate(found)
+    gammas = np.sort(gammas[(gammas > lo + _MERGE) & (gammas < hi - _MERGE)])
+    return gammas[np.diff(gammas, prepend=-np.inf) > _MERGE]
 
 
 def naive_transform(trial: Trial, effect: Effect, gamma: float) -> Trial:

@@ -19,8 +19,9 @@ risk-set table straight from a `Trial`; no start-stop expansion is ever
 formed. `cox_fit` and `partial_loglik_and_gradient` read only the table and
 evaluate every design from it with a 4 x p matrix of group covariate
 values, so a caller that holds the table (the treatment-only and the
-three-covariate fit of one evaluation) builds it once. The Kaplan-Meier
-curve, the log-rank test, the table and `phase_hr` take a `Trial`.
+three-covariate fit of one evaluation, or of one `analyze` report, which
+passes it to `phase_hr`) builds it once. The Kaplan-Meier curve, the
+log-rank test and the table take a `Trial`.
 Nothing loops over subjects in Python.
 """
 
@@ -369,7 +370,28 @@ class _GroupDesign:
         if self.n_events == 0:
             raise EstimationError("no events in counting-process data")
         self.A = table.A
+        self.D = table.D
         self.sum_x = table.D @ self.G
+
+    def refuse_idle_groups(self):
+        """Raise SeparationError when the subjects of one covariate pattern
+        (an arm, or an arm x phase group) are at risk but have no event in
+        any stratum: the likelihood then rises without bound as that
+        pattern's hazard falls, and no maximum exists."""
+        if self.D.all():   # every group, and so every pattern, has events
+            return
+        patterns = {}   # pattern -> (at risk at some event time, events)
+        for row, at_risk, events in zip(map(tuple, self.G.tolist()),
+                                        (self.A > 0).any(axis=0).tolist(), self.D.tolist()):
+            seen_at_risk, seen_events = patterns.get(row, (False, 0))
+            patterns[row] = (seen_at_risk or at_risk, seen_events + events)
+        for row, (at_risk, events) in patterns.items():
+            if at_risk and not events:
+                values = ", ".join(f"{n}={v:g}" for n, v in zip(self.names, row))
+                raise SeparationError(
+                    f"separation detected: the subjects with {values} are at risk "
+                    "but have no events"
+                )
 
     def loglik_grad_hess(self, beta):
         # a trial step that overflows w gives a non-finite likelihood, which
@@ -404,12 +426,14 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
 
     Starts at beta = 0, halves the step whenever the likelihood would
     decrease, and stops when both the likelihood change and the gradient
-    norm are below tolerance. Raises SeparationError when a coefficient
-    runs away (monotone likelihood) and ConvergenceError, carrying the
+    norm are below tolerance. Raises SeparationError before the first step
+    when a covariate pattern at risk has no events, and when a coefficient
+    runs away (monotone likelihood); ConvergenceError, carrying the
     last iterate, when the iteration cap is reached, and EstimationError
     when the information at the optimum is singular.
     """
     design = _GroupDesign(table, covariates)
+    design.refuse_idle_groups()
     beta = np.zeros(design.p)
     ll, grad, hess = design.loglik_grad_hess(beta)
 
@@ -507,16 +531,16 @@ class PhaseHr:
     flags: list = field(default_factory=list)
 
 
-def phase_hr(trial: Trial, ties="efron", stratified=False) -> PhaseHr:
+def phase_hr(trial: Trial, table: RiskTable) -> PhaseHr:
     """Combination-phase and monotherapy-phase hazard ratios with Wald CIs.
 
-    Fits treatment, monotherapy status, and their interaction on the
-    trial's risk table. The combination-phase HR is exp(b_trt);
-    the monotherapy-phase HR is exp(b_trt + b_interaction). When no subject
-    ever transitions, the monotherapy HR is undefined and flagged, and the
-    model reduces to treatment only.
+    Fits treatment, monotherapy status, and their interaction on `table`,
+    the caller's risk table of `trial` (its ties and strata are the fit's).
+    The combination-phase HR is exp(b_trt); the monotherapy-phase HR is
+    exp(b_trt + b_interaction). When no subject of the trial ever
+    transitions, the monotherapy HR is undefined and flagged, and the model
+    reduces to treatment only.
     """
-    table = risk_table(trial, ties, stratified)
     if not trial.in_mono.any():
         fit = cox_fit(table, ("trt",))
         hr_c, ci_c = fit.contrast(("trt",))

@@ -11,31 +11,47 @@ only the one number its stop rule reads, on the transformed data:
 A replicate's search reads its data through one probe function, which
 transforms at a factor and returns that number, or the note of why it
 cannot be computed; a probe is usable when its number exists. Walk steps,
-bisection midpoints and their nudges do not come back to a factor already
+interval midpoints and their nudges do not come back to a factor already
 probed, so no value is cached; a repeat would only be recomputed, with the
 same result. The full evaluation
 (`evaluate_at`: p-value, overall HR and monotherapy-phase HR) runs only
 for the point a search reports, and for every point of `grid_scan`.
 
 Per replicate, imputation draws are made once and reused across the whole
-grid, which makes the evaluated curves monotone in the adjustment factor
-and the tipping point well defined. One search serves both stop rules: it
-walks the factor away from 1 in fixed steps until the rule's criterion is
-crossed, then bisects the last step down to `bisection_tol`. The walk may
-take at most `MAX_GRID_POINTS` steps to the effect's bound, and a search
-runs at most `MAX_REPLICATES` replicates; a config that needs more is
-refused up front. The rules differ only in the criterion:
+grid. With the draws fixed, every transformed time is fixed or a line in
+the factor, and the log-rank test and the Cox risk table read only the
+order and ties of those times and the event indicators. So the p-value
+and the monotherapy-phase HR are step functions of the factor, constant
+between the rank breakpoints of `counterfactual.rank_breakpoints`, and a
+tip is one of those breakpoints. One search serves both stop rules:
+
+1. Bracket: walk the factor away from 1 with a step that starts at
+   `grid_step` and doubles up to `MAX_STEP`, until the rule's criterion is
+   crossed. The walk may take at most `MAX_GRID_POINTS` steps of
+   `grid_step` to the effect's bound, and a search runs at most
+   `MAX_REPLICATES` replicates; a config that needs more is refused up
+   front.
+2. Finish: list the rank breakpoints inside the bracket and bisect on
+   them, probing the midpoints of the intervals between them, never a
+   breakpoint. The tip is the breakpoint where the rule flips, exactly,
+   with no tolerance; the point reported for it is evaluated inside the
+   first crossed interval.
+
+The rules differ only in the criterion:
 
 * Stop rule "a" (significance): crossed when the two-sided between-arm
-  p-value exceeds the significance level; the tip is the root of
-  p = alpha.
+  p-value exceeds the significance level; the tip is the breakpoint where
+  p passes alpha, and the reported p is above alpha.
 * Stop rule "b" (neutralization): crossed when the refit monotherapy-phase
-  hazard ratio reaches 1; the tip is the root of hr_mono = 1. The overall
-  hazard ratio there is the residual effect attributable to the
-  combination phase.
+  hazard ratio reaches 1; the tip is the breakpoint where hr_mono reaches
+  one, and the overall hazard ratio there is the residual effect
+  attributable to the combination phase.
 
-Either tip is the midpoint of the final bracket, found to `bisection_tol`,
-and both rules report the point at its crossed end.
+Near the threshold a step function may cross it more than once. The
+walk's step cap keeps the first crossing of a curve that crosses once on
+the coarse scale, and the bisection splits at points taken from the
+breakpoints rather than from the bracket's ends, so searches that bracket
+the same crossings from different grid steps report the same tip.
 
 Replicate tips are aggregated by median (the headline tip), with min, max,
 and standard deviation reporting the multiple-imputation spread.
@@ -48,6 +64,8 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .counterfactual import (
     Effect,
     ImputationDraws,
@@ -55,6 +73,7 @@ from .counterfactual import (
     TransformParams,
     apply_transform,
     make_draws,
+    rank_breakpoints,
 )
 from .errors import DataError, EstimationError
 from .records import Trial
@@ -63,6 +82,7 @@ from .survival import cox_fit, logrank_test, risk_table
 __all__ = [
     "MAX_GRID_POINTS",
     "MAX_REPLICATES",
+    "MAX_STEP",
     "SearchConfig",
     "TpaCurvePoint",
     "ReplicateOutcome",
@@ -78,6 +98,8 @@ __all__ = [
 MAX_GRID_POINTS = 10_000
 # Most imputation replicates one search may run (the default is 20).
 MAX_REPLICATES = 1_000
+# Longest step of the bracketing walk, unless grid_step is longer.
+MAX_STEP = 0.16
 
 
 def check_grid_points(span: float, step: float, what: str) -> None:
@@ -100,7 +122,6 @@ class SearchConfig:
     grid_step: float = 0.01
     grid_max: float = 10.0          # inflation bound (effect 1)
     grid_min: float = 0.01          # shrinkage bound (effect 2)
-    bisection_tol: float = 1e-3
     mi_replicates: int = 20
     seed: int = 0
     imputation: str = "auto"
@@ -121,8 +142,6 @@ class SearchConfig:
         else:
             check_grid_points(1.0 - self.grid_min, self.grid_step,
                               f"the walk from 1 to grid_min {self.grid_min!r}")
-        if not (self.bisection_tol > 0 and math.isfinite(self.bisection_tol)):
-            raise DataError("bisection_tol must be a finite positive number")
         if not 0 < self.alpha_level < 1:
             raise DataError("alpha_level must be in (0, 1)")
         if self.mi_replicates < 1:
@@ -241,63 +260,92 @@ def _stop_rule(config: SearchConfig):
             "monotherapy difference already neutral at start")
 
 
-def _grid_walk(probe, crossed, config):
+def _bracket(probe, crossed, config):
     """Walk the factor from 1 in the effect's direction until
-    `crossed(value)` fires. Factors whose value cannot be computed are
-    skipped with a warning. Returns (last_clear, first_crossed, flags) where
-    the crossed side is None when the bound is reached without a crossing."""
+    `crossed(value)` fires. The first step is grid_step and each later one
+    doubles, up to MAX_STEP (or grid_step, if larger), so a crossing is
+    bracketed in few probes and the step stays short enough to keep the
+    first crossing. Factors whose value cannot be computed are skipped with
+    a warning. Returns (last_clear, first_crossed, flags) where the crossed
+    side is None when the bound is reached without a crossing."""
     direction = 1.0 if config.effect is Effect.INFLATE_CONTROL else -1.0
     bound = config.grid_max if direction > 0 else config.grid_min
+    longest = max(config.grid_step, MAX_STEP)
     flags = []
 
-    last_clear = 1.0
-    k = 0
-    while True:
-        k += 1
-        gamma = 1.0 + direction * k * config.grid_step
-        gamma = min(gamma, bound) if direction > 0 else max(gamma, bound)
+    last_clear = gamma = 1.0
+    step = config.grid_step
+    while gamma != bound:
+        gamma = min(gamma + step, bound) if direction > 0 else max(gamma - step, bound)
+        step = min(2.0 * step, longest)
         value, note = probe(gamma)
         if value is None:
             flags.append(f"factor {gamma:g} skipped: {note}")
-            if gamma == bound:
-                return last_clear, None, flags
-            continue
-        if crossed(value):
+        elif crossed(value):
             return last_clear, gamma, flags
-        last_clear = gamma
-        if gamma == bound:
-            return last_clear, None, flags
-
-
-def _bisect(probe, crossed, lo, hi, config, flags):
-    """Shrink [clear, crossed] to bisection_tol. A midpoint whose value
-    cannot be computed is nudged once toward each side, then the bracket is
-    kept as-is."""
-    while abs(hi - lo) > config.bisection_tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # the ends are adjacent floats
-            break
-        value, _ = probe(mid)
-        if value is None:
-            for cand in (mid + 0.1 * (hi - mid), mid + 0.1 * (lo - mid)):
-                value, _ = probe(cand)
-                if value is not None:
-                    mid = cand
-                    break
-            else:
-                flags.append(f"bisection stopped early: midpoint {mid:g} unevaluable")
-                break
-        if crossed(value):
-            hi = mid
         else:
-            lo = mid
-    return lo, hi
+            last_clear = gamma
+    return last_clear, None, flags
+
+
+def _coarsest_dyadic(a: float, b: float) -> float:
+    """The least dyadic rational m / 2**k in (a, b) with the least k >= 0,
+    for 0 <= a < b."""
+    scale = 1.0
+    while True:
+        m = math.floor(a * scale) + 1
+        if m / scale < b:
+            return m / scale
+        scale *= 2.0
+
+
+def _bisect(probe, crossed, clear, first_crossed, breakpoints, flags):
+    """Bisect the bracket between its clear and its crossed end on the rank
+    breakpoints inside it, which run from the clear end to the crossed end.
+
+    The cells, in walk order, are the clear end itself, the open intervals
+    between consecutive edges (the ends and the breakpoints) and the
+    crossed end. An interval is probed at its midpoint, never at a
+    breakpoint. Each step probes, among the middle half of the cells still
+    unknown, the one holding the coarsest dyadic distance from 1. The split
+    points then depend on the breakpoints and hardly on where the walk
+    stopped: two brackets of the same crossings meet on the same splits,
+    and end at the same flip even where the rule's value flips back and
+    forth near the threshold. A cell whose value cannot be computed is
+    nudged once to each neighbour; when they fail too, the bisection stops
+    with a flag. Returns (tip, factor): the edge at which the first crossed
+    cell starts, and where that cell was probed.
+    """
+    edges = np.concatenate([[clear], breakpoints, [first_crossed]])
+    at = np.concatenate([[clear], 0.5 * (edges[:-1] + edges[1:]), [first_crossed]])
+    dist = np.abs(edges - 1.0)
+    lo, hi = 0, at.size - 1
+    failed = set()
+    while hi - lo > 1:
+        quarter = (hi - lo - 1) // 4
+        split = _coarsest_dyadic(dist[lo + quarter], dist[hi - 1 - quarter])
+        mid = int(np.searchsorted(dist, split, side="right"))
+        for cell in (mid, mid + 1, mid - 1):
+            if lo < cell < hi and cell not in failed:
+                value, _ = probe(float(at[cell]))
+                if value is not None:
+                    break
+                failed.add(cell)
+        else:
+            flags.append(f"bisection stopped early: factor {at[mid]:g} unevaluable")
+            break
+        if crossed(value):
+            hi = cell
+        else:
+            lo = cell
+    return float(edges[hi - 1]), float(at[hi])
 
 
 def _run_replicate(trial, config, replicate_id, draws):
-    """One replicate's search: check the identity factor, walk the grid to
-    the first crossing, bisect, and report the tip as the bracket midpoint
-    with the full point at the bracket's crossed end."""
+    """One replicate's search: check the identity factor, bracket the first
+    crossing, and bisect on the rank breakpoints inside the bracket. The
+    tip is the breakpoint where the rule flips; the full point is evaluated
+    inside the first crossed interval."""
     reads, crossed, start_flag = _stop_rule(config)
 
     def probe(gamma):
@@ -323,13 +371,17 @@ def _run_replicate(trial, config, replicate_id, draws):
             replicate_id, tip=1.0, point=point(1.0), degenerate=True, flags=[start_flag],
         )
 
-    last_clear, first_crossed, flags = _grid_walk(probe, crossed, config)
+    last_clear, first_crossed, flags = _bracket(probe, crossed, config)
     if first_crossed is None:
         flags.append("no tipping point in range")
         return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
 
-    lo, hi = _bisect(probe, crossed, last_clear, first_crossed, config, flags)
-    return ReplicateOutcome(replicate_id, tip=0.5 * (lo + hi), point=point(hi), flags=flags)
+    breakpoints = rank_breakpoints(trial, config.effect, draws,
+                                   min(last_clear, first_crossed), max(last_clear, first_crossed))
+    if first_crossed < last_clear:
+        breakpoints = breakpoints[::-1]
+    tip, at = _bisect(probe, crossed, last_clear, first_crossed, breakpoints, flags)
+    return ReplicateOutcome(replicate_id, tip=tip, point=point(at), flags=flags)
 
 
 def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:

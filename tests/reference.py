@@ -18,6 +18,11 @@ partial likelihood on those rows: risk-set sums over the rows, evaluated
 with suffix sums on stop- and start-sorted row orders. `cox_fit_row_level`
 runs the package's own Newton loop on it, so it and `cox_fit` on the
 grouped risk-set table differ only in how the likelihood is computed.
+
+`fixed_step_bracket` is the tipping search as it was before rank
+breakpoints: a walk in fixed steps of `grid_step` to the first crossing,
+then a bisection of the last step down to a tolerance. Its final bracket
+must hold the tip `find_tipping` reports.
 """
 
 import math
@@ -27,15 +32,17 @@ from unittest import mock
 import numpy as np
 
 from phasetip import survival
-from phasetip.counterfactual import Effect, TransformParams
-from phasetip.errors import DataError, EstimationError
+from phasetip.counterfactual import Effect, TransformParams, apply_transform
+from phasetip.errors import DataError, EstimationError, SeparationError
 from phasetip.records import Arm
 from phasetip.survival import KmCurve, LogRankResult
+from phasetip.tipping import _stop_rule
 
 __all__ = [
     "with_outcome", "transform_effect1", "transform_effect2",
     "km_estimate_sorted", "logrank_test_sorted",
     "Rows", "expand", "RowLevelDesign", "cox_fit_row_level",
+    "fixed_step_bracket",
 ]
 
 
@@ -281,6 +288,18 @@ class RowLevelDesign:
         C = np.column_stack([np.ones(self.n), X, P])
         pad = np.zeros((1, C.shape[1]))
 
+        # the rows at risk at some event time of their stratum
+        strat = np.zeros(self.n)
+        if stratified:
+            strat = np.where(np.isnan(cp.stratum), -1.0, cp.stratum)
+        self.at_risk = np.zeros(self.n, dtype=bool)
+        for st in np.unique(strat):
+            rows = strat == st
+            ut = np.unique(cp.stop[rows & (cp.event == 1)])
+            self.at_risk[rows] = (np.searchsorted(ut, cp.start[rows], side="right")
+                                  < np.searchsorted(ut, cp.stop[rows], side="right"))
+        self.event = cp.event
+
         self.strata = []
         for sd in _row_risk_sets(cp, ties, stratified):
             so, sa = sd["so"][::-1], sd["sa"][::-1]
@@ -292,6 +311,14 @@ class RowLevelDesign:
                 start_rev=np.concatenate([[self.n], sa]), c_start_rev=np.vstack([pad, C[sa]]),
                 c_ev=C[sd["ev_order"]],
             ))
+
+    def refuse_idle_groups(self):
+        """SeparationError when the rows of one covariate pattern are at
+        risk at some event time but none of them has an event."""
+        for pattern in np.unique(self.X, axis=0):
+            members = (self.X == pattern).all(axis=1)
+            if self.at_risk[members].any() and not self.event[members].any():
+                raise SeparationError(f"separation detected: pattern {pattern} has no events")
 
     def loglik_grad_hess(self, beta):
         p = self.p
@@ -331,3 +358,73 @@ def cox_fit_row_level(rows, covariates=("trt",), ties="efron", stratified=False,
 
     with mock.patch.object(survival, "_GroupDesign", design):
         return survival.cox_fit(None, covariates, **kwargs)
+
+
+def _grid_walk(probe, crossed, config):
+    """Walk the factor from 1 in the effect's direction in steps of
+    grid_step until `crossed(value)` fires, skipping factors whose value
+    cannot be computed. Returns (last_clear, first_crossed), the crossed
+    side None when the bound is reached without a crossing."""
+    direction = 1.0 if config.effect is Effect.INFLATE_CONTROL else -1.0
+    bound = config.grid_max if direction > 0 else config.grid_min
+    last_clear = 1.0
+    k = 0
+    while True:
+        k += 1
+        gamma = 1.0 + direction * k * config.grid_step
+        gamma = min(gamma, bound) if direction > 0 else max(gamma, bound)
+        value = probe(gamma)
+        if value is None:
+            if gamma == bound:
+                return last_clear, None
+            continue
+        if crossed(value):
+            return last_clear, gamma
+        last_clear = gamma
+        if gamma == bound:
+            return last_clear, None
+
+
+def _bisect(probe, crossed, lo, hi, tol):
+    """Shrink [clear, crossed] to `tol`. A midpoint whose value cannot be
+    computed is nudged once toward each side, then the bracket is kept."""
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the ends are adjacent floats
+            break
+        value = probe(mid)
+        if value is None:
+            for cand in (mid + 0.1 * (hi - mid), mid + 0.1 * (lo - mid)):
+                value = probe(cand)
+                if value is not None:
+                    mid = cand
+                    break
+            else:
+                break
+        if crossed(value):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def fixed_step_bracket(trial, config, draws, tol=1e-3):
+    """One replicate's final bracket (clear end, crossed end) under the
+    fixed-step walk and bisection to `tol`; None when the start is already
+    crossed or unevaluable, or nothing crosses before the bound."""
+    reads, crossed, _ = _stop_rule(config)
+
+    def probe(gamma):
+        data = apply_transform(trial, TransformParams(config.effect, gamma), draws)
+        try:
+            return reads(data)
+        except EstimationError:
+            return None
+
+    start = probe(1.0)
+    if start is None or crossed(start):
+        return None
+    last_clear, first_crossed = _grid_walk(probe, crossed, config)
+    if first_crossed is None:
+        return None
+    return _bisect(probe, crossed, last_clear, first_crossed, tol)

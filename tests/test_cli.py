@@ -12,10 +12,12 @@ from unittest import mock
 import pytest
 
 import phasetip
+import phasetip.cli
 from conftest import wall_clock_bound
 from phasetip.cli import main
 from phasetip.counterfactual import Effect
 from phasetip.dataio import HEADER, write_dataset
+from phasetip import survival
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.svgplot import find_crossings, line_plot
 
@@ -175,16 +177,43 @@ class TestAnalyze:
 
 
     def test_wald_bound_beyond_float_range_is_inf(self, tmp_path, capsys):
-        # the combination-phase upper bound exp(b + z * se) overflows a float:
-        # one experimental subject, censored early, among 200 controls who all
-        # have events. The likelihood falls monotonically as b decreases; its
+        # the combination-phase upper bound exp(b + z * se) overflows a float.
+        # Stratum 0: one experimental subject, censored early, among 200
+        # controls who all have events; stratum 1: one experimental subject
+        # with an event, alone at risk. That event carries no information,
+        # so the likelihood still falls monotonically as b decreases; its
         # gradient drops below tolerance at b = -14.0, inside the separation
         # bound, where se is 1.6e4.
         path = tmp_path / "wide.csv"
+        rows = [f"c{i},C,{i}.0,1,,210.0,0" for i in range(1, 201)]
+        rows += ["e0,E,1.5,0,,210.0,0", "e1,E,3.0,1,,210.0,1"]
+        path.write_text(",".join(HEADER) + "\n" + "\n".join(rows) + "\n")
+        assert main(["analyze", "--input", str(path), "--stratified"]) == 0
+        assert "Combination-phase HR=0.0000 (0.000, inf)" in capsys.readouterr().out
+
+    def test_arm_without_events_is_numerical_failure(self, tmp_path, capsys):
+        # one experimental subject, censored early, among 200 controls who
+        # all have events: the experimental arm is at risk but has no event,
+        # so the likelihood has no maximum. The fit refuses it before its
+        # first Newton step, instead of stopping at a flat gradient near
+        # b = -14 and reporting HR 8.2e-7 (0, inf)
+        path = tmp_path / "monotone.csv"
         rows = [f"c{i},C,{i}.0,1,,210.0," for i in range(1, 201)] + ["e0,E,1.5,0,,210.0,"]
         path.write_text(",".join(HEADER) + "\n" + "\n".join(rows) + "\n")
-        assert main(["analyze", "--input", str(path)]) == 0
-        assert "Combination-phase HR=0.0000 (0.000, inf)" in capsys.readouterr().out
+        assert main(["analyze", "--input", str(path)]) == 3
+        assert ("numerical failure: separation detected: the subjects with trt=1 are at risk "
+                "but have no events" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [[], ["--stratified", "--ties", "breslow"]])
+    def test_risk_table_is_built_once(self, tmp_path, capsys, flags):
+        path = tmp_path / "default.csv"
+        write_dataset(simulate_trial(SimConfig(), seed=6), path)
+        counter = mock.Mock(wraps=survival.risk_table)
+        with mock.patch.object(survival, "risk_table", counter), \
+                mock.patch.object(phasetip.cli, "risk_table", counter):
+            assert main(["analyze", "--input", str(path), *flags]) == 0
+        assert counter.call_count == 1
+        assert "Monotherapy-phase HR=" in capsys.readouterr().out
 
     def test_negative_contrast_variance_is_numerical_failure(self, tmp_path, capsys):
         # no experimental subject enters monotherapy, so the interaction never
@@ -300,7 +329,9 @@ class TestTpaDeterminism:
 
 
 class TestConfigKeys:
-    @pytest.mark.parametrize("line", ["grid_stepp=0.5", "threads=4", "nonsense=1"])
+    # the search ends at exact breakpoints, so bisection_tol sets nothing
+    @pytest.mark.parametrize("line", ["grid_stepp=0.5", "threads=4", "nonsense=1",
+                                      "bisection_tol=0.001"])
     def test_unknown_key_is_data_error_naming_it(self, small_dataset, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"effect=1\n{line}\n")
@@ -313,7 +344,7 @@ class TestConfigKeys:
         # one file may serve several commands: tpa keys do not stop simulate
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("seed=5\nn_control=20\nn-experimental=25\ngrid_step=0.1\n"
-                       "bisection_tol=0.01\n")
+                       "alpha_level=0.01\n")
         assert main(["simulate", "--out", str(tmp_path / "s.csv"), "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("command", ["tpa", "curve"])
@@ -349,7 +380,10 @@ class TestGoldenOutputs:
     were re-recorded again when `cox_fit` began fitting from the grouped
     risk-set table instead of the intervals: only HR cells moved, by at most
     6.1e-15 relative (2.6e-15 in `results.csv`); tips and p-values did not.
-    `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
+    The five `tpa` files were re-recorded when the search began to end at
+    an exact rank breakpoint instead of a bisection tolerance: tips moved
+    by at most 9.1e-4, HR and p cells by at most 2.6e-4, event counts not
+    at all; the curve file did not change. `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
     the other effect-1 files (cutoff imputation) never reach."""
 
     @pytest.mark.parametrize("golden,flags", [

@@ -281,26 +281,28 @@ class TestCoxProperties:
             cox_fit_row_level(expand(records), covariates, stratified=True)
 
     def test_numerically_singular_information_is_an_error(self):
-        # the information at the optimum, scaled to unit diagonal, has its
-        # smallest eigenvalue at rounding level (about 4e-16), and the
-        # variance of b_trt is inflated about 2e15-fold: the standard errors
-        # are noise, and the combination-phase HR came out as
-        # 0.0000 (0.000, inf). The row-level arithmetic refuses it as well.
+        # the control arm's one subject enters monotherapy before the first
+        # event time, so the baseline group (control, combination phase) is
+        # at risk at no event time and no group at risk lacks events. Only
+        # differences between the other three groups are identified: the
+        # information at the optimum, scaled to unit diagonal, has its
+        # smallest eigenvalue at rounding level (about 1e-16), and the
+        # variances are inflated about 3e15-fold, so the standard errors are
+        # noise. The row-level arithmetic refuses it as well.
         outcomes = [
-            ("0", C, 2.0, 0, None, 0), ("1", E, 0.5, 0, 0.5, 1), ("2", C, 2.0, 0, 0.5, 1),
-            ("3", C, 2.5, 1, 0.5, None), ("4", E, 2.5, 1, 2.0, 0), ("5", C, 7.0, 0, 2.0, 1),
-            ("6", E, 2.5, 0, None, 0), ("7", E, 2.0, 0, 2.0, None),
+            ("0", E, 4.0, 0, 2.0, 1), ("1", E, 7.0, 0, 4.0, 0), ("2", E, 0.5, 0, None, 0),
+            ("3", E, 2.0, 1, 2.0, 1), ("4", E, 2.0, 1, 2.0, 0), ("5", E, 4.0, 1, 0.5, 0),
+            ("6", C, 1.0, 1, 0.5, None), ("7", E, 1.0, 1, None, 1), ("8", E, 1.0, 1, None, None),
         ]
-        cutoffs = [2.0, 2.0, 8.0, 2.5, 2.5, 8.5, 2.5, 3.5]
-        records = Trial.from_records(rec(sid, arm, s, d, cutoff=cut, mono=m, stratum=st)
-                                     for (sid, arm, s, d, m, st), cut in zip(outcomes, cutoffs))
+        records = Trial.from_records(rec(sid, arm, s, d, cutoff=s + 6.0, mono=m, stratum=st)
+                                     for sid, arm, s, d, m, st in outcomes)
         covariates = ("trt", "mono", "trt_x_mono")
         with pytest.raises(EstimationError, match="numerically singular"):
             cox_fit(risk_table(records), covariates)
         with pytest.raises(EstimationError):
             cox_fit_row_level(expand(records), covariates)
         with pytest.raises(EstimationError, match="numerically singular"):
-            phase_hr(records)
+            phase_hr(records, risk_table(records))
 
     def test_unknown_covariate_rejected(self):
         with pytest.raises(DataError, match="covariate"):
@@ -371,7 +373,8 @@ class TestPhaseHr:
         outcomes = [(2.0, 1, 1.0), (4.0, 1, None), (6.0, 0, 3.0), (8.0, 1, 5.0)]
         records = [rec(f"e{i}", E, t, d, mono=m) for i, (t, d, m) in enumerate(outcomes)]
         records += [rec(f"c{i}", C, t, d, mono=m) for i, (t, d, m) in enumerate(outcomes)]
-        res = phase_hr(Trial.from_records(records))
+        trial = Trial.from_records(records)
+        res = phase_hr(trial, risk_table(trial))
         assert res.hr_combo == pytest.approx(1.0, abs=1e-6)
         assert res.hr_mono == pytest.approx(1.0, abs=1e-6)
         assert res.ci_combo[0] < 1.0 < res.ci_combo[1]
@@ -383,7 +386,7 @@ class TestPhaseHr:
             rec(i, E if i % 2 else C, float(rng.exponential(8) + 0.2), int(rng.random() < 0.8))
             for i in range(40)
         )
-        res = phase_hr(records)
+        res = phase_hr(records, risk_table(records))
         assert res.hr_mono is None
         assert res.flags == ["no monotherapy phase observed"]
         plain = cox_fit(risk_table(records), ("trt",))

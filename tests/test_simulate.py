@@ -89,7 +89,8 @@ class TestCalibrationTargets:
     def test_phase_hrs_recovered_on_average(self):
         combo, mono = [], []
         for seed in range(20):
-            res = phase_hr(simulate_trial(SimConfig(), seed=seed))
+            trial = simulate_trial(SimConfig(), seed=seed)
+            res = phase_hr(trial, risk_table(trial))
             combo.append(res.hr_combo)
             mono.append(res.hr_mono)
         assert np.mean(combo) == pytest.approx(0.811, abs=0.08)

@@ -1,12 +1,27 @@
 """Tipping-search behavior: identity at factor 1, bracketing and consistency
-invariants, degenerate handling, aggregation arithmetic, determinism."""
+invariants, rank breakpoints, degenerate handling, aggregation arithmetic,
+determinism."""
+
+import collections
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import phasetip.tipping
-from conftest import C, E, rec
-from phasetip.counterfactual import Effect, Threshold, TransformParams, make_draws
+from conftest import C, E, rec, trials
+from reference import fixed_step_bracket
+from phasetip.counterfactual import (
+    Effect,
+    ImputationDraws,
+    Threshold,
+    TransformParams,
+    make_draws,
+    needs_draw,
+    rank_breakpoints,
+)
 from phasetip.errors import DataError, SeparationError
 from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
@@ -34,6 +49,18 @@ FAST_SIM = SimConfig(
 
 def fast_records(seed=1):
     return simulate_trial(FAST_SIM, seed=seed)
+
+
+def before_tip(trial, effect, draws, tip):
+    """A factor in the interval between rank breakpoints that ends at the
+    tip, on the side of factor 1."""
+    if effect is Effect.INFLATE_CONTROL:
+        inside = rank_breakpoints(trial, effect, draws, 1.0, tip)
+        edge = inside[-1] if inside.size else 1.0
+    else:
+        inside = rank_breakpoints(trial, effect, draws, tip, 1.0)
+        edge = inside[0] if inside.size else 1.0
+    return 0.5 * (edge + tip)
 
 
 class TestEvaluateAt:
@@ -90,12 +117,12 @@ class TestFindTippingA:
             assert out.tip is not None
             # reported point is non-significant (minimum p beyond the level)
             assert out.point.p_two_sided > config.alpha_level
-            # stepping one tolerance back toward 1 is still significant
+            # the interval just before the tip is still significant
             draws = make_draws(records, config.effect, config.imputation,
                                config.seed, out.replicate_id)
             back = evaluate_at(
                 records,
-                TransformParams(config.effect, out.tip - config.bisection_tol),
+                TransformParams(config.effect, before_tip(records, config.effect, draws, out.tip)),
                 draws,
             )
             assert back.p_two_sided <= config.alpha_level
@@ -112,10 +139,11 @@ class TestFindTippingA:
                                config.seed, out.replicate_id)
             back = evaluate_at(
                 records,
-                TransformParams(config.effect, out.tip + config.bisection_tol),
+                TransformParams(config.effect, before_tip(records, config.effect, draws, out.tip)),
                 draws,
             )
             assert back.p_two_sided <= config.alpha_level
+            assert out.point.p_two_sided > config.alpha_level
 
     def test_degenerate_when_already_non_significant(self):
         rng = np.random.default_rng(2)
@@ -168,8 +196,8 @@ class TestFindTippingB:
 
     @pytest.mark.parametrize("effect", list(Effect))
     def test_tip_is_the_root_of_mono_hr_one(self, effect):
-        # the tip is the root of hr_mono = 1 found to bisection_tol, so the
-        # grid step that brackets it does not move it
+        # the tip is the rank breakpoint where hr_mono reaches 1, so the grid
+        # step that brackets it does not move it
         records = fast_records()
         results = {
             step: find_tipping(records, SearchConfig(
@@ -179,19 +207,13 @@ class TestFindTippingB:
             for step in (0.01, 0.1)
         }
         config = SearchConfig(effect=effect, seed=7)
-        tol = config.bisection_tol
         for fine, coarse in zip(results[0.01].replicates, results[0.1].replicates):
-            assert fine.tip is not None and coarse.tip is not None
-            assert abs(fine.tip - coarse.tip) <= tol
+            assert fine.tip is not None and fine.tip == coarse.tip
             draws = make_draws(records, effect, config.imputation, config.seed,
                                fine.replicate_id)
-            below, above = (
-                evaluate_at(records, TransformParams(effect, fine.tip + d), draws).hr_mono
-                for d in (-tol, tol)
-            )
-            # effect 1 crosses as the factor rises, effect 2 as it falls
-            clear, crossed = (below, above) if effect is Effect.INFLATE_CONTROL else (above, below)
-            assert clear < 1.0 <= crossed
+            clear = evaluate_at(records, TransformParams(
+                effect, before_tip(records, effect, draws, fine.tip)), draws)
+            assert clear.hr_mono < 1.0 <= fine.point.hr_mono
 
     def test_effect2_neutralization(self):
         records = fast_records()
@@ -308,48 +330,60 @@ class TestUnevaluablePointHandling:
                      threshold=Threshold.SIGNIFICANCE):
             self.value_of = p_of if threshold is Threshold.SIGNIFICANCE else hr_mono_of
             self.broken = set(broken)
+            self.probed = []
 
         def probe(self, gamma):
+            self.probed.append(gamma)
             if round(gamma, 6) in self.broken:
                 return None, "separation detected"
             return self.value_of(gamma), None
 
     def test_grid_walk_skips_broken_points(self):
-        from phasetip.tipping import _grid_walk, _stop_rule
+        from phasetip.tipping import _bracket, _stop_rule
 
+        # steps 0.1, 0.16, 0.16, ...: the walk probes 1.1, 1.26, 1.42, 1.58
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, grid_step=0.1, grid_max=3.0)
-        stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.3])
+        stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.26])
         _, crossed, _ = _stop_rule(config)
-        last_clear, first_crossed, flags = _grid_walk(stub.probe, crossed, config)
-        assert first_crossed == pytest.approx(1.6)
-        assert last_clear == pytest.approx(1.5)
+        last_clear, first_crossed, flags = _bracket(stub.probe, crossed, config)
+        assert first_crossed == pytest.approx(1.58)
+        assert last_clear == pytest.approx(1.42)
         assert any("skipped" in f and "separation" in f for f in flags)
 
     def test_bisection_nudges_around_broken_midpoint(self):
+        # breakpoints every 0.01 in (1.5, 1.6); the rule flips at 1.55. The
+        # first cell probed, (1.56, 1.57), and later its nudge target fail
         from phasetip.tipping import _bisect, _stop_rule
 
+        breakpoints = np.round(np.arange(1.51, 1.595, 0.01), 10)
         for threshold in Threshold:
-            config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=threshold,
-                                  bisection_tol=1e-3)
-            stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.55],
+            config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=threshold)
+            stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.565],
                               hr_mono_of=lambda g: 0.9 if g < 1.55 else 1.1,
                               threshold=threshold)
             _, crossed, _ = _stop_rule(config)
-            lo, hi = _bisect(stub.probe, crossed, 1.5, 1.6, config, [])
-            assert hi - lo <= config.bisection_tol
-            assert lo < 1.55 <= hi + 1e-9
+            flags = []
+            tip, at = _bisect(stub.probe, crossed, 1.5, 1.6, breakpoints, flags)
+            assert tip == pytest.approx(1.55)
+            assert at == pytest.approx(1.555)
+            assert flags == []
+            assert len(stub.probed) == len(set(stub.probed))
 
-    def test_bisection_ends_at_float_resolution(self):
-        # a tolerance below the float spacing at the bracket cannot be met;
-        # the bisection stops once the ends are adjacent floats
+    def test_bisection_stops_when_neighbours_fail_too(self):
         from phasetip.tipping import _bisect, _stop_rule
 
-        config = SearchConfig(effect=Effect.INFLATE_CONTROL, bisection_tol=1e-300)
-        stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[])
+        breakpoints = np.round(np.arange(1.51, 1.595, 0.01), 10)
+        config = SearchConfig(effect=Effect.INFLATE_CONTROL)
+        stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2,
+                          broken=[1.555, 1.565, 1.575])
         _, crossed, _ = _stop_rule(config)
-        lo, hi = _bisect(stub.probe, crossed, 1.5, 1.6, config, [])
-        assert lo < hi
-        assert 0.5 * (lo + hi) in (lo, hi)
+        flags = []
+        tip, at = _bisect(stub.probe, crossed, 1.5, 1.6, breakpoints, flags)
+        assert any("bisection stopped early" in f for f in flags)
+        # the first cell probed and both its neighbours fail, so the first
+        # cell known to be crossed is the bracket's crossed end
+        assert stub.probed == pytest.approx([1.565, 1.575, 1.555])
+        assert tip == at == 1.6
 
 
 class TestProbePath:
@@ -487,11 +521,6 @@ class TestSearchConfigValidation:
         with pytest.raises(DataError, match="p_source"):
             SearchConfig(effect=Effect.INFLATE_CONTROL, p_source="bayes")
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
-    def test_bad_bisection_tol(self, tol):
-        with pytest.raises(DataError, match="bisection_tol"):
-            SearchConfig(effect=Effect.INFLATE_CONTROL, bisection_tol=tol)
-
     @pytest.mark.parametrize("bound", [float("inf"), float("nan")])
     def test_non_finite_grid_max(self, bound):
         with pytest.raises(DataError, match="grid_max"):
@@ -524,3 +553,163 @@ class TestSearchConfigValidation:
     def test_walk_longer_than_point_cap(self, effect, bounds, step):
         with pytest.raises(DataError, match=str(MAX_GRID_POINTS)):
             SearchConfig(effect=effect, grid_step=step, **bounds)
+
+
+@st.composite
+def tied_draws(draw, trial, effect):
+    """Draws for exactly the subjects `needs_draw` selects, each beyond its
+    observed time by one of a few offsets, so draws tie with each other and
+    with observed times."""
+    subjects = np.flatnonzero(needs_draw(trial, effect))
+    values = [float(trial.s[k]) + draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+              for k in subjects]
+    return ImputationDraws(effect, 0, 0, "test", subjects, np.array(values, dtype=float))
+
+
+class TestRankBreakpoints:
+    """p and the HRs are step functions of the factor, constant between
+    consecutive rank breakpoints."""
+
+    RANGE = {Effect.INFLATE_CONTROL: (1.0, 4.0), Effect.SHRINK_EXPERIMENTAL: (0.05, 1.0)}
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), records=trials(), effect=st.sampled_from(list(Effect)))
+    def test_evaluation_is_constant_between_breakpoints(self, data, records, effect):
+        trial = Trial.from_records(records)
+        if np.unique(trial.trt).size < 2:
+            event("one arm: nothing to evaluate")
+            return
+        draws = data.draw(tied_draws(trial, effect))
+        lo, hi = self.RANGE[effect]
+        edges = np.concatenate([[lo], rank_breakpoints(trial, effect, draws, lo, hi), [hi]])
+        assert np.all(np.diff(edges) > 0)
+        event(f"{edges.size - 2} breakpoints" if edges.size < 7 else "5 or more breakpoints")
+        for left, right in zip(edges[:-1], edges[1:]):
+            points = {
+                dataclasses.replace(
+                    evaluate_at(trial, TransformParams(effect, float(g)), draws), gamma=0.0)
+                for g in left + np.array([0.25, 0.5, 0.75]) * (right - left)
+            }
+            assert len(points) == 1, (left, right, points)
+
+    def test_breakpoints_of_one_moving_subject(self):
+        # effect 1 moves c1 along 6 + gamma * 4, an event up to its imputed
+        # censoring time 30: it passes e1's time 20 at 3.5, the censoring
+        # time 25 of e2 at 4.75 and reaches its own bound at 6
+        trial = Trial.from_records([
+            rec("c1", C, 10.0, 1, mono=6.0), rec("e1", E, 20.0, 1), rec("e2", E, 25.0, 0),
+        ])
+        draws = ImputationDraws(Effect.INFLATE_CONTROL, 0, 0, "test",
+                                np.array([0]), np.array([30.0]))
+        got = rank_breakpoints(trial, Effect.INFLATE_CONTROL, draws, 1.0, 10.0)
+        assert got.tolist() == [3.5, 4.75, 6.0]
+        assert rank_breakpoints(trial, Effect.INFLATE_CONTROL, draws, 3.5, 6.0).tolist() == [4.75]
+
+    def test_two_moving_events_tie_where_they_meet(self):
+        # effect 2 moves e1 along 2 + 2 * gamma and e2 along 1 + 6 * gamma:
+        # they trade places at 0.25, where the two events tie. Passing each
+        # other changes no count, but the tie changes the log-rank variance
+        trial = Trial.from_records([
+            rec("e1", E, 4.0, 1, mono=2.0), rec("e2", E, 7.0, 1, mono=1.0),
+            rec("e3", E, 0.5, 1), rec("c1", C, 0.5, 1), rec("c2", C, 9.0, 1),
+            rec("c3", C, 12.0, 0),
+        ])
+        effect = Effect.SHRINK_EXPERIMENTAL
+        draws = make_draws(trial, effect)
+        assert rank_breakpoints(trial, effect, draws, 0.2, 0.3).tolist() == [0.25]
+        below, at, above = (evaluate_at(trial, TransformParams(effect, g), draws)
+                            for g in (0.22, 0.25, 0.28))
+        assert below.p_two_sided == above.p_two_sided != at.p_two_sided
+
+    @pytest.mark.parametrize("effect, lo, hi", [
+        (Effect.INFLATE_CONTROL, 1.40, 1.42), (Effect.SHRINK_EXPERIMENTAL, 0.60, 0.62),
+    ])
+    def test_evaluation_is_constant_between_breakpoints_of_a_simulated_trial(self, effect,
+                                                                             lo, hi):
+        trial = fast_records()
+        draws = make_draws(trial, effect, "fitted", seed=3)
+        edges = np.concatenate([[lo], rank_breakpoints(trial, effect, draws, lo, hi), [hi]])
+        assert edges.size > 20
+        for left, right in zip(edges[:-1], edges[1:]):
+            a, b = (evaluate_at(trial, TransformParams(effect, float(g)), draws)
+                    for g in (left + (right - left) / 3, right - (right - left) / 3))
+            assert (a.p_two_sided, a.hr_overall, a.hr_mono) == (b.p_two_sided, b.hr_overall,
+                                                               b.hr_mono)
+
+
+class TestAgainstFixedStepSearch:
+    """The search before rank breakpoints (`reference.fixed_step_bracket`,
+    bisection to 1e-3) is the oracle, on the trials of acceptance criteria
+    6 and 8 (simulator seeds 0-9; criterion 8 uses seed 9)."""
+
+    @staticmethod
+    def _flips(trial, config, draws, lo, hi):
+        """How often the stop rule's verdict changes over [lo, hi], read at
+        the midpoint of every interval between rank breakpoints."""
+        reads, crossed, _ = phasetip.tipping._stop_rule(config)
+        edges = np.concatenate([[lo], rank_breakpoints(trial, config.effect, draws, lo, hi), [hi]])
+        verdicts = [
+            crossed(reads(phasetip.tipping.apply_transform(
+                trial, TransformParams(config.effect, float(g)), draws)))
+            for g in 0.5 * (edges[:-1] + edges[1:])
+        ]
+        return sum(a != b for a, b in zip(verdicts, verdicts[1:]))
+
+    @pytest.mark.parametrize("effect", list(Effect))
+    @pytest.mark.parametrize("threshold", list(Threshold))
+    def test_tip_in_oracle_bracket_and_independent_of_grid_step(self, effect, threshold):
+        for seed in range(10):
+            trial = simulate_trial(SimConfig(), seed=seed)
+            results = {
+                step: find_tipping(trial, SearchConfig(
+                    effect=effect, threshold=threshold, grid_step=step,
+                    mi_replicates=2, seed=seed))
+                for step in (0.01, 0.1)
+            }
+            config = SearchConfig(effect=effect, threshold=threshold, grid_step=0.1, seed=seed)
+            for fine, coarse in zip(results[0.01].replicates, results[0.1].replicates):
+                assert fine.tip == coarse.tip, (seed, fine.replicate_id)
+                draws = make_draws(trial, effect, config.imputation, seed, fine.replicate_id)
+                lo, hi = sorted(fixed_step_bracket(trial, config, draws))
+                if lo <= fine.tip <= hi:
+                    continue
+                # the oracle bisected onto another crossing: the verdict goes
+                # clear -> crossed at both, so crossed -> clear in between
+                span = (min(lo, fine.tip) - 1e-4, min(max(hi, fine.tip) + 1e-4, 1.0)
+                        if effect is Effect.SHRINK_EXPERIMENTAL else max(hi, fine.tip) + 1e-4)
+                assert self._flips(trial, config, draws, *span) >= 3, (seed, fine.tip, lo, hi)
+
+
+class TestProbeBudget:
+    """Probes per replicate at CLI defaults on the calibrated seed-6 trial:
+    `apply_transform` calls outside the evaluation of the reported point,
+    per distinct draw set."""
+
+    @pytest.mark.parametrize("effect", list(Effect))
+    @pytest.mark.parametrize("threshold", list(Threshold))
+    def test_at_most_20_probes_per_replicate(self, monkeypatch, effect, threshold):
+        probes, reporting = collections.Counter(), []
+        real_transform, real_evaluate = (phasetip.tipping.apply_transform,
+                                         phasetip.tipping.evaluate_at)
+
+        def transform(trial, params, draws):
+            if not reporting:
+                probes[id(draws)] += 1
+            return real_transform(trial, params, draws)
+
+        def evaluate(*args):
+            reporting.append(True)
+            try:
+                return real_evaluate(*args)
+            finally:
+                reporting.pop()
+
+        monkeypatch.setattr(phasetip.tipping, "apply_transform", transform)
+        monkeypatch.setattr(phasetip.tipping, "evaluate_at", evaluate)
+        res = find_tipping(simulate_trial(SimConfig(), seed=6),
+                           SearchConfig(effect=effect, threshold=threshold))
+        assert all(o.tip is not None and not o.degenerate for o in res.replicates)
+        searches = 20 if effect is Effect.SHRINK_EXPERIMENTAL else 1   # cutoff imputation
+        assert len(probes) == searches
+        assert sum(probes.values()) / searches <= 20
