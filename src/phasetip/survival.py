@@ -10,6 +10,11 @@ the events per group and event time, from the event-time bins where each
 spell of a subject enters and leaves its group. The Kaplan-Meier curve
 counts one group, the log-rank test the two arms, and the risk table the
 four arm x phase groups, in which a subject in monotherapy has two spells.
+The table keeps those counts, so a caller that holds it (one evaluation,
+one `analyze` report) takes the log-rank test from the table's arm
+margins with `logrank_from_table` and counts once; a search probe that
+needs only the log-rank test counts the two arms of the `Trial` with
+`logrank_test`, which is cheaper than building a table.
 
 Every covariate of that design is a function of a subject's arm x phase
 group g = trt + 2 * mono at a given time, so the Efron (or Breslow) partial
@@ -20,13 +25,16 @@ formed. `cox_fit` and `partial_loglik_and_gradient` read only the table and
 evaluate every design from it with a 4 x p matrix of group covariate
 values, so a caller that holds the table (the treatment-only and the
 three-covariate fit of one evaluation, or of one `analyze` report, which
-passes it to `phase_hr`) builds it once. The Kaplan-Meier curve, the
-log-rank test and the table take a `Trial`.
-Nothing loops over subjects in Python.
+passes it to `phase_hr`) builds it once. The Kaplan-Meier curve,
+`logrank_test` and the table take a `Trial`.
+Nothing loops over subjects in Python, and the Newton loop of `cox_fit`
+calls numpy's reductions and tests its floats without the per-call
+wrappers, with the same arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +50,7 @@ __all__ = [
     "PhaseHr",
     "km_estimate",
     "logrank_test",
+    "logrank_from_table",
     "RiskTable",
     "risk_table",
     "cox_fit",
@@ -174,41 +183,28 @@ class LogRankResult:
     expected: dict
 
 
-def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
-    """Two-group log-rank test comparing arms, optionally summed over strata.
-
-    Uses the standard O-E statistic with hypergeometric variance at each
-    distinct event time; the two-sided p-value comes from chi-square with
-    one degree of freedom.
-    """
-    if np.unique(trial.trt).size < 2:
+def _require_both_arms_and_an_event(trial: Trial) -> None:
+    if trial.trt.all() or not trial.trt.any():
         raise DataError("log-rank needs both arms present")
     if trial.delta.sum() == 0:
         raise EstimationError("log-rank needs at least one event")
 
+
+def _logrank(strata) -> LogRankResult:
+    """The log-rank test from per-stratum counts (n0, n1, d0, d1): the
+    control and experimental subjects at risk and their events at each
+    event time of a stratum with events."""
     o1 = e1 = v = 0.0
     d_total = 0
-    for rows in _strata(trial, stratified):
-        s, d, trt = trial.s[rows], trial.delta[rows], trial.trt[rows]  # trt 1: experimental
-        event_times = np.unique(s[d == 1])
-        if event_times.size == 0:
-            continue
-        enter = trt * (event_times.size + 1)   # group g = trt: row 0 is the control arm
-        leave = enter + np.searchsorted(event_times, s, side="right")
-        (n0, n1), (d0, d1) = _counts(event_times, enter, leave, leave[d == 1] - 1, 2)
+    for n0, n1, d0, d1 in strata:
         n_at, d_at = n0 + n1, d0 + d1
-
         o1 += d1.sum()
         e1 += np.sum(d_at * n1 / n_at)
-        ok = n_at > 1
-        v += np.sum(
-            d_at[ok]
-            * (n1[ok] / n_at[ok])
-            * (n0[ok] / n_at[ok])
-            * (n_at[ok] - d_at[ok])
-            / (n_at[ok] - 1)
-        )
         d_total += int(d_at.sum())
+        ok = n_at > 1   # an event time with one subject at risk adds no variance
+        if not ok.all():
+            n0, n1, n_at, d_at = n0[ok], n1[ok], n_at[ok], d_at[ok]
+        v += np.sum(d_at * (n1 / n_at) * (n0 / n_at) * (n_at - d_at) / (n_at - 1))
 
     if v > 0:
         stat = (o1 - e1) ** 2 / v
@@ -223,6 +219,38 @@ def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
     )
 
 
+def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
+    """Two-group log-rank test comparing arms, optionally summed over strata.
+
+    Uses the standard O-E statistic with hypergeometric variance at each
+    distinct event time; the two-sided p-value comes from chi-square with
+    one degree of freedom.
+    """
+    _require_both_arms_and_an_event(trial)
+    strata = []
+    for rows in _strata(trial, stratified):
+        s, d, trt = trial.s[rows], trial.delta[rows], trial.trt[rows]  # trt 1: experimental
+        event_times = np.unique(s[d == 1])
+        if event_times.size == 0:
+            continue
+        enter = trt * (event_times.size + 1)   # group g = trt: row 0 is the control arm
+        leave = enter + np.searchsorted(event_times, s, side="right")
+        (n0, n1), (d0, d1) = _counts(event_times, enter, leave, leave[d == 1] - 1, 2)
+        strata.append((n0, n1, d0, d1))
+    return _logrank(strata)
+
+
+def logrank_from_table(trial: Trial, table: RiskTable) -> LogRankResult:
+    """`logrank_test(trial, table.stratified)`, read from the counts of
+    `table`, the caller's risk table of `trial`: an arm's subjects at risk
+    and events are those of its two groups, g = trt and g = trt + 2 (both
+    phases). The counts are integers, so the result is the same to the
+    bit; only the check that both arms exist reads the trial."""
+    _require_both_arms_and_an_event(trial)
+    return _logrank([(n[0] + n[2], n[1] + n[3], d[0] + d[2], d[1] + d[3])
+                     for n, d in table.counts])
+
+
 # ---------------------------------------------------------------------------
 # Grouped risk-set table
 
@@ -235,11 +263,16 @@ class RiskTable:
     per arm x phase group g = trt + 2 * mono, holding n_g(t) - frac * d_g(t):
     the subjects at risk in group g at t less the Efron fraction
     frac = k / d(t) of their events at t (frac is 0 under Breslow). D holds
-    the events per group. `ties` and `stratified` say how it was built.
+    the events per group. `counts` holds, per stratum with events, the pair
+    (n_risk, n_event) of 4 x T arrays that A is built from: the subjects
+    at risk and the events per group and event time, from which
+    `logrank_from_table` reads the arms. `ties` and `stratified` say how
+    it was built.
     """
 
     A: np.ndarray
     D: np.ndarray
+    counts: tuple
     ties: str
     stratified: bool
 
@@ -258,7 +291,7 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
     if late.size:
         raise DataError(f"subject {trial.ids[late[0]]}: phase time exceeds follow-up")
     in_mono = trial.in_mono
-    blocks = []
+    blocks, counts = [], []
     for rows in _strata(trial, stratified):
         s, trt, mono = trial.s[rows], trial.trt[rows], in_mono[rows]
         ev = trial.delta[rows] == 1
@@ -278,6 +311,7 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
             event=stop[ev] - 1,
             n_groups=4,
         )
+        counts.append((n_risk, n_event))
         n_risk, n_event = n_risk.T, n_event.T
         jj = np.repeat(np.arange(ut.size), d)
         if ties == "efron":
@@ -286,22 +320,27 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
         else:
             frac = np.zeros(jj.size)
         blocks.append((n_risk[jj] - frac[:, None] * n_event[jj], n_event.sum(axis=0)))
-    return RiskTable(
-        A=np.vstack([np.zeros((0, 4)), *(A for A, _ in blocks)]),
-        D=sum((D for _, D in blocks), np.zeros(4, dtype=int)),
-        ties=ties, stratified=stratified,
-    )
+    if len(blocks) == 1:
+        (A, D), = blocks
+    else:
+        A = np.vstack([np.zeros((0, 4)), *(A for A, _ in blocks)])
+        D = sum((D for _, D in blocks), np.zeros(4, dtype=int))
+    return RiskTable(A=A, D=D, counts=tuple(counts), ties=ties, stratified=stratified)
 
 
-def _group_covariates(names) -> np.ndarray:
+@functools.cache
+def _group_covariates(names: tuple) -> np.ndarray:
     """Covariate values of the four arm x phase groups, one row per group.
-    The interaction is trt * mono by construction."""
+    The interaction is trt * mono by construction. Built once per tuple of
+    names and read-only, since every design of those names shares it."""
     trt, mono = np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0])
     columns = {"trt": trt, "mono": mono, "trt_x_mono": trt * mono}
     for name in names:
         if name not in columns:
             raise DataError(f"unknown covariate {name!r}")
-    return np.column_stack([columns[name] for name in names])
+    G = np.column_stack([columns[name] for name in names])
+    G.flags.writeable = False
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +402,8 @@ class _GroupDesign:
     """
 
     def __init__(self, table: RiskTable, covariates):
-        self.G = _group_covariates(covariates)
         self.names = tuple(covariates)
+        self.G = _group_covariates(self.names)
         self.p = len(covariates)
         self.n_events = int(table.D.sum())
         if self.n_events == 0:
@@ -394,17 +433,25 @@ class _GroupDesign:
                 )
 
     def loglik_grad_hess(self, beta):
-        # a trial step that overflows w gives a non-finite likelihood, which
-        # the Newton loop rejects by halving the step
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            w = np.exp(self.G @ beta)
-            Z = self.A @ w
-            R = self.A * w / Z[:, None]
-            ll = float(self.sum_x @ beta) - float(np.log(Z).sum())
+        """Likelihood, gradient and Hessian at beta. Column sums are
+        np.add.reduce, which `.sum(axis=0)` calls, without its wrapper. Run
+        it under np.errstate(over, invalid, divide ignored): a trial step
+        that overflows w gives a non-finite likelihood, which the Newton
+        loop rejects by halving the step."""
+        w = np.exp(self.G @ beta)
+        Z = self.A @ w
+        R = self.A * w / Z[:, None]
+        ll = float(self.sum_x @ beta) - float(np.add.reduce(np.log(Z)))
         M1 = R @ self.G
-        grad = self.sum_x - M1.sum(axis=0)
-        hess = M1.T @ M1 - (self.G.T * R.sum(axis=0)) @ self.G
+        grad = self.sum_x - np.add.reduce(M1, axis=0)
+        hess = M1.T @ M1 - (self.G.T * np.add.reduce(R, axis=0)) @ self.G
         return ll, grad, hess
+
+
+def _norm(v) -> float:
+    """The Euclidean norm, computed as np.linalg.norm computes it for a
+    vector, without its wrapper."""
+    return math.sqrt(v.dot(v))
 
 
 def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None):
@@ -417,8 +464,69 @@ def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None
     if beta is None:
         beta = np.zeros(design.p)
     beta = np.asarray(beta, dtype=float)
-    ll, grad, _ = design.loglik_grad_hess(beta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ll, grad, _ = design.loglik_grad_hess(beta)
     return ll, grad
+
+
+_SINGULAR = "singular information matrix: design is collinear on the risk sets"
+
+
+def _newton_step(info, grad):
+    """The step solving info @ step = grad. With one coefficient it is a
+    plain division, the arithmetic of LAPACK's 1 x 1 solve, which refuses
+    a zero pivot as singular."""
+    if info.shape == (1, 1):
+        pivot = info[0, 0]
+        if pivot == 0.0:
+            raise EstimationError(_SINGULAR)
+        step = grad / pivot
+    else:
+        try:
+            step = np.linalg.solve(info, grad)
+        except np.linalg.LinAlgError:
+            raise EstimationError(_SINGULAR) from None
+    if not all(map(math.isfinite, step.tolist())):
+        raise EstimationError(_SINGULAR)
+    return step
+
+
+def _newton(design, max_iter):
+    """Damped Newton-Raphson from beta = 0 on `design`; returns (beta,
+    loglik, gradient, Hessian, iterations) at convergence. The convergence,
+    finiteness and separation tests read Python floats."""
+    beta = np.zeros(design.p)
+    ll, grad, hess = design.loglik_grad_hess(beta)
+    for iterations in range(1, max_iter + 1):
+        if _norm(grad) < _GRAD_TOL:
+            return beta, ll, grad, hess, iterations - 1
+        step = _newton_step(-hess, grad)
+
+        # accept a step whose apparent decrease is within float resolution
+        ll_slack = 1e-11 * max(1.0, abs(ll))
+        factor = 1.0
+        for _ in range(30):
+            cand = beta + factor * step
+            ll_new, grad_new, hess_new = design.loglik_grad_hess(cand)
+            if math.isfinite(ll_new) and ll_new >= ll - ll_slack:
+                break
+            factor /= 2.0
+        else:
+            raise ConvergenceError(
+                "Newton-Raphson step halving failed", last_beta=beta, iterations=iterations
+            )
+
+        delta_ll = ll_new - ll
+        beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
+        if max(map(abs, beta.tolist())) > _SEPARATION_BOUND:
+            raise SeparationError(last_beta=beta)
+        if abs(delta_ll) < _LL_TOL and _norm(grad) < _GRAD_TOL:
+            return beta, ll, grad, hess, iterations
+    raise ConvergenceError(
+        f"no convergence after {max_iter} iterations",
+        last_beta=beta,
+        iterations=max_iter,
+    )
 
 
 def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit:
@@ -434,58 +542,8 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
     """
     design = _GroupDesign(table, covariates)
     design.refuse_idle_groups()
-    beta = np.zeros(design.p)
-    ll, grad, hess = design.loglik_grad_hess(beta)
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.linalg.norm(grad) < _GRAD_TOL:
-            converged = True
-            iterations -= 1
-            break
-        info = -hess
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            raise EstimationError(
-                "singular information matrix: design is collinear on the risk sets"
-            ) from None
-        if not np.all(np.isfinite(step)):
-            raise EstimationError(
-                "singular information matrix: design is collinear on the risk sets"
-            )
-
-        # accept a step whose apparent decrease is within float resolution
-        ll_slack = 1e-11 * max(1.0, abs(ll))
-        factor = 1.0
-        accepted = False
-        for _ in range(30):
-            cand = beta + factor * step
-            ll_new, grad_new, hess_new = design.loglik_grad_hess(cand)
-            if np.isfinite(ll_new) and ll_new >= ll - ll_slack:
-                accepted = True
-                break
-            factor /= 2.0
-        if not accepted:
-            raise ConvergenceError(
-                "Newton-Raphson step halving failed", last_beta=beta, iterations=iterations
-            )
-
-        delta_ll = ll_new - ll
-        beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
-        if np.max(np.abs(beta)) > _SEPARATION_BOUND:
-            raise SeparationError(last_beta=beta)
-        if abs(delta_ll) < _LL_TOL and np.linalg.norm(grad) < _GRAD_TOL:
-            converged = True
-            break
-
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations",
-            last_beta=beta,
-            iterations=max_iter,
-        )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta, ll, grad, hess, iterations = _newton(design, max_iter)
 
     info = -hess
     try:
@@ -496,13 +554,13 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
             "information at the optimum is not positive definite: the design is "
             "collinear on the risk sets or the end point is not a maximum"
         ) from None
-    inflation = np.diag(info) * np.diag(cov)   # at least 1 in exact arithmetic
-    if not np.all((inflation > 0) & (inflation < _MAX_VARIANCE_INFLATION)):
+    inflation = info.diagonal() * cov.diagonal()   # at least 1 in exact arithmetic
+    if not all(0.0 < x < _MAX_VARIANCE_INFLATION for x in inflation.tolist()):
         raise EstimationError(
             "information at the optimum is numerically singular: the design is "
             "collinear on the risk sets"
         )
-    se = np.sqrt(np.diag(cov))
+    se = np.sqrt(cov.diagonal())
     return CoxFit(
         names=design.names,
         beta=beta,
@@ -511,7 +569,7 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
         loglik=ll,
         iterations=iterations,
         n_events=design.n_events,
-        gradient_norm=float(np.linalg.norm(grad)),
+        gradient_norm=_norm(grad),
     )
 
 

@@ -7,12 +7,17 @@ A numeric CSV always accompanies the plot, so the SVG stays minimal.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 __all__ = ["find_crossings", "line_plot"]
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 40, 48
+
+
+def escape(text: str) -> str:
+    """`text` as SVG character data: &, < and > as entities, the ampersand
+    first. The same bytes as xml.sax.saxutils.escape, whose module would
+    pull in urllib and the network stack at import."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def find_crossings(xs, ys, level):

@@ -15,7 +15,11 @@ interval midpoints and their nudges do not come back to a factor already
 probed, so no value is cached; a repeat would only be recomputed, with the
 same result. The full evaluation
 (`evaluate_at`: p-value, overall HR and monotherapy-phase HR) runs only
-for the point a search reports, and for every point of `grid_scan`.
+for the point a search reports, and for every point of `grid_scan`. It
+builds one risk table, fits both Cox models on it and takes the log-rank
+p-value from the table's arm margins (`logrank_from_table`), so it
+counts the subjects at risk once; a rule-a probe, which needs no table,
+counts the arms of the `Trial` with `logrank_test`.
 
 Per replicate, imputation draws are made once and reused across the whole
 grid. With the draws fixed, every transformed time is fixed or a line in
@@ -77,7 +81,7 @@ from .counterfactual import (
 )
 from .errors import DataError, EstimationError
 from .records import Trial
-from .survival import cox_fit, logrank_test, risk_table
+from .survival import cox_fit, logrank_from_table, logrank_test, risk_table
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -224,7 +228,8 @@ def evaluate_at(trial: Trial, params: TransformParams,
     p-value, overall HR and monotherapy-phase HR on the transformed data.
 
     A search probe computes only the number its stop rule reads; this runs
-    for the point a search reports and for every curve point. Each
+    for the point a search reports and for every curve point. One risk
+    table serves both Cox fits and the log-rank test. Each
     estimator that fails leaves its column None and its message in the
     note, instead of aborting; the point is evaluable when both the p-value
     and the overall HR exist.
@@ -236,7 +241,7 @@ def evaluate_at(trial: Trial, params: TransformParams,
     if p_source == "wald":
         p = None if trt_fit is None else trt_fit.wald_p("trt")
     else:
-        p = _attempt(lambda: _logrank_p(data), notes)
+        p = _attempt(lambda: logrank_from_table(data, table).p_two_sided, notes)
     hr_mono = _attempt(lambda: _mono_hr(data, table), notes)
     return TpaCurvePoint(
         gamma=params.gamma, p_two_sided=p,

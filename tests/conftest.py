@@ -1,15 +1,20 @@
 import contextlib
 import csv
+import dataclasses
 import math
 import os
 import signal
 import sys
 
+import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from phasetip.counterfactual import Effect, TransformParams, apply_transform, make_draws
 from phasetip.records import Arm, SubjectRecord
+from phasetip.simulate import SimConfig, simulate_trial
 
 E, C = Arm.EXPERIMENTAL, Arm.CONTROL
 
@@ -49,6 +54,21 @@ def subjects(draw, index):
 def trials(draw, max_size=12):
     n = draw(st.integers(1, max_size))
     return [draw(subjects(i)) for i in range(n)]
+
+
+@pytest.fixture(scope="session")
+def seed6_transforms():
+    """The calibrated seed-6 trial shrunk by effect 2 (replicate-0 draws of
+    imputation seed 0) at five factors, each also with its subjects dealt
+    into three strata, the third without a stratum (NaN)."""
+    trial = simulate_trial(SimConfig(), seed=6)
+    draws = make_draws(trial, Effect.SHRINK_EXPERIMENTAL, "auto", 0, 0)
+    strata = np.array([0.0, 1.0, np.nan])[np.arange(len(trial)) % 3]
+    out = []
+    for gamma in (1.0, 0.83, 0.7, 0.55, 0.4):
+        data = apply_transform(trial, TransformParams(Effect.SHRINK_EXPERIMENTAL, gamma), draws)
+        out += [data, dataclasses.replace(data, stratum=strata)]
+    return out
 
 
 class Hang(BaseException):

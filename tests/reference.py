@@ -19,6 +19,13 @@ with suffix sums on stop- and start-sorted row orders. `cox_fit_row_level`
 runs the package's own Newton loop on it, so it and `cox_fit` on the
 grouped risk-set table differ only in how the likelihood is computed.
 
+`GroupDesignNumpy` and `cox_fit_numpy` are the grouped likelihood and
+its Newton loop written with numpy's wrappers: `.sum(axis=0)`,
+`np.linalg.norm`, `np.linalg.solve` for every step, finiteness and the
+separation bound tested on arrays, and one `np.errstate` per likelihood
+call. `cox_fit` must give exactly what `cox_fit_numpy` gives, to the bit
+and in every field, exceptions included.
+
 `fixed_step_bracket` is the tipping search as it was before rank
 breakpoints: a walk in fixed steps of `grid_step` to the first crossing,
 then a bisection of the last step down to a tolerance. Its final bracket
@@ -33,15 +40,16 @@ import numpy as np
 
 from phasetip import survival
 from phasetip.counterfactual import Effect, TransformParams, apply_transform
-from phasetip.errors import DataError, EstimationError, SeparationError
+from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Arm
-from phasetip.survival import KmCurve, LogRankResult
+from phasetip.survival import CoxFit, KmCurve, LogRankResult
 from phasetip.tipping import _stop_rule
 
 __all__ = [
     "with_outcome", "transform_effect1", "transform_effect2",
     "km_estimate_sorted", "logrank_test_sorted",
     "Rows", "expand", "RowLevelDesign", "cox_fit_row_level",
+    "GroupDesignNumpy", "cox_fit_numpy",
     "fixed_step_bracket",
 ]
 
@@ -358,6 +366,96 @@ def cox_fit_row_level(rows, covariates=("trt",), ties="efron", stratified=False,
 
     with mock.patch.object(survival, "_GroupDesign", design):
         return survival.cox_fit(None, covariates, **kwargs)
+
+
+class GroupDesignNumpy(survival._GroupDesign):
+    """The package's grouped design, its likelihood written with numpy's
+    wrappers around every reduction and its own np.errstate."""
+
+    def loglik_grad_hess(self, beta):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = np.exp(self.G @ beta)
+            Z = self.A @ w
+            R = self.A * w / Z[:, None]
+            ll = float(self.sum_x @ beta) - float(np.log(Z).sum())
+        M1 = R @ self.G
+        grad = self.sum_x - M1.sum(axis=0)
+        hess = M1.T @ M1 - (self.G.T * R.sum(axis=0)) @ self.G
+        return ll, grad, hess
+
+
+def cox_fit_numpy(table, covariates=("trt",), max_iter=50):
+    """Damped Newton-Raphson on `GroupDesignNumpy`, with the package's
+    tolerances, step halving and refusals."""
+    design = GroupDesignNumpy(table, covariates)
+    design.refuse_idle_groups()
+    beta = np.zeros(design.p)
+    ll, grad, hess = design.loglik_grad_hess(beta)
+    singular = "singular information matrix: design is collinear on the risk sets"
+
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if np.linalg.norm(grad) < survival._GRAD_TOL:
+            converged = True
+            iterations -= 1
+            break
+        info = -hess
+        try:
+            step = np.linalg.solve(info, grad)
+        except np.linalg.LinAlgError:
+            raise EstimationError(singular) from None
+        if not np.all(np.isfinite(step)):
+            raise EstimationError(singular)
+
+        ll_slack = 1e-11 * max(1.0, abs(ll))
+        factor = 1.0
+        accepted = False
+        for _ in range(30):
+            cand = beta + factor * step
+            ll_new, grad_new, hess_new = design.loglik_grad_hess(cand)
+            if np.isfinite(ll_new) and ll_new >= ll - ll_slack:
+                accepted = True
+                break
+            factor /= 2.0
+        if not accepted:
+            raise ConvergenceError(
+                "Newton-Raphson step halving failed", last_beta=beta, iterations=iterations
+            )
+
+        delta_ll = ll_new - ll
+        beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
+        if np.max(np.abs(beta)) > survival._SEPARATION_BOUND:
+            raise SeparationError(last_beta=beta)
+        if abs(delta_ll) < survival._LL_TOL and np.linalg.norm(grad) < survival._GRAD_TOL:
+            converged = True
+            break
+
+    if not converged:
+        raise ConvergenceError(
+            f"no convergence after {max_iter} iterations", last_beta=beta, iterations=max_iter,
+        )
+
+    info = -hess
+    try:
+        np.linalg.cholesky(info)
+        cov = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        raise EstimationError(
+            "information at the optimum is not positive definite: the design is "
+            "collinear on the risk sets or the end point is not a maximum"
+        ) from None
+    inflation = np.diag(info) * np.diag(cov)
+    if not np.all((inflation > 0) & (inflation < survival._MAX_VARIANCE_INFLATION)):
+        raise EstimationError(
+            "information at the optimum is numerically singular: the design is "
+            "collinear on the risk sets"
+        )
+    return CoxFit(
+        names=design.names, beta=beta, se=np.sqrt(np.diag(cov)), cov=cov, loglik=ll,
+        iterations=iterations, n_events=design.n_events,
+        gradient_norm=float(np.linalg.norm(grad)),
+    )
 
 
 def _grid_walk(probe, crossed, config):

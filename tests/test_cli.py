@@ -8,8 +8,11 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from unittest import mock
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasetip
 import phasetip.cli
@@ -19,7 +22,7 @@ from phasetip.counterfactual import Effect
 from phasetip.dataio import HEADER, write_dataset
 from phasetip import survival
 from phasetip.simulate import SimConfig, simulate_trial
-from phasetip.svgplot import find_crossings, line_plot
+from phasetip.svgplot import escape, find_crossings, line_plot
 
 SMALL_SIM = SimConfig(
     n_experimental=140, n_control=110,
@@ -120,6 +123,14 @@ class TestExitCodes:
         # a fresh interpreter, because the test run itself imports scipy
         proc = run_fresh_python("-c", "import sys, phasetip.cli; "
                                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_network_modules(self):
+        # the SVG writer escapes its own text, so nothing pulls in urllib
+        modules = ["urllib.request", "http.client", "ssl", "email"]
+        proc = run_fresh_python("-c", "import sys, phasetip.cli; "
+                                f"print([m for m in {modules!r} if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -622,6 +633,21 @@ class TestCurveCommand:
         assert find_crossings(xs, ys, 1.0) == []   # the gap breaks the series
         assert line_plot(xs, ys, tmp_path / "gap.svg", ref_y=1.0) == [pytest.approx(0.9)]
         assert line_plot(xs, ys, tmp_path / "plain.svg") == []
+
+
+class TestSvgEscape:
+    @pytest.mark.parametrize("text", [
+        "", "plain", "a < b & c > d", "&amp; already", "<script>&lt;</script>",
+        "&&<<>>", "quotes ' and \" stay", "\u00e9\u2264\U0001f600 <\x00>",
+    ])
+    def test_same_as_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=st.text(alphabet=st.sampled_from("&<>;amptgl#x \"'\u00e9\U0001f600"),
+                        max_size=30) | st.text(max_size=30))
+    def test_same_as_saxutils_on_generated_text(self, text):
+        assert escape(text) == saxutils.escape(text)
 
 
 class TestEmitResults:

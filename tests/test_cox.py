@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import C, E, rec, trials
-from reference import Rows, cox_fit_row_level, expand
+from reference import Rows, cox_fit_numpy, cox_fit_row_level, expand
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Trial
 from phasetip.survival import (
@@ -366,6 +366,52 @@ class TestGroupedAgainstRowLevel:
         for got, want in ((fit.beta, ref.beta), (fit.se, ref.se), (fit.loglik, ref.loglik)):
             assert np.all(np.abs(got - want) <= self.TOL * np.maximum(1.0, np.abs(want)))
         assert fit.iterations == ref.iterations
+
+
+def _fit_bits(fit, table, covariates, max_iter):
+    """Every field of the fit, arrays as dtype, shape and bytes and floats
+    as their type and repr; or the type, message and last iterate of the
+    error it raised."""
+    try:
+        result = fit(table, covariates, max_iter=max_iter)
+    except (DataError, EstimationError) as err:
+        last = getattr(err, "last_beta", None)
+        return (type(err), str(err), getattr(err, "iterations", None),
+                None if last is None else last.tobytes())
+    out = []
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, np.ndarray):
+            out.append((f.name, value.dtype, value.shape, value.tobytes()))
+        else:
+            out.append((f.name, type(value), repr(value)))
+    return out
+
+
+class TestNewtonAgainstNumpyWrappers:
+    """`cox_fit` skips numpy's per-call wrappers but not its arithmetic:
+    `cox_fit_numpy` of `tests/reference.py`, which keeps them, is the
+    oracle, and every field agrees to the bit, errors included."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(max_size=24), ties=st.sampled_from(["efron", "breslow"]),
+           stratified=st.booleans(),
+           covariates=st.sampled_from([("trt",), ("trt", "mono", "trt_x_mono")]),
+           max_iter=st.sampled_from([50, 50, 50, 1, 2]))
+    def test_bit_identical(self, records, ties, stratified, covariates, max_iter):
+        table = risk_table(Trial.from_records(records), ties, stratified)
+        got = _fit_bits(cox_fit, table, covariates, max_iter)
+        event(f"p={len(covariates)}: {got[0] if isinstance(got, tuple) else 'fit'}")
+        assert got == _fit_bits(cox_fit_numpy, table, covariates, max_iter)
+
+    def test_bit_identical_on_the_calibrated_trial(self, seed6_transforms):
+        for data in seed6_transforms:
+            for ties, stratified in (("efron", False), ("breslow", False), ("efron", True)):
+                table = risk_table(data, ties, stratified)
+                for covariates in (("trt",), ("trt", "mono", "trt_x_mono")):
+                    assert _fit_bits(cox_fit, table, covariates, 50) == _fit_bits(
+                        cox_fit_numpy, table, covariates, 50)
 
 
 class TestPhaseHr:

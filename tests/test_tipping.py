@@ -435,16 +435,16 @@ class TestProbePath:
 
     def test_rule_b_probes_never_run_the_logrank_test(self, monkeypatch):
         calls = []
-        self._spy(monkeypatch, "logrank_test", calls)
-        self._spy(monkeypatch, "evaluate_at", calls)
-        self._spy(monkeypatch, "cox_fit", calls)
+        for name in ("logrank_test", "logrank_from_table", "evaluate_at", "cox_fit"):
+            self._spy(monkeypatch, name, calls)
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE,
                               grid_step=0.1, mi_replicates=1, seed=7)
         res = find_tipping(fast_records(), config)
         assert res.tip is not None and res.p_at_tip is not None
         # probes fit the three-covariate model only; the one full evaluation,
-        # of the reported point, runs the log-rank test for its p-value
-        assert calls.count("evaluate_at") == calls.count("logrank_test") == 1
+        # of the reported point, reads its p-value off its risk table
+        assert calls.count("evaluate_at") == calls.count("logrank_from_table") == 1
+        assert "logrank_test" not in calls
         assert calls[calls.index("evaluate_at") + 1:].count("cox_fit") == 2
         assert calls.count("cox_fit") > 2
 
