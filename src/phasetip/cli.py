@@ -365,6 +365,7 @@ def cmd_curve(args) -> int:
             raise DataError(f"grid_min must be a finite positive number, got {lo!r}")
         check_grid_points(1.0 - (lo - 1e-9), step, f"the curve from 1 to grid_min {lo!r}")
         grid = np.arange(1.0, lo - 1e-9, -step)
+        grid = grid[grid > 0.0]   # a grid_min below 1e-9 would reach 0 or below
     points = [p for p in grid_scan(trial, config, grid) if p.evaluable]
 
     try:

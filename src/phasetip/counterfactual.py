@@ -32,7 +32,9 @@ the draws by trial position.
 expressions, and returns a new `Trial`; so does `naive_transform`. The
 tests state the same rules one subject at a time and compare the two.
 Both effects move each subject they change along a line in the factor,
-up to a cap where its event status flips (`_lines`). `rank_breakpoints`
+up to a cap where its event status flips (`transform_lines`), and
+`transform_outcomes` moves them to k factors at once, of which
+`apply_transform` is the one-row case. `rank_breakpoints`
 reads the same lines to list the factors where the order or ties of the
 transformed times can change; between two of them the log-rank test and
 every Cox fit of the transformed trial are constant.
@@ -60,6 +62,9 @@ __all__ = [
     "needs_draw",
     "fit_censoring_model",
     "fit_mono_event_model",
+    "TransformLines",
+    "transform_lines",
+    "transform_outcomes",
     "apply_transform",
     "rank_breakpoints",
     "naive_transform",
@@ -224,25 +229,65 @@ def _missing_draw(trial: Trial, missing: np.ndarray, what: str):
         raise DataError(f"subject {sid}: missing imputed {what}")
 
 
-def _lines(trial: Trial, effect: Effect, draws: ImputationDraws):
-    """The effect's transform as lines in the factor, one per moving subject.
+@dataclass(frozen=True, eq=False)
+class TransformLines:
+    """One draw set's transform as lines in the factor, one per moving
+    subject.
 
-    Returns (moving, base, cap). A moving subject's time at factor gamma is
-    t = base + (gamma - 1) * (base - mono_start): an event while t <= cap,
-    else censored at cap. Effect 1 moves the drawn control events (base s,
-    cap the imputed censoring time); effect 2 moves the experimental events
-    in monotherapy (base s, no cap) and the drawn censored subjects (base
-    the imputed event time, cap s). Every other subject keeps (s, delta).
+    ``rows`` holds the trial positions of the moving subjects, ascending;
+    ``base``, ``slope`` and ``cap`` hold one entry per moving subject. A
+    moving subject's time at factor gamma is t = base + (gamma - 1) *
+    slope, with slope = base - mono_start: an event while t <= cap, else
+    censored at cap. Every other subject keeps (s, delta).
     """
+
+    effect: Effect
+    rows: np.ndarray
+    base: np.ndarray
+    slope: np.ndarray
+    cap: np.ndarray
+
+
+def transform_lines(trial: Trial, effect: Effect, draws: ImputationDraws) -> TransformLines:
+    """The lines of `draws` on `trial`. Effect 1 moves the drawn control
+    events (base s, cap the imputed censoring time); effect 2 moves every
+    targeted subject: the experimental events in monotherapy (base s, no
+    cap) and the drawn censored subjects (base the imputed event time, cap
+    s). Which subjects move depends only on the trial and the effect."""
     drawn = needs_draw(trial, effect)
     imputed = np.full(len(trial), np.nan)
     imputed[draws.subjects] = draws.values
     what = "censoring time" if effect is Effect.INFLATE_CONTROL else "event time"
     _missing_draw(trial, drawn & np.isnan(imputed), what)
     if effect is Effect.INFLATE_CONTROL:
-        return drawn, trial.s, imputed
-    events = _targeted(trial, effect) & (trial.delta == 1)
-    return drawn | events, np.where(drawn, imputed, trial.s), np.where(drawn, trial.s, np.inf)
+        rows = drawn.nonzero()[0]
+        base, cap = trial.s[rows], imputed[rows]
+    else:
+        rows = _targeted(trial, effect).nonzero()[0]
+        drawn, s = drawn[rows], trial.s[rows]
+        base, cap = np.where(drawn, imputed[rows], s), np.where(drawn, s, np.inf)
+    return TransformLines(effect, rows, base, base - trial.mono_start[rows], cap)
+
+
+def transform_outcomes(trial: Trial, lines, gammas):
+    """The transformed outcomes of `trial` at k factors: row r is the
+    outcome (s, delta) under lines[r] at gammas[r], as two k x n arrays.
+    Every lines[r] is of the same effect on `trial`, so the same subjects
+    move in every row."""
+    for gamma in gammas:
+        _check_factor(lines[0].effect, gamma)
+    gamma = np.array(gammas, dtype=float)[:, None]
+    base = np.array([ln.base for ln in lines])
+    # algebraically x + gamma*(base - x); this form is exact at gamma == 1
+    t = base + (gamma - 1.0) * np.array([ln.slope for ln in lines])
+    cap = np.array([ln.cap for ln in lines])
+    live = t <= cap
+    rows = lines[0].rows
+    s = trial.s[None].repeat(gamma.size, axis=0)
+    s[:, rows] = np.where(live, t, cap)
+    delta = trial.delta[None].repeat(gamma.size, axis=0)
+    delta[:, rows] = live
+    return s, delta
 
 
 def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraws) -> Trial:
@@ -254,15 +299,12 @@ def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraw
     subject is unchanged. Effect 2 shrinks an experimental subject's
     monotherapy duration: an event moves to x + gamma*(s - x); a subject
     censored in monotherapy becomes an event at x + gamma*(t-hat - x) if
-    that lands at or before s, t-hat being its imputed event time.
+    that lands at or before s, t-hat being its imputed event time. This is
+    the one-row case of `transform_outcomes`.
     """
-    moving, base, cap = _lines(trial, params.effect, draws)
-    # algebraically x + gamma*(base - x); this form is exact at gamma == 1
-    t = base + (params.gamma - 1.0) * (base - trial.mono_start)
-    live = t <= cap
-    new_s = np.where(moving, np.where(live, t, cap), trial.s)
-    new_delta = np.where(moving, live, trial.delta)
-    return trial.with_outcome(new_s, new_delta)
+    (s,), (delta,) = transform_outcomes(
+        trial, [transform_lines(trial, params.effect, draws)], [params.gamma])
+    return trial.with_outcome(s, delta)
 
 
 # Breakpoints closer than this count as one: far above the rounding of the
@@ -279,7 +321,7 @@ def rank_breakpoints(trial: Trial, effect: Effect, draws: ImputationDraws,
     times, or an event status, can change, ascending.
 
     With the draws fixed each moving time is a line in the factor (see
-    `_lines`), and every other time, every monotherapy start and every cap
+    `transform_lines`), and every other time, every monotherapy start and every cap
     is fixed. The log-rank test and the Cox risk table read only the order
     and ties of those values and the event indicators, so both are constant
     between consecutive breakpoints. A breakpoint is a factor where a line,
@@ -292,10 +334,11 @@ def rank_breakpoints(trial: Trial, effect: Effect, draws: ImputationDraws,
     matrix is built. Breakpoints within 1e-9 of each other, or of lo or hi,
     are merged into one.
     """
-    moving, base, cap = _lines(trial, effect, draws)
+    lines = transform_lines(trial, effect, draws)
+    a, b, c = lines.base, lines.slope, lines.cap
     x = trial.mono_start
-    a, b, c = base[moving], (base - x)[moving], cap[moving]
-    fixed = np.unique(np.concatenate([trial.s[~moving], x[~np.isnan(x)], c[np.isfinite(c)]]))
+    fixed = np.unique(np.concatenate([np.delete(trial.s, lines.rows), x[~np.isnan(x)],
+                                      c[np.isfinite(c)]]))
 
     # lines against fixed values: those in each line's span over [lo, hi]
     # while below its cap

@@ -5,16 +5,19 @@ the (optionally stratified) two-group log-rank test, and a Cox
 proportional-hazards fitter for the time-varying phase model of the
 analysis: treatment, monotherapy status, and their interaction.
 
-All three count through one routine, `_counts`: the subjects at risk and
-the events per group and event time, from the event-time bins where each
-spell of a subject enters and leaves its group. The Kaplan-Meier curve
-counts one group, the log-rank test the two arms, and the risk table the
-four arm x phase groups, in which a subject in monotherapy has two spells.
-The table keeps those counts, so a caller that holds it (one evaluation,
-one `analyze` report) takes the log-rank test from the table's arm
-margins with `logrank_from_table` and counts once; a search probe that
-needs only the log-rank test counts the two arms of the `Trial` with
-`logrank_test`, which is cheaper than building a table.
+The Kaplan-Meier curve and the risk table count through one routine,
+`_counts`: the subjects at risk and the events per group and event time,
+from the event-time bins where each spell of a subject enters and leaves
+its group. The curve counts one group, and the table the four arm x phase
+groups, in which a subject in monotherapy has two spells. The table keeps
+those counts, so a caller that holds it (one evaluation, one `analyze`
+report) takes the log-rank test from the table's arm margins with
+`logrank_from_table` and counts once. The log-rank test of a `Trial` is
+`logrank_rows`, which tests k outcomes of one trial in one pass: one
+row-wise sort gives each row's arm counts at its own event times, which
+`_counts` would need a search per row to bin. A search round of rule-a
+probes is such a pass, and `logrank_test` is its one-row case. Both
+log-rank paths sum their terms in `_logrank`.
 
 Every covariate of that design is a function of a subject's arm x phase
 group g = trt + 2 * mono at a given time, so the Efron (or Breslow) partial
@@ -26,7 +29,9 @@ evaluate every design from it with a 4 x p matrix of group covariate
 values, so a caller that holds the table (the treatment-only and the
 three-covariate fit of one evaluation, or of one `analyze` report, which
 passes it to `phase_hr`) builds it once. The Kaplan-Meier curve,
-`logrank_test` and the table take a `Trial`.
+`logrank_test` and the table take a `Trial`. A one-coefficient fit takes
+its step and its inverse information as a division, and tests its pivot
+as LAPACK's Cholesky factorization would.
 Nothing loops over subjects in Python, and the Newton loop of `cox_fit`
 calls numpy's reductions and tests its floats without the per-call
 wrappers, with the same arithmetic.
@@ -50,6 +55,7 @@ __all__ = [
     "PhaseHr",
     "km_estimate",
     "logrank_test",
+    "logrank_rows",
     "logrank_from_table",
     "RiskTable",
     "risk_table",
@@ -183,40 +189,122 @@ class LogRankResult:
     expected: dict
 
 
-def _require_both_arms_and_an_event(trial: Trial) -> None:
+def _require_both_arms(trial: Trial) -> None:
     if trial.trt.all() or not trial.trt.any():
         raise DataError("log-rank needs both arms present")
-    if trial.delta.sum() == 0:
-        raise EstimationError("log-rank needs at least one event")
 
 
-def _logrank(strata) -> LogRankResult:
-    """The log-rank test from per-stratum counts (n0, n1, d0, d1): the
-    control and experimental subjects at risk and their events at each
-    event time of a stratum with events."""
-    o1 = e1 = v = 0.0
-    d_total = 0
-    for n0, n1, d0, d1 in strata:
+def _running_total(x) -> np.ndarray:
+    """The integer totals of x before each position, and of all of x last."""
+    total = np.zeros(x.size + 1, dtype=np.int64)
+    np.add.accumulate(x, dtype=np.int64, out=total[1:])
+    return total
+
+
+def _segment_totals(x, bounds) -> np.ndarray:
+    """The integer sums of x over the segments between consecutive bounds."""
+    total = _running_total(x)[bounds]
+    return total[1:] - total[:-1]
+
+
+def _arm_counts(trt, s, delta):
+    """The arm counts of the log-rank test in each row of (s, delta), k
+    outcomes of the subjects whose arms are `trt`.
+
+    Returns (n0, n1, d0, d1, bounds): at each event time of a row,
+    ascending, the control and experimental subjects at risk and their
+    events, the rows one after another, and the k + 1 bounds between the
+    rows' event times. One row-wise sort gives them all: a subject is at
+    risk at an event time t when s >= t, so the count at risk at t is the
+    number of sorted times from the first one equal to t to the end of the
+    row. The counts are integers, so they do not depend on how they are
+    summed.
+    """
+    k, n = s.shape
+    order = s.argsort(axis=1)
+    exp = trt[order].ravel()
+    order += np.arange(0, k * n, n)[:, None]
+    order = order.ravel()
+    s = s.ravel()[order]
+    event = delta.ravel()[order]
+    # runs of equal times within a row, by their first position
+    first = np.empty(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    first[::n] = True
+    start = first.nonzero()[0]
+    bounds = np.concatenate((start, [s.size]))
+    d = _segment_totals(event, bounds)
+    timed = d.nonzero()[0]   # the runs that hold events
+    start, stop, d = start[timed], bounds[timed + 1], d[timed]
+    exp_events = _running_total(event * exp)
+    d1 = exp_events[stop] - exp_events[start]
+    n_at = n - start % n
+    exps = _running_total(exp)
+    n1 = exps[start + n_at] - exps[start]
+    rows = start.searchsorted(np.arange(0, k * n + 1, n))
+    return n_at - n1, n1, d - d1, d1, rows
+
+
+def _logrank(strata, k=1) -> list:
+    """The log-rank test of k rows from per-stratum counts (n0, n1, d0, d1,
+    bounds): the control and experimental subjects at risk and their events
+    at each event time, row by row, and the k + 1 bounds between the rows.
+    Returns per row its LogRankResult, or, for a row without events, the
+    EstimationError that `logrank_test` raises for it.
+
+    The terms of all rows are computed at once. Each row sums its own,
+    stratum by stratum in stratum order, with np.add.reduce on a contiguous
+    slice, which is the pairwise sum that np.sum takes of those terms
+    alone; so a row's result does not depend on the rows beside it.
+    """
+    o1, d_total = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    e1, v = [0.0] * k, [0.0] * k
+    for n0, n1, d0, d1, bounds in strata:
         n_at, d_at = n0 + n1, d0 + d1
-        o1 += d1.sum()
-        e1 += np.sum(d_at * n1 / n_at)
-        d_total += int(d_at.sum())
+        o1 += _segment_totals(d1, bounds)
+        d_total += _segment_totals(d_at, bounds)
+        e_terms = d_at * n1 / n_at
         ok = n_at > 1   # an event time with one subject at risk adds no variance
+        v_bounds = bounds
         if not ok.all():
             n0, n1, n_at, d_at = n0[ok], n1[ok], n_at[ok], d_at[ok]
-        v += np.sum(d_at * (n1 / n_at) * (n0 / n_at) * (n_at - d_at) / (n_at - 1))
+            v_bounds = _running_total(ok)[bounds]
+        v_terms = d_at * (n1 / n_at) * (n0 / n_at) * (n_at - d_at) / (n_at - 1)
+        e_bounds, v_bounds = bounds.tolist(), v_bounds.tolist()
+        for r in range(k):
+            e1[r] += np.add.reduce(e_terms[e_bounds[r]:e_bounds[r + 1]])
+            v[r] += np.add.reduce(v_terms[v_bounds[r]:v_bounds[r + 1]])
 
-    if v > 0:
-        stat = (o1 - e1) ** 2 / v
-    else:
-        stat = 0.0
-    p = math.erfc(math.sqrt(stat / 2.0))   # chi-square(1) upper tail
-    return LogRankResult(
-        chi2=float(stat),
-        p_two_sided=p,
-        observed={Arm.EXPERIMENTAL: float(o1), Arm.CONTROL: float(d_total - o1)},
-        expected={Arm.EXPERIMENTAL: float(e1), Arm.CONTROL: float(d_total - e1)},
-    )
+    results = []
+    for o1_r, e1_r, v_r, d_r in zip(o1.tolist(), e1, v, d_total.tolist()):
+        if not d_r:
+            results.append(EstimationError("log-rank needs at least one event"))
+            continue
+        stat = (o1_r - e1_r) ** 2 / v_r if v_r > 0 else 0.0
+        results.append(LogRankResult(
+            chi2=float(stat),
+            p_two_sided=math.erfc(math.sqrt(stat / 2.0)),   # chi-square(1) upper tail
+            observed={Arm.EXPERIMENTAL: float(o1_r), Arm.CONTROL: float(d_r - o1_r)},
+            expected={Arm.EXPERIMENTAL: float(e1_r), Arm.CONTROL: float(d_r - e1_r)},
+        ))
+    return results
+
+
+def logrank_rows(trial: Trial, s: np.ndarray, delta: np.ndarray,
+                 stratified: bool = False) -> list:
+    """`logrank_test` of `trial` with each row of the k x n arrays (s,
+    delta) as its outcome, in one pass: per row its LogRankResult, the same
+    to the bit, or the EstimationError it raises for that row."""
+    _require_both_arms(trial)
+    return _logrank([_arm_counts(trial.trt[cols], s[:, cols], delta[:, cols])
+                     for cols in _strata(trial, stratified)], len(s))
+
+
+def _only(results) -> LogRankResult:
+    (result,) = results
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
@@ -224,20 +312,9 @@ def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
 
     Uses the standard O-E statistic with hypergeometric variance at each
     distinct event time; the two-sided p-value comes from chi-square with
-    one degree of freedom.
+    one degree of freedom. It is the one-row case of `logrank_rows`.
     """
-    _require_both_arms_and_an_event(trial)
-    strata = []
-    for rows in _strata(trial, stratified):
-        s, d, trt = trial.s[rows], trial.delta[rows], trial.trt[rows]  # trt 1: experimental
-        event_times = np.unique(s[d == 1])
-        if event_times.size == 0:
-            continue
-        enter = trt * (event_times.size + 1)   # group g = trt: row 0 is the control arm
-        leave = enter + np.searchsorted(event_times, s, side="right")
-        (n0, n1), (d0, d1) = _counts(event_times, enter, leave, leave[d == 1] - 1, 2)
-        strata.append((n0, n1, d0, d1))
-    return _logrank(strata)
+    return _only(logrank_rows(trial, trial.s[None], trial.delta[None], stratified))
 
 
 def logrank_from_table(trial: Trial, table: RiskTable) -> LogRankResult:
@@ -246,9 +323,9 @@ def logrank_from_table(trial: Trial, table: RiskTable) -> LogRankResult:
     and events are those of its two groups, g = trt and g = trt + 2 (both
     phases). The counts are integers, so the result is the same to the
     bit; only the check that both arms exist reads the trial."""
-    _require_both_arms_and_an_event(trial)
-    return _logrank([(n[0] + n[2], n[1] + n[3], d[0] + d[2], d[1] + d[3])
-                     for n, d in table.counts])
+    _require_both_arms(trial)
+    return _only(_logrank([(n[0] + n[2], n[1] + n[3], d[0] + d[2], d[1] + d[3],
+                            np.array([0, n.shape[1]])) for n, d in table.counts]))
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +390,19 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
         )
         counts.append((n_risk, n_event))
         n_risk, n_event = n_risk.T, n_event.T
-        jj = np.repeat(np.arange(ut.size), d)
-        if ties == "efron":
-            # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d
-            frac = (np.arange(jj.size) - np.repeat(np.cumsum(d) - d, d)) / np.repeat(d, d)
+        if ut.size == d.sum():
+            # no event time is tied: one row per event time, tie index 0, so
+            # frac is 0 under either method and the block is n_risk itself
+            block = n_risk.astype(float, order="C")
         else:
-            frac = np.zeros(jj.size)
-        blocks.append((n_risk[jj] - frac[:, None] * n_event[jj], n_event.sum(axis=0)))
+            jj = np.repeat(np.arange(ut.size), d)
+            if ties == "efron":
+                # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d
+                frac = (np.arange(jj.size) - np.repeat(np.cumsum(d) - d, d)) / np.repeat(d, d)
+            else:
+                frac = np.zeros(jj.size)
+            block = n_risk[jj] - frac[:, None] * n_event[jj]
+        blocks.append((block, n_event.sum(axis=0)))
     if len(blocks) == 1:
         (A, D), = blocks
     else:
@@ -529,6 +612,27 @@ def _newton(design, max_iter):
     )
 
 
+def _inverse_of_positive_definite(info):
+    """The inverse of the information, refused unless LAPACK's Cholesky
+    factorization (dpotrf) accepts it. With one coefficient that is the
+    test dpotrf makes, a pivot neither NaN nor <= 0, and the inverse is
+    LAPACK's 1 x 1 solve, a division, without the wrappers."""
+    if info.shape == (1, 1):
+        pivot = info[0, 0]
+        if pivot > 0.0:   # False for NaN
+            return np.array([[1.0 / pivot]])
+    else:
+        try:
+            np.linalg.cholesky(info)
+            return np.linalg.inv(info)
+        except np.linalg.LinAlgError:
+            pass
+    raise EstimationError(
+        "information at the optimum is not positive definite: the design is "
+        "collinear on the risk sets or the end point is not a maximum"
+    )
+
+
 def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit:
     """Maximize the partial likelihood by damped Newton-Raphson.
 
@@ -546,14 +650,7 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
         beta, ll, grad, hess, iterations = _newton(design, max_iter)
 
     info = -hess
-    try:
-        np.linalg.cholesky(info)
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        raise EstimationError(
-            "information at the optimum is not positive definite: the design is "
-            "collinear on the risk sets or the end point is not a maximum"
-        ) from None
+    cov = _inverse_of_positive_definite(info)
     inflation = info.diagonal() * cov.diagonal()   # at least 1 in exact arithmetic
     if not all(0.0 < x < _MAX_VARIANCE_INFLATION for x in inflation.tolist()):
         raise EstimationError(

@@ -8,18 +8,26 @@ only the one number its stop rule reads, on the transformed data:
   treatment-only Cox fit;
 * rule b: the transform, the risk table and the three-covariate Cox fit.
 
-A replicate's search reads its data through one probe function, which
-transforms at a factor and returns that number, or the note of why it
-cannot be computed; a probe is usable when its number exists. Walk steps,
-interval midpoints and their nudges do not come back to a factor already
-probed, so no value is cached; a repeat would only be recomputed, with the
-same result. The full evaluation
+A replicate's search is a generator: it yields each factor it wants
+probed and is sent back that probe's number, or the note of why it cannot
+be computed; a probe is usable when its number exists. `find_tipping` runs
+the searches of all distinct draw sets in lockstep. Each round takes the
+next factor of every live search, and one probe function,
+`_probe_round`, answers the round. Under rule a with the log-rank p-value
+it transforms a block of probes at once (`transform_outcomes`, from each
+draw set's lines, made once per search) and tests them in one pass
+(`logrank_rows`, one row-wise sort for the block), which gives each probe
+the p-value `logrank_test` gives it alone, to the bit. Under the other
+rules it reads the probes one at a time. No search reads another's data,
+so every search probes the same factors in the same order as it would
+alone. Walk steps, interval midpoints and their nudges do not come back to
+a factor already probed, so no value is cached; a repeat would only be
+recomputed, with the same result. The full evaluation
 (`evaluate_at`: p-value, overall HR and monotherapy-phase HR) runs only
 for the point a search reports, and for every point of `grid_scan`. It
 builds one risk table, fits both Cox models on it and takes the log-rank
 p-value from the table's arm margins (`logrank_from_table`), so it
-counts the subjects at risk once; a rule-a probe, which needs no table,
-counts the arms of the `Trial` with `logrank_test`.
+counts the subjects at risk once; a rule-a probe needs no table.
 
 Per replicate, imputation draws are made once and reused across the whole
 grid. With the draws fixed, every transformed time is fixed or a line in
@@ -63,12 +71,11 @@ and standard deviation reporting the multiple-imputation spread.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import statistics
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .counterfactual import (
     Effect,
@@ -78,10 +85,19 @@ from .counterfactual import (
     apply_transform,
     make_draws,
     rank_breakpoints,
+    transform_lines,
+    transform_outcomes,
 )
 from .errors import DataError, EstimationError
 from .records import Trial
-from .survival import cox_fit, logrank_from_table, logrank_test, risk_table
+from .survival import (
+    LogRankResult,
+    cox_fit,
+    logrank_from_table,
+    logrank_rows,
+    logrank_test,
+    risk_table,
+)
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -265,14 +281,56 @@ def _stop_rule(config: SearchConfig):
             "monotherapy difference already neutral at start")
 
 
-def _bracket(probe, crossed, config):
+# Most probes of a round that one numpy pass answers: a pass holds a few
+# arrays of this many rows by the trial's subjects, so its temporaries stay
+# small however many searches are live.
+_ROW_BLOCK = 5
+
+
+def _probe_round(trial: Trial, config: SearchConfig, requests) -> list:
+    """Answer one round of search probes, one per live search: `requests`
+    holds a (lines, factor) pair per probe, `lines` the search's draw set as
+    `transform_lines`. Returns per probe (value, None), with the number the
+    stop rule reads on the data transformed at that factor, or (None, note)
+    when that number cannot be computed.
+
+    Under rule a with the log-rank p-value, each block of up to _ROW_BLOCK
+    probes is one `transform_outcomes` and one `logrank_rows` pass, which
+    gives every probe the p-value of `logrank_test` to the bit. Under the
+    other rules each probe is transformed and read on its own.
+    """
+    if config.threshold is Threshold.SIGNIFICANCE and config.p_source == "logrank":
+        answers = []
+        for first in range(0, len(requests), _ROW_BLOCK):
+            block = requests[first:first + _ROW_BLOCK]
+            s, delta = transform_outcomes(trial, [lines for lines, _ in block],
+                                          [gamma for _, gamma in block])
+            answers += [(result.p_two_sided, None) if isinstance(result, LogRankResult)
+                        else (None, str(result)) for result in logrank_rows(trial, s, delta)]
+        return answers
+    reads = _stop_rule(config)[0]
+    answers = []
+    for lines, gamma in requests:
+        (s,), (delta,) = transform_outcomes(trial, [lines], [gamma])
+        try:
+            answers.append((reads(trial.with_outcome(s, delta)), None))
+        except EstimationError as err:
+            answers.append((None, str(err)))
+    return answers
+
+
+def _bracket(crossed, config):
     """Walk the factor from 1 in the effect's direction until
     `crossed(value)` fires. The first step is grid_step and each later one
     doubles, up to MAX_STEP (or grid_step, if larger), so a crossing is
     bracketed in few probes and the step stays short enough to keep the
     first crossing. Factors whose value cannot be computed are skipped with
-    a warning. Returns (last_clear, first_crossed, flags) where the crossed
-    side is None when the bound is reached without a crossing."""
+    a warning.
+
+    A generator: it yields each factor to probe and is sent back that
+    probe's (value, note). It returns (last_clear, first_crossed, flags),
+    where the crossed side is None when the bound is reached without a
+    crossing."""
     direction = 1.0 if config.effect is Effect.INFLATE_CONTROL else -1.0
     bound = config.grid_max if direction > 0 else config.grid_min
     longest = max(config.grid_step, MAX_STEP)
@@ -283,7 +341,7 @@ def _bracket(probe, crossed, config):
     while gamma != bound:
         gamma = min(gamma + step, bound) if direction > 0 else max(gamma - step, bound)
         step = min(2.0 * step, longest)
-        value, note = probe(gamma)
+        value, note = yield gamma
         if value is None:
             flags.append(f"factor {gamma:g} skipped: {note}")
         elif crossed(value):
@@ -304,68 +362,77 @@ def _coarsest_dyadic(a: float, b: float) -> float:
         scale *= 2.0
 
 
-def _bisect(probe, crossed, clear, first_crossed, breakpoints, flags):
+def _bisect(crossed, clear, first_crossed, breakpoints, flags):
     """Bisect the bracket between its clear and its crossed end on the rank
     breakpoints inside it, which run from the clear end to the crossed end.
 
-    The cells, in walk order, are the clear end itself, the open intervals
-    between consecutive edges (the ends and the breakpoints) and the
-    crossed end. An interval is probed at its midpoint, never at a
-    breakpoint. Each step probes, among the middle half of the cells still
-    unknown, the one holding the coarsest dyadic distance from 1. The split
-    points then depend on the breakpoints and hardly on where the walk
-    stopped: two brackets of the same crossings meet on the same splits,
-    and end at the same flip even where the rule's value flips back and
-    forth near the threshold. A cell whose value cannot be computed is
-    nudged once to each neighbour; when they fail too, the bisection stops
-    with a flag. Returns (tip, factor): the edge at which the first crossed
-    cell starts, and where that cell was probed.
+    The edges are the clear end, the breakpoints and the crossed end. The
+    cells, in walk order, are the clear end itself, the open intervals
+    between consecutive edges and the crossed end. An interval is probed at
+    its midpoint, never at a breakpoint. Each step probes, among the middle
+    half of the cells still unknown, the one holding the coarsest dyadic
+    distance from 1. The split points then depend on the breakpoints and
+    hardly on where the walk stopped: two brackets of the same crossings
+    meet on the same splits, and end at the same flip even where the rule's
+    value flips back and forth near the threshold. A cell whose value
+    cannot be computed is nudged once to each neighbour; when they fail
+    too, the bisection stops with a flag. Edges and cells are read from
+    `breakpoints` by index, so a live bisection holds no copy of it.
+
+    A generator like `_bracket`. It returns (tip, factor): the edge at which
+    the first crossed cell starts, and where that cell was probed.
     """
-    edges = np.concatenate([[clear], breakpoints, [first_crossed]])
-    at = np.concatenate([[clear], 0.5 * (edges[:-1] + edges[1:]), [first_crossed]])
-    dist = np.abs(edges - 1.0)
-    lo, hi = 0, at.size - 1
+    last = breakpoints.size + 1   # edge index of the crossed end
+
+    def edge(i):
+        return clear if i == 0 else first_crossed if i == last else breakpoints[i - 1]
+
+    def at(cell):
+        if cell == 0:
+            return clear
+        if cell > last:
+            return first_crossed
+        return 0.5 * (edge(cell - 1) + edge(cell))
+
+    def dist(i):
+        return abs(edge(i) - 1.0)
+
+    lo, hi = 0, last + 1
     failed = set()
     while hi - lo > 1:
         quarter = (hi - lo - 1) // 4
-        split = _coarsest_dyadic(dist[lo + quarter], dist[hi - 1 - quarter])
-        mid = int(np.searchsorted(dist, split, side="right"))
+        split = _coarsest_dyadic(dist(lo + quarter), dist(hi - 1 - quarter))
+        mid = bisect.bisect_right(range(last + 1), split, key=dist)
         for cell in (mid, mid + 1, mid - 1):
             if lo < cell < hi and cell not in failed:
-                value, _ = probe(float(at[cell]))
+                value, _ = yield float(at(cell))
                 if value is not None:
                     break
                 failed.add(cell)
         else:
-            flags.append(f"bisection stopped early: factor {at[mid]:g} unevaluable")
+            flags.append(f"bisection stopped early: factor {at(mid):g} unevaluable")
             break
         if crossed(value):
             hi = cell
         else:
             lo = cell
-    return float(edges[hi - 1]), float(at[hi])
+    return float(edge(hi - 1)), float(at(hi))
 
 
 def _run_replicate(trial, config, replicate_id, draws):
     """One replicate's search: check the identity factor, bracket the first
     crossing, and bisect on the rank breakpoints inside the bracket. The
     tip is the breakpoint where the rule flips; the full point is evaluated
-    inside the first crossed interval."""
-    reads, crossed, start_flag = _stop_rule(config)
+    inside the first crossed interval.
 
-    def probe(gamma):
-        """(value, None), or (None, note) when the rule's number cannot be
-        computed at `gamma`."""
-        data = apply_transform(trial, TransformParams(config.effect, gamma), draws)
-        try:
-            return reads(data), None
-        except EstimationError as err:
-            return None, str(err)
+    A generator like `_bracket`: it yields every factor it probes and
+    returns the replicate's outcome."""
+    _, crossed, start_flag = _stop_rule(config)
 
     def point(gamma):
         return evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source)
 
-    start, note = probe(1.0)
+    start, note = yield 1.0
     if start is None:
         return ReplicateOutcome(
             replicate_id, tip=None, point=point(1.0),
@@ -376,7 +443,7 @@ def _run_replicate(trial, config, replicate_id, draws):
             replicate_id, tip=1.0, point=point(1.0), degenerate=True, flags=[start_flag],
         )
 
-    last_clear, first_crossed, flags = _bracket(probe, crossed, config)
+    last_clear, first_crossed, flags = yield from _bracket(crossed, config)
     if first_crossed is None:
         flags.append("no tipping point in range")
         return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
@@ -385,7 +452,7 @@ def _run_replicate(trial, config, replicate_id, draws):
                                    min(last_clear, first_crossed), max(last_clear, first_crossed))
     if first_crossed < last_clear:
         breakpoints = breakpoints[::-1]
-    tip, at = _bisect(probe, crossed, last_clear, first_crossed, breakpoints, flags)
+    tip, at = yield from _bisect(crossed, last_clear, first_crossed, breakpoints, flags)
     return ReplicateOutcome(replicate_id, tip=tip, point=point(at), flags=flags)
 
 
@@ -438,7 +505,11 @@ def find_tipping(trial: Trial, config: SearchConfig) -> TpaResult:
 
     Deterministic imputation (the cutoff method) gives every replicate the
     same draws; duplicating the search would only repeat identical work, so
-    replicates sharing a draw set share one search result.
+    replicates sharing a draw set share one search result. The searches of
+    the distinct draw sets run in lockstep: each round takes the next
+    factor of every live search and `_probe_round` answers them together.
+    No search reads another's data, so each probes the factors, and reports
+    the outcome, it would alone.
     """
     _check_searchable(trial, config)
     groups = {}
@@ -446,10 +517,20 @@ def find_tipping(trial: Trial, config: SearchConfig) -> TpaResult:
         draws = make_draws(trial, config.effect, config.imputation, config.seed, r)
         groups.setdefault(draws.values.tobytes(), (draws, []))[1].append(r)
 
-    outcomes = []
+    live = []   # (lines, members, search, the factor it waits on)
     for draws, members in groups.values():
-        lead = _run_replicate(trial, config, members[0], draws)
-        outcomes.extend(dataclasses.replace(lead, replicate_id=r) for r in members)
+        search = _run_replicate(trial, config, members[0], draws)
+        live.append((transform_lines(trial, config.effect, draws), members, search, next(search)))
+    outcomes = []
+    while live:
+        answers = _probe_round(trial, config, [(lines, gamma) for lines, _, _, gamma in live])
+        waiting = []
+        for (lines, members, search, _), answer in zip(live, answers):
+            try:
+                waiting.append((lines, members, search, search.send(answer)))
+            except StopIteration as done:
+                outcomes.extend(dataclasses.replace(done.value, replicate_id=r) for r in members)
+        live = waiting
     outcomes.sort(key=lambda o: o.replicate_id)
     return mi_aggregate(outcomes, config.effect, config.threshold)
 

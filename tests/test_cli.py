@@ -494,6 +494,20 @@ class TestCurveCommand:
         circles = root.findall(".//svg:circle", ns)
         assert len(circles) == 1  # single significance crossing
 
+    @pytest.mark.parametrize("step", ["0.05", "0.01", "0.002"])
+    def test_grid_min_below_float_resolution_keeps_factors_positive(
+            self, small_dataset, tmp_path, step):
+        # the grid's last step from 1 lands at about -8.9e-16, not at 0
+        out = str(tmp_path / "tiny")
+        code = main([
+            "curve", "--input", small_dataset, "--effect", "2", "--threshold", "a",
+            "--seed", "5", "--grid-step", step, "--grid-min", "1e-10", "--out", out,
+        ])
+        assert code == 0
+        lines = open(os.path.join(out, "curve_2_a.csv")).read().strip().splitlines()
+        gammas = [float(line.split(",")[0]) for line in lines[1:]]
+        assert gammas and all(g > 0 for g in gammas)
+
     def test_three_point_curve_svg_structure(self, small_dataset, tmp_path):
         out = str(tmp_path / "c3")
         code = main([

@@ -9,7 +9,7 @@ from conftest import C, E, rec, trials
 from reference import logrank_test_sorted
 from phasetip.errors import DataError, EstimationError
 from phasetip.records import Arm, Trial
-from phasetip.survival import logrank_from_table, logrank_test, risk_table
+from phasetip.survival import logrank_from_table, logrank_rows, logrank_test, risk_table
 
 
 class TestLogRankHandExamples:
@@ -146,3 +146,40 @@ class TestLogRankFromTable:
         for stratified in (False, True):
             got = _outcome(self._from_table("efron"), trial, stratified)
             assert got[0] is error and got == _outcome(logrank_test, trial, stratified)
+
+
+class TestLogRankRows:
+    """`logrank_rows` tests k outcomes of one trial in one pass, and each
+    row gets `logrank_test` of that outcome bit for bit, errors included:
+    a row's sums do not depend on the rows beside it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(records=trials(), stratified=st.booleans(), data=st.data())
+    def test_each_row_is_its_own_logrank_test(self, records, stratified, data):
+        trial = Trial.from_records(records)
+        k = data.draw(st.integers(1, 9))
+        times = st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0, 7.0])
+        s = np.array([[data.draw(times) for _ in records] for _ in range(k)])
+        delta = np.array([[data.draw(st.sampled_from([0, 1])) for _ in records]
+                          for _ in range(k)])
+        expected = [_outcome(logrank_test, trial.with_outcome(s[r], delta[r]), stratified)
+                    for r in range(k)]
+        try:
+            got = logrank_rows(trial, s, delta, stratified)
+        except DataError as err:
+            assert all(e == (DataError, str(err)) for e in expected)
+            return
+        assert [repr(r) if not isinstance(r, EstimationError) else (EstimationError, str(r))
+                for r in got] == expected
+
+    def test_rows_of_the_calibrated_trial(self, seed6_transforms):
+        # hundreds of event times per row, so each row's terms are summed
+        # pairwise in blocks, as the sort-based oracle's np.sum sums them
+        for layout in seed6_transforms[:2]:   # no strata, and three strata
+            s = np.array([t.s for t in seed6_transforms[::2]])
+            delta = np.array([t.delta for t in seed6_transforms[::2]])
+            for stratified in (False, True):
+                got = logrank_rows(layout, s, delta, stratified)
+                assert [repr(r) for r in got] == [
+                    _outcome(logrank_test_sorted, layout.with_outcome(s[r], delta[r]), stratified)
+                    for r in range(len(s))]

@@ -18,11 +18,13 @@ from phasetip.counterfactual import (
     ImputationDraws,
     Threshold,
     TransformParams,
+    apply_transform,
     make_draws,
     needs_draw,
     rank_breakpoints,
+    transform_lines,
 )
-from phasetip.errors import DataError, SeparationError
+from phasetip.errors import DataError, EstimationError, SeparationError
 from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import cox_fit, logrank_test, risk_table
@@ -338,6 +340,17 @@ class TestUnevaluablePointHandling:
                 return None, "separation detected"
             return self.value_of(gamma), None
 
+    @staticmethod
+    def _drive(search, probe):
+        """Run a search generator, answering each factor it yields with
+        probe(factor), and return what it returns."""
+        try:
+            factor = next(search)
+            while True:
+                factor = search.send(probe(factor))
+        except StopIteration as done:
+            return done.value
+
     def test_grid_walk_skips_broken_points(self):
         from phasetip.tipping import _bracket, _stop_rule
 
@@ -345,7 +358,7 @@ class TestUnevaluablePointHandling:
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, grid_step=0.1, grid_max=3.0)
         stub = self._Stub(lambda g: 0.01 if g < 1.55 else 0.2, broken=[1.26])
         _, crossed, _ = _stop_rule(config)
-        last_clear, first_crossed, flags = _bracket(stub.probe, crossed, config)
+        last_clear, first_crossed, flags = self._drive(_bracket(crossed, config), stub.probe)
         assert first_crossed == pytest.approx(1.58)
         assert last_clear == pytest.approx(1.42)
         assert any("skipped" in f and "separation" in f for f in flags)
@@ -363,7 +376,7 @@ class TestUnevaluablePointHandling:
                               threshold=threshold)
             _, crossed, _ = _stop_rule(config)
             flags = []
-            tip, at = _bisect(stub.probe, crossed, 1.5, 1.6, breakpoints, flags)
+            tip, at = self._drive(_bisect(crossed, 1.5, 1.6, breakpoints, flags), stub.probe)
             assert tip == pytest.approx(1.55)
             assert at == pytest.approx(1.555)
             assert flags == []
@@ -378,7 +391,7 @@ class TestUnevaluablePointHandling:
                           broken=[1.555, 1.565, 1.575])
         _, crossed, _ = _stop_rule(config)
         flags = []
-        tip, at = _bisect(stub.probe, crossed, 1.5, 1.6, breakpoints, flags)
+        tip, at = self._drive(_bisect(crossed, 1.5, 1.6, breakpoints, flags), stub.probe)
         assert any("bisection stopped early" in f for f in flags)
         # the first cell probed and both its neighbours fail, so the first
         # cell known to be crossed is the bracket's crossed end
@@ -388,7 +401,8 @@ class TestUnevaluablePointHandling:
 
 class TestProbePath:
     """Each search probe runs only the estimator its stop rule reads; the
-    full evaluation runs once, for the reported point."""
+    full evaluation runs once, for the reported point. Every probe goes
+    through `_probe_round`, one call per round of the lockstep searches."""
 
     @staticmethod
     def _spy(monkeypatch, name, calls, fail_when=lambda: False):
@@ -403,6 +417,24 @@ class TestProbePath:
         monkeypatch.setattr(phasetip.tipping, name, spy)
 
     @staticmethod
+    def _spy_probes(monkeypatch, probes, calls=None):
+        """Record (id of the draw set's lines, factor) for every probe, and
+        mark the spans of the probe rounds in `calls`."""
+        real = phasetip.tipping._probe_round
+
+        def probe_round(trial, config, requests):
+            probes.extend((id(lines), gamma) for lines, gamma in requests)
+            if calls is not None:
+                calls.append("probe round")
+            try:
+                return real(trial, config, requests)
+            finally:
+                if calls is not None:
+                    calls.append("probe round end")
+
+        monkeypatch.setattr(phasetip.tipping, "_probe_round", probe_round)
+
+    @staticmethod
     def _track_factor(monkeypatch):
         """The factor of the latest transform, updated as the search runs."""
         current = {}
@@ -415,10 +447,24 @@ class TestProbePath:
         monkeypatch.setattr(phasetip.tipping, "apply_transform", transform)
         return current
 
+    @staticmethod
+    def _inside_rounds(calls):
+        """The calls made inside a probe round."""
+        inside, depth = [], 0
+        for call in calls:
+            if call == "probe round":
+                depth += 1
+            elif call == "probe round end":
+                depth -= 1
+            elif depth:
+                inside.append(call)
+        return inside
+
     def test_rule_a_logrank_fits_cox_only_at_the_reported_point(self, monkeypatch):
-        calls = []
-        self._spy(monkeypatch, "cox_fit", calls)
-        self._spy(monkeypatch, "logrank_test", calls)
+        calls, probes = [], []
+        for name in ("cox_fit", "logrank_rows"):
+            self._spy(monkeypatch, name, calls)
+        self._spy_probes(monkeypatch, probes, calls)
         records = fast_records()
         config = SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, grid_step=0.1,
                               mi_replicates=3, seed=5)
@@ -431,11 +477,14 @@ class TestProbePath:
         }
         # the treatment-only and the three-covariate fit of each reported point
         assert calls.count("cox_fit") == 2 * len(draw_sets)
-        assert calls.count("logrank_test") > calls.count("cox_fit")
+        assert "cox_fit" not in self._inside_rounds(calls)
+        assert "logrank_rows" in self._inside_rounds(calls)
+        assert len(probes) > calls.count("cox_fit")
 
     def test_rule_b_probes_never_run_the_logrank_test(self, monkeypatch):
         calls = []
-        for name in ("logrank_test", "logrank_from_table", "evaluate_at", "cox_fit"):
+        for name in ("logrank_test", "logrank_rows", "logrank_from_table", "evaluate_at",
+                     "cox_fit"):
             self._spy(monkeypatch, name, calls)
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE,
                               grid_step=0.1, mi_replicates=1, seed=7)
@@ -444,7 +493,7 @@ class TestProbePath:
         # probes fit the three-covariate model only; the one full evaluation,
         # of the reported point, reads its p-value off its risk table
         assert calls.count("evaluate_at") == calls.count("logrank_from_table") == 1
-        assert "logrank_test" not in calls
+        assert "logrank_test" not in calls and "logrank_rows" not in calls
         assert calls[calls.index("evaluate_at") + 1:].count("cox_fit") == 2
         assert calls.count("cox_fit") > 2
 
@@ -454,24 +503,8 @@ class TestProbePath:
     def test_no_search_probes_a_factor_twice(self, monkeypatch, effect, threshold, imputation):
         # walk steps, bisection midpoints and their nudges are distinct, so
         # a per-factor cache of probe values would never be read
-        probes, reporting = [], []
-        real_transform, real_evaluate = (phasetip.tipping.apply_transform,
-                                         phasetip.tipping.evaluate_at)
-
-        def transform(trial, params, draws):
-            if not reporting:
-                probes.append((id(draws), params.gamma))
-            return real_transform(trial, params, draws)
-
-        def evaluate(*args):
-            reporting.append(True)
-            try:
-                return real_evaluate(*args)
-            finally:
-                reporting.pop()
-
-        monkeypatch.setattr(phasetip.tipping, "apply_transform", transform)
-        monkeypatch.setattr(phasetip.tipping, "evaluate_at", evaluate)
+        probes = []
+        self._spy_probes(monkeypatch, probes)
         config = SearchConfig(effect=effect, threshold=threshold, imputation=imputation,
                               grid_step=0.1, mi_replicates=3, seed=5)
         res = find_tipping(fast_records(), config)
@@ -683,33 +716,100 @@ class TestAgainstFixedStepSearch:
 
 class TestProbeBudget:
     """Probes per replicate at CLI defaults on the calibrated seed-6 trial:
-    `apply_transform` calls outside the evaluation of the reported point,
-    per distinct draw set."""
+    the requests `_probe_round` answers, per distinct draw set."""
 
     @pytest.mark.parametrize("effect", list(Effect))
     @pytest.mark.parametrize("threshold", list(Threshold))
     def test_at_most_20_probes_per_replicate(self, monkeypatch, effect, threshold):
-        probes, reporting = collections.Counter(), []
-        real_transform, real_evaluate = (phasetip.tipping.apply_transform,
-                                         phasetip.tipping.evaluate_at)
+        probes = collections.Counter()
+        real = phasetip.tipping._probe_round
 
-        def transform(trial, params, draws):
-            if not reporting:
-                probes[id(draws)] += 1
-            return real_transform(trial, params, draws)
+        def probe_round(trial, config, requests):
+            probes.update(id(lines) for lines, _ in requests)
+            return real(trial, config, requests)
 
-        def evaluate(*args):
-            reporting.append(True)
-            try:
-                return real_evaluate(*args)
-            finally:
-                reporting.pop()
-
-        monkeypatch.setattr(phasetip.tipping, "apply_transform", transform)
-        monkeypatch.setattr(phasetip.tipping, "evaluate_at", evaluate)
+        monkeypatch.setattr(phasetip.tipping, "_probe_round", probe_round)
         res = find_tipping(simulate_trial(SimConfig(), seed=6),
                            SearchConfig(effect=effect, threshold=threshold))
         assert all(o.tip is not None and not o.degenerate for o in res.replicates)
         searches = 20 if effect is Effect.SHRINK_EXPERIMENTAL else 1   # cutoff imputation
         assert len(probes) == searches
         assert sum(probes.values()) / searches <= 20
+
+
+class TestBatchedProbe:
+    """A rule-a round answered in one pass (`_probe_round`) gives every
+    probe the p-value of `logrank_test` on `apply_transform` of its own
+    draws and factor, bit for bit, and the same note or error."""
+
+    IMPUTED = [0.5, 1.0, 2.0, 2.5, 4.0, 7.0, 9.0]
+    FACTORS = {Effect.INFLATE_CONTROL: [1.0, 1.2, 1.5, 2.0, 2.5, 4.0],
+               Effect.SHRINK_EXPERIMENTAL: [1.0, 0.8, 0.5, 0.25, 0.1]}
+
+    @staticmethod
+    def _one_at_a_time(trial, effect, draws, gamma):
+        try:
+            data = apply_transform(trial, TransformParams(effect, gamma), draws)
+            return logrank_test(data).p_two_sided, None
+        except EstimationError as err:
+            return None, str(err)
+
+    def _check(self, trial, effect, draw_sets, gammas):
+        config = SearchConfig(effect=effect)
+        requests = [(transform_lines(trial, effect, d), g) for d, g in zip(draw_sets, gammas)]
+        try:
+            expected = [self._one_at_a_time(trial, effect, d, g)
+                        for d, g in zip(draw_sets, gammas)]
+        except DataError as err:
+            with pytest.raises(DataError, match=str(err)):
+                phasetip.tipping._probe_round(trial, config, requests)
+            return "one arm"
+        assert phasetip.tipping._probe_round(trial, config, requests) == expected
+        return expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(), effect=st.sampled_from(list(Effect)), data=st.data())
+    def test_bit_identical_to_one_probe_at_a_time(self, records, effect, data):
+        trial = Trial.from_records(records)
+        subjects = np.flatnonzero(needs_draw(trial, effect))
+        k = data.draw(st.integers(1, 2 * phasetip.tipping._ROW_BLOCK + 1))
+        draw_sets = [
+            ImputationDraws(effect, r, 0, "fitted", subjects, np.array(
+                [data.draw(st.sampled_from(self.IMPUTED)) for _ in subjects], dtype=float))
+            for r in range(k)
+        ]
+        gammas = [data.draw(st.sampled_from(self.FACTORS[effect])) for _ in range(k)]
+        expected = self._check(trial, effect, draw_sets, gammas)
+        event("one arm" if expected == "one arm" else
+              "some probe without events" if any(p is None for p, _ in expected) else "p for all")
+
+    def _draws(self, trial, effect, values):
+        subjects = np.flatnonzero(needs_draw(trial, effect))
+        return ImputationDraws(effect, 0, 0, "fitted", subjects, np.array(values, dtype=float))
+
+    def test_no_events_after_the_transform(self):
+        # the one event is a control event in monotherapy; inflated past its
+        # imputed censoring time, it is censored
+        trial = Trial.from_records([rec("c", C, 2.0, 1, mono=1.0), rec("e", E, 3.0, 0)])
+        draws = self._draws(trial, Effect.INFLATE_CONTROL, [2.5])
+        expected = self._check(trial, Effect.INFLATE_CONTROL, [draws] * 3, [1.0, 2.0, 1.2])
+        assert expected[1] == (None, "log-rank needs at least one event")
+        assert expected[0][0] is not None and expected[2][0] is not None
+
+    def test_one_arm(self):
+        trial = Trial.from_records([rec("e1", E, 2.0, 1, mono=1.0), rec("e2", E, 3.0, 1)])
+        draws = self._draws(trial, Effect.SHRINK_EXPERIMENTAL, [])
+        assert self._check(trial, Effect.SHRINK_EXPERIMENTAL, [draws] * 2, [1.0, 0.5]) == "one arm"
+
+    def test_ties_and_one_at_risk_at_the_last_event_time(self):
+        # at factor 0.5 the experimental event in monotherapy moves to 2.0,
+        # tying the control event there; the last event time, 7.0, has one
+        # subject at risk
+        trial = Trial.from_records([
+            rec("e1", E, 3.0, 1, mono=1.0), rec("e2", E, 2.0, 0, mono=0.5),
+            rec("c1", C, 2.0, 1), rec("c2", C, 7.0, 1), rec("c3", C, 1.0, 0),
+        ])
+        draws = [self._draws(trial, Effect.SHRINK_EXPERIMENTAL, [v]) for v in (1.5, 4.0, 9.0)]
+        expected = self._check(trial, Effect.SHRINK_EXPERIMENTAL, draws, [0.5, 0.5, 1.0])
+        assert all(p is not None for p, _ in expected)
