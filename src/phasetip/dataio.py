@@ -4,13 +4,16 @@ One CSV schema, fixed header:
 
     subject_id,arm,pfs_months,event,mono_start_months,cutoff_months,stratum
 
-`arm` is E or C; an empty `mono_start_months` means the subject never
-entered the monotherapy phase, and one equal to `pfs_months` means it spent
-no time there (see `SubjectRecord.in_mono`); `stratum` is an optional
-whole number. Times are finite decimal months. Each row is validated as a
-`SubjectRecord`; reading stops at the first invalid row, with a `DataError`
-naming it, and returns the trial as a `Trial`. Floats are written with repr
-so that a write followed by a read reproduces the trial exactly.
+A `subject_id` appears once: the imputation keys each subject's draws by
+it, so two rows with one id would draw the same times. `arm` is E or C; an
+empty `mono_start_months` means the subject never entered the monotherapy
+phase, and one equal to `pfs_months` means it spent no time there (see
+`SubjectRecord.in_mono`); `stratum` is an optional whole number. Times are
+finite decimal months. Each row is validated as a `SubjectRecord`; reading
+stops at the first invalid row, with a `DataError` naming it (and, for a
+repeated id, the row that holds it first), and returns the trial as a
+`Trial`. Floats are written with repr so that a write followed by a read
+reproduces the trial exactly.
 """
 
 from __future__ import annotations
@@ -86,9 +89,16 @@ def read_dataset(path) -> Trial:
             raise DataError(
                 f"header mismatch: expected {','.join(HEADER)!r}, got {','.join(header)!r}"
             )
-        return Trial.from_records(
-            _parse_row(row, lineno) for lineno, row in enumerate(reader, start=2) if row
-        )
+        records, first_row = [], {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            record = _parse_row(row, lineno)
+            first = first_row.setdefault(record.subject_id, lineno)
+            if first != lineno:
+                raise DataError(f"row {lineno}: subject_id {record.subject_id!r} repeats row {first}")
+            records.append(record)
+        return Trial.from_records(records)
 
 
 def write_dataset(trial, path) -> None:

@@ -29,8 +29,4 @@ class ConvergenceError(EstimationError):
 
 
 class SeparationError(EstimationError):
-    """Monotone partial likelihood: a coefficient diverges without bound."""
-
-    def __init__(self, message="separation detected", last_beta=None):
-        super().__init__(message)
-        self.last_beta = last_beta
+    """Monotone partial likelihood: it has no maximum, so no fit is made."""

@@ -34,7 +34,8 @@ its step and its inverse information as a division, and tests its pivot
 as LAPACK's Cholesky factorization would.
 Nothing loops over subjects in Python, and the Newton loop of `cox_fit`
 calls numpy's reductions and tests its floats without the per-call
-wrappers, with the same arithmetic.
+wrappers, with the same arithmetic. A fit without a maximum is refused
+before Newton, whatever its strata, from the pairs of groups that meet.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ __all__ = [
 _LL_TOL = 1e-9
 _GRAD_TOL = 1e-8
 _MAX_ITER = 50
-_SEPARATION_BOUND = 15.0
 # Largest variance inflation info_jj * cov_jj a fit may report. It is scale
 # free and within a factor p of 1 / (smallest eigenvalue of the information
 # scaled to unit diagonal). Designs collinear on the risk sets land above
@@ -344,12 +344,14 @@ class RiskTable:
     (n_risk, n_event) of 4 x T arrays that A is built from: the subjects
     at risk and the events per group and event time, from which
     `logrank_from_table` reads the arms. `ties` and `stratified` say how
-    it was built.
+    it was built. `meets[g, h]` says that an event of group g falls where
+    group h is at risk, in some stratum.
     """
 
     A: np.ndarray
     D: np.ndarray
     counts: tuple
+    meets: np.ndarray
     ties: str
     stratified: bool
 
@@ -369,6 +371,7 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
         raise DataError(f"subject {trial.ids[late[0]]}: phase time exceeds follow-up")
     in_mono = trial.in_mono
     blocks, counts = [], []
+    meets = np.zeros((4, 4), dtype=bool)
     for rows in _strata(trial, stratified):
         s, trt, mono = trial.s[rows], trial.trt[rows], in_mono[rows]
         ev = trial.delta[rows] == 1
@@ -389,6 +392,7 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
             n_groups=4,
         )
         counts.append((n_risk, n_event))
+        meets |= (n_event > 0) @ (n_risk > 0).T
         n_risk, n_event = n_risk.T, n_event.T
         if ut.size == d.sum():
             # no event time is tied: one row per event time, tie index 0, so
@@ -408,7 +412,8 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
     else:
         A = np.vstack([np.zeros((0, 4)), *(A for A, _ in blocks)])
         D = sum((D for _, D in blocks), np.zeros(4, dtype=int))
-    return RiskTable(A=A, D=D, counts=tuple(counts), ties=ties, stratified=stratified)
+    return RiskTable(A=A, D=D, counts=tuple(counts), meets=meets, ties=ties,
+                     stratified=stratified)
 
 
 @functools.cache
@@ -424,6 +429,22 @@ def _group_covariates(names: tuple) -> np.ndarray:
     G = np.column_stack([columns[name] for name in names])
     G.flags.writeable = False
     return G
+
+
+@functools.cache
+def _separating_direction(meets: bytes, names: tuple):
+    """A direction d along which the partial likelihood of the design
+    `names` rises without bound, or None when it has a maximum: some d has
+    (G[g] - G[h]) . d >= 0 for every pair met in `meets` (a table's, as
+    bytes) and > 0 for one (Bryson & Johnson 1981). With p <= 3, searching
+    {-2, ..., 2}^p, entries in {-1, 0, 1} first, decides it exactly."""
+    g, h = np.frombuffer(meets, dtype=bool).reshape(4, 4).nonzero()
+    G, p = _group_covariates(names), len(names)
+    d = np.indices((5,) * p).reshape(p, -1).T - 2
+    d = d[np.argsort(abs(d).max(axis=1), kind="stable")]
+    moves = (G[g] - G[h]) @ d.T
+    rising = (moves >= 0).all(axis=0) & (moves > 0).any(axis=0)
+    return tuple(d[rising.argmax()].tolist()) if rising.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -492,28 +513,8 @@ class _GroupDesign:
         if self.n_events == 0:
             raise EstimationError("no events in counting-process data")
         self.A = table.A
-        self.D = table.D
+        self.meets = table.meets
         self.sum_x = table.D @ self.G
-
-    def refuse_idle_groups(self):
-        """Raise SeparationError when the subjects of one covariate pattern
-        (an arm, or an arm x phase group) are at risk but have no event in
-        any stratum: the likelihood then rises without bound as that
-        pattern's hazard falls, and no maximum exists."""
-        if self.D.all():   # every group, and so every pattern, has events
-            return
-        patterns = {}   # pattern -> (at risk at some event time, events)
-        for row, at_risk, events in zip(map(tuple, self.G.tolist()),
-                                        (self.A > 0).any(axis=0).tolist(), self.D.tolist()):
-            seen_at_risk, seen_events = patterns.get(row, (False, 0))
-            patterns[row] = (seen_at_risk or at_risk, seen_events + events)
-        for row, (at_risk, events) in patterns.items():
-            if at_risk and not events:
-                values = ", ".join(f"{n}={v:g}" for n, v in zip(self.names, row))
-                raise SeparationError(
-                    f"separation detected: the subjects with {values} are at risk "
-                    "but have no events"
-                )
 
     def loglik_grad_hess(self, beta):
         """Likelihood, gradient and Hessian at beta. Column sums are
@@ -576,8 +577,8 @@ def _newton_step(info, grad):
 
 def _newton(design, max_iter):
     """Damped Newton-Raphson from beta = 0 on `design`; returns (beta,
-    loglik, gradient, Hessian, iterations) at convergence. The convergence,
-    finiteness and separation tests read Python floats."""
+    loglik, gradient, Hessian, iterations) at convergence. The convergence
+    and finiteness tests read Python floats."""
     beta = np.zeros(design.p)
     ll, grad, hess = design.loglik_grad_hess(beta)
     for iterations in range(1, max_iter + 1):
@@ -601,8 +602,6 @@ def _newton(design, max_iter):
 
         delta_ll = ll_new - ll
         beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
-        if max(map(abs, beta.tolist())) > _SEPARATION_BOUND:
-            raise SeparationError(last_beta=beta)
         if abs(delta_ll) < _LL_TOL and _norm(grad) < _GRAD_TOL:
             return beta, ll, grad, hess, iterations
     raise ConvergenceError(
@@ -639,13 +638,17 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
     Starts at beta = 0, halves the step whenever the likelihood would
     decrease, and stops when both the likelihood change and the gradient
     norm are below tolerance. Raises SeparationError before the first step
-    when a covariate pattern at risk has no events, and when a coefficient
-    runs away (monotone likelihood); ConvergenceError, carrying the
-    last iterate, when the iteration cap is reached, and EstimationError
-    when the information at the optimum is singular.
+    when the likelihood has no maximum (`_separating_direction`), whatever
+    the strata; ConvergenceError, carrying the last iterate, when the
+    iteration cap is reached, and EstimationError when the information at
+    the optimum is singular.
     """
     design = _GroupDesign(table, covariates)
-    design.refuse_idle_groups()
+    d = _separating_direction(design.meets.tobytes(), design.names)
+    if d is not None:
+        along = ", ".join(f"{name}={v}" for name, v in zip(design.names, d))
+        raise SeparationError(f"separation detected: the partial likelihood rises without "
+                              f"bound along {along}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         beta, ll, grad, hess, iterations = _newton(design, max_iter)
 

@@ -15,16 +15,20 @@ contributes the combination interval (0, m] without an event and the
 monotherapy interval (m, s] with its event status, every other subject the
 one interval (0, s]. `RowLevelDesign` is the row-level Efron/Breslow
 partial likelihood on those rows: risk-set sums over the rows, evaluated
-with suffix sums on stop- and start-sorted row orders. `cox_fit_row_level`
-runs the package's own Newton loop on it, so it and `cox_fit` on the
-grouped risk-set table differ only in how the likelihood is computed.
+with suffix sums on stop- and start-sorted row orders. It finds its own
+met group pairs, from the group of each event row and the groups of the
+rows at risk at that event time. `cox_fit_row_level` runs the package's
+own separation rule and Newton loop on it, so it and `cox_fit` on the
+grouped risk-set table differ only in how the likelihood and the met
+pairs are computed.
 
 `GroupDesignNumpy` and `cox_fit_numpy` are the grouped likelihood and
 its Newton loop written with numpy's wrappers: `.sum(axis=0)`,
-`np.linalg.norm`, `np.linalg.solve` for every step, finiteness and the
-separation bound tested on arrays, and one `np.errstate` per likelihood
-call. `cox_fit` must give exactly what `cox_fit_numpy` gives, to the bit
-and in every field, exceptions included.
+`np.linalg.norm`, `np.linalg.solve` for every step, finiteness tested on
+arrays, and one `np.errstate` per likelihood call; it asks the package's
+separation rule and states its message. `cox_fit` must give exactly what
+`cox_fit_numpy` gives, to the bit and in every field, exceptions
+included.
 
 `fixed_step_bracket` is the tipping search as it was before rank
 breakpoints: a walk in fixed steps of `grid_step` to the first crossing,
@@ -296,17 +300,17 @@ class RowLevelDesign:
         C = np.column_stack([np.ones(self.n), X, P])
         pad = np.zeros((1, C.shape[1]))
 
-        # the rows at risk at some event time of their stratum
+        # met group pairs: the group of each event row against the groups
+        # of the rows of its stratum at risk at its time
         strat = np.zeros(self.n)
         if stratified:
             strat = np.where(np.isnan(cp.stratum), -1.0, cp.stratum)
-        self.at_risk = np.zeros(self.n, dtype=bool)
-        for st in np.unique(strat):
-            rows = strat == st
-            ut = np.unique(cp.stop[rows & (cp.event == 1)])
-            self.at_risk[rows] = (np.searchsorted(ut, cp.start[rows], side="right")
-                                  < np.searchsorted(ut, cp.stop[rows], side="right"))
-        self.event = cp.event
+        group = cp.trt + 2 * cp.mono
+        self.meets = np.zeros((4, 4), dtype=bool)
+        for i in np.flatnonzero(cp.event == 1):
+            t = cp.stop[i]
+            at_risk = (strat == strat[i]) & (cp.start < t) & (t <= cp.stop)
+            self.meets[group[i], group[at_risk]] = True
 
         self.strata = []
         for sd in _row_risk_sets(cp, ties, stratified):
@@ -319,14 +323,6 @@ class RowLevelDesign:
                 start_rev=np.concatenate([[self.n], sa]), c_start_rev=np.vstack([pad, C[sa]]),
                 c_ev=C[sd["ev_order"]],
             ))
-
-    def refuse_idle_groups(self):
-        """SeparationError when the rows of one covariate pattern are at
-        risk at some event time but none of them has an event."""
-        for pattern in np.unique(self.X, axis=0):
-            members = (self.X == pattern).all(axis=1)
-            if self.at_risk[members].any() and not self.event[members].any():
-                raise SeparationError(f"separation detected: pattern {pattern} has no events")
 
     def loglik_grad_hess(self, beta):
         p = self.p
@@ -388,7 +384,10 @@ def cox_fit_numpy(table, covariates=("trt",), max_iter=50):
     """Damped Newton-Raphson on `GroupDesignNumpy`, with the package's
     tolerances, step halving and refusals."""
     design = GroupDesignNumpy(table, covariates)
-    design.refuse_idle_groups()
+    d = survival._separating_direction(design.meets.tobytes(), design.names)
+    if d is not None:
+        raise SeparationError("separation detected: the partial likelihood rises without bound "
+                              "along " + ", ".join(f"{n}={v}" for n, v in zip(design.names, d)))
     beta = np.zeros(design.p)
     ll, grad, hess = design.loglik_grad_hess(beta)
     singular = "singular information matrix: design is collinear on the risk sets"
@@ -425,8 +424,6 @@ def cox_fit_numpy(table, covariates=("trt",), max_iter=50):
 
         delta_ll = ll_new - ll
         beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
-        if np.max(np.abs(beta)) > survival._SEPARATION_BOUND:
-            raise SeparationError(last_beta=beta)
         if abs(delta_ll) < survival._LL_TOL and np.linalg.norm(grad) < survival._GRAD_TOL:
             converged = True
             break

@@ -71,6 +71,16 @@ class TestExitCodes:
         )
         assert main(["analyze", "--input", str(path)]) == 2
 
+    def test_repeated_subject_id_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        path.write_text(
+            ",".join(HEADER) + "\n"
+            "x,E,10.0,0,4.0,30.0,\ny,C,8.0,1,,30.0,\nx,E,12.0,0,5.0,30.0,\n"
+        )
+        code = main(["tpa", "--input", str(path), "--effect", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "row 4: subject_id 'x' repeats row 2" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # complete separation: all control events strictly before experimental
         path = tmp_path / "sep.csv"
@@ -187,20 +197,28 @@ class TestAnalyze:
         assert "not estimable" in capsys.readouterr().out
 
 
-    def test_wald_bound_beyond_float_range_is_inf(self, tmp_path, capsys):
-        # the combination-phase upper bound exp(b + z * se) overflows a float.
-        # Stratum 0: one experimental subject, censored early, among 200
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_separation_is_decided_per_stratum(self, tmp_path, capsys, stratified):
+        # stratum 0: one experimental subject, censored early, among 200
         # controls who all have events; stratum 1: one experimental subject
-        # with an event, alone at risk. That event carries no information,
-        # so the likelihood still falls monotonically as b decreases; its
-        # gradient drops below tolerance at b = -14.0, inside the separation
-        # bound, where se is 1.6e4.
-        path = tmp_path / "wide.csv"
+        # with an event, alone at risk. Pooled, that event meets controls at
+        # risk and the fit has a maximum. Per stratum it meets no control,
+        # so the likelihood rises without bound as b_trt falls, and the fit
+        # is refused before Newton
+        path = tmp_path / "strata.csv"
         rows = [f"c{i},C,{i}.0,1,,210.0,0" for i in range(1, 201)]
         rows += ["e0,E,1.5,0,,210.0,0", "e1,E,3.0,1,,210.0,1"]
         path.write_text(",".join(HEADER) + "\n" + "\n".join(rows) + "\n")
-        assert main(["analyze", "--input", str(path), "--stratified"]) == 0
-        assert "Combination-phase HR=0.0000 (0.000, inf)" in capsys.readouterr().out
+        flags = ["--stratified"] if stratified else []
+        code = main(["analyze", "--input", str(path), *flags])
+        out, err = capsys.readouterr()
+        if stratified:
+            assert code == 3
+            assert ("numerical failure: separation detected: the partial likelihood rises "
+                    "without bound along trt=-1" in err)
+        else:
+            assert code == 0
+            assert "Overall HR=" in out
 
     def test_arm_without_events_is_numerical_failure(self, tmp_path, capsys):
         # one experimental subject, censored early, among 200 controls who
@@ -212,8 +230,8 @@ class TestAnalyze:
         rows = [f"c{i},C,{i}.0,1,,210.0," for i in range(1, 201)] + ["e0,E,1.5,0,,210.0,"]
         path.write_text(",".join(HEADER) + "\n" + "\n".join(rows) + "\n")
         assert main(["analyze", "--input", str(path)]) == 3
-        assert ("numerical failure: separation detected: the subjects with trt=1 are at risk "
-                "but have no events" in capsys.readouterr().err)
+        assert ("numerical failure: separation detected: the partial likelihood rises "
+                "without bound along trt=-1" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags", [[], ["--stratified", "--ties", "breslow"]])
     def test_risk_table_is_built_once(self, tmp_path, capsys, flags):

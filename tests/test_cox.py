@@ -12,11 +12,14 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import C, E, rec, trials
-from reference import Rows, cox_fit_numpy, cox_fit_row_level, expand
+from reference import RowLevelDesign, Rows, cox_fit_numpy, cox_fit_row_level, expand
+from phasetip.cli import _fmt_ci
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Trial
 from phasetip.survival import (
     CoxFit,
+    _group_covariates,
+    _separating_direction,
     cox_fit,
     logrank_test,
     partial_loglik_and_gradient,
@@ -390,6 +393,106 @@ class TestGroupedAgainstRowLevel:
             assert np.all(np.abs(got - want) <= self.TOL * np.maximum(1.0, np.abs(want)))
         assert fit.iterations == ref.iterations
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(records=trials(max_size=24))
+    def test_meets_matches_row_level_pairs(self, records):
+        """The table's met group pairs are those the row-level design finds
+        from its own rows, under either tie method and with or without
+        strata; a trial without events meets no pair."""
+        trial = Trial.from_records(records)
+        rows = expand(trial)
+        for ties in ("efron", "breslow"):
+            for stratified in (False, True):
+                meets = risk_table(trial, ties, stratified).meets
+                if not rows.event.any():
+                    assert not meets.any()
+                    continue
+                design = RowLevelDesign(rows, ("trt",), ties, stratified)
+                assert meets.dtype == bool and np.array_equal(meets, design.meets)
+        event(f"{risk_table(trial).meets.sum()} pairs met")
+
+
+DESIGNS = [("trt",), ("trt", "mono", "trt_x_mono")]
+
+
+class TestSeparationRule:
+    """`_separating_direction` decides from a table's met group pairs
+    whether the partial likelihood has a maximum, before any Newton step."""
+
+    # every 4 x 4 boolean: bit 4 * g + h of the pattern is the pair (g, h)
+    PATTERNS = (np.arange(1 << 16)[:, None] >> np.arange(16) & 1).astype(bool)
+
+    @pytest.mark.parametrize("names", DESIGNS)
+    def test_every_meets_pattern_against_a_linear_program(self, names):
+        """The reference is the program: maximize the sum of V d subject to
+        V d >= 0 and |d_i| <= 1, with V the differences G[g] - G[h] of the
+        met pairs; the likelihood has no maximum iff its optimum is
+        positive. A direction the rule reports is a point of the program
+        with a positive objective (after halving), which proves that; where
+        the rule reports none, `linprog` must find the optimum 0. The
+        program depends only on the set of distinct nonzero differences, so
+        it is solved once per set."""
+        from scipy.optimize import linprog
+
+        G = _group_covariates(names)
+        diffs = (G[:, None, :] - G[None, :, :]).reshape(16, len(names))
+        met = self.PATTERNS
+        found = np.zeros(len(met), dtype=bool)
+        d = np.zeros((len(met), len(names)))
+        try:
+            for k, pattern in enumerate(met):
+                direction = _separating_direction(pattern.tobytes(), names)
+                if direction is not None:
+                    found[k], d[k] = True, direction
+        finally:
+            _separating_direction.cache_clear()
+
+        moves = d @ diffs.T
+        certified = np.where(met, moves >= 0, True).all(axis=1) & (met & (moves > 0)).any(axis=1)
+        assert np.array_equal(certified, found)
+
+        distinct, index = np.unique(diffs, axis=0, return_inverse=True)
+        in_set = met @ np.eye(len(distinct), dtype=bool)[index.ravel()]
+        nonzero = distinct.any(axis=1)   # a pair within one pattern constrains nothing
+        distinct, in_set = distinct[nonzero], in_set[:, nonzero]
+        sets, first, which = np.unique(in_set, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(found, found[first][which.ravel()])   # one answer per set
+        for members in sets[~found[first]]:
+            V = distinct[members]
+            res = linprog(-V.sum(axis=0), A_ub=-V, b_ub=np.zeros(len(V)),
+                          bounds=[(-1, 1)] * len(names), method="highs")
+            assert res.status == 0 and -res.fun <= 1e-9, (names, V)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials())
+    def test_row_level_likelihood_rises_along_the_direction(self, records):
+        """Wherever the rule reports d, the row-level likelihood of
+        `tests/reference.py` rises along beta = t * d, t = 0, 1, 2, 4, 8,
+        and `cox_fit` refuses the table naming d; elsewhere `cox_fit`
+        raises no SeparationError."""
+        trial = Trial.from_records(records)
+        rows = expand(trial)
+        for ties in ("efron", "breslow"):
+            for stratified in (False, True):
+                table = risk_table(trial, ties, stratified)
+                for names in DESIGNS:
+                    d = _separating_direction(table.meets.tobytes(), names)
+                    if d is None:
+                        try:
+                            cox_fit(table, names)
+                        except EstimationError as err:
+                            assert not isinstance(err, SeparationError)
+                        continue
+                    event(f"separated: p={len(names)}, stratified={stratified}")
+                    design = RowLevelDesign(rows, names, ties, stratified)
+                    ll = [design.loglik_grad_hess(t * np.array(d, dtype=float))[0]
+                          for t in (0, 1, 2, 4, 8)]
+                    assert all(a < b for a, b in zip(ll, ll[1:])), (d, ll)
+                    along = ", ".join(f"{n}={v}" for n, v in zip(names, d))
+                    with pytest.raises(SeparationError, match=f"along {along}$"):
+                        cox_fit(table, names)
+
 
 def _fit_bits(fit, table, covariates, max_iter):
     """Every field of the fit, arrays as dtype, shape and bytes and floats
@@ -508,6 +611,13 @@ class TestTailsAgainstScipy:
         separated += [rec(f"e{i}", E, n + 1 + i, 1, cutoff=3 * n) for i in range(n)]
         res = logrank_test(Trial.from_records(separated))
         assert res.p_two_sided == 0.0 == chdtrc(1, res.chi2)
+
+    def test_wald_upper_bound_beyond_float_range_is_inf(self):
+        # b = -14 with se 1.56e4: exp(b + z * se) overflows a float, and
+        # `analyze` prints the interval as (0.000, inf)
+        hr, ci = self._fit(-14.0, var=1.56e4 ** 2).contrast(("trt",))
+        assert (hr, *ci) == (math.exp(-14.0), 0.0, math.inf)
+        assert f"{hr:.4f} {_fmt_ci(ci)}" == "0.0000 (0.000, inf)"
 
     def test_wald_interval_uses_the_normal_975_quantile(self):
         from scipy.special import ndtri

@@ -39,6 +39,19 @@ class TestReadDataset:
         with pytest.raises(DataError, match=r"row 2.*phase time exceeds follow-up"):
             read_dataset(path)
 
+    def test_repeated_subject_id_names_both_rows(self, tmp_path):
+        # the imputation keys each subject's draws by its id, so two rows
+        # with one id would draw the same imputed times
+        path = tmp_path / "d.csv"
+        path.write_text(
+            ",".join(HEADER) + "\n"
+            "x,E,10.0,0,4.0,30.0,\n"
+            "y,C,8.0,1,,30.0,\n"
+            " x ,E,12.0,0,5.0,30.0,\n"
+        )
+        with pytest.raises(DataError, match=r"^row 4: subject_id 'x' repeats row 2$"):
+            read_dataset(path)
+
     def test_empty_body_valid_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(",".join(HEADER) + "\n")
