@@ -35,9 +35,14 @@ Both effects move each subject they change along a line in the factor,
 up to a cap where its event status flips (`transform_lines`), and
 `transform_outcomes` moves them to k factors at once, of which
 `apply_transform` is the one-row case. `rank_breakpoints`
-reads the same lines to list the factors where the order or ties of the
-transformed times can change; between two of them the log-rank test and
-every Cox fit of the transformed trial are constant.
+reads the same lines to list the factors where a line meets a fixed time,
+a monotherapy start or a cap; between two of them the log-rank test and
+every Cox fit of the transformed trial are constant. Two lines that meet
+are not listed: both are events of one arm x phase group, so the counts
+at risk stay as they are, and at the tie the Efron risk table equals the
+untied one to the bit. Only the log-rank p-value differs there, at that
+one factor. This holds for Efron ties and for these two effects, not for
+Breslow ties or for `naive_transform`, which also moves censored times.
 """
 
 from __future__ import annotations
@@ -148,9 +153,6 @@ class ImputationDraws:
     `needs_draw` selects have one.
     """
 
-    effect: Effect
-    replicate_id: int
-    seed: int
     method: str
     subjects: np.ndarray
     values: np.ndarray
@@ -310,29 +312,33 @@ def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraw
 # Breakpoints closer than this count as one: far above the rounding of the
 # transform arithmetic, far below any tip resolution a search reports.
 _MERGE = 1e-9
-# Most line pairs in one block of the pairwise crossings: small enough that
-# a block's temporaries (16 kB each) leave the process's peak memory as it is.
-_PAIR_BLOCK = 1 << 11
 
 
 def rank_breakpoints(trial: Trial, effect: Effect, draws: ImputationDraws,
                      lo: float, hi: float) -> np.ndarray:
-    """The factors in (lo, hi) at which the order or ties of the transformed
-    times, or an event status, can change, ascending.
+    """The factors in (lo, hi) at which a count at risk, an event count or
+    an event status of the transformed trial can change, ascending.
 
     With the draws fixed each moving time is a line in the factor (see
-    `transform_lines`), and every other time, every monotherapy start and every cap
-    is fixed. The log-rank test and the Cox risk table read only the order
-    and ties of those values and the event indicators, so both are constant
-    between consecutive breakpoints. A breakpoint is a factor where a line,
-    while below its cap, meets a fixed value (its own cap included, where
-    its event status flips) or another line. Two moving events that trade
-    places change no count at risk, since both are of the target arm and
-    in monotherapy, but where they meet they tie. Each line finds the fixed
-    values it passes with one search of the sorted fixed values; the line
-    pairs are taken a block of rows at a time, and no subjects x subjects
-    matrix is built. Breakpoints within 1e-9 of each other, or of lo or hi,
-    are merged into one.
+    `transform_lines`), and every other time, every monotherapy start and
+    every cap is fixed. A breakpoint is a factor where a line, while below
+    its cap, meets a fixed value (its own cap included, where its event
+    status flips). Each line finds the fixed values it passes with one
+    search of the sorted fixed values. Breakpoints within 1e-9 of each
+    other, or of lo or hi, are merged into one.
+
+    Between consecutive breakpoints the log-rank counts and the Efron risk
+    table are constant. Two lines that meet are not listed: below their
+    caps both are events of the effect's target arm in monotherapy, one
+    arm x phase group, so passing each other changes no count. Where they
+    meet the two events tie, and the Efron rows of that tie are n_g and
+    n_g - 1, the rows of the two untied times, to the bit. So the risk
+    table, and every Cox fit and Wald p-value read from it, is constant
+    there too; only the log-rank p-value differs, at that one factor. A
+    probe reads it only if its factor equals the tie factor to the bit.
+    The argument needs Efron ties and moving lines of one group: it does
+    not hold under Breslow ties, or for a transform that also moves
+    censored times, such as `naive_transform`.
     """
     lines = transform_lines(trial, effect, draws)
     a, b, c = lines.base, lines.slope, lines.cap
@@ -340,26 +346,13 @@ def rank_breakpoints(trial: Trial, effect: Effect, draws: ImputationDraws,
     fixed = np.unique(np.concatenate([np.delete(trial.s, lines.rows), x[~np.isnan(x)],
                                       c[np.isfinite(c)]]))
 
-    # lines against fixed values: those in each line's span over [lo, hi]
-    # while below its cap
+    # the fixed values in each line's span over [lo, hi] while below its cap
     first = np.searchsorted(fixed, a + (lo - 1.0) * b, side="left")
     stop = np.minimum(a + (hi - 1.0) * b, c)
     count = np.maximum(np.searchsorted(fixed, stop, side="right") - first, 0)
     line = np.repeat(np.arange(a.size), count)
     col = first[line] + np.arange(line.size) - np.repeat(np.cumsum(count) - count, count)
-    found = [1.0 + (fixed[col] - a[line]) / b[line]]
-
-    # lines against lines; identical lines (0/0) and parallel ones (+-inf)
-    # never meet. A meeting above a cap is one breakpoint too many, which
-    # only splits an interval.
-    rows = max(1, _PAIR_BLOCK // max(a.size, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i0 in range(0, a.size, rows):
-            i = np.arange(i0, min(i0 + rows, a.size))[:, None]
-            g = 1.0 + (a[None, :] - a[i]) / (b[i] - b[None, :])
-            found.append(g[(i < np.arange(a.size)) & (g > lo) & (g < hi)])
-
-    gammas = np.concatenate(found)
+    gammas = 1.0 + (fixed[col] - a[line]) / b[line]
     gammas = np.sort(gammas[(gammas > lo + _MERGE) & (gammas < hi - _MERGE)])
     return gammas[np.diff(gammas, prepend=-np.inf) > _MERGE]
 
@@ -413,4 +406,4 @@ def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
             model.beyond(s, keyed_rng(seed, replicate_id, trial.ids[k]))
             for k, s in zip(subjects.tolist(), trial.s[subjects].tolist())
         ])
-    return ImputationDraws(effect, replicate_id, seed, method, subjects, values)
+    return ImputationDraws(method, subjects, values)

@@ -48,17 +48,18 @@ class SimConfig:
     dropout_hazard: float = 0.009       # non-administrative censoring
 
     def __post_init__(self):
-        for name in ("combo_event_hazard", "switch_hazard", "mono_event_hazard"):
-            if not getattr(self, name) > 0:
-                raise DataError(f"{name} must be positive")
-        if not (self.hr_combo > 0 and self.hr_mono > 0):
-            raise DataError("hazard-ratio targets must be positive")
-        if self.dropout_hazard < 0:
-            raise DataError("dropout_hazard must be non-negative")
-        if self.switch_multiplier <= 0:
-            raise DataError("switch_multiplier must be positive")
-        if not self.cutoff_months > self.accrual_months:
-            raise DataError("cutoff must lie beyond the accrual window")
+        for name in ("combo_event_hazard", "switch_hazard", "mono_event_hazard",
+                     "hr_combo", "hr_mono", "switch_multiplier"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DataError(f"{name} must be finite and positive, got {value}")
+        for name in ("dropout_hazard", "accrual_months"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise DataError(f"{name} must be finite and non-negative, got {value}")
+        if not self.accrual_months < self.cutoff_months < math.inf:
+            raise DataError(f"cutoff_months must be finite and beyond the accrual window "
+                            f"of {self.accrual_months} months, got {self.cutoff_months}")
         if self.n_experimental < 1 or self.n_control < 1:
             raise DataError("both arms need at least one subject")
 

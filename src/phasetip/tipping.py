@@ -34,8 +34,9 @@ grid. With the draws fixed, every transformed time is fixed or a line in
 the factor, and the log-rank test and the Cox risk table read only the
 order and ties of those times and the event indicators. So the p-value
 and the monotherapy-phase HR are step functions of the factor, constant
-between the rank breakpoints of `counterfactual.rank_breakpoints`, and a
-tip is one of those breakpoints. One search serves both stop rules:
+between the rank breakpoints of `counterfactual.rank_breakpoints` (save
+the log-rank p-value at the one factor where two moving events tie), and
+a tip is one of those breakpoints. One search serves both stop rules:
 
 1. Bracket: walk the factor away from 1 with a step that starts at
    `grid_step` and doubles up to `MAX_STEP`, until the rule's criterion is

@@ -413,7 +413,9 @@ class TestGoldenOutputs:
     an exact rank breakpoint instead of a bisection tolerance: tips moved
     by at most 9.1e-4, HR and p cells by at most 2.6e-4, event counts not
     at all; the curve file did not change. `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
-    the other effect-1 files (cutoff imputation) never reach."""
+    the other effect-1 files (cutoff imputation) never reach. The four
+    `seed6_*` files are `tpa` at CLI defaults (imputation seed 0) on the
+    calibrated seed-6 trial (`simulate --seed 6`), for effect 1/2 x rule a/b."""
 
     @pytest.mark.parametrize("golden,flags", [
         ("tpa_effect1_a", ["--effect", "1", "--threshold", "a"]),
@@ -431,6 +433,23 @@ class TestGoldenOutputs:
         ])
         assert code == 0
         golden = os.path.join(DATA, f"{golden}.csv")
+        assert (tmp_path / "results.csv").read_bytes() == open(golden, "rb").read()
+
+    @pytest.fixture(scope="class")
+    def seed6_dataset(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("seed6") / "trial.csv"
+        write_dataset(simulate_trial(SimConfig(), seed=6), path)
+        return str(path)
+
+    @pytest.mark.parametrize("effect", ["1", "2"])
+    @pytest.mark.parametrize("threshold", ["a", "b"])
+    def test_seed6_results_csv_at_cli_defaults(self, seed6_dataset, tmp_path, monkeypatch,
+                                               effect, threshold):
+        monkeypatch.delenv("PHASETIP_SEED", raising=False)
+        code = main(["tpa", "--input", seed6_dataset, "--effect", effect,
+                     "--threshold", threshold, "--out", str(tmp_path)])
+        assert code == 0
+        golden = os.path.join(DATA, f"seed6_effect{effect}_{threshold}.csv")
         assert (tmp_path / "results.csv").read_bytes() == open(golden, "rb").read()
 
     def test_curve_csv(self, small_dataset, tmp_path):
@@ -477,6 +496,17 @@ class TestSimulateCommand:
 
     def test_negative_seed_is_data_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "s.csv"), "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("flag", [flag for flag, cast in phasetip.cli.SIM_FLAGS.items()
+                                      if cast is float])
+    def test_bad_setting_is_data_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--out", str(out), f"--{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and flag.replace("-", "_") in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_file_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -20,12 +20,13 @@ from phasetip.counterfactual import (
     TransformParams,
     apply_transform,
     make_draws,
+    transform_lines,
 )
 from phasetip.errors import DataError, EstimationError
 from phasetip.records import Trial
 
 @st.composite
-def draw_sets(draw, records, effect):
+def draw_sets(draw, records):
     """Imputed times beyond each subject's observed time, ties included;
     some subjects may have none."""
     subjects, values = [], []
@@ -33,8 +34,7 @@ def draw_sets(draw, records, effect):
         if draw(st.integers(0, 3)):  # one subject in four has no draw
             subjects.append(k)
             values.append(r.s + draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.0])))
-    return ImputationDraws(effect=effect, replicate_id=0, seed=0, method="test",
-                           subjects=np.array(subjects, dtype=int),
+    return ImputationDraws(method="test", subjects=np.array(subjects, dtype=int),
                            values=np.array(values, dtype=float))
 
 
@@ -69,7 +69,7 @@ def assert_same_subjects(trial, records):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), records=trials(), effect=st.sampled_from(list(Effect)))
 def test_vectorized_transform_equals_per_record_reference(data, records, effect):
-    draws = data.draw(draw_sets(records, effect))
+    draws = data.draw(draw_sets(records))
     params = TransformParams(effect, data.draw(GAMMAS[effect]))
     expected, error = reference_transform(records, params, draws)
     if error is not None:
@@ -102,12 +102,20 @@ def test_draws_are_read_at_their_trial_positions():
     trial = Trial.from_records(records)
     params = TransformParams(Effect.INFLATE_CONTROL, 3.0)  # b moves to 10
     for cens, expected in ((12.0, (10.0, 1)), (8.0, (8.0, 0))):
-        draws = ImputationDraws(Effect.INFLATE_CONTROL, 0, 0, "test",
-                                np.array([1]), np.array([cens]))
+        draws = ImputationDraws("test", np.array([1]), np.array([cens]))
         out = apply_transform(trial, params, draws)
         assert (out[1].s, out[1].delta) == expected
         assert list(out)[::2] == records[::2]
-    no_draw = ImputationDraws(Effect.INFLATE_CONTROL, 0, 0, "test",
-                              np.array([0]), np.array([9.0]))
+    no_draw = ImputationDraws("test", np.array([0]), np.array([9.0]))
     with pytest.raises(DataError, match="subject b: missing imputed censoring time"):
         apply_transform(trial, params, no_draw)
+
+
+def test_draws_of_the_other_effect_are_refused():
+    # effect 1 draws for the control event b; effect 2 needs a draw for the
+    # experimental subject a, censored in monotherapy
+    trial = Trial.from_records([rec("a", E, 4.0, 0, mono=1.0), rec("b", C, 4.0, 1, mono=1.0)])
+    draws = make_draws(trial, Effect.INFLATE_CONTROL, "cutoff")
+    assert draws.subjects.tolist() == [1]
+    with pytest.raises(DataError, match="subject a: missing imputed event time"):
+        transform_lines(trial, Effect.SHRINK_EXPERIMENTAL, draws)

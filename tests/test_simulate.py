@@ -29,6 +29,21 @@ class TestConfigValidation:
         with pytest.raises(DataError, match="cutoff"):
             SimConfig(accrual_months=30, cutoff_months=30)
 
+    @pytest.mark.parametrize("name, bad", [
+        *((name, bad) for name in ("combo_event_hazard", "switch_hazard", "mono_event_hazard",
+                                   "hr_combo", "hr_mono", "switch_multiplier")
+          for bad in (0.0, -1.0, math.nan, math.inf)),
+        *((name, bad) for name in ("dropout_hazard", "accrual_months")
+          for bad in (-1.0, math.nan, math.inf)),
+        *(("cutoff_months", bad) for bad in (-1.0, math.nan, math.inf)),
+    ])
+    def test_non_finite_or_out_of_range_setting(self, name, bad):
+        with pytest.raises(DataError, match=name):
+            SimConfig(**{name: bad})
+
+    def test_no_dropout_and_no_accrual_window_are_valid(self):
+        SimConfig(dropout_hazard=0.0, accrual_months=0.0)
+
 
 class TestRecordValidity:
     def test_fuzz_emitted_records_hold_invariants(self):

@@ -596,12 +596,12 @@ def tied_draws(draw, trial, effect):
     subjects = np.flatnonzero(needs_draw(trial, effect))
     values = [float(trial.s[k]) + draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
               for k in subjects]
-    return ImputationDraws(effect, 0, 0, "test", subjects, np.array(values, dtype=float))
+    return ImputationDraws("test", subjects, np.array(values, dtype=float))
 
 
 class TestRankBreakpoints:
     """p and the HRs are step functions of the factor, constant between
-    consecutive rank breakpoints."""
+    consecutive rank breakpoints, save p at a tie of two moving events."""
 
     RANGE = {Effect.INFLATE_CONTROL: (1.0, 4.0), Effect.SHRINK_EXPERIMENTAL: (0.05, 1.0)}
 
@@ -633,8 +633,7 @@ class TestRankBreakpoints:
         trial = Trial.from_records([
             rec("c1", C, 10.0, 1, mono=6.0), rec("e1", E, 20.0, 1), rec("e2", E, 25.0, 0),
         ])
-        draws = ImputationDraws(Effect.INFLATE_CONTROL, 0, 0, "test",
-                                np.array([0]), np.array([30.0]))
+        draws = ImputationDraws("test", np.array([0]), np.array([30.0]))
         got = rank_breakpoints(trial, Effect.INFLATE_CONTROL, draws, 1.0, 10.0)
         assert got.tolist() == [3.5, 4.75, 6.0]
         assert rank_breakpoints(trial, Effect.INFLATE_CONTROL, draws, 3.5, 6.0).tolist() == [4.75]
@@ -642,7 +641,9 @@ class TestRankBreakpoints:
     def test_two_moving_events_tie_where_they_meet(self):
         # effect 2 moves e1 along 2 + 2 * gamma and e2 along 1 + 6 * gamma:
         # they trade places at 0.25, where the two events tie. Passing each
-        # other changes no count, but the tie changes the log-rank variance
+        # other changes no count, and the Efron rows of the tie are those of
+        # the two untied times, so 0.25 is no breakpoint; only the log-rank
+        # variance sees the tie, at that one factor
         trial = Trial.from_records([
             rec("e1", E, 4.0, 1, mono=2.0), rec("e2", E, 7.0, 1, mono=1.0),
             rec("e3", E, 0.5, 1), rec("c1", C, 0.5, 1), rec("c2", C, 9.0, 1),
@@ -650,10 +651,16 @@ class TestRankBreakpoints:
         ])
         effect = Effect.SHRINK_EXPERIMENTAL
         draws = make_draws(trial, effect)
-        assert rank_breakpoints(trial, effect, draws, 0.2, 0.3).tolist() == [0.25]
+        assert rank_breakpoints(trial, effect, draws, 0.2, 0.3).size == 0
+        gammas = (0.22, 0.25, 0.28)
         below, at, above = (evaluate_at(trial, TransformParams(effect, g), draws)
-                            for g in (0.22, 0.25, 0.28))
+                            for g in gammas)
+        assert below.hr_overall == at.hr_overall == above.hr_overall
+        assert below.hr_mono == at.hr_mono == above.hr_mono
         assert below.p_two_sided == above.p_two_sided != at.p_two_sided
+        below, at = (risk_table(apply_transform(trial, TransformParams(effect, g), draws))
+                     for g in gammas[:2])
+        assert np.array_equal(below.A, at.A) and np.array_equal(below.D, at.D)
 
     @pytest.mark.parametrize("effect, lo, hi", [
         (Effect.INFLATE_CONTROL, 1.40, 1.42), (Effect.SHRINK_EXPERIMENTAL, 0.60, 0.62),
@@ -775,7 +782,7 @@ class TestBatchedProbe:
         subjects = np.flatnonzero(needs_draw(trial, effect))
         k = data.draw(st.integers(1, 2 * phasetip.tipping._ROW_BLOCK + 1))
         draw_sets = [
-            ImputationDraws(effect, r, 0, "fitted", subjects, np.array(
+            ImputationDraws("fitted", subjects, np.array(
                 [data.draw(st.sampled_from(self.IMPUTED)) for _ in subjects], dtype=float))
             for r in range(k)
         ]
@@ -786,7 +793,7 @@ class TestBatchedProbe:
 
     def _draws(self, trial, effect, values):
         subjects = np.flatnonzero(needs_draw(trial, effect))
-        return ImputationDraws(effect, 0, 0, "fitted", subjects, np.array(values, dtype=float))
+        return ImputationDraws("fitted", subjects, np.array(values, dtype=float))
 
     def test_no_events_after_the_transform(self):
         # the one event is a control event in monotherapy; inflated past its
