@@ -22,10 +22,14 @@ effect's target arm that spent time in monotherapy (`Effect.target_arm` and
 `Trial.in_mono`) and whose event status the transform may change. A
 subject whose monotherapy starts at its follow-up time passes through
 unchanged. `make_draws` draws for exactly those subjects, once per
-replicate, with a counter-keyed generator per (seed, replicate, subject
+replicate, each from its own stream keyed by (seed, replicate, subject
 id), so the draws do not depend on row order, and the same draws are
-reused across the whole adjustment-factor grid. `ImputationDraws` holds
-the draws by trial position.
+reused across the whole adjustment-factor grid. A subject's stream is
+`default_rng(SeedSequence([seed, replicate, key]))`, the key being the
+first eight bytes of the SHA-256 of its id. The SeedSequence hashes of
+all drawn subjects are computed in one numpy pass (`_seed_words`), to the
+same state words, and each subject's PCG64 starts from its own.
+`ImputationDraws` holds the draws by trial position.
 
 `apply_transform` is the transform the analysis runs: it works on a
 `Trial`, one array per field, with both effects written as array
@@ -48,6 +52,7 @@ Breslow ties or for `naive_transform`, which also moves censored times.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -153,7 +158,6 @@ class ImputationDraws:
     `needs_draw` selects have one.
     """
 
-    method: str
     subjects: np.ndarray
     values: np.ndarray
 
@@ -163,11 +167,131 @@ def _subject_key(subject_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+# numpy's SeedSequence: a pool of four 32-bit words, its hash and mix
+# constants, and the shift of both
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_OTHERS = [np.array([i for i in range(_POOL) if i != src]) for src in range(_POOL)]
+
+
+def _int_words(n: int) -> list[int]:
+    """`n` as little-endian 32-bit words, one word for 0, as SeedSequence
+    splits an int."""
+    if n < 0:
+        raise DataError(f"seed and replicate id must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The first `count` values of a SeedSequence hash constant, as a
+    column."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.int64)[:, None]
+
+
+def _hash_pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's `generate_state(4, np.uint64)` for each row of a
+    (n, L) array of 32-bit words, L >= 4, as (n, 4) uint64.
+
+    The words are held in int64 and masked to 32 bits after each product
+    and difference, whose low 32 bits are those of the uint32 arithmetic
+    (int64 loops, unlike uint32 ones, are ones the program already runs).
+    The hash constant advances once per hashed word, the same for every
+    row. Hashing one pool word into the three others uses three
+    consecutive constants and changes only those three, so each such
+    round is one array operation over all rows."""
+    h = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (entropy.shape[1] - _POOL) + 1)
+
+    def hashmix(value, k, m):
+        # the k-th to (k+m-1)-th hashes, of `value` broadcast over m rows
+        value = (value ^ h[k:k + m]) * h[k + 1:k + m + 1] & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = hashmix(entropy[:, :_POOL].T, 0, _POOL)
+    k = _POOL
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], k, _POOL - 1))
+        k += _POOL - 1
+    for src in range(_POOL, entropy.shape[1]):
+        pool = mix(pool, hashmix(entropy[:, src], k, _POOL))
+        k += _POOL
+    g = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1)
+    state = (np.concatenate([pool, pool]) ^ g[:-1]) * g[1:] & _MASK32
+    state ^= state >> _XSHIFT
+    # 32-bit words 2j and 2j + 1 are the low and high halves of word j
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T).view(np.uint64)
+
+
+def _seed_words(seed: int, replicate_id: int, keys) -> np.ndarray:
+    """The state words `SeedSequence([seed, replicate_id, key])
+    .generate_state(4, np.uint64)` for every 64-bit key, as (n, 4) uint64.
+
+    Each int is split into 32-bit words, so an entropy row is the words of
+    the seed, the replicate id and the key, one or two of them. A row
+    shorter than the pool hashes as if padded with zero words, so the rows
+    are grouped by their length or the pool size, whichever is larger."""
+    keys = np.asarray(keys, dtype=np.uint64).view(np.int64)
+    head = _int_words(int(seed)) + _int_words(int(replicate_id))
+    key_words = np.stack([keys & _MASK32, keys >> 32 & _MASK32], axis=1)
+    width = np.maximum(len(head) + 1 + (key_words[:, 1] != 0), _POOL)
+    out = np.empty((keys.size, _POOL), np.uint64)
+    for w in set(width.tolist()):
+        rows = np.flatnonzero(width == w)
+        entropy = np.zeros((rows.size, w), np.int64)
+        entropy[:, :len(head)] = head
+        entropy[:, len(head):] = key_words[rows, :w - len(head)]
+        out[rows] = _hash_pool(entropy)
+    return out
+
+
+@functools.cache
+def _words_type() -> type:
+    """`_Words`, made on first use, so that importing the package does not
+    import numpy.random (about 12 ms), which commands that draw nothing
+    never need."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """A seed sequence that hands a bit generator state words made
+        ahead: the four uint64 words PCG64 asks for."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
+
+
+def _keyed_rngs(seed: int, replicate_id: int, subject_ids) -> list[np.random.Generator]:
+    """One generator per subject id, each the stream of
+    `default_rng(SeedSequence([seed, replicate_id, key]))`, key the first
+    eight bytes of the id's SHA-256."""
+    keys = np.array([_subject_key(sid) for sid in subject_ids], dtype=np.uint64)
+    words_seed = _words_type()
+    return [np.random.Generator(np.random.PCG64(words_seed(words)))
+            for words in _seed_words(seed, replicate_id, keys)]
+
+
 def keyed_rng(seed: int, replicate_id: int, subject_id: str) -> np.random.Generator:
     """Independent generator per (seed, replicate, subject)."""
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), int(replicate_id), _subject_key(subject_id)])
-    )
+    (rng,) = _keyed_rngs(seed, replicate_id, [subject_id])
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +526,7 @@ def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
     else:
         fit = fit_censoring_model if effect is Effect.INFLATE_CONTROL else fit_mono_event_model
         model = fit(trial)
-        values = np.array([
-            model.beyond(s, keyed_rng(seed, replicate_id, trial.ids[k]))
-            for k, s in zip(subjects.tolist(), trial.s[subjects].tolist())
-        ])
-    return ImputationDraws(method, subjects, values)
+        rngs = _keyed_rngs(seed, replicate_id, [trial.ids[k] for k in subjects.tolist()])
+        values = np.array([model.beyond(s, rng)
+                           for s, rng in zip(trial.s[subjects].tolist(), rngs)])
+    return ImputationDraws(subjects, values)

@@ -75,6 +75,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import numbers
 import statistics
 from dataclasses import dataclass, field
 
@@ -171,6 +172,9 @@ class SearchConfig:
             raise DataError(f"at most {MAX_REPLICATES} replicates, got {self.mi_replicates}")
         if self.p_source not in ("logrank", "wald"):
             raise DataError(f"unknown p_source {self.p_source!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

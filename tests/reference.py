@@ -34,8 +34,16 @@ included.
 breakpoints: a walk in fixed steps of `grid_step` to the first crossing,
 then a bisection of the last step down to a tolerance. Its final bracket
 must hold the tip `find_tipping` reports.
+
+`make_draws_per_subject` makes one replicate's draws the way `make_draws`
+did before the keyed streams were hashed in one pass: a
+`default_rng(SeedSequence([seed, replicate_id, key]))` per drawn subject,
+key the first eight bytes, little-endian, of the SHA-256 of the subject
+id. `make_draws` must give exactly what it gives, to the byte, exceptions
+included.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 from unittest import mock
@@ -43,7 +51,16 @@ from unittest import mock
 import numpy as np
 
 from phasetip import survival
-from phasetip.counterfactual import Effect, TransformParams, apply_transform
+from phasetip.counterfactual import (
+    Effect,
+    ImputationDraws,
+    TransformParams,
+    apply_transform,
+    cutoff_censoring_fraction,
+    fit_censoring_model,
+    fit_mono_event_model,
+    needs_draw,
+)
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Arm
 from phasetip.survival import CoxFit, KmCurve, LogRankResult
@@ -54,7 +71,7 @@ __all__ = [
     "km_estimate_sorted", "logrank_test_sorted",
     "Rows", "expand", "RowLevelDesign", "cox_fit_row_level",
     "GroupDesignNumpy", "cox_fit_numpy",
-    "fixed_step_bracket",
+    "fixed_step_bracket", "make_draws_per_subject",
 ]
 
 
@@ -523,3 +540,33 @@ def fixed_step_bracket(trial, config, draws, tol=1e-3):
     if first_crossed is None:
         return None
     return _bisect(probe, crossed, last_clear, first_crossed, tol)
+
+
+def _per_subject_rng(seed, replicate_id, subject_id):
+    digest = hashlib.sha256(subject_id.encode("utf-8")).digest()
+    key = int.from_bytes(digest[:8], "little")
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(replicate_id), key]))
+
+
+def make_draws_per_subject(trial, effect, imputation="auto", seed=0, replicate_id=0):
+    """One replicate's draws with a SeedSequence per drawn subject."""
+    if imputation not in ("auto", "cutoff", "fitted"):
+        raise DataError(f"unknown imputation method {imputation!r}")
+    subjects = np.flatnonzero(needs_draw(trial, effect))
+    method = "fitted"
+    if effect is Effect.INFLATE_CONTROL:
+        method = imputation
+        if method == "auto":
+            method = "cutoff" if cutoff_censoring_fraction(trial) >= 0.5 else "fitted"
+    if method == "cutoff":
+        values = trial.cutoff[subjects]
+    elif not subjects.size:
+        values = np.empty(0)
+    else:
+        fit = fit_censoring_model if effect is Effect.INFLATE_CONTROL else fit_mono_event_model
+        model = fit(trial)
+        values = np.array([
+            model.beyond(s, _per_subject_rng(seed, replicate_id, trial.ids[k]))
+            for k, s in zip(subjects.tolist(), trial.s[subjects].tolist())
+        ])
+    return ImputationDraws(subjects, values)

@@ -34,7 +34,7 @@ def draw_sets(draw, records):
         if draw(st.integers(0, 3)):  # one subject in four has no draw
             subjects.append(k)
             values.append(r.s + draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.0])))
-    return ImputationDraws(method="test", subjects=np.array(subjects, dtype=int),
+    return ImputationDraws(subjects=np.array(subjects, dtype=int),
                            values=np.array(values, dtype=float))
 
 
@@ -102,11 +102,11 @@ def test_draws_are_read_at_their_trial_positions():
     trial = Trial.from_records(records)
     params = TransformParams(Effect.INFLATE_CONTROL, 3.0)  # b moves to 10
     for cens, expected in ((12.0, (10.0, 1)), (8.0, (8.0, 0))):
-        draws = ImputationDraws("test", np.array([1]), np.array([cens]))
+        draws = ImputationDraws(np.array([1]), np.array([cens]))
         out = apply_transform(trial, params, draws)
         assert (out[1].s, out[1].delta) == expected
         assert list(out)[::2] == records[::2]
-    no_draw = ImputationDraws("test", np.array([0]), np.array([9.0]))
+    no_draw = ImputationDraws(np.array([0]), np.array([9.0]))
     with pytest.raises(DataError, match="subject b: missing imputed censoring time"):
         apply_transform(trial, params, no_draw)
 

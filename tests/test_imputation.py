@@ -1,25 +1,39 @@
 """Imputation model fits (hand MLEs), conditional sampling, draw selection,
 and RNG keying."""
 
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from conftest import C, E, draws_by_id, rec
+from conftest import C, E, draws_by_id, rec, trials
 from phasetip.counterfactual import (
     Effect,
     ExponentialModel,
+    _seed_words,
     fit_censoring_model,
     fit_mono_event_model,
     keyed_rng,
     make_draws,
     needs_draw,
 )
-from phasetip.errors import EstimationError
+from phasetip.errors import DataError, EstimationError
 from phasetip.records import Trial
+from phasetip.simulate import SimConfig, simulate_trial
+from reference import make_draws_per_subject
+
+# ints at the edges of their 32-bit word count: SeedSequence splits each
+# int into 32-bit words, so these make entropy rows of 3 to 6 words
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
+
+
+def word_ints(top):
+    return st.sampled_from([n for n in WORD_EDGES if n <= top]) | st.integers(0, top)
 
 
 class TestCutoffImputation:
@@ -166,6 +180,62 @@ class TestRngKeying:
     def test_same_key_reproduces(self):
         assert np.allclose(keyed_rng(5, 2, "x").uniform(size=4), keyed_rng(5, 2, "x").uniform(size=4))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=word_ints(2**80), replicate=word_ints(2**70),
+           keys=st.lists(word_ints(2**64 - 1), min_size=1, max_size=6))
+    def test_seed_words_are_seed_sequence_state(self, seed, replicate, keys):
+        got = _seed_words(seed, replicate, np.array(keys, dtype=np.uint64))
+        want = np.array([np.random.SeedSequence([seed, replicate, key]).generate_state(4, np.uint64)
+                         for key in keys])
+        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=word_ints(2**70), replicate=word_ints(2**40), subject_id=st.text(max_size=8))
+    def test_keyed_rng_is_the_seed_sequence_stream(self, seed, replicate, subject_id):
+        key = int.from_bytes(hashlib.sha256(subject_id.encode("utf-8")).digest()[:8], "little")
+        want = np.random.default_rng(np.random.SeedSequence([seed, replicate, key]))
+        got = keyed_rng(seed, replicate, subject_id).uniform(size=4)
+        assert got.tobytes() == want.uniform(size=4).tobytes()
+
+    def test_negative_seed_or_replicate_refused(self):
+        for seed, replicate in ((-1, 0), (0, -1)):
+            with pytest.raises(DataError, match="non-negative, got -1"):
+                keyed_rng(seed, replicate, "x")
+
+
+def draws_outcome(make, trial, effect, imputation, seed, replicate_id):
+    """The bytes of a draw set, or the error that refused it."""
+    try:
+        draws = make(trial, effect, imputation, seed, replicate_id)
+    except EstimationError as error:
+        return type(error), str(error)
+    return draws.subjects.tobytes(), draws.values.dtype, draws.values.tobytes()
+
+
+class TestAgainstPerSubjectStreams:
+    """`make_draws` against `reference.make_draws_per_subject`, byte for byte."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(records=trials(), effect=st.sampled_from(list(Effect)),
+           imputation=st.sampled_from(["auto", "cutoff", "fitted"]),
+           seed=word_ints(2**70), replicate=word_ints(2**33))
+    def test_small_trials(self, records, effect, imputation, seed, replicate):
+        trial = Trial.from_records(records)
+        args = (trial, effect, imputation, seed, replicate)
+        assert draws_outcome(make_draws, *args) == draws_outcome(make_draws_per_subject, *args)
+
+    @pytest.mark.parametrize("effect, imputation", [
+        (Effect.INFLATE_CONTROL, "fitted"),
+        (Effect.SHRINK_EXPERIMENTAL, "auto"),
+    ])
+    def test_seed6_replicates(self, effect, imputation):
+        trial = simulate_trial(SimConfig(), seed=6)
+        for replicate in range(20):
+            args = (trial, effect, imputation, 0, replicate)
+            got = make_draws(*args)
+            assert got.values.size > 30
+            assert got.values.tobytes() == make_draws_per_subject(*args).values.tobytes()
+
 
 def _varied_dataset(n=80, seed=31):
     """Both arms, events and censorings in and out of monotherapy, and
@@ -195,11 +265,13 @@ class TestMakeDraws:
         data = self._dataset()
         draws = make_draws(data, Effect.INFLATE_CONTROL, "cutoff", seed=1)
         assert draws_by_id(draws, data) == {"c_ev": 30.0}
-        assert draws.method == "cutoff"
+        assert np.array_equal(draws.values, data.cutoff[draws.subjects])
 
     def test_effect1_auto_picks_cutoff_when_admin_censoring_dominates(self):
-        draws = make_draws(self._dataset(), Effect.INFLATE_CONTROL, "auto", seed=1)
-        assert draws.method == "cutoff"  # both censored rows sit on the cutoff
+        data = self._dataset()
+        draws = make_draws(data, Effect.INFLATE_CONTROL, "auto", seed=1)
+        # both censored rows sit on the cutoff
+        assert draws.subjects.size and np.array_equal(draws.values, data.cutoff[draws.subjects])
 
     def test_effect1_auto_picks_fitted_otherwise(self):
         records = Trial.from_records([
@@ -209,8 +281,9 @@ class TestMakeDraws:
             rec("c3", E, 11, 0, cutoff=11),
         ])
         draws = make_draws(records, Effect.INFLATE_CONTROL, "auto", seed=1)
-        assert draws.method == "fitted"
-        assert draws_by_id(draws, records)["c_ev"] > 10.0
+        assert draws_by_id(draws, records).keys() == {"c_ev"}
+        assert (draws.values > records.s[draws.subjects]).all()
+        assert (draws.values != records.cutoff[draws.subjects]).all()
 
     def test_effect2_targets_experimental_mono_censored(self):
         data = self._dataset()

@@ -4,6 +4,7 @@ determinism."""
 
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -554,6 +555,16 @@ class TestSearchConfigValidation:
         with pytest.raises(DataError, match="p_source"):
             SearchConfig(effect=Effect.INFLATE_CONTROL, p_source="bayes")
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, float("nan")])
+    def test_seed_not_a_non_negative_integer(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70, np.int64(7)])
+    def test_large_and_numpy_integer_seeds(self, seed):
+        assert SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, seed=seed).seed == seed
+
     @pytest.mark.parametrize("bound", [float("inf"), float("nan")])
     def test_non_finite_grid_max(self, bound):
         with pytest.raises(DataError, match="grid_max"):
@@ -596,7 +607,7 @@ def tied_draws(draw, trial, effect):
     subjects = np.flatnonzero(needs_draw(trial, effect))
     values = [float(trial.s[k]) + draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
               for k in subjects]
-    return ImputationDraws("test", subjects, np.array(values, dtype=float))
+    return ImputationDraws(subjects, np.array(values, dtype=float))
 
 
 class TestRankBreakpoints:
@@ -633,7 +644,7 @@ class TestRankBreakpoints:
         trial = Trial.from_records([
             rec("c1", C, 10.0, 1, mono=6.0), rec("e1", E, 20.0, 1), rec("e2", E, 25.0, 0),
         ])
-        draws = ImputationDraws("test", np.array([0]), np.array([30.0]))
+        draws = ImputationDraws(np.array([0]), np.array([30.0]))
         got = rank_breakpoints(trial, Effect.INFLATE_CONTROL, draws, 1.0, 10.0)
         assert got.tolist() == [3.5, 4.75, 6.0]
         assert rank_breakpoints(trial, Effect.INFLATE_CONTROL, draws, 3.5, 6.0).tolist() == [4.75]
@@ -782,7 +793,7 @@ class TestBatchedProbe:
         subjects = np.flatnonzero(needs_draw(trial, effect))
         k = data.draw(st.integers(1, 2 * phasetip.tipping._ROW_BLOCK + 1))
         draw_sets = [
-            ImputationDraws("fitted", subjects, np.array(
+            ImputationDraws(subjects, np.array(
                 [data.draw(st.sampled_from(self.IMPUTED)) for _ in subjects], dtype=float))
             for r in range(k)
         ]
@@ -793,7 +804,7 @@ class TestBatchedProbe:
 
     def _draws(self, trial, effect, values):
         subjects = np.flatnonzero(needs_draw(trial, effect))
-        return ImputationDraws("fitted", subjects, np.array(values, dtype=float))
+        return ImputationDraws(subjects, np.array(values, dtype=float))
 
     def test_no_events_after_the_transform(self):
         # the one event is a control event in monotherapy; inflated past its
