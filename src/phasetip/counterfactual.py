@@ -26,7 +26,8 @@ replicate, each from its own stream keyed by (seed, replicate, subject
 id), so the draws do not depend on row order, and the same draws are
 reused across the whole adjustment-factor grid. A subject's stream is
 `default_rng(SeedSequence([seed, replicate, key]))`, the key being the
-first eight bytes of the SHA-256 of its id. The SeedSequence hashes of
+first eight bytes of the SHA-256 of its id; the keys are made once per
+trial and effect and read by every replicate. The SeedSequence hashes of
 all drawn subjects are computed in one numpy pass (`_seed_words`), to the
 same state words, and each subject's PCG64 starts from its own.
 `ImputationDraws` holds the draws by trial position.
@@ -61,6 +62,7 @@ import numpy as np
 
 from .errors import DataError, EstimationError
 from .records import Arm, Trial
+from .survival import distinct
 
 __all__ = [
     "Effect",
@@ -278,11 +280,9 @@ def _words_type() -> type:
     return _Words
 
 
-def _keyed_rngs(seed: int, replicate_id: int, subject_ids) -> list[np.random.Generator]:
-    """One generator per subject id, each the stream of
-    `default_rng(SeedSequence([seed, replicate_id, key]))`, key the first
-    eight bytes of the id's SHA-256."""
-    keys = np.array([_subject_key(sid) for sid in subject_ids], dtype=np.uint64)
+def _keyed_rngs(seed: int, replicate_id: int, keys) -> list[np.random.Generator]:
+    """One generator per subject key, each the stream of
+    `default_rng(SeedSequence([seed, replicate_id, key]))`."""
     words_seed = _words_type()
     return [np.random.Generator(np.random.PCG64(words_seed(words)))
             for words in _seed_words(seed, replicate_id, keys)]
@@ -290,7 +290,7 @@ def _keyed_rngs(seed: int, replicate_id: int, subject_ids) -> list[np.random.Gen
 
 def keyed_rng(seed: int, replicate_id: int, subject_id: str) -> np.random.Generator:
     """Independent generator per (seed, replicate, subject)."""
-    (rng,) = _keyed_rngs(seed, replicate_id, [subject_id])
+    (rng,) = _keyed_rngs(seed, replicate_id, [_subject_key(subject_id)])
     return rng
 
 
@@ -467,8 +467,8 @@ def rank_breakpoints(trial: Trial, effect: Effect, draws: ImputationDraws,
     lines = transform_lines(trial, effect, draws)
     a, b, c = lines.base, lines.slope, lines.cap
     x = trial.mono_start
-    fixed = np.unique(np.concatenate([np.delete(trial.s, lines.rows), x[~np.isnan(x)],
-                                      c[np.isfinite(c)]]))
+    fixed = distinct(np.concatenate([np.delete(trial.s, lines.rows), x[~np.isnan(x)],
+                                     c[np.isfinite(c)]]))[0]
 
     # the fixed values in each line's span over [lo, hi] while below its cap
     first = np.searchsorted(fixed, a + (lo - 1.0) * b, side="left")
@@ -499,6 +499,17 @@ def naive_transform(trial: Trial, effect: Effect, gamma: float) -> Trial:
 # Replicate draw generation
 
 
+@functools.lru_cache(maxsize=1)
+def _drawn_keys(trial: Trial, effect: Effect) -> np.ndarray:
+    """The keys of the subjects `needs_draw` selects, in trial order. They
+    depend only on the subject ids, so they are made once per trial and
+    effect, and every replicate's draws read them."""
+    subjects = np.flatnonzero(needs_draw(trial, effect)).tolist()
+    keys = np.array([_subject_key(trial.ids[k]) for k in subjects], dtype=np.uint64)
+    keys.flags.writeable = False
+    return keys
+
+
 def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
                seed: int = 0, replicate_id: int = 0) -> ImputationDraws:
     """All imputed times one replicate needs, for the subjects `needs_draw`
@@ -526,7 +537,7 @@ def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
     else:
         fit = fit_censoring_model if effect is Effect.INFLATE_CONTROL else fit_mono_event_model
         model = fit(trial)
-        rngs = _keyed_rngs(seed, replicate_id, [trial.ids[k] for k in subjects.tolist()])
+        rngs = _keyed_rngs(seed, replicate_id, _drawn_keys(trial, effect))
         values = np.array([model.beyond(s, rng)
                            for s, rng in zip(trial.s[subjects].tolist(), rngs)])
     return ImputationDraws(subjects, values)

@@ -33,9 +33,13 @@ passes it to `phase_hr`) builds it once. The Kaplan-Meier curve,
 its step and its inverse information as a division, and tests its pivot
 as LAPACK's Cholesky factorization would.
 Nothing loops over subjects in Python, and the Newton loop of `cox_fit`
-calls numpy's reductions and tests its floats without the per-call
-wrappers, with the same arithmetic. A fit without a maximum is refused
-before Newton, whatever its strata, from the pairs of groups that meet.
+calls numpy's reductions, and the LAPACK gufuncs that np.linalg.solve,
+np.linalg.cholesky and np.linalg.inv call, without their per-call
+wrappers, with the same arithmetic; it tests its floats as Python floats.
+A fit without a maximum is refused before Newton, whatever its strata,
+from the pairs of groups that meet. Distinct values (event times, strata)
+come from one sort and a mask (`distinct`), not from np.unique, which
+imports numpy.ma.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError, DataError, EstimationError, SeparationError
 from .records import Arm, Trial
@@ -84,13 +89,26 @@ _Z975 = 1.959963984540054                  # the normal 0.975 quantile, for 95% 
 # Counting at risk and events
 
 
+def distinct(x):
+    """The distinct values of x, ascending, and how often each occurs: for
+    x without NaN, what np.unique(x, return_counts=True) returns, from one
+    sort and a not_equal mask. (np.unique(x) asks numpy.ma whether x is
+    masked, which imports numpy.ma on first use.)"""
+    x = np.sort(x)
+    edge = np.empty(x.size + 1, dtype=bool)   # where a run of equal values starts, and the end
+    edge[0] = edge[-1] = True
+    np.not_equal(x[1:], x[:-1], out=edge[1:-1])
+    edges = edge.nonzero()[0]
+    return x[edges[:-1]], edges[1:] - edges[:-1]
+
+
 def _strata(trial: Trial, stratified: bool) -> list:
     """Row selectors of the analysis strata: all rows, or one per stratum
     label with a missing stratum (NaN) pooled as -1."""
     if not stratified:
         return [slice(None)]
     keys = np.where(np.isnan(trial.stratum), -1.0, trial.stratum)
-    return [keys == st for st in np.unique(keys)]
+    return [keys == st for st in distinct(keys)[0]]
 
 
 def _counts(event_times, enter, leave, event, n_groups):
@@ -148,8 +166,8 @@ def km_estimate(trial: Trial, arm: Arm | None = None) -> KmCurve:
     if not s.size:
         raise DataError("no subjects")
 
-    event_times = np.unique(s[d == 1])
-    leave = np.searchsorted(event_times, s, side="right")   # one group: bin = j
+    event_times = distinct(s[d == 1])[0]
+    leave = event_times.searchsorted(s, side="right")   # one group: bin = j
     (n_risk,), (n_event,) = _counts(event_times, np.zeros_like(leave), leave,
                                     leave[d == 1] - 1, 1)
 
@@ -377,13 +395,13 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
         ev = trial.delta[rows] == 1
         if not ev.any():
             continue
-        ut, d = np.unique(s[ev], return_counts=True)
+        ut, d = distinct(s[ev])
         # spells: group trt from j = 0; in monotherapy, group trt + 2 from the
         # first ut > m; each spell ends at the first ut > s or the switch
         width = ut.size + 1
         g = trt + 2 * mono
-        switch = np.searchsorted(ut, trial.mono_start[rows][mono], side="right")
-        stop = g * width + np.searchsorted(ut, s, side="right")
+        switch = ut.searchsorted(trial.mono_start[rows][mono], side="right")
+        stop = g * width + ut.searchsorted(s, side="right")
         n_risk, n_event = _counts(
             ut,
             enter=np.concatenate([trt * width, (trt[mono] + 2) * width + switch]),
@@ -554,22 +572,28 @@ def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None
 
 
 _SINGULAR = "singular information matrix: design is collinear on the risk sets"
+_NOT_POSITIVE_DEFINITE = ("information at the optimum is not positive definite: the design is "
+                          "collinear on the risk sets or the end point is not a maximum")
+
+
+def _has_nan(x) -> bool:
+    return any(map(math.isnan, x.ravel().tolist()))
 
 
 def _newton_step(info, grad):
     """The step solving info @ step = grad. With one coefficient it is a
     plain division, the arithmetic of LAPACK's 1 x 1 solve, which refuses
-    a zero pivot as singular."""
+    a zero pivot as singular. Otherwise it is the gufunc np.linalg.solve
+    calls, without its wrapper: a singular system leaves the step NaN
+    (where the wrapper raises), which is refused with the non-finite ones.
+    Run it under np.errstate(invalid ignored), as `cox_fit` does."""
     if info.shape == (1, 1):
         pivot = info[0, 0]
         if pivot == 0.0:
             raise EstimationError(_SINGULAR)
         step = grad / pivot
     else:
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            raise EstimationError(_SINGULAR) from None
+        step = _umath_linalg.solve1(info, grad, signature="dd->d")
     if not all(map(math.isfinite, step.tolist())):
         raise EstimationError(_SINGULAR)
     return step
@@ -615,21 +639,20 @@ def _inverse_of_positive_definite(info):
     """The inverse of the information, refused unless LAPACK's Cholesky
     factorization (dpotrf) accepts it. With one coefficient that is the
     test dpotrf makes, a pivot neither NaN nor <= 0, and the inverse is
-    LAPACK's 1 x 1 solve, a division, without the wrappers."""
+    LAPACK's 1 x 1 solve, a division. Otherwise it is the gufuncs that
+    np.linalg.cholesky and np.linalg.inv call, without their wrappers: a
+    factorization or an inverse that fails comes back NaN (where the
+    wrappers raise) and is refused. Run it under np.errstate(invalid
+    ignored), as `cox_fit` does."""
     if info.shape == (1, 1):
         pivot = info[0, 0]
         if pivot > 0.0:   # False for NaN
             return np.array([[1.0 / pivot]])
-    else:
-        try:
-            np.linalg.cholesky(info)
-            return np.linalg.inv(info)
-        except np.linalg.LinAlgError:
-            pass
-    raise EstimationError(
-        "information at the optimum is not positive definite: the design is "
-        "collinear on the risk sets or the end point is not a maximum"
-    )
+    elif not _has_nan(_umath_linalg.cholesky_lo(info, signature="d->d")):
+        cov = _umath_linalg.inv(info, signature="d->d")
+        if not _has_nan(cov):
+            return cov
+    raise EstimationError(_NOT_POSITIVE_DEFINITE)
 
 
 def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit:
@@ -651,9 +674,8 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
                               f"bound along {along}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         beta, ll, grad, hess, iterations = _newton(design, max_iter)
-
-    info = -hess
-    cov = _inverse_of_positive_definite(info)
+        info = -hess
+        cov = _inverse_of_positive_definite(info)
     inflation = info.diagonal() * cov.diagonal()   # at least 1 in exact arithmetic
     if not all(0.0 < x < _MAX_VARIANCE_INFLATION for x in inflation.tolist()):
         raise EstimationError(

@@ -13,21 +13,23 @@ probed and is sent back that probe's number, or the note of why it cannot
 be computed; a probe is usable when its number exists. `find_tipping` runs
 the searches of all distinct draw sets in lockstep. Each round takes the
 next factor of every live search, and one probe function,
-`_probe_round`, answers the round. Under rule a with the log-rank p-value
-it transforms a block of probes at once (`transform_outcomes`, from each
-draw set's lines, made once per search) and tests them in one pass
-(`logrank_rows`, one row-wise sort for the block), which gives each probe
-the p-value `logrank_test` gives it alone, to the bit. Under the other
-rules it reads the probes one at a time. No search reads another's data,
+`_probe_round`, answers the round. It transforms the round in blocks of
+probes (`transform_outcomes`, from each draw set's lines, made once per
+search), and the rules differ only in how a block is read: under rule a
+with the log-rank p-value one `logrank_rows` pass (one row-wise sort for
+the block) tests every row, which gives each probe the p-value
+`logrank_test` gives it alone, to the bit; under the other rules each row
+is read on its own. No search reads another's data,
 so every search probes the same factors in the same order as it would
 alone. Walk steps, interval midpoints and their nudges do not come back to
 a factor already probed, so no value is cached; a repeat would only be
 recomputed, with the same result. The full evaluation
 (`evaluate_at`: p-value, overall HR and monotherapy-phase HR) runs only
-for the point a search reports, and for every point of `grid_scan`. It
-builds one risk table, fits both Cox models on it and takes the log-rank
-p-value from the table's arm margins (`logrank_from_table`), so it
-counts the subjects at risk once; a rule-a probe needs no table.
+for the point a search reports, and for every point of `grid_scan`, which
+makes the draw set's lines once and transforms the grid in the same
+blocks. It builds one risk table, fits both Cox models on it and takes
+the log-rank p-value from the table's arm margins (`logrank_from_table`),
+so it counts the subjects at risk once; a rule-a probe needs no table.
 
 Per replicate, imputation draws are made once and reused across the whole
 grid. With the draws fixed, every transformed time is fixed or a line in
@@ -243,19 +245,22 @@ def _attempt(estimate, notes):
         return None
 
 
-def evaluate_at(trial: Trial, params: TransformParams,
-                draws: ImputationDraws, p_source: str = "logrank") -> TpaCurvePoint:
+def evaluate_at(trial: Trial, params: TransformParams, draws: ImputationDraws,
+                p_source: str = "logrank", *, outcome=None) -> TpaCurvePoint:
     """The full counterfactual evaluation of one factor: transform, then
     p-value, overall HR and monotherapy-phase HR on the transformed data.
 
     A search probe computes only the number its stop rule reads; this runs
-    for the point a search reports and for every curve point. One risk
-    table serves both Cox fits and the log-rank test. Each
-    estimator that fails leaves its column None and its message in the
-    note, instead of aborting; the point is evaluable when both the p-value
-    and the overall HR exist.
+    for the point a search reports and for every curve point. `outcome`,
+    when given, is the (s, delta) that `apply_transform` makes of `trial`
+    under `draws` at `params`, which `grid_scan` makes for a block of
+    factors at once. One risk table serves both Cox fits and the log-rank
+    test. Each estimator that fails leaves its column None and its message
+    in the note, instead of aborting; the point is evaluable when both the
+    p-value and the overall HR exist.
     """
-    data = apply_transform(trial, params, draws)
+    data = (apply_transform(trial, params, draws) if outcome is None
+            else trial.with_outcome(*outcome))
     table = risk_table(data)
     notes = []
     trt_fit = _attempt(lambda: cox_fit(table, ("trt",)), notes)
@@ -286,10 +291,21 @@ def _stop_rule(config: SearchConfig):
             "monotherapy difference already neutral at start")
 
 
-# Most probes of a round that one numpy pass answers: a pass holds a few
+# Most rows that one `transform_outcomes` call makes: a block holds a few
 # arrays of this many rows by the trial's subjects, so its temporaries stay
-# small however many searches are live.
+# small however many searches are live or curve points are asked for.
 _ROW_BLOCK = 5
+
+
+def _blocks(trial: Trial, requests):
+    """The outcomes of `requests`, (lines, factor) pairs, `lines` a draw
+    set as `transform_lines`, transformed in blocks of up to _ROW_BLOCK:
+    per block its factors and the k x n arrays (s, delta) of
+    `transform_outcomes`, row r the outcome of the block's request r."""
+    for first in range(0, len(requests), _ROW_BLOCK):
+        block = requests[first:first + _ROW_BLOCK]
+        gammas = [gamma for _, gamma in block]
+        yield gammas, *transform_outcomes(trial, [lines for lines, _ in block], gammas)
 
 
 def _probe_round(trial: Trial, config: SearchConfig, requests) -> list:
@@ -299,28 +315,25 @@ def _probe_round(trial: Trial, config: SearchConfig, requests) -> list:
     stop rule reads on the data transformed at that factor, or (None, note)
     when that number cannot be computed.
 
-    Under rule a with the log-rank p-value, each block of up to _ROW_BLOCK
-    probes is one `transform_outcomes` and one `logrank_rows` pass, which
-    gives every probe the p-value of `logrank_test` to the bit. Under the
-    other rules each probe is transformed and read on its own.
+    The probes are transformed in blocks (`_blocks`), and the rules differ
+    only in how a block is read. Under rule a with the log-rank p-value a
+    block is one `logrank_rows` pass, which gives every probe the p-value
+    of `logrank_test` to the bit; under the other rules each row of the
+    block is read on its own.
     """
-    if config.threshold is Threshold.SIGNIFICANCE and config.p_source == "logrank":
-        answers = []
-        for first in range(0, len(requests), _ROW_BLOCK):
-            block = requests[first:first + _ROW_BLOCK]
-            s, delta = transform_outcomes(trial, [lines for lines, _ in block],
-                                          [gamma for _, gamma in block])
-            answers += [(result.p_two_sided, None) if isinstance(result, LogRankResult)
-                        else (None, str(result)) for result in logrank_rows(trial, s, delta)]
-        return answers
+    logrank = config.threshold is Threshold.SIGNIFICANCE and config.p_source == "logrank"
     reads = _stop_rule(config)[0]
     answers = []
-    for lines, gamma in requests:
-        (s,), (delta,) = transform_outcomes(trial, [lines], [gamma])
-        try:
-            answers.append((reads(trial.with_outcome(s, delta)), None))
-        except EstimationError as err:
-            answers.append((None, str(err)))
+    for _, s, delta in _blocks(trial, requests):
+        if logrank:
+            answers += [(result.p_two_sided, None) if isinstance(result, LogRankResult)
+                        else (None, str(result)) for result in logrank_rows(trial, s, delta)]
+            continue
+        for s_r, delta_r in zip(s, delta):
+            try:
+                answers.append((reads(trial.with_outcome(s_r, delta_r)), None))
+            except EstimationError as err:
+                answers.append((None, str(err)))
     return answers
 
 
@@ -542,10 +555,13 @@ def find_tipping(trial: Trial, config: SearchConfig) -> TpaResult:
 
 def grid_scan(trial: Trial, config: SearchConfig, gammas) -> list[TpaCurvePoint]:
     """Curve points over an explicit factor grid, using replicate 0 draws
-    (deterministic for a given seed)."""
+    (deterministic for a given seed). The draw set's lines are made once
+    and the grid is transformed in blocks (`_blocks`); each point is the
+    `evaluate_at` of its factor, to the bit, handed its row's outcome."""
     _check_searchable(trial, config)
     draws = make_draws(trial, config.effect, config.imputation, config.seed, 0)
-    return [
-        evaluate_at(trial, TransformParams(config.effect, float(g)), draws, config.p_source)
-        for g in gammas
-    ]
+    lines = transform_lines(trial, config.effect, draws)
+    return [evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
+                        outcome=(s_r, delta_r))
+            for block, s, delta in _blocks(trial, [(lines, float(g)) for g in gammas])
+            for gamma, s_r, delta_r in zip(block, s, delta)]

@@ -144,9 +144,10 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
-        # numpy is the only runtime dependency: a None entry in sys.modules
-        # makes any import of scipy fail
+    @staticmethod
+    def _run_every_command_with_blocked(module, tmp_path):
+        """Every command exits 0 in a fresh process where a None entry in
+        sys.modules makes any import of `module` fail."""
         trial, out = str(tmp_path / "trial.csv"), str(tmp_path / "out")
         commands = [
             ["simulate", "--out", trial, "--seed", "1", "--n-experimental", "80",
@@ -158,11 +159,20 @@ class TestExitCodes:
              "--replicates", "2", "--grid-step", "0.2", "--out", out],
             ["curve", "--input", trial, "--effect", "2", "--grid-step", "0.2", "--out", out],
         ]
-        code = ("import sys; sys.modules['scipy'] = None; from phasetip.cli import main; "
+        code = (f"import sys; sys.modules[{module!r}] = None; from phasetip.cli import main; "
                 f"print([main(argv) for argv in {commands!r}])")
         proc = run_fresh_python("-c", code, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == str([0] * len(commands)), proc.stderr
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the only runtime dependency
+        self._run_every_command_with_blocked("scipy", tmp_path)
+
+    def test_every_command_runs_with_numpy_ma_blocked(self, tmp_path):
+        # np.unique(x) imports numpy.ma to ask whether x is masked (numpy
+        # 2.4); the package takes distinct values from a sort instead
+        self._run_every_command_with_blocked("numpy.ma", tmp_path)
 
 
 class TestAnalyze:

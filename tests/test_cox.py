@@ -19,6 +19,8 @@ from phasetip.records import Trial
 from phasetip.survival import (
     CoxFit,
     _group_covariates,
+    _inverse_of_positive_definite,
+    _newton_step,
     _separating_direction,
     cox_fit,
     logrank_test,
@@ -538,6 +540,47 @@ class TestNewtonAgainstNumpyWrappers:
                 for covariates in (("trt",), ("trt", "mono", "trt_x_mono")):
                     assert _fit_bits(cox_fit, table, covariates, 50) == _fit_bits(
                         cox_fit_numpy, table, covariates, 50)
+
+
+class TestLinalgWithoutWrappers:
+    """`_newton_step` and `_inverse_of_positive_definite` call the gufuncs
+    behind np.linalg.solve, cholesky and inv: where the wrappers return, the
+    result is the same to the bit, and where they raise LinAlgError the fit
+    is refused. Both run under `cox_fit`'s np.errstate."""
+
+    MATRICES = [
+        [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]],   # positive definite
+        [[1.0, 2.0], [2.0, 1.0]],                              # indefinite, invertible
+        [[1.0, 1.0], [1.0, 1.0]],                              # singular
+        [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1e300, 0.0], [0.0, 1e-300]],
+    ]
+
+    @staticmethod
+    def _wrapped(compute):
+        try:
+            return compute().tobytes()
+        except np.linalg.LinAlgError:
+            return None
+
+    @pytest.mark.parametrize("info", MATRICES)
+    def test_as_the_wrappers(self, info):
+        info = np.array(info)
+        grad = np.arange(1.0, len(info) + 1)
+        step = self._wrapped(lambda: np.linalg.solve(info, grad))
+        if step is not None and not np.isfinite(np.frombuffer(step)).all():
+            step = None
+        cov = self._wrapped(lambda: (np.linalg.cholesky(info), np.linalg.inv(info))[1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for got, expected, message in (
+                (lambda: _newton_step(info, grad), step, "singular information"),
+                (lambda: _inverse_of_positive_definite(info), cov, "not positive definite"),
+            ):
+                if expected is None:
+                    with pytest.raises(EstimationError, match=message):
+                        got()
+                else:
+                    assert got().tobytes() == expected
 
 
 class TestPhaseHr:

@@ -313,6 +313,56 @@ class TestGridScanAndDeterminism:
             )
         assert a[1].p_two_sided == a[3].p_two_sided
 
+    @staticmethod
+    def _fields(point):
+        return [repr(getattr(point, f.name)) for f in dataclasses.fields(point)]
+
+    def _check_points(self, trial, config, gammas):
+        """grid_scan's points, each field for field the `evaluate_at` of
+        its factor on the replicate-0 draws, or the same error."""
+        try:
+            draws = make_draws(trial, config.effect, config.imputation, config.seed, 0)
+            expected = [self._fields(evaluate_at(trial, TransformParams(config.effect, float(g)),
+                                                 draws, config.p_source)) for g in gammas]
+        except (DataError, EstimationError) as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                grid_scan(trial, config, gammas)
+            return None
+        points = grid_scan(trial, config, gammas)
+        assert [self._fields(p) for p in points] == expected
+        return points
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(), effect=st.sampled_from(list(Effect)),
+           p_source=st.sampled_from(["logrank", "wald"]),
+           imputation=st.sampled_from(["cutoff", "fitted"]), data=st.data())
+    def test_every_point_is_evaluate_at_of_its_factor(self, records, effect, p_source,
+                                                       imputation, data):
+        config = SearchConfig(effect=effect, p_source=p_source, imputation=imputation)
+        k = data.draw(st.integers(1, 3 * phasetip.tipping._ROW_BLOCK + 1))
+        gammas = [data.draw(st.sampled_from(TestBatchedProbe.FACTORS[effect]))
+                  for _ in range(k)]
+        points = self._check_points(Trial.from_records(records), config, gammas)
+        event("refused" if points is None else
+              "some point unevaluable" if not all(p.evaluable for p in points) else
+              "all evaluable")
+
+    def test_long_grid_with_unevaluable_points(self):
+        # c1's event moves to 1 + gamma and is censored at its cutoff 2.5
+        # beyond gamma 1.5; then the only event is e1's, and the
+        # treatment-only fit is refused
+        trial = Trial.from_records([
+            rec("c1", C, 2.0, 1, cutoff=2.5, mono=1.0), rec("c2", C, 4.0, 0),
+            rec("e1", E, 3.0, 1), rec("e2", E, 5.0, 0),
+        ])
+        config = SearchConfig(effect=Effect.INFLATE_CONTROL, imputation="cutoff")
+        gammas = [1.0, 1.2, 1.4, 1.5, 1.6, 2.0, 2.5, 1.0, 1.45, 3.0, 1.1, np.float64(1.3)]
+        assert len(gammas) > 2 * phasetip.tipping._ROW_BLOCK
+        points = self._check_points(trial, config, gammas)
+        assert [p.evaluable for p in points] == [g <= 1.5 for g in gammas]
+        assert all("separation" in p.note for p in points if not p.evaluable)
+
     def test_effect1_curve_monotone_with_fixed_draws(self):
         records = fast_records()
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, seed=19)
@@ -756,39 +806,38 @@ class TestProbeBudget:
 
 
 class TestBatchedProbe:
-    """A rule-a round answered in one pass (`_probe_round`) gives every
-    probe the p-value of `logrank_test` on `apply_transform` of its own
-    draws and factor, bit for bit, and the same note or error."""
+    """A round answered in blocks (`_probe_round`) gives every probe the
+    number its stop rule reads on `apply_transform` of its own draws and
+    factor, bit for bit, and the same note or error: under rule a the
+    p-value of `logrank_test` (one `logrank_rows` pass per block) or the
+    Wald p-value, under rule b the monotherapy-phase HR."""
 
     IMPUTED = [0.5, 1.0, 2.0, 2.5, 4.0, 7.0, 9.0]
     FACTORS = {Effect.INFLATE_CONTROL: [1.0, 1.2, 1.5, 2.0, 2.5, 4.0],
                Effect.SHRINK_EXPERIMENTAL: [1.0, 0.8, 0.5, 0.25, 0.1]}
 
     @staticmethod
-    def _one_at_a_time(trial, effect, draws, gamma):
+    def _one_at_a_time(trial, config, draws, gamma):
+        reads = phasetip.tipping._stop_rule(config)[0]
         try:
-            data = apply_transform(trial, TransformParams(effect, gamma), draws)
-            return logrank_test(data).p_two_sided, None
+            return reads(apply_transform(trial, TransformParams(config.effect, gamma), draws)), None
         except EstimationError as err:
             return None, str(err)
 
-    def _check(self, trial, effect, draw_sets, gammas):
-        config = SearchConfig(effect=effect)
+    def _check(self, trial, effect, draw_sets, gammas, **rule):
+        config = SearchConfig(effect=effect, **rule)
         requests = [(transform_lines(trial, effect, d), g) for d, g in zip(draw_sets, gammas)]
         try:
-            expected = [self._one_at_a_time(trial, effect, d, g)
+            expected = [self._one_at_a_time(trial, config, d, g)
                         for d, g in zip(draw_sets, gammas)]
         except DataError as err:
             with pytest.raises(DataError, match=str(err)):
                 phasetip.tipping._probe_round(trial, config, requests)
-            return "one arm"
+            return "refused"
         assert phasetip.tipping._probe_round(trial, config, requests) == expected
         return expected
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(records=trials(), effect=st.sampled_from(list(Effect)), data=st.data())
-    def test_bit_identical_to_one_probe_at_a_time(self, records, effect, data):
+    def _random_round(self, records, effect, data, **rule):
         trial = Trial.from_records(records)
         subjects = np.flatnonzero(needs_draw(trial, effect))
         k = data.draw(st.integers(1, 2 * phasetip.tipping._ROW_BLOCK + 1))
@@ -798,9 +847,27 @@ class TestBatchedProbe:
             for r in range(k)
         ]
         gammas = [data.draw(st.sampled_from(self.FACTORS[effect])) for _ in range(k)]
-        expected = self._check(trial, effect, draw_sets, gammas)
-        event("one arm" if expected == "one arm" else
-              "some probe without events" if any(p is None for p, _ in expected) else "p for all")
+        expected = self._check(trial, effect, draw_sets, gammas, **rule)
+        event("refused" if expected == "refused" else
+              "some probe unreadable" if any(v is None for v, _ in expected) else "read all")
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(), effect=st.sampled_from(list(Effect)), data=st.data())
+    def test_bit_identical_to_one_probe_at_a_time(self, records, effect, data):
+        self._random_round(records, effect, data)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(), effect=st.sampled_from(list(Effect)), data=st.data())
+    def test_wald_p_bit_identical_to_one_probe_at_a_time(self, records, effect, data):
+        self._random_round(records, effect, data, p_source="wald")
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(), effect=st.sampled_from(list(Effect)), data=st.data())
+    def test_rule_b_bit_identical_to_one_probe_at_a_time(self, records, effect, data):
+        self._random_round(records, effect, data, threshold=Threshold.NEUTRALIZE)
 
     def _draws(self, trial, effect, values):
         subjects = np.flatnonzero(needs_draw(trial, effect))
@@ -818,7 +885,7 @@ class TestBatchedProbe:
     def test_one_arm(self):
         trial = Trial.from_records([rec("e1", E, 2.0, 1, mono=1.0), rec("e2", E, 3.0, 1)])
         draws = self._draws(trial, Effect.SHRINK_EXPERIMENTAL, [])
-        assert self._check(trial, Effect.SHRINK_EXPERIMENTAL, [draws] * 2, [1.0, 0.5]) == "one arm"
+        assert self._check(trial, Effect.SHRINK_EXPERIMENTAL, [draws] * 2, [1.0, 0.5]) == "refused"
 
     def test_ties_and_one_at_risk_at_the_last_event_time(self):
         # at factor 0.5 the experimental event in monotherapy moves to 2.0,
