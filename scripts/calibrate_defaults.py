@@ -19,10 +19,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from phasetip.counterfactual import Effect, TransformParams, make_draws  # noqa: E402
+from phasetip.counterfactual import Effect, cutoff_censoring_fraction  # noqa: E402
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial  # noqa: E402
 from phasetip.survival import cox_fit, logrank_test, phase_hr, risk_table  # noqa: E402
-from phasetip.tipping import evaluate_at  # noqa: E402
+from phasetip.tipping import SearchConfig, grid_scan  # noqa: E402
 
 
 def first_crossing(xs, ys, level, rising):
@@ -40,8 +40,6 @@ def trial_measures(cfg, seed):
     overall = cox_fit(table, ("trt",)).hr("trt")
     p = logrank_test(trial).p_two_sided
     mono_events = int(trial.delta[trial.in_mono].sum())
-    censored = trial.delta == 0
-    at_cutoff = int((np.abs(trial.s - trial.cutoff)[censored] < 1e-9).sum())
     return dict(
         median_c=summ.arms[list(summ.arms)[1]].median_pfs,
         median_e=summ.arms[list(summ.arms)[0]].median_pfs,
@@ -52,44 +50,34 @@ def trial_measures(cfg, seed):
         mono_fraction=summ.mono_fraction,
         events=summ.total_events,
         mono_event_share=mono_events / summ.total_events,
-        cutoff_censor_frac=at_cutoff / int(censored.sum()) if censored.any() else 1.0,
+        cutoff_censor_frac=cutoff_censoring_fraction(trial),
     )
+
+
+# per effect: the key suffix of its measures and its coarse factor grid
+TIPPING_GRIDS = {
+    Effect.INFLATE_CONTROL: ("c", np.round(np.arange(1.0, 4.01, 0.05), 4)),
+    Effect.SHRINK_EXPERIMENTAL: ("e", np.round(np.arange(1.0, 0.29, -0.02), 4)),
+}
 
 
 def tipping_measures(cfg, seed):
     trial = simulate_trial(cfg, seed=seed)
     out = {}
-
-    draws1 = make_draws(trial, Effect.INFLATE_CONTROL, "auto", seed=seed, replicate_id=0)
-    gammas = np.round(np.arange(1.0, 4.01, 0.05), 4)
-    pts = [evaluate_at(trial, TransformParams(Effect.INFLATE_CONTROL, g), draws1)
-           for g in gammas]
-    g_tip, _ = first_crossing(gammas, [pt.p_two_sided for pt in pts], 0.05, rising=True)
-    out["gamma_c_tip"] = g_tip
-    if g_tip is not None:
-        i = list(gammas).index(g_tip)
-        out["hr_at_gamma_c_tip"] = pts[i].hr_overall
-    a_tip, _ = first_crossing(gammas, [pt.hr_mono for pt in pts], 1.0, rising=False)
-    out["alpha_c_tip"] = a_tip
-    if a_tip is not None:
-        i = list(gammas).index(a_tip)
-        out["theta_c"] = pts[i].hr_overall
-
-    draws2 = make_draws(trial, Effect.SHRINK_EXPERIMENTAL, "auto", seed=seed, replicate_id=0)
-    gammas2 = np.round(np.arange(1.0, 0.29, -0.02), 4)
-    pts2 = [evaluate_at(trial, TransformParams(Effect.SHRINK_EXPERIMENTAL, g), draws2)
-            for g in gammas2]
-    g_tip2, _ = first_crossing(gammas2, [pt.p_two_sided for pt in pts2], 0.05, rising=True)
-    out["gamma_e_tip"] = g_tip2
-    if g_tip2 is not None:
-        i = list(gammas2).index(g_tip2)
-        out["hr_at_gamma_e_tip"] = pts2[i].hr_overall
-        out["events_at_gamma_e_tip"] = pts2[i].n_events
-    a_tip2, _ = first_crossing(gammas2, [pt.hr_mono for pt in pts2], 1.0, rising=False)
-    out["alpha_e_tip"] = a_tip2
-    if a_tip2 is not None:
-        i = list(gammas2).index(a_tip2)
-        out["theta_e"] = pts2[i].hr_overall
+    for effect, (arm, gammas) in TIPPING_GRIDS.items():
+        pts = grid_scan(trial, SearchConfig(effect=effect, seed=seed), gammas)
+        g_tip, _ = first_crossing(gammas, [pt.p_two_sided for pt in pts], 0.05, rising=True)
+        out[f"gamma_{arm}_tip"] = g_tip
+        if g_tip is not None:
+            i = list(gammas).index(g_tip)
+            out[f"hr_at_gamma_{arm}_tip"] = pts[i].hr_overall
+            if effect is Effect.SHRINK_EXPERIMENTAL:
+                out[f"events_at_gamma_{arm}_tip"] = pts[i].n_events
+        a_tip, _ = first_crossing(gammas, [pt.hr_mono for pt in pts], 1.0, rising=False)
+        out[f"alpha_{arm}_tip"] = a_tip
+        if a_tip is not None:
+            i = list(gammas).index(a_tip)
+            out[f"theta_{arm}"] = pts[i].hr_overall
     return out
 
 

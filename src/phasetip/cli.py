@@ -31,7 +31,7 @@ from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
 from .records import Arm
 from .simulate import SimConfig, simulate_trial, summarize_trial
-from .survival import cox_fit, logrank_from_table, phase_hr, risk_table
+from .survival import cox_fit, logrank_test, phase_hr, risk_table
 from .svgplot import line_plot
 from .tipping import SearchConfig, TpaResult, check_grid_points, find_tipping, grid_scan
 
@@ -235,7 +235,7 @@ def cmd_analyze(args) -> int:
             f"{label} arm: n={summary.n}, events={summary.events}, "
             f"censored={summary.censored}, median PFS={median} months"
         )
-    lr = logrank_from_table(trial, table)
+    lr = logrank_test(trial, stratified)
     lines.append(f"Log-rank chi2={lr.chi2:.4f}, two-sided p={lr.p_two_sided:.6g}")
     overall = cox_fit(table, ("trt",))
     hr, ci = overall.contrast(("trt",))

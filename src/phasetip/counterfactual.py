@@ -39,15 +39,16 @@ tests state the same rules one subject at a time and compare the two.
 Both effects move each subject they change along a line in the factor,
 up to a cap where its event status flips (`transform_lines`), and
 `transform_outcomes` moves them to k factors at once, of which
-`apply_transform` is the one-row case. `rank_breakpoints`
-reads the same lines to list the factors where a line meets a fixed time,
-a monotherapy start or a cap; between two of them the log-rank test and
-every Cox fit of the transformed trial are constant. Two lines that meet
-are not listed: both are events of one arm x phase group, so the counts
-at risk stay as they are, and at the tie the Efron risk table equals the
-untied one to the bit. Only the log-rank p-value differs there, at that
-one factor. This holds for Efron ties and for these two effects, not for
-Breslow ties or for `naive_transform`, which also moves censored times.
+`apply_transform` is the one-row case; the search layer calls
+`transform_outcomes` only. `rank_breakpoints` reads the same lines to
+list the factors where a line meets a fixed time, a monotherapy start or
+a cap; between two of them the log-rank test and every Cox fit of the
+transformed trial are constant. Two lines that meet are not listed: both
+are events of one arm x phase group, so the counts at risk stay as they
+are, and at the tie the Efron risk table equals the untied one to the
+bit. Only the log-rank p-value differs there, at that one factor. This
+holds for Efron ties and for these two effects, not for Breslow ties or
+for `naive_transform`, which also moves censored times.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ class TransformParams:
     gamma: float
 
     def __post_init__(self):
+        if not isinstance(self.effect, Effect):
+            raise DataError(f"effect must be an Effect, got {self.effect!r}")
         _check_factor(self.effect, self.gamma)
 
 
@@ -438,18 +441,18 @@ def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraw
 _MERGE = 1e-9
 
 
-def rank_breakpoints(trial: Trial, effect: Effect, draws: ImputationDraws,
-                     lo: float, hi: float) -> np.ndarray:
+def rank_breakpoints(trial: Trial, lines: TransformLines, lo: float, hi: float) -> np.ndarray:
     """The factors in (lo, hi) at which a count at risk, an event count or
-    an event status of the transformed trial can change, ascending.
+    an event status of `trial` transformed along `lines` (one draw set's
+    `transform_lines`) can change, ascending.
 
-    With the draws fixed each moving time is a line in the factor (see
-    `transform_lines`), and every other time, every monotherapy start and
-    every cap is fixed. A breakpoint is a factor where a line, while below
-    its cap, meets a fixed value (its own cap included, where its event
-    status flips). Each line finds the fixed values it passes with one
-    search of the sorted fixed values. Breakpoints within 1e-9 of each
-    other, or of lo or hi, are merged into one.
+    With the draws fixed each moving time is a line in the factor, and
+    every other time, every monotherapy start and every cap is fixed. A
+    breakpoint is a factor where a line, while below its cap, meets a
+    fixed value (its own cap included, where its event status flips).
+    Each line finds the fixed values it passes with one search of the
+    sorted fixed values. Breakpoints within 1e-9 of each other, or of lo
+    or hi, are merged into one.
 
     Between consecutive breakpoints the log-rank counts and the Efron risk
     table are constant. Two lines that meet are not listed: below their
@@ -464,7 +467,6 @@ def rank_breakpoints(trial: Trial, effect: Effect, draws: ImputationDraws,
     not hold under Breslow ties, or for a transform that also moves
     censored times, such as `naive_transform`.
     """
-    lines = transform_lines(trial, effect, draws)
     a, b, c = lines.base, lines.slope, lines.cap
     x = trial.mono_start
     fixed = distinct(np.concatenate([np.delete(trial.s, lines.rows), x[~np.isnan(x)],

@@ -25,12 +25,9 @@ from .errors import DataError
 from .records import Arm, SubjectRecord, Trial
 from .survival import km_estimate
 
-__all__ = ["SimConfig", "ArmSummary", "PhaseCounts", "TrialSummary",
-           "simulate_trial", "summarize_trial"]
+__all__ = ["SimConfig", "ArmSummary", "TrialSummary", "simulate_trial", "summarize_trial"]
 
 _SIM_STREAM = 0x5EED_51  # fixed stream tag separating sim draws from imputation draws
-
-PHASE_COUNT_MONTHS = (12.0, 18.0, 24.0, 30.0, 36.0)
 
 
 @dataclass(frozen=True)
@@ -115,49 +112,29 @@ class ArmSummary:
 
 
 @dataclass(frozen=True)
-class PhaseCounts:
-    months: float
-    on_treatment: int
-    on_mono: int
-
-
-@dataclass(frozen=True)
 class TrialSummary:
     arms: dict
-    phase_counts: dict
     mono_fraction: float
     total_events: int
 
 
 def summarize_trial(trial: Trial) -> TrialSummary:
-    """Arm-level counts, medians, and on-treatment/on-monotherapy tallies
-    at fixed landmark times (1.0 through 3.0 years)."""
+    """Arm-level counts and medians, the monotherapy fraction and the
+    event total."""
     arms = {}
-    phase_counts = {}
     for arm in Arm:
         on_arm = trial.trt == arm.trt
-        s, mono_start = trial.s[on_arm], trial.mono_start[on_arm]
-        in_mono = trial.in_mono[on_arm]
         n, events = int(on_arm.sum()), int(trial.delta[on_arm].sum())
         arms[arm] = ArmSummary(
             n=n,
             events=events,
             censored=n - events,
-            transitioned=int(in_mono.sum()),
+            transitioned=int(trial.in_mono[on_arm].sum()),
             median_pfs=km_estimate(trial, arm).median if n else None,
         )
-        phase_counts[arm] = [
-            PhaseCounts(
-                months=m,
-                on_treatment=int((s > m).sum()),
-                on_mono=int(((s > m) & in_mono & (mono_start <= m)).sum()),
-            )
-            for m in PHASE_COUNT_MONTHS
-        ]
     n_total = len(trial)
     return TrialSummary(
         arms=arms,
-        phase_counts=phase_counts,
         mono_fraction=int(trial.in_mono.sum()) / n_total if n_total else 0.0,
         total_events=int(trial.delta.sum()),
     )

@@ -9,15 +9,12 @@ The Kaplan-Meier curve and the risk table count through one routine,
 `_counts`: the subjects at risk and the events per group and event time,
 from the event-time bins where each spell of a subject enters and leaves
 its group. The curve counts one group, and the table the four arm x phase
-groups, in which a subject in monotherapy has two spells. The table keeps
-those counts, so a caller that holds it (one evaluation, one `analyze`
-report) takes the log-rank test from the table's arm margins with
-`logrank_from_table` and counts once. The log-rank test of a `Trial` is
-`logrank_rows`, which tests k outcomes of one trial in one pass: one
-row-wise sort gives each row's arm counts at its own event times, which
-`_counts` would need a search per row to bin. A search round of rule-a
-probes is such a pass, and `logrank_test` is its one-row case. Both
-log-rank paths sum their terms in `_logrank`.
+groups, in which a subject in monotherapy has two spells. Every log-rank
+test is `logrank_rows`, which tests k outcomes of one trial in one pass:
+one row-wise sort gives each row's arm counts at its own event times,
+which `_counts` would need a search per row to bin. A block of search
+probes or curve points is such a pass, and `logrank_test` is its one-row
+case.
 
 Every covariate of that design is a function of a subject's arm x phase
 group g = trt + 2 * mono at a given time, so the Efron (or Breslow) partial
@@ -62,7 +59,6 @@ __all__ = [
     "km_estimate",
     "logrank_test",
     "logrank_rows",
-    "logrank_from_table",
     "RiskTable",
     "risk_table",
     "cox_fit",
@@ -207,11 +203,6 @@ class LogRankResult:
     expected: dict
 
 
-def _require_both_arms(trial: Trial) -> None:
-    if trial.trt.all() or not trial.trt.any():
-        raise DataError("log-rank needs both arms present")
-
-
 def _running_total(x) -> np.ndarray:
     """The integer totals of x before each position, and of all of x last."""
     total = np.zeros(x.size + 1, dtype=np.int64)
@@ -263,7 +254,7 @@ def _arm_counts(trt, s, delta):
     return n_at - n1, n1, d - d1, d1, rows
 
 
-def _logrank(strata, k=1) -> list:
+def _logrank(strata, k) -> list:
     """The log-rank test of k rows from per-stratum counts (n0, n1, d0, d1,
     bounds): the control and experimental subjects at risk and their events
     at each event time, row by row, and the k + 1 bounds between the rows.
@@ -313,16 +304,10 @@ def logrank_rows(trial: Trial, s: np.ndarray, delta: np.ndarray,
     """`logrank_test` of `trial` with each row of the k x n arrays (s,
     delta) as its outcome, in one pass: per row its LogRankResult, the same
     to the bit, or the EstimationError it raises for that row."""
-    _require_both_arms(trial)
+    if trial.trt.all() or not trial.trt.any():
+        raise DataError("log-rank needs both arms present")
     return _logrank([_arm_counts(trial.trt[cols], s[:, cols], delta[:, cols])
                      for cols in _strata(trial, stratified)], len(s))
-
-
-def _only(results) -> LogRankResult:
-    (result,) = results
-    if isinstance(result, EstimationError):
-        raise result
-    return result
 
 
 def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
@@ -332,18 +317,10 @@ def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
     distinct event time; the two-sided p-value comes from chi-square with
     one degree of freedom. It is the one-row case of `logrank_rows`.
     """
-    return _only(logrank_rows(trial, trial.s[None], trial.delta[None], stratified))
-
-
-def logrank_from_table(trial: Trial, table: RiskTable) -> LogRankResult:
-    """`logrank_test(trial, table.stratified)`, read from the counts of
-    `table`, the caller's risk table of `trial`: an arm's subjects at risk
-    and events are those of its two groups, g = trt and g = trt + 2 (both
-    phases). The counts are integers, so the result is the same to the
-    bit; only the check that both arms exist reads the trial."""
-    _require_both_arms(trial)
-    return _only(_logrank([(n[0] + n[2], n[1] + n[3], d[0] + d[2], d[1] + d[3],
-                            np.array([0, n.shape[1]])) for n, d in table.counts]))
+    (result,) = logrank_rows(trial, trial.s[None], trial.delta[None], stratified)
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +335,13 @@ class RiskTable:
     per arm x phase group g = trt + 2 * mono, holding n_g(t) - frac * d_g(t):
     the subjects at risk in group g at t less the Efron fraction
     frac = k / d(t) of their events at t (frac is 0 under Breslow). D holds
-    the events per group. `counts` holds, per stratum with events, the pair
-    (n_risk, n_event) of 4 x T arrays that A is built from: the subjects
-    at risk and the events per group and event time, from which
-    `logrank_from_table` reads the arms. `ties` and `stratified` say how
-    it was built. `meets[g, h]` says that an event of group g falls where
-    group h is at risk, in some stratum.
+    the events per group. `ties` and `stratified` say how it was built.
+    `meets[g, h]` says that an event of group g falls where group h is at
+    risk, in some stratum.
     """
 
     A: np.ndarray
     D: np.ndarray
-    counts: tuple
     meets: np.ndarray
     ties: str
     stratified: bool
@@ -388,7 +361,7 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
     if late.size:
         raise DataError(f"subject {trial.ids[late[0]]}: phase time exceeds follow-up")
     in_mono = trial.in_mono
-    blocks, counts = [], []
+    blocks = []
     meets = np.zeros((4, 4), dtype=bool)
     for rows in _strata(trial, stratified):
         s, trt, mono = trial.s[rows], trial.trt[rows], in_mono[rows]
@@ -409,7 +382,6 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
             event=stop[ev] - 1,
             n_groups=4,
         )
-        counts.append((n_risk, n_event))
         meets |= (n_event > 0) @ (n_risk > 0).T
         n_risk, n_event = n_risk.T, n_event.T
         if ut.size == d.sum():
@@ -430,8 +402,7 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
     else:
         A = np.vstack([np.zeros((0, 4)), *(A for A, _ in blocks)])
         D = sum((D for _, D in blocks), np.zeros(4, dtype=int))
-    return RiskTable(A=A, D=D, counts=tuple(counts), meets=meets, ties=ties,
-                     stratified=stratified)
+    return RiskTable(A=A, D=D, meets=meets, ties=ties, stratified=stratified)
 
 
 @functools.cache

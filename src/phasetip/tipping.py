@@ -13,23 +13,22 @@ probed and is sent back that probe's number, or the note of why it cannot
 be computed; a probe is usable when its number exists. `find_tipping` runs
 the searches of all distinct draw sets in lockstep. Each round takes the
 next factor of every live search, and one probe function,
-`_probe_round`, answers the round. It transforms the round in blocks of
-probes (`transform_outcomes`, from each draw set's lines, made once per
-search), and the rules differ only in how a block is read: under rule a
-with the log-rank p-value one `logrank_rows` pass (one row-wise sort for
-the block) tests every row, which gives each probe the p-value
-`logrank_test` gives it alone, to the bit; under the other rules each row
-is read on its own. No search reads another's data,
-so every search probes the same factors in the same order as it would
-alone. Walk steps, interval midpoints and their nudges do not come back to
-a factor already probed, so no value is cached; a repeat would only be
-recomputed, with the same result. The full evaluation
-(`evaluate_at`: p-value, overall HR and monotherapy-phase HR) runs only
-for the point a search reports, and for every point of `grid_scan`, which
-makes the draw set's lines once and transforms the grid in the same
-blocks. It builds one risk table, fits both Cox models on it and takes
-the log-rank p-value from the table's arm margins (`logrank_from_table`),
-so it counts the subjects at risk once; a rule-a probe needs no table.
+`_probe_round`, answers the round. No search reads another's data, so
+every search probes the same factors in the same order as it would alone.
+Walk steps, interval midpoints and their nudges do not come back to a
+factor already probed, so no value is cached; a repeat would only be
+recomputed, with the same result. The full evaluation (`evaluate_at`:
+p-value, overall HR and monotherapy-phase HR) runs only for the point a
+search reports, and for every point of `grid_scan`; it builds one risk
+table and fits both Cox models on it.
+
+Every transformed row, of a probe or of a full evaluation, comes from one
+generator, `_rows`. It transforms the requests in blocks
+(`transform_outcomes`, from a draw set's lines, made once per search or
+curve) and tests each block in one `logrank_rows` pass (one row-wise
+sort), which gives every row the p-value `logrank_test` gives it alone,
+to the bit. A rule-a probe with the log-rank p-value is its row's test and
+needs no table; the other rules read the row's data.
 
 Per replicate, imputation draws are made once and reused across the whole
 grid. With the draws fixed, every transformed time is fixed or a line in
@@ -86,7 +85,6 @@ from .counterfactual import (
     ImputationDraws,
     Threshold,
     TransformParams,
-    apply_transform,
     make_draws,
     rank_breakpoints,
     transform_lines,
@@ -94,14 +92,7 @@ from .counterfactual import (
 )
 from .errors import DataError, EstimationError
 from .records import Trial
-from .survival import (
-    LogRankResult,
-    cox_fit,
-    logrank_from_table,
-    logrank_rows,
-    logrank_test,
-    risk_table,
-)
+from .survival import cox_fit, logrank_rows, logrank_test, risk_table
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -152,6 +143,15 @@ class SearchConfig:
     p_source: str = "logrank"       # or "wald" (from the treatment-only Cox fit)
 
     def __post_init__(self):
+        for name, kind, what in (
+                ("effect", Effect, "an Effect"), ("threshold", Threshold, "a Threshold"),
+                ("alpha_level", numbers.Real, "a number"), ("grid_step", numbers.Real, "a number"),
+                ("grid_max", numbers.Real, "a number"), ("grid_min", numbers.Real, "a number"),
+                ("mi_replicates", numbers.Integral, "an integer"),
+                ("seed", numbers.Integral, "a non-negative integer")):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise DataError(f"{name} must be {what}, got {value!r}")
         if not self.grid_step > 0:
             raise DataError("grid_step must be positive")
         if not math.isfinite(self.grid_max):
@@ -174,8 +174,7 @@ class SearchConfig:
             raise DataError(f"at most {MAX_REPLICATES} replicates, got {self.mi_replicates}")
         if self.p_source not in ("logrank", "wald"):
             raise DataError(f"unknown p_source {self.p_source!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
+        if self.seed < 0:
             raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -245,34 +244,43 @@ def _attempt(estimate, notes):
         return None
 
 
+def _p_value(test) -> float:
+    """The p-value of a `logrank_rows` result; an EstimationError result is raised."""
+    if isinstance(test, EstimationError):
+        raise test
+    return test.p_two_sided
+
+
 def evaluate_at(trial: Trial, params: TransformParams, draws: ImputationDraws,
                 p_source: str = "logrank", *, outcome=None) -> TpaCurvePoint:
     """The full counterfactual evaluation of one factor: transform, then
     p-value, overall HR and monotherapy-phase HR on the transformed data.
 
     A search probe computes only the number its stop rule reads; this runs
-    for the point a search reports and for every curve point. `outcome`,
-    when given, is the (s, delta) that `apply_transform` makes of `trial`
-    under `draws` at `params`, which `grid_scan` makes for a block of
-    factors at once. One risk table serves both Cox fits and the log-rank
-    test. Each estimator that fails leaves its column None and its message
-    in the note, instead of aborting; the point is evaluable when both the
-    p-value and the overall HR exist.
+    for the point a search reports and for every curve point. `outcome` is
+    the row (s, delta, test) of `_rows` at `params` under `draws`, made
+    here when not given. One risk table serves both Cox fits, and the
+    log-rank p-value is the row's test. Each estimator that fails leaves
+    its column None and its message in the note, instead of aborting; the
+    point is evaluable when both the p-value and the overall HR exist.
     """
-    data = (apply_transform(trial, params, draws) if outcome is None
-            else trial.with_outcome(*outcome))
+    if outcome is None:
+        (outcome,) = _rows(trial, [(transform_lines(trial, params.effect, draws), params.gamma)],
+                           p_source != "wald")
+    s, delta, test = outcome
+    data = trial.with_outcome(s, delta)
     table = risk_table(data)
     notes = []
     trt_fit = _attempt(lambda: cox_fit(table, ("trt",)), notes)
     if p_source == "wald":
         p = None if trt_fit is None else trt_fit.wald_p("trt")
     else:
-        p = _attempt(lambda: logrank_from_table(data, table).p_two_sided, notes)
+        p = _attempt(lambda: _p_value(test), notes)
     hr_mono = _attempt(lambda: _mono_hr(data, table), notes)
     return TpaCurvePoint(
         gamma=params.gamma, p_two_sided=p,
         hr_overall=None if trt_fit is None else trt_fit.hr("trt"),
-        hr_mono=hr_mono, n_events=int(data.delta.sum()),
+        hr_mono=hr_mono, n_events=int(delta.sum()),
         evaluable=p is not None and trt_fit is not None,
         note="; ".join(notes) or None,
     )
@@ -297,15 +305,18 @@ def _stop_rule(config: SearchConfig):
 _ROW_BLOCK = 5
 
 
-def _blocks(trial: Trial, requests):
-    """The outcomes of `requests`, (lines, factor) pairs, `lines` a draw
-    set as `transform_lines`, transformed in blocks of up to _ROW_BLOCK:
-    per block its factors and the k x n arrays (s, delta) of
-    `transform_outcomes`, row r the outcome of the block's request r."""
+def _rows(trial: Trial, requests, logrank: bool):
+    """The transformed rows of `requests`, (lines, factor) pairs, `lines` a
+    draw set as `transform_lines`: per request (s, delta, test), its
+    outcome and, when `logrank` is set, its `logrank_rows` result (else
+    None). A block of up to _ROW_BLOCK requests takes one
+    `transform_outcomes` call and one `logrank_rows` pass, and the rows
+    are yielded block by block, so no more than one block is held."""
     for first in range(0, len(requests), _ROW_BLOCK):
         block = requests[first:first + _ROW_BLOCK]
-        gammas = [gamma for _, gamma in block]
-        yield gammas, *transform_outcomes(trial, [lines for lines, _ in block], gammas)
+        s, delta = transform_outcomes(trial, [lines for lines, _ in block],
+                                      [gamma for _, gamma in block])
+        yield from zip(s, delta, logrank_rows(trial, s, delta) if logrank else [None] * len(s))
 
 
 def _probe_round(trial: Trial, config: SearchConfig, requests) -> list:
@@ -315,25 +326,19 @@ def _probe_round(trial: Trial, config: SearchConfig, requests) -> list:
     stop rule reads on the data transformed at that factor, or (None, note)
     when that number cannot be computed.
 
-    The probes are transformed in blocks (`_blocks`), and the rules differ
-    only in how a block is read. Under rule a with the log-rank p-value a
-    block is one `logrank_rows` pass, which gives every probe the p-value
-    of `logrank_test` to the bit; under the other rules each row of the
-    block is read on its own.
+    Every probe is a row of `_rows`. Under rule a with the log-rank
+    p-value it is the row's test, which is the p-value of `logrank_test`
+    to the bit; under the other rules the rule reads the row's data.
     """
     logrank = config.threshold is Threshold.SIGNIFICANCE and config.p_source == "logrank"
     reads = _stop_rule(config)[0]
     answers = []
-    for _, s, delta in _blocks(trial, requests):
-        if logrank:
-            answers += [(result.p_two_sided, None) if isinstance(result, LogRankResult)
-                        else (None, str(result)) for result in logrank_rows(trial, s, delta)]
-            continue
-        for s_r, delta_r in zip(s, delta):
-            try:
-                answers.append((reads(trial.with_outcome(s_r, delta_r)), None))
-            except EstimationError as err:
-                answers.append((None, str(err)))
+    for s, delta, test in _rows(trial, requests, logrank):
+        try:
+            answers.append((_p_value(test) if logrank else reads(trial.with_outcome(s, delta)),
+                            None))
+        except EstimationError as err:
+            answers.append((None, str(err)))
     return answers
 
 
@@ -437,18 +442,21 @@ def _bisect(crossed, clear, first_crossed, breakpoints, flags):
     return float(edge(hi - 1)), float(at(hi))
 
 
-def _run_replicate(trial, config, replicate_id, draws):
+def _run_replicate(trial, config, replicate_id, draws, lines):
     """One replicate's search: check the identity factor, bracket the first
     crossing, and bisect on the rank breakpoints inside the bracket. The
     tip is the breakpoint where the rule flips; the full point is evaluated
     inside the first crossed interval.
 
-    A generator like `_bracket`: it yields every factor it probes and
-    returns the replicate's outcome."""
+    `lines` are the draw set's `transform_lines`, which the breakpoints and
+    the full point read. A generator like `_bracket`: it yields every
+    factor it probes and returns the replicate's outcome."""
     _, crossed, start_flag = _stop_rule(config)
 
     def point(gamma):
-        return evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source)
+        (row,) = _rows(trial, [(lines, gamma)], config.p_source != "wald")
+        return evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
+                           outcome=row)
 
     start, note = yield 1.0
     if start is None:
@@ -466,8 +474,8 @@ def _run_replicate(trial, config, replicate_id, draws):
         flags.append("no tipping point in range")
         return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
 
-    breakpoints = rank_breakpoints(trial, config.effect, draws,
-                                   min(last_clear, first_crossed), max(last_clear, first_crossed))
+    breakpoints = rank_breakpoints(trial, lines, min(last_clear, first_crossed),
+                                   max(last_clear, first_crossed))
     if first_crossed < last_clear:
         breakpoints = breakpoints[::-1]
     tip, at = yield from _bisect(crossed, last_clear, first_crossed, breakpoints, flags)
@@ -537,8 +545,9 @@ def find_tipping(trial: Trial, config: SearchConfig) -> TpaResult:
 
     live = []   # (lines, members, search, the factor it waits on)
     for draws, members in groups.values():
-        search = _run_replicate(trial, config, members[0], draws)
-        live.append((transform_lines(trial, config.effect, draws), members, search, next(search)))
+        lines = transform_lines(trial, config.effect, draws)
+        search = _run_replicate(trial, config, members[0], draws, lines)
+        live.append((lines, members, search, next(search)))
     outcomes = []
     while live:
         answers = _probe_round(trial, config, [(lines, gamma) for lines, _, _, gamma in live])
@@ -555,13 +564,14 @@ def find_tipping(trial: Trial, config: SearchConfig) -> TpaResult:
 
 def grid_scan(trial: Trial, config: SearchConfig, gammas) -> list[TpaCurvePoint]:
     """Curve points over an explicit factor grid, using replicate 0 draws
-    (deterministic for a given seed). The draw set's lines are made once
-    and the grid is transformed in blocks (`_blocks`); each point is the
-    `evaluate_at` of its factor, to the bit, handed its row's outcome."""
+    (deterministic for a given seed). The draw set's lines are made once,
+    and each point is the `evaluate_at` of its factor, handed its row of
+    `_rows`."""
     _check_searchable(trial, config)
     draws = make_draws(trial, config.effect, config.imputation, config.seed, 0)
     lines = transform_lines(trial, config.effect, draws)
+    gammas = [float(g) for g in gammas]
+    rows = _rows(trial, [(lines, gamma) for gamma in gammas], config.p_source != "wald")
     return [evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
-                        outcome=(s_r, delta_r))
-            for block, s, delta in _blocks(trial, [(lines, float(g)) for g in gammas])
-            for gamma, s_r, delta_r in zip(block, s, delta)]
+                        outcome=row)
+            for gamma, row in zip(gammas, rows)]

@@ -13,19 +13,24 @@ import inspect
 import os
 import sys
 
+import numpy as np
+
 import phasetip.cli
 import phasetip.tipping
 from phasetip.counterfactual import Effect, make_draws, needs_draw
 from phasetip.dataio import write_dataset
 from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
+from phasetip.tipping import SearchConfig, find_tipping, grid_scan
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 # Tipping hooks whose function the program no longer has. The Cox fits read
 # a risk table built straight from the Trial, so there is no expansion to
 # time, and the tracer's survival.to_counting_process.ms_per_call and
-# survival.rows_per_eval read 0.
-RETIRED = {"to_counting_process"}
+# survival.rows_per_eval read 0. Every transformed row of the search layer
+# comes from `transform_outcomes` in blocks, so it never calls
+# `apply_transform`, and counterfactual.apply_transform.ms_per_call reads 0.
+RETIRED = {"to_counting_process", "apply_transform"}
 
 
 def _load(name):
@@ -87,3 +92,33 @@ def test_imputed_values_count_the_drawn_subjects():
         selected = int(needs_draw(records, effect).sum())
         assert selected > 0
         assert len(make_draws(records, effect, "fitted", seed=0).values) == selected
+
+
+def test_evaluations_and_draw_sets_the_tracer_counts(monkeypatch):
+    # the tracer counts tipping.evaluate_at calls, and tipping.searches as
+    # the distinct `draws` arguments of those calls: a curve evaluates each
+    # point with its one draw set, and a search evaluates its reported
+    # point once, with its own draw set
+    arg = _load("tracer")._arg
+    seen = []
+    real = phasetip.tipping.evaluate_at
+
+    def spy(*args, **kwargs):
+        seen.append(arg(args, kwargs, 2, "draws"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phasetip.tipping, "evaluate_at", spy)
+    trial = simulate_trial(SimConfig(), seed=6)
+    grid = np.arange(1.0, 0.69, -0.02)
+    grid_scan(trial, SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL), grid)
+    assert len(seen) == grid.size and len({id(d) for d in seen}) == 1
+
+    seen.clear()
+    config = SearchConfig(effect=Effect.INFLATE_CONTROL, imputation="fitted", mi_replicates=3)
+    result = find_tipping(trial, config)
+    assert all(o.point is not None for o in result.replicates)
+    draw_sets = {make_draws(trial, config.effect, "fitted", config.seed, r).values.tobytes()
+                 for r in range(config.mi_replicates)}
+    assert len(draw_sets) == 3
+    assert len(seen) == len({id(d) for d in seen}) == 3
+    assert {d.values.tobytes() for d in seen} == draw_sets

@@ -23,6 +23,7 @@ from phasetip.survival import (
     _newton_step,
     _separating_direction,
     cox_fit,
+    distinct,
     logrank_test,
     partial_loglik_and_gradient,
     phase_hr,
@@ -103,24 +104,18 @@ class TestRiskTable:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(records=trials())
     def test_block_is_the_tie_expansion_bit_for_bit(self, records):
-        """A equals the tie expansion of the table's counts, n_risk - frac *
-        n_event at every tie index, bit for bit and C-ordered, also where no
-        event time is tied and risk_table skips the expansion."""
+        """A equals the brute-force tie expansion, n_risk - frac * n_event at
+        every tie index, bit for bit and C-ordered, also where no event time
+        is tied and risk_table skips the expansion."""
         trial = Trial.from_records(records)
+        rows = expand(trial)
         for ties in ("efron", "breslow"):
             for stratified in (False, True):
                 table = risk_table(trial, ties, stratified)
-                blocks = []
-                for n_risk, n_event in table.counts:
-                    d = n_event.sum(axis=0)
-                    jj = np.repeat(np.arange(d.size), d)
-                    frac = ((np.arange(jj.size) - np.repeat(np.cumsum(d) - d, d)) / np.repeat(d, d)
-                            if ties == "efron" else np.zeros(jj.size))
-                    blocks.append(n_risk.T[jj] - frac[:, None] * n_event.T[jj])
-                expanded = np.vstack([np.zeros((0, 4)), *blocks])
-                assert table.A.flags.c_contiguous and table.A.shape == expanded.shape
-                assert table.A.tobytes() == expanded.tobytes()
-        tied = any((n_event.sum(axis=0) > 1).any() for _, n_event in risk_table(trial).counts)
+                A, _ = brute_force_table(rows, ties, stratified)
+                assert table.A.flags.c_contiguous and table.A.shape == A.shape
+                assert table.A.tobytes() == A.tobytes()
+        tied = (distinct(trial.s[trial.delta == 1])[1] > 1).any()
         event("some event time tied" if tied else "no event time tied")
 
     def test_late_phase_and_unknown_ties_rejected(self):

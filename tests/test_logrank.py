@@ -9,7 +9,7 @@ from conftest import C, E, rec, trials
 from reference import logrank_test_sorted
 from phasetip.errors import DataError, EstimationError
 from phasetip.records import Arm, Trial
-from phasetip.survival import logrank_from_table, logrank_rows, logrank_test, risk_table
+from phasetip.survival import logrank_rows, logrank_test
 
 
 class TestLogRankHandExamples:
@@ -112,40 +112,6 @@ class TestLogRankAgainstSortedCount:
         trial = Trial.from_records(records)
         assert _outcome(logrank_test, trial, stratified) == _outcome(
             logrank_test_sorted, trial, stratified)
-
-
-class TestLogRankFromTable:
-    """The log-rank test read off the arm margins of a risk table (groups
-    g and g + 2) gives `logrank_test` bit for bit, errors included."""
-
-    @staticmethod
-    def _from_table(ties):
-        return lambda trial, stratified: logrank_from_table(
-            trial, risk_table(trial, ties, stratified))
-
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(records=trials(), stratified=st.booleans(),
-           ties=st.sampled_from(["efron", "breslow"]))
-    def test_bit_identical(self, records, stratified, ties):
-        trial = Trial.from_records(records)
-        assert _outcome(self._from_table(ties), trial, stratified) == _outcome(
-            logrank_test, trial, stratified)
-
-    def test_bit_identical_on_the_calibrated_trial(self, seed6_transforms):
-        for trial in seed6_transforms:
-            for stratified in (False, True):
-                got = _outcome(self._from_table("efron"), trial, stratified)
-                assert isinstance(got, str) and got == _outcome(logrank_test, trial, stratified)
-
-    @pytest.mark.parametrize("records, error", [
-        ([rec("e1", E, 1, 1), rec("e2", E, 2, 0, mono=1.0)], DataError),
-        ([rec("e", E, 1, 0, mono=0.5), rec("c", C, 2, 0)], EstimationError),
-    ])
-    def test_error_paths(self, records, error):
-        trial = Trial.from_records(records)
-        for stratified in (False, True):
-            got = _outcome(self._from_table("efron"), trial, stratified)
-            assert got[0] is error and got == _outcome(logrank_test, trial, stratified)
 
 
 class TestLogRankRows:

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import phasetip.tipping
@@ -24,6 +24,7 @@ from phasetip.counterfactual import (
     needs_draw,
     rank_breakpoints,
     transform_lines,
+    transform_outcomes,
 )
 from phasetip.errors import DataError, EstimationError, SeparationError
 from phasetip.records import Trial
@@ -57,11 +58,12 @@ def fast_records(seed=1):
 def before_tip(trial, effect, draws, tip):
     """A factor in the interval between rank breakpoints that ends at the
     tip, on the side of factor 1."""
+    lines = transform_lines(trial, effect, draws)
     if effect is Effect.INFLATE_CONTROL:
-        inside = rank_breakpoints(trial, effect, draws, 1.0, tip)
+        inside = rank_breakpoints(trial, lines, 1.0, tip)
         edge = inside[-1] if inside.size else 1.0
     else:
-        inside = rank_breakpoints(trial, effect, draws, tip, 1.0)
+        inside = rank_breakpoints(trial, lines, tip, 1.0)
         edge = inside[0] if inside.size else 1.0
     return 0.5 * (edge + tip)
 
@@ -372,6 +374,66 @@ class TestGridScanAndDeterminism:
         assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
 
 
+class TestCurveLogRank:
+    """Each curve point's p-value is its row's test in a `logrank_rows`
+    pass: `logrank_test` of the trial transformed at the point's factor,
+    bit for bit, with the message of a test that fails in the note. A trial
+    with one arm is refused as `logrank_test` refuses it."""
+
+    @staticmethod
+    def _check(trial, config, gammas):
+        try:
+            draws = make_draws(trial, config.effect, config.imputation, config.seed, 0)
+            expected = []
+            for gamma in gammas:
+                data = apply_transform(trial, TransformParams(config.effect, gamma), draws)
+                try:
+                    expected.append((logrank_test(data).p_two_sided, None))
+                except EstimationError as err:
+                    expected.append((None, str(err)))
+        except (DataError, EstimationError) as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                grid_scan(trial, config, gammas)
+            return None
+        points = grid_scan(trial, config, gammas)
+        for point, (p, message) in zip(points, expected):
+            assert repr(point.p_two_sided) == repr(p)
+            assert message is None or message in point.note.split("; ")
+        return points
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(), effect=st.sampled_from(list(Effect)),
+           imputation=st.sampled_from(["cutoff", "fitted"]), data=st.data())
+    def test_p_is_the_logrank_test_of_the_transformed_trial(self, records, effect,
+                                                            imputation, data):
+        config = SearchConfig(effect=effect, imputation=imputation)
+        k = data.draw(st.integers(1, 2 * phasetip.tipping._ROW_BLOCK + 1))
+        gammas = [data.draw(st.sampled_from(TestBatchedProbe.FACTORS[effect]))
+                  for _ in range(k)]
+        points = self._check(Trial.from_records(records), config, gammas)
+        event("refused" if points is None else
+              "some test failed" if any(p.p_two_sided is None for p in points) else
+              "every point tested")
+
+    def test_one_arm_is_refused(self):
+        trial = Trial.from_records([rec("e1", E, 2.0, 1, mono=1.0), rec("e2", E, 3.0, 1)])
+        config = SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL)
+        with pytest.raises(DataError, match="log-rank needs both arms present"):
+            grid_scan(trial, config, [1.0, 0.5])
+        assert self._check(trial, config, [1.0, 0.5]) is None
+
+    def test_no_events_after_the_transform(self):
+        # the one event is a control event in monotherapy; inflated past its
+        # cutoff 2.5, it is censored there
+        trial = Trial.from_records([rec("c", C, 2.0, 1, cutoff=2.5, mono=1.0),
+                                    rec("e", E, 3.0, 0)])
+        config = SearchConfig(effect=Effect.INFLATE_CONTROL, imputation="cutoff")
+        points = self._check(trial, config, [1.0, 2.0, 1.2])
+        assert [p.p_two_sided is None for p in points] == [False, True, False]
+        assert "log-rank needs at least one event" in points[1].note
+
+
 class TestUnevaluablePointHandling:
     """White-box checks of the skip logic around estimator failures."""
 
@@ -487,15 +549,15 @@ class TestProbePath:
 
     @staticmethod
     def _track_factor(monkeypatch):
-        """The factor of the latest transform, updated as the search runs."""
+        """The last factor transformed, updated as the search runs."""
         current = {}
-        real = phasetip.tipping.apply_transform
+        real = phasetip.tipping.transform_outcomes
 
-        def transform(records, params, draws):
-            current["gamma"] = params.gamma
-            return real(records, params, draws)
+        def transform(trial, lines, gammas):
+            current["gamma"] = gammas[-1]
+            return real(trial, lines, gammas)
 
-        monkeypatch.setattr(phasetip.tipping, "apply_transform", transform)
+        monkeypatch.setattr(phasetip.tipping, "transform_outcomes", transform)
         return current
 
     @staticmethod
@@ -534,17 +596,17 @@ class TestProbePath:
 
     def test_rule_b_probes_never_run_the_logrank_test(self, monkeypatch):
         calls = []
-        for name in ("logrank_test", "logrank_rows", "logrank_from_table", "evaluate_at",
-                     "cox_fit"):
+        for name in ("logrank_test", "logrank_rows", "evaluate_at", "cox_fit"):
             self._spy(monkeypatch, name, calls)
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE,
                               grid_step=0.1, mi_replicates=1, seed=7)
         res = find_tipping(fast_records(), config)
         assert res.tip is not None and res.p_at_tip is not None
-        # probes fit the three-covariate model only; the one full evaluation,
-        # of the reported point, reads its p-value off its risk table
-        assert calls.count("evaluate_at") == calls.count("logrank_from_table") == 1
-        assert "logrank_test" not in calls and "logrank_rows" not in calls
+        # probes fit the three-covariate model only; the row of the one full
+        # evaluation, of the reported point, is tested in one logrank_rows pass
+        assert calls.count("evaluate_at") == calls.count("logrank_rows") == 1
+        assert "logrank_test" not in calls
+        assert calls.index("logrank_rows") + 1 == calls.index("evaluate_at")
         assert calls[calls.index("evaluate_at") + 1:].count("cox_fit") == 2
         assert calls.count("cox_fit") > 2
 
@@ -611,6 +673,20 @@ class TestSearchConfigValidation:
         with pytest.raises(DataError, match=re.escape(message)):
             SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, seed=seed)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: SearchConfig(threshold="a"), "threshold"),
+        (lambda: SearchConfig(threshold="zzz"), "threshold"),
+        (lambda: SearchConfig(effect="2"), "effect"),
+        (lambda: SearchConfig(effect=2), "effect"),
+        (lambda: SearchConfig(mi_replicates=2.5), "mi_replicates"),
+        (lambda: SearchConfig(mi_replicates=True), "mi_replicates"),
+        (lambda: SearchConfig(grid_step="0.1"), "grid_step"),
+        (lambda: TransformParams("2", 0.5), "effect"),
+    ])
+    def test_wrong_type_is_a_data_error_naming_the_field(self, make, field):
+        with pytest.raises(DataError, match=f"^{field} must be "):
+            make()
+
     @pytest.mark.parametrize("seed", [0, 2**32, 2**70, np.int64(7)])
     def test_large_and_numpy_integer_seeds(self, seed):
         assert SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, seed=seed).seed == seed
@@ -650,14 +726,25 @@ class TestSearchConfigValidation:
 
 
 @st.composite
-def tied_draws(draw, trial, effect):
-    """Draws for exactly the subjects `needs_draw` selects, each beyond its
-    observed time by one of a few offsets, so draws tie with each other and
-    with observed times."""
+def moving_cases(draw):
+    """A trial, an effect, and draws for exactly the subjects `needs_draw`
+    selects, each beyond its observed time by one of a few offsets, so
+    draws tie with each other and with observed times."""
+    records = draw(trials())
+    effect = draw(st.sampled_from(list(Effect)))
+    trial = Trial.from_records(records)
     subjects = np.flatnonzero(needs_draw(trial, effect))
     values = [float(trial.s[k]) + draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
               for k in subjects]
-    return ImputationDraws(subjects, np.array(values, dtype=float))
+    return records, effect, ImputationDraws(subjects, np.array(values, dtype=float))
+
+
+def moving_events_tie(trial, lines, gamma):
+    """Whether two moving event times of the row transformed along `lines`
+    at `gamma` are equal."""
+    (s,), (delta,) = transform_outcomes(trial, [lines], [gamma])
+    times = s[lines.rows][delta[lines.rows] == 1]
+    return np.unique(times).size < times.size
 
 
 class TestRankBreakpoints:
@@ -666,26 +753,43 @@ class TestRankBreakpoints:
 
     RANGE = {Effect.INFLATE_CONTROL: (1.0, 4.0), Effect.SHRINK_EXPERIMENTAL: (0.05, 1.0)}
 
+    # effect 2 moves e1 along 1 + gamma and the drawn e2 along 0.5 + 3 * gamma
+    # (cap 2.5): they meet at 0.25, a sampled factor of the interval
+    # (0.1667, 0.5), where p is 0.1573 against 0.2253 at 0.333 and 0.417
+    @example(case=([rec(0, C, 2.0, 0, cutoff=2.0), rec(1, E, 2.0, 1, cutoff=2.0, mono=1.0),
+                    rec(2, E, 2.5, 0, cutoff=2.5, mono=0.5)],
+                   Effect.SHRINK_EXPERIMENTAL, ImputationDraws(np.array([2]), np.array([3.5]))))
+    # the same tie of two moving events, at 0.25 in (0.1429, 0.5714)
+    @example(case=([rec(0, C, 2.5, 0, cutoff=2.5), rec(1, E, 2.5, 1, cutoff=2.5, mono=1.0),
+                    rec(2, E, 4.0, 1, cutoff=4.0, mono=0.5)],
+                   Effect.SHRINK_EXPERIMENTAL, ImputationDraws(np.array([], dtype=int),
+                                                               np.array([]))))
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data(), records=trials(), effect=st.sampled_from(list(Effect)))
-    def test_evaluation_is_constant_between_breakpoints(self, data, records, effect):
+    @given(case=moving_cases())
+    def test_evaluation_is_constant_between_breakpoints(self, case):
+        """Every field of the evaluation is the same at three factors inside
+        each interval, except p at a factor where two moving events tie."""
+        records, effect, draws = case
         trial = Trial.from_records(records)
         if np.unique(trial.trt).size < 2:
             event("one arm: nothing to evaluate")
             return
-        draws = data.draw(tied_draws(trial, effect))
         lo, hi = self.RANGE[effect]
-        edges = np.concatenate([[lo], rank_breakpoints(trial, effect, draws, lo, hi), [hi]])
+        lines = transform_lines(trial, effect, draws)
+        edges = np.concatenate([[lo], rank_breakpoints(trial, lines, lo, hi), [hi]])
         assert np.all(np.diff(edges) > 0)
         event(f"{edges.size - 2} breakpoints" if edges.size < 7 else "5 or more breakpoints")
         for left, right in zip(edges[:-1], edges[1:]):
-            points = {
-                dataclasses.replace(
-                    evaluate_at(trial, TransformParams(effect, float(g)), draws), gamma=0.0)
-                for g in left + np.array([0.25, 0.5, 0.75]) * (right - left)
-            }
-            assert len(points) == 1, (left, right, points)
+            gammas = [float(g) for g in left + np.array([0.25, 0.5, 0.75]) * (right - left)]
+            points = [dataclasses.replace(evaluate_at(trial, TransformParams(effect, g), draws),
+                                          gamma=0.0) for g in gammas]
+            tied = [moving_events_tie(trial, lines, g) for g in gammas]
+            if any(tied):
+                event("a sampled factor ties two moving events")
+            assert len({dataclasses.replace(p, p_two_sided=None) for p in points}) == 1, (
+                left, right, points)
+            assert len({p for p, tie in zip(points, tied) if not tie}) <= 1, (left, right, points)
 
     def test_breakpoints_of_one_moving_subject(self):
         # effect 1 moves c1 along 6 + gamma * 4, an event up to its imputed
@@ -695,9 +799,9 @@ class TestRankBreakpoints:
             rec("c1", C, 10.0, 1, mono=6.0), rec("e1", E, 20.0, 1), rec("e2", E, 25.0, 0),
         ])
         draws = ImputationDraws(np.array([0]), np.array([30.0]))
-        got = rank_breakpoints(trial, Effect.INFLATE_CONTROL, draws, 1.0, 10.0)
-        assert got.tolist() == [3.5, 4.75, 6.0]
-        assert rank_breakpoints(trial, Effect.INFLATE_CONTROL, draws, 3.5, 6.0).tolist() == [4.75]
+        lines = transform_lines(trial, Effect.INFLATE_CONTROL, draws)
+        assert rank_breakpoints(trial, lines, 1.0, 10.0).tolist() == [3.5, 4.75, 6.0]
+        assert rank_breakpoints(trial, lines, 3.5, 6.0).tolist() == [4.75]
 
     def test_two_moving_events_tie_where_they_meet(self):
         # effect 2 moves e1 along 2 + 2 * gamma and e2 along 1 + 6 * gamma:
@@ -712,7 +816,7 @@ class TestRankBreakpoints:
         ])
         effect = Effect.SHRINK_EXPERIMENTAL
         draws = make_draws(trial, effect)
-        assert rank_breakpoints(trial, effect, draws, 0.2, 0.3).size == 0
+        assert rank_breakpoints(trial, transform_lines(trial, effect, draws), 0.2, 0.3).size == 0
         gammas = (0.22, 0.25, 0.28)
         below, at, above = (evaluate_at(trial, TransformParams(effect, g), draws)
                             for g in gammas)
@@ -730,7 +834,8 @@ class TestRankBreakpoints:
                                                                              lo, hi):
         trial = fast_records()
         draws = make_draws(trial, effect, "fitted", seed=3)
-        edges = np.concatenate([[lo], rank_breakpoints(trial, effect, draws, lo, hi), [hi]])
+        lines = transform_lines(trial, effect, draws)
+        edges = np.concatenate([[lo], rank_breakpoints(trial, lines, lo, hi), [hi]])
         assert edges.size > 20
         for left, right in zip(edges[:-1], edges[1:]):
             a, b = (evaluate_at(trial, TransformParams(effect, float(g)), draws)
@@ -749,10 +854,10 @@ class TestAgainstFixedStepSearch:
         """How often the stop rule's verdict changes over [lo, hi], read at
         the midpoint of every interval between rank breakpoints."""
         reads, crossed, _ = phasetip.tipping._stop_rule(config)
-        edges = np.concatenate([[lo], rank_breakpoints(trial, config.effect, draws, lo, hi), [hi]])
+        lines = transform_lines(trial, config.effect, draws)
+        edges = np.concatenate([[lo], rank_breakpoints(trial, lines, lo, hi), [hi]])
         verdicts = [
-            crossed(reads(phasetip.tipping.apply_transform(
-                trial, TransformParams(config.effect, float(g)), draws)))
+            crossed(reads(apply_transform(trial, TransformParams(config.effect, float(g)), draws)))
             for g in 0.5 * (edges[:-1] + edges[1:])
         ]
         return sum(a != b for a, b in zip(verdicts, verdicts[1:]))
