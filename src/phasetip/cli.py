@@ -11,15 +11,18 @@ Subcommands:
             plus an SVG plot
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-A flat key=value config file can supply any long flag's value; explicit
-flags win. A key that no command reads is a data error. The PHASETIP_SEED
-environment variable is the seed fallback when neither the flag nor the
-config file sets one.
+`tpa` and `curve` share their search flags; `simulate` has one flag per
+`SimConfig` setting. A flat key=value config file can set any long flag
+but --input, --out and --config: the key is the flag without its dashes,
+and its value is cast and checked as the flag's is. Explicit flags win. A
+key that no command reads is a data error. The PHASETIP_SEED environment
+variable is the seed fallback when neither the flag nor the file sets one.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -43,6 +46,11 @@ RESULT_COLUMNS = [
     "hr_at_tip", "p_at_tip",
     "tip_min", "tip_max", "tip_sd", "n_replicates", "n_degenerate", "flags",
 ]
+# simulate's flags: one per SimConfig setting, of its default's type
+SIM_FLAGS = {field.name.replace("_", "-"): type(field.default)
+             for field in dataclasses.fields(SimConfig)}
+# the long flags that a config file does not set
+NOT_CONFIG = {"input", "out", "config", "help"}
 
 
 class UsageError(PhasetipError):
@@ -59,77 +67,50 @@ def _num(value):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; its `commands` maps each subcommand's name to its parser."""
     parser = _Parser(prog="phasetip", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices
 
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key=value file supplying flag defaults")
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=int)
+
+    search = _Parser(add_help=False, parents=[common])
+    search.add_argument("--input", required=True)
+    search.add_argument("--effect", choices=("1", "2"))
+    search.add_argument("--threshold", choices=("a", "b"))
+    search.add_argument("--alpha-level", type=float, help="significance level of stop rule a")
+    search.add_argument("--grid-step", type=float)
+    search.add_argument("--grid-max", type=float)
+    search.add_argument("--grid-min", type=float)
+    search.add_argument("--imputation", choices=("auto", "cutoff", "fitted"),
+                        help="source of effect 1's imputed censoring times; effect 2 ignores it")
+    search.add_argument("--p-source", choices=("logrank", "wald"))
+    search.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("analyze", parents=[common], help="primary-analysis report")
     p.add_argument("--input", required=True)
     p.add_argument("--stratified", action="store_true", default=None)
-    p.add_argument("--ties", choices=("efron", "breslow"), default=None)
+    p.add_argument("--ties", choices=("efron", "breslow"))
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("tpa", parents=[common], help="tipping-point analysis")
-    p.add_argument("--input", required=True)
-    p.add_argument("--effect", choices=("1", "2"), default=None)
-    p.add_argument("--threshold", choices=("a", "b"), default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--grid-max", type=float, default=None)
-    p.add_argument("--grid-min", type=float, default=None)
-    p.add_argument("--imputation", choices=("auto", "cutoff", "fitted"), default=None)
-    p.add_argument("--p-source", choices=("logrank", "wald"), default=None)
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("tpa", parents=[search], help="tipping-point analysis")
+    p.add_argument("--replicates", type=int, dest="mi_replicates", metavar="N")
     p.set_defaults(func=cmd_tpa)
 
     p = sub.add_parser("simulate", parents=[common], help="emit a synthetic trial")
     p.add_argument("--out", required=True, help="output CSV path")
     for flag, cast in SIM_FLAGS.items():
-        p.add_argument(f"--{flag}", type=cast, default=None)
+        p.add_argument(f"--{flag}", type=cast)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("curve", parents=[common], help="factor-grid curve and plot")
-    p.add_argument("--input", required=True)
-    p.add_argument("--effect", choices=("1", "2"), default=None)
-    p.add_argument("--threshold", choices=("a", "b"), default=None)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--grid-max", type=float, default=None)
-    p.add_argument("--grid-min", type=float, default=None)
-    p.add_argument("--imputation", choices=("auto", "cutoff", "fitted"), default=None)
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("curve", parents=[search], help="factor-grid curve and plot")
     p.set_defaults(func=cmd_curve)
-
     return parser
 
 
-SIM_FLAGS = {
-    "n-experimental": int,
-    "n-control": int,
-    "combo-event-hazard": float,
-    "switch-hazard": float,
-    "mono-event-hazard": float,
-    "hr-combo": float,
-    "hr-mono": float,
-    "switch-multiplier": float,
-    "accrual-months": float,
-    "cutoff-months": float,
-    "dropout-hazard": float,
-}
-# The keys a config file may set: the settings some command reads through
-# _Options (alpha-level has no flag). The tpa search brackets the tip with
-# steps doubling from grid-step and ends at an exact rank breakpoint, so no
-# key sets a search tolerance.
-CONFIG_KEYS = frozenset({
-    "seed", "effect", "threshold", "replicates", "grid-step", "grid-max", "grid-min",
-    "imputation", "p-source", "alpha-level", "stratified", "ties",
-    *SIM_FLAGS,
-})
-
-
-def _load_config(path) -> dict:
+def _load_config(path, keys) -> dict:
     cfg = {}
     try:
         with open(path) as handle:
@@ -141,7 +122,7 @@ def _load_config(path) -> dict:
                     raise DataError(f"bad config line (need key=value): {line!r}")
                 key, value = line.split("=", 1)
                 name = key.strip().replace("_", "-")
-                if name not in CONFIG_KEYS:
+                if name not in keys:
                     raise DataError(f"unknown config key {key.strip()!r}: no command reads it")
                 cfg[name] = value.strip()
     except OSError as err:
@@ -149,63 +130,94 @@ def _load_config(path) -> dict:
     return cfg
 
 
-class _Options:
-    """Flag > config file > fallback resolution for one command."""
-
-    def __init__(self, args):
-        self.args = args
-        self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name, cast, fallback):
-        explicit = getattr(self.args, name, None)
-        if explicit is not None:
-            return cast(explicit)
-        key = name.replace("_", "-")
-        if key in self.cfg:
-            raw = self.cfg[key]
-            try:
-                return cast(raw)
-            except (TypeError, ValueError):
-                raise DataError(f"config value for {key} is invalid: {raw!r}") from None
-        return fallback
-
-    def given(self, **casts) -> dict:
-        """The settings among `casts` (name -> cast) that a flag or the
-        config file sets, so that the callee's own defaults fill the rest."""
-        values = {name: self.get(name, cast, None) for name, cast in casts.items()}
-        return {name: value for name, value in values.items() if value is not None}
-
-    def seed(self) -> int:
-        seed = self.get("seed", int, None)
-        if seed is None:
-            env = os.environ.get("PHASETIP_SEED")
-            try:
-                seed = int(env) if env else 0
-            except ValueError:
-                raise DataError(f"PHASETIP_SEED is not an integer: {env!r}") from None
-        if seed < 0:
-            raise DataError(f"seed must be non-negative, got {seed}")
-        return seed
-
-
-def _refuse_fit_settings(opt) -> None:
-    """tpa and curve fit unstratified Efron models; refuse a config file
-    that asks for strata or Breslow ties instead of ignoring it."""
-    for key, accepted in (("stratified", ("false", "0")), ("ties", ("efron",))):
-        if key in opt.cfg and opt.cfg[key] not in accepted:
-            raise DataError(
-                f"config key {key}={opt.cfg[key]!r} is not supported by "
-                f"{opt.args.command}: it fits unstratified models with Efron ties"
-            )
+def _long_flags(command) -> dict:
+    """A subcommand's long flags, without their dashes, and their actions."""
+    return {action.option_strings[-1][2:]: action
+            for action in command._actions if action.option_strings}
 
 
 def _boolean(raw) -> bool:
-    """An on/off setting: True from its flag; true, false, 1 or 0 from a file."""
-    if raw is True or raw in ("true", "1"):
+    """An on/off setting from a file: true, false, 1 or 0."""
+    if raw in ("true", "1"):
         return True
     if raw in ("false", "0"):
         return False
     raise ValueError(raw)
+
+
+def _config_value(action, key, raw):
+    """`raw` cast and checked by the flag's own type and choices; an on/off
+    flag's by `_boolean`."""
+    try:
+        value = _boolean(raw) if action.nargs == 0 else (action.type or str)(raw)
+        if action.choices is None or value in action.choices:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise DataError(f"config value for {key} is invalid: {raw!r}")
+
+
+def _apply_config(args, commands) -> dict:
+    """Fill each flag of the command that the command line left unset from
+    the config file at args.config, and return the file's settings. The
+    keys are the long flags of every command but those of NOT_CONFIG; a
+    key that only another command reads is ignored."""
+    flags = {name: _long_flags(command) for name, command in commands.items()}
+    cfg = _load_config(args.config, set().union(*flags.values()) - NOT_CONFIG)
+    for key, raw in cfg.items():
+        action = flags[args.command].get(key)
+        if action is not None and getattr(args, action.dest) is None:
+            setattr(args, action.dest, _config_value(action, key, raw))
+    return cfg
+
+
+def _refuse_fit_settings(command, cfg) -> None:
+    """tpa and curve fit unstratified Efron models; refuse a config file
+    that asks for strata or Breslow ties instead of ignoring it."""
+    for key, accepted in (("stratified", ("false", "0")), ("ties", ("efron",))):
+        if key in cfg and cfg[key] not in accepted:
+            raise DataError(
+                f"config key {key}={cfg[key]!r} is not supported by "
+                f"{command}: it fits unstratified models with Efron ties"
+            )
+
+
+def _given(args, names) -> dict:
+    """The settings among `names` that a flag or the config file sets, so
+    that the callee's own defaults fill the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _seed(args) -> int:
+    """The seed of the flag or the config file, else PHASETIP_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("PHASETIP_SEED")
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise DataError(f"PHASETIP_SEED is not an integer: {env!r}") from None
+
+
+def _read_trial(path):
+    trial = read_dataset(path)
+    if not trial:
+        raise DataError("dataset is empty")
+    return trial
+
+
+def _write_csv(outdir, name, columns, rows, what) -> str:
+    """Write a header and `rows` (lists of cells) to `name` in `outdir`."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        path = os.path.join(outdir, name)
+        with open(path, "w", newline="") as handle:
+            handle.write(",".join(columns) + "\n")
+            for row in rows:
+                handle.write(",".join(row) + "\n")
+    except OSError as err:
+        raise DataError(f"cannot write {what}: {err}") from None
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +229,9 @@ def _fmt_ci(ci):
 
 
 def cmd_analyze(args) -> int:
-    opt = _Options(args)
-    trial = read_dataset(args.input)
-    if not trial:
-        raise DataError("dataset is empty")
-    stratified = opt.get("stratified", _boolean, False)
-    ties = opt.get("ties", str, "efron")
-    table = risk_table(trial, ties, stratified)   # refuses an unknown ties method
+    trial = _read_trial(args.input)
+    stratified = bool(args.stratified)
+    table = risk_table(trial, args.ties or "efron", stratified)
     lines = []
     arms = summarize_trial(trial).arms
     for arm, label in ((Arm.EXPERIMENTAL, "Experimental"), (Arm.CONTROL, "Control")):
@@ -254,51 +262,38 @@ def cmd_analyze(args) -> int:
 # tpa
 
 
-def _search_config(opt) -> SearchConfig:
-    """The tpa settings that a flag or the config file sets, on top of the
-    defaults of SearchConfig."""
-    given = opt.given(effect=Effect.from_number, threshold=Threshold, alpha_level=float,
-                      grid_step=float, grid_max=float, grid_min=float,
-                      replicates=int, imputation=str, p_source=str)
-    if "replicates" in given:
-        given["mi_replicates"] = given.pop("replicates")
-    return SearchConfig(seed=opt.seed(), **given)
+def _search_config(args, *more) -> SearchConfig:
+    """The settings of tpa and curve, and the `more` settings named, that a
+    flag or the config file sets, on the defaults of SearchConfig."""
+    given = _given(args, ("effect", "threshold", "alpha_level", "imputation", "p_source", *more))
+    if "effect" in given:
+        given["effect"] = Effect.from_number(given["effect"])
+    if "threshold" in given:
+        given["threshold"] = Threshold(given["threshold"])
+    return SearchConfig(seed=_seed(args), **given)
 
 
 def emit_results(results: list[TpaResult], outdir) -> str:
     """Write results.csv (one row per effect/threshold) into `outdir`."""
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        path = os.path.join(outdir, "results.csv")
-        with open(path, "w", newline="") as handle:
-            handle.write(",".join(RESULT_COLUMNS) + "\n")
-            for res in results:
-                row = [
-                    f"effect{res.effect.number}_threshold_{res.threshold.value}",
-                    _num(res.tip),
-                    _num(res.n_events_at_tip),
-                    _num(res.hr_at_tip),
-                    _num(res.p_at_tip),
-                    _num(res.tip_min),
-                    _num(res.tip_max),
-                    _num(res.tip_sd),
-                    str(len(res.replicates)),
-                    str(res.n_degenerate),
-                    '"' + "; ".join(res.flags).replace('"', "'") + '"',
-                ]
-                handle.write(",".join(row) + "\n")
-    except OSError as err:
-        raise DataError(f"cannot write results: {err}") from None
-    return path
+    rows = ([
+        f"effect{res.effect.number}_threshold_{res.threshold.value}",
+        _num(res.tip),
+        _num(res.n_events_at_tip),
+        _num(res.hr_at_tip),
+        _num(res.p_at_tip),
+        _num(res.tip_min),
+        _num(res.tip_max),
+        _num(res.tip_sd),
+        str(len(res.replicates)),
+        str(res.n_degenerate),
+        '"' + "; ".join(res.flags).replace('"', "'") + '"',
+    ] for res in results)
+    return _write_csv(outdir, "results.csv", RESULT_COLUMNS, rows, "results")
 
 
 def cmd_tpa(args) -> int:
-    opt = _Options(args)
-    _refuse_fit_settings(opt)
-    trial = read_dataset(args.input)
-    if not trial:
-        raise DataError("dataset is empty")
-    config = _search_config(opt)
+    trial = _read_trial(args.input)
+    config = _search_config(args, "grid_step", "grid_max", "grid_min", "mi_replicates")
     result = find_tipping(trial, config)
     path = emit_results([result], args.out)
     if result.tip is None:
@@ -321,9 +316,8 @@ def cmd_tpa(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    opt = _Options(args)
-    overrides = opt.given(**{flag.replace("-", "_"): cast for flag, cast in SIM_FLAGS.items()})
-    trial = simulate_trial(SimConfig(**overrides), seed=opt.seed())
+    config = SimConfig(**_given(args, [field.name for field in dataclasses.fields(SimConfig)]))
+    trial = simulate_trial(config, seed=_seed(args))
     write_dataset(trial, args.out)
     summary = summarize_trial(trial)
     print(
@@ -339,50 +333,32 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    opt = _Options(args)
-    _refuse_fit_settings(opt)
-    trial = read_dataset(args.input)
-    if not trial:
-        raise DataError("dataset is empty")
-    config = SearchConfig(
-        seed=opt.seed(),
-        **opt.given(effect=Effect.from_number, threshold=Threshold, imputation=str,
-                    p_source=str, alpha_level=float),
-    )
+    trial = _read_trial(args.input)
+    config = _search_config(args)
     effect, threshold = config.effect, config.threshold
-    step = opt.get("grid_step", float, 0.05)
+    step = 0.05 if args.grid_step is None else args.grid_step
     if not step > 0:
         raise DataError("grid_step must be positive")
     if effect is Effect.INFLATE_CONTROL:
-        hi = opt.get("grid_max", float, 3.0 if threshold is Threshold.SIGNIFICANCE else 4.0)
+        hi = args.grid_max
+        if hi is None:
+            hi = 3.0 if threshold is Threshold.SIGNIFICANCE else 4.0
         if not math.isfinite(hi):
             raise DataError("grid_max must be finite")
         check_grid_points(hi + 1e-9 - 1.0, step, f"the curve from 1 to grid_max {hi!r}")
         grid = np.arange(1.0, hi + 1e-9, step)
     else:
-        lo = opt.get("grid_min", float, 0.3)
+        lo = 0.3 if args.grid_min is None else args.grid_min
         if not (lo > 0 and math.isfinite(lo)):
             raise DataError(f"grid_min must be a finite positive number, got {lo!r}")
         check_grid_points(1.0 - (lo - 1e-9), step, f"the curve from 1 to grid_min {lo!r}")
         grid = np.arange(1.0, lo - 1e-9, -step)
         grid = grid[grid > 0.0]   # a grid_min below 1e-9 would reach 0 or below
     points = [p for p in grid_scan(trial, config, grid) if p.evaluable]
-
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        stem = f"curve_{effect.number}_{threshold.value}"
-        csv_path = os.path.join(args.out, stem + ".csv")
-        with open(csv_path, "w", newline="") as handle:
-            handle.write(",".join(CURVE_COLUMNS) + "\n")
-            for pt in points:
-                handle.write(
-                    ",".join([
-                        _num(pt.gamma), _num(pt.p_two_sided),
-                        _num(pt.hr_overall), _num(pt.hr_mono),
-                    ]) + "\n"
-                )
-    except OSError as err:
-        raise DataError(f"cannot write curve: {err}") from None
+    stem = f"curve_{effect.number}_{threshold.value}"
+    csv_path = _write_csv(args.out, stem + ".csv", CURVE_COLUMNS, (
+        [_num(pt.gamma), _num(pt.p_two_sided), _num(pt.hr_overall), _num(pt.hr_mono)]
+        for pt in points), "curve")
 
     if threshold is Threshold.SIGNIFICANCE:
         ys, ref = [pt.p_two_sided for pt in points], config.alpha_level
@@ -421,19 +397,20 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
+        if args.config:
+            cfg = _apply_config(args, parser.commands)
+            if args.command in ("tpa", "curve"):
+                _refuse_fit_settings(args.command, cfg)
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except DataError as err:
+    except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except EstimationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

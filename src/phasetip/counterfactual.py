@@ -57,6 +57,7 @@ import enum
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,8 @@ class TransformParams:
     def __post_init__(self):
         if not isinstance(self.effect, Effect):
             raise DataError(f"effect must be an Effect, got {self.effect!r}")
+        if not isinstance(self.gamma, numbers.Real) or isinstance(self.gamma, bool):
+            raise DataError(f"gamma must be a number, got {self.gamma!r}")
         _check_factor(self.effect, self.gamma)
 
 

@@ -16,7 +16,9 @@ the published trial summaries this generator stands in for.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,12 @@ class SimConfig:
     dropout_hazard: float = 0.009       # non-administrative censoring
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kind, what = ((numbers.Integral, "an integer") if type(field.default) is int
+                          else (numbers.Real, "a number"))
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise DataError(f"{field.name} must be {what}, got {value!r}")
         for name in ("combo_event_hazard", "switch_hazard", "mono_event_hazard",
                      "hr_combo", "hr_mono", "switch_multiplier"):
             value = getattr(self, name)
@@ -65,6 +73,8 @@ def simulate_trial(config: SimConfig, seed: int = 0) -> Trial:
     """Generate one trial. Draws are indexed per subject (row i of the draw
     matrix belongs to subject i), so generation is order-independent. Each
     subject is validated as a `SubjectRecord`."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     n = config.n_experimental + config.n_control
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SIM_STREAM]))
 

@@ -26,9 +26,7 @@ evaluate every design from it with a 4 x p matrix of group covariate
 values, so a caller that holds the table (the treatment-only and the
 three-covariate fit of one evaluation, or of one `analyze` report, which
 passes it to `phase_hr`) builds it once. The Kaplan-Meier curve,
-`logrank_test` and the table take a `Trial`. A one-coefficient fit takes
-its step and its inverse information as a division, and tests its pivot
-as LAPACK's Cholesky factorization would.
+`logrank_test` and the table take a `Trial`.
 Nothing loops over subjects in Python, and the Newton loop of `cox_fit`
 calls numpy's reductions, and the LAPACK gufuncs that np.linalg.solve,
 np.linalg.cholesky and np.linalg.inv call, without their per-call
@@ -552,19 +550,11 @@ def _has_nan(x) -> bool:
 
 
 def _newton_step(info, grad):
-    """The step solving info @ step = grad. With one coefficient it is a
-    plain division, the arithmetic of LAPACK's 1 x 1 solve, which refuses
-    a zero pivot as singular. Otherwise it is the gufunc np.linalg.solve
+    """The step solving info @ step = grad, from the gufunc np.linalg.solve
     calls, without its wrapper: a singular system leaves the step NaN
     (where the wrapper raises), which is refused with the non-finite ones.
     Run it under np.errstate(invalid ignored), as `cox_fit` does."""
-    if info.shape == (1, 1):
-        pivot = info[0, 0]
-        if pivot == 0.0:
-            raise EstimationError(_SINGULAR)
-        step = grad / pivot
-    else:
-        step = _umath_linalg.solve1(info, grad, signature="dd->d")
+    step = _umath_linalg.solve1(info, grad, signature="dd->d")
     if not all(map(math.isfinite, step.tolist())):
         raise EstimationError(_SINGULAR)
     return step
@@ -608,18 +598,12 @@ def _newton(design, max_iter):
 
 def _inverse_of_positive_definite(info):
     """The inverse of the information, refused unless LAPACK's Cholesky
-    factorization (dpotrf) accepts it. With one coefficient that is the
-    test dpotrf makes, a pivot neither NaN nor <= 0, and the inverse is
-    LAPACK's 1 x 1 solve, a division. Otherwise it is the gufuncs that
+    factorization (dpotrf) accepts it, from the gufuncs that
     np.linalg.cholesky and np.linalg.inv call, without their wrappers: a
     factorization or an inverse that fails comes back NaN (where the
     wrappers raise) and is refused. Run it under np.errstate(invalid
     ignored), as `cox_fit` does."""
-    if info.shape == (1, 1):
-        pivot = info[0, 0]
-        if pivot > 0.0:   # False for NaN
-            return np.array([[1.0 / pivot]])
-    elif not _has_nan(_umath_linalg.cholesky_lo(info, signature="d->d")):
+    if not _has_nan(_umath_linalg.cholesky_lo(info, signature="d->d")):
         cov = _umath_linalg.inv(info, signature="d->d")
         if not _has_nan(cov):
             return cov

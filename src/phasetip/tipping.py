@@ -117,6 +117,11 @@ MAX_REPLICATES = 1_000
 MAX_STEP = 0.16
 
 
+def _check_p_source(p_source) -> None:
+    if p_source not in ("logrank", "wald"):
+        raise DataError(f"p_source must be 'logrank' or 'wald', got {p_source!r}")
+
+
 def check_grid_points(span: float, step: float, what: str) -> None:
     """Refuse a grid that covers `span` in steps of `step` with more than
     MAX_GRID_POINTS steps. Works on the ratio, so no grid is allocated."""
@@ -172,8 +177,7 @@ class SearchConfig:
             raise DataError("need at least one replicate")
         if self.mi_replicates > MAX_REPLICATES:
             raise DataError(f"at most {MAX_REPLICATES} replicates, got {self.mi_replicates}")
-        if self.p_source not in ("logrank", "wald"):
-            raise DataError(f"unknown p_source {self.p_source!r}")
+        _check_p_source(self.p_source)
         if self.seed < 0:
             raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -264,6 +268,7 @@ def evaluate_at(trial: Trial, params: TransformParams, draws: ImputationDraws,
     its column None and its message in the note, instead of aborting; the
     point is evaluable when both the p-value and the overall HR exist.
     """
+    _check_p_source(p_source)
     if outcome is None:
         (outcome,) = _rows(trial, [(transform_lines(trial, params.effect, draws), params.gamma)],
                            p_source != "wald")

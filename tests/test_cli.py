@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -407,6 +408,72 @@ class TestConfigKeys:
             assert main([*argv, "--config", str(cfg)]) == 0
 
 
+# each search setting -> (a value, flags under which that value matters)
+SEARCH_SETTINGS = {
+    "effect": ("2", []),
+    "threshold": ("b", []),
+    "alpha-level": ("0.1", []),
+    "grid-step": ("0.2", []),
+    "grid-max": ("2.5", ["--effect", "1"]),
+    "grid-min": ("0.5", ["--effect", "2"]),
+    "imputation": ("fitted", ["--effect", "1"]),
+    "p-source": ("wald", []),
+    "seed": ("9", ["--effect", "2"]),
+    "replicates": ("3", []),
+}
+
+
+class TestConfigThroughFlags:
+    """A config key is its long flag without the dashes: it sets what the
+    flag sets, cast and checked as the flag is."""
+
+    @staticmethod
+    def _outputs(outdir):
+        return {name: (outdir / name).read_bytes() for name in sorted(os.listdir(outdir))}
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in ("tpa", "curve") for key in SEARCH_SETTINGS
+        if (command, key) != ("curve", "replicates")
+    ])
+    def test_flag_and_config_key_write_the_same_bytes(self, small_dataset, tmp_path, command,
+                                                      key):
+        value, context = SEARCH_SETTINGS[key]
+        argv = [command, "--input", small_dataset, *context]
+        base = {"grid-step": "0.1", **({"replicates": "2"} if command == "tpa" else {})}
+        for flag, setting in base.items():
+            if flag != key:
+                argv += [f"--{flag}", setting]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key.replace('-', '_')}={value}\n")
+        assert main([*argv, f"--{key}", value, "--out", str(tmp_path / "flag")]) == 0
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+        assert self._outputs(tmp_path / "flag") == self._outputs(tmp_path / "file")
+
+    def test_config_keys_are_the_long_flags(self, tmp_path, capsys):
+        flags = set()
+        for command in ("analyze", "tpa", "simulate", "curve"):
+            assert main([command, "--help"]) == 0
+            flags |= set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        with mock.patch("phasetip.cli._load_config", return_value={}) as load:
+            assert main(["simulate", "--config", "run.cfg", "--out", str(tmp_path / "s.csv"),
+                         "--n-experimental", "5", "--n-control", "5"]) == 0
+        assert load.call_args.args[1] == flags - {"input", "out", "config", "help"}
+
+    @pytest.mark.parametrize("line", ["effect=01", "imputation=km", "p_source=bayes"])
+    def test_value_outside_the_flags_choices_is_refused(self, small_dataset, tmp_path, capsys,
+                                                        line):
+        key, value = line.split("=")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with mock.patch("phasetip.cli.find_tipping") as search:
+            code = main(["tpa", "--input", small_dataset, "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        search.assert_not_called()
+        message = f"config value for {key.replace('_', '-')} is invalid: {value!r}"
+        assert message in capsys.readouterr().err
+
+
 class TestGoldenOutputs:
     """`results.csv` and the curve CSV are byte-identical to recorded files.
 
@@ -612,8 +679,8 @@ class TestCurveCommand:
         scan.assert_not_called()
 
     def test_config_sets_p_source_and_alpha_level(self, small_dataset, tmp_path, capsys):
-        # the curve has no flag for either; the file sets the p column, the
-        # reference line and the crossings counted
+        # the file sets the p column, the reference line and the crossings
+        # counted, as --p-source and --alpha-level do
         from phasetip.dataio import read_dataset
         from phasetip.tipping import SearchConfig, grid_scan
 

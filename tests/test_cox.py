@@ -539,9 +539,10 @@ class TestNewtonAgainstNumpyWrappers:
 
 class TestLinalgWithoutWrappers:
     """`_newton_step` and `_inverse_of_positive_definite` call the gufuncs
-    behind np.linalg.solve, cholesky and inv: where the wrappers return, the
-    result is the same to the bit, and where they raise LinAlgError the fit
-    is refused. Both run under `cox_fit`'s np.errstate."""
+    behind np.linalg.solve, cholesky and inv, for one coefficient too: where
+    the wrappers return a finite result, it is the same to the bit, and where
+    they raise LinAlgError or return NaN the fit is refused. Both run under
+    `cox_fit`'s np.errstate."""
 
     MATRICES = [
         [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]],   # positive definite
@@ -549,6 +550,7 @@ class TestLinalgWithoutWrappers:
         [[1.0, 1.0], [1.0, 1.0]],                              # singular
         [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         [[1e300, 0.0], [0.0, 1e-300]],
+        [[2.0]], [[0.0]], [[-1.0]], [[float("nan")]],          # one coefficient
     ]
 
     @staticmethod
@@ -566,6 +568,8 @@ class TestLinalgWithoutWrappers:
         if step is not None and not np.isfinite(np.frombuffer(step)).all():
             step = None
         cov = self._wrapped(lambda: (np.linalg.cholesky(info), np.linalg.inv(info))[1])
+        if cov is not None and np.isnan(np.frombuffer(cov)).any():
+            cov = None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for got, expected, message in (
                 (lambda: _newton_step(info, grad), step, "singular information"),

@@ -682,6 +682,14 @@ class TestSearchConfigValidation:
         (lambda: SearchConfig(mi_replicates=True), "mi_replicates"),
         (lambda: SearchConfig(grid_step="0.1"), "grid_step"),
         (lambda: TransformParams("2", 0.5), "effect"),
+        (lambda: TransformParams(Effect.SHRINK_EXPERIMENTAL, "0.5"), "gamma"),
+        (lambda: evaluate_at(fast_records(), TransformParams(Effect.INFLATE_CONTROL, 1.0),
+                             make_draws(fast_records(), Effect.INFLATE_CONTROL), "bayes"),
+         "p_source"),
+        (lambda: simulate_trial(FAST_SIM, seed=-1), "seed"),
+        (lambda: simulate_trial(FAST_SIM, seed=1.5), "seed"),
+        (lambda: SimConfig(n_experimental=2.5), "n_experimental"),
+        (lambda: SimConfig(n_experimental=True), "n_experimental"),
     ])
     def test_wrong_type_is_a_data_error_naming_the_field(self, make, field):
         with pytest.raises(DataError, match=f"^{field} must be "):
