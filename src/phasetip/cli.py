@@ -12,11 +12,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 `tpa` and `curve` share their search flags; `simulate` has one flag per
-`SimConfig` setting. A flat key=value config file can set any long flag
-but --input, --out and --config: the key is the flag without its dashes,
-and its value is cast and checked as the flag's is. Explicit flags win. A
-key that no command reads is a data error. The PHASETIP_SEED environment
-variable is the seed fallback when neither the flag nor the file sets one.
+`SimConfig` setting; all three take --seed. A flat key=value config file
+can set any long flag but --input, --out and --config: the key is the flag
+without its dashes, and its value is cast and checked as the flag's is.
+Explicit flags win, and a key that no command reads is a data error.
+PHASETIP_SEED is the seed when neither --seed nor the file sets one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .counterfactual import Effect, Threshold
+from .counterfactual import IMPUTATIONS, Effect, Threshold
 from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
 from .records import Arm
@@ -74,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key=value file supplying flag defaults")
-    common.add_argument("--seed", type=int)
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int)
 
-    search = _Parser(add_help=False, parents=[common])
+    search = _Parser(add_help=False, parents=[seeded])
     search.add_argument("--input", required=True)
     search.add_argument("--effect", choices=("1", "2"))
     search.add_argument("--threshold", choices=("a", "b"))
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--grid-step", type=float)
     search.add_argument("--grid-max", type=float)
     search.add_argument("--grid-min", type=float)
-    search.add_argument("--imputation", choices=("auto", "cutoff", "fitted"),
+    search.add_argument("--imputation", choices=IMPUTATIONS,
                         help="source of effect 1's imputed censoring times; effect 2 ignores it")
     search.add_argument("--p-source", choices=("logrank", "wald"))
     search.add_argument("--out", required=True, help="output directory")
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, dest="mi_replicates", metavar="N")
     p.set_defaults(func=cmd_tpa)
 
-    p = sub.add_parser("simulate", parents=[common], help="emit a synthetic trial")
+    p = sub.add_parser("simulate", parents=[seeded], help="emit a synthetic trial")
     p.add_argument("--out", required=True, help="output CSV path")
     for flag, cast in SIM_FLAGS.items():
         p.add_argument(f"--{flag}", type=cast)
@@ -276,7 +277,7 @@ def _search_config(args, *more) -> SearchConfig:
 def emit_results(results: list[TpaResult], outdir) -> str:
     """Write results.csv (one row per effect/threshold) into `outdir`."""
     rows = ([
-        f"effect{res.effect.number}_threshold_{res.threshold.value}",
+        f"effect{res.effect.value}_threshold_{res.threshold.value}",
         _num(res.tip),
         _num(res.n_events_at_tip),
         _num(res.hr_at_tip),
@@ -303,7 +304,7 @@ def cmd_tpa(args) -> int:
         p = "n/a" if result.p_at_tip is None else f"{result.p_at_tip:.4g}"
         kind = "degenerate at start" if result.degenerate else "tipping point"
         print(
-            f"effect {config.effect.number}, threshold {config.threshold.value}: {kind} "
+            f"effect {config.effect.value}, threshold {config.threshold.value}: {kind} "
             f"factor={result.tip:.4f} (HR at tip {hr}, p at tip {p}, "
             f"replicates {len(result.replicates)}, spread sd={result.tip_sd:.4g})"
         )
@@ -355,7 +356,7 @@ def cmd_curve(args) -> int:
         grid = np.arange(1.0, lo - 1e-9, -step)
         grid = grid[grid > 0.0]   # a grid_min below 1e-9 would reach 0 or below
     points = [p for p in grid_scan(trial, config, grid) if p.evaluable]
-    stem = f"curve_{effect.number}_{threshold.value}"
+    stem = f"curve_{effect.value}_{threshold.value}"
     csv_path = _write_csv(args.out, stem + ".csv", CURVE_COLUMNS, (
         [_num(pt.gamma), _num(pt.p_two_sided), _num(pt.hr_overall), _num(pt.hr_mono)]
         for pt in points), "curve")
@@ -373,7 +374,7 @@ def cmd_curve(args) -> int:
     svg_path = os.path.join(args.out, stem + ".svg")
     crossings = line_plot(
         xs, ys, svg_path,
-        title=f"Counterfactual scan, effect {effect.number}, stop rule {threshold.value}",
+        title=f"Counterfactual scan, effect {effect.value}, stop rule {threshold.value}",
         xlabel="adjustment factor", ylabel=ylabel, ref_y=ref,
     )
     print(f"wrote {csv_path} and {svg_path} ({len(points)} points, "

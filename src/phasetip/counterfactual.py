@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EstimationError
+from .errors import DataError, EstimationError, check_seed
 from .records import Arm, Trial
 from .survival import distinct
 
@@ -83,8 +83,17 @@ __all__ = [
     "rank_breakpoints",
     "naive_transform",
     "cutoff_censoring_fraction",
+    "IMPUTATIONS",
     "make_draws",
 ]
+
+# the sources of effect 1's imputed censoring times (`make_draws`)
+IMPUTATIONS = ("auto", "cutoff", "fitted")
+
+
+def check_imputation(imputation) -> None:
+    if imputation not in IMPUTATIONS:
+        raise DataError(f"imputation must be one of {', '.join(IMPUTATIONS)}, got {imputation!r}")
 
 
 class Effect(enum.Enum):
@@ -98,8 +107,9 @@ class Effect(enum.Enum):
         return cls(int(n))
 
     @property
-    def number(self) -> int:
-        return self.value
+    def direction(self) -> int:
+        """The sign of the factor's walk from 1: up for effect 1, down for 2."""
+        return 1 if self is Effect.INFLATE_CONTROL else -1
 
     @property
     def target_arm(self) -> Arm:
@@ -189,8 +199,6 @@ _OTHERS = [np.array([i for i in range(_POOL) if i != src]) for src in range(_POO
 def _int_words(n: int) -> list[int]:
     """`n` as little-endian 32-bit words, one word for 0, as SeedSequence
     splits an int."""
-    if n < 0:
-        raise DataError(f"seed and replicate id must be non-negative, got {n}")
     words = [n & _MASK32]
     while n > _MASK32:
         n >>= 32
@@ -296,6 +304,8 @@ def _keyed_rngs(seed: int, replicate_id: int, keys) -> list[np.random.Generator]
 
 def keyed_rng(seed: int, replicate_id: int, subject_id: str) -> np.random.Generator:
     """Independent generator per (seed, replicate, subject)."""
+    check_seed(seed, "seed")
+    check_seed(replicate_id, "replicate_id")
     (rng,) = _keyed_rngs(seed, replicate_id, [_subject_key(subject_id)])
     return rng
 
@@ -306,7 +316,10 @@ def keyed_rng(seed: int, replicate_id: int, subject_id: str) -> np.random.Genera
 
 def _targeted(trial: Trial, effect: Effect) -> np.ndarray:
     """Mask of the subjects the effect's transform acts on: on its target
-    arm and in monotherapy."""
+    arm and in monotherapy. Every function taking an effect refuses here a
+    value that is not an `Effect`."""
+    if not isinstance(effect, Effect):
+        raise DataError(f"effect must be an Effect, got {effect!r}")
     return (trial.trt == effect.target_arm.trt) & trial.in_mono
 
 
@@ -527,8 +540,9 @@ def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
 
     Effect 2: imputed event times, from the exponential mono-duration fit.
     """
-    if imputation not in ("auto", "cutoff", "fitted"):
-        raise DataError(f"unknown imputation method {imputation!r}")
+    check_imputation(imputation)
+    check_seed(seed, "seed")
+    check_seed(replicate_id, "replicate_id")
     subjects = np.flatnonzero(needs_draw(trial, effect))
     method = "fitted"
     if effect is Effect.INFLATE_CONTROL:

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one seed rule.
 
 CLI exit-code mapping: DataError -> 2, EstimationError (and subclasses) -> 3.
 """
+
+import numbers
 
 
 class PhasetipError(Exception):
@@ -30,3 +32,10 @@ class ConvergenceError(EstimationError):
 
 class SeparationError(EstimationError):
     """Monotone partial likelihood: it has no maximum, so no fit is made."""
+
+
+def check_seed(value, name: str) -> None:
+    """Refuse a seed or replicate id that is not a non-negative integer; a
+    bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DataError(f"{name} must be a non-negative integer, got {value!r}")

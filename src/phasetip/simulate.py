@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_seed
 from .records import Arm, SubjectRecord, Trial
 from .survival import km_estimate
 
@@ -73,8 +73,7 @@ def simulate_trial(config: SimConfig, seed: int = 0) -> Trial:
     """Generate one trial. Draws are indexed per subject (row i of the draw
     matrix belongs to subject i), so generation is order-independent. Each
     subject is validated as a `SubjectRecord`."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed, "seed")
     n = config.n_experimental + config.n_control
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SIM_STREAM]))
 

@@ -80,17 +80,20 @@ import numbers
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .counterfactual import (
     Effect,
     ImputationDraws,
     Threshold,
     TransformParams,
+    check_imputation,
     make_draws,
     rank_breakpoints,
     transform_lines,
     transform_outcomes,
 )
-from .errors import DataError, EstimationError
+from .errors import DataError, EstimationError, check_seed
 from .records import Trial
 from .survival import cox_fit, logrank_rows, logrank_test, risk_table
 
@@ -152,11 +155,12 @@ class SearchConfig:
                 ("effect", Effect, "an Effect"), ("threshold", Threshold, "a Threshold"),
                 ("alpha_level", numbers.Real, "a number"), ("grid_step", numbers.Real, "a number"),
                 ("grid_max", numbers.Real, "a number"), ("grid_min", numbers.Real, "a number"),
-                ("mi_replicates", numbers.Integral, "an integer"),
-                ("seed", numbers.Integral, "a non-negative integer")):
+                ("mi_replicates", numbers.Integral, "an integer")):
             value = getattr(self, name)
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise DataError(f"{name} must be {what}, got {value!r}")
+        check_seed(self.seed, "seed")
+        check_imputation(self.imputation)
         if not self.grid_step > 0:
             raise DataError("grid_step must be positive")
         if not math.isfinite(self.grid_max):
@@ -165,12 +169,9 @@ class SearchConfig:
             raise DataError(f"grid_max must be at least 1, got {self.grid_max!r}")
         if not 0.0 < self.grid_min <= 1.0:
             raise DataError(f"grid_min must be in (0, 1], got {self.grid_min!r}")
-        if self.effect is Effect.INFLATE_CONTROL:
-            check_grid_points(self.grid_max - 1.0, self.grid_step,
-                              f"the walk from 1 to grid_max {self.grid_max!r}")
-        else:
-            check_grid_points(1.0 - self.grid_min, self.grid_step,
-                              f"the walk from 1 to grid_min {self.grid_min!r}")
+        name = "grid_max" if self.effect.direction > 0 else "grid_min"
+        bound = getattr(self, name)
+        check_grid_points(abs(bound - 1.0), self.grid_step, f"the walk from 1 to {name} {bound!r}")
         if not 0 < self.alpha_level < 1:
             raise DataError("alpha_level must be in (0, 1)")
         if self.mi_replicates < 1:
@@ -178,8 +179,6 @@ class SearchConfig:
         if self.mi_replicates > MAX_REPLICATES:
             raise DataError(f"at most {MAX_REPLICATES} replicates, got {self.mi_replicates}")
         _check_p_source(self.p_source)
-        if self.seed < 0:
-            raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -359,7 +358,7 @@ def _bracket(crossed, config):
     probe's (value, note). It returns (last_clear, first_crossed, flags),
     where the crossed side is None when the bound is reached without a
     crossing."""
-    direction = 1.0 if config.effect is Effect.INFLATE_CONTROL else -1.0
+    direction = config.effect.direction
     bound = config.grid_max if direction > 0 else config.grid_min
     longest = max(config.grid_step, MAX_STEP)
     flags = []
@@ -390,13 +389,14 @@ def _coarsest_dyadic(a: float, b: float) -> float:
         scale *= 2.0
 
 
-def _bisect(crossed, clear, first_crossed, breakpoints, flags):
-    """Bisect the bracket between its clear and its crossed end on the rank
-    breakpoints inside it, which run from the clear end to the crossed end.
+def _bisect(crossed, edges, flags):
+    """Bisect a bracket on the rank breakpoints inside it. `edges` holds,
+    in walk order, the bracket's clear end, the breakpoints and its crossed
+    end.
 
-    The edges are the clear end, the breakpoints and the crossed end. The
-    cells, in walk order, are the clear end itself, the open intervals
-    between consecutive edges and the crossed end. An interval is probed at
+    The cells, in walk order, are the clear end itself, the open intervals
+    between consecutive edges and the crossed end: cell i, for 0 < i <
+    edges.size, lies between edges i - 1 and i. An interval is probed at
     its midpoint, never at a breakpoint. Each step probes, among the middle
     half of the cells still unknown, the one holding the coarsest dyadic
     distance from 1. The split points then depend on the breakpoints and
@@ -404,33 +404,26 @@ def _bisect(crossed, clear, first_crossed, breakpoints, flags):
     meet on the same splits, and end at the same flip even where the rule's
     value flips back and forth near the threshold. A cell whose value
     cannot be computed is nudged once to each neighbour; when they fail
-    too, the bisection stops with a flag. Edges and cells are read from
-    `breakpoints` by index, so a live bisection holds no copy of it.
+    too, the bisection stops with a flag. Distances are read one edge at a
+    time, so a live bisection holds no array beside `edges`.
 
     A generator like `_bracket`. It returns (tip, factor): the edge at which
     the first crossed cell starts, and where that cell was probed.
     """
-    last = breakpoints.size + 1   # edge index of the crossed end
-
-    def edge(i):
-        return clear if i == 0 else first_crossed if i == last else breakpoints[i - 1]
+    last = edges.size - 1   # edge index of the crossed end
 
     def at(cell):
-        if cell == 0:
-            return clear
-        if cell > last:
-            return first_crossed
-        return 0.5 * (edge(cell - 1) + edge(cell))
+        if 0 < cell <= last:
+            return 0.5 * (edges[cell - 1] + edges[cell])
+        return edges[min(cell, last)]   # the clear or the crossed end
 
-    def dist(i):
-        return abs(edge(i) - 1.0)
-
-    lo, hi = 0, last + 1
+    lo, hi = 0, edges.size   # the crossed end is cell edges.size
     failed = set()
     while hi - lo > 1:
         quarter = (hi - lo - 1) // 4
-        split = _coarsest_dyadic(dist(lo + quarter), dist(hi - 1 - quarter))
-        mid = bisect.bisect_right(range(last + 1), split, key=dist)
+        split = _coarsest_dyadic(abs(edges[lo + quarter] - 1.0),
+                                 abs(edges[hi - 1 - quarter] - 1.0))
+        mid = bisect.bisect_right(range(edges.size), split, key=lambda i: abs(edges[i] - 1.0))
         for cell in (mid, mid + 1, mid - 1):
             if lo < cell < hi and cell not in failed:
                 value, _ = yield float(at(cell))
@@ -444,13 +437,23 @@ def _bisect(crossed, clear, first_crossed, breakpoints, flags):
             hi = cell
         else:
             lo = cell
-    return float(edge(hi - 1)), float(at(hi))
+    return float(edges[hi - 1]), float(at(hi))
+
+
+def _points(trial: Trial, config: SearchConfig, draws: ImputationDraws, lines, gammas) -> list:
+    """The full points at `gammas` under one draw set, `lines` its
+    `transform_lines`: each factor's row of `_rows`, handed to `evaluate_at`."""
+    rows = _rows(trial, [(lines, gamma) for gamma in gammas], config.p_source != "wald")
+    return [evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
+                        outcome=row)
+            for gamma, row in zip(gammas, rows)]
 
 
 def _run_replicate(trial, config, replicate_id, draws, lines):
     """One replicate's search: check the identity factor, bracket the first
-    crossing, and bisect on the rank breakpoints inside the bracket. The
-    tip is the breakpoint where the rule flips; the full point is evaluated
+    crossing, and bisect on the rank breakpoints inside the bracket, listed
+    in walk order between the bracket's ends as one `edges` array. The tip
+    is the breakpoint where the rule flips; the full point is evaluated
     inside the first crossed interval.
 
     `lines` are the draw set's `transform_lines`, which the breakpoints and
@@ -459,31 +462,25 @@ def _run_replicate(trial, config, replicate_id, draws, lines):
     _, crossed, start_flag = _stop_rule(config)
 
     def point(gamma):
-        (row,) = _rows(trial, [(lines, gamma)], config.p_source != "wald")
-        return evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
-                           outcome=row)
+        return _points(trial, config, draws, lines, [gamma])[0]
 
     start, note = yield 1.0
     if start is None:
-        return ReplicateOutcome(
-            replicate_id, tip=None, point=point(1.0),
-            flags=[f"start unevaluable: {note}"],
-        )
+        return ReplicateOutcome(replicate_id, tip=None, point=point(1.0),
+                                flags=[f"start unevaluable: {note}"])
     if crossed(start):
-        return ReplicateOutcome(
-            replicate_id, tip=1.0, point=point(1.0), degenerate=True, flags=[start_flag],
-        )
+        return ReplicateOutcome(replicate_id, tip=1.0, point=point(1.0), degenerate=True,
+                                flags=[start_flag])
 
     last_clear, first_crossed, flags = yield from _bracket(crossed, config)
     if first_crossed is None:
         flags.append("no tipping point in range")
         return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
 
-    breakpoints = rank_breakpoints(trial, lines, min(last_clear, first_crossed),
-                                   max(last_clear, first_crossed))
-    if first_crossed < last_clear:
-        breakpoints = breakpoints[::-1]
-    tip, at = yield from _bisect(crossed, last_clear, first_crossed, breakpoints, flags)
+    direction = config.effect.direction
+    edges = np.concatenate(([last_clear], rank_breakpoints(
+        trial, lines, *(last_clear, first_crossed)[::direction])[::direction], [first_crossed]))
+    tip, at = yield from _bisect(crossed, edges, flags)
     return ReplicateOutcome(replicate_id, tip=tip, point=point(at), flags=flags)
 
 
@@ -494,33 +491,23 @@ def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:
     if not outcomes:
         raise DataError("no replicates to aggregate")
     tipped = [o for o in outcomes if o.tip is not None]
-    n_degenerate = sum(1 for o in outcomes if o.degenerate)
-    flags = [f"replicate {o.replicate_id}: {f}" for o in outcomes for f in o.flags]
-    all_degenerate = n_degenerate == len(outcomes)
-
-    if not tipped:
-        return TpaResult(
-            effect=effect, threshold=threshold, tip=None, hr_at_tip=None,
-            p_at_tip=None, n_events_at_tip=None, tip_min=None, tip_max=None,
-            tip_sd=None, replicates=list(outcomes), n_degenerate=n_degenerate,
-            degenerate=all_degenerate, flags=flags,
-        )
-
     tips = [o.tip for o in tipped]
     points = [o.point for o in tipped if o.point is not None]
-    tip_sd = statistics.stdev(tips) if len(tips) > 1 else 0.0
     hrs = [p.hr_overall for p in points if p.hr_overall is not None]
     ps = [p.p_two_sided for p in points if p.p_two_sided is not None]
     events = [p.n_events for p in points]
+    n_degenerate = sum(1 for o in outcomes if o.degenerate)
     return TpaResult(
         effect=effect, threshold=threshold,
-        tip=statistics.median(tips),
+        tip=statistics.median(tips) if tips else None,
         hr_at_tip=statistics.median(hrs) if hrs else None,
         p_at_tip=statistics.median(ps) if ps else None,
         n_events_at_tip=(sum(events) / len(events)) if events else None,
-        tip_min=min(tips), tip_max=max(tips), tip_sd=tip_sd,
+        tip_min=min(tips, default=None), tip_max=max(tips, default=None),
+        tip_sd=statistics.stdev(tips) if len(tips) > 1 else 0.0 if tips else None,
         replicates=list(outcomes), n_degenerate=n_degenerate,
-        degenerate=all_degenerate, flags=flags,
+        degenerate=n_degenerate == len(outcomes),
+        flags=[f"replicate {o.replicate_id}: {f}" for o in outcomes for f in o.flags],
     )
 
 
@@ -570,13 +557,8 @@ def find_tipping(trial: Trial, config: SearchConfig) -> TpaResult:
 def grid_scan(trial: Trial, config: SearchConfig, gammas) -> list[TpaCurvePoint]:
     """Curve points over an explicit factor grid, using replicate 0 draws
     (deterministic for a given seed). The draw set's lines are made once,
-    and each point is the `evaluate_at` of its factor, handed its row of
-    `_rows`."""
+    and the points are its `_points`."""
     _check_searchable(trial, config)
     draws = make_draws(trial, config.effect, config.imputation, config.seed, 0)
     lines = transform_lines(trial, config.effect, draws)
-    gammas = [float(g) for g in gammas]
-    rows = _rows(trial, [(lines, gamma) for gamma in gammas], config.p_source != "wald")
-    return [evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
-                        outcome=row)
-            for gamma, row in zip(gammas, rows)]
+    return _points(trial, config, draws, lines, [float(g) for g in gammas])

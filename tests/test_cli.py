@@ -574,6 +574,14 @@ class TestSimulateCommand:
     def test_negative_seed_is_data_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "s.csv"), "--seed", "-1"]) == 2
 
+    def test_analyze_takes_no_seed(self, small_dataset, tmp_path, capsys):
+        # analyze draws nothing; a seed in a shared config file is still accepted
+        assert main(["analyze", "--input", small_dataset, "--seed", "5"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("seed=5\n")
+        assert main(["analyze", "--input", small_dataset, "--config", str(cfg)]) == 0
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     @pytest.mark.parametrize("flag", [flag for flag, cast in phasetip.cli.SIM_FLAGS.items()
                                       if cast is float])

@@ -199,7 +199,7 @@ class TestRngKeying:
 
     def test_negative_seed_or_replicate_refused(self):
         for seed, replicate in ((-1, 0), (0, -1)):
-            with pytest.raises(DataError, match="non-negative, got -1"):
+            with pytest.raises(DataError, match="non-negative integer, got -1"):
                 keyed_rng(seed, replicate, "x")
 
 

@@ -56,14 +56,16 @@ def test_every_command_ends_with_an_exit_code(records):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trial.csv")
         write_dataset(records, path)
+        outdir = os.path.join(tmp, "out")
         for command in COMMANDS:
-            out = [] if command[0] == "analyze" else ["--out", os.path.join(tmp, "out")]
+            # analyze draws nothing, so it takes neither a seed nor an output directory
+            more = [] if command[0] == "analyze" else ["--seed", "0", "--out", outdir]
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                     wall_clock_bound(WALL_CLOCK_S):
-                code = main([*command, "--input", path, "--seed", "0", *out])
+                code = main([*command, "--input", path, *more])
             event(f"{' '.join(command[:5])}: exit code {code}")
             assert code in (0, 1, 2, 3), command
             assert "missing imputed" not in err.getvalue(), (command, err.getvalue())
             if command[0] == "tpa" and code == 0:
-                assert_result_cells(out[1])
+                assert_result_cells(outdir)

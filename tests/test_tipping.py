@@ -20,7 +20,9 @@ from phasetip.counterfactual import (
     Threshold,
     TransformParams,
     apply_transform,
+    keyed_rng,
     make_draws,
+    naive_transform,
     needs_draw,
     rank_breakpoints,
     transform_lines,
@@ -489,7 +491,8 @@ class TestUnevaluablePointHandling:
                               threshold=threshold)
             _, crossed, _ = _stop_rule(config)
             flags = []
-            tip, at = self._drive(_bisect(crossed, 1.5, 1.6, breakpoints, flags), stub.probe)
+            edges = np.concatenate(([1.5], breakpoints, [1.6]))
+            tip, at = self._drive(_bisect(crossed, edges, flags), stub.probe)
             assert tip == pytest.approx(1.55)
             assert at == pytest.approx(1.555)
             assert flags == []
@@ -504,7 +507,8 @@ class TestUnevaluablePointHandling:
                           broken=[1.555, 1.565, 1.575])
         _, crossed, _ = _stop_rule(config)
         flags = []
-        tip, at = self._drive(_bisect(crossed, 1.5, 1.6, breakpoints, flags), stub.probe)
+        edges = np.concatenate(([1.5], breakpoints, [1.6]))
+        tip, at = self._drive(_bisect(crossed, edges, flags), stub.probe)
         assert any("bisection stopped early" in f for f in flags)
         # the first cell probed and both its neighbours fail, so the first
         # cell known to be crossed is the bracket's crossed end
@@ -690,6 +694,25 @@ class TestSearchConfigValidation:
         (lambda: simulate_trial(FAST_SIM, seed=1.5), "seed"),
         (lambda: SimConfig(n_experimental=2.5), "n_experimental"),
         (lambda: SimConfig(n_experimental=True), "n_experimental"),
+        # a seed or replicate id that is not a non-negative integer
+        (lambda: make_draws(fast_records(), Effect.SHRINK_EXPERIMENTAL, "auto", 1.5, 0), "seed"),
+        (lambda: make_draws(fast_records(), Effect.SHRINK_EXPERIMENTAL, "auto", None), "seed"),
+        (lambda: make_draws(fast_records(), Effect.SHRINK_EXPERIMENTAL, "auto", 0, True),
+         "replicate_id"),
+        (lambda: make_draws(fast_records(), Effect.SHRINK_EXPERIMENTAL, "auto", 0, "a"),
+         "replicate_id"),
+        (lambda: keyed_rng(1.5, 0, "x"), "seed"),
+        (lambda: keyed_rng(0, True, "x"), "replicate_id"),
+        # an effect that is not an Effect, or an unknown imputation method
+        (lambda: needs_draw(fast_records(), 1), "effect"),
+        (lambda: make_draws(fast_records(), 2), "effect"),
+        (lambda: transform_lines(fast_records(), 2,
+                                 make_draws(fast_records(), Effect.SHRINK_EXPERIMENTAL)),
+         "effect"),
+        (lambda: naive_transform(fast_records(), 1, 2.0), "effect"),
+        (lambda: make_draws(fast_records(), Effect.INFLATE_CONTROL, "km"), "imputation"),
+        (lambda: SearchConfig(imputation="km"), "imputation"),
+        (lambda: SearchConfig(imputation=3), "imputation"),
     ])
     def test_wrong_type_is_a_data_error_naming_the_field(self, make, field):
         with pytest.raises(DataError, match=f"^{field} must be "):
