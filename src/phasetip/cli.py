@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -109,6 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", parents=[search], help="factor-grid curve and plot")
     p.set_defaults(func=cmd_curve)
     return parser
+
+
+# the parser of every `main` call, built on the first: parsing leaves it as
+# it was, since a config file's values go onto the parsed arguments
+_parser = functools.cache(build_parser)
 
 
 def _load_config(path, keys) -> dict:
@@ -386,7 +392,7 @@ def cmd_curve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as err:

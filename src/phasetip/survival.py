@@ -23,10 +23,12 @@ the events in each of the four groups. `risk_table` builds that grouped
 risk-set table straight from a `Trial`; no start-stop expansion is ever
 formed. `cox_fit` and `partial_loglik_and_gradient` read only the table and
 evaluate every design from it with a 4 x p matrix of group covariate
-values, so a caller that holds the table (the treatment-only and the
-three-covariate fit of one evaluation, or of one `analyze` report, which
-passes it to `phase_hr`) builds it once. The Kaplan-Meier curve,
-`logrank_test` and the table take a `Trial`.
+values: the likelihood sums the log risk-set totals over the table's
+rows, and the gradient and the Hessian read the 4 x 4 cross product of
+the risk-set shares of the four groups. So a caller that holds the table
+(the treatment-only and the three-covariate fit of one evaluation, or of
+one `analyze` report, which passes it to `phase_hr`) builds it once. The
+Kaplan-Meier curve, `logrank_test` and the table take a `Trial`.
 Nothing loops over subjects in Python, and the Newton loop of `cox_fit`
 calls numpy's reductions, and the LAPACK gufuncs that np.linalg.solve,
 np.linalg.cholesky and np.linalg.inv call, without their per-call
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -488,14 +491,19 @@ class _GroupDesign:
 
     With G the 4 x p covariate values of the groups, w = exp(G beta),
     Z = A w and R = A diag(w) / Z (one risk-set share per table row and
-    group), the moments are M1 = R G, and the likelihood, gradient and
-    Hessian are sums over the table's rows.
+    group, each row summing to 1), the gradient and the Hessian read only
+    the 4 x 4 cross product S = R'R of the shares: with r = the row sums of
+    S (the column sums of R), the gradient is sum_x - r G and the Hessian
+    G'(S - diag r)G, whatever p. No T x p moment is formed.
     """
 
     def __init__(self, table: RiskTable, covariates):
+        if not isinstance(covariates, (tuple, list)) or not covariates:
+            raise DataError(f"covariates must be a non-empty tuple of covariate names, "
+                            f"got {covariates!r}")
         self.names = tuple(covariates)
         self.G = _group_covariates(self.names)
-        self.p = len(covariates)
+        self.p = len(self.names)
         self.n_events = int(table.D.sum())
         if self.n_events == 0:
             raise EstimationError("no events in counting-process data")
@@ -504,18 +512,19 @@ class _GroupDesign:
         self.sum_x = table.D @ self.G
 
     def loglik_grad_hess(self, beta):
-        """Likelihood, gradient and Hessian at beta. Column sums are
-        np.add.reduce, which `.sum(axis=0)` calls, without its wrapper. Run
-        it under np.errstate(over, invalid, divide ignored): a trial step
-        that overflows w gives a non-finite likelihood, which the Newton
-        loop rejects by halving the step."""
+        """Likelihood, gradient and Hessian at beta. Sums are np.add.reduce,
+        which `.sum` calls, without its wrapper. Run it under
+        np.errstate(over, invalid, divide ignored): a trial step that
+        overflows w gives a non-finite likelihood, which the Newton loop
+        rejects by halving the step."""
         w = np.exp(self.G @ beta)
         Z = self.A @ w
         R = self.A * w / Z[:, None]
         ll = float(self.sum_x @ beta) - float(np.add.reduce(np.log(Z)))
-        M1 = R @ self.G
-        grad = self.sum_x - np.add.reduce(M1, axis=0)
-        hess = M1.T @ M1 - (self.G.T * np.add.reduce(R, axis=0)) @ self.G
+        S = R.T @ R
+        r = np.add.reduce(S, axis=1)   # the column sums of R, whose rows sum to 1
+        grad = self.sum_x - r @ self.G
+        hess = self.G.T @ (S - np.diag(r)) @ self.G
         return ll, grad, hess
 
 
@@ -526,17 +535,22 @@ def _norm(v) -> float:
 
 
 def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None):
-    """Log partial likelihood and its gradient at an arbitrary beta.
+    """Log partial likelihood and its gradient at an arbitrary beta: one
+    finite number per covariate, 0 for each when None.
 
     Exposed so tests can check the analytic gradient against finite
     differences and scan the likelihood directly.
     """
     design = _GroupDesign(table, covariates)
-    if beta is None:
-        beta = np.zeros(design.p)
-    beta = np.asarray(beta, dtype=float)
+    p = design.p
+    try:
+        values = np.zeros(p) if beta is None else np.asarray(beta)
+    except ValueError:   # a ragged sequence
+        values = np.array(None)
+    if values.dtype.kind not in "iuf" or values.shape != (p,) or not np.isfinite(values).all():
+        raise DataError(f"beta must be {p} finite number(s), one per covariate, got {beta!r}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ll, grad, _ = design.loglik_grad_hess(beta)
+        ll, grad, _ = design.loglik_grad_hess(values.astype(float))
     return ll, grad
 
 
@@ -619,8 +633,11 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
     when the likelihood has no maximum (`_separating_direction`), whatever
     the strata; ConvergenceError, carrying the last iterate, when the
     iteration cap is reached, and EstimationError when the information at
-    the optimum is singular.
+    the optimum is singular. `covariates` is a non-empty tuple (or list) of
+    names and `max_iter` a positive integer; anything else is a DataError.
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise DataError(f"max_iter must be a positive integer, got {max_iter!r}")
     design = _GroupDesign(table, covariates)
     d = _separating_direction(design.meets.tobytes(), design.names)
     if d is not None:

@@ -23,7 +23,7 @@ grouped risk-set table differ only in how the likelihood and the met
 pairs are computed.
 
 `GroupDesignNumpy` and `cox_fit_numpy` are the grouped likelihood and
-its Newton loop written with numpy's wrappers: `.sum(axis=0)`,
+its Newton loop written with numpy's wrappers: `.sum(axis=1)`, `np.diag`,
 `np.linalg.norm`, `np.linalg.solve` for every step, finiteness tested on
 arrays, and one `np.errstate` per likelihood call; it asks the package's
 separation rule and states its message. `cox_fit` must give exactly what
@@ -391,9 +391,10 @@ class GroupDesignNumpy(survival._GroupDesign):
             Z = self.A @ w
             R = self.A * w / Z[:, None]
             ll = float(self.sum_x @ beta) - float(np.log(Z).sum())
-        M1 = R @ self.G
-        grad = self.sum_x - M1.sum(axis=0)
-        hess = M1.T @ M1 - (self.G.T * R.sum(axis=0)) @ self.G
+            S = R.T @ R
+            r = S.sum(axis=1)
+            grad = self.sum_x - r @ self.G
+            hess = self.G.T @ (S - np.diag(r)) @ self.G
         return ll, grad, hess
 
 

@@ -387,6 +387,27 @@ class TestConfigKeys:
                        "alpha_level=0.01\n")
         assert main(["simulate", "--out", str(tmp_path / "s.csv"), "--config", str(cfg)]) == 0
 
+    def test_config_file_does_not_reach_the_next_call(self, tmp_path, monkeypatch):
+        # main builds its parser once per process; what one call's file
+        # sets stays on that call's arguments
+        monkeypatch.delenv("PHASETIP_SEED", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\nn_experimental=7\n")
+        argv = ["simulate", "--n-control", "6", "--out"]
+        assert main([*argv, str(tmp_path / "first.csv"), "--config", str(cfg)]) == 0
+        assert main([*argv, str(tmp_path / "second.csv")]) == 0
+        proc = run_fresh_python("-m", "phasetip", *argv, str(tmp_path / "fresh.csv"))
+        assert proc.returncode == 0, proc.stderr
+        fresh = (tmp_path / "fresh.csv").read_bytes()
+        assert (tmp_path / "second.csv").read_bytes() == fresh
+        assert (tmp_path / "first.csv").read_bytes() != fresh
+
+    def test_import_builds_no_parser(self):
+        proc = run_fresh_python("-c", "import phasetip.cli as cli; "
+                                "print(cli._parser.cache_info().currsize)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
     @pytest.mark.parametrize("command", ["tpa", "curve"])
     def test_fit_settings_the_command_cannot_use_are_refused(self, small_dataset, tmp_path,
                                                              capsys, command):
@@ -489,7 +510,11 @@ class TestGoldenOutputs:
     The five `tpa` files were re-recorded when the search began to end at
     an exact rank breakpoint instead of a bisection tolerance: tips moved
     by at most 9.1e-4, HR and p cells by at most 2.6e-4, event counts not
-    at all; the curve file did not change. `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
+    at all; the curve file did not change. All but the two rule-a `seed6_*`
+    files were re-recorded when the Cox likelihood began to read the 4 x 4
+    cross product of the risk-set shares: only HR cells moved, by at most
+    1.5e-15 relative; tips, p-values and event counts did not.
+    `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
     the other effect-1 files (cutoff imputation) never reach. The four
     `seed6_*` files are `tpa` at CLI defaults (imputation seed 0) on the
     calibrated seed-6 trial (`simulate --seed 6`), for effect 1/2 x rule a/b."""

@@ -31,7 +31,7 @@ from phasetip.counterfactual import (
 from phasetip.errors import DataError, EstimationError, SeparationError
 from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
-from phasetip.survival import cox_fit, logrank_test, risk_table
+from phasetip.survival import cox_fit, logrank_test, partial_loglik_and_gradient, risk_table
 from phasetip.tipping import (
     MAX_GRID_POINTS,
     MAX_REPLICATES,
@@ -713,6 +713,23 @@ class TestSearchConfigValidation:
         (lambda: make_draws(fast_records(), Effect.INFLATE_CONTROL, "km"), "imputation"),
         (lambda: SearchConfig(imputation="km"), "imputation"),
         (lambda: SearchConfig(imputation=3), "imputation"),
+        # the fitter's entry points: no covariate, a name split into letters,
+        # a beta of the wrong length, type or value, a count that is not one
+        (lambda: cox_fit(risk_table(fast_records()), ()), "covariates"),
+        (lambda: cox_fit(risk_table(fast_records()), "trt"), "covariates"),
+        (lambda: partial_loglik_and_gradient(risk_table(fast_records()), ()), "covariates"),
+        (lambda: partial_loglik_and_gradient(risk_table(fast_records()), ("trt",),
+                                             beta=[1.0, 2.0]), "beta"),
+        (lambda: partial_loglik_and_gradient(risk_table(fast_records()), beta=["a"]), "beta"),
+        (lambda: partial_loglik_and_gradient(risk_table(fast_records()), beta=[np.nan]),
+         "beta"),
+        (lambda: partial_loglik_and_gradient(risk_table(fast_records()), beta=[[1.0], []]),
+         "beta"),
+        (lambda: cox_fit(risk_table(fast_records()), max_iter=2.5), "max_iter"),
+        (lambda: cox_fit(risk_table(fast_records()), max_iter=None), "max_iter"),
+        (lambda: cox_fit(risk_table(fast_records()), max_iter=0), "max_iter"),
+        (lambda: cox_fit(risk_table(fast_records()), max_iter=-1), "max_iter"),
+        (lambda: cox_fit(risk_table(fast_records()), max_iter=True), "max_iter"),
     ])
     def test_wrong_type_is_a_data_error_naming_the_field(self, make, field):
         with pytest.raises(DataError, match=f"^{field} must be "):
