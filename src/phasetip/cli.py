@@ -11,12 +11,14 @@ Subcommands:
             plus an SVG plot
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-`tpa` and `curve` share their search flags; `simulate` has one flag per
-`SimConfig` setting; all three take --seed. A flat key=value config file
-can set any long flag but --input, --out and --config: the key is the flag
-without its dashes, and its value is cast and checked as the flag's is.
-Explicit flags win, and a key that no command reads is a data error.
-PHASETIP_SEED is the seed when neither --seed nor the file sets one.
+`tpa` and `curve` share their search flags, one per `SearchConfig` setting;
+`curve` has its own grid defaults and scans `tipping.factor_grid`.
+`simulate` has one flag per `SimConfig` setting; all three take --seed. A
+flat key=value config file can set any long flag but --input, --out and
+--config: the key is the flag without its dashes, and its value is cast
+and checked as the flag's is. Explicit flags win, and a key that no
+command reads is a data error. PHASETIP_SEED is the seed when neither
+--seed nor the file sets one.
 """
 
 from __future__ import annotations
@@ -24,20 +26,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
-
-import numpy as np
 
 from .counterfactual import IMPUTATIONS, Effect, Threshold
 from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
 from .records import Arm
 from .simulate import SimConfig, simulate_trial, summarize_trial
-from .survival import cox_fit, logrank_test, phase_hr, risk_table
+from .survival import TIES, cox_fit, logrank_test, phase_hr, risk_table
 from .svgplot import line_plot
-from .tipping import SearchConfig, TpaResult, check_grid_points, find_tipping, grid_scan
+from .tipping import P_SOURCES, SearchConfig, TpaResult, factor_grid, find_tipping, grid_scan
 
 __all__ = ["main", "entry", "emit_results"]
 
@@ -80,21 +79,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = _Parser(add_help=False, parents=[seeded])
     search.add_argument("--input", required=True)
-    search.add_argument("--effect", choices=("1", "2"))
-    search.add_argument("--threshold", choices=("a", "b"))
+    search.add_argument("--effect", choices=[str(effect.value) for effect in Effect])
+    search.add_argument("--threshold", choices=[rule.value for rule in Threshold])
     search.add_argument("--alpha-level", type=float, help="significance level of stop rule a")
-    search.add_argument("--grid-step", type=float)
-    search.add_argument("--grid-max", type=float)
-    search.add_argument("--grid-min", type=float)
+    search.add_argument("--grid-step", type=float, help="factor step: tpa's first walk "
+                        "step (default 0.01) or curve's grid step (default 0.05)")
+    search.add_argument("--grid-max", type=float, help="effect 1's factor bound, at least 1 "
+                        "(default: tpa 10, curve 3 under rule a and 4 under rule b)")
+    search.add_argument("--grid-min", type=float, help="effect 2's factor bound, in (0, 1] "
+                        "(default: tpa 0.01, curve 0.3)")
     search.add_argument("--imputation", choices=IMPUTATIONS,
                         help="source of effect 1's imputed censoring times; effect 2 ignores it")
-    search.add_argument("--p-source", choices=("logrank", "wald"))
+    search.add_argument("--p-source", choices=P_SOURCES)
     search.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("analyze", parents=[common], help="primary-analysis report")
     p.add_argument("--input", required=True)
     p.add_argument("--stratified", action="store_true", default=None)
-    p.add_argument("--ties", choices=("efron", "breslow"))
+    p.add_argument("--ties", choices=TIES)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("tpa", parents=[search], help="tipping-point analysis")
@@ -237,8 +239,7 @@ def _fmt_ci(ci):
 
 def cmd_analyze(args) -> int:
     trial = _read_trial(args.input)
-    stratified = bool(args.stratified)
-    table = risk_table(trial, args.ties or "efron", stratified)
+    table = risk_table(trial, **_given(args, ("ties", "stratified")))
     lines = []
     arms = summarize_trial(trial).arms
     for arm, label in ((Arm.EXPERIMENTAL, "Experimental"), (Arm.CONTROL, "Control")):
@@ -250,7 +251,7 @@ def cmd_analyze(args) -> int:
             f"{label} arm: n={summary.n}, events={summary.events}, "
             f"censored={summary.censored}, median PFS={median} months"
         )
-    lr = logrank_test(trial, stratified)
+    lr = logrank_test(trial, **_given(args, ("stratified",)))
     lines.append(f"Log-rank chi2={lr.chi2:.4f}, two-sided p={lr.p_two_sided:.6g}")
     overall = cox_fit(table, ("trt",))
     hr, ci = overall.contrast(("trt",))
@@ -269,15 +270,15 @@ def cmd_analyze(args) -> int:
 # tpa
 
 
-def _search_config(args, *more) -> SearchConfig:
-    """The settings of tpa and curve, and the `more` settings named, that a
-    flag or the config file sets, on the defaults of SearchConfig."""
-    given = _given(args, ("effect", "threshold", "alpha_level", "imputation", "p_source", *more))
-    if "effect" in given:
-        given["effect"] = Effect.from_number(given["effect"])
-    if "threshold" in given:
-        given["threshold"] = Threshold(given["threshold"])
-    return SearchConfig(seed=_seed(args), **given)
+def _search_config(args, **defaults) -> SearchConfig:
+    """The SearchConfig of tpa or curve: each of its settings that a flag
+    or the config file gives, else `defaults`, else SearchConfig's own."""
+    given = _given(args, [field.name for field in dataclasses.fields(SearchConfig)
+                          if hasattr(args, field.name)])
+    for name, kind in (("effect", Effect.from_number), ("threshold", Threshold)):
+        if name in given:
+            given[name] = kind(given[name])
+    return SearchConfig(**{**defaults, **given, "seed": _seed(args)})
 
 
 def emit_results(results: list[TpaResult], outdir) -> str:
@@ -300,7 +301,7 @@ def emit_results(results: list[TpaResult], outdir) -> str:
 
 def cmd_tpa(args) -> int:
     trial = _read_trial(args.input)
-    config = _search_config(args, "grid_step", "grid_max", "grid_min", "mi_replicates")
+    config = _search_config(args)
     result = find_tipping(trial, config)
     path = emit_results([result], args.out)
     if result.tip is None:
@@ -341,27 +342,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_curve(args) -> int:
     trial = _read_trial(args.input)
-    config = _search_config(args)
+    config = _search_config(args, grid_step=0.05, grid_min=0.3,
+                            grid_max=4.0 if args.threshold == Threshold.NEUTRALIZE.value else 3.0)
     effect, threshold = config.effect, config.threshold
-    step = 0.05 if args.grid_step is None else args.grid_step
-    if not step > 0:
-        raise DataError("grid_step must be positive")
-    if effect is Effect.INFLATE_CONTROL:
-        hi = args.grid_max
-        if hi is None:
-            hi = 3.0 if threshold is Threshold.SIGNIFICANCE else 4.0
-        if not math.isfinite(hi):
-            raise DataError("grid_max must be finite")
-        check_grid_points(hi + 1e-9 - 1.0, step, f"the curve from 1 to grid_max {hi!r}")
-        grid = np.arange(1.0, hi + 1e-9, step)
-    else:
-        lo = 0.3 if args.grid_min is None else args.grid_min
-        if not (lo > 0 and math.isfinite(lo)):
-            raise DataError(f"grid_min must be a finite positive number, got {lo!r}")
-        check_grid_points(1.0 - (lo - 1e-9), step, f"the curve from 1 to grid_min {lo!r}")
-        grid = np.arange(1.0, lo - 1e-9, -step)
-        grid = grid[grid > 0.0]   # a grid_min below 1e-9 would reach 0 or below
-    points = [p for p in grid_scan(trial, config, grid) if p.evaluable]
+    points = [p for p in grid_scan(trial, config, factor_grid(config)) if p.evaluable]
     stem = f"curve_{effect.value}_{threshold.value}"
     csv_path = _write_csv(args.out, stem + ".csv", CURVE_COLUMNS, (
         [_num(pt.gamma), _num(pt.p_two_sided), _num(pt.hr_overall), _num(pt.hr_mono)]

@@ -65,6 +65,7 @@ __all__ = [
     "cox_fit",
     "partial_loglik_and_gradient",
     "phase_hr",
+    "TIES",
 ]
 
 # Convergence policy for the Newton-Raphson fitter.
@@ -80,6 +81,8 @@ _MAX_ITER = 50
 _MAX_VARIANCE_INFLATION = 1e11
 _MAX_EXP = math.log(np.finfo(float).max)   # math.exp overflows beyond this
 _Z975 = 1.959963984540054                  # the normal 0.975 quantile, for 95% Wald CIs
+# The tie corrections of the Cox likelihood that `risk_table` builds for.
+TIES = ("efron", "breslow")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +359,7 @@ def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
     risk in group trt + 2 on (m, s]. An event counts in the subject's group
     at s.
     """
-    if ties not in ("efron", "breslow"):
+    if ties not in TIES:
         raise DataError(f"unknown ties method {ties!r}")
     late = np.flatnonzero(trial.mono_start > trial.s)
     if late.size:
@@ -498,9 +501,10 @@ class _GroupDesign:
     """
 
     def __init__(self, table: RiskTable, covariates):
-        if not isinstance(covariates, (tuple, list)) or not covariates:
-            raise DataError(f"covariates must be a non-empty tuple of covariate names, "
-                            f"got {covariates!r}")
+        if (not isinstance(covariates, (tuple, list)) or not covariates
+                or len(set(covariates)) < len(covariates)):
+            raise DataError(f"covariates must be a non-empty tuple of distinct covariate "
+                            f"names, got {covariates!r}")
         self.names = tuple(covariates)
         self.G = _group_covariates(self.names)
         self.p = len(self.names)

@@ -42,7 +42,8 @@ a tip is one of those breakpoints. One search serves both stop rules:
 1. Bracket: walk the factor away from 1 with a step that starts at
    `grid_step` and doubles up to `MAX_STEP`, until the rule's criterion is
    crossed. The walk may take at most `MAX_GRID_POINTS` steps of
-   `grid_step` to the effect's bound, and a search runs at most
+   `grid_step` to the effect's bound (`SearchConfig.bound`), as may a
+   curve's fixed-step grid (`factor_grid`), and a search runs at most
    `MAX_REPLICATES` replicates; a config that needs more is refused up
    front.
 2. Finish: list the rank breakpoints inside the bracket and bisect on
@@ -105,34 +106,29 @@ __all__ = [
     "TpaCurvePoint",
     "ReplicateOutcome",
     "TpaResult",
+    "P_SOURCES",
     "evaluate_at",
+    "factor_grid",
     "find_tipping",
     "grid_scan",
     "mi_aggregate",
 ]
 
-# Most factor steps a fixed-step grid may take (the tpa walk to its bound,
-# or the points of a curve). The default effect-1 walk takes 900.
+# Most steps of grid_step that a grid from 1 to `SearchConfig.bound` may
+# take (the tpa walk's, or a curve's). The default effect-1 walk takes 900.
 MAX_GRID_POINTS = 10_000
 # Most imputation replicates one search may run (the default is 20).
 MAX_REPLICATES = 1_000
 # Longest step of the bracketing walk, unless grid_step is longer.
 MAX_STEP = 0.16
+# A p-value's test: log-rank, or Wald of the treatment-only Cox fit.
+P_SOURCES = ("logrank", "wald")
 
 
 def _check_p_source(p_source) -> None:
-    if p_source not in ("logrank", "wald"):
-        raise DataError(f"p_source must be 'logrank' or 'wald', got {p_source!r}")
-
-
-def check_grid_points(span: float, step: float, what: str) -> None:
-    """Refuse a grid that covers `span` in steps of `step` with more than
-    MAX_GRID_POINTS steps. Works on the ratio, so no grid is allocated."""
-    if span / step > MAX_GRID_POINTS:
-        raise DataError(
-            f"{what} would take more than {MAX_GRID_POINTS} steps of {step!r}; "
-            "use a larger grid step or a nearer bound"
-        )
+    if p_source not in P_SOURCES:
+        raise DataError(f"p_source must be {' or '.join(map(repr, P_SOURCES))}, "
+                        f"got {p_source!r}")
 
 
 @dataclass(frozen=True)
@@ -169,9 +165,10 @@ class SearchConfig:
             raise DataError(f"grid_max must be at least 1, got {self.grid_max!r}")
         if not 0.0 < self.grid_min <= 1.0:
             raise DataError(f"grid_min must be in (0, 1], got {self.grid_min!r}")
-        name = "grid_max" if self.effect.direction > 0 else "grid_min"
-        bound = getattr(self, name)
-        check_grid_points(abs(bound - 1.0), self.grid_step, f"the walk from 1 to {name} {bound!r}")
+        if abs(self.bound - 1.0) / self.grid_step > MAX_GRID_POINTS:   # allocates no grid
+            raise DataError(f"the grid from 1 to the bound {self.bound!r} would take more than "
+                            f"{MAX_GRID_POINTS} steps of grid_step {self.grid_step!r}; use a "
+                            "larger grid step or a nearer bound")
         if not 0 < self.alpha_level < 1:
             raise DataError("alpha_level must be in (0, 1)")
         if self.mi_replicates < 1:
@@ -179,6 +176,20 @@ class SearchConfig:
         if self.mi_replicates > MAX_REPLICATES:
             raise DataError(f"at most {MAX_REPLICATES} replicates, got {self.mi_replicates}")
         _check_p_source(self.p_source)
+
+    @property
+    def bound(self) -> float:
+        """Where the effect's grid ends: grid_max upwards, grid_min downwards."""
+        return self.grid_max if self.effect.direction > 0 else self.grid_min
+
+
+def factor_grid(config: SearchConfig) -> np.ndarray:
+    """A curve's factors: from 1 in steps of grid_step towards the effect's
+    bound, which is kept when within 1e-9 of the step lattice. Factors at or
+    below 0, which a grid_min below 1e-9 can reach, are dropped."""
+    direction = config.effect.direction
+    grid = np.arange(1.0, config.bound + direction * 1e-9, direction * config.grid_step)
+    return grid[grid > 0.0]
 
 
 @dataclass(frozen=True)
@@ -358,8 +369,7 @@ def _bracket(crossed, config):
     probe's (value, note). It returns (last_clear, first_crossed, flags),
     where the crossed side is None when the bound is reached without a
     crossing."""
-    direction = config.effect.direction
-    bound = config.grid_max if direction > 0 else config.grid_min
+    direction, bound = config.effect.direction, config.bound
     longest = max(config.grid_step, MAX_STEP)
     flags = []
 

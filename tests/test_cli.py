@@ -32,6 +32,26 @@ SMALL_SIM = SimConfig(
     accrual_months=18, cutoff_months=40, dropout_hazard=0.004,
 )
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SEARCH_USAGE = (
+    "[--config CONFIG] [--seed SEED] --input INPUT [--effect {1,2}] [--threshold {a,b}] "
+    "[--alpha-level ALPHA_LEVEL] [--grid-step GRID_STEP] [--grid-max GRID_MAX] "
+    "[--grid-min GRID_MIN] [--imputation {auto,cutoff,fitted}] [--p-source {logrank,wald}] "
+    "--out OUT"
+)
+# each subcommand's --help usage line
+USAGE = {
+    "analyze": "usage: phasetip analyze [-h] [--config CONFIG] --input INPUT [--stratified] "
+               "[--ties {efron,breslow}]",
+    "tpa": f"usage: phasetip tpa [-h] {SEARCH_USAGE} [--replicates N]",
+    "curve": f"usage: phasetip curve [-h] {SEARCH_USAGE}",
+    "simulate": "usage: phasetip simulate [-h] [--config CONFIG] [--seed SEED] --out OUT "
+                "[--n-experimental N_EXPERIMENTAL] [--n-control N_CONTROL] "
+                "[--combo-event-hazard COMBO_EVENT_HAZARD] [--switch-hazard SWITCH_HAZARD] "
+                "[--mono-event-hazard MONO_EVENT_HAZARD] [--hr-combo HR_COMBO] "
+                "[--hr-mono HR_MONO] [--switch-multiplier SWITCH_MULTIPLIER] "
+                "[--accrual-months ACCRUAL_MONTHS] [--cutoff-months CUTOFF_MONTHS] "
+                "[--dropout-hazard DROPOUT_HAZARD]",
+}
 
 
 def run_fresh_python(*args, timeout=60):
@@ -124,6 +144,14 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", sorted(USAGE))
+    def test_help_lists_the_same_flags_and_choices(self, capsys, command):
+        # the choice lists come from the library; the usage line, with its
+        # line breaks undone, pins every flag, its argument and its choices
+        assert main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert " ".join(usage.split()) == USAGE[command]
 
     def test_python_dash_m_runs_the_cli(self):
         proc = run_fresh_python("-m", "phasetip", "--help")
@@ -704,7 +732,7 @@ class TestCurveCommand:
     def test_bad_grid_is_data_error_before_any_grid(self, small_dataset, tmp_path, flags):
         # the point count is checked from the bounds and the step, so no grid
         # is allocated and nothing is evaluated
-        with mock.patch("phasetip.cli.np.arange") as arange, \
+        with mock.patch("phasetip.tipping.np.arange") as arange, \
                 mock.patch("phasetip.cli.grid_scan") as scan, wall_clock_bound(30):
             code = main(["curve", "--input", small_dataset, *flags, "--out", str(tmp_path)])
         assert code == 2
@@ -740,15 +768,19 @@ class TestCurveCommand:
         assert n_cross >= 1
         assert f"{len(rows)} points, {n_cross} crossing(s)" in capsys.readouterr().out
 
-    def test_empty_grid_header_only_no_svg(self, small_dataset, tmp_path):
-        out = str(tmp_path / "empty")
-        code = main([
-            "curve", "--input", small_dataset, "--effect", "1", "--threshold", "a",
-            "--seed", "5", "--grid-max", "0.99", "--out", out,
-        ])
-        assert code == 0
-        assert open(os.path.join(out, "curve_1_a.csv")).read() == "gamma,p,hr_overall,hr_mono\n"
-        assert not os.path.exists(os.path.join(out, "curve_1_a.svg"))
+    @pytest.mark.parametrize("flags, setting", [
+        (["--effect", "1", "--grid-max", "0.99"], "grid_max"),
+        (["--effect", "2", "--grid-min", "1.5"], "grid_min"),
+        (["--effect", "1", "--grid-min", "5"], "grid_min"),
+    ])
+    def test_bound_outside_its_range_is_refused_as_by_tpa(self, small_dataset, tmp_path,
+                                                          capsys, flags, setting):
+        out = tmp_path / "refused"
+        code = main(["curve", "--input", small_dataset, "--threshold", "a", "--seed", "5",
+                     *flags, "--out", str(out)])
+        assert code == 2
+        assert f"{setting} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def _rewritten(self, tmp_path, change):
         path = tmp_path / "trial.csv"

@@ -39,6 +39,7 @@ from phasetip.tipping import (
     SearchConfig,
     TpaCurvePoint,
     evaluate_at,
+    factor_grid,
     find_tipping,
     grid_scan,
     mi_aggregate,
@@ -714,10 +715,14 @@ class TestSearchConfigValidation:
         (lambda: SearchConfig(imputation="km"), "imputation"),
         (lambda: SearchConfig(imputation=3), "imputation"),
         # the fitter's entry points: no covariate, a name split into letters,
-        # a beta of the wrong length, type or value, a count that is not one
+        # a repeated name, a beta of the wrong length, type or value, a count
+        # that is not one
         (lambda: cox_fit(risk_table(fast_records()), ()), "covariates"),
         (lambda: cox_fit(risk_table(fast_records()), "trt"), "covariates"),
+        (lambda: cox_fit(risk_table(fast_records()), ("trt", "trt")), "covariates"),
         (lambda: partial_loglik_and_gradient(risk_table(fast_records()), ()), "covariates"),
+        (lambda: partial_loglik_and_gradient(risk_table(fast_records()), ("trt", "trt"),
+                                             [0.1, 0.2]), "covariates"),
         (lambda: partial_loglik_and_gradient(risk_table(fast_records()), ("trt",),
                                              beta=[1.0, 2.0]), "beta"),
         (lambda: partial_loglik_and_gradient(risk_table(fast_records()), beta=["a"]), "beta"),
@@ -793,6 +798,47 @@ def moving_events_tie(trial, lines, gamma):
     (s,), (delta,) = transform_outcomes(trial, [lines], [gamma])
     times = s[lines.rows][delta[lines.rows] == 1]
     return np.unique(times).size < times.size
+
+
+class TestFactorGrid:
+    """`factor_grid` gives the curve grid that the CLI built before it, to
+    the bit, and ends where the search's walk does: at `SearchConfig.bound`."""
+
+    CASES = pytest.mark.parametrize("effect, bound", [
+        *[(Effect.INFLATE_CONTROL, bound) for bound in (1.0, 1.5, 4.0)],
+        *[(Effect.SHRINK_EXPERIMENTAL, bound) for bound in (1.0, 0.4, 0.3, 1e-10)],
+    ])
+    STEPS = pytest.mark.parametrize("step", [0.25, 0.05, 0.01, 0.002])
+
+    @staticmethod
+    def _config(effect, bound, step):
+        name = "grid_max" if effect is Effect.INFLATE_CONTROL else "grid_min"
+        config = SearchConfig(effect=effect, grid_step=step, **{name: bound})
+        assert config.bound == bound
+        return config
+
+    @CASES
+    @STEPS
+    def test_same_floats_as_the_two_arange_calls_it_replaces(self, effect, bound, step):
+        if effect is Effect.INFLATE_CONTROL:
+            old = np.arange(1.0, bound + 1e-9, step)
+        else:
+            old = np.arange(1.0, bound - 1e-9, -step)
+            old = old[old > 0.0]
+        grid = factor_grid(self._config(effect, bound, step))
+        assert grid.dtype == old.dtype and grid.tobytes() == old.tobytes()
+
+    @CASES
+    @STEPS
+    def test_walk_without_a_crossing_ends_at_the_bound(self, effect, bound, step):
+        from phasetip.tipping import _bracket, _stop_rule
+
+        config = self._config(effect, bound, step)
+        stub = TestUnevaluablePointHandling._Stub(lambda g: 0.01, broken=[])
+        last_clear, first_crossed, flags = TestUnevaluablePointHandling._drive(
+            _bracket(_stop_rule(config)[1], config), stub.probe)
+        assert first_crossed is None and flags == []
+        assert last_clear == ([1.0, *stub.probed][-1]) == config.bound
 
 
 class TestRankBreakpoints:
