@@ -14,6 +14,7 @@ from .counterfactual import (
     apply_transform,
     fit_censoring_model,
     fit_mono_event_model,
+    make_draw_sets,
     make_draws,
     naive_transform,
     needs_draw,
@@ -63,6 +64,7 @@ __all__ = [
     "Effect", "Threshold", "TransformParams", "ExponentialModel",
     "ImputationDraws", "needs_draw", "fit_censoring_model",
     "fit_mono_event_model", "apply_transform", "naive_transform", "make_draws",
+    "make_draw_sets",
     "SearchConfig", "TpaCurvePoint", "TpaResult",
     "evaluate_at", "find_tipping", "grid_scan", "mi_aggregate",
     "SimConfig", "simulate_trial", "summarize_trial",

@@ -21,16 +21,20 @@ exponential (`ExponentialModel.beyond`).
 effect's target arm that spent time in monotherapy (`Effect.target_arm` and
 `Trial.in_mono`) and whose event status the transform may change. A
 subject whose monotherapy starts at its follow-up time passes through
-unchanged. `make_draws` draws for exactly those subjects, once per
+unchanged. `make_draw_sets` draws for exactly those subjects, once per
 replicate, each from its own stream keyed by (seed, replicate, subject
 id), so the draws do not depend on row order, and the same draws are
-reused across the whole adjustment-factor grid. A subject's stream is
+reused across the whole adjustment-factor grid; `make_draws` is its
+one-replicate case. A subject's stream is
 `default_rng(SeedSequence([seed, replicate, key]))`, the key being the
 first eight bytes of the SHA-256 of its id; the keys are made once per
-trial and effect and read by every replicate. The SeedSequence hashes of
-all drawn subjects are computed in one numpy pass (`_seed_words`), to the
-same state words, and each subject's PCG64 starts from its own.
-`ImputationDraws` holds the draws by trial position.
+trial and effect and read by every replicate. The imputation model is
+fitted once for all replicates, and the SeedSequence hashes of every
+(replicate, subject) pair are computed in one numpy pass (`_seed_words`),
+in blocks of whole replicates, to the same state words; each subject's
+PCG64 starts from its own. Both fits sum their exposure with `math.fsum`,
+which is exactly rounded, so the rate, and every draw, does not depend on
+row order either. `ImputationDraws` holds the draws by trial position.
 
 `apply_transform` is the transform the analysis runs: it works on a
 `Trial`, one array per field, with both effects written as array
@@ -85,9 +89,10 @@ __all__ = [
     "cutoff_censoring_fraction",
     "IMPUTATIONS",
     "make_draws",
+    "make_draw_sets",
 ]
 
-# the sources of effect 1's imputed censoring times (`make_draws`)
+# the sources of effect 1's imputed censoring times (`make_draw_sets`)
 IMPUTATIONS = ("auto", "cutoff", "fitted")
 
 
@@ -206,13 +211,16 @@ def _int_words(n: int) -> list[int]:
     return words
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """The first `count` values of a SeedSequence hash constant, as a
-    column."""
+    read-only column, made once per count."""
     consts = [init]
     for _ in range(count - 1):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, np.int64)[:, None]
+    column = np.array(consts, np.int64)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _hash_pool(entropy: np.ndarray) -> np.ndarray:
@@ -252,25 +260,36 @@ def _hash_pool(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T).view(np.uint64)
 
 
-def _seed_words(seed: int, replicate_id: int, keys) -> np.ndarray:
+def _seed_words(seed: int, replicate_ids, keys) -> np.ndarray:
     """The state words `SeedSequence([seed, replicate_id, key])
-    .generate_state(4, np.uint64)` for every 64-bit key, as (n, 4) uint64.
+    .generate_state(4, np.uint64)` for every replicate id and 64-bit key,
+    replicate by replicate, as (len(replicate_ids) * len(keys), 4) uint64.
 
     Each int is split into 32-bit words, so an entropy row is the words of
     the seed, the replicate id and the key, one or two of them. A row
     shorter than the pool hashes as if padded with zero words, so the rows
-    are grouped by their length or the pool size, whichever is larger."""
+    of all replicates are grouped by their length or the pool size,
+    whichever is larger, and each group is hashed in one `_hash_pool` call
+    (one in all when every replicate id and the seed are below 2**32)."""
     keys = np.asarray(keys, dtype=np.uint64).view(np.int64)
-    head = _int_words(int(seed)) + _int_words(int(replicate_id))
     key_words = np.stack([keys & _MASK32, keys >> 32 & _MASK32], axis=1)
-    width = np.maximum(len(head) + 1 + (key_words[:, 1] != 0), _POOL)
-    out = np.empty((keys.size, _POOL), np.uint64)
-    for w in set(width.tolist()):
+    heads = [_int_words(int(seed)) + _int_words(int(r)) for r in replicate_ids]
+    head_size = np.array([len(head) for head in heads], np.int64)
+    # a row is its head, both key words and zeros, cut to the row's width
+    words = np.zeros((len(heads), len(key_words), head_size.max(initial=0) + 2), np.int64)
+    for size in set(head_size.tolist()):
+        group = head_size == size
+        words[group, :, :size] = np.array([head for head in heads if len(head) == size])[:, None]
+        words[group, :, size:size + 2] = key_words
+    words = words.reshape(-1, words.shape[2])
+    width = np.maximum(head_size[:, None] + 1 + (key_words[:, 1] != 0), _POOL).ravel()
+    widths = set(width.tolist())
+    if len(widths) == 1:
+        return _hash_pool(words[:, :widths.pop()])
+    out = np.empty((words.shape[0], _POOL), np.uint64)
+    for w in widths:
         rows = np.flatnonzero(width == w)
-        entropy = np.zeros((rows.size, w), np.int64)
-        entropy[:, :len(head)] = head
-        entropy[:, len(head):] = key_words[rows, :w - len(head)]
-        out[rows] = _hash_pool(entropy)
+        out[rows] = _hash_pool(words[rows, :w])
     return out
 
 
@@ -294,19 +313,18 @@ def _words_type() -> type:
     return _Words
 
 
-def _keyed_rngs(seed: int, replicate_id: int, keys) -> list[np.random.Generator]:
-    """One generator per subject key, each the stream of
+def _keyed_rngs(words: np.ndarray) -> list[np.random.Generator]:
+    """One generator per row of `_seed_words`, each the stream of
     `default_rng(SeedSequence([seed, replicate_id, key]))`."""
-    words_seed = _words_type()
-    return [np.random.Generator(np.random.PCG64(words_seed(words)))
-            for words in _seed_words(seed, replicate_id, keys)]
+    words_seed, generator, pcg64 = _words_type(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(words_seed(row))) for row in words]
 
 
 def keyed_rng(seed: int, replicate_id: int, subject_id: str) -> np.random.Generator:
     """Independent generator per (seed, replicate, subject)."""
     check_seed(seed, "seed")
     check_seed(replicate_id, "replicate_id")
-    (rng,) = _keyed_rngs(seed, replicate_id, [_subject_key(subject_id)])
+    (rng,) = _keyed_rngs(_seed_words(seed, [replicate_id], [_subject_key(subject_id)]))
     return rng
 
 
@@ -349,8 +367,8 @@ def fit_censoring_model(trial: Trial) -> ExponentialModel:
     n_cens = int((trial.delta == 0).sum())
     if n_cens == 0:
         raise EstimationError("no censored observations to fit a censoring model")
-    # a plain sum in row order: np.sum's pairwise sum rounds differently
-    exposure = float(sum(trial.s.tolist()))
+    # exactly rounded, so the rate does not depend on the order of the rows
+    exposure = math.fsum(trial.s.tolist())
     return ExponentialModel(n_cens / exposure, n_cens, exposure)
 
 
@@ -360,7 +378,7 @@ def fit_mono_event_model(trial: Trial) -> ExponentialModel:
     n_events = int(trial.delta[mono].sum())
     if n_events == 0:
         raise EstimationError("no monotherapy-phase events on the experimental arm")
-    exposure = float(sum((trial.s[mono] - trial.mono_start[mono]).tolist()))
+    exposure = math.fsum((trial.s[mono] - trial.mono_start[mono]).tolist())
     return ExponentialModel(n_events / exposure, n_events, exposure)
 
 
@@ -528,10 +546,16 @@ def _drawn_keys(trial: Trial, effect: Effect) -> np.ndarray:
     return keys
 
 
-def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
-               seed: int = 0, replicate_id: int = 0) -> ImputationDraws:
-    """All imputed times one replicate needs, for the subjects `needs_draw`
-    selects, in trial order.
+# Most (replicate, subject) key rows whose seed words `make_draw_sets` makes
+# at once: a block's hash temporaries hold a few arrays of this many rows,
+# so they stay small however many replicates are asked for.
+_KEY_BLOCK = 1024
+
+
+def make_draw_sets(trial: Trial, effect: Effect, imputation: str = "auto", seed: int = 0,
+                   replicate_ids=(0,)) -> list[ImputationDraws]:
+    """All imputed times each of `replicate_ids` needs, one draw set per
+    replicate, for the subjects `needs_draw` selects, in trial order.
 
     Effect 1: imputed censoring times. `imputation` picks the source:
     "cutoff", "fitted" (exponential censoring model), or "auto", which uses
@@ -539,24 +563,53 @@ def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
     cutoff date.
 
     Effect 2: imputed event times, from the exponential mono-duration fit.
+
+    The method is picked and the model fitted once for all replicates. The
+    seed words of every (replicate, subject) key are hashed in blocks of
+    whole replicates, at most _KEY_BLOCK key rows a block when a replicate
+    has fewer subjects than that, and each subject draws from its own
+    generator, as `make_draws` does for one replicate. Every draw set reads
+    one `subjects` array; the cutoff method's sets also share their values.
     """
     check_imputation(imputation)
     check_seed(seed, "seed")
-    check_seed(replicate_id, "replicate_id")
+    try:
+        replicate_ids = list(replicate_ids)
+    except TypeError:
+        raise DataError(f"replicate_ids must be a sequence of integers, "
+                        f"got {replicate_ids!r}") from None
+    for replicate_id in replicate_ids:
+        check_seed(replicate_id, "replicate_id")
     subjects = np.flatnonzero(needs_draw(trial, effect))
+    subjects.flags.writeable = False
     method = "fitted"
     if effect is Effect.INFLATE_CONTROL:
         method = imputation
         if method == "auto":
             method = "cutoff" if cutoff_censoring_fraction(trial) >= 0.5 else "fitted"
-    if method == "cutoff":
-        values = trial.cutoff[subjects]
-    elif not subjects.size:
-        values = np.empty(0)  # nothing to draw, so no model to fit
-    else:
-        fit = fit_censoring_model if effect is Effect.INFLATE_CONTROL else fit_mono_event_model
-        model = fit(trial)
-        rngs = _keyed_rngs(seed, replicate_id, _drawn_keys(trial, effect))
-        values = np.array([model.beyond(s, rng)
-                           for s, rng in zip(trial.s[subjects].tolist(), rngs)])
-    return ImputationDraws(subjects, values)
+    if method == "cutoff" or not subjects.size or not replicate_ids:
+        # the same values for every replicate: nothing to draw, so no model to fit
+        values = trial.cutoff[subjects] if method == "cutoff" else np.empty(0)
+        values.flags.writeable = False
+        return [ImputationDraws(subjects, values) for _ in replicate_ids]
+    fit = fit_censoring_model if effect is Effect.INFLATE_CONTROL else fit_mono_event_model
+    model = fit(trial)
+    keys = _drawn_keys(trial, effect)
+    floors = trial.s[subjects].tolist()
+    per_block = max(1, _KEY_BLOCK // keys.size)
+    draw_sets = []
+    for first in range(0, len(replicate_ids), per_block):
+        words = _seed_words(seed, replicate_ids[first:first + per_block], keys)
+        for row in range(0, len(words), keys.size):
+            rngs = _keyed_rngs(words[row:row + keys.size])
+            values = np.array([model.beyond(s, rng) for s, rng in zip(floors, rngs)])
+            draw_sets.append(ImputationDraws(subjects, values))
+    return draw_sets
+
+
+def make_draws(trial: Trial, effect: Effect, imputation: str = "auto",
+               seed: int = 0, replicate_id: int = 0) -> ImputationDraws:
+    """All imputed times one replicate needs: the one-replicate case of
+    `make_draw_sets`."""
+    (draws,) = make_draw_sets(trial, effect, imputation, seed, [replicate_id])
+    return draws

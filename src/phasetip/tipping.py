@@ -20,7 +20,9 @@ factor already probed, so no value is cached; a repeat would only be
 recomputed, with the same result. The full evaluation (`evaluate_at`:
 p-value, overall HR and monotherapy-phase HR) runs only for the point a
 search reports, and for every point of `grid_scan`; it builds one risk
-table and fits both Cox models on it.
+table and fits both Cox models on it. A search returns the factor it
+reports, and `find_tipping` evaluates the points of all searches after
+the last round, in one `_points` call over their draw sets.
 
 Every transformed row, of a probe or of a full evaluation, comes from one
 generator, `_rows`. It transforms the requests in blocks
@@ -31,13 +33,15 @@ to the bit. A rule-a probe with the log-rank p-value is its row's test and
 needs no table; the other rules read the row's data.
 
 Per replicate, imputation draws are made once and reused across the whole
-grid. With the draws fixed, every transformed time is fixed or a line in
-the factor, and the log-rank test and the Cox risk table read only the
-order and ties of those times and the event indicators. So the p-value
-and the monotherapy-phase HR are step functions of the factor, constant
-between the rank breakpoints of `counterfactual.rank_breakpoints` (save
-the log-rank p-value at the one factor where two moving events tie), and
-a tip is one of those breakpoints. One search serves both stop rules:
+grid; `find_tipping` makes every replicate's draws in one `make_draw_sets`
+call, one model fit and one hash pass. With the draws fixed, every
+transformed time is fixed or a line in the factor, and the log-rank test
+and the Cox risk table read only the order and ties of those times and the
+event indicators. So the p-value and the monotherapy-phase HR are step
+functions of the factor, constant between the rank breakpoints of
+`counterfactual.rank_breakpoints` (save the log-rank p-value at the one
+factor where two moving events tie), and a tip is one of those
+breakpoints. One search serves both stop rules:
 
 1. Bracket: walk the factor away from 1 with a step that starts at
    `grid_step` and doubles up to `MAX_STEP`, until the rule's criterion is
@@ -75,7 +79,6 @@ and standard deviation reporting the multiple-imputation spread.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 import numbers
 import statistics
@@ -89,6 +92,7 @@ from .counterfactual import (
     Threshold,
     TransformParams,
     check_imputation,
+    make_draw_sets,
     make_draws,
     rank_breakpoints,
     transform_lines,
@@ -450,48 +454,48 @@ def _bisect(crossed, edges, flags):
     return float(edges[hi - 1]), float(at(hi))
 
 
-def _points(trial: Trial, config: SearchConfig, draws: ImputationDraws, lines, gammas) -> list:
-    """The full points at `gammas` under one draw set, `lines` its
-    `transform_lines`: each factor's row of `_rows`, handed to `evaluate_at`."""
-    rows = _rows(trial, [(lines, gamma) for gamma in gammas], config.p_source != "wald")
+def _points(trial: Trial, config: SearchConfig, requests) -> list:
+    """The full points of `requests`, (draws, lines, factor) triples,
+    `lines` the draw set's `transform_lines`: each request's row of one
+    `_rows` pass, handed to `evaluate_at` with the request's own draws. The
+    requests may come from one draw set (a curve) or from many (the points
+    the searches report)."""
+    rows = _rows(trial, [(lines, gamma) for _, lines, gamma in requests],
+                 config.p_source != "wald")
     return [evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
                         outcome=row)
-            for gamma, row in zip(gammas, rows)]
+            for (draws, _, gamma), row in zip(requests, rows)]
 
 
-def _run_replicate(trial, config, replicate_id, draws, lines):
+def _run_replicate(trial, config, lines):
     """One replicate's search: check the identity factor, bracket the first
     crossing, and bisect on the rank breakpoints inside the bracket, listed
     in walk order between the bracket's ends as one `edges` array. The tip
-    is the breakpoint where the rule flips; the full point is evaluated
-    inside the first crossed interval.
+    is the breakpoint where the rule flips; the point to report lies inside
+    the first crossed interval.
 
-    `lines` are the draw set's `transform_lines`, which the breakpoints and
-    the full point read. A generator like `_bracket`: it yields every
-    factor it probes and returns the replicate's outcome."""
+    `lines` are the draw set's `transform_lines`, which the breakpoints
+    read. A generator like `_bracket`: it yields every factor it probes and
+    returns (tip, at, degenerate, flags), `at` the factor whose full point
+    the search reports, or None when it reports none."""
     _, crossed, start_flag = _stop_rule(config)
-
-    def point(gamma):
-        return _points(trial, config, draws, lines, [gamma])[0]
 
     start, note = yield 1.0
     if start is None:
-        return ReplicateOutcome(replicate_id, tip=None, point=point(1.0),
-                                flags=[f"start unevaluable: {note}"])
+        return None, 1.0, False, [f"start unevaluable: {note}"]
     if crossed(start):
-        return ReplicateOutcome(replicate_id, tip=1.0, point=point(1.0), degenerate=True,
-                                flags=[start_flag])
+        return 1.0, 1.0, True, [start_flag]
 
     last_clear, first_crossed, flags = yield from _bracket(crossed, config)
     if first_crossed is None:
         flags.append("no tipping point in range")
-        return ReplicateOutcome(replicate_id, tip=None, point=None, flags=flags)
+        return None, None, False, flags
 
     direction = config.effect.direction
     edges = np.concatenate(([last_clear], rank_breakpoints(
         trial, lines, *(last_clear, first_crossed)[::direction])[::direction], [first_crossed]))
     tip, at = yield from _bisect(crossed, edges, flags)
-    return ReplicateOutcome(replicate_id, tip=tip, point=point(at), flags=flags)
+    return tip, at, False, flags
 
 
 def mi_aggregate(outcomes, effect: Effect, threshold: Threshold) -> TpaResult:
@@ -531,35 +535,45 @@ def _check_searchable(trial: Trial, config: SearchConfig) -> None:
 def find_tipping(trial: Trial, config: SearchConfig) -> TpaResult:
     """Tipping point of `config.threshold` with multiple imputation.
 
+    Every replicate's draws come from one `make_draw_sets` call.
     Deterministic imputation (the cutoff method) gives every replicate the
     same draws; duplicating the search would only repeat identical work, so
     replicates sharing a draw set share one search result. The searches of
     the distinct draw sets run in lockstep: each round takes the next
     factor of every live search and `_probe_round` answers them together.
-    No search reads another's data, so each probes the factors, and reports
-    the outcome, it would alone.
+    When all have ended, one `_points` call evaluates the point each
+    reports, with the search's own draws. No search reads another's data,
+    so each probes the factors, and reports the outcome, it would alone.
     """
     _check_searchable(trial, config)
     groups = {}
-    for r in range(config.mi_replicates):
-        draws = make_draws(trial, config.effect, config.imputation, config.seed, r)
+    for r, draws in enumerate(make_draw_sets(trial, config.effect, config.imputation, config.seed,
+                                             range(config.mi_replicates))):
         groups.setdefault(draws.values.tobytes(), (draws, []))[1].append(r)
 
-    live = []   # (lines, members, search, the factor it waits on)
+    live = []   # (draws, lines, members, search, the factor it waits on)
     for draws, members in groups.values():
         lines = transform_lines(trial, config.effect, draws)
-        search = _run_replicate(trial, config, members[0], draws, lines)
-        live.append((lines, members, search, next(search)))
-    outcomes = []
+        search = _run_replicate(trial, config, lines)
+        live.append((draws, lines, members, search, next(search)))
+    done = []   # (draws, lines, members, the search's result)
     while live:
-        answers = _probe_round(trial, config, [(lines, gamma) for lines, _, _, gamma in live])
+        answers = _probe_round(trial, config, [(lines, gamma) for _, lines, _, _, gamma in live])
         waiting = []
-        for (lines, members, search, _), answer in zip(live, answers):
+        for (draws, lines, members, search, _), answer in zip(live, answers):
             try:
-                waiting.append((lines, members, search, search.send(answer)))
-            except StopIteration as done:
-                outcomes.extend(dataclasses.replace(done.value, replicate_id=r) for r in members)
+                waiting.append((draws, lines, members, search, search.send(answer)))
+            except StopIteration as stop:
+                done.append((draws, lines, members, stop.value))
         live = waiting
+
+    points = iter(_points(trial, config, [(draws, lines, result[1])
+                                          for draws, lines, _, result in done
+                                          if result[1] is not None]))
+    outcomes = []
+    for _, _, members, (tip, at, degenerate, flags) in done:
+        point = None if at is None else next(points)
+        outcomes.extend(ReplicateOutcome(r, tip, point, degenerate, flags) for r in members)
     outcomes.sort(key=lambda o: o.replicate_id)
     return mi_aggregate(outcomes, config.effect, config.threshold)
 
@@ -571,4 +585,4 @@ def grid_scan(trial: Trial, config: SearchConfig, gammas) -> list[TpaCurvePoint]
     _check_searchable(trial, config)
     draws = make_draws(trial, config.effect, config.imputation, config.seed, 0)
     lines = transform_lines(trial, config.effect, draws)
-    return _points(trial, config, draws, lines, [float(g) for g in gammas])
+    return _points(trial, config, [(draws, lines, float(g)) for g in gammas])

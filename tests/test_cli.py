@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from conftest import wall_clock_bound
 from phasetip.cli import main
 from phasetip.counterfactual import Effect
 from phasetip.dataio import HEADER, write_dataset
+from phasetip.records import Trial
 from phasetip import survival
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.svgplot import escape, find_crossings, line_plot
@@ -542,6 +544,10 @@ class TestGoldenOutputs:
     files were re-recorded when the Cox likelihood began to read the 4 x 4
     cross product of the risk-set shares: only HR cells moved, by at most
     1.5e-15 relative; tips, p-values and event counts did not.
+    `tpa_effect1_fitted_a.csv` and the two effect-2 `seed6_*` files were
+    re-recorded when the fitted imputation models began to sum their
+    exposure with `math.fsum`: only tip_min, tip_max and tip_sd cells moved,
+    by at most 2.9e-16, 1.4e-16 and 1.7e-15 relative.
     `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
     the other effect-1 files (cutoff imputation) never reach. The four
     `seed6_*` files are `tpa` at CLI defaults (imputation seed 0) on the
@@ -590,6 +596,58 @@ class TestGoldenOutputs:
         assert code == 0
         golden = os.path.join(DATA, "curve_2_a.csv")
         assert (tmp_path / "curve_2_a.csv").read_bytes() == open(golden, "rb").read()
+
+
+class TestRowOrder:
+    """The order of a trial's rows changes no bit of the output: the seed-6
+    trial and two shuffles of its rows give byte-identical files."""
+
+    @pytest.fixture(scope="class")
+    def seed6_orders(self, tmp_path_factory):
+        records = list(simulate_trial(SimConfig(), seed=6))
+        paths = []
+        for shuffle in (None, 1, 2):
+            rows = list(records)
+            if shuffle is not None:
+                random.Random(shuffle).shuffle(rows)
+            path = tmp_path_factory.mktemp("order") / "trial.csv"
+            write_dataset(Trial.from_records(rows), path)
+            paths.append(str(path))
+        return paths
+
+    def _outputs(self, paths, tmp_path, argv, name):
+        outputs = []
+        for k, path in enumerate(paths):
+            out = tmp_path / str(k)
+            assert main([*argv, "--input", path, "--out", str(out)]) == 0
+            outputs.append((out / name).read_bytes())
+        return outputs
+
+    @pytest.mark.parametrize("flags", [
+        ["--effect", "1", "--threshold", "a"],
+        ["--effect", "1", "--threshold", "b"],
+        ["--effect", "2", "--threshold", "a"],
+        ["--effect", "2", "--threshold", "b"],
+        ["--effect", "1", "--threshold", "a", "--imputation", "fitted"],
+    ], ids=["a-1", "b-1", "a-2", "b-2", "fitted-a-1"])
+    def test_tpa_results_csv(self, seed6_orders, tmp_path, flags):
+        outputs = self._outputs(seed6_orders, tmp_path,
+                                ["tpa", *flags, "--replicates", "6"], "results.csv")
+        assert outputs[1:] == outputs[:-1]
+
+    def test_curve(self, seed6_orders, tmp_path):
+        argv = ["curve", "--effect", "2", "--threshold", "b", "--grid-step", "0.01"]
+        for name in ("curve_2_b.csv", "curve_2_b.svg"):
+            outputs = self._outputs(seed6_orders, tmp_path / name, argv, name)
+            assert outputs[1:] == outputs[:-1]
+
+    @pytest.mark.parametrize("flags", [[], ["--stratified", "--ties", "breslow"]])
+    def test_analyze_report(self, seed6_orders, capsys, flags):
+        reports = []
+        for path in seed6_orders:
+            assert main(["analyze", "--input", path, *flags]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1:] == reports[:-1]
 
 
 class TestSimulateCommand:

@@ -4,6 +4,8 @@ and RNG keying."""
 import hashlib
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from phasetip.counterfactual import (
     fit_censoring_model,
     fit_mono_event_model,
     keyed_rng,
+    make_draw_sets,
     make_draws,
     needs_draw,
 )
@@ -181,12 +184,14 @@ class TestRngKeying:
         assert np.allclose(keyed_rng(5, 2, "x").uniform(size=4), keyed_rng(5, 2, "x").uniform(size=4))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(seed=word_ints(2**80), replicate=word_ints(2**70),
+    @given(seed=word_ints(2**80),
+           replicates=st.lists(word_ints(2**70), min_size=1, max_size=3),
            keys=st.lists(word_ints(2**64 - 1), min_size=1, max_size=6))
-    def test_seed_words_are_seed_sequence_state(self, seed, replicate, keys):
-        got = _seed_words(seed, replicate, np.array(keys, dtype=np.uint64))
+    def test_seed_words_are_seed_sequence_state(self, seed, replicates, keys):
+        # rows replicate by replicate, whose ids may differ in word count
+        got = _seed_words(seed, replicates, np.array(keys, dtype=np.uint64))
         want = np.array([np.random.SeedSequence([seed, replicate, key]).generate_state(4, np.uint64)
-                         for key in keys])
+                         for replicate in replicates for key in keys])
         assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -235,6 +240,123 @@ class TestAgainstPerSubjectStreams:
             got = make_draws(*args)
             assert got.values.size > 30
             assert got.values.tobytes() == make_draws_per_subject(*args).values.tobytes()
+
+
+_sha256 = hashlib.sha256
+
+
+class _LowKeyDigest:
+    """A SHA-256 whose 64-bit subject key has high word 0 for every other
+    input: no real subject id is known to hash to such a key."""
+
+    def __init__(self, data):
+        self._digest = _sha256(data).digest()
+
+    def digest(self):
+        if self._digest[0] % 2:
+            return self._digest
+        return self._digest[:4] + bytes(4) + self._digest[8:]
+
+
+class TestDrawSets:
+    """`make_draw_sets`: every replicate's draw set is
+    `reference.make_draws_per_subject` of that replicate alone, byte for byte."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(records=trials(), effect=st.sampled_from(list(Effect)),
+           imputation=st.sampled_from(["auto", "cutoff", "fitted"]), seed=word_ints(2**70),
+           replicates=st.lists(word_ints(2**40), min_size=1, max_size=4),
+           low_keys=st.booleans())
+    def test_each_set_is_its_replicate_alone(self, records, effect, imputation, seed,
+                                             replicates, low_keys):
+        trial = Trial.from_records(records)
+        with mock.patch.object(hashlib, "sha256", _LowKeyDigest if low_keys else _sha256):
+            try:
+                got = make_draw_sets(trial, effect, imputation, seed, replicates)
+            except EstimationError as error:
+                got = [(type(error), str(error))] * len(replicates)
+            else:
+                got = [(d.subjects.tobytes(), d.values.dtype, d.values.tobytes()) for d in got]
+            want = [draws_outcome(make_draws_per_subject, trial, effect, imputation, seed, r)
+                    for r in replicates]
+        assert got == want
+
+    def test_replicate_ids_of_one_and_two_words_in_one_call(self):
+        trial = simulate_trial(SimConfig(n_experimental=60, n_control=40), seed=3)
+        replicates = [2**32 + 5, 0, 2**32 - 1, 2**32, 7, 2**33 + 1]
+        for effect in Effect:
+            got = make_draw_sets(trial, effect, "fitted", 11, replicates)
+            assert len(got) == len(replicates)
+            for r, draws in zip(replicates, got):
+                want = make_draws_per_subject(trial, effect, "fitted", 11, r)
+                assert draws.values.size > 0
+                assert draws.values.tobytes() == want.values.tobytes()
+
+    def test_blocks_of_replicates(self, monkeypatch):
+        # fewer key rows a block than one replicate has, and a block of two
+        trial = simulate_trial(SimConfig(n_experimental=60, n_control=40), seed=3)
+        effect = Effect.SHRINK_EXPERIMENTAL
+        drawn = int(needs_draw(trial, effect).sum())
+        want = [make_draws_per_subject(trial, effect, "auto", 4, r).values.tobytes()
+                for r in range(5)]
+        for block in (1, 2 * drawn, 2 * drawn + 1):
+            monkeypatch.setattr("phasetip.counterfactual._KEY_BLOCK", block)
+            got = make_draw_sets(trial, effect, "auto", 4, range(5))
+            assert [d.values.tobytes() for d in got] == want
+
+    @pytest.mark.parametrize("seed, replicate, imputation, message", [
+        (-1, 0, "auto", "seed must be a non-negative integer, got -1"),
+        (1.5, 0, "auto", "seed must be a non-negative integer, got 1.5"),
+        (True, 0, "auto", "seed must be a non-negative integer, got True"),
+        (0, -1, "auto", "replicate_id must be a non-negative integer, got -1"),
+        (0, 2.0, "auto", "replicate_id must be a non-negative integer, got 2.0"),
+        (0, "3", "auto", "replicate_id must be a non-negative integer, got '3'"),
+        (0, False, "auto", "replicate_id must be a non-negative integer, got False"),
+        (0, 0, "km", "imputation must be one of auto, cutoff, fitted, got 'km'"),
+        (-1, -1, "km", "imputation must be one of auto, cutoff, fitted, got 'km'"),
+    ])
+    def test_refuses_what_make_draws_refuses(self, seed, replicate, imputation, message):
+        trial = Trial.from_records(_varied_dataset())
+        for effect in Effect:
+            with pytest.raises(DataError) as alone:
+                make_draws(trial, effect, imputation, seed, replicate)
+            assert str(alone.value) == message
+            for ids in ([replicate], [0, 1, replicate], [replicate, 2, 3]):
+                with pytest.raises(DataError) as sets:
+                    make_draw_sets(trial, effect, imputation, seed, ids)
+                assert str(sets.value) == message
+
+    def test_refuses_a_replicate_list_that_is_not_one(self):
+        trial = Trial.from_records(_varied_dataset())
+        with pytest.raises(DataError, match="replicate_ids must be a sequence of integers, got 3"):
+            make_draw_sets(trial, Effect.SHRINK_EXPERIMENTAL, "auto", 0, 3)
+
+    def test_no_replicates_no_draw_sets(self):
+        trial = Trial.from_records(_varied_dataset())
+        for effect in Effect:
+            assert make_draw_sets(trial, effect, "fitted", 0, []) == []
+
+    def test_memory_within_a_mebibyte_of_the_one_replicate_loop(self):
+        # 1,000 replicates on a 3,000-subject trial: the draw sets are kept
+        # in both, so only the temporaries of one block may differ
+        trial = simulate_trial(SimConfig(n_experimental=2000, n_control=1000), seed=6)
+        effect = Effect.SHRINK_EXPERIMENTAL
+        make_draws(trial, effect, "fitted", 0, 0)   # fills the per-trial key cache
+
+        def peak(make):
+            tracemalloc.start()
+            try:
+                kept = make()
+                return tracemalloc.get_traced_memory()[1], kept
+            finally:
+                tracemalloc.stop()
+
+        loop_peak, loop = peak(lambda: [make_draws(trial, effect, "fitted", 0, r)
+                                        for r in range(1000)])
+        del loop
+        sets_peak, sets = peak(lambda: make_draw_sets(trial, effect, "fitted", 0, range(1000)))
+        assert len(sets) == 1000 and sets[0].values.size > 100
+        assert sets_peak <= loop_peak + 2**20
 
 
 def _varied_dataset(n=80, seed=31):
@@ -323,10 +445,5 @@ class TestMakeDraws:
                            records)
         moved = draws_by_id(make_draws(Trial.from_records(shuffled), effect, imputation, 3, 1),
                             shuffled)
-        assert base and set(moved) == set(base)
-        for sid, value in base.items():
-            if imputation == "cutoff":
-                assert moved[sid] == value
-            else:
-                # the model's exposure is summed in row order
-                assert moved[sid] == pytest.approx(value, rel=1e-12, abs=0)
+        # the fitted models sum their exposure exactly rounded, in any order
+        assert base and moved == base

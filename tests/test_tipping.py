@@ -1097,3 +1097,55 @@ class TestBatchedProbe:
         draws = [self._draws(trial, Effect.SHRINK_EXPERIMENTAL, [v]) for v in (1.5, 4.0, 9.0)]
         expected = self._check(trial, Effect.SHRINK_EXPERIMENTAL, draws, [0.5, 0.5, 1.0])
         assert all(p is not None for p, _ in expected)
+
+
+class TestReportedPoints:
+    """`find_tipping` evaluates the point each search reports after all
+    searches end, in one `_points` call over every draw set; each point is
+    `evaluate_at` of its own replicate's draws alone, bit for bit."""
+
+    @staticmethod
+    def _check(trial, config):
+        result = find_tipping(trial, config)
+        points = [o for o in result.replicates if o.point is not None]
+        for outcome in points:
+            draws = make_draws(trial, config.effect, config.imputation, config.seed,
+                               outcome.replicate_id)
+            alone = evaluate_at(trial, TransformParams(config.effect, outcome.point.gamma),
+                                draws, config.p_source)
+            assert repr(outcome.point) == repr(alone)
+        return result, points
+
+    @pytest.mark.parametrize("p_source", ["logrank", "wald"])
+    @pytest.mark.parametrize("threshold", list(Threshold))
+    @pytest.mark.parametrize("effect", list(Effect))
+    def test_each_point_is_its_replicates_alone(self, effect, threshold, p_source):
+        config = SearchConfig(effect=effect, threshold=threshold, p_source=p_source,
+                              imputation="fitted", mi_replicates=7, seed=2, grid_step=0.05)
+        result, points = self._check(fast_records(), config)
+        # more points than one row block, from distinct draw sets
+        assert len(points) > phasetip.tipping._ROW_BLOCK
+        assert len({o.point.gamma for o in points}) > 1
+
+    def test_degenerate_start_reports_factor_one(self):
+        # significant at the start, but not at this alpha level
+        config = SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, alpha_level=1e-300,
+                              mi_replicates=3)
+        result, points = self._check(fast_records(), config)
+        assert result.degenerate and len(points) == 3
+        assert all(o.point.gamma == 1.0 for o in points)
+
+    def test_unevaluable_start_reports_factor_one(self):
+        # only the experimental arm enters monotherapy, so the three-covariate
+        # fit is collinear (trt_x_mono equals mono) at every factor
+        records = fast_records()
+        trial = Trial.from_records(
+            rec(r.subject_id, r.arm, r.s, r.delta,
+                mono=r.mono_start if r.arm is E else None) for r in records)
+        config = SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL,
+                              threshold=Threshold.NEUTRALIZE, mi_replicates=3)
+        result, points = self._check(trial, config)
+        assert len(points) == 3 and result.tip is None
+        for outcome in points:
+            assert outcome.point.gamma == 1.0 and outcome.point.hr_mono is None
+            assert outcome.flags[0].startswith("start unevaluable")
