@@ -11,7 +11,15 @@ class PhasetipError(Exception):
 
 
 class DataError(PhasetipError):
-    """Invalid input data (bad records, malformed files, bad settings)."""
+    """Invalid input data (bad records, malformed files, bad settings).
+
+    A `Trial` that refuses its columns names the ``column`` at fault and,
+    for one subject's value, the subject's ``position``.
+    """
+
+    def __init__(self, message, column=None, position=None):
+        super().__init__(message)
+        self.column, self.position = column, position
 
 
 class EstimationError(PhasetipError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, check_seed
-from .records import Arm, SubjectRecord, Trial
+from .records import Arm, Trial
 from .survival import km_estimate
 
 __all__ = ["SimConfig", "ArmSummary", "TrialSummary", "simulate_trial", "summarize_trial"]
@@ -71,44 +71,34 @@ class SimConfig:
 
 def simulate_trial(config: SimConfig, seed: int = 0) -> Trial:
     """Generate one trial. Draws are indexed per subject (row i of the draw
-    matrix belongs to subject i), so generation is order-independent. Each
-    subject is validated as a `SubjectRecord`."""
+    matrix belongs to subject i), so generation is order-independent. The
+    experimental arm comes first; subject i's id is its arm code and i."""
     check_seed(seed, "seed")
-    n = config.n_experimental + config.n_control
+    n_e, n = config.n_experimental, config.n_experimental + config.n_control
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SIM_STREAM]))
 
     entry = rng.uniform(0.0, config.accrual_months, n)
     u = rng.exponential(1.0, (n, 4))  # unit exponentials: combo event, switch, mono event, dropout
+    experimental = np.arange(n) < n_e
 
-    records = []
-    for i in range(n):
-        trt = 1 if i < config.n_experimental else 0
-        arm = Arm.EXPERIMENTAL if trt else Arm.CONTROL
-        lam_event = config.combo_event_hazard * (config.hr_combo if trt else 1.0)
-        lam_switch = config.switch_hazard * (config.switch_multiplier if trt else 1.0)
-        lam_mono = config.mono_event_hazard * (config.hr_mono if trt else 1.0)
+    def rate(hazard, factor):  # a setting may be any real number: float it first
+        return float(hazard) * np.where(experimental, float(factor), 1.0)
 
-        t_event = u[i, 0] / lam_event
-        t_switch = u[i, 1] / lam_switch
-        if t_switch < t_event:
-            mono_at = t_switch
-            event_time = mono_at + u[i, 2] / lam_mono
-        else:
-            mono_at = None
-            event_time = t_event
+    t_event = u[:, 0] / rate(config.combo_event_hazard, config.hr_combo)
+    t_switch = u[:, 1] / rate(config.switch_hazard, config.switch_multiplier)
+    switched = t_switch < t_event
+    event_time = np.where(
+        switched, t_switch + u[:, 2] / rate(config.mono_event_hazard, config.hr_mono), t_event)
 
-        c_admin = config.cutoff_months - entry[i]
-        c_drop = u[i, 3] / config.dropout_hazard if config.dropout_hazard > 0 else math.inf
-        censor_time = min(c_admin, c_drop)
-
-        s = min(event_time, censor_time)
-        delta = 1 if event_time <= censor_time else 0
-        mono_start = mono_at if (mono_at is not None and 0.0 < mono_at < s) else None
-        sid = f"{arm.code}{i:04d}"
-        records.append(
-            SubjectRecord(sid, arm, s, delta, cutoff=c_admin, mono_start=mono_start)
-        )
-    return Trial.from_records(records)
+    c_admin = float(config.cutoff_months) - entry
+    dropout = float(config.dropout_hazard)
+    censor_time = np.minimum(c_admin, u[:, 3] / dropout if dropout > 0 else np.inf)
+    s = np.minimum(event_time, censor_time)
+    in_mono = switched & (0.0 < t_switch) & (t_switch < s)
+    return Trial(ids=tuple(f"{'E' if i < n_e else 'C'}{i:04d}" for i in range(n)), s=s,
+                 delta=(event_time <= censor_time).astype(int),
+                 mono_start=np.where(in_mono, t_switch, np.nan), trt=experimental.astype(int),
+                 cutoff=c_admin, stratum=np.full(n, np.nan))
 
 
 @dataclass(frozen=True)

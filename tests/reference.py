@@ -35,6 +35,10 @@ breakpoints: a walk in fixed steps of `grid_step` to the first crossing,
 then a bisection of the last step down to a tolerance. Its final bracket
 must hold the tip `find_tipping` reports.
 
+`simulate_trial_per_subject` is the trial simulator one subject at a
+time, as it was before it drew its columns with numpy: `simulate_trial`
+must give exactly the trial its records make, to the bit.
+
 `make_draws_per_subject` makes one replicate's draws the way `make_draws`
 did before the keyed streams were hashed in one pass: a
 `default_rng(SeedSequence([seed, replicate_id, key]))` per drawn subject,
@@ -62,7 +66,8 @@ from phasetip.counterfactual import (
     needs_draw,
 )
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
-from phasetip.records import Arm
+from phasetip.records import Arm, SubjectRecord
+from phasetip.simulate import _SIM_STREAM
 from phasetip.survival import CoxFit, KmCurve, LogRankResult
 from phasetip.tipping import _stop_rule
 
@@ -71,7 +76,7 @@ __all__ = [
     "km_estimate_sorted", "logrank_test_sorted",
     "Rows", "expand", "RowLevelDesign", "cox_fit_row_level",
     "GroupDesignNumpy", "cox_fit_numpy",
-    "fixed_step_bracket", "make_draws_per_subject",
+    "fixed_step_bracket", "make_draws_per_subject", "simulate_trial_per_subject",
 ]
 
 
@@ -571,3 +576,31 @@ def make_draws_per_subject(trial, effect, imputation="auto", seed=0, replicate_i
             for k, s in zip(subjects.tolist(), trial.s[subjects].tolist())
         ])
     return ImputationDraws(subjects, values)
+
+
+def simulate_trial_per_subject(config, seed=0):
+    """The records of `simulate_trial(config, seed)`, one subject at a time."""
+    n = config.n_experimental + config.n_control
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SIM_STREAM]))
+    entry = rng.uniform(0.0, config.accrual_months, n)
+    u = rng.exponential(1.0, (n, 4))
+    records = []
+    for i in range(n):
+        trt = 1 if i < config.n_experimental else 0
+        arm = Arm.EXPERIMENTAL if trt else Arm.CONTROL
+        lam_event = config.combo_event_hazard * (config.hr_combo if trt else 1.0)
+        lam_switch = config.switch_hazard * (config.switch_multiplier if trt else 1.0)
+        lam_mono = config.mono_event_hazard * (config.hr_mono if trt else 1.0)
+        t_event, t_switch = u[i, 0] / lam_event, u[i, 1] / lam_switch
+        if t_switch < t_event:
+            mono_at, event_time = t_switch, t_switch + u[i, 2] / lam_mono
+        else:
+            mono_at, event_time = None, t_event
+        c_admin = config.cutoff_months - entry[i]
+        c_drop = u[i, 3] / config.dropout_hazard if config.dropout_hazard > 0 else math.inf
+        censor_time = min(c_admin, c_drop)
+        s = min(event_time, censor_time)
+        mono_start = mono_at if (mono_at is not None and 0.0 < mono_at < s) else None
+        records.append(SubjectRecord(f"{arm.code}{i:04d}", arm, s, int(event_time <= censor_time),
+                                     c_admin, mono_start))
+    return records

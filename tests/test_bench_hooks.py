@@ -67,16 +67,17 @@ def test_setup_probe_runs(tmp_path, monkeypatch):
     path = tmp_path / "trial.csv"
     write_dataset(simulate_trial(SimConfig(n_experimental=30, n_control=20), seed=1), path)
     # the probe hands what `read_dataset` returns to `make_draws` once per
-    # replicate; that is a Trial, so the read is the only Trial it builds
+    # replicate; that is a Trial, so the read is the only Trial it builds.
+    # Every build runs the column check, so the spy counts the checks.
     assert isinstance(phasetip.cli.read_dataset(path), Trial)
     built = []
-    from_records = Trial.from_records.__func__
+    check = Trial.__post_init__
 
-    def counted(cls, records):
-        built.append(cls)
-        return from_records(cls, records)
+    def counted(trial):
+        built.append(trial)
+        check(trial)
 
-    monkeypatch.setattr(Trial, "from_records", classmethod(counted))
+    monkeypatch.setattr(Trial, "__post_init__", counted)
     src = os.path.dirname(os.path.dirname(phasetip.cli.__file__))
     probe = _load("setup_probe")
     for effect in ("1", "2"):

@@ -602,9 +602,8 @@ class TestRowOrder:
     """The order of a trial's rows changes no bit of the output: the seed-6
     trial and two shuffles of its rows give byte-identical files."""
 
-    @pytest.fixture(scope="class")
-    def seed6_orders(self, tmp_path_factory):
-        records = list(simulate_trial(SimConfig(), seed=6))
+    @staticmethod
+    def _orders(records, tmp_path_factory):
         paths = []
         for shuffle in (None, 1, 2):
             rows = list(records)
@@ -614,6 +613,21 @@ class TestRowOrder:
             write_dataset(Trial.from_records(rows), path)
             paths.append(str(path))
         return paths
+
+    @pytest.fixture(scope="class")
+    def seed6_orders(self, tmp_path_factory):
+        return self._orders(simulate_trial(SimConfig(), seed=6), tmp_path_factory)
+
+    @pytest.fixture(scope="class")
+    def tied_strata_orders(self, tmp_path_factory):
+        # whole-month times in three strata, so ties and strata enter the fits
+        records = []
+        for i, r in enumerate(simulate_trial(SimConfig(), seed=6)):
+            s = float(math.ceil(r.s))
+            mono = None if r.mono_start is None else float(math.ceil(r.mono_start))
+            records.append(dataclasses.replace(r, s=s, cutoff=max(r.cutoff, s), mono_start=mono,
+                                               stratum=i % 3))
+        return self._orders(records, tmp_path_factory)
 
     def _outputs(self, paths, tmp_path, argv, name):
         outputs = []
@@ -642,9 +656,10 @@ class TestRowOrder:
             assert outputs[1:] == outputs[:-1]
 
     @pytest.mark.parametrize("flags", [[], ["--stratified", "--ties", "breslow"]])
-    def test_analyze_report(self, seed6_orders, capsys, flags):
+    @pytest.mark.parametrize("orders", ["seed6_orders", "tied_strata_orders"])
+    def test_analyze_report(self, request, orders, capsys, flags):
         reports = []
-        for path in seed6_orders:
+        for path in request.getfixturevalue(orders):
             assert main(["analyze", "--input", path, *flags]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[1:] == reports[:-1]

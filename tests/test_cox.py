@@ -123,7 +123,11 @@ class TestRiskTable:
         trial = Trial.from_records([rec("a", E, 10, 1, mono=6.0), rec("b", C, 8, 1)])
         with pytest.raises(DataError, match="unknown ties method"):
             risk_table(trial, ties="exact")
-        late = dataclasses.replace(trial, mono_start=np.array([12.0, np.nan]))
+        # a Trial built with a phase start past follow-up is refused when built;
+        # `with_outcome`, the one unchecked copy, reaches risk_table's guard
+        with pytest.raises(DataError, match="subject a: phase time exceeds follow-up"):
+            dataclasses.replace(trial, mono_start=np.array([12.0, np.nan]))
+        late = trial.with_outcome(np.array([5.0, 8.0]), trial.delta)
         with pytest.raises(DataError, match="subject a: phase time exceeds follow-up"):
             risk_table(late)
 

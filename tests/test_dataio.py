@@ -1,5 +1,7 @@
 """Dataset file round-trip and row-level error messages."""
 
+import re
+
 import pytest
 
 from conftest import C, E, rec
@@ -106,6 +108,50 @@ class TestReadDataset:
             "s2,X,5.0,1,,30.0,\n"
         )
         with pytest.raises(DataError, match="row 2"):
+            read_dataset(path)
+
+
+    @pytest.mark.parametrize("row, message", [
+        ("s1,E,5.0,1,,30.0", "expected 7 fields, got 6"),
+        (" ,E,5.0,1,,30.0,", "subject_id is empty"),
+        ("s1,X,5.0,1,,30.0,", "unknown arm code 'X' (expected 'E' or 'C')"),
+        ("s1,E,5.0,1,nan,30.0,", "mono_start_months is not a number: 'nan'"),
+        ("s1,E,5.0,1,,30.0,x", "stratum is not a number: 'x'"),
+    ], ids=["fields", "empty_id", "arm", "mono_nan", "stratum_text"])
+    def test_parse_rule_names_row(self, tmp_path, row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(",".join(HEADER) + "\ns0,C,1.0,0,,30.0,\n" + row + "\n")
+        with pytest.raises(DataError, match=rf"^row 3: {re.escape(message)}$"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        # a value rule in an earlier row beats a parse rule in a later one
+        (["s1,E,10.0,1,12.0,30.0,", "s2,E,bad,1,,30.0,"],
+         "row 2: subject s1: phase time exceeds follow-up"),
+        # and a parse rule in an earlier row beats a value rule in a later one
+        (["s1,E,bad,1,,30.0,", "s2,E,10.0,1,12.0,30.0,"],
+         "row 2: pfs_months is not a number: 'bad'"),
+        # in one row, a parse rule comes first
+        (["s1,E,10.0,2,12.0,30.0,"], "row 2: event must be 0 or 1, got '2'"),
+        # a repeated id before a bad row, across a blank line
+        (["x,E,10.0,0,,30.0,", "", "x,C,8.0,1,,30.0,", "y,C,8.0,1,,30.0"],
+         "row 4: subject_id 'x' repeats row 2"),
+    ], ids=["value_then_parse", "parse_then_value", "same_row", "repeat_then_parse"])
+    def test_first_invalid_row_is_named(self, tmp_path, rows, message):
+        path = tmp_path / "d.csv"
+        path.write_text(",".join(HEADER) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read_dataset(path)
+
+    def test_line_the_csv_module_cannot_split_names_row(self, tmp_path):
+        # a field beyond the csv module's size limit; a bad row before it wins
+        path = tmp_path / "d.csv"
+        long_row = "s2,E," + "1" * 200_000 + ",1,,30.0,"
+        path.write_text(",".join(HEADER) + "\ns1,E,5.0,1,,30.0,\n" + long_row + "\n")
+        with pytest.raises(DataError, match=r"^row 3: field larger than field limit"):
+            read_dataset(path)
+        path.write_text(",".join(HEADER) + "\ns1,E,bad,1,,30.0,\n" + long_row + "\n")
+        with pytest.raises(DataError, match=r"^row 2: pfs_months is not a number: 'bad'$"):
             read_dataset(path)
 
 

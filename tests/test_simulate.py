@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import C, E, rec
+from reference import simulate_trial_per_subject
 from phasetip.errors import DataError
 from phasetip.records import Arm, Trial
 from phasetip.simulate import SimConfig, simulate_trial, summarize_trial
@@ -45,10 +46,27 @@ class TestConfigValidation:
         SimConfig(dropout_hazard=0.0, accrual_months=0.0)
 
 
+class TestAgainstPerSubjectReference:
+    @pytest.mark.parametrize("config", [
+        SimConfig(),
+        SimConfig(n_experimental=2000, n_control=1000),
+        SimConfig(dropout_hazard=0.0, switch_multiplier=1.7),
+        SimConfig(n_experimental=3, n_control=2, accrual_months=0.0, cutoff_months=18),
+    ], ids=["default", "3000", "no_dropout", "tiny"])
+    def test_columns_bit_for_bit(self, config):
+        for seed in range(5):
+            trial = simulate_trial(config, seed)
+            expected = Trial.from_records(simulate_trial_per_subject(config, seed))
+            assert trial.ids == expected.ids
+            for name in ("s", "delta", "mono_start", "trt", "cutoff", "stratum"):
+                a, b = getattr(trial, name), getattr(expected, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, name)
+
+
 class TestRecordValidity:
     def test_fuzz_emitted_records_hold_invariants(self):
-        # 100k subjects across configs; SubjectRecord validates on build,
-        # so surviving construction is the invariant check
+        # 100k subjects across configs; a Trial checks its columns when it
+        # is built, so surviving construction is the invariant check
         configs = [
             SimConfig(n_experimental=20_000, n_control=15_000),
             SimConfig(n_experimental=20_000, n_control=10_000,
