@@ -441,11 +441,14 @@ def transform_outcomes(trial: Trial, lines, gammas):
         _check_factor(lines[0].effect, gamma)
     gamma = np.array(gammas, dtype=float)[:, None]
     base = np.array([ln.base for ln in lines])
-    # algebraically x + gamma*(base - x); this form is exact at gamma == 1
-    t = base + (gamma - 1.0) * np.array([ln.slope for ln in lines])
+    rows = lines[0].rows
+    # algebraically x + gamma*(base - x); this form is exact at gamma == 1.
+    # Near gamma = 0 it can round below x, where x + gamma*(base - x) is not,
+    # so each time is kept at or above its own x.
+    t = np.maximum(base + (gamma - 1.0) * np.array([ln.slope for ln in lines]),
+                   trial.mono_start[rows])
     cap = np.array([ln.cap for ln in lines])
     live = t <= cap
-    rows = lines[0].rows
     s = trial.s[None].repeat(gamma.size, axis=0)
     s[:, rows] = np.where(live, t, cap)
     delta = trial.delta[None].repeat(gamma.size, axis=0)

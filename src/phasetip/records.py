@@ -182,9 +182,9 @@ class Trial:
 
     def with_outcome(self, s: np.ndarray, delta: np.ndarray) -> "Trial":
         """Copy with new (s, delta), extending each cutoff that s moved past.
-        It skips the check, as each probe makes one: the transforms keep the
-        rules but for rounding, which can put a time just below its
-        mono_start, and `survival.risk_table` refuses that."""
+        It skips the check, as the transforms keep the rules (a moved time
+        stays at or above its mono_start); a copy with a time below its
+        mono_start is refused by `survival.risk_table`."""
         out = copy.copy(self)
         out.__dict__.update(s=s, delta=delta, cutoff=np.maximum(self.cutoff, s))
         return out

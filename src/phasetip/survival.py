@@ -5,30 +5,33 @@ the (optionally stratified) two-group log-rank test, and a Cox
 proportional-hazards fitter for the time-varying phase model of the
 analysis: treatment, monotherapy status, and their interaction.
 
-The Kaplan-Meier curve and the risk table count through one routine,
-`_counts`: the subjects at risk and the events per group and event time,
-from the event-time bins where each spell of a subject enters and leaves
-its group. The curve counts one group, and the table the four arm x phase
-groups, in which a subject in monotherapy has two spells. Every log-rank
-test is `logrank_rows`, which tests k outcomes of one trial in one pass:
-one row-wise sort gives each row's arm counts at its own event times,
-which `_counts` would need a search per row to bin. A block of search
-probes or curve points is such a pass, and `logrank_test` is its one-row
-case.
+Every log-rank test and every risk table of k outcomes of one trial comes
+from one pass, `SortedRows`: one row-wise sort per stratum gives each row
+its runs of tied times, and the running totals of the sorted rows give,
+at each event time, the subjects at risk and the events of each arm (for
+the test) and of each arm x phase group (for the table). The monotherapy
+subjects still in their combination phase at t, those whose monotherapy
+starts at or after t, come from one search of the event times in the
+sorted monotherapy starts. A block of search probes or curve points is
+such a pass; its tests and its tables are each made when first read, so a
+probe pays only for what its rule reads. `logrank_test` and `risk_table`
+are its one-row cases. The Kaplan-Meier curve counts its one group from
+one sort of the times.
 
-Every covariate of that design is a function of a subject's arm x phase
-group g = trt + 2 * mono at a given time, so the Efron (or Breslow) partial
-likelihood needs only, per stratum and event time, the subjects at risk and
-the events in each of the four groups. `risk_table` builds that grouped
-risk-set table straight from a `Trial`; no start-stop expansion is ever
-formed. `cox_fit` and `partial_loglik_and_gradient` read only the table and
-evaluate every design from it with a 4 x p matrix of group covariate
-values: the likelihood sums the log risk-set totals over the table's
-rows, and the gradient and the Hessian read the 4 x 4 cross product of
-the risk-set shares of the four groups. So a caller that holds the table
-(the treatment-only and the three-covariate fit of one evaluation, or of
-one `analyze` report, which passes it to `phase_hr`) builds it once. The
-Kaplan-Meier curve, `logrank_test` and the table take a `Trial`.
+Every covariate of the phase model is a function of a subject's arm x
+phase group g = trt + 2 * mono at a given time, so the Efron (or Breslow)
+partial likelihood needs only, per stratum and event time, the subjects at
+risk and the events in each of the four groups. That grouped risk-set
+table is built straight from the outcomes; no start-stop expansion is
+ever formed. `cox_fit` and `partial_loglik_and_gradient` read only the
+table and evaluate every design from it with a 4 x p matrix of group
+covariate values: the likelihood sums the log risk-set totals over the
+table's rows, and the gradient and the Hessian read the 4 x 4 cross
+product of the risk-set shares of the four groups. So a caller that holds
+the table (the treatment-only and the three-covariate fit of one
+evaluation, or of one `analyze` report, which passes it to `phase_hr`)
+builds it once. The Kaplan-Meier curve, `logrank_test` and the table take
+a `Trial`.
 Nothing loops over subjects in Python, and the Newton loop of `cox_fit`
 calls numpy's reductions, and the LAPACK gufuncs that np.linalg.solve,
 np.linalg.cholesky and np.linalg.inv call, without their per-call
@@ -59,7 +62,7 @@ __all__ = [
     "PhaseHr",
     "km_estimate",
     "logrank_test",
-    "logrank_rows",
+    "SortedRows",
     "RiskTable",
     "risk_table",
     "cox_fit",
@@ -104,28 +107,19 @@ def distinct(x):
 
 def _strata(trial: Trial, stratified: bool) -> list:
     """Row selectors of the analysis strata: all rows, or one per stratum
-    label with a missing stratum (NaN) pooled as -1."""
+    label, ascending, and one for the subjects without a stratum (NaN),
+    placed as a label -0.5 would be: after a stratum -1 and before a
+    stratum 0. That is the place a missing stratum labelled -1 takes, so a
+    trial without a stratum -1 sums its strata in the order it always has,
+    and its results keep every bit."""
     if not stratified:
         return [slice(None)]
-    keys = np.where(np.isnan(trial.stratum), -1.0, trial.stratum)
-    return [keys == st for st in distinct(keys)[0]]
-
-
-def _counts(event_times, enter, leave, event, n_groups):
-    """Subjects at risk and events per group and event time.
-
-    A spell of group g is at risk at event_times[j] for enter <= j < leave.
-    Every index is a bin g * (T + 1) + j of a group-major layout (T event
-    times, plus j = T for a spell that outlasts the last one): `enter` and
-    `leave` hold one bin per spell, `event` one bin per event. Returns
-    (n_risk, n_event), each n_groups x T.
-    """
-    width = event_times.size + 1
-    bins = n_groups * width
-    flow = np.bincount(enter, minlength=bins) - np.bincount(leave, minlength=bins)
-    n_risk = np.cumsum(flow.reshape(n_groups, width), axis=1)[:, :-1]
-    n_event = np.bincount(event, minlength=bins).reshape(n_groups, width)[:, :-1]
-    return n_risk, n_event
+    missing = np.isnan(trial.stratum)
+    strata = [(label, trial.stratum == label)
+              for label in distinct(trial.stratum[~missing])[0].tolist()]
+    if missing.any():
+        strata.append((-0.5, missing))
+    return [rows for _, rows in sorted(strata, key=lambda stratum: stratum[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +160,8 @@ def km_estimate(trial: Trial, arm: Arm | None = None) -> KmCurve:
     if not s.size:
         raise DataError("no subjects")
 
-    event_times = distinct(s[d == 1])[0]
-    leave = event_times.searchsorted(s, side="right")   # one group: bin = j
-    (n_risk,), (n_event,) = _counts(event_times, np.zeros_like(leave), leave,
-                                    leave[d == 1] - 1, 1)
+    event_times, n_event = distinct(s[d == 1])
+    n_risk = s.size - np.sort(s).searchsorted(event_times)   # the subjects with s >= t
 
     surv = np.cumprod(1.0 - n_event / n_risk)
     # Greenwood: Var(S) = S^2 * cumsum(d / (n (n - d))); SE pinned to 0 when S hits 0.
@@ -220,42 +212,91 @@ def _segment_totals(x, bounds) -> np.ndarray:
     return total[1:] - total[:-1]
 
 
-def _arm_counts(trt, s, delta):
-    """The arm counts of the log-rank test in each row of (s, delta), k
-    outcomes of the subjects whose arms are `trt`.
+def _counts_in(x, start, stop) -> np.ndarray:
+    """The integer sums of x over the spans [start, stop)."""
+    total = _running_total(x)
+    return total[stop] - total[start]
 
-    Returns (n0, n1, d0, d1, bounds): at each event time of a row,
-    ascending, the control and experimental subjects at risk and their
-    events, the rows one after another, and the k + 1 bounds between the
-    rows' event times. One row-wise sort gives them all: a subject is at
-    risk at an event time t when s >= t, so the count at risk at t is the
-    number of sorted times from the first one equal to t to the end of the
-    row. The counts are integers, so they do not depend on how they are
-    summed.
+
+class _Runs:
+    """k outcomes of one stratum's subjects, the rows of the k x n arrays
+    (s, delta), each row sorted by time once, and the runs of equal times
+    in each row that hold events, row after row.
+
+    A subject is at risk at an event time t when s >= t, so the count at
+    risk at t is the number of sorted times from the first one equal to t
+    to the end of the row, and every count at t is a difference of two
+    running totals over the sorted rows. Every count is an integer, so it
+    does not depend on how it is summed. The tests read `arm_counts` and
+    the risk tables `group_counts`; only what both read is kept.
     """
-    k, n = s.shape
-    order = s.argsort(axis=1)
-    exp = trt[order].ravel()
-    order += np.arange(0, k * n, n)[:, None]
-    order = order.ravel()
-    s = s.ravel()[order]
-    event = delta.ravel()[order]
-    # runs of equal times within a row, by their first position
-    first = np.empty(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=first[1:])
-    first[::n] = True
-    start = first.nonzero()[0]
-    bounds = np.concatenate((start, [s.size]))
-    d = _segment_totals(event, bounds)
-    timed = d.nonzero()[0]   # the runs that hold events
-    start, stop, d = start[timed], bounds[timed + 1], d[timed]
-    exp_events = _running_total(event * exp)
-    d1 = exp_events[stop] - exp_events[start]
-    n_at = n - start % n
-    exps = _running_total(exp)
-    n1 = exps[start + n_at] - exps[start]
-    rows = start.searchsorted(np.arange(0, k * n + 1, n))
-    return n_at - n1, n1, d - d1, d1, rows
+
+    def __init__(self, trt, s, delta):
+        k, n = s.shape
+        order = s.argsort(axis=1)
+        self.exp = exp = trt[order].ravel() == 1   # in the experimental arm, in sorted order
+        order += np.arange(0, k * n, n)[:, None]
+        self.order = order = order.ravel()    # positions in the k x n arrays, row by row
+        self.s, self.delta = s, delta
+        s = s.ravel()[order]
+        event = delta.ravel()[order]
+        # where a run of equal times starts within a row, and the end
+        edge = np.empty(s.size + 1, dtype=bool)
+        np.not_equal(s[1:], s[:-1], out=edge[1:-1])
+        edge[:-1:n] = edge[-1] = True
+        bounds = edge.nonzero()[0]
+        d = np.add.reduceat(event, bounds[:-1], dtype=np.int64)
+        timed = d.nonzero()[0]   # the runs that hold events
+        self.start, self.stop = start, stop = bounds[timed], bounds[timed + 1]
+        self.d = d[timed]
+        self.rows = rows = start.searchsorted(np.arange(0, k * n + 1, n))
+        # the end of each run's row
+        self.end = end = np.arange(n, k * n + 1, n).repeat(rows[1:] - rows[:-1])
+        self.d1 = _counts_in(event * exp, start, stop)
+        self.n1 = _counts_in(exp, start, end)
+
+    def arm_counts(self):
+        """(n0, n1, d0, d1, bounds), what the log-rank test reads: at each
+        event time of a row, ascending, the control and experimental
+        subjects at risk and their events, and the k + 1 bounds between the
+        rows' event times."""
+        n1, d1 = self.n1, self.d1
+        return self.end - self.start - n1, n1, self.d - d1, d1, self.rows
+
+    def group_counts(self, trt, mono_start):
+        """(n_risk, n_event): per event run, one row each, the subjects at
+        risk (as floats, the rows of a risk table without tied events) and
+        the events in the four arm x phase groups g = trt + 2 * mono, where
+        `trt` and `mono_start` are the stratum's columns and a subject, none
+        of whose mono_start is past its time, is in monotherapy in a row
+        when mono_start < s.
+
+        A subject with a mono_start is at risk in its monotherapy group at t
+        when mono_start < t <= s: of its arm's subjects with a mono_start
+        and s >= t, those whose mono_start is below t. Those with
+        mono_start >= t come from one search of the run times in the sorted
+        mono_starts. The rest of an arm's subjects at risk are in its
+        combination group."""
+        start, stop, end, exp, order = self.start, self.stop, self.end, self.exp, self.order
+        ev_mono = ((self.delta == 1) & (mono_start < self.s)).ravel()[order]
+        given = mono_start == mono_start   # a mono_start, not NaN
+        has = np.tile(given, len(self.s))[order]
+        given = given.nonzero()[0]
+        by_start = given[mono_start[given].argsort()]
+        exp_by_start = _running_total(trt[by_start])
+        below = mono_start[by_start].searchsorted(self.s.ravel()[order[start]])   # mono_start < t
+        mono1 = _counts_in(has & exp, start, end) - (exp_by_start[-1] - exp_by_start[below])
+        mono0 = _counts_in(has, start, end) - (by_start.size - below) - mono1
+        n_risk = np.empty((start.size, 4))
+        n_risk[:, 0] = end - start - self.n1 - mono0
+        n_risk[:, 1] = self.n1 - mono1
+        n_risk[:, 2], n_risk[:, 3] = mono0, mono1
+        n_event = np.empty((start.size, 4), dtype=np.int64)
+        n_event[:, 3] = _counts_in(ev_mono & exp, start, stop)
+        n_event[:, 2] = _counts_in(ev_mono, start, stop) - n_event[:, 3]
+        n_event[:, 1] = self.d1 - n_event[:, 3]
+        n_event[:, 0] = self.d - self.d1 - n_event[:, 2]
+        return n_risk, n_event
 
 
 def _logrank(strata, k) -> list:
@@ -303,30 +344,6 @@ def _logrank(strata, k) -> list:
     return results
 
 
-def logrank_rows(trial: Trial, s: np.ndarray, delta: np.ndarray,
-                 stratified: bool = False) -> list:
-    """`logrank_test` of `trial` with each row of the k x n arrays (s,
-    delta) as its outcome, in one pass: per row its LogRankResult, the same
-    to the bit, or the EstimationError it raises for that row."""
-    if trial.trt.all() or not trial.trt.any():
-        raise DataError("log-rank needs both arms present")
-    return _logrank([_arm_counts(trial.trt[cols], s[:, cols], delta[:, cols])
-                     for cols in _strata(trial, stratified)], len(s))
-
-
-def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
-    """Two-group log-rank test comparing arms, optionally summed over strata.
-
-    Uses the standard O-E statistic with hypergeometric variance at each
-    distinct event time; the two-sided p-value comes from chi-square with
-    one degree of freedom. It is the one-row case of `logrank_rows`.
-    """
-    (result,) = logrank_rows(trial, trial.s[None], trial.delta[None], stratified)
-    if isinstance(result, EstimationError):
-        raise result
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Grouped risk-set table
 
@@ -351,62 +368,107 @@ class RiskTable:
     stratified: bool
 
 
-def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
-    """The grouped risk-set table of the trial, optionally per stratum.
-
-    Every subject is at risk in group trt on (0, min(m, s)]. A subject in
-    the monotherapy phase (`Trial.in_mono`: it entered at m < s) is also at
-    risk in group trt + 2 on (m, s]. An event counts in the subject's group
-    at s.
-    """
-    if ties not in TIES:
-        raise DataError(f"unknown ties method {ties!r}")
-    late = np.flatnonzero(trial.mono_start > trial.s)
-    if late.size:
-        raise DataError(f"subject {trial.ids[late[0]]}: phase time exceeds follow-up")
-    in_mono = trial.in_mono
-    blocks = []
-    meets = np.zeros((4, 4), dtype=bool)
-    for rows in _strata(trial, stratified):
-        s, trt, mono = trial.s[rows], trial.trt[rows], in_mono[rows]
-        ev = trial.delta[rows] == 1
-        if not ev.any():
-            continue
-        ut, d = distinct(s[ev])
-        # spells: group trt from j = 0; in monotherapy, group trt + 2 from the
-        # first ut > m; each spell ends at the first ut > s or the switch
-        width = ut.size + 1
-        g = trt + 2 * mono
-        switch = ut.searchsorted(trial.mono_start[rows][mono], side="right")
-        stop = g * width + ut.searchsorted(s, side="right")
-        n_risk, n_event = _counts(
-            ut,
-            enter=np.concatenate([trt * width, (trt[mono] + 2) * width + switch]),
-            leave=np.concatenate([trt[mono] * width + switch, stop]),
-            event=stop[ev] - 1,
-            n_groups=4,
-        )
-        meets |= (n_event > 0) @ (n_risk > 0).T
-        n_risk, n_event = n_risk.T, n_event.T
-        if ut.size == d.sum():
-            # no event time is tied: one row per event time, tie index 0, so
-            # frac is 0 under either method and the block is n_risk itself
-            block = n_risk.astype(float, order="C")
-        else:
-            jj = np.repeat(np.arange(ut.size), d)
-            if ties == "efron":
-                # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d
-                frac = (np.arange(jj.size) - np.repeat(np.cumsum(d) - d, d)) / np.repeat(d, d)
-            else:
-                frac = np.zeros(jj.size)
-            block = n_risk[jj] - frac[:, None] * n_event[jj]
-        blocks.append((block, n_event.sum(axis=0)))
-    if len(blocks) == 1:
-        (A, D), = blocks
+def _tie_rows(n_risk, n_event, d, ties):
+    """The rows of A from the group counts of event runs that hold d events
+    each, C-ordered, and the running total of rows per run. Without a tied
+    event time there is one row per run, tie index 0, so frac is 0 under
+    either method and the rows are n_risk itself."""
+    if (d == 1).all():
+        return n_risk, _running_total(d)
+    jj = np.repeat(np.arange(d.size), d)
+    if ties == "efron":
+        # tie index k of d tied events, over d: 0/d, 1/d, ..., (d-1)/d
+        frac = (np.arange(jj.size) - np.repeat(np.cumsum(d) - d, d)) / np.repeat(d, d)
     else:
-        A = np.vstack([np.zeros((0, 4)), *(A for A, _ in blocks)])
-        D = sum((D for _, D in blocks), np.zeros(4, dtype=int))
-    return RiskTable(A=A, D=D, meets=meets, ties=ties, stratified=stratified)
+        frac = np.zeros(jj.size)
+    return n_risk[jj] - frac[:, None] * n_event[jj], _running_total(d)
+
+
+# ---------------------------------------------------------------------------
+# One sort per row: the log-rank tests and the risk tables of k outcomes
+
+
+class SortedRows:
+    """k outcomes of one trial, the rows of the k x n arrays (s, delta), each
+    row sorted by time once per stratum (`_strata`).
+
+    `tests` holds each row's log-rank test, a LogRankResult or the
+    EstimationError `logrank_test` raises for that row, and `tables` each
+    row's `risk_table` under `ties`. Each is read from the one sort, for all
+    k rows when first asked for, so a caller that reads only the tests pays
+    for no table. A row's result is that of its outcome alone, to the bit:
+    `logrank_test` and `risk_table` are the one-row case.
+    """
+
+    def __init__(self, trial: Trial, s: np.ndarray, delta: np.ndarray,
+                 stratified: bool = False, ties: str = "efron"):
+        if ties not in TIES:
+            raise DataError(f"unknown ties method {ties!r}")
+        self.trial, self.s, self.delta, self.ties = trial, s, delta, ties
+        self.stratified = stratified
+        self._strata = [(cols, _Runs(trial.trt[cols], s[:, cols], delta[:, cols]))
+                        for cols in _strata(trial, stratified)]
+
+    @functools.cached_property
+    def tests(self) -> list:
+        trt = self.trial.trt
+        if trt.all() or not trt.any():
+            raise DataError("log-rank needs both arms present")
+        return _logrank([runs.arm_counts() for _, runs in self._strata], len(self.s))
+
+    @functools.cached_property
+    def tables(self) -> list:
+        """Every subject is at risk in group trt on (0, min(m, s)]. A
+        subject in the monotherapy phase of its row (it entered at m < s)
+        is also at risk in group trt + 2 on (m, s]. An event counts in the
+        subject's group at s."""
+        trial, k = self.trial, len(self.s)
+        late = trial.mono_start > self.s
+        if late.any():
+            raise DataError(f"subject {trial.ids[late.argmax() % late.shape[1]]}: "
+                            "phase time exceeds follow-up")
+        blocks = [[] for _ in range(k)]   # per row, (A, D, meets) per stratum with events
+        for cols, runs in self._strata:
+            n_risk, n_event = runs.group_counts(trial.trt[cols], trial.mono_start[cols])
+            A, a_rows = _tie_rows(n_risk, n_event, runs.d, self.ties)
+            at_risk, with_events = n_risk > 0, n_event > 0
+            for r, (lo, hi) in enumerate(zip(runs.rows.tolist(), runs.rows[1:].tolist())):
+                if lo < hi:
+                    blocks[r].append((A[a_rows[lo]:a_rows[hi]], n_event[lo:hi].sum(axis=0),
+                                      with_events[lo:hi].T @ at_risk[lo:hi]))
+        tables = []
+        for row in blocks:
+            meets = np.zeros((4, 4), dtype=bool)
+            for _, _, met in row:
+                meets |= met
+            if len(row) == 1:
+                (A, D, _), = row
+            else:
+                A = np.vstack([np.zeros((0, 4)), *(A for A, _, _ in row)])
+                D = sum((D for _, D, _ in row), np.zeros(4, dtype=int))
+            tables.append(RiskTable(A=A, D=D, meets=meets, ties=self.ties,
+                                    stratified=self.stratified))
+        return tables
+
+
+def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
+    """Two-group log-rank test comparing arms, optionally summed over strata.
+
+    Uses the standard O-E statistic with hypergeometric variance at each
+    distinct event time; the two-sided p-value comes from chi-square with
+    one degree of freedom. It is the one-row case of `SortedRows.tests`.
+    """
+    (result,) = SortedRows(trial, trial.s[None], trial.delta[None], stratified).tests
+    if isinstance(result, EstimationError):
+        raise result
+    return result
+
+
+def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
+    """The grouped risk-set table of the trial, optionally per stratum: the
+    one-row case of `SortedRows.tables`. A subject whose monotherapy starts
+    after its follow-up time is a DataError."""
+    return SortedRows(trial, trial.s[None], trial.delta[None], stratified, ties).tables[0]
 
 
 @functools.cache
@@ -528,7 +590,8 @@ class _GroupDesign:
         S = R.T @ R
         r = np.add.reduce(S, axis=1)   # the column sums of R, whose rows sum to 1
         grad = self.sum_x - r @ self.G
-        hess = self.G.T @ (S - np.diag(r)) @ self.G
+        S.flat[::5] -= r               # S - diag(r), in place on the fresh S
+        hess = self.G.T @ S @ self.G
         return ll, grad, hess
 
 

@@ -19,18 +19,21 @@ Walk steps, interval midpoints and their nudges do not come back to a
 factor already probed, so no value is cached; a repeat would only be
 recomputed, with the same result. The full evaluation (`evaluate_at`:
 p-value, overall HR and monotherapy-phase HR) runs only for the point a
-search reports, and for every point of `grid_scan`; it builds one risk
-table and fits both Cox models on it. A search returns the factor it
+search reports, and for every point of `grid_scan`; it fits both Cox
+models on its row's one risk table. A search returns the factor it
 reports, and `find_tipping` evaluates the points of all searches after
 the last round, in one `_points` call over their draw sets.
 
-Every transformed row, of a probe or of a full evaluation, comes from one
-generator, `_rows`. It transforms the requests in blocks
+Every transformed row, of a probe or of a full evaluation, is read
+through one function, `_read_rows`. It transforms the requests in blocks
 (`transform_outcomes`, from a draw set's lines, made once per search or
-curve) and tests each block in one `logrank_rows` pass (one row-wise
-sort), which gives every row the p-value `logrank_test` gives it alone,
-to the bit. A rule-a probe with the log-rank p-value is its row's test and
-needs no table; the other rules read the row's data.
+curve) and sorts each block once (`survival.SortedRows`). From that sort
+come every row's log-rank test and every row's risk table, each made for
+the whole block when a row first reads it, and each what `logrank_test`
+and `risk_table` give the row alone, to the bit. A rule-a probe with the
+log-rank p-value reads its row's test and builds no table; the other
+rules read the row's table, and no row is sorted twice. Only what is read
+from a block outlives it, so one block is held at a time.
 
 Per replicate, imputation draws are made once and reused across the whole
 grid; `find_tipping` makes every replicate's draws in one `make_draw_sets`
@@ -83,6 +86,7 @@ import math
 import numbers
 import statistics
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +104,8 @@ from .counterfactual import (
 )
 from .errors import DataError, EstimationError, check_seed
 from .records import Trial
-from .survival import cox_fit, logrank_rows, logrank_test, risk_table
+# logrank_test is bound here, unused, for perfbench/tracer.py, which hooks it by name
+from .survival import SortedRows, cox_fit, logrank_test  # noqa: F401
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -233,18 +238,43 @@ class TpaResult:
     flags: list
 
 
-def _logrank_p(data) -> float:
-    return logrank_test(data).p_two_sided
+class _Row(NamedTuple):
+    """Row r of a `SortedRows` block: its outcome (s, delta), its log-rank
+    test and its risk table, the last two read from the block's one sort."""
+
+    block: SortedRows
+    r: int
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.block.s[self.r]
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.block.delta[self.r]
+
+    @property
+    def test(self):
+        return self.block.tests[self.r]
+
+    @property
+    def table(self):
+        return self.block.tables[self.r]
 
 
-def _wald_p(data) -> float:
-    return cox_fit(risk_table(data), ("trt",)).wald_p("trt")
+def _logrank_p(row) -> float:
+    return _p_value(row.test)
 
 
-def _mono_hr(data, table) -> float:
+def _wald_p(row) -> float:
+    return cox_fit(row.table, ("trt",)).wald_p("trt")
+
+
+def _mono_hr(row) -> float:
     """Monotherapy-phase HR, exp(b_trt + b_trt_x_mono), of the
-    three-covariate fit on `table`, the risk table of `data`."""
-    if not data.in_mono.any():
+    three-covariate fit on the row's risk table."""
+    table = row.table
+    if not (row.block.trial.mono_start < row.s).any():   # `Trial.in_mono` of the row
         raise EstimationError("no monotherapy phase at this factor")
     try:
         fit = cox_fit(table, ("trt", "mono", "trt_x_mono"))
@@ -263,7 +293,7 @@ def _attempt(estimate, notes):
 
 
 def _p_value(test) -> float:
-    """The p-value of a `logrank_rows` result; an EstimationError result is raised."""
+    """The p-value of a row's log-rank test; an EstimationError result is raised."""
     if isinstance(test, EstimationError):
         raise test
     return test.p_two_sided
@@ -276,44 +306,42 @@ def evaluate_at(trial: Trial, params: TransformParams, draws: ImputationDraws,
 
     A search probe computes only the number its stop rule reads; this runs
     for the point a search reports and for every curve point. `outcome` is
-    the row (s, delta, test) of `_rows` at `params` under `draws`, made
-    here when not given. One risk table serves both Cox fits, and the
-    log-rank p-value is the row's test. Each estimator that fails leaves
-    its column None and its message in the note, instead of aborting; the
-    point is evaluable when both the p-value and the overall HR exist.
+    the row of `_read_rows` at `params` under `draws`, made here when not
+    given. Its risk table serves both Cox fits, and the log-rank p-value is
+    its test. Each estimator that fails leaves its column None and its
+    message in the note, instead of aborting; the point is evaluable when
+    both the p-value and the overall HR exist.
     """
     _check_p_source(p_source)
     if outcome is None:
-        (outcome,) = _rows(trial, [(transform_lines(trial, params.effect, draws), params.gamma)],
-                           p_source != "wald")
-    s, delta, test = outcome
-    data = trial.with_outcome(s, delta)
-    table = risk_table(data)
+        (outcome,) = _read_rows(trial, [(transform_lines(trial, params.effect, draws),
+                                         params.gamma)], lambda _, row: row)
+    test = None if p_source == "wald" else outcome.test
     notes = []
-    trt_fit = _attempt(lambda: cox_fit(table, ("trt",)), notes)
+    trt_fit = _attempt(lambda: cox_fit(outcome.table, ("trt",)), notes)
     if p_source == "wald":
         p = None if trt_fit is None else trt_fit.wald_p("trt")
     else:
         p = _attempt(lambda: _p_value(test), notes)
-    hr_mono = _attempt(lambda: _mono_hr(data, table), notes)
+    hr_mono = _attempt(lambda: _mono_hr(outcome), notes)
     return TpaCurvePoint(
         gamma=params.gamma, p_two_sided=p,
         hr_overall=None if trt_fit is None else trt_fit.hr("trt"),
-        hr_mono=hr_mono, n_events=int(delta.sum()),
+        hr_mono=hr_mono, n_events=int(outcome.delta.sum()),
         evaluable=p is not None and trt_fit is not None,
         note="; ".join(notes) or None,
     )
 
 
 def _stop_rule(config: SearchConfig):
-    """(reads, crossed, start_flag): the one number a probe computes on the
-    transformed data, whether that number lies past the threshold, and the
-    flag of a replicate already crossed at factor 1."""
+    """(reads, crossed, start_flag): the one number a probe computes from
+    its row of `_read_rows`, whether that number lies past the threshold,
+    and the flag of a replicate already crossed at factor 1."""
     if config.threshold is Threshold.SIGNIFICANCE:
         return (_wald_p if config.p_source == "wald" else _logrank_p,
                 lambda p: p > config.alpha_level,
                 "already non-significant at start")
-    return (lambda data: _mono_hr(data, risk_table(data)),
+    return (_mono_hr,
             lambda hr_mono: hr_mono >= 1.0,
             "monotherapy difference already neutral at start")
 
@@ -324,18 +352,24 @@ def _stop_rule(config: SearchConfig):
 _ROW_BLOCK = 5
 
 
-def _rows(trial: Trial, requests, logrank: bool):
-    """The transformed rows of `requests`, (lines, factor) pairs, `lines` a
-    draw set as `transform_lines`: per request (s, delta, test), its
-    outcome and, when `logrank` is set, its `logrank_rows` result (else
-    None). A block of up to _ROW_BLOCK requests takes one
-    `transform_outcomes` call and one `logrank_rows` pass, and the rows
-    are yielded block by block, so no more than one block is held."""
+def _read_rows(trial: Trial, requests, read) -> list:
+    """read(i, row) for each of `requests`, (lines, factor) pairs, `lines` a
+    draw set as `transform_lines`: `i` is the request's index and `row` its
+    transformed row, a `_Row`. A block of up to _ROW_BLOCK requests takes
+    one `transform_outcomes` call and one `SortedRows` sort, whose tests and
+    tables are made for the block when a row first reads them; only what
+    `read` returns outlives its block, so no more than one block is held."""
+    answers = []
     for first in range(0, len(requests), _ROW_BLOCK):
-        block = requests[first:first + _ROW_BLOCK]
-        s, delta = transform_outcomes(trial, [lines for lines, _ in block],
-                                      [gamma for _, gamma in block])
-        yield from zip(s, delta, logrank_rows(trial, s, delta) if logrank else [None] * len(s))
+        answers += _read_block(trial, requests[first:first + _ROW_BLOCK], first, read)
+    return answers
+
+
+def _read_block(trial: Trial, block, first, read) -> list:
+    s, delta = transform_outcomes(trial, [lines for lines, _ in block],
+                                  [gamma for _, gamma in block])
+    rows = SortedRows(trial, s, delta)
+    return [read(first + r, _Row(rows, r)) for r in range(len(block))]
 
 
 def _probe_round(trial: Trial, config: SearchConfig, requests) -> list:
@@ -345,20 +379,19 @@ def _probe_round(trial: Trial, config: SearchConfig, requests) -> list:
     stop rule reads on the data transformed at that factor, or (None, note)
     when that number cannot be computed.
 
-    Every probe is a row of `_rows`. Under rule a with the log-rank
-    p-value it is the row's test, which is the p-value of `logrank_test`
-    to the bit; under the other rules the rule reads the row's data.
+    Every probe is a row of `_read_rows`. Under rule a with the log-rank
+    p-value it reads the row's test, which is the p-value of `logrank_test`
+    to the bit; under the other rules it reads the row's risk table.
     """
-    logrank = config.threshold is Threshold.SIGNIFICANCE and config.p_source == "logrank"
     reads = _stop_rule(config)[0]
-    answers = []
-    for s, delta, test in _rows(trial, requests, logrank):
+
+    def answer(_, row):
         try:
-            answers.append((_p_value(test) if logrank else reads(trial.with_outcome(s, delta)),
-                            None))
+            return reads(row), None
         except EstimationError as err:
-            answers.append((None, str(err)))
-    return answers
+            return None, str(err)
+
+    return _read_rows(trial, requests, answer)
 
 
 def _bracket(crossed, config):
@@ -457,14 +490,16 @@ def _bisect(crossed, edges, flags):
 def _points(trial: Trial, config: SearchConfig, requests) -> list:
     """The full points of `requests`, (draws, lines, factor) triples,
     `lines` the draw set's `transform_lines`: each request's row of one
-    `_rows` pass, handed to `evaluate_at` with the request's own draws. The
-    requests may come from one draw set (a curve) or from many (the points
-    the searches report)."""
-    rows = _rows(trial, [(lines, gamma) for _, lines, gamma in requests],
-                 config.p_source != "wald")
-    return [evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
-                        outcome=row)
-            for (draws, _, gamma), row in zip(requests, rows)]
+    `_read_rows` pass, handed to `evaluate_at` with the request's own
+    draws. The requests may come from one draw set (a curve) or from many
+    (the points the searches report)."""
+
+    def point(i, row):
+        draws, _, gamma = requests[i]
+        return evaluate_at(trial, TransformParams(config.effect, gamma), draws, config.p_source,
+                           outcome=row)
+
+    return _read_rows(trial, [(lines, gamma) for _, lines, gamma in requests], point)
 
 
 def _run_replicate(trial, config, lines):

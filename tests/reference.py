@@ -68,16 +68,22 @@ from phasetip.counterfactual import (
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Arm, SubjectRecord
 from phasetip.simulate import _SIM_STREAM
-from phasetip.survival import CoxFit, KmCurve, LogRankResult
-from phasetip.tipping import _stop_rule
+from phasetip.survival import CoxFit, KmCurve, LogRankResult, SortedRows
+from phasetip.tipping import _Row, _stop_rule
 
 __all__ = [
     "with_outcome", "transform_effect1", "transform_effect2",
     "km_estimate_sorted", "logrank_test_sorted",
     "Rows", "expand", "RowLevelDesign", "cox_fit_row_level",
     "GroupDesignNumpy", "cox_fit_numpy",
-    "fixed_step_bracket", "make_draws_per_subject", "simulate_trial_per_subject",
+    "fixed_step_bracket", "make_draws_per_subject", "simulate_trial_per_subject", "one_row",
 ]
+
+
+def one_row(data):
+    """The outcome of a transformed trial as the one row of a block, the
+    row a stop rule reads (`tipping._stop_rule`)."""
+    return _Row(SortedRows(data, data.s[None], data.delta[None]), 0)
 
 
 def with_outcome(record, s, delta):
@@ -535,7 +541,7 @@ def fixed_step_bracket(trial, config, draws, tol=1e-3):
     def probe(gamma):
         data = apply_transform(trial, TransformParams(config.effect, gamma), draws)
         try:
-            return reads(data)
+            return reads(one_row(data))
         except EstimationError:
             return None
 

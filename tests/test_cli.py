@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import phasetip
 import phasetip.cli
+import phasetip.tipping
 from conftest import wall_clock_bound
 from phasetip.cli import main
 from phasetip.counterfactual import Effect
@@ -298,6 +299,38 @@ class TestAnalyze:
         # the fit itself refuses its singular information matrix
         assert ("numerical failure: information at the optimum is not positive definite"
                 in capsys.readouterr().err)
+
+
+class TestRowTables:
+    """`curve` and `tpa` read every risk table from the one sort of its
+    row's block (`SortedRows`): no curve point, probe or reported point
+    builds a table of its own with `risk_table`, and a curve sorts each
+    block of five points once."""
+
+    @pytest.fixture(scope="class")
+    def seed6_dataset(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("seed6") / "trial.csv"
+        write_dataset(simulate_trial(SimConfig(), seed=6), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--effect", "2", "--threshold", "b"],
+        ["tpa", "--effect", "2", "--threshold", "b", "--replicates", "2"],
+    ])
+    def test_no_risk_table_call(self, seed6_dataset, tmp_path, argv):
+        tables = mock.Mock(wraps=survival.risk_table)
+        sorts = mock.Mock(wraps=survival.SortedRows)
+        with mock.patch.object(survival, "risk_table", tables), \
+                mock.patch.object(phasetip.cli, "risk_table", tables), \
+                mock.patch.object(phasetip.tipping, "SortedRows", sorts):
+            assert main([*argv, "--input", seed6_dataset, "--out", str(tmp_path)]) == 0
+        assert tables.call_count == 0
+        if argv[0] == "curve":
+            with open(tmp_path / "curve_2_b.csv", newline="") as handle:
+                points = len(list(csv.reader(handle))) - 1
+            assert points == 15 and sorts.call_count == 3
+        else:
+            assert sorts.call_count > 2
 
 
 class TestAnalyzeConfig:

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import C, E, rec, trials
+from conftest import TIMES, C, E, rec, trials
 from reference import RowLevelDesign, Rows, cox_fit_numpy, cox_fit_row_level, expand
 from phasetip.cli import _fmt_ci
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Trial
+from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import (
     CoxFit,
     _GroupDesign,
@@ -26,6 +27,7 @@ from phasetip.survival import (
     cox_fit,
     distinct,
     logrank_test,
+    SortedRows,
     partial_loglik_and_gradient,
     phase_hr,
     risk_table,
@@ -130,6 +132,118 @@ class TestRiskTable:
         late = trial.with_outcome(np.array([5.0, 8.0]), trial.delta)
         with pytest.raises(DataError, match="subject a: phase time exceeds follow-up"):
             risk_table(late)
+
+
+def _logrank_outcome(trial, stratified):
+    try:
+        return repr(logrank_test(trial, stratified))
+    except (DataError, EstimationError) as err:
+        return type(err), str(err)
+
+
+class TestSortedRows:
+    """One `SortedRows` sort gives each of its k rows the risk table and the
+    log-rank test of that row's outcome alone, to the bit: the one-row
+    `risk_table` and `logrank_test` of `trial.with_outcome(row)`."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(records=trials(), data=st.data())
+    def test_each_row_gets_its_own_table_and_test(self, records, data):
+        trial = Trial.from_records(records)
+        k = data.draw(st.integers(1, 6))
+        # per subject, a time from the short list (so that times tie) at or
+        # after its monotherapy start, which it may equal
+        s = np.array([[data.draw(st.sampled_from([t for t in TIMES if not r.mono_start
+                                                  or t >= r.mono_start]))
+                       for r in records] for _ in range(k)])
+        delta = np.array([[data.draw(st.sampled_from([0, 1])) for _ in records]
+                          for _ in range(k)])
+        outcomes = [trial.with_outcome(s[r], delta[r]) for r in range(k)]
+        for ties in ("efron", "breslow"):
+            for stratified in (False, True):
+                block = SortedRows(trial, s, delta, stratified, ties)
+                for table, data_r in zip(block.tables, outcomes):
+                    alone = risk_table(data_r, ties, stratified)
+                    assert table.A.flags.c_contiguous
+                    assert table.A.tobytes() == alone.A.tobytes()
+                    assert table.A.shape == alone.A.shape
+                    assert table.D.dtype == alone.D.dtype and np.array_equal(table.D, alone.D)
+                    assert np.array_equal(table.meets, alone.meets)
+                    assert (table.ties, table.stratified) == (ties, stratified)
+                try:
+                    tests = [repr(t) if not isinstance(t, EstimationError)
+                             else (EstimationError, str(t)) for t in block.tests]
+                except DataError as err:
+                    tests = [(DataError, str(err))] * k
+                assert tests == [_logrank_outcome(data_r, stratified) for data_r in outcomes]
+        tied = any((distinct(s[r][delta[r] == 1])[1] > 1).any() for r in range(k))
+        event("some event time tied" if tied else "no event time tied")
+
+    def test_tables_of_the_calibrated_trial(self, seed6_transforms):
+        # hundreds of event runs per row, a missing stratum among three, and
+        # monotherapy starts that a shrunk time reaches
+        s = np.array([t.s for t in seed6_transforms[::2]])
+        delta = np.array([t.delta for t in seed6_transforms[::2]])
+        for layout in seed6_transforms[:2]:   # no strata, and three strata
+            for ties in ("efron", "breslow"):
+                for stratified in (False, True):
+                    block = SortedRows(layout, s, delta, stratified, ties)
+                    for r, table in enumerate(block.tables):
+                        alone = risk_table(layout.with_outcome(s[r], delta[r]), ties, stratified)
+                        assert table.A.flags.c_contiguous
+                        assert table.A.tobytes() == alone.A.tobytes()
+                        assert np.array_equal(table.D, alone.D)
+                        assert np.array_equal(table.meets, alone.meets)
+
+    def test_a_late_row_is_refused_with_its_subject(self):
+        trial = Trial.from_records([rec("a", E, 10, 1, mono=6.0), rec("b", C, 8, 1, mono=2.0),
+                                    rec("c", C, 4, 0)])
+        s = np.array([[10.0, 8.0, 4.0], [7.0, 1.0, 4.0], [5.0, 1.0, 4.0]])
+        block = SortedRows(trial, s, np.ones_like(s, dtype=int))
+        # row 1 is the first with a monotherapy start past its time, at b
+        with pytest.raises(DataError, match="^subject b: phase time exceeds follow-up$"):
+            block.tables
+        with pytest.raises(DataError, match="^subject b: phase time exceeds follow-up$"):
+            risk_table(trial.with_outcome(s[1], np.ones(3, dtype=int)))
+        # the tests read no monotherapy start
+        assert [t.chi2 for t in block.tests] == [
+            logrank_test(trial.with_outcome(row, np.ones(3, dtype=int))).chi2 for row in s]
+
+    def test_unknown_ties_refused_before_sorting(self):
+        trial = Trial.from_records([rec("a", E, 10, 1), rec("b", C, 8, 1)])
+        with pytest.raises(DataError, match="unknown ties method 'exact'"):
+            SortedRows(trial, trial.s[None], trial.delta[None], ties="exact")
+
+
+class TestMissingStratum:
+    """Subjects without a stratum (NaN) form a stratum of their own, also
+    beside a real stratum -1, placed between -1 and 0 in the order the
+    strata are summed."""
+
+    @staticmethod
+    def _stratified(trial, labels):
+        strata = np.array(labels, dtype=float)[np.arange(len(trial)) % 3]
+        data = dataclasses.replace(trial, stratum=strata)
+        fit = cox_fit(risk_table(data, stratified=True), ("trt",))
+        return logrank_test(data, stratified=True).chi2, fit.coef("trt")
+
+    def test_nan_is_not_pooled_with_stratum_minus_one(self):
+        trial = simulate_trial(SimConfig(), seed=6)
+        missing = self._stratified(trial, [-1, np.nan, 0])
+        # the same partition in the same order, bit for bit
+        assert missing == self._stratified(trial, [-2, -1, 0])
+        # the same partition in another order, to rounding
+        assert missing == pytest.approx(self._stratified(trial, [-1, 5, 0]), rel=1e-12)
+        pooled = self._stratified(trial, [-1, -1, 0])
+        assert abs(missing[0] - pooled[0]) > 1e-3 and abs(missing[1] - pooled[1]) > 1e-5
+
+    def test_unstratified_and_no_minus_one_unchanged(self):
+        trial = simulate_trial(SimConfig(), seed=6)
+        # without a stratum -1 the missing stratum is summed where -1 was
+        assert self._stratified(trial, [1, np.nan, 0]) == self._stratified(trial, [1, -1, 0])
+        plain = dataclasses.replace(trial, stratum=np.array([-1.0, np.nan, 0.0])[
+            np.arange(len(trial)) % 3])
+        assert repr(logrank_test(plain)) == repr(logrank_test(trial))
 
 
 class TestCoxOracle:

@@ -9,7 +9,7 @@ from conftest import C, E, rec, trials
 from reference import logrank_test_sorted
 from phasetip.errors import DataError, EstimationError
 from phasetip.records import Arm, Trial
-from phasetip.survival import logrank_rows, logrank_test
+from phasetip.survival import SortedRows, logrank_test
 
 
 class TestLogRankHandExamples:
@@ -115,7 +115,7 @@ class TestLogRankAgainstSortedCount:
 
 
 class TestLogRankRows:
-    """`logrank_rows` tests k outcomes of one trial in one pass, and each
+    """`SortedRows` tests k outcomes of one trial in one pass, and each
     row gets `logrank_test` of that outcome bit for bit, errors included:
     a row's sums do not depend on the rows beside it."""
 
@@ -131,7 +131,7 @@ class TestLogRankRows:
         expected = [_outcome(logrank_test, trial.with_outcome(s[r], delta[r]), stratified)
                     for r in range(k)]
         try:
-            got = logrank_rows(trial, s, delta, stratified)
+            got = SortedRows(trial, s, delta, stratified).tests
         except DataError as err:
             assert all(e == (DataError, str(err)) for e in expected)
             return
@@ -145,7 +145,7 @@ class TestLogRankRows:
             s = np.array([t.s for t in seed6_transforms[::2]])
             delta = np.array([t.delta for t in seed6_transforms[::2]])
             for stratified in (False, True):
-                got = logrank_rows(layout, s, delta, stratified)
+                got = SortedRows(layout, s, delta, stratified).tests
                 assert [repr(r) for r in got] == [
                     _outcome(logrank_test_sorted, layout.with_outcome(s[r], delta[r]), stratified)
                     for r in range(len(s))]

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+import phasetip.survival
 import phasetip.tipping
 from conftest import C, E, rec, trials
-from reference import fixed_step_bracket
+from reference import fixed_step_bracket, one_row
 from phasetip.counterfactual import (
     Effect,
     ImputationDraws,
@@ -378,7 +379,7 @@ class TestGridScanAndDeterminism:
 
 
 class TestCurveLogRank:
-    """Each curve point's p-value is its row's test in a `logrank_rows`
+    """Each curve point's p-value is its row's test in a `SortedRows`
     pass: `logrank_test` of the trial transformed at the point's factor,
     bit for bit, with the message of a test that fails in the note. A trial
     with one arm is refused as `logrank_test` refuses it."""
@@ -517,6 +518,28 @@ class TestUnevaluablePointHandling:
         assert tip == at == 1.6
 
 
+class TestTinyShrinkFactor:
+    """At an effect-2 factor so small that gamma - 1 rounds to -1, every
+    moving time that would round below its own monotherapy start lands on
+    it: the point evaluates, as it does at 1e-16, and its note says why it
+    has no monotherapy-phase HR."""
+
+    def test_point_evaluates_with_its_reason(self):
+        trial = simulate_trial(SimConfig(), seed=6)
+        effect = Effect.SHRINK_EXPERIMENTAL
+        draws = make_draws(trial, effect, "auto", 0, 0)
+        lines = transform_lines(trial, effect, draws)
+        near = evaluate_at(trial, TransformParams(effect, 1e-16), draws)
+        for gamma in (1e-17, 1e-300):
+            s, _ = transform_outcomes(trial, [lines], [gamma])
+            assert (s[0, lines.rows] == trial.mono_start[lines.rows]).any()
+            assert (s[0, lines.rows] >= trial.mono_start[lines.rows]).all()
+            point = evaluate_at(trial, TransformParams(effect, gamma), draws)
+            assert point.evaluable and point.hr_mono is None
+            assert point.note.startswith("mono-phase fit failed: separation detected")
+            assert (point.p_two_sided, point.n_events) == (near.p_two_sided, near.n_events)
+
+
 class TestProbePath:
     """Each search probe runs only the estimator its stop rule reads; the
     full evaluation runs once, for the reported point. Every probe goes
@@ -578,10 +601,22 @@ class TestProbePath:
                 inside.append(call)
         return inside
 
+    @staticmethod
+    def _spy_logrank_pass(monkeypatch, calls):
+        """Record "logrank pass" for every block whose log-rank tests are
+        computed (`SortedRows.tests`)."""
+        real = phasetip.survival._logrank
+
+        def spy(strata, k):
+            calls.append("logrank pass")
+            return real(strata, k)
+
+        monkeypatch.setattr(phasetip.survival, "_logrank", spy)
+
     def test_rule_a_logrank_fits_cox_only_at_the_reported_point(self, monkeypatch):
         calls, probes = [], []
-        for name in ("cox_fit", "logrank_rows"):
-            self._spy(monkeypatch, name, calls)
+        self._spy(monkeypatch, "cox_fit", calls)
+        self._spy_logrank_pass(monkeypatch, calls)
         self._spy_probes(monkeypatch, probes, calls)
         records = fast_records()
         config = SearchConfig(effect=Effect.SHRINK_EXPERIMENTAL, grid_step=0.1,
@@ -596,22 +631,24 @@ class TestProbePath:
         # the treatment-only and the three-covariate fit of each reported point
         assert calls.count("cox_fit") == 2 * len(draw_sets)
         assert "cox_fit" not in self._inside_rounds(calls)
-        assert "logrank_rows" in self._inside_rounds(calls)
+        assert "logrank pass" in self._inside_rounds(calls)
         assert len(probes) > calls.count("cox_fit")
 
     def test_rule_b_probes_never_run_the_logrank_test(self, monkeypatch):
         calls = []
-        for name in ("logrank_test", "logrank_rows", "evaluate_at", "cox_fit"):
+        for name in ("logrank_test", "evaluate_at", "cox_fit"):
             self._spy(monkeypatch, name, calls)
+        self._spy_logrank_pass(monkeypatch, calls)
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE,
                               grid_step=0.1, mi_replicates=1, seed=7)
         res = find_tipping(fast_records(), config)
         assert res.tip is not None and res.p_at_tip is not None
         # probes fit the three-covariate model only; the row of the one full
-        # evaluation, of the reported point, is tested in one logrank_rows pass
-        assert calls.count("evaluate_at") == calls.count("logrank_rows") == 1
+        # evaluation, of the reported point, is tested in one log-rank pass,
+        # when the evaluation first reads its test
+        assert calls.count("evaluate_at") == calls.count("logrank pass") == 1
         assert "logrank_test" not in calls
-        assert calls.index("logrank_rows") + 1 == calls.index("evaluate_at")
+        assert calls.index("evaluate_at") + 1 == calls.index("logrank pass")
         assert calls[calls.index("evaluate_at") + 1:].count("cox_fit") == 2
         assert calls.count("cox_fit") > 2
 
@@ -951,7 +988,8 @@ class TestAgainstFixedStepSearch:
         lines = transform_lines(trial, config.effect, draws)
         edges = np.concatenate([[lo], rank_breakpoints(trial, lines, lo, hi), [hi]])
         verdicts = [
-            crossed(reads(apply_transform(trial, TransformParams(config.effect, float(g)), draws)))
+            crossed(reads(one_row(
+                apply_transform(trial, TransformParams(config.effect, float(g)), draws))))
             for g in 0.5 * (edges[:-1] + edges[1:])
         ]
         return sum(a != b for a, b in zip(verdicts, verdicts[1:]))
@@ -1008,7 +1046,7 @@ class TestBatchedProbe:
     """A round answered in blocks (`_probe_round`) gives every probe the
     number its stop rule reads on `apply_transform` of its own draws and
     factor, bit for bit, and the same note or error: under rule a the
-    p-value of `logrank_test` (one `logrank_rows` pass per block) or the
+    p-value of `logrank_test` (one `SortedRows` sort per block) or the
     Wald p-value, under rule b the monotherapy-phase HR."""
 
     IMPUTED = [0.5, 1.0, 2.0, 2.5, 4.0, 7.0, 9.0]
@@ -1019,7 +1057,8 @@ class TestBatchedProbe:
     def _one_at_a_time(trial, config, draws, gamma):
         reads = phasetip.tipping._stop_rule(config)[0]
         try:
-            return reads(apply_transform(trial, TransformParams(config.effect, gamma), draws)), None
+            data = apply_transform(trial, TransformParams(config.effect, gamma), draws)
+            return reads(one_row(data)), None
         except EstimationError as err:
             return None, str(err)
 
