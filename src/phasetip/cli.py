@@ -34,7 +34,7 @@ from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
 from .records import Arm
 from .simulate import SimConfig, simulate_trial, summarize_trial
-from .survival import TIES, cox_fit, logrank_test, phase_hr, risk_table
+from .survival import PHASE_MODEL, TIES, PhaseHr, SortedRows, _unwrap
 from .svgplot import line_plot
 from .tipping import P_SOURCES, SearchConfig, TpaResult, factor_grid, find_tipping, grid_scan
 
@@ -239,7 +239,8 @@ def _fmt_ci(ci):
 
 def cmd_analyze(args) -> int:
     trial = _read_trial(args.input)
-    table = risk_table(trial, **_given(args, ("ties", "stratified")))
+    row = SortedRows(trial, trial.s[None], trial.delta[None],
+                     **_given(args, ("stratified", "ties")))
     lines = []
     arms = summarize_trial(trial).arms
     for arm, label in ((Arm.EXPERIMENTAL, "Experimental"), (Arm.CONTROL, "Control")):
@@ -251,12 +252,14 @@ def cmd_analyze(args) -> int:
             f"{label} arm: n={summary.n}, events={summary.events}, "
             f"censored={summary.censored}, median PFS={median} months"
         )
-    lr = logrank_test(trial, **_given(args, ("stratified",)))
+    lr = _unwrap(row.tests[0])
     lines.append(f"Log-rank chi2={lr.chi2:.4f}, two-sided p={lr.p_two_sided:.6g}")
-    overall = cox_fit(table, ("trt",))
+    overall = _unwrap(row.fits(("trt",))[0])
     hr, ci = overall.contrast(("trt",))
     lines.append(f"Overall HR={hr:.4f} {_fmt_ci(ci)}")
-    phases = phase_hr(trial, table)
+    # `phase_hr` of the row's table: the treatment-only fit when no subject transitions
+    phases = PhaseHr.of_fit(_unwrap(row.fits(PHASE_MODEL)[0]) if trial.in_mono.any()
+                            else overall)
     lines.append(f"Combination-phase HR={phases.hr_combo:.4f} {_fmt_ci(phases.ci_combo)}")
     if phases.hr_mono is None:
         lines.append("Monotherapy-phase HR: not estimable (no transitions observed)")

@@ -13,27 +13,34 @@ the test) and of each arm x phase group (for the table). The monotherapy
 subjects still in their combination phase at t, those whose monotherapy
 starts at or after t, come from one search of the event times in the
 sorted monotherapy starts. A block of search probes or curve points is
-such a pass; its tests and its tables are each made when first read, so a
-probe pays only for what its rule reads. `logrank_test` and `risk_table`
-are its one-row cases. The Kaplan-Meier curve counts its one group from
-one sort of the times.
+such a pass; its tests, its tables and its Cox fits of each design are
+each made when first read, so a probe pays only for what its rule reads.
+`logrank_test`, `risk_table` and `cox_fit` are its one-row cases. The
+Kaplan-Meier curve counts its one group from one sort of the times.
 
 Every covariate of the phase model is a function of a subject's arm x
 phase group g = trt + 2 * mono at a given time, so the Efron (or Breslow)
 partial likelihood needs only, per stratum and event time, the subjects at
 risk and the events in each of the four groups. That grouped risk-set
 table is built straight from the outcomes; no start-stop expansion is
-ever formed. `cox_fit` and `partial_loglik_and_gradient` read only the
-table and evaluate every design from it with a 4 x p matrix of group
-covariate values: the likelihood sums the log risk-set totals over the
-table's rows, and the gradient and the Hessian read the 4 x 4 cross
-product of the risk-set shares of the four groups. So a caller that holds
-the table (the treatment-only and the three-covariate fit of one
-evaluation, or of one `analyze` report, which passes it to `phase_hr`)
-builds it once. The Kaplan-Meier curve, `logrank_test` and the table take
-a `Trial`.
-Nothing loops over subjects in Python, and the Newton loop of `cox_fit`
-calls numpy's reductions, and the LAPACK gufuncs that np.linalg.solve,
+ever formed. A fit reads only the table and evaluates every design from
+it with a 4 x p matrix of group covariate values: the likelihood sums the
+log risk-set totals over the table's rows, and the gradient and the
+Hessian read the 4 x 4 cross product of the risk-set shares of the four
+groups. So the treatment-only and the three-covariate fit of one
+evaluation, or of one `analyze` report, share one table.
+
+The fits of one design on the k tables of a block run as one damped
+Newton in lockstep (`_newton`): each round evaluates the likelihood of
+every running fit in one call (`_Stack`) and solves their steps in
+another. Each fit keeps its own iteration count, step halving,
+convergence tests and refusals, and sums its log risk-set totals and its
+cross product over its own table's rows only, in the calls its table
+alone makes; so no fit depends on the tables beside it, and `cox_fit`
+and `partial_loglik_and_gradient` are the one-table case. The
+Kaplan-Meier curve, `logrank_test` and the table take a `Trial`.
+Nothing loops over subjects in Python, and the Newton loop calls numpy's
+reductions, and the LAPACK gufuncs that np.linalg.solve,
 np.linalg.cholesky and np.linalg.inv call, without their per-call
 wrappers, with the same arithmetic; it tests its floats as Python floats.
 A fit without a maximum is refused before Newton, whatever its strata,
@@ -47,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +76,7 @@ __all__ = [
     "cox_fit",
     "partial_loglik_and_gradient",
     "phase_hr",
+    "PHASE_MODEL",
     "TIES",
 ]
 
@@ -86,6 +95,8 @@ _MAX_EXP = math.log(np.finfo(float).max)   # math.exp overflows beyond this
 _Z975 = 1.959963984540054                  # the normal 0.975 quantile, for 95% Wald CIs
 # The tie corrections of the Cox likelihood that `risk_table` builds for.
 TIES = ("efron", "breslow")
+# The time-varying phase model: treatment, monotherapy status and their interaction.
+PHASE_MODEL = ("trt", "mono", "trt_x_mono")
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +355,13 @@ def _logrank(strata, k) -> list:
     return results
 
 
+def _unwrap(result):
+    """A row's test or fit; an EstimationError result is raised."""
+    if isinstance(result, EstimationError):
+        raise result
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Grouped risk-set table
 
@@ -396,8 +414,11 @@ class SortedRows:
     EstimationError `logrank_test` raises for that row, and `tables` each
     row's `risk_table` under `ties`. Each is read from the one sort, for all
     k rows when first asked for, so a caller that reads only the tests pays
-    for no table. A row's result is that of its outcome alone, to the bit:
-    `logrank_test` and `risk_table` are the one-row case.
+    for no table. `fits(covariates)` holds each row's `cox_fit` of that
+    design on its table, or the EstimationError it raises, made for all k
+    rows by one lockstep Newton when first asked for, and kept per design.
+    A row's result is that of its outcome alone, to the bit: `logrank_test`,
+    `risk_table` and `cox_fit` are the one-row case.
     """
 
     def __init__(self, trial: Trial, s: np.ndarray, delta: np.ndarray,
@@ -408,6 +429,7 @@ class SortedRows:
         self.stratified = stratified
         self._strata = [(cols, _Runs(trial.trt[cols], s[:, cols], delta[:, cols]))
                         for cols in _strata(trial, stratified)]
+        self._fitted = {}   # per design, the rows' fits
 
     @functools.cached_property
     def tests(self) -> list:
@@ -450,6 +472,13 @@ class SortedRows:
                                     stratified=self.stratified))
         return tables
 
+    def fits(self, covariates) -> list:
+        """Each row's fit of `covariates`, from the block's one lockstep."""
+        names = _design_names(covariates)
+        if names not in self._fitted:
+            self._fitted[names] = _fits(self.tables, names)
+        return self._fitted[names]
+
 
 def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
     """Two-group log-rank test comparing arms, optionally summed over strata.
@@ -458,10 +487,7 @@ def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
     distinct event time; the two-sided p-value comes from chi-square with
     one degree of freedom. It is the one-row case of `SortedRows.tests`.
     """
-    (result,) = SortedRows(trial, trial.s[None], trial.delta[None], stratified).tests
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    return _unwrap(SortedRows(trial, trial.s[None], trial.delta[None], stratified).tests[0])
 
 
 def risk_table(trial: Trial, ties="efron", stratified=False) -> RiskTable:
@@ -551,54 +577,105 @@ class CoxFit:
         return math.exp(est), (math.exp(est - half), upper)
 
 
-class _GroupDesign:
-    """The grouped risk-set table with one design's group covariate values.
+def _design_names(covariates) -> tuple:
+    """The covariate names of a design: a non-empty tuple (or list) of
+    distinct names; anything else is a DataError."""
+    if (not isinstance(covariates, (tuple, list)) or not covariates
+            or len(set(covariates)) < len(covariates)):
+        raise DataError(f"covariates must be a non-empty tuple of distinct covariate "
+                        f"names, got {covariates!r}")
+    return tuple(covariates)
 
-    With G the 4 x p covariate values of the groups, w = exp(G beta),
-    Z = A w and R = A diag(w) / Z (one risk-set share per table row and
-    group, each row summing to 1), the gradient and the Hessian read only
-    the 4 x 4 cross product S = R'R of the shares: with r = the row sums of
-    S (the column sums of R), the gradient is sum_x - r G and the Hessian
-    G'(S - diag r)G, whatever p. No T x p moment is formed.
+
+class _Buffers(threading.local):
+    """Per thread, the float buffers of the lockstep's risk-set shares, each
+    as large as the largest stack so far asked for, and reused by every
+    stack after it: the fits of block after block take no fresh memory."""
+
+    def __init__(self):
+        self.flat = {}
+
+    def get(self, name, *shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self.flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self.flat[name] = np.zeros(size)
+        return flat[:size].reshape(shape)
+
+
+_BUFFERS = _Buffers()
+
+
+class _Stack:
+    """The grouped risk-set tables of the fits of one lockstep, with one
+    design's group covariate values G (4 x p).
+
+    With w = exp(G beta), Z = A w and R = A diag(w) / Z (one risk-set share
+    per table row and group, each row summing to 1), the gradient and the
+    Hessian of a table read only the 4 x 4 cross product S = R'R of its
+    shares: with r = the row sums of S (the column sums of R), the gradient
+    is sum_x - r G and the Hessian G'(S - diag r)G, whatever p. No T x p
+    moment is formed.
+
+    Each table's Z comes from its own row-major A, in the call the table
+    alone makes. The shares of all k tables come at once from a
+    group-major copy of the tables (k x 4 x T), padded with zeros to the
+    longest, and np.matmul over a stack makes for each table the BLAS call
+    that table alone makes. Each table sums its log Z and forms its S over
+    its own rows only, so a table's likelihood is what it is alone, to the
+    bit, whatever tables stand beside it. `keep` drops the tables whose
+    fits have ended. The group-major copy, Z and the shares live in the
+    thread's `_BUFFERS`, so a thread holds one stack at a time.
     """
 
-    def __init__(self, table: RiskTable, covariates):
-        if (not isinstance(covariates, (tuple, list)) or not covariates
-                or len(set(covariates)) < len(covariates)):
-            raise DataError(f"covariates must be a non-empty tuple of distinct covariate "
-                            f"names, got {covariates!r}")
-        self.names = tuple(covariates)
-        self.G = _group_covariates(self.names)
-        self.p = len(self.names)
-        self.n_events = int(table.D.sum())
-        if self.n_events == 0:
-            raise EstimationError("no events in counting-process data")
-        self.A = table.A
-        self.meets = table.meets
-        self.sum_x = table.D @ self.G
+    def __init__(self, tables, G):
+        self.G, self.tables = G, list(tables)
+        self.rows = [len(table.A) for table in tables]
+        k, width = len(tables), max(self.rows)
+        self.At, self.Z = _BUFFERS.get("At", k, 4, width), _BUFFERS.get("Z", k, width)
+        for At, Z, table, rows in zip(self.At, self.Z, tables, self.rows):
+            At[:, :rows] = table.A.T
+            if rows < width:   # padding: no shares, and no subnormal float in Z
+                At[:, rows:], Z[rows:] = 0.0, 1.0
+        self.R = _BUFFERS.get("R", k, 4, width)
+        self.sum_x = np.array([table.D for table in tables]) @ G   # integers, so exact
+        self.S = np.empty((k, 4, 4))
+
+    def keep(self, positions) -> None:
+        """Keep only the tables at `positions`, ascending, in that order."""
+        for to, at in enumerate(positions):
+            if to != at:
+                self.At[to] = self.At[at]
+                self.sum_x[to] = self.sum_x[at]
+        k = len(positions)
+        self.At, self.Z, self.R, self.S, self.sum_x = (
+            held[:k] for held in (self.At, self.Z, self.R, self.S, self.sum_x))
+        self.tables = [self.tables[i] for i in positions]
+        self.rows = [self.rows[i] for i in positions]
 
     def loglik_grad_hess(self, beta):
-        """Likelihood, gradient and Hessian at beta. Sums are np.add.reduce,
-        which `.sum` calls, without its wrapper. Run it under
-        np.errstate(over, invalid, divide ignored): a trial step that
-        overflows w gives a non-finite likelihood, which the Newton loop
-        rejects by halving the step."""
-        w = np.exp(self.G @ beta)
-        Z = self.A @ w
-        R = self.A * w / Z[:, None]
-        ll = float(self.sum_x @ beta) - float(np.add.reduce(np.log(Z)))
-        S = R.T @ R
-        r = np.add.reduce(S, axis=1)   # the column sums of R, whose rows sum to 1
-        grad = self.sum_x - r @ self.G
-        S.flat[::5] -= r               # S - diag(r), in place on the fresh S
-        hess = self.G.T @ S @ self.G
+        """Per table, the likelihood (a float), gradient and Hessian at its
+        row of the k x p `beta`. Sums are np.add.reduce, which `.sum`
+        calls, without its wrapper. Run it under np.errstate(over, invalid,
+        divide ignored): a trial step that overflows w gives a non-finite
+        likelihood, which the Newton loop rejects by halving the step."""
+        G, Z, R, S, rows = self.G, self.Z, self.R, self.S, self.rows
+        w = np.exp(np.matmul(G, beta[:, :, None]))   # k x 4 x 1
+        for table, w_j, Z_j, n in zip(self.tables, w, Z, rows):
+            np.matmul(table.A, w_j[:, 0], out=Z_j[:n])
+        np.multiply(self.At, w, out=R)
+        np.divide(R, Z[:, None], out=R)
+        log_z = np.log(Z, out=Z)
+        ll = np.matmul(self.sum_x[:, None], beta[:, :, None]).ravel().tolist()
+        for j, n in enumerate(rows):
+            ll[j] -= float(np.add.reduce(log_z[j, :n]))
+            shares = R[j, :, :n]
+            np.matmul(shares, shares.T, out=S[j])
+        r = np.add.reduce(S, axis=2)   # the column sums of R, whose rows sum to 1
+        grad = self.sum_x - np.matmul(r[:, None], G)[:, 0]
+        S.reshape(-1, 16)[:, ::5] -= r  # S - diag(r), in place
+        hess = np.matmul(np.matmul(G.T, S), G)
         return ll, grad, hess
-
-
-def _norm(v) -> float:
-    """The Euclidean norm, computed as np.linalg.norm computes it for a
-    vector, without its wrapper."""
-    return math.sqrt(v.dot(v))
 
 
 def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None):
@@ -606,10 +683,13 @@ def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None
     finite number per covariate, 0 for each when None.
 
     Exposed so tests can check the analytic gradient against finite
-    differences and scan the likelihood directly.
+    differences and scan the likelihood directly. It is the one-table case
+    of the lockstep's likelihood.
     """
-    design = _GroupDesign(table, covariates)
-    p = design.p
+    G = _group_covariates(_design_names(covariates))
+    p = G.shape[1]
+    if not table.D.any():
+        raise EstimationError("no events in counting-process data")
     try:
         values = np.zeros(p) if beta is None else np.asarray(beta)
     except ValueError:   # a ragged sequence
@@ -617,7 +697,7 @@ def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None
     if values.dtype.kind not in "iuf" or values.shape != (p,) or not np.isfinite(values).all():
         raise DataError(f"beta must be {p} finite number(s), one per covariate, got {beta!r}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ll, grad, _ = design.loglik_grad_hess(values.astype(float))
+        (ll,), (grad,), _ = _Stack([table], G).loglik_grad_hess(values.astype(float)[None])
     return ll, grad
 
 
@@ -630,65 +710,169 @@ def _has_nan(x) -> bool:
     return any(map(math.isnan, x.ravel().tolist()))
 
 
-def _newton_step(info, grad):
-    """The step solving info @ step = grad, from the gufunc np.linalg.solve
-    calls, without its wrapper: a singular system leaves the step NaN
-    (where the wrapper raises), which is refused with the non-finite ones.
-    Run it under np.errstate(invalid ignored), as `cox_fit` does."""
-    step = _umath_linalg.solve1(info, grad, signature="dd->d")
-    if not all(map(math.isfinite, step.tolist())):
-        raise EstimationError(_SINGULAR)
-    return step
+def _newton_steps(info, grad):
+    """(steps, solved): per system of the stacks, the step solving
+    info @ step = grad, from the gufunc np.linalg.solve calls, without its
+    wrapper, and whether it is finite. A singular system leaves its step
+    NaN (where the wrapper raises), and is refused with the non-finite
+    ones. Run it under np.errstate(invalid ignored), as `cox_fit` does."""
+    steps = _umath_linalg.solve1(info, grad, signature="dd->d")
+    return steps, [all(map(math.isfinite, values)) for values in steps.tolist()]
 
 
-def _newton(design, max_iter):
-    """Damped Newton-Raphson from beta = 0 on `design`; returns (beta,
-    loglik, gradient, Hessian, iterations) at convergence. The convergence
-    and finiteness tests read Python floats."""
-    beta = np.zeros(design.p)
-    ll, grad, hess = design.loglik_grad_hess(beta)
-    for iterations in range(1, max_iter + 1):
-        if _norm(grad) < _GRAD_TOL:
-            return beta, ll, grad, hess, iterations - 1
-        step = _newton_step(-hess, grad)
+def _inverses_of_positive_definite(info) -> list:
+    """Per matrix of the stack, the inverse of the information, or None
+    unless LAPACK's Cholesky factorization (dpotrf) accepts it, from the
+    gufuncs that np.linalg.cholesky and np.linalg.inv call, without their
+    wrappers: a factorization or an inverse that fails comes back NaN
+    (where the wrappers raise) and is refused. Run it under
+    np.errstate(invalid ignored), as `cox_fit` does."""
+    lower = _umath_linalg.cholesky_lo(info, signature="d->d")
+    inverse = _umath_linalg.inv(info, signature="d->d")
+    return [None if _has_nan(low) or _has_nan(cov) else cov for low, cov in zip(lower, inverse)]
 
-        # accept a step whose apparent decrease is within float resolution
-        ll_slack = 1e-11 * max(1.0, abs(ll))
-        factor = 1.0
-        for _ in range(30):
-            cand = beta + factor * step
-            ll_new, grad_new, hess_new = design.loglik_grad_hess(cand)
-            if math.isfinite(ll_new) and ll_new >= ll - ll_slack:
+
+def _among(slots, n):
+    """An index of the ascending `slots` of n: a slice when they are all n,
+    which numpy reads and writes without a copy."""
+    return slice(None) if len(slots) == n else slots
+
+
+def _newton(stack, max_iter):
+    """Damped Newton-Raphson from beta = 0 on every table of `stack`, in
+    lockstep: each round evaluates, in one `loglik_grad_hess` call, the
+    point each running fit tries next, and solves the steps of the fits
+    that begin an iteration in one call. Each fit keeps its own iteration
+    count, step halving and convergence tests, on its own floats, which
+    the tests read as Python floats, so it ends as it would alone.
+
+    Returns (ends, optima): per fit, its iteration count at convergence or
+    the EstimationError that stopped it, and for a converged fit its
+    (beta, loglik, Hessian, gradient norm)."""
+    k, p = len(stack.rows), stack.G.shape[1]
+    ends, optima = [None] * k, [None] * k
+    # per slot of the stack, in its order: the fit, its accepted point, its
+    # step and the point it tries next; iteration 0 tries beta = 0
+    fit = list(range(k))
+    beta, candidate, step = np.zeros((k, p)), np.zeros((k, p)), np.zeros((k, p))
+    grad = hess = None
+    ll, slack, factor, iteration, halvings = [0.0] * k, [0.0] * k, [1.0] * k, [0] * k, [0] * k
+    while fit:
+        n = len(fit)
+        ll_new, grad_new, hess_new = stack.loglik_grad_hess(candidate)
+        norm_new = np.matmul(grad_new[:, None], grad_new[:, :, None]).ravel().tolist()
+        accepted, halve, begin, ending = [], [], [], []
+        for i, j in enumerate(fit):
+            if iteration[i] and not (math.isfinite(ll_new[i]) and ll_new[i] >= ll[i] - slack[i]):
+                halvings[i] += 1
+                if halvings[i] < 30:
+                    halve.append(i)
+                    continue
+                ends[j] = ConvergenceError("Newton-Raphson step halving failed",
+                                           last_beta=beta[i].copy(), iterations=iteration[i])
+                ending.append(i)
+                continue
+            accepted.append(i)
+            delta_ll, ll[i] = ll_new[i] - ll[i], ll_new[i]
+            norm = math.sqrt(norm_new[i])
+            if norm < _GRAD_TOL and (abs(delta_ll) < _LL_TOL or iteration[i] < max_iter):
+                # converged, or the next iteration takes no step
+                ends[j] = iteration[i]
+                optima[j] = (candidate[i].copy(), ll[i], hess_new[i], norm)
+            elif iteration[i] == max_iter:
+                ends[j] = ConvergenceError(f"no convergence after {max_iter} iterations",
+                                           last_beta=candidate[i].copy(), iterations=max_iter)
+            else:
+                iteration[i] += 1
+                begin.append(i)
+                continue
+            ending.append(i)
+        if len(accepted) == n:
+            beta, candidate, grad, hess = candidate, beta, grad_new, hess_new
+        elif accepted:
+            beta[accepted], grad[accepted], hess[accepted] = (
+                candidate[accepted], grad_new[accepted], hess_new[accepted])
+        for i in halve:
+            factor[i] /= 2.0
+            candidate[i] = beta[i] + factor[i] * step[i]
+        if begin:
+            at = _among(begin, n)
+            new_steps, solved = _newton_steps(-hess[at], grad[at])
+            if not all(solved):
+                for i, ok in zip(begin, solved):
+                    if not ok:
+                        ends[fit[i]] = EstimationError(_SINGULAR)
+                        ending.append(i)
+                new_steps = new_steps[solved]
+                begin = [i for i, ok in zip(begin, solved) if ok]
+                at = _among(begin, n)
+            step[at] = new_steps
+            candidate[at] = beta[at] + new_steps   # the full step: 1.0 * step is step
+            for i in begin:
+                # accept a step whose apparent decrease is within float resolution
+                factor[i], halvings[i], slack[i] = 1.0, 0, 1e-11 * max(1.0, abs(ll[i]))
+        if ending:
+            keep = sorted(set(range(n)) - set(ending))
+            if not keep:
                 break
-            factor /= 2.0
-        else:
-            raise ConvergenceError(
-                "Newton-Raphson step halving failed", last_beta=beta, iterations=iterations
-            )
-
-        delta_ll = ll_new - ll
-        beta, ll, grad, hess = cand, ll_new, grad_new, hess_new
-        if abs(delta_ll) < _LL_TOL and _norm(grad) < _GRAD_TOL:
-            return beta, ll, grad, hess, iterations
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations",
-        last_beta=beta,
-        iterations=max_iter,
-    )
+            stack.keep(keep)
+            beta, candidate, step, grad, hess = (
+                held[keep] for held in (beta, candidate, step, grad, hess))
+            fit, ll, slack, factor, iteration, halvings = (
+                [held[i] for i in keep] for held in (fit, ll, slack, factor, iteration, halvings))
+    return ends, optima
 
 
-def _inverse_of_positive_definite(info):
-    """The inverse of the information, refused unless LAPACK's Cholesky
-    factorization (dpotrf) accepts it, from the gufuncs that
-    np.linalg.cholesky and np.linalg.inv call, without their wrappers: a
-    factorization or an inverse that fails comes back NaN (where the
-    wrappers raise) and is refused. Run it under np.errstate(invalid
-    ignored), as `cox_fit` does."""
-    if not _has_nan(_umath_linalg.cholesky_lo(info, signature="d->d")):
-        cov = _umath_linalg.inv(info, signature="d->d")
-        if not _has_nan(cov):
-            return cov
-    raise EstimationError(_NOT_POSITIVE_DEFINITE)
+def _fits(tables, covariates, max_iter=_MAX_ITER) -> list:
+    """Per table, the `cox_fit` of `covariates` on it, a CoxFit, or the
+    EstimationError that fit raises: the tables without events or with
+    separation are refused first, and the fits of the rest run in one
+    lockstep `_newton`. A fit reads only its own table, so each result is
+    what `cox_fit` gives that table alone, to the bit."""
+    names = _design_names(covariates)
+    G = _group_covariates(names)
+    results, fitting = [], []
+    for table in tables:
+        if not table.D.any():
+            results.append(EstimationError("no events in counting-process data"))
+            continue
+        d = _separating_direction(table.meets.tobytes(), names)
+        if d is not None:
+            along = ", ".join(f"{name}={v}" for name, v in zip(names, d))
+            results.append(SeparationError(f"separation detected: the partial likelihood rises "
+                                           f"without bound along {along}"))
+            continue
+        fitting.append(len(results))
+        results.append(None)
+    if not fitting:
+        return results
+    p = len(names)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ends, optima = _newton(_Stack([tables[j] for j in fitting], G), max_iter)
+        converged = [i for i, optimum in enumerate(optima) if optimum]
+        info = -np.array([optima[i][2] for i in converged]).reshape(-1, p, p)
+        inverses = _inverses_of_positive_definite(info)
+    for j, end in zip(fitting, ends):
+        results[j] = end
+    for i, info_i, cov in zip(converged, info, inverses):
+        beta, ll, _, norm = optima[i]
+        results[fitting[i]] = _checked_fit(names, tables[fitting[i]], beta, ll, norm, ends[i],
+                                           info_i, cov)
+    return results
+
+
+def _checked_fit(names, table, beta, ll, norm, iterations, info, cov):
+    """The CoxFit of a converged fit, or the EstimationError that refuses
+    its information at the optimum: not positive definite (`cov` None),
+    or numerically singular."""
+    if cov is None:
+        return EstimationError(_NOT_POSITIVE_DEFINITE)
+    inflation = info.diagonal() * cov.diagonal()   # at least 1 in exact arithmetic
+    if not all(0.0 < x < _MAX_VARIANCE_INFLATION for x in inflation.tolist()):
+        return EstimationError("information at the optimum is numerically singular: the "
+                               "design is collinear on the risk sets")
+    return CoxFit(names=names, beta=beta, se=np.sqrt(cov.diagonal()), cov=cov, loglik=ll,
+                  iterations=iterations, n_events=int(table.D.sum()), gradient_norm=norm)
 
 
 def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit:
@@ -702,36 +886,11 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
     iteration cap is reached, and EstimationError when the information at
     the optimum is singular. `covariates` is a non-empty tuple (or list) of
     names and `max_iter` a positive integer; anything else is a DataError.
+    It is the one-table case of the lockstep (`_fits`).
     """
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise DataError(f"max_iter must be a positive integer, got {max_iter!r}")
-    design = _GroupDesign(table, covariates)
-    d = _separating_direction(design.meets.tobytes(), design.names)
-    if d is not None:
-        along = ", ".join(f"{name}={v}" for name, v in zip(design.names, d))
-        raise SeparationError(f"separation detected: the partial likelihood rises without "
-                              f"bound along {along}")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        beta, ll, grad, hess, iterations = _newton(design, max_iter)
-        info = -hess
-        cov = _inverse_of_positive_definite(info)
-    inflation = info.diagonal() * cov.diagonal()   # at least 1 in exact arithmetic
-    if not all(0.0 < x < _MAX_VARIANCE_INFLATION for x in inflation.tolist()):
-        raise EstimationError(
-            "information at the optimum is numerically singular: the design is "
-            "collinear on the risk sets"
-        )
-    se = np.sqrt(cov.diagonal())
-    return CoxFit(
-        names=design.names,
-        beta=beta,
-        se=se,
-        cov=cov,
-        loglik=ll,
-        iterations=iterations,
-        n_events=design.n_events,
-        gradient_norm=_norm(grad),
-    )
+    return _unwrap(_fits([table], covariates, max_iter)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +908,17 @@ class PhaseHr:
     fit: CoxFit
     flags: list = field(default_factory=list)
 
+    @classmethod
+    def of_fit(cls, fit: CoxFit) -> PhaseHr:
+        """The phase HRs of a fit of `PHASE_MODEL`, or of a treatment-only
+        fit, which has no monotherapy HR and is flagged."""
+        hr_c, ci_c = fit.contrast(("trt",))
+        if fit.names == ("trt",):
+            return cls(hr_combo=hr_c, ci_combo=ci_c, hr_mono=None, ci_mono=None,
+                       fit=fit, flags=["no monotherapy phase observed"])
+        hr_m, ci_m = fit.contrast(("trt", "trt_x_mono"))
+        return cls(hr_combo=hr_c, ci_combo=ci_c, hr_mono=hr_m, ci_mono=ci_m, fit=fit)
+
 
 def phase_hr(trial: Trial, table: RiskTable) -> PhaseHr:
     """Combination-phase and monotherapy-phase hazard ratios with Wald CIs.
@@ -760,14 +930,4 @@ def phase_hr(trial: Trial, table: RiskTable) -> PhaseHr:
     transitions, the monotherapy HR is undefined and flagged, and the model
     reduces to treatment only.
     """
-    if not trial.in_mono.any():
-        fit = cox_fit(table, ("trt",))
-        hr_c, ci_c = fit.contrast(("trt",))
-        return PhaseHr(
-            hr_combo=hr_c, ci_combo=ci_c, hr_mono=None, ci_mono=None,
-            fit=fit, flags=["no monotherapy phase observed"],
-        )
-    fit = cox_fit(table, ("trt", "mono", "trt_x_mono"))
-    hr_c, ci_c = fit.contrast(("trt",))
-    hr_m, ci_m = fit.contrast(("trt", "trt_x_mono"))
-    return PhaseHr(hr_combo=hr_c, ci_combo=ci_c, hr_mono=hr_m, ci_mono=ci_m, fit=fit)
+    return PhaseHr.of_fit(cox_fit(table, PHASE_MODEL if trial.in_mono.any() else ("trt",)))

@@ -19,21 +19,24 @@ Walk steps, interval midpoints and their nudges do not come back to a
 factor already probed, so no value is cached; a repeat would only be
 recomputed, with the same result. The full evaluation (`evaluate_at`:
 p-value, overall HR and monotherapy-phase HR) runs only for the point a
-search reports, and for every point of `grid_scan`; it fits both Cox
-models on its row's one risk table. A search returns the factor it
-reports, and `find_tipping` evaluates the points of all searches after
-the last round, in one `_points` call over their draw sets.
+search reports, and for every point of `grid_scan`; it reads both Cox
+fits of its row, made on the row's one risk table. A search returns the
+factor it reports, and `find_tipping` evaluates the points of all
+searches after the last round, in one `_points` call over their draw
+sets.
 
 Every transformed row, of a probe or of a full evaluation, is read
 through one function, `_read_rows`. It transforms the requests in blocks
 (`transform_outcomes`, from a draw set's lines, made once per search or
 curve) and sorts each block once (`survival.SortedRows`). From that sort
-come every row's log-rank test and every row's risk table, each made for
-the whole block when a row first reads it, and each what `logrank_test`
-and `risk_table` give the row alone, to the bit. A rule-a probe with the
-log-rank p-value reads its row's test and builds no table; the other
-rules read the row's table, and no row is sorted twice. Only what is read
-from a block outlives it, so one block is held at a time.
+come every row's log-rank test, every row's risk table and every row's
+Cox fit of each design, each made for the whole block when a row first
+reads it, and each what `logrank_test`, `risk_table` and `cox_fit` give
+the row alone, to the bit. The fits of a block run as one lockstep
+Newton, each fit on its own rows only. A rule-a probe with the log-rank
+p-value reads its row's test and builds no table; the other rules read
+the row's fit, and no row is sorted twice. Only what is read from a block
+outlives it, so one block is held at a time.
 
 Per replicate, imputation draws are made once and reused across the whole
 grid; `find_tipping` makes every replicate's draws in one `make_draw_sets`
@@ -104,8 +107,9 @@ from .counterfactual import (
 )
 from .errors import DataError, EstimationError, check_seed
 from .records import Trial
-# logrank_test is bound here, unused, for perfbench/tracer.py, which hooks it by name
-from .survival import SortedRows, cox_fit, logrank_test  # noqa: F401
+# cox_fit and logrank_test are bound here, unused, for perfbench/tracer.py, which
+# hooks them by name
+from .survival import PHASE_MODEL, SortedRows, _unwrap, cox_fit, logrank_test  # noqa: F401
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -240,7 +244,8 @@ class TpaResult:
 
 class _Row(NamedTuple):
     """Row r of a `SortedRows` block: its outcome (s, delta), its log-rank
-    test and its risk table, the last two read from the block's one sort."""
+    test, its risk table and its Cox fits, the last three read from the
+    block's one sort."""
 
     block: SortedRows
     r: int
@@ -261,25 +266,28 @@ class _Row(NamedTuple):
     def table(self):
         return self.block.tables[self.r]
 
+    def fit(self, covariates):
+        """The `cox_fit` of `covariates` on the row's table, or the
+        EstimationError it raises, from the block's lockstep."""
+        return self.block.fits(covariates)[self.r]
+
 
 def _logrank_p(row) -> float:
-    return _p_value(row.test)
+    return _unwrap(row.test).p_two_sided
 
 
 def _wald_p(row) -> float:
-    return cox_fit(row.table, ("trt",)).wald_p("trt")
+    return _unwrap(row.fit(("trt",))).wald_p("trt")
 
 
 def _mono_hr(row) -> float:
     """Monotherapy-phase HR, exp(b_trt + b_trt_x_mono), of the
     three-covariate fit on the row's risk table."""
-    table = row.table
+    fit = row.fit(PHASE_MODEL)
     if not (row.block.trial.mono_start < row.s).any():   # `Trial.in_mono` of the row
         raise EstimationError("no monotherapy phase at this factor")
-    try:
-        fit = cox_fit(table, ("trt", "mono", "trt_x_mono"))
-    except EstimationError as err:
-        raise EstimationError(f"mono-phase fit failed: {err}") from None
+    if isinstance(fit, EstimationError):
+        raise EstimationError(f"mono-phase fit failed: {fit}")
     return math.exp(fit.coef("trt") + fit.coef("trt_x_mono"))
 
 
@@ -292,13 +300,6 @@ def _attempt(estimate, notes):
         return None
 
 
-def _p_value(test) -> float:
-    """The p-value of a row's log-rank test; an EstimationError result is raised."""
-    if isinstance(test, EstimationError):
-        raise test
-    return test.p_two_sided
-
-
 def evaluate_at(trial: Trial, params: TransformParams, draws: ImputationDraws,
                 p_source: str = "logrank", *, outcome=None) -> TpaCurvePoint:
     """The full counterfactual evaluation of one factor: transform, then
@@ -307,10 +308,10 @@ def evaluate_at(trial: Trial, params: TransformParams, draws: ImputationDraws,
     A search probe computes only the number its stop rule reads; this runs
     for the point a search reports and for every curve point. `outcome` is
     the row of `_read_rows` at `params` under `draws`, made here when not
-    given. Its risk table serves both Cox fits, and the log-rank p-value is
-    its test. Each estimator that fails leaves its column None and its
-    message in the note, instead of aborting; the point is evaluable when
-    both the p-value and the overall HR exist.
+    given. Its two Cox fits are read from its block's lockstep, and the
+    log-rank p-value is its test. Each estimator that fails leaves its
+    column None and its message in the note, instead of aborting; the point
+    is evaluable when both the p-value and the overall HR exist.
     """
     _check_p_source(p_source)
     if outcome is None:
@@ -318,11 +319,11 @@ def evaluate_at(trial: Trial, params: TransformParams, draws: ImputationDraws,
                                          params.gamma)], lambda _, row: row)
     test = None if p_source == "wald" else outcome.test
     notes = []
-    trt_fit = _attempt(lambda: cox_fit(outcome.table, ("trt",)), notes)
+    trt_fit = _attempt(lambda: _unwrap(outcome.fit(("trt",))), notes)
     if p_source == "wald":
         p = None if trt_fit is None else trt_fit.wald_p("trt")
     else:
-        p = _attempt(lambda: _p_value(test), notes)
+        p = _attempt(lambda: _unwrap(test).p_two_sided, notes)
     hr_mono = _attempt(lambda: _mono_hr(outcome), notes)
     return TpaCurvePoint(
         gamma=params.gamma, p_two_sided=p,
@@ -348,17 +349,19 @@ def _stop_rule(config: SearchConfig):
 
 # Most rows that one `transform_outcomes` call makes: a block holds a few
 # arrays of this many rows by the trial's subjects, so its temporaries stay
-# small however many searches are live or curve points are asked for.
-_ROW_BLOCK = 5
+# small however many searches are live or curve points are asked for. Ten
+# rows spread the work of each lockstep Newton round over ten fits.
+_ROW_BLOCK = 10
 
 
 def _read_rows(trial: Trial, requests, read) -> list:
     """read(i, row) for each of `requests`, (lines, factor) pairs, `lines` a
     draw set as `transform_lines`: `i` is the request's index and `row` its
     transformed row, a `_Row`. A block of up to _ROW_BLOCK requests takes
-    one `transform_outcomes` call and one `SortedRows` sort, whose tests and
-    tables are made for the block when a row first reads them; only what
-    `read` returns outlives its block, so no more than one block is held."""
+    one `transform_outcomes` call and one `SortedRows` sort, whose tests,
+    tables and fits are made for the block when a row first reads them;
+    only what `read` returns outlives its block, so no more than one block
+    is held."""
     answers = []
     for first in range(0, len(requests), _ROW_BLOCK):
         answers += _read_block(trial, requests[first:first + _ROW_BLOCK], first, read)
@@ -381,7 +384,8 @@ def _probe_round(trial: Trial, config: SearchConfig, requests) -> list:
 
     Every probe is a row of `_read_rows`. Under rule a with the log-rank
     p-value it reads the row's test, which is the p-value of `logrank_test`
-    to the bit; under the other rules it reads the row's risk table.
+    to the bit; under the other rules it reads the row's Cox fit, which is
+    `cox_fit` of the row's risk table to the bit.
     """
     reads = _stop_rule(config)[0]
 

@@ -18,9 +18,9 @@ partial likelihood on those rows: risk-set sums over the rows, evaluated
 with suffix sums on stop- and start-sorted row orders. It finds its own
 met group pairs, from the group of each event row and the groups of the
 rows at risk at that event time. `cox_fit_row_level` runs the package's
-own separation rule and Newton loop on it, so it and `cox_fit` on the
-grouped risk-set table differ only in how the likelihood and the met
-pairs are computed.
+own separation rule and `cox_fit_numpy`'s Newton loop on it, so it and
+`cox_fit` on the grouped risk-set table differ only in how the
+likelihood and the met pairs are computed and in numpy's wrappers.
 
 `GroupDesignNumpy` and `cox_fit_numpy` are the grouped likelihood and
 its Newton loop written with numpy's wrappers: `.sum(axis=1)`, `np.diag`,
@@ -50,7 +50,6 @@ included.
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from unittest import mock
 
 import numpy as np
 
@@ -383,18 +382,30 @@ class RowLevelDesign:
         return ll, grad, hess
 
 
-def cox_fit_row_level(rows, covariates=("trt",), ties="efron", stratified=False, **kwargs):
-    """`cox_fit`'s Newton loop on the row-level likelihood of `rows`."""
-    def design(_table, covariates):
-        return RowLevelDesign(rows, covariates, ties, stratified)
-
-    with mock.patch.object(survival, "_GroupDesign", design):
-        return survival.cox_fit(None, covariates, **kwargs)
+def cox_fit_row_level(rows, covariates=("trt",), ties="efron", stratified=False, max_iter=50):
+    """`cox_fit_numpy`'s Newton loop on the row-level likelihood of `rows`."""
+    design = RowLevelDesign(rows, covariates, ties, stratified)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _newton_numpy(design, max_iter)
 
 
-class GroupDesignNumpy(survival._GroupDesign):
-    """The package's grouped design, its likelihood written with numpy's
+class GroupDesignNumpy:
+    """The package's grouped likelihood of one table, written with numpy's
     wrappers around every reduction and its own np.errstate."""
+
+    def __init__(self, table, covariates):
+        if (not isinstance(covariates, (tuple, list)) or not covariates
+                or len(set(covariates)) < len(covariates)):
+            raise DataError(f"covariates must be a non-empty tuple of distinct covariate "
+                            f"names, got {covariates!r}")
+        self.names = tuple(covariates)
+        self.G = survival._group_covariates(self.names)
+        self.p = len(self.names)
+        self.n_events = int(table.D.sum())
+        if self.n_events == 0:
+            raise EstimationError("no events in counting-process data")
+        self.A, self.meets = table.A, table.meets
+        self.sum_x = table.D @ self.G
 
     def loglik_grad_hess(self, beta):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -412,7 +423,13 @@ class GroupDesignNumpy(survival._GroupDesign):
 def cox_fit_numpy(table, covariates=("trt",), max_iter=50):
     """Damped Newton-Raphson on `GroupDesignNumpy`, with the package's
     tolerances, step halving and refusals."""
-    design = GroupDesignNumpy(table, covariates)
+    return _newton_numpy(GroupDesignNumpy(table, covariates), max_iter)
+
+
+def _newton_numpy(design, max_iter):
+    """The Newton loop of `cox_fit_numpy` on any design with the interface
+    of `GroupDesignNumpy`: names, p, n_events, meets and
+    loglik_grad_hess."""
     d = survival._separating_direction(design.meets.tobytes(), design.names)
     if d is not None:
         raise SeparationError("separation detected: the partial likelihood rises without bound "

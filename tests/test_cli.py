@@ -277,11 +277,12 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flags", [[], ["--stratified", "--ties", "breslow"]])
     def test_risk_table_is_built_once(self, tmp_path, capsys, flags):
+        # the test, the table and both fits come from one sort of the trial
         path = tmp_path / "default.csv"
         write_dataset(simulate_trial(SimConfig(), seed=6), path)
-        counter = mock.Mock(wraps=survival.risk_table)
-        with mock.patch.object(survival, "risk_table", counter), \
-                mock.patch.object(phasetip.cli, "risk_table", counter):
+        counter = mock.Mock(wraps=survival.SortedRows)
+        with mock.patch.object(survival, "SortedRows", counter), \
+                mock.patch.object(phasetip.cli, "SortedRows", counter):
             assert main(["analyze", "--input", str(path), *flags]) == 0
         assert counter.call_count == 1
         assert "Monotherapy-phase HR=" in capsys.readouterr().out
@@ -305,7 +306,7 @@ class TestRowTables:
     """`curve` and `tpa` read every risk table from the one sort of its
     row's block (`SortedRows`): no curve point, probe or reported point
     builds a table of its own with `risk_table`, and a curve sorts each
-    block of five points once."""
+    block of `_ROW_BLOCK` points once."""
 
     @pytest.fixture(scope="class")
     def seed6_dataset(self, tmp_path_factory):
@@ -321,14 +322,13 @@ class TestRowTables:
         tables = mock.Mock(wraps=survival.risk_table)
         sorts = mock.Mock(wraps=survival.SortedRows)
         with mock.patch.object(survival, "risk_table", tables), \
-                mock.patch.object(phasetip.cli, "risk_table", tables), \
                 mock.patch.object(phasetip.tipping, "SortedRows", sorts):
             assert main([*argv, "--input", seed6_dataset, "--out", str(tmp_path)]) == 0
         assert tables.call_count == 0
         if argv[0] == "curve":
             with open(tmp_path / "curve_2_b.csv", newline="") as handle:
                 points = len(list(csv.reader(handle))) - 1
-            assert points == 15 and sorts.call_count == 3
+            assert points == 15 and sorts.call_count == math.ceil(15 / phasetip.tipping._ROW_BLOCK)
         else:
             assert sorts.call_count > 2
 
@@ -994,7 +994,7 @@ class TestEmitResults:
             raise SeparationError()
 
         out = str(tmp_path / "nohr")
-        with mock.patch.object(phasetip.tipping, "cox_fit", failing_fit):
+        with mock.patch.object(phasetip.tipping._Row, "fit", failing_fit):
             code = main(["tpa", "--input", small_dataset, "--effect", "1", "--threshold", "a",
                          "--replicates", "1", "--grid-step", "0.2", "--out", out])
         assert code == 0

@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 from conftest import TIMES, C, E, rec, trials
 from reference import RowLevelDesign, Rows, cox_fit_numpy, cox_fit_row_level, expand
 from phasetip.cli import _fmt_ci
+from phasetip.counterfactual import Effect, make_draws, transform_lines, transform_outcomes
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import (
     CoxFit,
-    _GroupDesign,
+    _Stack,
     _group_covariates,
-    _inverse_of_positive_definite,
-    _newton_step,
+    _inverses_of_positive_definite,
+    _newton_steps,
     _separating_direction,
     cox_fit,
     distinct,
@@ -141,23 +142,30 @@ def _logrank_outcome(trial, stratified):
         return type(err), str(err)
 
 
+def _row_outcomes(records, data):
+    """(s, delta) of 1 to 6 outcomes of the subjects: per subject, a time
+    from the short list (so that times tie) at or after its monotherapy
+    start, which it may equal, and an event indicator."""
+    k = data.draw(st.integers(1, 6))
+    s = np.array([[data.draw(st.sampled_from([t for t in TIMES if not r.mono_start
+                                              or t >= r.mono_start]))
+                   for r in records] for _ in range(k)])
+    delta = np.array([[data.draw(st.sampled_from([0, 1])) for _ in records] for _ in range(k)])
+    return s, delta
+
+
 class TestSortedRows:
-    """One `SortedRows` sort gives each of its k rows the risk table and the
-    log-rank test of that row's outcome alone, to the bit: the one-row
-    `risk_table` and `logrank_test` of `trial.with_outcome(row)`."""
+    """One `SortedRows` sort gives each of its k rows the risk table, the
+    log-rank test and the Cox fits of that row's outcome alone, to the bit:
+    the one-row `risk_table` and `logrank_test` of
+    `trial.with_outcome(row)`, and `cox_fit` of that table."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(records=trials(), data=st.data())
     def test_each_row_gets_its_own_table_and_test(self, records, data):
         trial = Trial.from_records(records)
-        k = data.draw(st.integers(1, 6))
-        # per subject, a time from the short list (so that times tie) at or
-        # after its monotherapy start, which it may equal
-        s = np.array([[data.draw(st.sampled_from([t for t in TIMES if not r.mono_start
-                                                  or t >= r.mono_start]))
-                       for r in records] for _ in range(k)])
-        delta = np.array([[data.draw(st.sampled_from([0, 1])) for _ in records]
-                          for _ in range(k)])
+        s, delta = _row_outcomes(records, data)
+        k = len(s)
         outcomes = [trial.with_outcome(s[r], delta[r]) for r in range(k)]
         for ties in ("efron", "breslow"):
             for stratified in (False, True):
@@ -178,6 +186,52 @@ class TestSortedRows:
                 assert tests == [_logrank_outcome(data_r, stratified) for data_r in outcomes]
         tied = any((distinct(s[r][delta[r] == 1])[1] > 1).any() for r in range(k))
         event("some event time tied" if tied else "no event time tied")
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(), data=st.data())
+    def test_each_row_gets_its_own_fits(self, records, data):
+        """The lockstep's fits are `cox_fit` of each row's table alone: the
+        same bytes of beta, se and cov and the same loglik, iterations and
+        gradient norm, or the same error; also in a sub-block of the rows
+        in any order, under either design and tie method, with and without
+        strata."""
+        trial = Trial.from_records(records)
+        s, delta = _row_outcomes(records, data)
+        k = len(s)
+        if data.draw(st.booleans()):
+            delta[data.draw(st.integers(0, k - 1))] = 0   # a row without events
+        picks = data.draw(st.permutations(range(k)))[:data.draw(st.integers(1, k))]
+        seen = set()
+        for ties in ("efron", "breslow"):
+            for stratified in (False, True):
+                block = SortedRows(trial, s, delta, stratified, ties)
+                sub = SortedRows(trial, s[picks], delta[picks], stratified, ties)
+                for covariates in DESIGNS:
+                    alone = [_fit_bits(cox_fit, table, covariates, 50) for table in block.tables]
+                    assert [_result_bits(fit) for fit in block.fits(covariates)] == alone
+                    assert [_result_bits(fit) for fit in sub.fits(covariates)] == [
+                        alone[r] for r in picks]
+                    seen.update(bits[0].__name__ if isinstance(bits, tuple) else "fit"
+                                for bits in alone)
+        for outcome in sorted(seen):
+            event(outcome)
+
+    def test_fits_of_a_3000_subject_block(self):
+        # at 3,000 subjects the rows' tables differ in length by a few rows,
+        # and a cross product over a stack padded to the longest moves bits
+        trial = simulate_trial(SimConfig(n_experimental=2000, n_control=1000), seed=6)
+        draws = make_draws(trial, Effect.SHRINK_EXPERIMENTAL, "auto", 0, 0)
+        lines = transform_lines(trial, Effect.SHRINK_EXPERIMENTAL, draws)
+        gammas = [1.0, 0.995, 0.98, 0.7, 0.49, 0.48]
+        block = SortedRows(trial, *transform_outcomes(trial, [lines] * len(gammas), gammas))
+        lengths = [len(table.A) for table in block.tables]
+        assert 0 < max(lengths) - sorted(set(lengths))[-2] < 8
+        for covariates in DESIGNS:
+            fits = block.fits(covariates)
+            assert all(isinstance(fit, CoxFit) for fit in fits)
+            assert [_result_bits(fit) for fit in fits] == [
+                _fit_bits(cox_fit, table, covariates, 50) for table in block.tables]
 
     def test_tables_of_the_calibrated_trial(self, seed6_transforms):
         # hundreds of event runs per row, a missing stratum among three, and
@@ -492,6 +546,13 @@ class TestCoxProperties:
 DESIGNS = [("trt",), ("trt", "mono", "trt_x_mono")]
 
 
+def _one_table_likelihood(table, covariates, beta):
+    """The lockstep's likelihood, gradient and Hessian of one table at beta."""
+    (ll,), (grad,), (hess,) = _Stack([table], _group_covariates(covariates)).loglik_grad_hess(
+        np.asarray(beta, dtype=float)[None])
+    return ll, grad, hess
+
+
 class TestGroupedAgainstRowLevel:
     """`cox_fit` fits from the grouped risk-set table; the row-level
     likelihood of `tests/reference.py`, run through the same Newton loop,
@@ -545,7 +606,7 @@ class TestGroupedAgainstRowLevel:
             return
         beta = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(covariates),
                                            max_size=len(covariates))))
-        got = _GroupDesign(risk_table(trial, ties, stratified), covariates).loglik_grad_hess(beta)
+        got = _one_table_likelihood(risk_table(trial, ties, stratified), covariates, beta)
         want = RowLevelDesign(rows, covariates, ties, stratified).loglik_grad_hess(beta)
         event(f"compared: {ties}, stratified={stratified}, p={len(covariates)}")
         for g, w in zip(got, want):
@@ -559,7 +620,7 @@ class TestGroupedAgainstRowLevel:
                                     rec("c0", C, 1.0, 1), rec("c1", C, 4.0, 1, mono=2.0)])
         beta = np.full(len(covariates), 800.0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            got, _, _ = _GroupDesign(risk_table(trial), covariates).loglik_grad_hess(beta)
+            got, _, _ = _one_table_likelihood(risk_table(trial), covariates, beta)
             want, _, _ = RowLevelDesign(expand(trial), covariates, "efron",
                                         False).loglik_grad_hess(beta)
         assert not math.isfinite(got) and not math.isfinite(want)
@@ -663,14 +724,21 @@ class TestSeparationRule:
 
 
 def _fit_bits(fit, table, covariates, max_iter):
-    """Every field of the fit, arrays as dtype, shape and bytes and floats
-    as their type and repr; or the type, message and last iterate of the
-    error it raised."""
+    """`_result_bits` of the fit, or of the error it raised."""
     try:
         result = fit(table, covariates, max_iter=max_iter)
     except (DataError, EstimationError) as err:
-        last = getattr(err, "last_beta", None)
-        return (type(err), str(err), getattr(err, "iterations", None),
+        result = err
+    return _result_bits(result)
+
+
+def _result_bits(result):
+    """Every field of a fit, arrays as dtype, shape and bytes and floats as
+    their type and repr; or the type, message and last iterate of an
+    error."""
+    if isinstance(result, Exception):
+        last = getattr(result, "last_beta", None)
+        return (type(result), str(result), getattr(result, "iterations", None),
                 None if last is None else last.tobytes())
     out = []
     for f in dataclasses.fields(result):
@@ -709,11 +777,12 @@ class TestNewtonAgainstNumpyWrappers:
 
 
 class TestLinalgWithoutWrappers:
-    """`_newton_step` and `_inverse_of_positive_definite` call the gufuncs
+    """`_newton_steps` and `_inverses_of_positive_definite` call the gufuncs
     behind np.linalg.solve, cholesky and inv, for one coefficient too: where
     the wrappers return a finite result, it is the same to the bit, and where
-    they raise LinAlgError or return NaN the fit is refused. Both run under
-    `cox_fit`'s np.errstate."""
+    they raise LinAlgError or return NaN the system is refused. Both run
+    under `cox_fit`'s np.errstate, on a stack of systems, each of which gets
+    what it gets alone."""
 
     MATRICES = [
         [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]],   # positive definite
@@ -723,6 +792,11 @@ class TestLinalgWithoutWrappers:
         [[1e300, 0.0], [0.0, 1e-300]],
         [[2.0]], [[0.0]], [[-1.0]], [[float("nan")]],          # one coefficient
     ]
+
+    @staticmethod
+    def _steps(info, grad):
+        steps, solved = _newton_steps(info, grad)
+        return [step if ok else None for step, ok in zip(steps, solved)]
 
     @staticmethod
     def _wrapped(compute):
@@ -742,15 +816,25 @@ class TestLinalgWithoutWrappers:
         if cov is not None and np.isnan(np.frombuffer(cov)).any():
             cov = None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for got, expected, message in (
-                (lambda: _newton_step(info, grad), step, "singular information"),
-                (lambda: _inverse_of_positive_definite(info), cov, "not positive definite"),
+            for (got,), expected in (
+                (self._steps(info[None], grad[None]), step),
+                (_inverses_of_positive_definite(info[None]), cov),
             ):
-                if expected is None:
-                    with pytest.raises(EstimationError, match=message):
-                        got()
-                else:
-                    assert got().tobytes() == expected
+                assert (None if got is None else got.tobytes()) == expected
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_a_stack_is_each_system_alone(self, size):
+        info = np.array([m for m in self.MATRICES if len(m) == size])
+        grad = np.arange(1.0, len(info) * size + 1).reshape(len(info), size)
+
+        def bits(results):
+            return [None if r is None else r.tobytes() for r in results]
+
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert bits(self._steps(info, grad)) == [
+                bits(self._steps(i[None], g[None]))[0] for i, g in zip(info, grad)]
+            assert bits(_inverses_of_positive_definite(info)) == [
+                bits(_inverses_of_positive_definite(i[None]))[0] for i in info]
 
 
 class TestPhaseHr:

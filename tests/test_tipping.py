@@ -363,7 +363,8 @@ class TestGridScanAndDeterminism:
             rec("e1", E, 3.0, 1), rec("e2", E, 5.0, 0),
         ])
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, imputation="cutoff")
-        gammas = [1.0, 1.2, 1.4, 1.5, 1.6, 2.0, 2.5, 1.0, 1.45, 3.0, 1.1, np.float64(1.3)]
+        gammas = [1.0, 1.2, 1.4, 1.5, 1.6, 2.0, 2.5, 1.0, 1.45, 3.0, 1.1, np.float64(1.3),
+                  1.05, 1.7, 1.25, 2.2, 1.35, 1.55, 1.15, 2.8, 1.5, 1.8]
         assert len(gammas) > 2 * phasetip.tipping._ROW_BLOCK
         points = self._check_points(trial, config, gammas)
         assert [p.evaluable for p in points] == [g <= 1.5 for g in gammas]
@@ -546,16 +547,28 @@ class TestProbePath:
     through `_probe_round`, one call per round of the lockstep searches."""
 
     @staticmethod
-    def _spy(monkeypatch, name, calls, fail_when=lambda: False):
+    def _spy(monkeypatch, name, calls):
         real = getattr(phasetip.tipping, name)
 
         def spy(*args, **kwargs):
             calls.append(name)
-            if fail_when():
-                raise SeparationError()
             return real(*args, **kwargs)
 
         monkeypatch.setattr(phasetip.tipping, name, spy)
+
+    @staticmethod
+    def _spy_fits(monkeypatch, calls, fail_when=lambda: False):
+        """Record "cox_fit" for every Cox fit a row reads (`_Row.fit`), and
+        make it raise SeparationError when `fail_when()`."""
+        real = phasetip.tipping._Row.fit
+
+        def spy(row, covariates):
+            calls.append("cox_fit")
+            if fail_when():
+                raise SeparationError()
+            return real(row, covariates)
+
+        monkeypatch.setattr(phasetip.tipping._Row, "fit", spy)
 
     @staticmethod
     def _spy_probes(monkeypatch, probes, calls=None):
@@ -615,7 +628,7 @@ class TestProbePath:
 
     def test_rule_a_logrank_fits_cox_only_at_the_reported_point(self, monkeypatch):
         calls, probes = [], []
-        self._spy(monkeypatch, "cox_fit", calls)
+        self._spy_fits(monkeypatch, calls)
         self._spy_logrank_pass(monkeypatch, calls)
         self._spy_probes(monkeypatch, probes, calls)
         records = fast_records()
@@ -636,8 +649,9 @@ class TestProbePath:
 
     def test_rule_b_probes_never_run_the_logrank_test(self, monkeypatch):
         calls = []
-        for name in ("logrank_test", "evaluate_at", "cox_fit"):
+        for name in ("logrank_test", "evaluate_at"):
             self._spy(monkeypatch, name, calls)
+        self._spy_fits(monkeypatch, calls)
         self._spy_logrank_pass(monkeypatch, calls)
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, threshold=Threshold.NEUTRALIZE,
                               grid_step=0.1, mi_replicates=1, seed=7)
@@ -675,8 +689,8 @@ class TestProbePath:
         assert clean.tip > 1.2
 
         current = self._track_factor(monkeypatch)
-        self._spy(monkeypatch, "cox_fit", [],
-                  fail_when=lambda: current["gamma"] in (1.1, clean.replicates[0].point.gamma))
+        failing = (1.1, clean.replicates[0].point.gamma)
+        self._spy_fits(monkeypatch, [], fail_when=lambda: current["gamma"] in failing)
         res = find_tipping(records, config)
         assert not any("skipped" in f for f in res.flags), res.flags
         assert res.tip == clean.tip
@@ -1160,7 +1174,7 @@ class TestReportedPoints:
     @pytest.mark.parametrize("effect", list(Effect))
     def test_each_point_is_its_replicates_alone(self, effect, threshold, p_source):
         config = SearchConfig(effect=effect, threshold=threshold, p_source=p_source,
-                              imputation="fitted", mi_replicates=7, seed=2, grid_step=0.05)
+                              imputation="fitted", mi_replicates=12, seed=2, grid_step=0.05)
         result, points = self._check(fast_records(), config)
         # more points than one row block, from distinct draw sets
         assert len(points) > phasetip.tipping._ROW_BLOCK
