@@ -34,10 +34,16 @@ The fits of one design on the k tables of a block run as one damped
 Newton in lockstep (`_newton`): each round evaluates the likelihood of
 every running fit in one call (`_Stack`) and solves their steps in
 another. Each fit keeps its own iteration count, step halving,
-convergence tests and refusals, and sums its log risk-set totals and its
-cross product over its own table's rows only, in the calls its table
-alone makes; so no fit depends on the tables beside it, and `cox_fit`
-and `partial_loglik_and_gradient` are the one-table case. The
+convergence tests and refusals. A table's row count is its event count,
+which moves slowly with the factor, so a block's tables come in a few
+lengths: the lockstep orders its tables by length, and each run of
+tables of one length takes its risk-set totals, its log-total sums and
+its cross products in one BLAS call or reduction each. numpy makes, for
+each table of a stacked call, the call that table alone makes, and no
+call reads past a table's own rows (padding the tables to the longest
+would move bits); so each fit sums over its own rows only, no fit
+depends on the tables beside it, and `cox_fit` and
+`partial_loglik_and_gradient` are the one-table case. The
 Kaplan-Meier curve, `logrank_test` and the table take a `Trial`.
 Nothing loops over subjects in Python, and the Newton loop calls numpy's
 reductions, and the LAPACK gufuncs that np.linalg.solve,
@@ -52,10 +58,13 @@ imports numpy.ma.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import threading
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -131,6 +140,43 @@ def _strata(trial: Trial, stratified: bool) -> list:
     if missing.any():
         strata.append((-0.5, missing))
     return [rows for _, rows in sorted(strata, key=lambda stratum: stratum[0])]
+
+
+class _Stratum(NamedTuple):
+    """The columns of one analysis stratum that no outcome moves: `cols`
+    selects its subjects, `trt` and `mono_start` are theirs, `given` marks
+    the subjects with a mono_start, `starts` holds their mono_starts
+    ascending, and `exp_below` the running total of the experimental
+    subjects among them in that order."""
+
+    cols: slice | np.ndarray
+    trt: np.ndarray
+    mono_start: np.ndarray
+    given: np.ndarray
+    starts: np.ndarray
+    exp_below: np.ndarray
+
+
+# Per trial, its `_Stratum`s per strata flag: every block of outcomes of a
+# trial shares them, and they go with the trial.
+_TRIAL_STRATA = weakref.WeakKeyDictionary()
+
+
+def _trial_strata(trial: Trial, stratified: bool) -> list:
+    """The `_Stratum` of each of the trial's analysis strata (`_strata`),
+    made once per trial and flag."""
+    held = _TRIAL_STRATA.setdefault(trial, {})
+    if stratified not in held:
+        strata = []
+        for cols in _strata(trial, stratified):
+            trt, mono_start = trial.trt[cols], trial.mono_start[cols]
+            given = mono_start == mono_start   # a mono_start, not NaN
+            by_start = given.nonzero()[0]
+            by_start = by_start[mono_start[by_start].argsort()]
+            strata.append(_Stratum(cols, trt, mono_start, given, mono_start[by_start],
+                                   _running_total(trt[by_start])))
+        held[stratified] = strata
+    return held[stratified]
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +288,13 @@ class _Runs:
     the risk tables `group_counts`; only what both read is kept.
     """
 
-    def __init__(self, trt, s, delta):
+    def __init__(self, stratum: _Stratum, s, delta):
         k, n = s.shape
         order = s.argsort(axis=1)
-        self.exp = exp = trt[order].ravel() == 1   # in the experimental arm, in sorted order
+        self.exp = exp = stratum.trt[order].ravel() == 1   # experimental, in sorted order
         order += np.arange(0, k * n, n)[:, None]
         self.order = order = order.ravel()    # positions in the k x n arrays, row by row
-        self.s, self.delta = s, delta
+        self.stratum, self.s, self.delta = stratum, s, delta
         s = s.ravel()[order]
         event = delta.ravel()[order]
         # where a run of equal times starts within a row, and the end
@@ -274,30 +320,27 @@ class _Runs:
         n1, d1 = self.n1, self.d1
         return self.end - self.start - n1, n1, self.d - d1, d1, self.rows
 
-    def group_counts(self, trt, mono_start):
+    def group_counts(self):
         """(n_risk, n_event): per event run, one row each, the subjects at
         risk (as floats, the rows of a risk table without tied events) and
         the events in the four arm x phase groups g = trt + 2 * mono, where
-        `trt` and `mono_start` are the stratum's columns and a subject, none
-        of whose mono_start is past its time, is in monotherapy in a row
-        when mono_start < s.
+        a subject, none of whose mono_start is past its time, is in
+        monotherapy in a row when mono_start < s.
 
         A subject with a mono_start is at risk in its monotherapy group at t
         when mono_start < t <= s: of its arm's subjects with a mono_start
         and s >= t, those whose mono_start is below t. Those with
-        mono_start >= t come from one search of the run times in the sorted
-        mono_starts. The rest of an arm's subjects at risk are in its
-        combination group."""
+        mono_start >= t come from one search of the run times in the
+        stratum's sorted mono_starts. The rest of an arm's subjects at risk
+        are in its combination group."""
         start, stop, end, exp, order = self.start, self.stop, self.end, self.exp, self.order
-        ev_mono = ((self.delta == 1) & (mono_start < self.s)).ravel()[order]
-        given = mono_start == mono_start   # a mono_start, not NaN
-        has = np.tile(given, len(self.s))[order]
-        given = given.nonzero()[0]
-        by_start = given[mono_start[given].argsort()]
-        exp_by_start = _running_total(trt[by_start])
-        below = mono_start[by_start].searchsorted(self.s.ravel()[order[start]])   # mono_start < t
-        mono1 = _counts_in(has & exp, start, end) - (exp_by_start[-1] - exp_by_start[below])
-        mono0 = _counts_in(has, start, end) - (by_start.size - below) - mono1
+        stratum = self.stratum
+        ev_mono = ((self.delta == 1) & (stratum.mono_start < self.s)).ravel()[order]
+        has = np.tile(stratum.given, len(self.s))[order]
+        below = stratum.starts.searchsorted(self.s.ravel()[order[start]])   # mono_start < t
+        exp_below = stratum.exp_below
+        mono1 = _counts_in(has & exp, start, end) - (exp_below[-1] - exp_below[below])
+        mono0 = _counts_in(has, start, end) - (stratum.starts.size - below) - mono1
         n_risk = np.empty((start.size, 4))
         n_risk[:, 0] = end - start - self.n1 - mono0
         n_risk[:, 1] = self.n1 - mono1
@@ -427,8 +470,8 @@ class SortedRows:
             raise DataError(f"unknown ties method {ties!r}")
         self.trial, self.s, self.delta, self.ties = trial, s, delta, ties
         self.stratified = stratified
-        self._strata = [(cols, _Runs(trial.trt[cols], s[:, cols], delta[:, cols]))
-                        for cols in _strata(trial, stratified)]
+        self._strata = [_Runs(stratum, s[:, stratum.cols], delta[:, stratum.cols])
+                        for stratum in _trial_strata(trial, stratified)]
         self._fitted = {}   # per design, the rows' fits
 
     @functools.cached_property
@@ -436,7 +479,7 @@ class SortedRows:
         trt = self.trial.trt
         if trt.all() or not trt.any():
             raise DataError("log-rank needs both arms present")
-        return _logrank([runs.arm_counts() for _, runs in self._strata], len(self.s))
+        return _logrank([runs.arm_counts() for runs in self._strata], len(self.s))
 
     @functools.cached_property
     def tables(self) -> list:
@@ -450,8 +493,8 @@ class SortedRows:
             raise DataError(f"subject {trial.ids[late.argmax() % late.shape[1]]}: "
                             "phase time exceeds follow-up")
         blocks = [[] for _ in range(k)]   # per row, (A, D, meets) per stratum with events
-        for cols, runs in self._strata:
-            n_risk, n_event = runs.group_counts(trial.trt[cols], trial.mono_start[cols])
+        for runs in self._strata:
+            n_risk, n_event = runs.group_counts()
             A, a_rows = _tie_rows(n_risk, n_event, runs.d, self.ties)
             at_risk, with_events = n_risk > 0, n_event > 0
             for r, (lo, hi) in enumerate(zip(runs.rows.tolist(), runs.rows[1:].tolist())):
@@ -473,11 +516,13 @@ class SortedRows:
         return tables
 
     def fits(self, covariates) -> list:
-        """Each row's fit of `covariates`, from the block's one lockstep."""
-        names = _design_names(covariates)
-        if names not in self._fitted:
-            self._fitted[names] = _fits(self.tables, names)
-        return self._fitted[names]
+        """Each row's fit of `covariates`, from the block's one lockstep. A
+        design asked for before is read back without a second check."""
+        fitted = self._fitted.get(covariates) if type(covariates) is tuple else None
+        if fitted is None:
+            names = _design_names(covariates)
+            fitted = self._fitted[names] = _fits(self.tables, names)
+        return fitted
 
 
 def logrank_test(trial: Trial, stratified: bool = False) -> LogRankResult:
@@ -606,6 +651,25 @@ class _Buffers(threading.local):
 _BUFFERS = _Buffers()
 
 
+class _Run(NamedTuple):
+    """The tables at stack positions lo to hi, all of one row count n, and
+    the views of the stack's buffers that a likelihood round gives them:
+    their rows `A` (m x n x 4), their risk-set totals `Z` (m x n x 1), the
+    same memory as `log_z` (m x n), their sums of log totals `totals`, and
+    their shares (m x 4 x n, and transposed) and cross products `S`."""
+
+    lo: int
+    hi: int
+    n: int
+    A: np.ndarray
+    Z: np.ndarray
+    log_z: np.ndarray
+    totals: np.ndarray
+    shares: np.ndarray
+    shares_t: np.ndarray
+    S: np.ndarray
+
+
 class _Stack:
     """The grouped risk-set tables of the fits of one lockstep, with one
     design's group covariate values G (4 x p).
@@ -617,15 +681,20 @@ class _Stack:
     is sum_x - r G and the Hessian G'(S - diag r)G, whatever p. No T x p
     moment is formed.
 
-    Each table's Z comes from its own row-major A, in the call the table
-    alone makes. The shares of all k tables come at once from a
-    group-major copy of the tables (k x 4 x T), padded with zeros to the
-    longest, and np.matmul over a stack makes for each table the BLAS call
-    that table alone makes. Each table sums its log Z and forms its S over
-    its own rows only, so a table's likelihood is what it is alone, to the
-    bit, whatever tables stand beside it. `keep` drops the tables whose
-    fits have ended. The group-major copy, Z and the shares live in the
-    thread's `_BUFFERS`, so a thread holds one stack at a time.
+    Consecutive tables of one row count form a `_Run`; `_fits` orders its
+    tables by row count, so a block's few lengths give a few runs. A run
+    takes its Z, its sums of log Z and its cross products in one call each:
+    np.matmul over the run, or np.add.reduce along its rows, makes for
+    each table the call the table alone makes, and reads no entry past the
+    table's own rows. So a table's likelihood is what it is alone, to the
+    bit, whatever tables stand beside it; a cross product over a stack
+    padded to the longest table would move bits. A run of one table reads
+    the table's own A, a longer one a row-major copy of its tables. The
+    shares of all k tables come at once, elementwise, from a group-major
+    copy (k x 4 x W) padded with zeros to the longest. `keep` drops the
+    tables whose fits have ended and forms the runs of the rest. The
+    copies, Z and the shares live in the thread's `_BUFFERS`, so a thread
+    holds one stack at a time.
     """
 
     def __init__(self, tables, G):
@@ -633,13 +702,30 @@ class _Stack:
         self.rows = [len(table.A) for table in tables]
         k, width = len(tables), max(self.rows)
         self.At, self.Z = _BUFFERS.get("At", k, 4, width), _BUFFERS.get("Z", k, width)
-        for At, Z, table, rows in zip(self.At, self.Z, tables, self.rows):
-            At[:, :rows] = table.A.T
-            if rows < width:   # padding: no shares, and no subnormal float in Z
-                At[:, rows:], Z[rows:] = 0.0, 1.0
         self.R = _BUFFERS.get("R", k, 4, width)
+        self.S, self.totals = np.empty((k, 4, 4)), np.empty(k)
+        self._find_runs()
+        for lo, hi, n, A, *_ in self.runs:
+            self.At[lo:hi, :, :n] = A.transpose(0, 2, 1)
+            if n < width:   # padding: no shares, and no subnormal float in Z
+                self.At[lo:hi, :, n:], self.Z[lo:hi, n:] = 0.0, 1.0
         self.sum_x = np.array([table.D for table in tables]) @ G   # integers, so exact
-        self.S = np.empty((k, 4, 4))
+
+    def _find_runs(self) -> None:
+        """`runs`, from the tables as they stand now."""
+        self.runs, lo = [], 0
+        for n, run in itertools.groupby(self.rows):
+            hi = lo + len(list(run))
+            if hi - lo == 1:
+                A = self.tables[lo].A[None]
+            else:
+                A = _BUFFERS.get("A", len(self.rows), self.At.shape[2], 4)[lo:hi, :n]
+                np.stack([table.A for table in self.tables[lo:hi]], out=A)
+            shares = self.R[lo:hi, :, :n]
+            self.runs.append(_Run(lo, hi, n, A, self.Z[lo:hi, :n, None], self.Z[lo:hi, :n],
+                                  self.totals[lo:hi], shares, shares.transpose(0, 2, 1),
+                                  self.S[lo:hi]))
+            lo = hi
 
     def keep(self, positions) -> None:
         """Keep only the tables at `positions`, ascending, in that order."""
@@ -648,10 +734,11 @@ class _Stack:
                 self.At[to] = self.At[at]
                 self.sum_x[to] = self.sum_x[at]
         k = len(positions)
-        self.At, self.Z, self.R, self.S, self.sum_x = (
-            held[:k] for held in (self.At, self.Z, self.R, self.S, self.sum_x))
+        self.At, self.Z, self.R, self.S, self.totals, self.sum_x = (
+            held[:k] for held in (self.At, self.Z, self.R, self.S, self.totals, self.sum_x))
         self.tables = [self.tables[i] for i in positions]
         self.rows = [self.rows[i] for i in positions]
+        self._find_runs()
 
     def loglik_grad_hess(self, beta):
         """Per table, the likelihood (a float), gradient and Hessian at its
@@ -659,18 +746,17 @@ class _Stack:
         calls, without its wrapper. Run it under np.errstate(over, invalid,
         divide ignored): a trial step that overflows w gives a non-finite
         likelihood, which the Newton loop rejects by halving the step."""
-        G, Z, R, S, rows = self.G, self.Z, self.R, self.S, self.rows
+        G, Z, R, S = self.G, self.Z, self.R, self.S
         w = np.exp(np.matmul(G, beta[:, :, None]))   # k x 4 x 1
-        for table, w_j, Z_j, n in zip(self.tables, w, Z, rows):
-            np.matmul(table.A, w_j[:, 0], out=Z_j[:n])
+        for run in self.runs:
+            np.matmul(run.A, w[run.lo:run.hi], out=run.Z)
         np.multiply(self.At, w, out=R)
         np.divide(R, Z[:, None], out=R)
-        log_z = np.log(Z, out=Z)
-        ll = np.matmul(self.sum_x[:, None], beta[:, :, None]).ravel().tolist()
-        for j, n in enumerate(rows):
-            ll[j] -= float(np.add.reduce(log_z[j, :n]))
-            shares = R[j, :, :n]
-            np.matmul(shares, shares.T, out=S[j])
+        np.log(Z, out=Z)
+        for *_, log_z, totals, shares, shares_t, S_run in self.runs:
+            np.add.reduce(log_z, axis=1, out=totals)
+            np.matmul(shares, shares_t, out=S_run)
+        ll = (np.matmul(self.sum_x[:, None], beta[:, :, None]).ravel() - self.totals).tolist()
         r = np.add.reduce(S, axis=2)   # the column sums of R, whose rows sum to 1
         grad = self.sum_x - np.matmul(r[:, None], G)[:, 0]
         S.reshape(-1, 16)[:, ::5] -= r  # S - diag(r), in place
@@ -827,8 +913,9 @@ def _fits(tables, covariates, max_iter=_MAX_ITER) -> list:
     """Per table, the `cox_fit` of `covariates` on it, a CoxFit, or the
     EstimationError that fit raises: the tables without events or with
     separation are refused first, and the fits of the rest run in one
-    lockstep `_newton`. A fit reads only its own table, so each result is
-    what `cox_fit` gives that table alone, to the bit."""
+    lockstep `_newton`, ordered by row count. A fit reads only its own
+    table, so each result is what `cox_fit` gives that table alone, to the
+    bit."""
     names = _design_names(covariates)
     G = _group_covariates(names)
     results, fitting = [], []
@@ -846,6 +933,7 @@ def _fits(tables, covariates, max_iter=_MAX_ITER) -> list:
         results.append(None)
     if not fitting:
         return results
+    fitting.sort(key=lambda j: len(tables[j].A))   # tables of one length side by side
     p = len(names)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ends, optima = _newton(_Stack([tables[j] for j in fitting], G), max_iter)

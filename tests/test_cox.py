@@ -5,6 +5,7 @@ likelihood, and the Wald and log-rank tail probabilities against scipy."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from phasetip.errors import ConvergenceError, DataError, EstimationError, Separa
 from phasetip.records import Trial
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import (
+    PHASE_MODEL,
     CoxFit,
+    _fits,
     _Stack,
     _group_covariates,
     _inverses_of_positive_definite,
@@ -232,6 +235,88 @@ class TestSortedRows:
             assert all(isinstance(fit, CoxFit) for fit in fits)
             assert [_result_bits(fit) for fit in fits] == [
                 _fit_bits(cox_fit, table, covariates, 50) for table in block.tables]
+
+    # table lengths that repeat, apart: the lockstep runs them by length
+    LENGTHS = [5, 7, 5, 5, 9, 7]
+
+    @staticmethod
+    def _outcomes_with_events(seed, lengths, m=14):
+        """A 14-subject trial and one outcome row per length, with that many
+        events at distinct times, so that many table rows."""
+        rng = np.random.default_rng(seed)
+        trial = Trial(ids=tuple(f"s{i}" for i in range(m)), s=np.full(m, 20.0),
+                      delta=np.zeros(m, dtype=int),
+                      mono_start=np.where(rng.random(m) < 0.5, 0.5, np.nan),
+                      trt=np.arange(m) % 2, cutoff=np.full(m, 100.0),
+                      stratum=np.full(m, np.nan))
+        s = np.array([rng.permutation(m) + 1.0 for _ in lengths])
+        delta = np.zeros((len(lengths), m), dtype=int)
+        for r, events in enumerate(lengths):
+            delta[r, rng.choice(m, events, replace=False)] = 1
+        return trial, s, delta
+
+    def test_runs_of_equal_length_tables(self):
+        """Tables of 5, 7, 5, 5, 9, 7 rows: fits that end early, at an
+        iteration cap of 1 or 2, after step halving, refused or converged at
+        other iteration counts, leave the lockstep while fits of other
+        lengths run on, and every fit is `cox_fit` of its table alone."""
+        likelihood = _Stack.loglik_grad_hess
+        seen, iterations = set(), set()
+        for seed in range(30):
+            trial, s, delta = self._outcomes_with_events(seed, self.LENGTHS)
+            tables = SortedRows(trial, s, delta).tables
+            assert [len(table.A) for table in tables] == self.LENGTHS
+            for covariates in DESIGNS:
+                for max_iter in (1, 2, 50):
+                    alone = []
+                    for table in tables:
+                        with mock.patch.object(_Stack, "loglik_grad_hess", autospec=True,
+                                               side_effect=likelihood) as rounds:
+                            try:
+                                result = cox_fit(table, covariates, max_iter)
+                            except EstimationError as err:
+                                result = err
+                        if isinstance(result, CoxFit):
+                            iterations.add(result.iterations)
+                            if rounds.call_count > result.iterations + 1:
+                                seen.add("halved")
+                        else:
+                            seen.add(type(result))
+                        alone.append(_result_bits(result))
+                    assert [_result_bits(fit) for fit in _fits(tables, covariates, max_iter)] == alone
+        assert {ConvergenceError, SeparationError, "halved"} <= seen and len(iterations) > 2
+
+    @pytest.mark.parametrize("order, runs, kept, kept_runs", [
+        # by length, as `_fits` stacks them
+        ((0, 2, 3, 1, 5, 4), [(0, 3, 5), (3, 5, 7), (5, 6, 9)],
+         [1, 3, 5], [(0, 1, 5), (1, 2, 7), (2, 3, 9)]),
+        # as given: dropping the 7-row table makes one run of three 5-row tables
+        ((0, 1, 2, 3, 4, 5), [(0, 1, 5), (1, 2, 7), (2, 4, 5), (4, 5, 9), (5, 6, 7)],
+         [0, 2, 3, 5], [(0, 3, 5), (3, 4, 7)]),
+    ])
+    def test_stack_keeps_its_runs(self, order, runs, kept, kept_runs):
+        """`_Stack` holds the runs of equal-length tables as they stand,
+        and after `keep` the runs of those kept; each table's likelihood,
+        gradient and Hessian are those of the table alone, to the bit."""
+        trial, s, delta = self._outcomes_with_events(25, self.LENGTHS)
+        tables = SortedRows(trial, s, delta).tables
+        stacked = [tables[j] for j in order]
+        G = _group_covariates(PHASE_MODEL)
+        beta = np.random.default_rng(1).normal(0.0, 0.5, (6, 3))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # one stack at a time: each holds the thread's buffers
+            alone = [_Stack([table], G).loglik_grad_hess(beta[i][None])
+                     for i, table in enumerate(stacked)]
+            stack = _Stack(stacked, G)
+            for positions, expected in ((range(6), runs), (kept, kept_runs)):
+                if len(positions) < len(stacked):
+                    stack.keep(positions)
+                assert [run[:3] for run in stack.runs] == expected
+                ll, grad, hess = stack.loglik_grad_hess(beta[list(positions)])
+                assert [(repr(ll[j]), grad[j].tobytes(), hess[j].tobytes())
+                        for j in range(len(positions))] == [
+                    (repr(alone[i][0][0]), alone[i][1][0].tobytes(), alone[i][2][0].tobytes())
+                    for i in positions]
 
     def test_tables_of_the_calibrated_trial(self, seed6_transforms):
         # hundreds of event runs per row, a missing stratum among three, and

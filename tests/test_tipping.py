@@ -5,6 +5,7 @@ determinism."""
 import collections
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -364,7 +365,8 @@ class TestGridScanAndDeterminism:
         ])
         config = SearchConfig(effect=Effect.INFLATE_CONTROL, imputation="cutoff")
         gammas = [1.0, 1.2, 1.4, 1.5, 1.6, 2.0, 2.5, 1.0, 1.45, 3.0, 1.1, np.float64(1.3),
-                  1.05, 1.7, 1.25, 2.2, 1.35, 1.55, 1.15, 2.8, 1.5, 1.8]
+                  1.05, 1.7, 1.25, 2.2, 1.35, 1.55, 1.15, 2.8, 1.5, 1.8, 1.02, 2.6, 1.08,
+                  1.12, 1.65, 1.18, 1.22, 2.4, 1.28, 1.32, 1.38, 1.42, 1.48]
         assert len(gammas) > 2 * phasetip.tipping._ROW_BLOCK
         points = self._check_points(trial, config, gammas)
         assert [p.evaluable for p in points] == [g <= 1.5 for g in gammas]
@@ -1056,6 +1058,24 @@ class TestProbeBudget:
         assert sum(probes.values()) / searches <= 20
 
 
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 20, 31, 32, 33, 49, 301])
+def test_read_rows_splits_requests_into_balanced_blocks(n):
+    """n requests go, in order, to ceil(n / _ROW_BLOCK) blocks whose sizes
+    differ by at most one, and each answer to its request."""
+    blocks = []
+
+    def read_block(trial, block, first, read):
+        blocks.append(len(block))
+        return [read(first + r, request) for r, request in enumerate(block)]
+
+    requests = [(None, i) for i in range(n)]
+    with mock.patch.object(phasetip.tipping, "_read_block", read_block):
+        answers = phasetip.tipping._read_rows(None, requests, lambda i, row: (i, row))
+    assert answers == list(enumerate(requests))
+    assert len(blocks) == -(-n // phasetip.tipping._ROW_BLOCK)
+    assert max(blocks, default=0) - min(blocks, default=0) <= 1
+
+
 class TestBatchedProbe:
     """A round answered in blocks (`_probe_round`) gives every probe the
     number its stop rule reads on `apply_transform` of its own draws and
@@ -1174,7 +1194,7 @@ class TestReportedPoints:
     @pytest.mark.parametrize("effect", list(Effect))
     def test_each_point_is_its_replicates_alone(self, effect, threshold, p_source):
         config = SearchConfig(effect=effect, threshold=threshold, p_source=p_source,
-                              imputation="fitted", mi_replicates=12, seed=2, grid_step=0.05)
+                              imputation="fitted", mi_replicates=20, seed=2, grid_step=0.05)
         result, points = self._check(fast_records(), config)
         # more points than one row block, from distinct draw sets
         assert len(points) > phasetip.tipping._ROW_BLOCK
