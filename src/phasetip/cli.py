@@ -278,7 +278,8 @@ def _search_config(args, **defaults) -> SearchConfig:
     or the config file gives, else `defaults`, else SearchConfig's own."""
     given = _given(args, [field.name for field in dataclasses.fields(SearchConfig)
                           if hasattr(args, field.name)])
-    for name, kind in (("effect", Effect.from_number), ("threshold", Threshold)):
+    for name, kind in (("effect", lambda code: Effect.from_number(int(code))),
+                       ("threshold", Threshold)):
         if name in given:
             given[name] = kind(given[name])
     return SearchConfig(**{**defaults, **given, "seed": _seed(args)})

@@ -24,8 +24,8 @@ subject whose monotherapy starts at its follow-up time passes through
 unchanged. `make_draw_sets` draws for exactly those subjects, once per
 replicate, each from its own stream keyed by (seed, replicate, subject
 id), so the draws do not depend on row order, and the same draws are
-reused across the whole adjustment-factor grid; `make_draws` is its
-one-replicate case. A subject's stream is
+reused across the whole adjustment-factor grid; `make_draws` is the
+one-replicate case, which `grid_scan` calls. A subject's stream is
 `default_rng(SeedSequence([seed, replicate, key]))`, the key being the
 first eight bytes of the SHA-256 of its id; the keys are made once per
 trial and effect and read by every replicate. The imputation model is
@@ -36,23 +36,20 @@ PCG64 starts from its own. Both fits sum their exposure with `math.fsum`,
 which is exactly rounded, so the rate, and every draw, does not depend on
 row order either. `ImputationDraws` holds the draws by trial position.
 
-`apply_transform` is the transform the analysis runs: it works on a
-`Trial`, one array per field, with both effects written as array
-expressions, and returns a new `Trial`; so does `naive_transform`. The
-tests state the same rules one subject at a time and compare the two.
 Both effects move each subject they change along a line in the factor,
 up to a cap where its event status flips (`transform_lines`), and
-`transform_outcomes` moves them to k factors at once, of which
-`apply_transform` is the one-row case; the search layer calls
-`transform_outcomes` only. `rank_breakpoints` reads the same lines to
-list the factors where a line meets a fixed time, a monotherapy start or
-a cap; between two of them the log-rank test and every Cox fit of the
-transformed trial are constant. Two lines that meet are not listed: both
-are events of one arm x phase group, so the counts at risk stay as they
-are, and at the tie the Efron risk table equals the untied one to the
-bit. Only the log-rank p-value differs there, at that one factor. This
-holds for Efron ties and for these two effects, not for Breslow ties or
-for `naive_transform`, which also moves censored times.
+`transform_outcomes` moves them to k factors at once, as array
+expressions over the trial's columns; `Trial.with_outcome` makes one of
+its rows a `Trial`. The tests state the same rules one subject at a time
+and compare. `rank_breakpoints` reads the same lines to list the factors
+where a line meets a fixed time, a monotherapy start or a cap; between
+two of them the log-rank test and every Cox fit of the transformed trial
+are constant. Two lines that meet are not listed: both are events of one
+arm x phase group, so the counts at risk stay as they are, and at the tie
+the Efron risk table equals the untied one to the bit. Only the log-rank
+p-value differs there, at that one factor. This holds for Efron ties and
+for these two effects, not for Breslow ties or for `naive_transform`,
+which also moves censored times.
 """
 
 from __future__ import annotations
@@ -76,14 +73,12 @@ __all__ = [
     "TransformParams",
     "ExponentialModel",
     "ImputationDraws",
-    "keyed_rng",
     "needs_draw",
     "fit_censoring_model",
     "fit_mono_event_model",
     "TransformLines",
     "transform_lines",
     "transform_outcomes",
-    "apply_transform",
     "rank_breakpoints",
     "naive_transform",
     "cutoff_censoring_fraction",
@@ -109,6 +104,9 @@ class Effect(enum.Enum):
 
     @classmethod
     def from_number(cls, n) -> "Effect":
+        """The effect numbered `n`, the integer 1 or 2; anything else is a DataError."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (1, 2):
+            raise DataError(f"effect must be 1 or 2, got {n!r}")
         return cls(int(n))
 
     @property
@@ -320,14 +318,6 @@ def _keyed_rngs(words: np.ndarray) -> list[np.random.Generator]:
     return [generator(pcg64(words_seed(row))) for row in words]
 
 
-def keyed_rng(seed: int, replicate_id: int, subject_id: str) -> np.random.Generator:
-    """Independent generator per (seed, replicate, subject)."""
-    check_seed(seed, "seed")
-    check_seed(replicate_id, "replicate_id")
-    (rng,) = _keyed_rngs(_seed_words(seed, [replicate_id], [_subject_key(subject_id)]))
-    return rng
-
-
 # ---------------------------------------------------------------------------
 # Imputation models
 
@@ -454,23 +444,6 @@ def transform_outcomes(trial: Trial, lines, gammas):
     delta = trial.delta[None].repeat(gamma.size, axis=0)
     delta[:, rows] = live
     return s, delta
-
-
-def apply_transform(trial: Trial, params: TransformParams, draws: ImputationDraws) -> Trial:
-    """Counterfactual trial under `params`, using one replicate's draws.
-
-    Effect 1 inflates a control subject's monotherapy duration: an event
-    moves to t' = x + gamma*(s - x) and stays an event if t' is within the
-    imputed censoring time, else the subject is censored there; a censored
-    subject is unchanged. Effect 2 shrinks an experimental subject's
-    monotherapy duration: an event moves to x + gamma*(s - x); a subject
-    censored in monotherapy becomes an event at x + gamma*(t-hat - x) if
-    that lands at or before s, t-hat being its imputed event time. This is
-    the one-row case of `transform_outcomes`.
-    """
-    (s,), (delta,) = transform_outcomes(
-        trial, [transform_lines(trial, params.effect, draws)], [params.gamma])
-    return trial.with_outcome(s, delta)
 
 
 # Breakpoints closer than this count as one: far above the rounding of the

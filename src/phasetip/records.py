@@ -7,8 +7,8 @@ every data rule whenever one is built; the dataset reader and the simulator
 build its columns directly. Indexing or iterating a `Trial` gives one
 `SubjectRecord` per subject, and `Trial.from_records` builds one from them.
 Every analysis function takes a `Trial`: a draw set refers to its subjects
-by position, and every counterfactual transform returns a new `Trial`
-through `Trial.with_outcome`, the one copy that skips the check. The Cox
+by position, and a transformed outcome becomes a new `Trial` through
+`Trial.with_outcome`, the one copy that skips the check. The Cox
 model is fitted from the risk-set table that `survival.risk_table` builds
 straight from a `Trial`; there is no start-stop expansion type.
 

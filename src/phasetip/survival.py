@@ -42,9 +42,8 @@ its cross products in one BLAS call or reduction each. numpy makes, for
 each table of a stacked call, the call that table alone makes, and no
 call reads past a table's own rows (padding the tables to the longest
 would move bits); so each fit sums over its own rows only, no fit
-depends on the tables beside it, and `cox_fit` and
-`partial_loglik_and_gradient` are the one-table case. The
-Kaplan-Meier curve, `logrank_test` and the table take a `Trial`.
+depends on the tables beside it, and `cox_fit` is the one-table case.
+The Kaplan-Meier curve, `logrank_test` and the table take a `Trial`.
 Nothing loops over subjects in Python, and the Newton loop calls numpy's
 reductions, and the LAPACK gufuncs that np.linalg.solve,
 np.linalg.cholesky and np.linalg.inv call, without their per-call
@@ -83,7 +82,6 @@ __all__ = [
     "RiskTable",
     "risk_table",
     "cox_fit",
-    "partial_loglik_and_gradient",
     "phase_hr",
     "PHASE_MODEL",
     "TIES",
@@ -762,29 +760,6 @@ class _Stack:
         S.reshape(-1, 16)[:, ::5] -= r  # S - diag(r), in place
         hess = np.matmul(np.matmul(G.T, S), G)
         return ll, grad, hess
-
-
-def partial_loglik_and_gradient(table: RiskTable, covariates=("trt",), beta=None):
-    """Log partial likelihood and its gradient at an arbitrary beta: one
-    finite number per covariate, 0 for each when None.
-
-    Exposed so tests can check the analytic gradient against finite
-    differences and scan the likelihood directly. It is the one-table case
-    of the lockstep's likelihood.
-    """
-    G = _group_covariates(_design_names(covariates))
-    p = G.shape[1]
-    if not table.D.any():
-        raise EstimationError("no events in counting-process data")
-    try:
-        values = np.zeros(p) if beta is None else np.asarray(beta)
-    except ValueError:   # a ragged sequence
-        values = np.array(None)
-    if values.dtype.kind not in "iuf" or values.shape != (p,) or not np.isfinite(values).all():
-        raise DataError(f"beta must be {p} finite number(s), one per covariate, got {beta!r}")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        (ll,), (grad,), _ = _Stack([table], G).loglik_grad_hess(values.astype(float)[None])
-    return ll, grad
 
 
 _SINGULAR = "singular information matrix: design is collinear on the risk sets"

@@ -107,9 +107,7 @@ from .counterfactual import (
 )
 from .errors import DataError, EstimationError, check_seed
 from .records import Trial
-# cox_fit and logrank_test are bound here, unused, for perfbench/tracer.py, which
-# hooks them by name
-from .survival import PHASE_MODEL, SortedRows, _unwrap, cox_fit, logrank_test  # noqa: F401
+from .survival import PHASE_MODEL, SortedRows, _unwrap
 
 __all__ = [
     "MAX_GRID_POINTS",

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from phasetip.counterfactual import Effect, TransformParams, apply_transform, make_draws
+from reference import transformed
+from phasetip.counterfactual import Effect, make_draws
 from phasetip.records import Arm, SubjectRecord
 from phasetip.simulate import SimConfig, simulate_trial
 
@@ -66,7 +67,7 @@ def seed6_transforms():
     strata = np.array([0.0, 1.0, np.nan])[np.arange(len(trial)) % 3]
     out = []
     for gamma in (1.0, 0.83, 0.7, 0.55, 0.4):
-        data = apply_transform(trial, TransformParams(Effect.SHRINK_EXPERIMENTAL, gamma), draws)
+        data = transformed(trial, Effect.SHRINK_EXPERIMENTAL, gamma, draws)
         out += [data, dataclasses.replace(data, stratum=strata)]
     return out
 

@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 `transform_effect1` and `transform_effect2` state the counterfactual
-transforms one subject at a time; `apply_transform` must give exactly what
-they give.
+transforms one subject at a time; `transformed`, the package's lines and
+block transform read as one `Trial`, must give exactly what they give.
+`loglik_and_gradient` reads the partial likelihood and gradient of one
+table from the stack that `cox_fit`'s Newton loop evaluates.
 
 `km_estimate_sorted` and `logrank_test_sorted` count the subjects at risk
 by sorting the follow-up times and searching the event times in them, one
@@ -58,11 +60,12 @@ from phasetip.counterfactual import (
     Effect,
     ImputationDraws,
     TransformParams,
-    apply_transform,
     cutoff_censoring_fraction,
     fit_censoring_model,
     fit_mono_event_model,
     needs_draw,
+    transform_lines,
+    transform_outcomes,
 )
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Arm, SubjectRecord
@@ -71,12 +74,26 @@ from phasetip.survival import CoxFit, KmCurve, LogRankResult, SortedRows
 from phasetip.tipping import _Row, _stop_rule
 
 __all__ = [
+    "transformed", "loglik_and_gradient",
     "with_outcome", "transform_effect1", "transform_effect2",
     "km_estimate_sorted", "logrank_test_sorted",
     "Rows", "expand", "RowLevelDesign", "cox_fit_row_level",
     "GroupDesignNumpy", "cox_fit_numpy",
     "fixed_step_bracket", "make_draws_per_subject", "simulate_trial_per_subject", "one_row",
 ]
+
+
+def transformed(trial, effect, gamma, draws):
+    """`trial` moved along the lines of `draws` to `gamma`, as a search row."""
+    (s,), (delta,) = transform_outcomes(trial, [transform_lines(trial, effect, draws)], [gamma])
+    return trial.with_outcome(s, delta)
+
+
+def loglik_and_gradient(table, covariates, beta):
+    """The partial likelihood and gradient at `beta` that `cox_fit` iterates on."""
+    stack = survival._Stack([table], survival._group_covariates(tuple(covariates)))
+    (ll,), (grad,), _ = stack.loglik_grad_hess(np.asarray(beta, dtype=float)[None])
+    return ll, grad
 
 
 def one_row(data):
@@ -556,7 +573,7 @@ def fixed_step_bracket(trial, config, draws, tol=1e-3):
     reads, crossed, _ = _stop_rule(config)
 
     def probe(gamma):
-        data = apply_transform(trial, TransformParams(config.effect, gamma), draws)
+        data = transformed(trial, config.effect, gamma, draws)
         try:
             return reads(one_row(data))
         except EstimationError:

@@ -1,4 +1,5 @@
-"""The benchmark's tracer and set-up probe still find what they read.
+"""The benchmark's tracer, set-up probe and input generator still find
+what they read.
 
 `perfbench/tracer.py` wraps functions by name in `phasetip.tipping` and
 `phasetip.cli` and reads some arguments by position; a name it no longer
@@ -6,6 +7,8 @@ finds is skipped and its per-layer metrics read 0. These tests load the
 tracer from its file, unchanged, and check each name and position against
 the program, so a refactor cannot silently zero those metrics. A hook
 whose function left the program on purpose is named in RETIRED instead.
+`perfbench/workloads.py` builds every benchmark input from the package's
+simulator and the record view of a `Trial`.
 """
 
 import importlib.util
@@ -30,7 +33,10 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"
 # survival.rows_per_eval read 0. Every transformed row of the search layer
 # comes from `transform_outcomes` in blocks, so it never calls
 # `apply_transform`, and counterfactual.apply_transform.ms_per_call reads 0.
-RETIRED = {"to_counting_process", "apply_transform"}
+# The search reads its tests and fits from `SortedRows`, never through the
+# names `cox_fit` and `logrank_test`, so the survival.cox_fit.* and
+# survival.logrank_test.* metrics read 0 whether tipping binds them or not.
+RETIRED = {"to_counting_process", "apply_transform", "cox_fit", "logrank_test"}
 
 
 def _load(name):
@@ -38,6 +44,7 @@ def _load(name):
         f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py")
     )
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # where its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -58,8 +65,12 @@ def test_every_hook_name_is_a_callable_of_its_module():
 
 
 def test_argument_positions_the_tracer_reads():
-    assert _parameters(phasetip.tipping.cox_fit)[1] == "covariates"
     assert _parameters(phasetip.tipping.evaluate_at)[2] == "draws"
+
+
+def test_workload_input_generator_runs():
+    rows = _load("workloads").trial_rows((30, 20))
+    assert len(rows) == 50 and all(len(row) == 7 for row in rows)
 
 
 def test_setup_probe_runs(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """Property tests of the columnar transform against per-subject references.
 
-`apply_transform` must give exactly what the reference `transform_effect1`
-and `transform_effect2` give one record at a time. The generated trials are
+The transform the search runs (`reference.transformed`) must give exactly
+what the reference `transform_effect1` and `transform_effect2` give one
+record at a time. The generated trials are
 small and draw their times from a short list, so tied times, a monotherapy
 start equal to the follow-up time and subjects without a monotherapy phase
 all occur often.
@@ -13,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import C, E, draws_by_id, rec, trials
-from reference import transform_effect1, transform_effect2
+from reference import transform_effect1, transform_effect2, transformed
 from phasetip.counterfactual import (
     Effect,
     ImputationDraws,
     TransformParams,
-    apply_transform,
     make_draws,
     transform_lines,
 )
@@ -74,10 +74,10 @@ def test_vectorized_transform_equals_per_record_reference(data, records, effect)
     expected, error = reference_transform(records, params, draws)
     if error is not None:
         with pytest.raises(DataError) as err:
-            apply_transform(Trial.from_records(records), params, draws)
+            transformed(Trial.from_records(records), params.effect, params.gamma, draws)
         assert str(err.value) == error
         return
-    out = apply_transform(Trial.from_records(records), params, draws)
+    out = transformed(Trial.from_records(records), params.effect, params.gamma, draws)
     assert_same_subjects(out, expected)
 
 
@@ -92,7 +92,7 @@ def test_transform_with_made_draws_equals_reference(data, records, effect, seed)
     params = TransformParams(effect, data.draw(GAMMAS[effect]))
     expected, error = reference_transform(records, params, draws)
     assert error is None  # the draws of make_draws always suffice
-    assert_same_subjects(apply_transform(Trial.from_records(records), params, draws), expected)
+    assert_same_subjects(transformed(Trial.from_records(records), params.effect, params.gamma, draws), expected)
 
 
 def test_draws_are_read_at_their_trial_positions():
@@ -100,15 +100,14 @@ def test_draws_are_read_at_their_trial_positions():
     records = [rec("a", E, 4.0, 1, mono=1.0), rec("b", C, 4.0, 1, mono=1.0),
                rec("c", C, 3.0, 0, mono=2.0)]
     trial = Trial.from_records(records)
-    params = TransformParams(Effect.INFLATE_CONTROL, 3.0)  # b moves to 10
     for cens, expected in ((12.0, (10.0, 1)), (8.0, (8.0, 0))):
         draws = ImputationDraws(np.array([1]), np.array([cens]))
-        out = apply_transform(trial, params, draws)
+        out = transformed(trial, Effect.INFLATE_CONTROL, 3.0, draws)  # b moves to 10
         assert (out[1].s, out[1].delta) == expected
         assert list(out)[::2] == records[::2]
     no_draw = ImputationDraws(np.array([0]), np.array([9.0]))
     with pytest.raises(DataError, match="subject b: missing imputed censoring time"):
-        apply_transform(trial, params, no_draw)
+        transformed(trial, Effect.INFLATE_CONTROL, 3.0, no_draw)
 
 
 def test_draws_of_the_other_effect_are_refused():

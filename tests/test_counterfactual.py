@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import C, E, draws_by_id, rec
-from reference import transform_effect1, transform_effect2, with_outcome
+from reference import transform_effect1, transform_effect2, transformed, with_outcome
 from phasetip.counterfactual import (
     Effect,
-    TransformParams,
-    apply_transform,
     make_draws,
     naive_transform,
 )
@@ -137,7 +135,7 @@ class TestTransformProperties:
             draws = make_draws(records, effect, seed=1)
             assert not {"c1", "e1"} & set(draws_by_id(draws, records))
             for g in gammas:
-                out = apply_transform(records, TransformParams(effect, g), draws)
+                out = transformed(records, effect, g, draws)
                 assert list(out)[-2:] == at_s
                 assert list(naive_transform(Trial.from_records(at_s), effect, g)) == at_s
         assert transform_effect1(at_s[0], 2.0) is at_s[0]
@@ -148,7 +146,7 @@ class TestTransformProperties:
         records = _random_dataset(rng)
         for effect in Effect:
             draws = make_draws(records, effect, imputation="auto", seed=9, replicate_id=0)
-            out = apply_transform(records, TransformParams(effect, 1.0), draws)
+            out = transformed(records, effect, 1.0, draws)
             for a, b in zip(records, out):
                 assert (a.s, a.delta, a.cutoff) == (b.s, b.delta, b.cutoff)
 
@@ -158,7 +156,7 @@ class TestTransformProperties:
         draws = make_draws(records, Effect.INFLATE_CONTROL, "fitted", seed=3)
         gammas = [1.0, 1.3, 1.8, 2.5, 4.0, 7.0]
         results = [
-            apply_transform(records, TransformParams(Effect.INFLATE_CONTROL, g), draws)
+            transformed(records, Effect.INFLATE_CONTROL, g, draws)
             for g in gammas
         ]
         for i, _ in enumerate(records):
@@ -175,7 +173,7 @@ class TestTransformProperties:
         draws = make_draws(records, Effect.SHRINK_EXPERIMENTAL, seed=4)
         gammas = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
         results = [
-            apply_transform(records, TransformParams(Effect.SHRINK_EXPERIMENTAL, g), draws)
+            transformed(records, Effect.SHRINK_EXPERIMENTAL, g, draws)
             for g in gammas
         ]
         for i, _ in enumerate(records):
@@ -205,7 +203,7 @@ class TestTransformProperties:
             draws = make_draws(records, effect, "fitted" if effect is Effect.INFLATE_CONTROL else "auto", seed=6)
             imputed = draws_by_id(draws, records)
             for g in gammas:
-                out = apply_transform(records, TransformParams(effect, g), draws)
+                out = transformed(records, effect, g, draws)
                 for orig, new in zip(records, out):
                     if orig.arm is not effect.target_arm or not orig.in_mono:
                         continue

@@ -20,7 +20,6 @@ from phasetip.counterfactual import (
     _seed_words,
     fit_censoring_model,
     fit_mono_event_model,
-    keyed_rng,
     make_draw_sets,
     make_draws,
     needs_draw,
@@ -169,19 +168,32 @@ class TestEventTimeImputation:
         assert make_draws(records, Effect.SHRINK_EXPERIMENTAL).values.size == 0
 
 
+def _two_drawn(a, b):
+    """Experimental subjects `a` and `b`, censored at 5 in monotherapy, and
+    one monotherapy event (an id longer than any drawn one) to fit on:
+    effect 2 draws for a and b from one floor, so only their streams, keyed
+    by (seed, replicate, subject id), tell their draws apart."""
+    return Trial.from_records([rec(a, E, 5.0, 0, mono=2.0), rec(b, E, 5.0, 0, mono=2.0),
+                               rec("the event", E, 7.0, 1, mono=3.0)])
+
+
 class TestRngKeying:
     def test_distinct_replicates_distinct_streams(self):
-        a = keyed_rng(1, 0, "subj").uniform(size=4)
-        b = keyed_rng(1, 1, "subj").uniform(size=4)
-        assert not np.allclose(a, b)
+        a, b = make_draw_sets(_two_drawn("s1", "s2"), Effect.SHRINK_EXPERIMENTAL, seed=1,
+                              replicate_ids=[0, 1])
+        assert not np.allclose(a.values, b.values)
 
     def test_distinct_subjects_distinct_streams(self):
-        a = keyed_rng(1, 0, "s1").uniform(size=4)
-        b = keyed_rng(1, 0, "s2").uniform(size=4)
-        assert not np.allclose(a, b)
+        (draws,) = make_draw_sets(_two_drawn("s1", "s2"), Effect.SHRINK_EXPERIMENTAL, seed=1)
+        assert draws.values[0] != draws.values[1]
 
     def test_same_key_reproduces(self):
-        assert np.allclose(keyed_rng(5, 2, "x").uniform(size=4), keyed_rng(5, 2, "x").uniform(size=4))
+        # the same (seed, replicate, subject id) draws the same, at any position
+        (first,) = make_draw_sets(_two_drawn("x", "y"), Effect.SHRINK_EXPERIMENTAL, seed=5,
+                                  replicate_ids=[2])
+        (again,) = make_draw_sets(_two_drawn("z", "x"), Effect.SHRINK_EXPERIMENTAL, seed=5,
+                                  replicate_ids=[2])
+        assert first.values[0] == again.values[1]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=word_ints(2**80),
@@ -195,17 +207,15 @@ class TestRngKeying:
         assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=word_ints(2**70), replicate=word_ints(2**40), subject_id=st.text(max_size=8))
-    def test_keyed_rng_is_the_seed_sequence_stream(self, seed, replicate, subject_id):
-        key = int.from_bytes(hashlib.sha256(subject_id.encode("utf-8")).digest()[:8], "little")
-        want = np.random.default_rng(np.random.SeedSequence([seed, replicate, key]))
-        got = keyed_rng(seed, replicate, subject_id).uniform(size=4)
-        assert got.tobytes() == want.uniform(size=4).tobytes()
-
-    def test_negative_seed_or_replicate_refused(self):
-        for seed, replicate in ((-1, 0), (0, -1)):
-            with pytest.raises(DataError, match="non-negative integer, got -1"):
-                keyed_rng(seed, replicate, "x")
+    @given(seed=word_ints(2**70), replicate=word_ints(2**40),
+           subject_id=st.text(min_size=1, max_size=8))
+    def test_draws_read_the_seed_sequence_stream(self, seed, replicate, subject_id):
+        # each subject's draw is its model's draw from
+        # default_rng(SeedSequence([seed, replicate, key])), as the oracle makes it
+        trial = _two_drawn(subject_id, subject_id + "'")
+        (got,) = make_draw_sets(trial, Effect.SHRINK_EXPERIMENTAL, "auto", seed, [replicate])
+        want = make_draws_per_subject(trial, Effect.SHRINK_EXPERIMENTAL, "auto", seed, replicate)
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def draws_outcome(make, trial, effect, imputation, seed, replicate_id):
