@@ -217,6 +217,12 @@ class TestRngKeying:
         want = make_draws_per_subject(trial, Effect.SHRINK_EXPERIMENTAL, "auto", seed, replicate)
         assert got.values.tobytes() == want.values.tobytes()
 
+    def test_negative_seed_or_replicate_refused(self):
+        for seed, replicate in ((-1, 0), (0, -1)):
+            with pytest.raises(DataError, match="non-negative integer, got -1"):
+                make_draw_sets(_two_drawn("x", "y"), Effect.SHRINK_EXPERIMENTAL, "auto", seed,
+                               [replicate])
+
 
 def draws_outcome(make, trial, effect, imputation, seed, replicate_id):
     """The bytes of a draw set, or the error that refused it."""
