@@ -34,7 +34,7 @@ from .dataio import read_dataset, write_dataset
 from .errors import DataError, EstimationError, PhasetipError
 from .records import Arm
 from .simulate import SimConfig, simulate_trial, summarize_trial
-from .survival import PHASE_MODEL, TIES, PhaseHr, SortedRows, _unwrap
+from .survival import TIES, SortedRows, _unwrap, phase_hr
 from .svgplot import line_plot
 from .tipping import P_SOURCES, SearchConfig, TpaResult, factor_grid, find_tipping, grid_scan
 
@@ -257,9 +257,7 @@ def cmd_analyze(args) -> int:
     overall = _unwrap(row.fits(("trt",))[0])
     hr, ci = overall.contrast(("trt",))
     lines.append(f"Overall HR={hr:.4f} {_fmt_ci(ci)}")
-    # `phase_hr` of the row's table: the treatment-only fit when no subject transitions
-    phases = PhaseHr.of_fit(_unwrap(row.fits(PHASE_MODEL)[0]) if trial.in_mono.any()
-                            else overall)
+    phases = phase_hr(trial, row.tables[0])
     lines.append(f"Combination-phase HR={phases.hr_combo:.4f} {_fmt_ci(phases.ci_combo)}")
     if phases.hr_mono is None:
         lines.append("Monotherapy-phase HR: not estimable (no transitions observed)")

@@ -32,11 +32,12 @@ evaluation, or of one `analyze` report, share one table.
 
 The fits of one design on the k tables of a block run as one damped
 Newton in lockstep (`_newton`): each round evaluates the likelihood of
-every running fit in one call (`_Stack`) and solves their steps in
-another. Each fit keeps its own iteration count, step halving,
-convergence tests and refusals. A table's row count is its event count,
-which moves slowly with the factor, so a block's tables come in a few
-lengths: the lockstep orders its tables by length, and each run of
+every fit in one call (`_Stack`) and solves their steps in another. Each
+fit keeps its own iteration count, step halving, convergence tests and
+refusals; a fit that ends keeps its slot of the stack, whose shape never
+changes, until the block's last fit ends. A table's row count is its
+event count, which moves slowly with the factor, so a block's tables come
+in a few lengths: the lockstep orders its tables by length, and each run of
 tables of one length takes its risk-set totals, its log-total sums and
 its cross products in one BLAS call or reduction each. numpy makes, for
 each table of a stacked call, the call that table alone makes, and no
@@ -59,7 +60,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -689,54 +689,36 @@ class _Stack:
     padded to the longest table would move bits. A run of one table reads
     the table's own A, a longer one a row-major copy of its tables. The
     shares of all k tables come at once, elementwise, from a group-major
-    copy (k x 4 x W) padded with zeros to the longest. `keep` drops the
-    tables whose fits have ended and forms the runs of the rest. The
-    copies, Z and the shares live in the thread's `_BUFFERS`, so a thread
-    holds one stack at a time.
+    copy (k x 4 x W) padded with zeros to the longest. The runs are formed
+    once: a fit that has ended keeps its table's slot, and its results are
+    ignored, until the last fit of the stack ends. The copies, Z and the
+    shares live in the thread's `_BUFFERS`, so a thread holds one stack at
+    a time.
     """
 
     def __init__(self, tables, G):
-        self.G, self.tables = G, list(tables)
-        self.rows = [len(table.A) for table in tables]
-        k, width = len(tables), max(self.rows)
+        self.G, rows = G, [len(table.A) for table in tables]
+        k, width = len(tables), max(rows)
         self.At, self.Z = _BUFFERS.get("At", k, 4, width), _BUFFERS.get("Z", k, width)
         self.R = _BUFFERS.get("R", k, 4, width)
         self.S, self.totals = np.empty((k, 4, 4)), np.empty(k)
-        self._find_runs()
-        for lo, hi, n, A, *_ in self.runs:
-            self.At[lo:hi, :, :n] = A.transpose(0, 2, 1)
-            if n < width:   # padding: no shares, and no subnormal float in Z
-                self.At[lo:hi, :, n:], self.Z[lo:hi, n:] = 0.0, 1.0
-        self.sum_x = np.array([table.D for table in tables]) @ G   # integers, so exact
-
-    def _find_runs(self) -> None:
-        """`runs`, from the tables as they stand now."""
         self.runs, lo = [], 0
-        for n, run in itertools.groupby(self.rows):
+        for n, run in itertools.groupby(rows):
             hi = lo + len(list(run))
             if hi - lo == 1:
-                A = self.tables[lo].A[None]
+                A = tables[lo].A[None]
             else:
-                A = _BUFFERS.get("A", len(self.rows), self.At.shape[2], 4)[lo:hi, :n]
-                np.stack([table.A for table in self.tables[lo:hi]], out=A)
+                A = _BUFFERS.get("A", k, width, 4)[lo:hi, :n]
+                np.stack([table.A for table in tables[lo:hi]], out=A)
             shares = self.R[lo:hi, :, :n]
             self.runs.append(_Run(lo, hi, n, A, self.Z[lo:hi, :n, None], self.Z[lo:hi, :n],
                                   self.totals[lo:hi], shares, shares.transpose(0, 2, 1),
                                   self.S[lo:hi]))
+            self.At[lo:hi, :, :n] = A.transpose(0, 2, 1)
+            if n < width:   # padding: no shares, and no subnormal float in Z
+                self.At[lo:hi, :, n:], self.Z[lo:hi, n:] = 0.0, 1.0
             lo = hi
-
-    def keep(self, positions) -> None:
-        """Keep only the tables at `positions`, ascending, in that order."""
-        for to, at in enumerate(positions):
-            if to != at:
-                self.At[to] = self.At[at]
-                self.sum_x[to] = self.sum_x[at]
-        k = len(positions)
-        self.At, self.Z, self.R, self.S, self.totals, self.sum_x = (
-            held[:k] for held in (self.At, self.Z, self.R, self.S, self.totals, self.sum_x))
-        self.tables = [self.tables[i] for i in positions]
-        self.rows = [self.rows[i] for i in positions]
-        self._find_runs()
+        self.sum_x = np.array([table.D for table in tables]) @ G   # integers, so exact
 
     def loglik_grad_hess(self, beta):
         """Per table, the likelihood (a float), gradient and Hessian at its
@@ -799,92 +781,80 @@ def _among(slots, n):
     return slice(None) if len(slots) == n else slots
 
 
-def _newton(stack, max_iter):
+def _newton(stack):
     """Damped Newton-Raphson from beta = 0 on every table of `stack`, in
     lockstep: each round evaluates, in one `loglik_grad_hess` call, the
-    point each running fit tries next, and solves the steps of the fits
-    that begin an iteration in one call. Each fit keeps its own iteration
-    count, step halving and convergence tests, on its own floats, which
-    the tests read as Python floats, so it ends as it would alone.
+    point each fit tries next, and solves the steps of the fits that begin
+    an iteration in one call. Each fit keeps its own iteration count, step
+    halving and convergence tests, on its own floats, which the tests read
+    as Python floats, so it ends as it would alone. A fit that ends keeps
+    its slot of the stack, with the point it last tried, until every fit
+    has ended; the rounds in between evaluate that point again, and their
+    results for it are ignored. The iteration cap is `_MAX_ITER`, read at
+    each call.
 
     Returns (ends, optima): per fit, its iteration count at convergence or
     the EstimationError that stopped it, and for a converged fit its
     (beta, loglik, Hessian, gradient norm)."""
-    k, p = len(stack.rows), stack.G.shape[1]
+    (k, p), max_iter = stack.sum_x.shape, _MAX_ITER
     ends, optima = [None] * k, [None] * k
-    # per slot of the stack, in its order: the fit, its accepted point, its
-    # step and the point it tries next; iteration 0 tries beta = 0
-    fit = list(range(k))
+    # per fit: its accepted point, its step and the point it tries next;
+    # iteration 0 tries beta = 0
     beta, candidate, step = np.zeros((k, p)), np.zeros((k, p)), np.zeros((k, p))
-    grad = hess = None
     ll, slack, factor, iteration, halvings = [0.0] * k, [0.0] * k, [1.0] * k, [0] * k, [0] * k
-    while fit:
-        n = len(fit)
+    running = list(range(k))
+    while running:
         ll_new, grad_new, hess_new = stack.loglik_grad_hess(candidate)
         norm_new = np.matmul(grad_new[:, None], grad_new[:, :, None]).ravel().tolist()
-        accepted, halve, begin, ending = [], [], [], []
-        for i, j in enumerate(fit):
+        accepted, halve, begin = [], [], []
+        for i in running:
             if iteration[i] and not (math.isfinite(ll_new[i]) and ll_new[i] >= ll[i] - slack[i]):
                 halvings[i] += 1
                 if halvings[i] < 30:
                     halve.append(i)
-                    continue
-                ends[j] = ConvergenceError("Newton-Raphson step halving failed",
-                                           last_beta=beta[i].copy(), iterations=iteration[i])
-                ending.append(i)
+                else:
+                    ends[i] = ConvergenceError("Newton-Raphson step halving failed",
+                                               last_beta=beta[i].copy(), iterations=iteration[i])
                 continue
             accepted.append(i)
             delta_ll, ll[i] = ll_new[i] - ll[i], ll_new[i]
             norm = math.sqrt(norm_new[i])
             if norm < _GRAD_TOL and (abs(delta_ll) < _LL_TOL or iteration[i] < max_iter):
                 # converged, or the next iteration takes no step
-                ends[j] = iteration[i]
-                optima[j] = (candidate[i].copy(), ll[i], hess_new[i], norm)
+                ends[i] = iteration[i]
+                optima[i] = (candidate[i].copy(), ll[i], hess_new[i], norm)
             elif iteration[i] == max_iter:
-                ends[j] = ConvergenceError(f"no convergence after {max_iter} iterations",
+                ends[i] = ConvergenceError(f"no convergence after {max_iter} iterations",
                                            last_beta=candidate[i].copy(), iterations=max_iter)
             else:
                 iteration[i] += 1
                 begin.append(i)
-                continue
-            ending.append(i)
-        if len(accepted) == n:
-            beta, candidate, grad, hess = candidate, beta, grad_new, hess_new
-        elif accepted:
-            beta[accepted], grad[accepted], hess[accepted] = (
-                candidate[accepted], grad_new[accepted], hess_new[accepted])
+        if accepted:
+            at = _among(accepted, k)
+            beta[at] = candidate[at]
         for i in halve:
             factor[i] /= 2.0
             candidate[i] = beta[i] + factor[i] * step[i]
         if begin:
-            at = _among(begin, n)
-            new_steps, solved = _newton_steps(-hess[at], grad[at])
+            at = _among(begin, k)   # accepted in this round, at grad_new and hess_new
+            new_steps, solved = _newton_steps(-hess_new[at], grad_new[at])
             if not all(solved):
                 for i, ok in zip(begin, solved):
                     if not ok:
-                        ends[fit[i]] = EstimationError(_SINGULAR)
-                        ending.append(i)
+                        ends[i] = EstimationError(_SINGULAR)
                 new_steps = new_steps[solved]
                 begin = [i for i, ok in zip(begin, solved) if ok]
-                at = _among(begin, n)
+                at = _among(begin, k)
             step[at] = new_steps
             candidate[at] = beta[at] + new_steps   # the full step: 1.0 * step is step
             for i in begin:
                 # accept a step whose apparent decrease is within float resolution
                 factor[i], halvings[i], slack[i] = 1.0, 0, 1e-11 * max(1.0, abs(ll[i]))
-        if ending:
-            keep = sorted(set(range(n)) - set(ending))
-            if not keep:
-                break
-            stack.keep(keep)
-            beta, candidate, step, grad, hess = (
-                held[keep] for held in (beta, candidate, step, grad, hess))
-            fit, ll, slack, factor, iteration, halvings = (
-                [held[i] for i in keep] for held in (fit, ll, slack, factor, iteration, halvings))
+        running = [i for i in running if ends[i] is None]
     return ends, optima
 
 
-def _fits(tables, covariates, max_iter=_MAX_ITER) -> list:
+def _fits(tables, covariates) -> list:
     """Per table, the `cox_fit` of `covariates` on it, a CoxFit, or the
     EstimationError that fit raises: the tables without events or with
     separation are refused first, and the fits of the rest run in one
@@ -911,7 +881,7 @@ def _fits(tables, covariates, max_iter=_MAX_ITER) -> list:
     fitting.sort(key=lambda j: len(tables[j].A))   # tables of one length side by side
     p = len(names)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ends, optima = _newton(_Stack([tables[j] for j in fitting], G), max_iter)
+        ends, optima = _newton(_Stack([tables[j] for j in fitting], G))
         converged = [i for i, optimum in enumerate(optima) if optimum]
         info = -np.array([optima[i][2] for i in converged]).reshape(-1, p, p)
         inverses = _inverses_of_positive_definite(info)
@@ -938,7 +908,7 @@ def _checked_fit(names, table, beta, ll, norm, iterations, info, cov):
                   iterations=iterations, n_events=int(table.D.sum()), gradient_norm=norm)
 
 
-def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit:
+def cox_fit(table: RiskTable, covariates=("trt",)) -> CoxFit:
     """Maximize the partial likelihood by damped Newton-Raphson.
 
     Starts at beta = 0, halves the step whenever the likelihood would
@@ -946,14 +916,12 @@ def cox_fit(table: RiskTable, covariates=("trt",), max_iter=_MAX_ITER) -> CoxFit
     norm are below tolerance. Raises SeparationError before the first step
     when the likelihood has no maximum (`_separating_direction`), whatever
     the strata; ConvergenceError, carrying the last iterate, when the
-    iteration cap is reached, and EstimationError when the information at
-    the optimum is singular. `covariates` is a non-empty tuple (or list) of
-    names and `max_iter` a positive integer; anything else is a DataError.
-    It is the one-table case of the lockstep (`_fits`).
+    iteration cap (`_MAX_ITER`) is reached, and EstimationError when the
+    information at the optimum is singular. `covariates` is a non-empty
+    tuple (or list) of names; anything else is a DataError. It is the
+    one-table case of the lockstep (`_fits`).
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise DataError(f"max_iter must be a positive integer, got {max_iter!r}")
-    return _unwrap(_fits([table], covariates, max_iter)[0])
+    return _unwrap(_fits([table], covariates)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,7 @@ class TpaResult:
 
 class _Row(NamedTuple):
     """Row r of a `SortedRows` block: its outcome (s, delta), its log-rank
-    test, its risk table and its Cox fits, the last three read from the
-    block's one sort."""
+    test and its Cox fits, the last two read from the block's one sort."""
 
     block: SortedRows
     r: int
@@ -259,10 +258,6 @@ class _Row(NamedTuple):
     @property
     def test(self):
         return self.block.tests[self.r]
-
-    @property
-    def table(self):
-        return self.block.tables[self.r]
 
     def fit(self, covariates):
         """The `cox_fit` of `covariates` on the row's table, or the

@@ -584,7 +584,10 @@ class TestGoldenOutputs:
     `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
     the other effect-1 files (cutoff imputation) never reach. The four
     `seed6_*` files are `tpa` at CLI defaults (imputation seed 0) on the
-    calibrated seed-6 trial (`simulate --seed 6`), for effect 1/2 x rule a/b."""
+    calibrated seed-6 trial (`simulate --seed 6`), for effect 1/2 x rule a/b.
+    The two `analyze_seed6*` files are the `analyze` report of that trial,
+    plain and with `--stratified --ties breslow`, recorded before `analyze`
+    took its phase HRs from `phase_hr`."""
 
     @pytest.mark.parametrize("golden,flags", [
         ("tpa_effect1_a", ["--effect", "1", "--threshold", "a"]),
@@ -620,6 +623,15 @@ class TestGoldenOutputs:
         assert code == 0
         golden = os.path.join(DATA, f"seed6_effect{effect}_{threshold}.csv")
         assert (tmp_path / "results.csv").read_bytes() == open(golden, "rb").read()
+
+    @pytest.mark.parametrize("golden,flags", [
+        ("analyze_seed6", []),
+        ("analyze_seed6_stratified_breslow", ["--stratified", "--ties", "breslow"]),
+    ])
+    def test_seed6_analyze_report(self, seed6_dataset, capsys, golden, flags):
+        assert main(["analyze", "--input", seed6_dataset, *flags]) == 0
+        with open(os.path.join(DATA, f"{golden}.txt"), encoding="utf-8") as f:
+            assert capsys.readouterr().out == f.read()
 
     def test_curve_csv(self, small_dataset, tmp_path):
         code = main([

@@ -25,6 +25,7 @@ from phasetip.cli import _fmt_ci
 from phasetip.counterfactual import Effect, make_draws, transform_lines, transform_outcomes
 from phasetip.errors import ConvergenceError, DataError, EstimationError, SeparationError
 from phasetip.records import Trial
+from phasetip import survival
 from phasetip.simulate import SimConfig, simulate_trial
 from phasetip.survival import (
     PHASE_MODEL,
@@ -33,6 +34,7 @@ from phasetip.survival import (
     _Stack,
     _group_covariates,
     _inverses_of_positive_definite,
+    _newton,
     _newton_steps,
     _separating_direction,
     cox_fit,
@@ -264,8 +266,8 @@ class TestSortedRows:
     def test_runs_of_equal_length_tables(self):
         """Tables of 5, 7, 5, 5, 9, 7 rows: fits that end early, at an
         iteration cap of 1 or 2, after step halving, refused or converged at
-        other iteration counts, leave the lockstep while fits of other
-        lengths run on, and every fit is `cox_fit` of its table alone."""
+        other iteration counts, keep their slots while fits of other lengths
+        run on, and every fit is `cox_fit` of its table alone."""
         likelihood = _Stack.loglik_grad_hess
         seen, iterations = set(), set()
         for seed in range(30):
@@ -276,10 +278,11 @@ class TestSortedRows:
                 for max_iter in (1, 2, 50):
                     alone = []
                     for table in tables:
-                        with mock.patch.object(_Stack, "loglik_grad_hess", autospec=True,
-                                               side_effect=likelihood) as rounds:
+                        with _capped(max_iter), mock.patch.object(
+                                _Stack, "loglik_grad_hess", autospec=True,
+                                side_effect=likelihood) as rounds:
                             try:
-                                result = cox_fit(table, covariates, max_iter)
+                                result = cox_fit(table, covariates)
                             except EstimationError as err:
                                 result = err
                         if isinstance(result, CoxFit):
@@ -289,40 +292,86 @@ class TestSortedRows:
                         else:
                             seen.add(type(result))
                         alone.append(_result_bits(result))
-                    assert [_result_bits(fit) for fit in _fits(tables, covariates, max_iter)] == alone
+                    with _capped(max_iter):
+                        fits = _fits(tables, covariates)
+                    assert [_result_bits(fit) for fit in fits] == alone
         assert {ConvergenceError, SeparationError, "halved"} <= seen and len(iterations) > 2
 
-    @pytest.mark.parametrize("order, runs, kept, kept_runs", [
+    @pytest.mark.parametrize("max_iter", [1, 2, 50])
+    def test_an_ended_fit_keeps_its_slot(self, max_iter):
+        """Every round of `_newton` evaluates all k rows of one stack, whose
+        runs never change. A fit that has ended keeps in its row the point
+        it last tried, round after round, until the last fit ends; each fit
+        tries the points, and ends as, `_newton` of its table alone."""
+        likelihood = _Stack.loglik_grad_hess
+
+        def recorded(rounds):
+            def evaluate(stack, beta):
+                rounds.append((beta.shape, beta.tobytes(), [run[:3] for run in stack.runs]))
+                return likelihood(stack, beta)
+            return mock.patch.object(_Stack, "loglik_grad_hess", autospec=True,
+                                     side_effect=evaluate)
+
+        def newton(tables, G):
+            rounds = []
+            with _capped(max_iter), recorded(rounds), np.errstate(
+                    over="ignore", invalid="ignore", divide="ignore"):
+                # one stack at a time: each holds the thread's buffers
+                ends, optima = _newton(_Stack(tables, G))
+            ends = [_result_bits(end) if isinstance(end, Exception) else end for end in ends]
+            optima = [None if optimum is None else (optimum[0].tobytes(), repr(optimum[1]),
+                                                    optimum[2].tobytes(), repr(optimum[3]))
+                      for optimum in optima]
+            return ends, optima, rounds
+
+        kept = 0
+        for seed in range(10):
+            trial, s, delta = self._outcomes_with_events(seed, self.LENGTHS)
+            tables = sorted(SortedRows(trial, s, delta).tables, key=lambda table: len(table.A))
+            for covariates in DESIGNS:
+                G = _group_covariates(covariates)
+                k, p = len(tables), G.shape[1]
+                ends, optima, rounds = newton(tables, G)
+                runs = rounds[0][2]
+                assert all(shape == (k, p) and stack_runs == runs
+                           for shape, _, stack_runs in rounds)
+                rows = [np.frombuffer(beta).reshape(k, p) for _, beta, _ in rounds]
+                for i, table in enumerate(tables):
+                    end, optimum, alone = newton([table], G)
+                    assert (ends[i], optima[i]) == (end[0], optimum[0])
+                    tried = [beta for _, beta, _ in alone]
+                    tried += tried[-1:] * (len(rows) - len(tried))
+                    assert [row[i].tobytes() for row in rows] == tried
+                    kept += len(alone) < len(rows)
+        assert kept > 0
+
+    @pytest.mark.parametrize("order, runs", [
         # by length, as `_fits` stacks them
-        ((0, 2, 3, 1, 5, 4), [(0, 3, 5), (3, 5, 7), (5, 6, 9)],
-         [1, 3, 5], [(0, 1, 5), (1, 2, 7), (2, 3, 9)]),
-        # as given: dropping the 7-row table makes one run of three 5-row tables
-        ((0, 1, 2, 3, 4, 5), [(0, 1, 5), (1, 2, 7), (2, 4, 5), (4, 5, 9), (5, 6, 7)],
-         [0, 2, 3, 5], [(0, 3, 5), (3, 4, 7)]),
+        ((0, 2, 3, 1, 5, 4), [(0, 3, 5), (3, 5, 7), (5, 6, 9)]),
+        # as given: only neighbours of one length share a run
+        ((0, 1, 2, 3, 4, 5), [(0, 1, 5), (1, 2, 7), (2, 4, 5), (4, 5, 9), (5, 6, 7)]),
     ])
-    def test_stack_keeps_its_runs(self, order, runs, kept, kept_runs):
-        """`_Stack` holds the runs of equal-length tables as they stand,
-        and after `keep` the runs of those kept; each table's likelihood,
+    def test_stack_keeps_its_runs(self, order, runs):
+        """`_Stack` forms the runs of equal-length tables once and keeps
+        them round after round; in each round every table's likelihood,
         gradient and Hessian are those of the table alone, to the bit."""
         trial, s, delta = self._outcomes_with_events(25, self.LENGTHS)
         tables = SortedRows(trial, s, delta).tables
         stacked = [tables[j] for j in order]
         G = _group_covariates(PHASE_MODEL)
-        beta = np.random.default_rng(1).normal(0.0, 0.5, (6, 3))
+        betas = np.random.default_rng(1).normal(0.0, 0.5, (2, 6, 3))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # one stack at a time: each holds the thread's buffers
-            alone = [_Stack([table], G).loglik_grad_hess(beta[i][None])
-                     for i, table in enumerate(stacked)]
+            alone = [[_Stack([table], G).loglik_grad_hess(beta[i][None])
+                      for i, table in enumerate(stacked)] for beta in betas]
             stack = _Stack(stacked, G)
-            for positions, expected in ((range(6), runs), (kept, kept_runs)):
-                if len(positions) < len(stacked):
-                    stack.keep(positions)
-                assert [run[:3] for run in stack.runs] == expected
-                ll, grad, hess = stack.loglik_grad_hess(beta[list(positions)])
-                assert [(repr(ll[j]), grad[j].tobytes(), hess[j].tobytes())
-                        for j in range(len(positions))] == [
-                    (repr(alone[i][0][0]), alone[i][1][0].tobytes(), alone[i][2][0].tobytes())
-                    for i in positions]
+            for beta, expected in zip(betas, alone):   # two rounds
+                assert [run[:3] for run in stack.runs] == runs
+                ll, grad, hess = stack.loglik_grad_hess(beta)
+                assert [(repr(ll[i]), grad[i].tobytes(), hess[i].tobytes())
+                        for i in range(6)] == [
+                    (repr(ll_i[0]), grad_i[0].tobytes(), hess_i[0].tobytes())
+                    for ll_i, grad_i, hess_i in expected]
 
     def test_tables_of_the_calibrated_trial(self, seed6_transforms):
         # hundreds of event runs per row, a missing stratum among three, and
@@ -533,7 +582,8 @@ class TestCoxProperties:
         rng = np.random.default_rng(31)
         records = self._random_records(rng)
         with pytest.raises(ConvergenceError) as err:
-            cox_fit(risk_table(records), ("trt", "mono", "trt_x_mono"), max_iter=1)
+            with _capped(1):
+                cox_fit(risk_table(records), ("trt", "mono", "trt_x_mono"))
         assert err.value.last_beta is not None
         assert err.value.iterations == 1
 
@@ -814,10 +864,21 @@ class TestSeparationRule:
                         cox_fit(table, names)
 
 
+def _capped(max_iter):
+    """The lockstep's iteration cap set to max_iter within the block."""
+    return mock.patch.object(survival, "_MAX_ITER", max_iter)
+
+
 def _fit_bits(fit, table, covariates, max_iter):
-    """`_result_bits` of the fit, or of the error it raised."""
+    """`_result_bits` of the fit at the iteration cap max_iter, or of the
+    error it raised: `cox_fit_numpy` takes the cap as an argument, and
+    `cox_fit` reads it from `survival._MAX_ITER`."""
     try:
-        result = fit(table, covariates, max_iter=max_iter)
+        if fit is cox_fit:
+            with _capped(max_iter):
+                result = cox_fit(table, covariates)
+        else:
+            result = fit(table, covariates, max_iter=max_iter)
     except (DataError, EstimationError) as err:
         result = err
     return _result_bits(result)

@@ -353,8 +353,9 @@ class TestDrawSets:
             assert make_draw_sets(trial, effect, "fitted", 0, []) == []
 
     def test_memory_within_a_mebibyte_of_the_one_replicate_loop(self):
-        # 1,000 replicates on a 3,000-subject trial: the draw sets are kept
-        # in both, so only the temporaries of one block may differ
+        # 100 replicates on a 3,000-subject trial: the draw sets are kept in
+        # both, so only the temporaries of one block may differ. Without the
+        # blocking, all 100 replicates' keys are hashed at once, 6 MiB more.
         trial = simulate_trial(SimConfig(n_experimental=2000, n_control=1000), seed=6)
         effect = Effect.SHRINK_EXPERIMENTAL
         make_draws(trial, effect, "fitted", 0, 0)   # fills the per-trial key cache
@@ -368,10 +369,10 @@ class TestDrawSets:
                 tracemalloc.stop()
 
         loop_peak, loop = peak(lambda: [make_draws(trial, effect, "fitted", 0, r)
-                                        for r in range(1000)])
+                                        for r in range(100)])
         del loop
-        sets_peak, sets = peak(lambda: make_draw_sets(trial, effect, "fitted", 0, range(1000)))
-        assert len(sets) == 1000 and sets[0].values.size > 100
+        sets_peak, sets = peak(lambda: make_draw_sets(trial, effect, "fitted", 0, range(100)))
+        assert len(sets) == 100 and sets[0].values.size > 100
         assert sets_peak <= loop_peak + 2**20
 
 
