@@ -24,26 +24,31 @@ partial likelihood needs only, per stratum and event time, the subjects at
 risk and the events in each of the four groups. That grouped risk-set
 table is built straight from the outcomes; no start-stop expansion is
 ever formed. A fit reads only the table and evaluates every design from
-it with a 4 x p matrix of group covariate values: the likelihood sums the
-log risk-set totals over the table's rows, and the gradient and the
-Hessian read the 4 x 4 cross product of the risk-set shares of the four
-groups. So the treatment-only and the three-covariate fit of one
-evaluation, or of one `analyze` report, share one table.
+it with a 4 x p matrix of group covariate values; the likelihood sums the
+log risk-set totals over the table's rows. A one-covariate design (each
+covariate is 0 or 1 per group) is a two-sample model: its fit reads, per
+row, the subjects at risk of its two groups, covariate 0 and covariate 1,
+with elementwise arithmetic and no BLAS call, so its bits do not depend
+on the BLAS kernel. A larger design's gradient and Hessian read the 4 x 4
+cross product of the risk-set shares of the four groups. So the
+treatment-only and the three-covariate fit of one evaluation, or of one
+`analyze` report, share one table.
 
 The fits of one design on the k tables of a block run as one damped
 Newton in lockstep (`_newton`): each round evaluates the likelihood of
-every fit in one call (`_Stack`) and solves their steps in another. Each
-fit keeps its own iteration count, step halving, convergence tests and
-refusals; a fit that ends keeps its slot of the stack, whose shape never
-changes, until the block's last fit ends. A table's row count is its
-event count, which moves slowly with the factor, so a block's tables come
-in a few lengths: the lockstep orders its tables by length, and each run of
-tables of one length takes its risk-set totals, its log-total sums and
-its cross products in one BLAS call or reduction each. numpy makes, for
-each table of a stacked call, the call that table alone makes, and no
-call reads past a table's own rows (padding the tables to the longest
-would move bits); so each fit sums over its own rows only, no fit
-depends on the tables beside it, and `cox_fit` is the one-table case.
+every fit in one call (`_TwoGroupStack` for one covariate, `_Stack` for
+more) and solves their steps in another. Each fit keeps its own iteration
+count, step halving, convergence tests and refusals; a fit that ends
+keeps its slot of the stack, whose shape never changes, until the block's
+last fit ends. A table's row count is its event count, which moves slowly
+with the factor, so a block's tables come in a few lengths: the lockstep
+orders its tables by length, and each run of tables of one length takes
+its sums in one reduction (and, in a larger design, its risk-set totals
+and cross products in one BLAS call each). numpy makes, for each
+table of a stacked call, the call that table alone makes, and no call
+reads past a table's own rows (padding the tables to the longest would
+move bits); so each fit sums over its own rows only, no fit depends on
+the tables beside it, and `cox_fit` is the one-table case.
 The Kaplan-Meier curve, `logrank_test` and the table take a `Trial`.
 Nothing loops over subjects in Python, and the Newton loop calls numpy's
 reductions, and the LAPACK gufuncs that np.linalg.solve,
@@ -669,8 +674,8 @@ class _Run(NamedTuple):
 
 
 class _Stack:
-    """The grouped risk-set tables of the fits of one lockstep, with one
-    design's group covariate values G (4 x p).
+    """The grouped risk-set tables of the fits of one lockstep, with the
+    group covariate values G (4 x p) of a design of two or more covariates.
 
     With w = exp(G beta), Z = A w and R = A diag(w) / Z (one risk-set share
     per table row and group, each row summing to 1), the gradient and the
@@ -742,6 +747,95 @@ class _Stack:
         S.reshape(-1, 16)[:, ::5] -= r  # S - diag(r), in place
         hess = np.matmul(np.matmul(G.T, S), G)
         return ll, grad, hess
+
+
+class _TwoGroupRun(NamedTuple):
+    """The tables at stack positions lo to hi, all of one row count n, and
+    the views of the stack's buffers that a likelihood round reduces: their
+    log risk-set totals, shares and squared shares `stats` (3 x m x n) and
+    the sums of each `sums` (3 x m)."""
+
+    lo: int
+    hi: int
+    n: int
+    stats: np.ndarray
+    sums: np.ndarray
+
+
+class _TwoGroupStack:
+    """The grouped risk-set tables of the fits of one lockstep, with a
+    one-covariate design's group covariate values G (4 x 1, each 0 or 1).
+
+    Such a design is a two-sample Cox model: a table row reads only a, the
+    sum of its A over the groups whose covariate is 0, and b, the sum over
+    those whose covariate is 1, each added in group order. With w =
+    exp(beta), Z = a + b w and the share R = b w / Z, a table's likelihood
+    is sum_x beta - sum log Z, its gradient sum_x - sum R and its Hessian
+    -(sum R - sum R^2). Each round is elementwise ufuncs and np.add.reduce
+    over each table's own rows: no matmul, so no BLAS call.
+
+    The tables' rows lie end to end (T in all), in the order `_fits` gives
+    them, by row count, so a `_TwoGroupRun` of consecutive tables of one
+    row count is an m x n block of each row of `stats`, and takes its three
+    sums in one np.add.reduce along its rows, which makes for each table
+    the call the table alone makes. So a table's likelihood is what it is
+    alone, to the bit, whatever tables stand beside it. The runs are formed
+    once, as in `_Stack`. The rows, a and b, and the per-row values of a
+    round live in the thread's `_BUFFERS`, so a thread holds one stack at
+    a time.
+    """
+
+    def __init__(self, tables, G):
+        rows = [len(table.A) for table in tables]
+        k, total = len(tables), sum(rows)
+        A = np.concatenate([table.A for table in tables], out=_BUFFERS.get("A", total, 4))
+        # a and b, and below the per-row values, take the buffers of `_Stack`'s
+        # group-major rows and shares, which are as large for the same tables:
+        # the two designs of a block take the memory of one
+        self.ab, x = _BUFFERS.get("At", 2, total), G[:, 0].tolist()
+        for row, value in zip(self.ab, (0.0, 1.0)):
+            columns = [A[:, g] for g in range(4) if x[g] == value]
+            if len(columns) == 1:
+                np.copyto(row, columns[0])
+            else:
+                np.add(columns[0], columns[1], out=row)
+            for column in columns[2:]:
+                row += column
+        self.table_of = np.repeat(np.arange(k), rows)
+        self.stats, self.sums = _BUFFERS.get("R", 3, total), np.empty((3, k))
+        self.runs, lo, start = [], 0, 0
+        for n, run in itertools.groupby(rows):
+            m = sum(1 for _ in run)
+            hi, stop = lo + m, start + m * n
+            self.runs.append(_TwoGroupRun(lo, hi, n, self.stats[:, start:stop].reshape(3, m, n),
+                                          self.sums[:, lo:hi]))
+            lo, start = hi, stop
+        self.sum_x = np.array([table.D for table in tables]) @ G   # integers, so exact
+
+    def loglik_grad_hess(self, beta):
+        """As `_Stack.loglik_grad_hess`, for the k x 1 `beta`. A trial step
+        that overflows w gives an infinite or NaN Z, so a non-finite
+        likelihood, which the Newton loop rejects by halving the step."""
+        (a, b), (log_z, shares, squares) = self.ab, self.stats
+        np.take(np.exp(beta), self.table_of, out=squares, mode="clip")   # each row's w
+        np.multiply(b, squares, out=shares)
+        np.add(a, shares, out=log_z)            # Z
+        np.divide(shares, log_z, out=shares)    # R = b w / Z
+        np.log(log_z, out=log_z)
+        np.multiply(shares, shares, out=squares)
+        for run in self.runs:
+            np.add.reduce(run.stats, axis=2, out=run.sums)
+        log_totals, r, r2 = self.sums
+        ll = (self.sum_x[:, 0] * beta[:, 0] - log_totals).tolist()
+        grad = self.sum_x - r[:, None]
+        hess = (r2 - r)[:, None, None]   # -(sum R - sum R^2)
+        return ll, grad, hess
+
+
+def _stack(tables, G):
+    """The lockstep's stack of the design G on `tables`: `_TwoGroupStack`
+    for one covariate, `_Stack` for more."""
+    return (_TwoGroupStack if G.shape[1] == 1 else _Stack)(tables, G)
 
 
 _SINGULAR = "singular information matrix: design is collinear on the risk sets"
@@ -881,7 +975,7 @@ def _fits(tables, covariates) -> list:
     fitting.sort(key=lambda j: len(tables[j].A))   # tables of one length side by side
     p = len(names)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ends, optima = _newton(_Stack([tables[j] for j in fitting], G))
+        ends, optima = _newton(_stack([tables[j] for j in fitting], G))
         converged = [i for i, optimum in enumerate(optima) if optimum]
         info = -np.array([optima[i][2] for i in converged]).reshape(-1, p, p)
         inverses = _inverses_of_positive_definite(info)

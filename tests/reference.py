@@ -25,12 +25,17 @@ own separation rule and `cox_fit_numpy`'s Newton loop on it, so it and
 likelihood and the met pairs are computed and in numpy's wrappers.
 
 `GroupDesignNumpy` and `cox_fit_numpy` are the grouped likelihood and
-its Newton loop written with numpy's wrappers: `.sum(axis=1)`, `np.diag`,
+its Newton loop written with numpy's wrappers: `.sum()`, `np.diag`,
 `np.linalg.norm`, `np.linalg.solve` for every step, finiteness tested on
 arrays, and one `np.errstate` per likelihood call; it asks the package's
-separation rule and states its message. `cox_fit` must give exactly what
-`cox_fit_numpy` gives, to the bit and in every field, exceptions
-included.
+separation rule and states its message. Like the package, it reads a
+one-covariate design from two groups (covariate 0 and 1) with elementwise
+arithmetic, and a larger one from the 4 x 4 cross product of the four
+groups' shares. `cox_fit` must give exactly what `cox_fit_numpy` gives,
+to the bit and in every field, exceptions included. With `groups=4` it
+reads a one-covariate design from the four groups as well, the
+arithmetic of the package's larger designs: the two-group fit must agree
+with that within float rounding.
 
 `fixed_step_bracket` is the tipping search as it was before rank
 breakpoints: a walk in fixed steps of `grid_step` to the first crossing,
@@ -49,6 +54,7 @@ id. `make_draws` must give exactly what it gives, to the byte, exceptions
 included.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -91,7 +97,7 @@ def transformed(trial, effect, gamma, draws):
 
 def loglik_and_gradient(table, covariates, beta):
     """The partial likelihood and gradient at `beta` that `cox_fit` iterates on."""
-    stack = survival._Stack([table], survival._group_covariates(tuple(covariates)))
+    stack = survival._stack([table], survival._group_covariates(tuple(covariates)))
     (ll,), (grad,), _ = stack.loglik_grad_hess(np.asarray(beta, dtype=float)[None])
     return ll, grad
 
@@ -408,9 +414,11 @@ def cox_fit_row_level(rows, covariates=("trt",), ties="efron", stratified=False,
 
 class GroupDesignNumpy:
     """The package's grouped likelihood of one table, written with numpy's
-    wrappers around every reduction and its own np.errstate."""
+    wrappers around every reduction and its own np.errstate: from the two
+    groups of a one-covariate design, or from all four groups (`groups`,
+    by default 2 for one covariate and 4 for more)."""
 
-    def __init__(self, table, covariates):
+    def __init__(self, table, covariates, groups=None):
         if (not isinstance(covariates, (tuple, list)) or not covariates
                 or len(set(covariates)) < len(covariates)):
             raise DataError(f"covariates must be a non-empty tuple of distinct covariate "
@@ -423,8 +431,17 @@ class GroupDesignNumpy:
             raise EstimationError("no events in counting-process data")
         self.A, self.meets = table.A, table.meets
         self.sum_x = table.D @ self.G
+        self.groups = groups or (2 if self.p == 1 else 4)
+        if self.groups == 2:
+            # per row, the sums of A over the groups of covariate 0 and of 1,
+            # each added in group order
+            self.a, self.b = (functools.reduce(np.add, [self.A[:, g] for g in range(4)
+                                                        if self.G[g, 0] == value])
+                              for value in (0.0, 1.0))
 
     def loglik_grad_hess(self, beta):
+        if self.groups == 2:
+            return self._two_group_loglik_grad_hess(beta)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             w = np.exp(self.G @ beta)
             Z = self.A @ w
@@ -436,11 +453,22 @@ class GroupDesignNumpy:
             hess = self.G.T @ (S - np.diag(r)) @ self.G
         return ll, grad, hess
 
+    def _two_group_loglik_grad_hess(self, beta):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            bw = self.b * np.exp(beta)
+            Z = self.a + bw
+            R = bw / Z
+            ll = float(self.sum_x @ beta) - float(np.log(Z).sum())
+            r = R.sum()
+            grad = self.sum_x - r
+            hess = np.array([[-(r - (R * R).sum())]])
+        return ll, grad, hess
 
-def cox_fit_numpy(table, covariates=("trt",), max_iter=50):
+
+def cox_fit_numpy(table, covariates=("trt",), max_iter=50, groups=None):
     """Damped Newton-Raphson on `GroupDesignNumpy`, with the package's
     tolerances, step halving and refusals."""
-    return _newton_numpy(GroupDesignNumpy(table, covariates), max_iter)
+    return _newton_numpy(GroupDesignNumpy(table, covariates, groups), max_iter)
 
 
 def _newton_numpy(design, max_iter):

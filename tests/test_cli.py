@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import platform
 import random
 import re
 import subprocess
@@ -580,7 +581,12 @@ class TestGoldenOutputs:
     `tpa_effect1_fitted_a.csv` and the two effect-2 `seed6_*` files were
     re-recorded when the fitted imputation models began to sum their
     exposure with `math.fsum`: only tip_min, tip_max and tip_sd cells moved,
-    by at most 2.9e-16, 1.4e-16 and 1.7e-15 relative.
+    by at most 2.9e-16, 1.4e-16 and 1.7e-15 relative. All but
+    `seed6_effect2_a.csv` were re-recorded when the one-covariate Cox fit
+    began to read two groups with elementwise arithmetic in place of the
+    four groups' cross product: only `hr_at_tip` and the curve's
+    `hr_overall` moved, by at most 8.9e-16 relative; tips, p-values,
+    `hr_mono` and event counts did not.
     `tpa_effect1_fitted_a.csv` pins the fitted censoring imputation, which
     the other effect-1 files (cutoff imputation) never reach. The four
     `seed6_*` files are `tpa` at CLI defaults (imputation seed 0) on the
@@ -641,6 +647,51 @@ class TestGoldenOutputs:
         assert code == 0
         golden = os.path.join(DATA, "curve_2_a.csv")
         assert (tmp_path / "curve_2_a.csv").read_bytes() == open(golden, "rb").read()
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.machine() != "x86_64",
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+class TestBlasKernel:
+    """The overall HR and the Wald p do not depend on the BLAS kernel: on
+    the seed-6 trial, the rule-a `results.csv` of effect 2, with the
+    log-rank p and with `--p-source wald`, and the curve's `hr_overall`
+    column are byte-identical under OpenBLAS's SSE3 kernel (`Prescott`,
+    which every x86-64 host can run) and under the kernel OpenBLAS picks
+    for this host. OpenBLAS reads OPENBLAS_CORETYPE when it loads, so each
+    kernel runs in a fresh process. `hr_mono` still reads a 3 x 3 LAPACK
+    solve, so it is left out."""
+
+    COMMANDS = [
+        ("curve", ["curve", "--effect", "2", "--threshold", "b", "--grid-min", "0.4",
+                   "--grid-step", "0.002"]),
+        ("tpa_a", ["tpa", "--effect", "2", "--threshold", "a"]),
+        ("tpa_wald", ["tpa", "--effect", "2", "--threshold", "a", "--p-source", "wald"]),
+    ]
+
+    def _outputs(self, dataset, out, coretype):
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_CORETYPE", "PHASETIP_SEED")}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(phasetip.__file__))
+        runs = [[*argv, "--input", dataset, "--out", str(out / name)]
+                for name, argv in self.COMMANDS]
+        code = ("import sys\nfrom phasetip.cli import main\n"
+                f"sys.exit(max(main(argv) for argv in {runs!r}))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        with open(out / "curve" / "curve_2_b.csv", newline="") as f:
+            hr_overall = [row["hr_overall"] for row in csv.DictReader(f)]
+        return (hr_overall, (out / "tpa_a" / "results.csv").read_bytes(),
+                (out / "tpa_wald" / "results.csv").read_bytes())
+
+    def test_overall_hr_and_wald_p_under_the_sse3_kernel(self, tmp_path):
+        dataset = tmp_path / "trial.csv"
+        write_dataset(simulate_trial(SimConfig(), seed=6), dataset)
+        default = self._outputs(str(dataset), tmp_path / "default", None)
+        assert len(default[0]) == 301
+        assert self._outputs(str(dataset), tmp_path / "prescott", "Prescott") == default
 
 
 class TestRowOrder:
@@ -708,6 +759,20 @@ class TestRowOrder:
             assert main(["analyze", "--input", path, *flags]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[1:] == reports[:-1]
+
+    @pytest.mark.parametrize("golden,flags", [
+        ("analyze_tied_strata", []),
+        ("analyze_tied_strata_stratified_breslow", ["--stratified", "--ties", "breslow"]),
+    ])
+    def test_tied_strata_analyze_golden(self, tied_strata_orders, capsys, golden, flags):
+        """The report on the tied, three-stratum trial, in its first order,
+        is byte-identical to a recorded file: plain, it pins the Efron tie
+        rows of the pooled fits; with `--stratified --ties breslow`, the
+        Breslow tie rows and the sums over strata. The seed-6 goldens pin
+        neither, as that trial has no tied event time and no strata."""
+        assert main(["analyze", "--input", tied_strata_orders[0], *flags]) == 0
+        with open(os.path.join(DATA, f"{golden}.txt"), encoding="utf-8") as f:
+            assert capsys.readouterr().out == f.read()
 
 
 class TestSimulateCommand:

@@ -32,6 +32,7 @@ from phasetip.survival import (
     CoxFit,
     _fits,
     _Stack,
+    _TwoGroupStack,
     _group_covariates,
     _inverses_of_positive_definite,
     _newton,
@@ -44,6 +45,31 @@ from phasetip.survival import (
     phase_hr,
     risk_table,
 )
+
+
+DESIGNS = [("trt",), ("trt", "mono", "trt_x_mono")]
+# the designs that `_fits` reads from two groups
+ONE_COVARIATE = [("trt",), ("mono",), ("trt_x_mono",)]
+
+
+def _stack_class(covariates):
+    """The stack that `_fits` runs the design on."""
+    return _TwoGroupStack if len(covariates) == 1 else _Stack
+
+
+def _overflowing_table(covariates, n):
+    """A table of n rows for a one-covariate design, each with 1e6 subjects
+    at risk in a group of covariate 0 and one in a group of covariate 1,
+    and one event in the latter: the first Newton step from 0 is about
+    1e6 / n, so w = exp(beta) overflows there. The maximum is at
+    exp(beta) = 1e6 / (n - 1)."""
+    G = _group_covariates(covariates)
+    zero, one = (int(np.flatnonzero(G[:, 0] == v)[0]) for v in (0.0, 1.0))
+    A, D, meets = np.zeros((n, 4)), np.zeros(4, dtype=int), np.zeros((4, 4), dtype=bool)
+    A[:, zero], A[:, one] = 1e6, 1.0
+    D[zero], D[one] = n - 1, 1
+    meets[np.ix_([zero, one], [zero, one])] = True
+    return survival.RiskTable(A=A, D=D, meets=meets, ties="efron", stratified=False)
 
 
 def efron_loglik_grid(times, events, x, beta_grid):
@@ -263,24 +289,31 @@ class TestSortedRows:
             delta[r, rng.choice(m, events, replace=False)] = 1
         return trial, s, delta
 
-    def test_runs_of_equal_length_tables(self):
+    @pytest.mark.parametrize("designs", [ONE_COVARIATE, [PHASE_MODEL]],
+                             ids=["two-group", "four-group"])
+    def test_runs_of_equal_length_tables(self, designs):
         """Tables of 5, 7, 5, 5, 9, 7 rows: fits that end early, at an
         iteration cap of 1 or 2, after step halving, refused or converged at
         other iteration counts, keep their slots while fits of other lengths
-        run on, and every fit is `cox_fit` of its table alone."""
-        likelihood = _Stack.loglik_grad_hess
+        run on, and every fit is `cox_fit` of its table alone; on either
+        stack. A one-covariate fit of these trials takes no halving, so its
+        block gets a 5-row table whose first step overflows."""
         seen, iterations = set(), set()
         for seed in range(30):
             trial, s, delta = self._outcomes_with_events(seed, self.LENGTHS)
-            tables = SortedRows(trial, s, delta).tables
-            assert [len(table.A) for table in tables] == self.LENGTHS
-            for covariates in DESIGNS:
+            trial_tables = SortedRows(trial, s, delta).tables
+            assert [len(table.A) for table in trial_tables] == self.LENGTHS
+            for covariates in designs:
+                stack = _stack_class(covariates)
+                tables = trial_tables
+                if len(covariates) == 1:
+                    tables = trial_tables + [_overflowing_table(covariates, 5)]
                 for max_iter in (1, 2, 50):
                     alone = []
                     for table in tables:
                         with _capped(max_iter), mock.patch.object(
-                                _Stack, "loglik_grad_hess", autospec=True,
-                                side_effect=likelihood) as rounds:
+                                stack, "loglik_grad_hess", autospec=True,
+                                side_effect=stack.loglik_grad_hess) as rounds:
                             try:
                                 result = cox_fit(table, covariates)
                             except EstimationError as err:
@@ -298,26 +331,31 @@ class TestSortedRows:
         assert {ConvergenceError, SeparationError, "halved"} <= seen and len(iterations) > 2
 
     @pytest.mark.parametrize("max_iter", [1, 2, 50])
-    def test_an_ended_fit_keeps_its_slot(self, max_iter):
+    @pytest.mark.parametrize("designs", [ONE_COVARIATE, [PHASE_MODEL]],
+                             ids=["two-group", "four-group"])
+    def test_an_ended_fit_keeps_its_slot(self, max_iter, designs):
         """Every round of `_newton` evaluates all k rows of one stack, whose
         runs never change. A fit that has ended keeps in its row the point
         it last tried, round after round, until the last fit ends; each fit
-        tries the points, and ends as, `_newton` of its table alone."""
-        likelihood = _Stack.loglik_grad_hess
+        tries the points, and ends as, `_newton` of its table alone; on
+        either stack."""
 
-        def recorded(rounds):
+        def recorded(rounds, stack_class):
+            likelihood = stack_class.loglik_grad_hess
+
             def evaluate(stack, beta):
                 rounds.append((beta.shape, beta.tobytes(), [run[:3] for run in stack.runs]))
                 return likelihood(stack, beta)
-            return mock.patch.object(_Stack, "loglik_grad_hess", autospec=True,
+            return mock.patch.object(stack_class, "loglik_grad_hess", autospec=True,
                                      side_effect=evaluate)
 
         def newton(tables, G):
             rounds = []
-            with _capped(max_iter), recorded(rounds), np.errstate(
+            # one stack at a time: each holds the thread's buffers
+            stack = survival._stack(tables, G)
+            with _capped(max_iter), recorded(rounds, type(stack)), np.errstate(
                     over="ignore", invalid="ignore", divide="ignore"):
-                # one stack at a time: each holds the thread's buffers
-                ends, optima = _newton(_Stack(tables, G))
+                ends, optima = _newton(stack)
             ends = [_result_bits(end) if isinstance(end, Exception) else end for end in ends]
             optima = [None if optimum is None else (optimum[0].tobytes(), repr(optimum[1]),
                                                     optimum[2].tobytes(), repr(optimum[3]))
@@ -327,8 +365,12 @@ class TestSortedRows:
         kept = 0
         for seed in range(10):
             trial, s, delta = self._outcomes_with_events(seed, self.LENGTHS)
-            tables = sorted(SortedRows(trial, s, delta).tables, key=lambda table: len(table.A))
-            for covariates in DESIGNS:
+            trial_tables = SortedRows(trial, s, delta).tables
+            for covariates in designs:
+                tables = trial_tables
+                if len(covariates) == 1:   # a fit that halves, as in the test above
+                    tables = trial_tables + [_overflowing_table(covariates, 5)]
+                tables = sorted(tables, key=lambda table: len(table.A))
                 G = _group_covariates(covariates)
                 k, p = len(tables), G.shape[1]
                 ends, optima, rounds = newton(tables, G)
@@ -351,20 +393,22 @@ class TestSortedRows:
         # as given: only neighbours of one length share a run
         ((0, 1, 2, 3, 4, 5), [(0, 1, 5), (1, 2, 7), (2, 4, 5), (4, 5, 9), (5, 6, 7)]),
     ])
-    def test_stack_keeps_its_runs(self, order, runs):
-        """`_Stack` forms the runs of equal-length tables once and keeps
+    @pytest.mark.parametrize("covariates", ONE_COVARIATE + [PHASE_MODEL])
+    def test_stack_keeps_its_runs(self, order, runs, covariates):
+        """Either stack forms the runs of equal-length tables once and keeps
         them round after round; in each round every table's likelihood,
         gradient and Hessian are those of the table alone, to the bit."""
         trial, s, delta = self._outcomes_with_events(25, self.LENGTHS)
         tables = SortedRows(trial, s, delta).tables
         stacked = [tables[j] for j in order]
-        G = _group_covariates(PHASE_MODEL)
-        betas = np.random.default_rng(1).normal(0.0, 0.5, (2, 6, 3))
+        G = _group_covariates(covariates)
+        betas = np.random.default_rng(1).normal(0.0, 0.5, (2, 6, len(covariates)))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # one stack at a time: each holds the thread's buffers
-            alone = [[_Stack([table], G).loglik_grad_hess(beta[i][None])
+            alone = [[survival._stack([table], G).loglik_grad_hess(beta[i][None])
                       for i, table in enumerate(stacked)] for beta in betas]
-            stack = _Stack(stacked, G)
+            stack = survival._stack(stacked, G)
+            assert type(stack) is _stack_class(covariates)
             for beta, expected in zip(betas, alone):   # two rounds
                 assert [run[:3] for run in stack.runs] == runs
                 ll, grad, hess = stack.loglik_grad_hess(beta)
@@ -684,13 +728,10 @@ class TestCoxProperties:
         assert abs(pooled.coef("trt") - single.coef("trt")) > 1e-4
 
 
-DESIGNS = [("trt",), ("trt", "mono", "trt_x_mono")]
-
-
 def _one_table_likelihood(table, covariates, beta):
     """The lockstep's likelihood, gradient and Hessian of one table at beta."""
-    (ll,), (grad,), (hess,) = _Stack([table], _group_covariates(covariates)).loglik_grad_hess(
-        np.asarray(beta, dtype=float)[None])
+    stack = survival._stack([table], _group_covariates(covariates))
+    (ll,), (grad,), (hess,) = stack.loglik_grad_hess(np.asarray(beta, dtype=float)[None])
     return ll, grad, hess
 
 
@@ -923,9 +964,70 @@ class TestNewtonAgainstNumpyWrappers:
         for data in seed6_transforms:
             for ties, stratified in (("efron", False), ("breslow", False), ("efron", True)):
                 table = risk_table(data, ties, stratified)
-                for covariates in (("trt",), ("trt", "mono", "trt_x_mono")):
+                for covariates in ONE_COVARIATE + [PHASE_MODEL]:
                     assert _fit_bits(cox_fit, table, covariates, 50) == _fit_bits(
                         cox_fit_numpy, table, covariates, 50)
+
+
+class TestTwoGroupsAgainstFourGroups:
+    """`cox_fit` reads a one-covariate design from two groups. The same
+    design read from all four groups, `cox_fit_numpy(..., groups=4)` (the
+    arithmetic of the four-group stack), is the oracle: the two differ only
+    in float rounding, so beta, se and loglik agree within REL, relative
+    above 1 (absolute below), and a refused fit is refused with the same
+    error type, under either tie method, with and without strata."""
+
+    REL = 1e-12
+
+    @staticmethod
+    def _fit(fit, *args, **kwargs):
+        try:
+            return fit(*args, **kwargs)
+        except EstimationError as err:
+            return err
+
+    def _assert_within_rounding(self, got, want):
+        assert type(got) is type(want)
+        if isinstance(want, CoxFit):
+            for g, w in ((got.beta, want.beta), (got.se, want.se), (got.loglik, want.loglik)):
+                assert np.all(np.abs(g - w) <= self.REL * np.maximum(1.0, np.abs(w)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=trials(max_size=24), ties=st.sampled_from(["efron", "breslow"]),
+           stratified=st.booleans(), covariates=st.sampled_from(ONE_COVARIATE),
+           max_iter=st.sampled_from([50, 50, 50, 1, 2]))
+    def test_within_rounding_of_the_four_group_fit(self, records, ties, stratified, covariates,
+                                                   max_iter):
+        table = risk_table(Trial.from_records(records), ties, stratified)
+        with _capped(max_iter):
+            got = self._fit(cox_fit, table, covariates)
+        want = self._fit(cox_fit_numpy, table, covariates, max_iter=max_iter, groups=4)
+        event(f"{covariates[0]}: {type(want).__name__}")
+        self._assert_within_rounding(got, want)
+
+    @pytest.mark.parametrize("covariates", ONE_COVARIATE)
+    def test_a_step_that_overflows_w_is_halved(self, covariates):
+        """At the first Newton step of `_overflowing_table` w overflows:
+        that point's likelihood is not finite, and the step is halved until
+        it is, not refused."""
+        table = _overflowing_table(covariates, 2)
+        tried = []
+        likelihood = _TwoGroupStack.loglik_grad_hess
+
+        def evaluate(stack, beta):
+            tried.append(beta[0, 0])
+            return likelihood(stack, beta)
+
+        with mock.patch.object(_TwoGroupStack, "loglik_grad_hess", autospec=True,
+                               side_effect=evaluate):
+            fit = cox_fit(table, covariates)
+        assert tried[1] > math.log(np.finfo(float).max)   # the first step overflows w
+        assert len(tried) > fit.iterations + 1            # and is halved
+        assert fit.coef(covariates[0]) == pytest.approx(math.log(1e6), rel=1e-12)
+        assert _fit_bits(cox_fit, table, covariates, 50) == _fit_bits(
+            cox_fit_numpy, table, covariates, 50)
+        self._assert_within_rounding(fit, cox_fit_numpy(table, covariates, groups=4))
 
 
 class TestLinalgWithoutWrappers:
